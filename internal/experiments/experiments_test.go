@@ -110,6 +110,7 @@ func TestFig6ShiftingBottleneck(t *testing.T) {
 	if !strings.Contains(r.String(), "Fig 6") {
 		t.Fatal("missing header")
 	}
+	checkGolden(t, "fig6", goldenFig6, r.String())
 }
 
 func TestFig7SatisfactionRises(t *testing.T) {
@@ -148,6 +149,7 @@ func TestFig7SatisfactionRises(t *testing.T) {
 	if !strings.Contains(r.String(), "Fig 7") {
 		t.Fatal("missing header")
 	}
+	checkGolden(t, "fig7", goldenFig7, r.String())
 }
 
 func TestFig7IsolationLSUnaffectedByBC(t *testing.T) {
@@ -178,6 +180,8 @@ func TestFig7IsolationLSUnaffectedByBC(t *testing.T) {
 	if !strings.Contains(shared.String(), "Fig 7") {
 		t.Fatal("missing header")
 	}
+	checkGolden(t, "fig7iso base", goldenFig7IsoBase, base.String())
+	checkGolden(t, "fig7iso shared", goldenFig7IsoShared, shared.String())
 }
 
 func TestFig8TraceReplay(t *testing.T) {
@@ -226,6 +230,7 @@ func TestFig9PredictionErrorsSmall(t *testing.T) {
 	if !strings.Contains(r.String(), "Fig 9") {
 		t.Fatal("missing header")
 	}
+	checkGolden(t, "fig9", goldenFig9, r.String())
 }
 
 func TestSLOScaleTable(t *testing.T) {
@@ -249,4 +254,5 @@ func TestSLOScaleTable(t *testing.T) {
 	if !strings.Contains(r.String(), "6.5") {
 		t.Fatal("missing header")
 	}
+	checkGolden(t, "sloscale", goldenSLOScale, r.String())
 }
