@@ -114,9 +114,11 @@ func TestClipperStaticPlacement(t *testing.T) {
 	// Round-robin: the two models land on different GPUs.
 	miA, _ := cl.Ctl.Model("a")
 	miB, _ := cl.Ctl.Model("b")
-	for g := range miA.ResidentOn() {
-		if miB.ResidentOn()[g] {
-			t.Fatal("round-robin placement put both models on one GPU")
+	for _, ga := range miA.ResidentOn() {
+		for _, gb := range miB.ResidentOn() {
+			if ga == gb {
+				t.Fatal("round-robin placement put both models on one GPU")
+			}
 		}
 	}
 }

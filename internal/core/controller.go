@@ -149,6 +149,19 @@ type Controller struct {
 	deadlineIdx   modelTreap
 	deadlineIdxOn bool
 
+	// The nothing-to-load gate (index.go): coldActive counts active
+	// models with positive demand and no replica anywhere, posReplicated
+	// those with replicas whose exact load priority was positive when
+	// last settled; dirtyGPUs lists the mirrors whose ℓ_g has since
+	// moved past the level their withWork models were cleared to, so
+	// that those models are due another look. reindexModel is their
+	// only writer. priorityEvals counts exact loadPriority evaluations,
+	// for the work ratchet in the tests.
+	coldActive    int
+	posReplicated int
+	dirtyGPUs     []*GPUMirror
+	priorityEvals uint64
+
 	// testOnInfer, when non-nil, observes every dispatched INFER with
 	// the requests it carries; tests install it to audit scheduler
 	// invariants at the moment of decision.
@@ -316,7 +329,6 @@ func (c *Controller) AddWorker(id, gpuCount int, pageCacheBytes, pageSize int64,
 	wh := &workerHandle{id: id, submit: submit}
 	for i := 0; i < gpuCount; i++ {
 		m := newGPUMirror(id, i, pageCacheBytes, pageSize)
-		m.withWork = make(map[*ModelInfo]bool)
 		wh.gpus = append(wh.gpus, m)
 		c.gpus = append(c.gpus, m)
 	}
@@ -422,8 +434,7 @@ func (c *Controller) detachWorker(wh *workerHandle) {
 	for _, g := range wh.gpus {
 		g.disabled = true
 		for _, mi := range c.modelList {
-			if mi.residentOn[g] {
-				delete(mi.residentOn, g)
+			if mi.dropReplica(g) {
 				delete(g.withWork, mi)
 				c.reindexModel(mi)
 			}
@@ -484,7 +495,7 @@ func (c *Controller) RegisterModel(name string, zoo *modelzoo.Model) error {
 	if _, dup := c.models[name]; dup {
 		return fmt.Errorf("%w: %q", ErrDuplicateModel, name)
 	}
-	mi := &ModelInfo{name: name, zoo: zoo, owner: c, residentOn: make(map[*GPUMirror]bool), seq: c.nextSeq}
+	mi := &ModelInfo{name: name, zoo: zoo, owner: c, seq: c.nextSeq}
 	c.nextSeq++
 	c.models[name] = mi
 	c.modelList = append(c.modelList, mi)
@@ -530,7 +541,7 @@ func (c *Controller) UnregisterModel(name string) error {
 	// Evict every replica (deterministic GPU order; disabled mirrors
 	// were already detached and their workers keep stale weights).
 	for _, g := range c.gpus {
-		if !g.disabled && mi.residentOn[g] {
+		if !g.disabled && mi.residentOnGPU(g) {
 			c.SendUnload(g, mi)
 		}
 	}
@@ -650,7 +661,7 @@ func (c *Controller) submitSpec(spec SubmitSpec, onResponse func(Response), rsp 
 	mi.demand += r.execEst
 	if len(mi.queue) == 1 {
 		c.activeModels[mi] = true
-		for g := range mi.residentOn {
+		for _, g := range mi.residentOn {
 			g.withWork[mi] = true
 		}
 	}
@@ -750,7 +761,7 @@ func (c *Controller) timeoutRequest(r *Request) {
 func (c *Controller) noteQueueMaybeEmpty(mi *ModelInfo) {
 	if len(mi.queue) == 0 {
 		delete(c.activeModels, mi)
-		for g := range mi.residentOn {
+		for _, g := range mi.residentOn {
 			delete(g.withWork, mi)
 		}
 	}
@@ -870,7 +881,7 @@ func (c *Controller) SendLoad(g *GPUMirror, mi *ModelInfo, earliest, latest simc
 	}
 	g.loading[mi.name] = eta
 	g.LoadFreeAt = transferEnd
-	mi.residentOn[g] = true
+	mi.addReplica(g)
 	if len(mi.queue) > 0 {
 		g.withWork[mi] = true
 	}
@@ -887,7 +898,7 @@ func (c *Controller) SendUnload(g *GPUMirror, mi *ModelInfo) *action.Action {
 		panic(fmt.Sprintf("core: SendUnload: %v", err))
 	}
 	delete(g.loading, mi.name)
-	delete(mi.residentOn, g)
+	mi.dropReplica(g)
 	delete(g.withWork, mi)
 	c.nextActionID += c.cfg.IDStride
 	a := &action.Action{
@@ -961,7 +972,7 @@ func (c *Controller) handleLoadResult(g *GPUMirror, res action.Result) {
 	delete(g.loading, res.Model)
 	if g.Pages.Has(res.Model) {
 		if err := g.Pages.Free(res.Model); err == nil {
-			delete(mi.residentOn, g)
+			mi.dropReplica(g)
 			delete(g.withWork, mi)
 		}
 	}

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"slices"
 	"time"
 
 	"clockwork/internal/modelzoo"
@@ -27,9 +29,36 @@ import (
 //     model's demand cannot beat the best exact priority found
 //     (branch-and-bound), while per-GPU allocated demand ℓ_g is
 //     maintained incrementally instead of being rebuilt per call.
+//   - the nothing-to-load gate in front of that walk. The walk's bound
+//     only bites once a positive priority has been found; when every
+//     active model is replicated and fulfilled (p_m ≤ 0) — the common
+//     state of a loaded cluster — it visits every active model, per
+//     GPU, per event, to return nil. The controller therefore keeps the
+//     count of active models whose exact priority is positive, split
+//     into coldActive (no replica: p_m = d_m > 0, no arithmetic needed)
+//     and posReplicated, and bestLoad asks anythingToLoad first. A
+//     model's priority depends on its own demand, activity and replica
+//     set, and on ℓ_g of its hosting GPUs. reindexModel settles the
+//     model's own sign with the same loadPriority the walk uses. The
+//     other models feel the change only through ℓ_g, and p_m is
+//     monotone in it: a model found at p_m ≤ 0 is at the same time
+//     cleared up to the ℓ_g levels at which that would still hold
+//     (clearLoad — verified with the exact arithmetic, not estimated),
+//     each GPU remembers the lowest level any of its models was cleared
+//     to, and only a GPU filling past that level goes on the dirty list
+//     whose withWork models the gate looks at again before it trusts
+//     posReplicated. The gate answers "nothing" only when every active
+//     model has p_m ≤ 0 by an exact evaluation that is either current
+//     or proven to still hold, so it cannot change a decision; whenever
+//     it answers "something" the walk runs unchanged.
 //   - a deadline-ordered treap (enabled only for the LoadOldestFirst
 //     ablation policy) over active models keyed by earliest queued
 //     deadline.
+//
+// The invariant all of this rests on: reindexModel is the only writer
+// of the indexes, of ℓ_g and of the gate's counters, and every mutation
+// of a model's demand, active-set membership or replica set is followed
+// by reindexModel(mi) before the scheduler runs again.
 //
 // Determinism: all index orders break ties by model registration
 // sequence, which makes selection deterministic where the seed's map
@@ -48,19 +77,35 @@ func (c *Controller) reindexModel(mi *ModelInfo) {
 	// contribution and apply the current one (Appendix B computes
 	// ℓ_g = Σ_m a_{m,g} with a_{m,g} = d_m / |replicas(m)| over active
 	// models; shares use the same integer division as the seed's scan).
-	for _, g := range mi.sharedOn {
-		g.allocDemand -= mi.loadShare
-	}
-	mi.sharedOn = mi.sharedOn[:0]
-	mi.loadShare = 0
+	// Every GPU whose ℓ_g moves is reported to the gate; a call that
+	// leaves share and replica set as they were (an estimate
+	// observation, a LOAD landing) moves nothing.
 	active := c.activeModels[mi]
+	var share time.Duration
+	var hosts []*GPUMirror
 	if active && mi.demand > 0 && len(mi.residentOn) > 0 {
-		mi.loadShare = mi.demand / time.Duration(len(mi.residentOn))
-		for g := range mi.residentOn {
-			g.allocDemand += mi.loadShare
+		share = mi.demand / time.Duration(len(mi.residentOn))
+		hosts = mi.residentOn
+	}
+	if share != mi.loadShare || !slices.Equal(hosts, mi.sharedOn) {
+		for _, g := range mi.sharedOn {
+			g.allocDemand -= mi.loadShare
+		}
+		for _, g := range hosts {
+			g.allocDemand += share
+		}
+		// Judge each ℓ_g where it ended up, not half-way through.
+		for _, g := range mi.sharedOn {
+			c.noteLoadMoved(g)
+		}
+		mi.sharedOn = mi.sharedOn[:0]
+		mi.loadShare = share
+		for _, g := range hosts {
+			c.noteLoadMoved(g)
 			mi.sharedOn = append(mi.sharedOn, g)
 		}
 	}
+	c.settleLoadSign(mi, active)
 
 	// Demand index membership: exactly the active models.
 	if active {
@@ -83,7 +128,7 @@ func (c *Controller) reindexModel(mi *ModelInfo) {
 	// lazily when popped, or swept by compaction.
 	if mi.QueuedCount() > 0 {
 		now := c.eng.Now()
-		for g := range mi.residentOn {
+		for _, g := range mi.residentOn {
 			if !g.withWork[mi] {
 				continue
 			}
@@ -94,6 +139,202 @@ func (c *Controller) reindexModel(mi *ModelInfo) {
 			g.pushStrategy(stratEntry{mi: mi, key: rs, stamp: mi.stamp})
 		}
 	}
+}
+
+// ---- load priority and the nothing-to-load gate ----
+
+// fulfilled is one replica's term of Appendix B's priority: the share of
+// demand a GPU whose allocated demand is l absorbs over the load
+// horizon. For fixed share it is monotone non-increasing in l — float
+// conversion, division and truncation all are — which is what the
+// gate's ceilings below rest on.
+func (c *Controller) fulfilled(share, l time.Duration) time.Duration {
+	if l <= 0 {
+		l = time.Nanosecond
+	}
+	return time.Duration(float64(share) * float64(c.cfg.LoadHorizon) / float64(l))
+}
+
+// loadPriority computes Appendix B's p_m = d_m − Σ_g a_{m,g} ·
+// capacity_g / ℓ_g from the incrementally maintained per-GPU loads.
+// The walk in bestLoad and the gate below both call it, so they cannot
+// disagree about a sign.
+//
+// No "will the load land before the current deadlines" filter: demand
+// is a *rate* signal. Under a tight SLO every queued request may expire
+// before the transfer lands, yet sustained demand means the load pays
+// off for the arrivals right behind them — filtering here deadlocks
+// cold models forever.
+func (c *Controller) loadPriority(mi *ModelInfo) time.Duration {
+	return c.loadPriorityAt(mi, 1)
+}
+
+// loadPriorityAt is mi's priority with every hosting GPU's ℓ_g grown by
+// the factor headroom: at 1 the priority as it is, above 1 what it would
+// become if all of them filled up that far.
+func (c *Controller) loadPriorityAt(mi *ModelInfo, headroom float64) time.Duration {
+	c.priorityEvals++
+	p := mi.demand
+	if n := len(mi.residentOn); n > 0 {
+		share := mi.demand / time.Duration(n)
+		for _, g := range mi.residentOn {
+			p -= c.fulfilled(share, g.loadLevel(headroom))
+		}
+	}
+	return p
+}
+
+// loadLevel is ℓ_g grown by headroom (exactly ℓ_g at 1), saturating far
+// below overflow.
+func (g *GPUMirror) loadLevel(headroom float64) time.Duration {
+	if headroom <= 1 {
+		return g.allocDemand
+	}
+	const limit = math.MaxInt64 / 2
+	if l := float64(g.allocDemand) * headroom; l < limit {
+		return time.Duration(l)
+	}
+	return limit
+}
+
+// loadSign is one model's contribution to the gate's counters.
+type loadSign uint8
+
+const (
+	signNone     loadSign = iota // inactive, no demand, or replicated with p_m ≤ 0
+	signCold                     // active, demand > 0, no replica: p_m = d_m > 0
+	signPositive                 // active, replicated, exact p_m > 0
+)
+
+// settleLoadSign recomputes mi's sign on the current state (active says
+// whether mi is in activeModels) and moves the gate's counters by the
+// difference. A replicated model found at p_m ≤ 0 also records how long
+// that verdict keeps: see clearLoad.
+func (c *Controller) settleLoadSign(mi *ModelInfo, active bool) {
+	sign := signNone
+	if active && mi.demand > 0 {
+		if len(mi.residentOn) == 0 {
+			sign = signCold
+		} else if p := c.loadPriority(mi); p > 0 {
+			sign = signPositive
+		} else {
+			c.clearLoad(mi, p)
+		}
+	}
+	if sign == mi.loadSign {
+		return
+	}
+	switch mi.loadSign {
+	case signCold:
+		c.coldActive--
+	case signPositive:
+		c.posReplicated--
+	}
+	switch sign {
+	case signCold:
+		c.coldActive++
+	case signPositive:
+		c.posReplicated++
+	}
+	mi.loadSign = sign
+}
+
+// clearLoad records for how long mi's just-computed p_m = p ≤ 0 keeps.
+// p_m only rises when a hosting GPU's ℓ_g rises (fulfilled is monotone),
+// so if p_m is still ≤ 0 with every hosting ℓ_g grown by some headroom,
+// it is ≤ 0 for every combination of loads below those levels, and mi
+// need not be evaluated again until one of its GPUs fills past its
+// level. The levels go into mi.clearedTo (parallel to residentOn), and
+// each GPU keeps the lowest level any of its models was cleared to
+// (loadCeil) as the O(1) trigger. The headroom tried is the one that
+// would bring p_m to about zero — Σ fulfilled = d_m − p scales as
+// 1/headroom — less a 1/64 margin for truncation; it is then *checked*
+// with the exact arithmetic, and a headroom that fails the check is
+// dropped for none at all (cleared to the present ℓ_g only), so the
+// margin decides how soon a model is revisited, never a sign.
+func (c *Controller) clearLoad(mi *ModelInfo, p time.Duration) {
+	headroom := float64(mi.demand-p) / float64(mi.demand) * (63.0 / 64)
+	if headroom <= 1 || c.loadPriorityAt(mi, headroom) > 0 {
+		headroom = 1
+	}
+	if mi.clearedTo == nil {
+		mi.clearedTo = make([]time.Duration, 0, replicaRoom)
+	}
+	mi.clearedTo = mi.clearedTo[:0]
+	for _, g := range mi.residentOn {
+		level := g.loadLevel(headroom)
+		mi.clearedTo = append(mi.clearedTo, level)
+		if level < g.loadCeil {
+			g.loadCeil = level
+		}
+	}
+}
+
+// stillCleared reports whether mi's last p_m ≤ 0 verdict still stands:
+// nothing about mi changed since (any change re-settles it through
+// reindexModel) and every hosting GPU is at or under the level mi was
+// cleared to. It returns the level for g.
+func (mi *ModelInfo) stillCleared(g *GPUMirror) (level time.Duration, ok bool) {
+	if mi.loadSign != signNone || len(mi.clearedTo) != len(mi.residentOn) {
+		return 0, false
+	}
+	for i, r := range mi.residentOn {
+		if r.allocDemand > mi.clearedTo[i] {
+			return 0, false
+		}
+		if r == g {
+			level = mi.clearedTo[i]
+		}
+	}
+	return level, true
+}
+
+// noteLoadMoved is called for each GPU whose ℓ_g a reindex moved. The
+// models sharing g need another look if ℓ_g rose past the lowest level
+// one of them was cleared to, or — ℓ_g may have fallen — if some
+// replicated model somewhere is counted positive and might no longer be
+// (leaving it counted would be safe, the walk decides; it would only
+// never end). O(1); the dirty list is bounded by the GPU count.
+func (c *Controller) noteLoadMoved(g *GPUMirror) {
+	if !g.loadDirty && (g.allocDemand > g.loadCeil || c.posReplicated > 0) {
+		g.loadDirty = true
+		c.dirtyGPUs = append(c.dirtyGPUs, g)
+	}
+}
+
+// anythingToLoad is the gate: it reports whether any active model has a
+// positive load priority right now. A cold active model answers yes
+// without arithmetic (and without flushing — the walk is about to run
+// anyway); otherwise the dirty GPUs are flushed first, so a no means
+// every active model is either freshly evaluated ≤ 0 or cleared ≤ 0 up
+// to levels its GPUs are still under.
+func (c *Controller) anythingToLoad() bool {
+	if c.coldActive > 0 {
+		return true
+	}
+	c.flushLoadSigns()
+	return c.posReplicated > 0
+}
+
+// flushLoadSigns looks again at the active models resident on each
+// dirty GPU — exactly its withWork set, which the controller updates
+// together with activeModels — and rebuilds the GPU's ceiling
+// from them: a model whose clearance still stands costs a comparison
+// per replica, the others are re-settled with the exact arithmetic.
+// Counter and ceiling updates commute, so the map order does not matter.
+func (c *Controller) flushLoadSigns() {
+	for _, g := range c.dirtyGPUs {
+		g.loadDirty = false
+		g.loadCeil = math.MaxInt64
+		for mi := range g.withWork {
+			if level, ok := mi.stillCleared(g); !ok {
+				c.settleLoadSign(mi, true)
+			} else if level < g.loadCeil {
+				g.loadCeil = level
+			}
+		}
+	}
+	c.dirtyGPUs = c.dirtyGPUs[:0]
 }
 
 // inferCandidate picks mi's best feasible (batch, earliest, requiredStart)
@@ -138,7 +379,18 @@ var descBatches = func() []int {
 // enableDeadlineIndex turns on MinDeadline-ordered indexing of active
 // models; the LoadOldestFirst ablation policy opts in at Attach time so
 // the default path never pays the O(queue) MinDeadline recomputation.
-func (c *Controller) enableDeadlineIndex() { c.deadlineIdxOn = true }
+// Enabling it later indexes the models that are already active.
+func (c *Controller) enableDeadlineIndex() {
+	if c.deadlineIdxOn {
+		return
+	}
+	c.deadlineIdxOn = true
+	for _, mi := range c.modelList {
+		if c.activeModels[mi] {
+			c.deadlineIdx.update(mi, &mi.deadlineNode, int64(mi.MinDeadline()))
+		}
+	}
+}
 
 // ---- per-GPU strategy heap ----
 

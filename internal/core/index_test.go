@@ -73,102 +73,294 @@ func TestSchedulerNeverDispatchesLateInfer(t *testing.T) {
 }
 
 // TestIndexedSelectionMatchesLinear replays randomized workloads and, at
-// every engine step, compares the index-based strategy/load/victim
-// selection against the seed's linear scans on identical state. Key
-// equality (required start, priority) is asserted rather than pointer
-// identity because the linear scans break exact ties by Go map order.
+// every compared engine step, checks the index-based strategy / load /
+// victim selection against the seed's linear scans on identical state —
+// on pointer identity, the oracles breaking ties the way the indexes
+// document — together with everything the selection rests on: the
+// nothing-to-load gate's counters against a from-scratch recount, the
+// replica lists against the mirrors' own residency, ℓ_g against its
+// rebuild, and the page-cache mirrors' internal invariants.
+//
+// Two families of state. The small one ("seed-N") is one worker with
+// two GPUs and 16 models, where most active models are cold or resident on the asking
+// GPU. "spread" is the regime the gate exists for: two shards of eight
+// GPUs each, 256 Zipf models whose hot head replicates across GPUs and
+// whose cold tail cycles through page caches too small to hold it, with
+// control-plane churn mid-run — a worker failing, one draining, one
+// joining, hot models unregistered and migrated between the shards.
 func TestIndexedSelectionMatchesLinear(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		seed := seed
-		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) {
+		t.Run(fmt.Sprintf("seed-%d", seed), func(t *testing.T) { // the small state
 			t.Parallel()
-			s := NewClockworkScheduler()
 			cl := NewCluster(ClusterConfig{
-				Workers: 1, GPUsPerWorker: 2, Seed: seed, Scheduler: s,
+				Workers: 1, GPUsPerWorker: 2, Seed: seed,
 				PageCacheBytes: 10 * 7 * 16 * 1024 * 1024,
 			})
 			randomWorkload(cl, seed, 16, 600, 2*time.Second)
-			stop := simclock.Time(3 * time.Second)
-			steps, compared := 0, 0
-			for cl.Eng.Now() < stop && cl.Eng.Step() {
-				steps++
-				if steps%7 != 0 {
-					continue
-				}
-				compared++
-				now := cl.Eng.Now()
-				for _, g := range cl.Ctl.GPUs() {
-					compareSelections(t, cl, s, g, now)
+			runCompared(t, cl, 3*time.Second, 7, nil)
+		})
+	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("spread/seed-%d", seed), func(t *testing.T) {
+			t.Parallel()
+			cl := NewCluster(ClusterConfig{
+				Workers: 8, GPUsPerWorker: 2, Shards: 2, Seed: seed,
+				// 14 ResNet50s per GPU: the 16 GPUs together hold fewer
+				// replicas than there are models, so the tail cycles.
+				PageCacheBytes:    14 * 7 * 16 * 1024 * 1024,
+				RebalanceInterval: 200 * time.Millisecond,
+			})
+			names, _ := cl.RegisterCopies("m", modelzoo.ResNet50(), 256)
+			zipfWorkload(cl, seed, names, 0.9, 3500, 0, 1500*time.Millisecond)
+			// A 150 ms overload burst on top: demand outruns the hosting
+			// GPUs while the LOAD executors are busy, so replicated models
+			// with a positive priority persist across events.
+			zipfWorkload(cl, seed+100, names, 0.9, 9000, 1100*time.Millisecond, 1250*time.Millisecond)
+
+			// Control-plane churn, each step retried until its
+			// preconditions hold (a busy model cannot be unregistered or
+			// migrated; ErrModelBusy means try again later).
+			type step struct {
+				at simclock.Time
+				do func() bool
+			}
+			ms := func(n int) simclock.Time { return simclock.Time(time.Duration(n) * time.Millisecond) }
+			migrate := func(name string) func() bool {
+				return func() bool {
+					from, _ := cl.ShardOf(name)
+					return cl.MigrateModel(name, 1-from) == nil
 				}
 			}
-			if compared == 0 {
-				t.Fatal("no comparison points")
+			churn := []step{
+				{ms(300), func() bool { return cl.FailWorker(1) == nil }},
+				{ms(450), func() bool { return cl.DrainWorker(2) == nil }},
+				{ms(600), func() bool { cl.AddWorker(); return true }},
+				{ms(700), func() bool { return cl.UnregisterModel(names[0]) == nil }},
+				{ms(750), migrate(names[1])},
+				{ms(800), migrate(names[2])},
+				{ms(850), func() bool { return cl.UnregisterModel(names[40]) == nil }},
+				{ms(900), migrate(names[3])},
+				{ms(950), func() bool { return cl.FailWorker(4) == nil }},
+				{ms(1000), migrate(names[1])},
+			}
+			done := 0
+			n := runCompared(t, cl, 1800*time.Millisecond, 13, func() {
+				for i := range churn {
+					if st := &churn[i]; st.do != nil && cl.Eng.Now() >= st.at && st.do() {
+						st.do = nil
+						done++
+					}
+				}
+			})
+			if done != len(churn) {
+				t.Fatalf("only %d of %d churn steps ran", done, len(churn))
+			}
+			if n.gated == 0 || n.picked == 0 || n.positive == 0 {
+				t.Fatalf("the run must exercise the gate, the walk and positive replicated models, got %+v", n)
+			}
+			if cl.Migrations() < 4 {
+				t.Fatalf("migrations = %d, want the four scripted ones at least", cl.Migrations())
+			}
+			st := cl.Stats()
+			if st.ActionsLoad == 0 || st.ActionsUnload == 0 {
+				t.Fatalf("%d LOADs, %d UNLOADs: the cold tail did not cycle", st.ActionsLoad, st.ActionsUnload)
 			}
 		})
 	}
 }
 
-func compareSelections(t *testing.T, cl *Cluster, s *ClockworkScheduler, g *GPUMirror, now simclock.Time) {
+// zipfWorkload drives an open-loop Poisson workload over names with
+// Zipf(exp) popularity (names[0] hottest) and a 100 ms SLO between the
+// virtual instants from and to. Submissions to a model the test has
+// since unregistered are dropped.
+func zipfWorkload(cl *Cluster, seed uint64, names []string, exp, rate float64, from, to time.Duration) {
+	stream := rng.NewSource(seed).Stream("index-test-zipf")
+	zipf := stream.Zipf(exp, len(names))
+	stop := simclock.Time(to)
+	var arrival func()
+	arrival = func() {
+		gap := time.Duration(stream.Exp(1.0/rate) * float64(time.Second))
+		cl.Eng.After(gap, func() {
+			if cl.Eng.Now() >= stop {
+				return
+			}
+			_ = cl.Submit(names[zipf.Draw()], 100*time.Millisecond, nil)
+			arrival()
+		})
+	}
+	cl.Eng.At(simclock.Time(from), arrival)
+}
+
+// runCompared steps cl's engine to `until`, calling between (when
+// non-nil) after every step and comparing every shard's selections on
+// every `every`-th.
+func runCompared(t *testing.T, cl *Cluster, until time.Duration, every int, between func()) (n compareTally) {
 	t.Helper()
-
-	// Strategy selection: identical required start; identical batch and
-	// earliest when the same model wins.
-	mi1, b1, e1, rs1 := s.bestStrategy(g, now)
-	mi2, b2, e2, rs2 := s.bestStrategyLinear(g, now)
-	if (mi1 == nil) != (mi2 == nil) {
-		t.Fatalf("t=%v: indexed strategy %v vs linear %v", now, name(mi1), name(mi2))
-	}
-	if mi1 != nil {
-		if rs1 != rs2 {
-			t.Fatalf("t=%v: required start %v (indexed %s) vs %v (linear %s)", now, rs1, name(mi1), rs2, name(mi2))
+	stop := simclock.Time(until)
+	steps, compared := 0, 0
+	for cl.Eng.Now() < stop && cl.Eng.Step() {
+		if between != nil {
+			between()
 		}
-		if mi1 == mi2 && (b1 != b2 || e1 != e2) {
-			t.Fatalf("t=%v: same model %s but batch/earliest diverge: (%d,%v) vs (%d,%v)",
-				now, name(mi1), b1, e1, b2, e2)
-		}
-	}
-
-	// Load selection: identical priority under the exact linear
-	// computation (also cross-checks ℓ_g maintenance below).
-	l1 := s.bestLoad(g, now)
-	l2 := s.bestLoadLinear(g, now)
-	if (l1 == nil) != (l2 == nil) {
-		t.Fatalf("t=%v: indexed load %v vs linear %v", now, name(l1), name(l2))
-	}
-	if l1 != nil {
-		cfg := cl.Ctl.Config()
-		p1 := s.loadPriority(cfg, l1)
-		p2 := s.loadPriority(cfg, l2)
-		if p1 != p2 {
-			t.Fatalf("t=%v: load priority %v (%s) vs %v (%s)", now, p1, name(l1), p2, name(l2))
-		}
-	}
-
-	// Incremental ℓ_g must equal a from-scratch rebuild.
-	rebuilt := make(map[*GPUMirror]time.Duration)
-	for mi := range cl.Ctl.ActiveModels() {
-		n := len(mi.residentOn)
-		if n == 0 || mi.demand <= 0 {
+		steps++
+		if steps%every != 0 {
 			continue
 		}
-		share := mi.demand / time.Duration(n)
-		for g2 := range mi.residentOn {
-			rebuilt[g2] += share
+		compared++
+		now := cl.Eng.Now()
+		for _, ctl := range cl.Ctls {
+			s := ctl.schd.(*ClockworkScheduler)
+			if compareControllerState(t, ctl, now) {
+				n.positive++
+			}
+			for _, g := range ctl.GPUs() {
+				if g.disabled {
+					continue // schedulers never select for a detached mirror
+				}
+				switch walked, load := compareSelections(t, s, g, now); {
+				case !walked:
+					n.gated++
+				case load == nil:
+					n.walkedNil++
+				default:
+					n.picked++
+				}
+			}
 		}
 	}
-	for _, g2 := range cl.Ctl.GPUs() {
-		if g2.allocDemand != rebuilt[g2] {
+	if compared == 0 {
+		t.Fatal("no comparison points")
+	}
+	return n
+}
+
+// compareTally says what a compared run exercised.
+type compareTally struct {
+	gated     int // load selections the gate answered with nil
+	walkedNil int // … the walk answered with nil
+	picked    int // … that selected a model
+	positive  int // controller states holding a replicated model with p_m > 0
+}
+
+// compareControllerState checks the per-controller structures load
+// selection reads, and reports whether some replicated model has a
+// positive priority (the state in which only exact arithmetic keeps the
+// gate honest).
+func compareControllerState(t *testing.T, c *Controller, now simclock.Time) (positive bool) {
+	t.Helper()
+
+	// Incremental ℓ_g must equal a from-scratch rebuild.
+	rebuilt := rebuildAllocDemand(c)
+	for _, g := range c.GPUs() {
+		if g.allocDemand != rebuilt[g] {
 			t.Fatalf("t=%v: allocDemand[w%d.g%d] = %v, rebuild = %v",
-				now, g2.WorkerID, g2.GPU, g2.allocDemand, rebuilt[g2])
+				now, g.WorkerID, g.GPU, g.allocDemand, rebuilt[g])
 		}
+		if err := g.Pages.CheckInvariants(); err != nil {
+			t.Fatalf("t=%v: w%d.g%d: %v", now, g.WorkerID, g.GPU, err)
+		}
+	}
+
+	// The replica lists are the mirrors' residency, seen from the other
+	// side (on enabled mirrors; a detached mirror keeps stale pages).
+	for _, mi := range c.modelList {
+		for _, g := range c.GPUs() {
+			if g.disabled {
+				if mi.residentOnGPU(g) {
+					t.Fatalf("t=%v: %s still lists detached w%d.g%d", now, mi.name, g.WorkerID, g.GPU)
+				}
+				continue
+			}
+			if _, ok := g.Resident(mi.name); ok != mi.residentOnGPU(g) {
+				t.Fatalf("t=%v: %s on w%d.g%d: mirror says resident=%v, replica list says %v",
+					now, mi.name, g.WorkerID, g.GPU, ok, mi.residentOnGPU(g))
+			}
+			if g.withWork[mi] != (mi.residentOnGPU(g) && len(mi.queue) > 0) {
+				t.Fatalf("t=%v: withWork[%s] on w%d.g%d = %v with %d queued, resident=%v",
+					now, mi.name, g.WorkerID, g.GPU, g.withWork[mi], len(mi.queue), mi.residentOnGPU(g))
+			}
+		}
+	}
+
+	// The gate. exactSign is a model's sign by the linear priority on
+	// the rebuilt ℓ_g. Before the flush, a model none of whose GPUs is
+	// waiting for one must already carry its exact sign — for a
+	// replicated model settled at p ≤ 0 that is the clearance argument
+	// (verdict proven up to levels its GPUs are still under) put to the
+	// test. After the flush every model must, and the counters are the
+	// recount.
+	exactSign := func(mi *ModelInfo) loadSign {
+		switch {
+		case mi.demand <= 0 || !c.activeModels[mi]:
+			return signNone
+		case len(mi.residentOn) == 0:
+			return signCold
+		case loadPriorityLinear(c.cfg, mi, rebuilt) > 0:
+			return signPositive
+		}
+		return signNone
+	}
+	for _, mi := range c.modelList {
+		clean := true
+		for _, g := range mi.residentOn {
+			clean = clean && !g.loadDirty
+		}
+		if clean && mi.loadSign != exactSign(mi) {
+			t.Fatalf("t=%v: %s carries load sign %d with no GPU dirty, exact sign is %d", now, mi.name, mi.loadSign, exactSign(mi))
+		}
+	}
+	c.flushLoadSigns()
+	cold, pos := 0, 0
+	for _, mi := range c.modelList {
+		sign := exactSign(mi)
+		if mi.loadSign != sign {
+			t.Fatalf("t=%v: %s carries load sign %d after a flush, exact sign is %d", now, mi.name, mi.loadSign, sign)
+		}
+		switch sign {
+		case signCold:
+			cold++
+		case signPositive:
+			pos++
+		}
+	}
+	if len(c.dirtyGPUs) != 0 || c.coldActive != cold || c.posReplicated != pos {
+		t.Fatalf("t=%v: after a flush the gate counts cold=%d positive=%d with %d GPUs dirty, recount %d / %d",
+			now, c.coldActive, c.posReplicated, len(c.dirtyGPUs), cold, pos)
+	}
+	return pos > 0
+}
+
+// compareSelections checks one GPU's three selections against the
+// linear oracles and reports whether bestLoad had to walk (the gate saw
+// something loadable somewhere) or answered from the gate, and what it
+// selected.
+func compareSelections(t *testing.T, s *ClockworkScheduler, g *GPUMirror, now simclock.Time) (walked bool, load *ModelInfo) {
+	t.Helper()
+
+	mi1, b1, e1, rs1 := s.bestStrategy(g, now)
+	mi2, b2, e2, rs2 := s.bestStrategyLinear(g, now)
+	if mi1 != mi2 || b1 != b2 || e1 != e2 || rs1 != rs2 {
+		t.Fatalf("t=%v: indexed strategy (%s b%d earliest %v start %v) vs linear (%s b%d earliest %v start %v)",
+			now, name(mi1), b1, e1, rs1, name(mi2), b2, e2, rs2)
+	}
+
+	walked = s.c.coldActive > 0 || s.c.posReplicated > 0 // flushed by the caller
+	l1 := s.bestLoad(g, now)
+	l2 := s.bestLoadLinear(g, now)
+	if l1 != l2 {
+		t.Fatalf("t=%v: w%d.g%d: indexed load %s vs linear %s", now, g.WorkerID, g.GPU, name(l1), name(l2))
+	}
+	if l1 != nil && !walked {
+		t.Fatalf("t=%v: load %s selected with the gate closed", now, name(l1))
 	}
 
 	// Victim selection is fully deterministic (LRU order): identical.
-	v1 := s.nextVictim(g)
-	v2 := s.nextVictimLinear(g)
-	if v1 != v2 {
+	if v1, v2 := s.nextVictim(g), s.nextVictimLinear(g); v1 != v2 {
 		t.Fatalf("t=%v: victim %v vs %v", now, name(v1), name(v2))
 	}
+	return walked, l1
 }
 
 func name(mi *ModelInfo) string {
@@ -179,34 +371,59 @@ func name(mi *ModelInfo) string {
 }
 
 // TestOldestFirstIndexMatchesLinear covers the ablation load policy's
-// deadline index.
+// deadline index, both enabled at Attach and built on first use by a
+// scheduler whose LoadSelection was switched afterwards (which used to
+// fall back to the linear scan for the rest of its life).
 func TestOldestFirstIndexMatchesLinear(t *testing.T) {
-	s := NewClockworkScheduler()
-	s.LoadSelection = LoadOldestFirst
-	cl := NewCluster(ClusterConfig{
-		Workers: 1, GPUsPerWorker: 1, Seed: 11, Scheduler: s,
-		PageCacheBytes: 6 * 7 * 16 * 1024 * 1024,
-	})
-	randomWorkload(cl, 11, 16, 500, 2*time.Second)
-	stop := simclock.Time(3 * time.Second)
-	steps := 0
-	for cl.Eng.Now() < stop && cl.Eng.Step() {
-		steps++
-		if steps%11 != 0 {
-			continue
-		}
-		now := cl.Eng.Now()
-		for _, g := range cl.Ctl.GPUs() {
-			o1 := s.bestLoadOldest(g, now)
-			o2 := s.bestLoadOldestLinear(g, now)
-			if (o1 == nil) != (o2 == nil) {
-				t.Fatalf("t=%v: indexed oldest %v vs linear %v", now, name(o1), name(o2))
+	for _, late := range []bool{false, true} {
+		late := late
+		t.Run(fmt.Sprintf("switched-after-attach=%v", late), func(t *testing.T) {
+			t.Parallel()
+			s := NewClockworkScheduler()
+			if !late {
+				s.LoadSelection = LoadOldestFirst
 			}
-			if o1 != nil && o1.MinDeadline() != o2.MinDeadline() {
-				t.Fatalf("t=%v: oldest deadline %v (%s) vs %v (%s)",
-					now, o1.MinDeadline(), name(o1), o2.MinDeadline(), name(o2))
+			cl := NewCluster(ClusterConfig{
+				Workers: 1, GPUsPerWorker: 1, Seed: 11, Scheduler: s,
+				PageCacheBytes: 6 * 7 * 16 * 1024 * 1024,
+			})
+			if cl.Ctl.deadlineIdxOn == late {
+				t.Fatalf("deadline index on = %v right after Attach", cl.Ctl.deadlineIdxOn)
 			}
-		}
+			randomWorkload(cl, 11, 16, 500, 2*time.Second)
+			stop := simclock.Time(3 * time.Second)
+			steps, hits := 0, 0
+			for cl.Eng.Now() < stop && cl.Eng.Step() {
+				steps++
+				if late && steps == 500 {
+					// Mid-run, with models active and queues non-empty.
+					if len(cl.Ctl.activeModels) == 0 {
+						t.Fatal("no active model at the switch; the late build would be vacuous")
+					}
+					s.LoadSelection = LoadOldestFirst
+				}
+				if steps%11 != 0 || s.LoadSelection != LoadOldestFirst {
+					continue
+				}
+				now := cl.Eng.Now()
+				for _, g := range cl.Ctl.GPUs() {
+					o1 := s.bestLoadOldest(g, now)
+					if o2 := s.bestLoadOldestLinear(g, now); o1 != o2 {
+						t.Fatalf("t=%v: indexed oldest %v vs linear %v", now, name(o1), name(o2))
+					}
+					if o1 != nil {
+						hits++
+					}
+				}
+				if cl.Ctl.deadlineIdx.Len() != len(cl.Ctl.activeModels) {
+					t.Fatalf("t=%v: deadline index holds %d models, %d are active",
+						now, cl.Ctl.deadlineIdx.Len(), len(cl.Ctl.activeModels))
+				}
+			}
+			if hits == 0 {
+				t.Fatal("the ablation policy never selected a model")
+			}
+		})
 	}
 }
 

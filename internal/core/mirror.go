@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"time"
 
 	"clockwork/internal/action"
@@ -47,6 +48,14 @@ type GPUMirror struct {
 	// allocDemand is ℓ_g, the incrementally maintained sum of active
 	// models' per-replica demand shares on this GPU (Appendix B).
 	allocDemand time.Duration
+	// loadCeil and loadDirty belong to the nothing-to-load gate
+	// (index.go): loadCeil is at most the lowest ℓ_g level any model in
+	// withWork was cleared to, so while ℓ_g ≤ loadCeil none of their
+	// p_m ≤ 0 verdicts can have changed on this GPU's account; loadDirty
+	// is set while this mirror sits on the controller's dirtyGPUs list
+	// waiting for those models to be looked at again.
+	loadCeil  time.Duration
+	loadDirty bool
 
 	// disabled marks the GPU unschedulable: its worker is draining or
 	// failed (control plane). Schedulers must skip disabled mirrors.
@@ -61,6 +70,7 @@ func newGPUMirror(workerID, gpu int, pageCacheBytes, pageSize int64) *GPUMirror 
 		loading:        make(map[string]simclock.Time),
 		inFlightInfers: make(map[string]int),
 		withWork:       make(map[*ModelInfo]bool),
+		loadCeil:       math.MaxInt64, // no model cleared yet: no limit
 	}
 }
 
@@ -156,9 +166,13 @@ type ModelInfo struct {
 	// queued requests.
 	demand time.Duration
 
-	// residentOn tracks which GPU mirrors hold (or are loading) this
-	// model.
-	residentOn map[*GPUMirror]bool
+	// residentOn lists the GPU mirrors that hold (or are loading) this
+	// model, in the order their LOADs were issued. A slice, not a set: it
+	// has one to a handful of entries and is iterated on every priority
+	// evaluation, where a map iterator's set-up cost dominated; every
+	// consumer (integer fulfilled sums, per-GPU pushes, ℓ_g shares) is
+	// order-independent. Mutated only through addReplica/dropReplica.
+	residentOn []*GPUMirror
 
 	// ---- index bookkeeping (see index.go) ----
 
@@ -174,6 +188,13 @@ type ModelInfo struct {
 	// can retract it exactly before applying the new share.
 	loadShare time.Duration
 	sharedOn  []*GPUMirror
+	// loadSign is what this model currently contributes to the
+	// controller's coldActive/posReplicated counters; written only by
+	// Controller.settleLoadSign. While it is signNone on an active
+	// replicated model, clearedTo[i] is the ℓ level of residentOn[i] up
+	// to which p_m ≤ 0 is proven (see Controller.clearLoad).
+	loadSign  loadSign
+	clearedTo []time.Duration
 	// demandNode/deadlineNode are this model's handles in the
 	// controller's ordered indexes.
 	demandNode   *treapNode
@@ -192,9 +213,50 @@ func (mi *ModelInfo) QueuedCount() int { return len(mi.queue) }
 // Demand returns Appendix B's d_m.
 func (mi *ModelInfo) Demand() time.Duration { return mi.demand }
 
-// ResidentOn returns the live set of mirrors holding this model.
-// Callers must not mutate it.
-func (mi *ModelInfo) ResidentOn() map[*GPUMirror]bool { return mi.residentOn }
+// ResidentOn returns the mirrors holding (or loading) this model, in
+// LOAD-issue order. The slice is live; callers must not mutate it.
+func (mi *ModelInfo) ResidentOn() []*GPUMirror { return mi.residentOn }
+
+// residentOnGPU reports whether g holds (or is loading) this model. On
+// an enabled mirror it agrees with g.Resident(mi.name) and costs a scan
+// of a handful of pointers instead of two string-keyed map lookups.
+func (mi *ModelInfo) residentOnGPU(g *GPUMirror) bool {
+	for _, r := range mi.residentOn {
+		if r == g {
+			return true
+		}
+	}
+	return false
+}
+
+// replicaRoom is the capacity the per-replica slices start with: most
+// models never hold more replicas, so each slice is allocated once
+// rather than at one, two and three entries.
+const replicaRoom = 4
+
+// addReplica records g as holding this model (idempotent).
+func (mi *ModelInfo) addReplica(g *GPUMirror) {
+	if mi.residentOn == nil {
+		mi.residentOn = make([]*GPUMirror, 0, replicaRoom)
+	}
+	if !mi.residentOnGPU(g) {
+		mi.residentOn = append(mi.residentOn, g)
+	}
+}
+
+// dropReplica removes g from the replica list, keeping the others in
+// order, and reports whether it was there.
+func (mi *ModelInfo) dropReplica(g *GPUMirror) bool {
+	for i, r := range mi.residentOn {
+		if r == g {
+			n := copy(mi.residentOn[i:], mi.residentOn[i+1:])
+			mi.residentOn[i+n] = nil
+			mi.residentOn = mi.residentOn[:i+n]
+			return true
+		}
+	}
+	return false
+}
 
 // PeekOldest returns the oldest queued request without removing it, or
 // nil when the queue is empty.

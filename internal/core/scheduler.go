@@ -71,19 +71,23 @@ func (s *ClockworkScheduler) Attach(c *Controller) {
 
 // OnRequest implements Scheduler: new demand may enable an INFER on any
 // GPU holding the model, or justify a LOAD anywhere. GPUs are visited
-// in controller order — iterating the residency map directly would make
-// the visitation order (and, for multi-resident models, the dispatch)
-// depend on Go's per-run map ordering.
+// in controller order, not replica-list order, so the dispatch for a
+// multi-resident model does not depend on the order its LOADs happened
+// to be issued in.
 func (s *ClockworkScheduler) OnRequest(r *Request) {
 	mi, _ := s.c.Model(r.Model)
-	resident := mi.ResidentOn()
 	for _, g := range s.c.GPUs() {
-		if resident[g] {
+		if mi.residentOnGPU(g) {
 			s.scheduleGPU(g)
 			continue
 		}
 		// Cold or under-replicated demand: consider loads everywhere.
-		// (O(1) per saturated GPU thanks to the lookahead early-exit.)
+		// This loop still touches every GPU per request, but what it
+		// pays per GPU is small: a saturated LOAD executor exits on the
+		// lookahead check, and an idle one — the usual case under INFER-
+		// bound load — asks bestLoad, whose nothing-to-load gate answers
+		// in O(1) once the first call of the pass has flushed the GPUs
+		// this request dirtied.
 		s.scheduleLoads(g)
 		s.armWake(g)
 	}
@@ -168,24 +172,6 @@ func (s *ClockworkScheduler) bestStrategy(g *GPUMirror, now simclock.Time) (best
 	return nil, 0, 0, simclock.MaxTime
 }
 
-// bestStrategyLinear is the seed's O(models-with-work) scan, kept as the
-// reference implementation: property tests assert the indexed path picks
-// an identical (model, batch) on identical state, and benchmarks measure
-// the gap.
-func (s *ClockworkScheduler) bestStrategyLinear(g *GPUMirror, now simclock.Time) (best *ModelInfo, batch int, earliest, requiredStart simclock.Time) {
-	requiredStart = simclock.MaxTime
-	for mi := range g.ModelsWithWork() {
-		b, start, rs := s.c.inferCandidate(g, mi, now)
-		if b == 0 {
-			continue
-		}
-		if rs < requiredStart {
-			best, batch, earliest, requiredStart = mi, b, start, rs
-		}
-	}
-	return best, batch, earliest, requiredStart
-}
-
 // scheduleLoads keeps g's LOAD executor supplied with ≤ Lookahead of
 // predicted transfer work, choosing models by Appendix B load priority.
 func (s *ClockworkScheduler) scheduleLoads(g *GPUMirror) {
@@ -214,33 +200,44 @@ func (s *ClockworkScheduler) scheduleLoads(g *GPUMirror) {
 // bestLoad returns the non-resident model with the highest positive load
 // priority whose LOAD would still be useful, or nil.
 //
-// It descends the controller's demand-ordered index instead of scanning
-// every active model: a model's priority p_m = d_m − Σ fulfilled is
-// bounded above by its demand d_m, so once the next model's demand
-// cannot exceed the best exact priority found, no later model can win
-// and the descent stops. ℓ_g comes from the incrementally maintained
-// per-GPU allocated demand rather than a per-call rebuild.
+// Two stages. First the controller's nothing-to-load gate (index.go):
+// if no active model has a positive priority anywhere — every one is
+// replicated and its replicas' GPUs absorb its demand, the steady state
+// of a loaded cluster — the answer is nil without visiting a model.
+// The gate is exact — every active model's p_m ≤ 0 is an evaluation by
+// the same loadPriority that is either current or proven to still hold
+// — so it never changes a decision; it only skips walks that would have
+// found nothing.
+// Otherwise the demand-ordered index is descended: a model's priority
+// p_m = d_m − Σ fulfilled is bounded above by its demand d_m, so once
+// the next model's demand cannot exceed the best exact priority found,
+// no later model can win and the descent stops. ℓ_g comes from the
+// incrementally maintained per-GPU allocated demand rather than a
+// per-call rebuild, and residency is read off the model's replica list.
 func (s *ClockworkScheduler) bestLoad(g *GPUMirror, now simclock.Time) *ModelInfo {
-	cfg := s.c.Config()
-	if len(s.c.activeModels) == 0 {
+	c := s.c
+	if len(c.activeModels) == 0 {
 		return nil
 	}
 	if s.LoadSelection == LoadOldestFirst {
 		return s.bestLoadOldest(g, now)
 	}
+	if !c.anythingToLoad() {
+		return nil
+	}
 	var best *ModelInfo
 	var bestP time.Duration
-	s.c.demandIdx.Scan(func(mi *ModelInfo) bool {
+	c.demandIdx.Scan(func(mi *ModelInfo) bool {
 		if mi.demand <= 0 {
 			return false // demand-descending: nothing below can qualify
 		}
 		if best != nil && mi.demand <= bestP {
 			return false // upper bound: p_m ≤ d_m cannot beat bestP
 		}
-		if _, resident := g.Resident(mi.name); resident {
+		if mi.residentOnGPU(g) {
 			return true
 		}
-		if p := s.loadPriority(cfg, mi); p > 0 && (best == nil || p > bestP) {
+		if p := c.loadPriority(mi); p > 0 && (best == nil || p > bestP) {
 			best, bestP = mi, p
 		}
 		return true
@@ -248,99 +245,18 @@ func (s *ClockworkScheduler) bestLoad(g *GPUMirror, now simclock.Time) *ModelInf
 	return best
 }
 
-// loadPriority computes Appendix B's p_m = d_m − Σ_g a_{m,g} ·
-// capacity_g / ℓ_g from the incrementally maintained per-GPU loads.
-//
-// No "will the load land before the current deadlines" filter: demand
-// is a *rate* signal. Under a tight SLO every queued request may expire
-// before the transfer lands, yet sustained demand means the load pays
-// off for the arrivals right behind them — filtering here deadlocks
-// cold models forever.
-func (s *ClockworkScheduler) loadPriority(cfg Config, mi *ModelInfo) time.Duration {
-	p := mi.demand
-	if n := len(mi.residentOn); n > 0 {
-		share := mi.demand / time.Duration(n)
-		for g2 := range mi.residentOn {
-			l := g2.allocDemand
-			if l <= 0 {
-				l = time.Nanosecond
-			}
-			fulfilled := time.Duration(float64(share) * float64(cfg.LoadHorizon) / float64(l))
-			p -= fulfilled
-		}
-	}
-	return p
-}
-
-// bestLoadLinear is the seed's O(active models) scan with a per-call
-// ℓ_g rebuild, kept as the reference implementation for property tests
-// and benchmarks.
-func (s *ClockworkScheduler) bestLoadLinear(g *GPUMirror, now simclock.Time) *ModelInfo {
-	cfg := s.c.Config()
-	active := s.c.ActiveModels()
-	if len(active) == 0 {
-		return nil
-	}
-	if s.LoadSelection == LoadOldestFirst {
-		return s.bestLoadOldestLinear(g, now)
-	}
-	// ℓ_g: per-GPU allocated demand (Appendix B), over active models.
-	loads := make(map[*GPUMirror]time.Duration, len(s.c.GPUs()))
-	for mi := range active {
-		n := len(mi.residentOn)
-		if n == 0 || mi.demand <= 0 {
-			continue
-		}
-		share := mi.demand / time.Duration(n)
-		for g2 := range mi.residentOn {
-			loads[g2] += share
-		}
-	}
-	var best *ModelInfo
-	var bestP time.Duration
-	for mi := range active {
-		if mi.demand <= 0 {
-			continue
-		}
-		if _, resident := g.Resident(mi.name); resident {
-			continue
-		}
-		// p_m = d_m − Σ_g a_{m,g} · capacity_g / ℓ_g.
-		p := mi.demand
-		if n := len(mi.residentOn); n > 0 {
-			share := mi.demand / time.Duration(n)
-			for g2 := range mi.residentOn {
-				l := loads[g2]
-				if l <= 0 {
-					l = time.Nanosecond
-				}
-				fulfilled := time.Duration(float64(share) * float64(cfg.LoadHorizon) / float64(l))
-				p -= fulfilled
-			}
-		}
-		if p <= 0 {
-			continue
-		}
-		if best == nil || p > bestP {
-			best, bestP = mi, p
-		}
-	}
-	return best
-}
-
 // bestLoadOldest is the ablation load policy: load the not-yet-resident
 // model whose oldest queued request has the earliest deadline, ignoring
 // demand volume and existing replicas. It ascends the deadline-ordered
 // index, so the first model passing the residency and usefulness filters
-// is the answer; the linear scan remains as a fallback when the index
-// was not enabled (a scheduler whose LoadSelection changed after Attach).
+// is the answer. Attach enables the index; a scheduler whose
+// LoadSelection was switched to LoadOldestFirst after Attach gets it
+// built here, on first use.
 func (s *ClockworkScheduler) bestLoadOldest(g *GPUMirror, now simclock.Time) *ModelInfo {
-	if !s.c.deadlineIdxOn {
-		return s.bestLoadOldestLinear(g, now)
-	}
+	s.c.enableDeadlineIndex()
 	var best *ModelInfo
 	s.c.deadlineIdx.Scan(func(mi *ModelInfo) bool {
-		if _, resident := g.Resident(mi.name); resident {
+		if mi.residentOnGPU(g) {
 			return true
 		}
 		eta := simclock.Max(now, g.LoadFreeAt).Add(s.c.EstimateLoad(mi))
@@ -350,26 +266,6 @@ func (s *ClockworkScheduler) bestLoadOldest(g *GPUMirror, now simclock.Time) *Mo
 		best = mi
 		return false // deadline-ascending: first hit is the earliest
 	})
-	return best
-}
-
-// bestLoadOldestLinear is the seed's scan for the ablation policy.
-func (s *ClockworkScheduler) bestLoadOldestLinear(g *GPUMirror, now simclock.Time) *ModelInfo {
-	var best *ModelInfo
-	bestDeadline := simclock.MaxTime
-	for mi := range s.c.ActiveModels() {
-		if _, resident := g.Resident(mi.name); resident {
-			continue
-		}
-		eta := simclock.Max(now, g.LoadFreeAt).Add(s.c.EstimateLoad(mi))
-		if eta.Add(s.c.EstimateExec(mi, 1)) > mi.MaxDeadline() {
-			continue
-		}
-		if dl := mi.MinDeadline(); dl < bestDeadline {
-			bestDeadline = dl
-			best = mi
-		}
-	}
 	return best
 }
 
@@ -407,22 +303,6 @@ func (s *ClockworkScheduler) nextVictim(g *GPUMirror) *ModelInfo {
 		return true
 	})
 	return victim
-}
-
-// nextVictimLinear is the seed's materialise-and-scan implementation,
-// kept as the reference for property tests.
-func (s *ClockworkScheduler) nextVictimLinear(g *GPUMirror) *ModelInfo {
-	keys := g.Pages.Keys() // MRU first
-	for i := len(keys) - 1; i >= 0; i-- {
-		name := keys[i]
-		if g.IsLoading(name) || g.InFlight(name) > 0 {
-			continue
-		}
-		if mi, ok := s.c.Model(name); ok {
-			return mi
-		}
-	}
-	return nil
 }
 
 // armWake schedules a re-evaluation for when g's saturated executors

@@ -195,7 +195,7 @@ func TestMirrorOutstandingWork(t *testing.T) {
 }
 
 func TestModelInfoDeadlines(t *testing.T) {
-	mi := &ModelInfo{name: "m", zoo: modelzoo.ResNet50(), residentOn: map[*GPUMirror]bool{}}
+	mi := &ModelInfo{name: "m", zoo: modelzoo.ResNet50()}
 	if mi.MinDeadline() != simclock.MaxTime || mi.MaxDeadline() != simclock.MinTime {
 		t.Fatal("empty queue deadline sentinels wrong")
 	}

@@ -111,14 +111,14 @@ func (c *Controller) ExtractModel(name string) (*modelzoo.Model, []*Request, err
 	// drained/failed workers were already detached from residency, but
 	// drop any residue defensively.
 	for _, g := range c.gpus {
-		if !g.disabled && mi.residentOn[g] {
+		if !g.disabled && mi.residentOnGPU(g) {
 			c.SendUnload(g, mi)
 		}
 	}
-	for g := range mi.residentOn {
+	for _, g := range mi.residentOn {
 		delete(g.withWork, mi)
-		delete(mi.residentOn, g)
 	}
+	mi.residentOn = nil
 
 	c.reindexModel(mi)
 	delete(c.models, name)

@@ -1,7 +1,6 @@
 package simclock
 
 import (
-	"container/heap"
 	"fmt"
 	"time"
 )
@@ -92,37 +91,64 @@ type event struct {
 	gen       uint32
 	fn        func()
 	r         Runner // event body when fn is nil
-	index     int
 	cancelled bool
 	fired     bool
 }
 
+// eventHeap is a binary min-heap on (at, seq) — a total order, so the
+// pop sequence is a function of the pushed set alone. Hand-rolled rather
+// than container/heap for the reason core's stratHeap is: the stdlib
+// interface dispatches Less/Swap/Push/Pop dynamically and passes
+// elements as `any`, which on the engine's innermost loop cost more
+// than the comparisons themselves.
 type eventHeap []*event
 
-func (h eventHeap) Len() int { return len(h) }
-func (h eventHeap) Less(i, j int) bool {
+func (h eventHeap) less(i, j int) bool {
 	if h[i].at != h[j].at {
 		return h[i].at < h[j].at
 	}
 	return h[i].seq < h[j].seq
 }
-func (h eventHeap) Swap(i, j int) {
-	h[i], h[j] = h[j], h[i]
-	h[i].index = i
-	h[j].index = j
-}
-func (h *eventHeap) Push(x any) {
-	ev := x.(*event)
-	ev.index = len(*h)
+
+// push adds ev, restoring heap order.
+func (h *eventHeap) push(ev *event) {
 	*h = append(*h, ev)
+	q := *h
+	for i := len(q) - 1; i > 0; {
+		p := (i - 1) / 2
+		if !q.less(i, p) {
+			break
+		}
+		q[i], q[p] = q[p], q[i]
+		i = p
+	}
 }
-func (h *eventHeap) Pop() any {
-	old := *h
-	n := len(old)
-	ev := old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	return ev
+
+// pop removes and returns the earliest event; the heap must be non-empty.
+func (h *eventHeap) pop() *event {
+	q := *h
+	top := q[0]
+	n := len(q) - 1
+	q[0] = q[n]
+	q[n] = nil
+	q = q[:n]
+	*h = q
+	for i := 0; ; {
+		l := 2*i + 1
+		if l >= n {
+			break
+		}
+		m := l
+		if r := l + 1; r < n && q.less(r, l) {
+			m = r
+		}
+		if !q.less(m, i) {
+			break
+		}
+		q[i], q[m] = q[m], q[i]
+		i = m
+	}
+	return top
 }
 
 // NewEngine returns an engine whose clock reads the epoch (Time 0).
@@ -184,7 +210,7 @@ func (e *Engine) ScheduleFront(t Time, fn func()) {
 		ev = &event{at: t, seq: e.fseq, fn: fn}
 	}
 	e.fseq++
-	heap.Push(&e.pq, ev)
+	e.pq.push(ev)
 }
 
 // ScheduleRun is Schedule with a preallocated Runner instead of a
@@ -229,7 +255,7 @@ func (e *Engine) scheduleEv(t Time, fn func(), r Runner) *event {
 		ev = &event{at: t, seq: e.seq, fn: fn, r: r}
 	}
 	e.seq++
-	heap.Push(&e.pq, ev)
+	e.pq.push(ev)
 	return ev
 }
 
@@ -254,7 +280,7 @@ func (e *Engine) After(d time.Duration, fn func()) *Timer {
 // is empty. Cancelled events are skipped (and not counted as a step).
 func (e *Engine) Step() bool {
 	for len(e.pq) > 0 {
-		ev := heap.Pop(&e.pq).(*event)
+		ev := e.pq.pop()
 		if ev.cancelled {
 			e.recycle(ev)
 			continue
@@ -310,7 +336,7 @@ func (e *Engine) Stop() { e.stopped = true }
 func (e *Engine) peek() *event {
 	for len(e.pq) > 0 {
 		if e.pq[0].cancelled {
-			e.recycle(heap.Pop(&e.pq).(*event))
+			e.recycle(e.pq.pop())
 			continue
 		}
 		return e.pq[0]

@@ -384,3 +384,45 @@ func TestScheduleMatchesAt(t *testing.T) {
 		}
 	}
 }
+
+// TestEventHeapInterleavedPushPop drives the typed heap directly with
+// pushes and pops interleaved (the engine's real access pattern, which
+// the all-push-then-run property above does not produce) over a narrow
+// key range that forces (at) ties, against a sorted reference.
+func TestEventHeapInterleavedPushPop(t *testing.T) {
+	rnd := rand.New(rand.NewSource(19))
+	var h eventHeap
+	var ref []*event
+	less := func(a, b *event) bool {
+		if a.at != b.at {
+			return a.at < b.at
+		}
+		return a.seq < b.seq
+	}
+	seq := uint64(0)
+	for op := 0; op < 20000; op++ {
+		if len(ref) == 0 || rnd.Intn(5) < 3 {
+			ev := &event{at: Time(rnd.Intn(50)), seq: seq}
+			seq++
+			h.push(ev)
+			i := sort.Search(len(ref), func(i int) bool { return less(ev, ref[i]) })
+			ref = append(ref, nil)
+			copy(ref[i+1:], ref[i:])
+			ref[i] = ev
+			continue
+		}
+		if got := h.pop(); got != ref[0] {
+			t.Fatalf("op %d: popped (at %v, seq %d), want (at %v, seq %d)", op, got.at, got.seq, ref[0].at, ref[0].seq)
+		}
+		ref = ref[1:]
+	}
+	for len(ref) > 0 {
+		if got := h.pop(); got != ref[0] {
+			t.Fatalf("drain: popped (at %v, seq %d), want (at %v, seq %d)", got.at, got.seq, ref[0].at, ref[0].seq)
+		}
+		ref = ref[1:]
+	}
+	if len(h) != 0 {
+		t.Fatalf("heap holds %d events after the drain", len(h))
+	}
+}
