@@ -1,6 +1,7 @@
 package clockwork
 
 import (
+	"sync/atomic"
 	"time"
 
 	_ "clockwork/internal/baseline" // registers the clipper/infaas policies
@@ -70,6 +71,9 @@ type Config struct {
 // System is a fully wired serving deployment on a virtual clock.
 type System struct {
 	cluster *core.Cluster
+	// live is set while a Live paces the system: StartLive refuses a
+	// second pacer and the simulation entry points refuse to race it.
+	live atomic.Bool
 }
 
 // New constructs a serving system. The configured policy is resolved
@@ -103,13 +107,24 @@ func New(cfg Config) (*System, error) {
 // RunFor advances virtual time by d, executing everything due in that
 // span. Panics with Config.EnginePerShard: a multi-engine system has no
 // single deterministic clock to step — drive it live via StartLive.
-func (s *System) RunFor(d time.Duration) { s.cluster.RunFor(d) }
+// Panics, too, while a Live paces the system: the engine has one owner.
+func (s *System) RunFor(d time.Duration) {
+	s.checkSimulable()
+	s.cluster.RunFor(d)
+}
 
 // RunUntil advances virtual time to instant t (measured from the run's
-// start); a t in the past is a no-op.
+// start); a t in the past is a no-op. Panics where RunFor does.
 func (s *System) RunUntil(t time.Duration) {
+	s.checkSimulable()
 	if d := t - s.Now(); d > 0 {
 		s.cluster.RunFor(d)
+	}
+}
+
+func (s *System) checkSimulable() {
+	if s.live.Load() {
+		panic("clockwork: RunFor/RunUntil while a Live paces the system; Stop it first")
 	}
 }
 

@@ -68,8 +68,8 @@ type RecentStats = core.RecentStats
 
 // DrainRecentStats returns the client-observed outcomes accumulated
 // since the previous drain and resets the period accumulators. It is
-// the autoscaler's signal tap: exactly one consumer should call it, on
-// the engine goroutine (under Live.Do with EnginePerShard).
+// the autoscaler's signal tap: exactly one consumer should call it,
+// engine-side (under Live.Do while a Live paces the system).
 func (s *System) DrainRecentStats() RecentStats {
 	return s.cluster.Metrics.DrainRecent()
 }

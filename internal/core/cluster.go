@@ -183,11 +183,11 @@ type Cluster struct {
 	// correctness.
 	route sync.Map
 
-	// crossInject delivers fn onto another shard's engine at virtual
+	// crossInject delivers r onto another shard's engine at virtual
 	// instant at (EnginePerShard only; the live layer installs it
 	// before any engine runs). It reports false when the driver has
 	// stopped.
-	crossInject func(shard int, at simclock.Time, fn func()) bool
+	crossInject func(shard int, at simclock.Time, r simclock.Runner) bool
 
 	// ---- shard bookkeeping (cluster-global; controllers only know
 	// their own slice) ----
@@ -304,7 +304,7 @@ func (cl *Cluster) Engines() []*simclock.Engine { return cl.engines }
 
 // SetCrossShardInject installs the cross-shard delivery hook
 // (EnginePerShard mode). Must be called before any engine runs.
-func (cl *Cluster) SetCrossShardInject(fn func(shard int, at simclock.Time, fn func()) bool) {
+func (cl *Cluster) SetCrossShardInject(fn func(shard int, at simclock.Time, r simclock.Runner) bool) {
 	cl.crossInject = fn
 }
 
@@ -755,7 +755,7 @@ func (cl *Cluster) RegisterCopies(base string, zoo *modelzoo.Model, n int) ([]st
 
 // Handle tracks one submitted request from the client's side. In
 // simulation mode inspect or cancel between Run* calls; in live mode
-// (the engine driven by a RealtimeDriver on its own goroutine) Done,
+// (the engine paced by a simclock.Driver on its own goroutine) Done,
 // Outcome, ID and Wait are safe to call from any goroutine — completion
 // is published through a channel, so callers block on Wait instead of
 // busy-polling Done.
@@ -867,7 +867,7 @@ func (h *Handle) Outcome() (Response, time.Duration, bool) {
 
 // Wait blocks until the request reaches a final outcome or ctx is
 // cancelled. It is the live-mode completion primitive: something else —
-// a RealtimeDriver, or test code calling Run* — must be advancing the
+// a simclock.Driver, or test code calling Run* — must be advancing the
 // engine, or Wait only returns via ctx.
 func (h *Handle) Wait(ctx context.Context) (Response, time.Duration, error) {
 	h.mu.Lock()
@@ -1071,7 +1071,7 @@ func (s *submission) deliver() {
 			at := cl.engFor(s.local).Now().Add(cl.cfg.NetLatency)
 			prev := s.local
 			s.local = owner
-			if ci(owner, at, s.Run) {
+			if ci(owner, at, s) {
 				return
 			}
 			// Driver stopped mid-forward: answer on the local shard,

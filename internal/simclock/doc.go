@@ -6,4 +6,6 @@
 // seed) produces byte-identical results. Measured latencies can never be
 // polluted by Go GC pauses or host scheduling, which is exactly the
 // hazard the reproduction notes call out for a Go port of Clockwork.
+// Driver is the one place wall time enters: it paces engines against
+// the wall clock so the same system can serve live traffic.
 package simclock

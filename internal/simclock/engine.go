@@ -8,8 +8,8 @@ import (
 // Engine is a deterministic discrete-event executor. Events scheduled for
 // the same instant fire in scheduling order (FIFO), which makes whole-system
 // runs reproducible. Engine is not safe for concurrent use; the entire
-// simulated system runs on one goroutine. Use RealtimeDriver to bridge a
-// live process onto an Engine.
+// simulated system runs on one goroutine. Use Driver to bridge a live
+// process onto an Engine.
 type Engine struct {
 	now     Time
 	seq     uint64
@@ -47,7 +47,6 @@ func (t *Timer) Stop() bool {
 		return false
 	}
 	t.ev.cancelled = true
-	t.ev.fn = nil
 	t.ev.r = nil
 	return true
 }
@@ -68,29 +67,35 @@ func (t *Timer) When() Time {
 	return t.ev.at
 }
 
-// Runner is the closure-free event representation: a preallocated
-// receiver whose Run method is the event body. The serving hot path
-// schedules a dozen events per request; giving recurring events (cancel
-// timers, network hops) a permanent receiver instead of a fresh closure
-// removes their per-event allocations.
+// Runner is the event body: a receiver whose Run method executes when
+// the event fires. The serving hot path schedules a dozen events per
+// request; giving recurring events (cancel timers, network hops) a
+// permanent receiver instead of a fresh closure removes their per-event
+// allocations.
 type Runner interface {
 	Run()
 }
 
-// Aborter is the closure-free counterpart of an injection's abort hook:
-// when a live driver stops before a staged Runner reaches its engine,
-// Abort is called instead of Run (see RealtimeDriver.InjectRunOrAbort).
-// A pooled per-request struct typically implements both.
+// Aborter is an injection's abort hook: when a live driver stops before
+// an injected Runner has run, Abort is called instead of Run (see
+// Driver.Inject). A pooled per-request struct typically implements both.
 type Aborter interface {
 	Abort()
 }
+
+// Func adapts a closure to Runner and Aborter — the one adapter behind
+// every closure-taking entry point. A func value is pointer-shaped, so
+// the interface conversion allocates nothing beyond the closure itself.
+type Func func()
+
+func (f Func) Run()   { f() }
+func (f Func) Abort() { f() }
 
 type event struct {
 	at        Time
 	seq       uint64
 	gen       uint32
-	fn        func()
-	r         Runner // event body when fn is nil
+	r         Runner
 	cancelled bool
 	fired     bool
 }
@@ -172,16 +177,16 @@ func (e *Engine) Len() int { return len(e.pq) }
 // event is always a bug in the caller. Callers that never Stop the
 // returned timer should prefer Schedule, which allocates no handle.
 func (e *Engine) At(t Time, fn func()) *Timer {
-	ev := e.schedule(t, fn)
+	ev := e.scheduleEv(t, false, wrap(fn))
 	return &Timer{ev: ev, gen: ev.gen}
 }
 
 // Schedule is At without the cancellation handle — the hot-path form
-// for fire-and-forget events (network deliveries, executor wakeups,
-// injected closures), which reuses pooled event nodes and allocates
-// nothing beyond fn itself.
+// for fire-and-forget events (network deliveries, executor wakeups),
+// which reuses pooled event nodes and allocates nothing beyond fn
+// itself.
 func (e *Engine) Schedule(t Time, fn func()) {
-	e.schedule(t, fn)
+	e.scheduleEv(t, false, wrap(fn))
 }
 
 // ScheduleFront schedules fn at instant t ahead of every event already
@@ -193,32 +198,15 @@ func (e *Engine) Schedule(t Time, fn func()) {
 // the recorded run, and front scheduling restores that order. Ordinary
 // code should use Schedule.
 func (e *Engine) ScheduleFront(t Time, fn func()) {
-	if fn == nil {
-		panic("simclock: schedule with nil fn")
-	}
-	if t < e.now {
-		t = e.now
-	}
-	var ev *event
-	if n := len(e.free); n > 0 {
-		ev = e.free[n-1]
-		e.free[n-1] = nil
-		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.fn, ev.r = t, e.fseq, fn, nil
-		ev.cancelled, ev.fired = false, false
-	} else {
-		ev = &event{at: t, seq: e.fseq, fn: fn}
-	}
-	e.fseq++
-	e.pq.push(ev)
+	e.scheduleEv(t, true, wrap(fn))
 }
 
 // ScheduleRun is Schedule with a preallocated Runner instead of a
 // closure: the fully allocation-free scheduling form for recurring
-// per-request events. Ordering is identical to Schedule — the event
-// representation does not affect the (instant, sequence) key.
+// per-request events. Ordering is identical to Schedule — closure and
+// Runner events draw from one sequence counter.
 func (e *Engine) ScheduleRun(t Time, r Runner) {
-	e.scheduleEv(t, nil, r)
+	e.scheduleEv(t, false, r)
 }
 
 // AtRun is At with a preallocated Runner, returning the Timer by value
@@ -226,35 +214,46 @@ func (e *Engine) ScheduleRun(t Time, r Runner) {
 // handle allocation either. The zero Timer is valid: Stop and Pending
 // report false, When reports 0.
 func (e *Engine) AtRun(t Time, r Runner) Timer {
-	ev := e.scheduleEv(t, nil, r)
+	ev := e.scheduleEv(t, false, r)
 	return Timer{ev: ev, gen: ev.gen}
 }
 
-func (e *Engine) schedule(t Time, fn func()) *event {
+// wrap adapts fn for scheduleEv. The nil check must precede the
+// conversion: Func(nil) is a non-nil Runner.
+func wrap(fn func()) Runner {
 	if fn == nil {
 		panic("simclock: schedule with nil fn")
 	}
-	return e.scheduleEv(t, fn, nil)
+	return Func(fn)
 }
 
-func (e *Engine) scheduleEv(t Time, fn func(), r Runner) *event {
-	if fn == nil && r == nil {
+// scheduleEv queues r at instant t (clamped to now), drawing its
+// sequence number from the front class or the ordinary one.
+func (e *Engine) scheduleEv(t Time, front bool, r Runner) *event {
+	if r == nil {
 		panic("simclock: schedule with nil event body")
 	}
 	if t < e.now {
 		t = e.now
+	}
+	var seq uint64
+	if front {
+		seq = e.fseq
+		e.fseq++
+	} else {
+		seq = e.seq
+		e.seq++
 	}
 	var ev *event
 	if n := len(e.free); n > 0 {
 		ev = e.free[n-1]
 		e.free[n-1] = nil
 		e.free = e.free[:n-1]
-		ev.at, ev.seq, ev.fn, ev.r = t, e.seq, fn, r
+		ev.at, ev.seq, ev.r = t, seq, r
 		ev.cancelled, ev.fired = false, false
 	} else {
-		ev = &event{at: t, seq: e.seq, fn: fn, r: r}
+		ev = &event{at: t, seq: seq, r: r}
 	}
-	e.seq++
 	e.pq.push(ev)
 	return ev
 }
@@ -263,7 +262,6 @@ func (e *Engine) scheduleEv(t Time, fn func(), r Runner) *event {
 // any Timer handle still pointing at it via the generation bump.
 func (e *Engine) recycle(ev *event) {
 	ev.gen++
-	ev.fn = nil
 	ev.r = nil
 	if len(e.free) < 4096 {
 		e.free = append(e.free, ev)
@@ -289,14 +287,10 @@ func (e *Engine) Step() bool {
 			e.now = ev.at
 		}
 		ev.fired = true
-		fn, r := ev.fn, ev.r
+		r := ev.r
 		e.recycle(ev)
 		e.stepped++
-		if fn != nil {
-			fn()
-		} else {
-			r.Run()
-		}
+		r.Run()
 		return true
 	}
 	return false

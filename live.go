@@ -17,12 +17,12 @@ import (
 // system sees is the arrival timing of injected work (see
 // ARCHITECTURE.md, "Serving plane").
 //
-// With Config.EnginePerShard the system runs one engine per control-
-// plane shard, each paced by its own goroutine under a bounded-skew
-// virtual-time sync protocol (simclock.MultiDriver). Live then offers
-// shard-addressed injection (InjectOn) and turns Do into a
-// stop-the-world barrier so whole-cluster reads and mutations still see
-// quiescent state.
+// One simclock.Driver paces the system whatever its shape: the single
+// engine, or with Config.EnginePerShard one engine per control-plane
+// shard, each on its own goroutine under a bounded-skew virtual-time
+// sync protocol. Live addresses injection by shard (InjectOn) and Do is
+// a stop-the-world barrier in either shape, so whole-cluster reads and
+// mutations always see quiescent state.
 
 // ErrLiveStopped is returned by Live.Do when the driver has stopped
 // before the submitted function could run.
@@ -31,16 +31,15 @@ var ErrLiveStopped = errors.New("clockwork: live driver stopped")
 // Live paces a System against the wall clock so it can serve real
 // traffic. All engine-side work — submissions, control-plane calls,
 // metrics reads — must be funnelled through Inject/InjectOn or Do; the
-// drivers serialise everything per engine goroutine, preserving each
+// driver serialises everything per engine goroutine, preserving each
 // engine's single-threaded discipline without any locks in the engines
 // themselves.
 //
-// At most one Live driver may be active per System, and while it runs
-// the System's RunFor/RunUntil must not be called.
+// At most one Live may be active per System, and while it runs the
+// System's RunFor/RunUntil must not be called; both are checked.
 type Live struct {
 	sys   *System
-	drv   *simclock.RealtimeDriver // single-engine mode
-	multi *simclock.MultiDriver    // engine-per-shard mode
+	drv   *simclock.Driver
 	speed float64
 
 	stop     chan struct{}
@@ -52,7 +51,8 @@ type Live struct {
 // and returns the live handle. speed scales virtual time against wall
 // time: 1.0 serves in real time, 100.0 runs the virtual clock a
 // hundredfold faster (speeds <= 0 mean 1.0). The driver runs until
-// Stop.
+// Stop. It panics if the system already has an active Live: two pacers
+// on one engine would race.
 //
 // With Config.EnginePerShard each shard gets its own pacing goroutine;
 // the shards' clocks stay within the bounded-skew window (Config
@@ -60,64 +60,47 @@ type Live struct {
 // other, and a wall-clock ticker drives the cross-shard rebalancer
 // under a barrier.
 func (s *System) StartLive(speed float64) *Live {
+	if !s.live.CompareAndSwap(false, true) {
+		panic("clockwork: StartLive on a System that already has an active Live")
+	}
 	if speed <= 0 {
 		speed = 1.0
 	}
+	cl := s.cluster
 	l := &Live{
 		sys:   s,
+		drv:   simclock.NewDriver(cl.Engines(), speed, s.liveLookahead(speed)),
 		speed: speed,
 		stop:  make(chan struct{}),
 		done:  make(chan struct{}),
 	}
-	cl := s.cluster
-	if !cl.EnginePerShard() {
-		l.drv = simclock.NewRealtimeDriver(cl.Eng, speed)
-		go func() {
-			l.drv.Run(l.stop)
-			close(l.done)
-		}()
-		return l
+	if cl.EnginePerShard() {
+		// Cross-shard deliveries (submission forwards after a migration)
+		// must be wired before any engine runs: the hook hands the event to
+		// the destination shard's pacer, which clamps it to that shard's
+		// current instant if the requested time already passed.
+		cl.SetCrossShardInject(func(shard int, at simclock.Time, r simclock.Runner) bool {
+			return l.drv.Inject(shard, at, r, nil)
+		})
+		// With one engine per shard there is no shared engine to carry the
+		// periodic rebalance timer (see core.NewCluster); drive it from the
+		// wall clock instead, at the configured RebalanceInterval of
+		// virtual time. Each pass runs under the same stop-the-world
+		// barrier every whole-cluster mutation uses.
+		l.Every(cl.Config().RebalanceInterval, func() { cl.RebalanceOnce() })
 	}
-
-	l.multi = simclock.NewMultiDriver(cl.Engines(), speed, s.liveLookahead(speed))
-	// Cross-shard deliveries (submission forwards after a migration)
-	// must be wired before any engine runs: the hook hands the event to
-	// the destination shard's pacer, which clamps it to that shard's
-	// current instant if the requested time already passed.
-	cl.SetCrossShardInject(func(shard int, at simclock.Time, fn func()) bool {
-		return l.multi.Handoff(shard, at, fn)
-	})
 	go func() {
-		l.multi.Run(l.stop)
+		l.drv.Run(l.stop)
+		// Cleared here rather than in Stop: exactly once, when pacing has
+		// actually ended, and before anyone waiting in Stop is released —
+		// a repeated Stop cannot then clear a successor's claim.
+		s.live.Store(false)
 		close(l.done)
 	}()
-	// With one engine per shard there is no shared engine to carry the
-	// periodic rebalance timer (see core.NewCluster); drive it from the
-	// wall clock instead, scaled so the virtual cadence matches the
-	// configured RebalanceInterval. Each pass runs under the same
-	// stop-the-world barrier every whole-cluster mutation uses.
-	if cl.ShardCount() > 1 {
-		period := time.Duration(float64(cl.Config().RebalanceInterval) / speed)
-		if period < time.Millisecond {
-			period = time.Millisecond
-		}
-		go func() {
-			t := time.NewTicker(period)
-			defer t.Stop()
-			for {
-				select {
-				case <-l.done:
-					return
-				case <-t.C:
-					_ = l.Do(func() { cl.RebalanceOnce() })
-				}
-			}
-		}()
-	}
 	return l
 }
 
-// liveLookahead derives the MultiDriver's bounded-skew window: the
+// liveLookahead derives the driver's bounded-skew window: the
 // configured SkewBound if set, otherwise the cross-shard interaction
 // floor — no shard can affect another in less than one network latency
 // of virtual time — widened to cover an OS scheduling quantum at the
@@ -148,10 +131,6 @@ func (l *Live) Speed() float64 { return l.speed }
 // goroutine may not have started yet). Trace exports embed this so
 // flight-recorder timestamps can be aligned with external logs.
 func (l *Live) WallOrigin() (wall time.Time, virtual time.Duration, ok bool) {
-	if l.multi != nil {
-		w, v, ok := l.multi.Origin()
-		return w, v.Duration(), ok
-	}
 	w, v, ok := l.drv.Origin()
 	return w, v.Duration(), ok
 }
@@ -161,7 +140,7 @@ func (l *Live) System() *System { return l.sys }
 
 // MultiEngine reports whether this driver paces one engine per shard
 // (Config.EnginePerShard).
-func (l *Live) MultiEngine() bool { return l.multi != nil }
+func (l *Live) MultiEngine() bool { return l.sys.cluster.EnginePerShard() }
 
 // Inject schedules fn onto the engine goroutine "as soon as possible"
 // (at the engine's current virtual instant) and returns without waiting
@@ -181,57 +160,29 @@ func (l *Live) Inject(fn func()) bool { return l.InjectOn(0, fn) }
 // accepted (false after Stop). Without EnginePerShard every shard lives
 // on the one engine and any shard index maps to it.
 func (l *Live) InjectOn(shard int, fn func()) bool {
-	if l.multi != nil {
-		return l.multi.Inject(shard, fn)
-	}
-	return l.drv.Inject(fn)
-}
-
-// InjectRunOn is InjectOn in the allocation-free simclock.Runner form:
-// r.Run() executes on shard's engine goroutine. With a pooled Runner
-// the whole injection path is allocation-free in steady state.
-func (l *Live) InjectRunOn(shard int, r simclock.Runner) bool {
-	if l.multi != nil {
-		return l.multi.InjectRun(shard, r)
-	}
-	return l.drv.InjectRun(r)
-}
-
-// InjectRunOrAbortOn is InjectOrAbortOn in Runner form: exactly one of
-// r.Run() (engine-side) or ab.Abort() runs. r and ab may be the same
-// pooled object.
-func (l *Live) InjectRunOrAbortOn(shard int, r simclock.Runner, ab simclock.Aborter) {
-	if l.multi != nil {
-		l.multi.InjectRunOrAbort(shard, r, ab)
-		return
-	}
-	l.drv.InjectRunOrAbort(r, ab)
+	return l.drv.Inject(shard, 0, simclock.Func(fn), nil)
 }
 
 // InjectOrAbortOn is InjectOn with a guaranteed-exactly-once outcome:
 // either fn runs on the shard's engine goroutine, or abort runs (on the
 // caller's or the driver's goroutine) because the driver stopped before
-// fn could be delivered. Use it when fn owns resources — admission
-// slots, response channels — that must be released even across a racing
-// Stop.
+// fn could run. Use it when fn owns resources — admission slots,
+// response channels — that must be released even across a racing Stop.
 func (l *Live) InjectOrAbortOn(shard int, fn, abort func()) {
-	if l.multi != nil {
-		l.multi.InjectOrAbort(shard, fn, abort)
-		return
-	}
-	l.drv.InjectOrAbort(fn, abort)
+	l.drv.Inject(shard, 0, simclock.Func(fn), simclock.Func(abort))
 }
 
 // Every runs fn periodically, every d of virtual time, until the
 // driver stops — the hook periodic policies (the closed-loop
-// autoscaler) ride on. fn runs engine-side at a single virtual
-// instant: injected onto the engine goroutine in single-engine mode,
-// under the stop-the-world barrier in multi-engine mode (so fn may
-// touch every shard's state, which is how an admission-window update
-// crosses shards consistently). The cadence is paced from the wall
-// clock scaled by the driver's speed — like every live injection, the
-// exact virtual instants are wall-dependent; deterministic replay of
-// the decisions is the journal's job, not the ticker's.
+// autoscaler) ride on. Each tick is a Do: fn runs at a single virtual
+// instant with every engine quiescent (so fn may touch every shard's
+// state, which is how an admission-window update crosses shards
+// consistently), and because Do blocks, an engine that has fallen
+// behind drops ticks instead of queueing them. The cadence is paced
+// from the wall clock scaled by the driver's speed — like every live
+// injection, the exact virtual instants are wall-dependent;
+// deterministic replay of the decisions is the journal's job, not the
+// ticker's.
 func (l *Live) Every(d time.Duration, fn func()) {
 	if d <= 0 {
 		return
@@ -248,11 +199,7 @@ func (l *Live) Every(d time.Duration, fn func()) {
 			case <-l.done:
 				return
 			case <-t.C:
-				if l.multi != nil {
-					_ = l.Do(fn)
-				} else {
-					_ = l.Inject(fn)
-				}
+				_ = l.Do(fn)
 			}
 		}
 	}()
@@ -260,82 +207,30 @@ func (l *Live) Every(d time.Duration, fn func()) {
 
 // Do runs fn and blocks until it has completed — the synchronous
 // companion to Inject, used for submissions and consistent metric
-// snapshots. It returns ErrLiveStopped if the driver stopped before fn
-// could run. Calling Do from inside an engine-side callback deadlocks;
-// use plain function calls there (the caller is already on the engine
-// goroutine).
-//
-// Single-engine mode runs fn on the engine goroutine. In multi-engine
-// mode Do is a stop-the-world barrier: every shard's pacer parks at its
-// current instant, fn runs with all engines quiescent (and may touch
-// any shard's state — this is how whole-cluster mutations like
-// registration and migration stay race-free), then the pacers resume.
+// snapshots. It is a stop-the-world barrier: every engine's pacer parks
+// inside one event at its current instant, fn runs on the caller's
+// goroutine with all engines quiescent (and may touch any shard's state
+// — this is how whole-cluster mutations like registration and migration
+// stay race-free), then the pacers resume. On each engine that is
+// exactly one step at one virtual instant, so engine-side reads inside
+// fn (Now, EngineSteps) are the stamp of that step. It returns
+// ErrLiveStopped, without running fn, if the driver stopped first.
+// Calling Do from inside an engine-side callback deadlocks; use plain
+// function calls there (the caller is already on the engine goroutine).
 func (l *Live) Do(fn func()) error {
-	if l.multi != nil {
-		if err := l.multi.Barrier(fn); err != nil {
-			return ErrLiveStopped
-		}
-		return nil
-	}
-	c := doPool.Get().(*doCall)
-	c.fn = fn
-	if !l.drv.InjectRun(c) {
-		// The driver has already stopped: fn can never run. Without this
-		// check the select below still returns ErrLiveStopped (l.done is
-		// closed), but only after racing the channels — and a future
-		// refactor of that select could silently turn the dropped
-		// injection into a hang. Fail fast at the source.
-		c.fn = nil
-		doPool.Put(c)
+	if err := l.drv.Barrier(fn); err != nil {
 		return ErrLiveStopped
 	}
-	select {
-	case <-c.ran:
-		c.fn = nil
-		doPool.Put(c)
-		return nil
-	case <-l.done:
-		// The driver exited; the injected event may still be queued but
-		// will never execute. Re-check once: fn may have run in the
-		// driver's final steps (the driver goroutine finished before
-		// l.done closed, so a sent token is visible here).
-		select {
-		case <-c.ran:
-			c.fn = nil
-			doPool.Put(c)
-			return nil
-		default:
-			// The staged call was dropped without running; it may still
-			// be referenced by the driver's buffers, so let the GC have
-			// it rather than recycling a possibly-reachable object.
-			return ErrLiveStopped
-		}
-	}
+	return nil
 }
-
-// doCall is Do's pooled rendezvous: a reusable Runner whose token
-// channel replaces a per-call make(chan)+close pair. The channel has
-// capacity 1 and is drained on every successful Do before the object
-// returns to the pool, so a recycled doCall always starts empty.
-type doCall struct {
-	fn  func()
-	ran chan struct{} // cap 1; Run sends exactly one token
-}
-
-func (c *doCall) Run() {
-	c.fn()
-	c.ran <- struct{}{}
-}
-
-var doPool = sync.Pool{New: func() any { return &doCall{ran: make(chan struct{}, 1)} }}
 
 // Stop halts the wall-clock driver(s) and waits for the goroutines to
 // exit. Pending virtual events (in-flight requests, timers) are left in
 // the engines — callers that need a clean drain should stop admitting
 // work and wait for in-flight completions first, which is exactly what
-// serve.Server.Shutdown does. Injections staged but not yet transferred
-// to an engine have their abort hooks run (see InjectOrAbortOn). Stop
-// is idempotent and safe from any goroutine.
+// serve.Server.Shutdown does. Injections that have not run by then have
+// their abort hooks run (see InjectOrAbortOn). Stop is idempotent and
+// safe from any goroutine.
 func (l *Live) Stop() {
 	l.stopOnce.Do(func() { close(l.stop) })
 	<-l.done

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -178,4 +179,147 @@ func TestSimWaitStillWorks(t *testing.T) {
 	}()
 	sys.RunFor(time.Second)
 	<-done
+}
+
+// TestLiveDoRacingStopWithBacklog: Do is a barrier whose rendezvous can
+// sit on the engine heap behind overdue events when Stop lands. Do must
+// still return (nil if it got there first, ErrLiveStopped otherwise)
+// and Stop must return — the rendezvous is aborted, not stranded.
+func TestLiveDoRacingStopWithBacklog(t *testing.T) {
+	sys, err := clockwork.New(clockwork.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var stepped atomic.Int64
+	for i := 0; i < 200; i++ {
+		sys.After(0, func() {
+			time.Sleep(time.Millisecond)
+			stepped.Add(1)
+		})
+	}
+	live := sys.StartLive(1000)
+	got := make(chan error, 1)
+	go func() { got <- live.Do(func() {}) }()
+	// Two more backlog events guarantee a pacer turn, so the rendezvous
+	// has left the staging buffer for the engine heap.
+	for from := stepped.Load(); stepped.Load() < from+2; {
+		time.Sleep(time.Millisecond)
+	}
+	stopped := make(chan struct{})
+	go func() { live.Stop(); close(stopped) }()
+	select {
+	case err := <-got:
+		if err != nil && !errors.Is(err, clockwork.ErrLiveStopped) {
+			t.Errorf("Do = %v, want nil or ErrLiveStopped", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Do hung across a Stop that found its rendezvous behind a backlog")
+	}
+	select {
+	case <-stopped:
+	case <-time.After(10 * time.Second):
+		t.Fatal("Stop hung")
+	}
+}
+
+// TestLiveEverySingleEngine: on a single-engine system Every fires at
+// the speed-scaled cadence, does not queue ticks behind a blocked
+// engine (each tick is a Do, so the ticker drops what it cannot
+// deliver), and stops with Stop.
+func TestLiveEverySingleEngine(t *testing.T) {
+	sys, err := clockwork.New(clockwork.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const speed = 1000
+	const period = 20 * time.Millisecond // wall; 20s of virtual time
+	live := sys.StartLive(speed)
+	defer live.Stop()
+	var ticks atomic.Int64
+	start := time.Now()
+	live.Every(period*speed, func() { ticks.Add(1) })
+
+	for ticks.Load() < 3 {
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("only %d ticks in %v at a %v period", ticks.Load(), time.Since(start), period)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	if n, most := ticks.Load(), int64(time.Since(start)/period)+1; n > most {
+		t.Fatalf("%d ticks in %v: faster than the %v cadence allows (%d)", n, time.Since(start), period, most)
+	}
+
+	// Wedge the engine for ten periods.
+	wedged, release := make(chan struct{}), make(chan struct{})
+	live.Inject(func() { close(wedged); <-release })
+	<-wedged
+	before := ticks.Load()
+	time.Sleep(10 * period)
+	if n := ticks.Load(); n != before {
+		t.Fatalf("%d ticks ran while the engine was wedged", n-before)
+	}
+	released := time.Now()
+	close(release)
+	time.Sleep(period / 4)
+	// The tick that was blocked in Do, at most the one the ticker
+	// channel buffered, and whatever the cadence itself allows in the
+	// time this goroutine really slept (a loaded box stretches it) —
+	// not the ten that came due while the engine was wedged.
+	burst := ticks.Load() - before
+	if most := 2 + int64(time.Since(released)/period) + 1; burst > most {
+		t.Fatalf("%d ticks ran in a burst after the engine unblocked (at most %d expected): Every queued them", burst, most)
+	}
+
+	live.Stop()
+	after := ticks.Load()
+	time.Sleep(3 * period)
+	if n := ticks.Load(); n != after {
+		t.Fatalf("%d ticks ran after Stop", n-after)
+	}
+}
+
+// TestStartLiveTwicePanics: a System has at most one active Live — a
+// second pacer on the same engine would race the first — and may start
+// a new one once the first has stopped.
+func TestStartLiveTwicePanics(t *testing.T) {
+	sys, err := clockwork.New(clockwork.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := sys.StartLive(1000)
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("second StartLive on a live System did not panic")
+			}
+		}()
+		sys.StartLive(1000)
+	}()
+	live.Stop()
+	sys.StartLive(1000).Stop()
+}
+
+// TestRunForWhileLivePanics: the simulation entry points refuse to step
+// an engine a Live is pacing, and work again after Stop.
+func TestRunForWhileLivePanics(t *testing.T) {
+	sys, err := clockwork.New(clockwork.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := sys.StartLive(1000)
+	for name, run := range map[string]func(){
+		"RunFor":   func() { sys.RunFor(time.Second) },
+		"RunUntil": func() { sys.RunUntil(time.Hour) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s while live did not panic", name)
+				}
+			}()
+			run()
+		}()
+	}
+	live.Stop()
+	sys.RunFor(time.Second)
 }

@@ -107,7 +107,8 @@ var ErrHandleReleased = errors.New("clockwork: handle released")
 // Handle tracks one submitted request from the client side. In
 // simulation mode, inspect or cancel between Run calls. In live mode
 // (see System.StartLive), Done, Outcome, ID and Wait are safe from any
-// goroutine; Cancel must run on the engine goroutine (via Live.Do).
+// goroutine; Cancel must run engine-side (inside Live.Do, or a closure
+// injected onto the owning shard).
 //
 // Handle is a small value: copy it freely, there is no per-handle
 // allocation. The underlying slot recycles through a pool when Release
@@ -166,8 +167,8 @@ func (h Handle) Outcome() (Result, bool) {
 
 // Wait blocks until the request reaches a final outcome or ctx is
 // cancelled — the completion-notification primitive that replaces
-// busy-polling Done. Something else must be advancing the clock: a
-// RealtimeDriver started with System.StartLive, or (in tests) another
+// busy-polling Done. Something else must be advancing the clock: the
+// driver started with System.StartLive, or (in tests) another
 // goroutine calling RunFor. A ctx cancellation abandons the wait, not
 // the request: the request still runs to its normal outcome. Waiting on
 // a released (or zero) handle returns ErrHandleReleased immediately.

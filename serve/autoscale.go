@@ -11,12 +11,11 @@ import (
 
 // This file is the actuation half of the closed control loop: package
 // autoscale decides, this file observes and applies. Each control
-// period Live.Every injects autoscaleTick onto the engine (under the
-// stop-the-world barrier with EnginePerShard), where it gathers one
-// period's signals at a single virtual instant, runs the pure
-// controller, and actuates — window resize at the serve layer, worker
-// ops and rebalance inside the engine. With journaling on, the tick's
-// injected closure appends exactly one record: the decision
+// period Live.Every runs autoscaleTick under the stop-the-world barrier
+// (Live.Do), where it gathers one period's signals at a single virtual
+// instant, runs the pure controller, and actuates — window resize at
+// the serve layer, worker ops and rebalance inside the engine. With
+// journaling on, the tick appends exactly one record: the decision
 // (recAutoscale) when anything moved, a no-op otherwise, so replay
 // consumes the tick's engine step one-for-one and recovery carries the
 // adapted window forward.

@@ -790,8 +790,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, st)
 }
 
-// fillStats populates st's engine-side fields. It must run on the
-// engine goroutine (inside a live.Do closure); both /v1/stats and
+// fillStats populates st's engine-side fields. It must run
+// engine-side (inside a live.Do closure); both /v1/stats and
 // /metrics read through it so the two views cannot drift.
 func (s *Server) fillStats(st *StatsResponse) {
 	st.Summary = s.sys.Summary()
