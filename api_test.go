@@ -75,12 +75,12 @@ func (s *fifoScheduler) OnRequest(r *clockwork.ControllerRequest) { s.pump() }
 func (s *fifoScheduler) pump() {
 	g := s.c.GPUs()[0]
 	for mi := range s.c.ActiveModels() {
-		readyAt, resident := g.Resident(mi.Name())
+		readyAt, resident := g.Resident(mi)
 		if !resident {
 			s.c.SendLoad(g, mi, s.c.Now(), clockwork.MaxVirtualTime)
 			continue
 		}
-		if g.InFlight(mi.Name()) > 0 || mi.QueuedCount() == 0 {
+		if g.InFlight(mi) > 0 || mi.QueuedCount() == 0 {
 			continue
 		}
 		earliest := s.c.Now()

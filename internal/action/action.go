@@ -31,13 +31,34 @@ func (t Type) String() string {
 	}
 }
 
+// ModelID is a model instance's dense cluster-wide identifier, interned
+// from its name at registration and permanent for the name from then on.
+// The controller resolves a request's name to it once, at submission;
+// every per-request table below that edge — page caches, profiles,
+// worker host RAM, metrics — is a slice indexed by it. The zero value
+// means "not resolved": real IDs start at 1.
+type ModelID int32
+
+// Grow returns table long enough to index by id, extended with zero
+// values: ID-indexed tables are sized by the IDs their owner has seen,
+// not by the registry.
+func Grow[T any](table []T, id ModelID) []T {
+	if n := int(id) + 1; n > len(table) {
+		table = append(table, make([]T, n-len(table))...)
+	}
+	return table
+}
+
 // Action is one controller→worker command.
 type Action struct {
-	ID    uint64
-	Type  Type
-	GPU   int    // worker-local GPU index
-	Model string // model instance name
-	Batch int    // INFER only: batch size
+	ID   uint64
+	Type Type
+	GPU  int // worker-local GPU index
+	// Model is the instance name, for traces and String; workers address
+	// the model by ModelID.
+	Model   string
+	ModelID ModelID
+	Batch   int // INFER only: batch size
 
 	// RequestIDs are the client requests satisfied by an INFER.
 	RequestIDs []uint64
@@ -135,6 +156,7 @@ type Result struct {
 	WorkerID   int
 	GPU        int
 	Model      string
+	ModelID    ModelID
 	Batch      int
 	RequestIDs []uint64
 

@@ -70,7 +70,7 @@ func (s *Clipper) place(model string) *core.GPUMirror {
 
 // OnRequest implements core.Scheduler.
 func (s *Clipper) OnRequest(r *core.Request) {
-	mi, _ := s.c.Model(r.Model)
+	mi := r.ModelInfo()
 	st := s.modelState(r.Model)
 	st.lastSLO = r.SLO
 	g := s.place(r.Model)
@@ -83,7 +83,7 @@ func (s *Clipper) OnRequest(r *core.Request) {
 
 // OnResult implements core.Scheduler.
 func (s *Clipper) OnResult(res action.Result) {
-	mi, ok := s.c.Model(res.Model)
+	mi, ok := s.c.ModelByID(res.ModelID)
 	if !ok {
 		return
 	}
@@ -116,7 +116,7 @@ func (s *Clipper) OnResult(res action.Result) {
 // ensureLoaded lazily loads the model, evicting LRU victims if required
 // (a reactive cold start: the first requests wait out the transfer).
 func (s *Clipper) ensureLoaded(g *core.GPUMirror, mi *core.ModelInfo) {
-	if _, resident := g.Resident(mi.Name()); resident {
+	if _, resident := g.Resident(mi); resident {
 		return
 	}
 	if !evictFor(s.c, g, mi) {
@@ -129,10 +129,10 @@ func (s *Clipper) ensureLoaded(g *core.GPUMirror, mi *core.ModelInfo) {
 // pump keeps one batch in flight per model container.
 func (s *Clipper) pump(g *core.GPUMirror, mi *core.ModelInfo, st *clipperModel) {
 	for st.outstanding < 1 && mi.QueuedCount() > 0 {
-		readyAt, resident := g.Resident(mi.Name())
+		readyAt, resident := g.Resident(mi)
 		if !resident {
 			s.ensureLoaded(g, mi)
-			if readyAt, resident = g.Resident(mi.Name()); !resident {
+			if readyAt, resident = g.Resident(mi); !resident {
 				return
 			}
 		}
@@ -169,24 +169,21 @@ func evictFor(c *core.Controller, g *core.GPUMirror, mi *core.ModelInfo) bool {
 		return false
 	}
 	for g.Pages.FreePages() < need {
-		victim := ""
+		var victim *core.ModelInfo
 		keys := g.Pages.Keys()
-		for i := len(keys) - 1; i >= 0; i-- {
-			name := keys[i]
-			if g.IsLoading(name) || g.InFlight(name) > 0 {
-				continue
+		for i := len(keys) - 1; i >= 0 && victim == nil; i-- {
+			vmi, ok := c.ModelByID(keys[i])
+			if !ok {
+				return false
 			}
-			victim = name
-			break
+			if !g.IsLoading(vmi) && g.InFlight(vmi) == 0 {
+				victim = vmi
+			}
 		}
-		if victim == "" {
+		if victim == nil {
 			return false
 		}
-		vmi, ok := c.Model(victim)
-		if !ok {
-			return false
-		}
-		c.SendUnload(g, vmi)
+		c.SendUnload(g, victim)
 	}
 	return true
 }

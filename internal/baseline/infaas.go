@@ -56,7 +56,7 @@ func (s *INFaaS) OnCancel(*core.Request) {}
 // OnRequest implements core.Scheduler.
 func (s *INFaaS) OnRequest(r *core.Request) {
 	s.sloOf[r.Model] = r.SLO
-	mi, _ := s.c.Model(r.Model)
+	mi := r.ModelInfo()
 	replicas := s.replicasOf(mi)
 	s.maybeScale(mi)
 	for _, g := range replicas {
@@ -134,7 +134,7 @@ func (s *INFaaS) maybeScale(mi *core.ModelInfo) {
 		if g.Disabled() {
 			continue
 		}
-		if _, resident := g.Resident(mi.Name()); resident {
+		if _, resident := g.Resident(mi); resident {
 			continue
 		}
 		if best == nil || s.outstanding[g] < s.outstanding[best] {
@@ -150,7 +150,7 @@ func (s *INFaaS) maybeScale(mi *core.ModelInfo) {
 }
 
 func (s *INFaaS) ensureLoaded(g *core.GPUMirror, mi *core.ModelInfo) {
-	if _, resident := g.Resident(mi.Name()); resident {
+	if _, resident := g.Resident(mi); resident {
 		return
 	}
 	if !evictFor(s.c, g, mi) {
@@ -196,7 +196,7 @@ func (s *INFaaS) pump(g *core.GPUMirror) {
 			if r == nil {
 				continue
 			}
-			readyAt, resident := g.Resident(mi.Name())
+			readyAt, resident := g.Resident(mi)
 			if !resident {
 				continue
 			}

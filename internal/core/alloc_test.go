@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"clockwork/internal/modelzoo"
+	"clockwork/internal/rng"
 	"clockwork/internal/simclock"
 )
 
@@ -108,4 +109,85 @@ func TestLoadSelectionWorkFlatInLoad(t *testing.T) {
 	if lo, hi := perReq["lo"], perReq["hi"]; hi > 4*lo {
 		t.Fatalf("load selection costs %.1f priority evaluations per request at ~85%% load against %.1f at ~10%%: more than 4×, so its work grows with load again", hi, lo)
 	}
+}
+
+// countingSink counts the outcomes a run delivered.
+type countingSink struct{ n int }
+
+func (s *countingSink) OnResponse(Response, time.Duration) { s.n++ }
+
+// TestModelNameResolvedOncePerRequest is the structural guard on "names
+// at the edges, IDs inside": a request's model name goes through the
+// model table's by-name lookup once, when it is submitted, and nothing
+// the request then touches — delivery, the scheduler, the mirrors, the
+// workers, the profile, the response hop, the metrics — resolves a name
+// again. The run is the cold-tail golden's configuration (16 GPUs, 1,024
+// Zipf instances, 12 GB caches, 1 s at 1,500 r/s then 2 s at 4,500), so
+// LOADs, evictions, batching, admission cancels and timeouts all happen
+// under the count.
+func TestModelNameResolvedOncePerRequest(t *testing.T) {
+	if testing.Short() {
+		t.Skip("work ratchet skipped in -short")
+	}
+	cl := NewCluster(ClusterConfig{
+		Workers: 8, GPUsPerWorker: 2, Seed: 1, ZeroLengthInputs: true,
+		PageCacheBytes: 12 << 30,
+	})
+	zoo := modelzoo.All()
+	names := make([]string, 1024)
+	for i := range names {
+		z := zoo[i%len(zoo)]
+		names[i] = fmt.Sprintf("%s#%d", z.Name, i/len(zoo))
+		if err := cl.RegisterModel(names[i], z); err != nil {
+			t.Fatal(err)
+		}
+	}
+	resolved := 0
+	cl.models.onResolve = func() { resolved++ }
+
+	stream := rng.NewSource(1).Stream("resolve-ratchet")
+	zipf := stream.Zipf(0.9, len(names))
+	sink := &countingSink{}
+	sent, inEngine := 0, 0
+	run := func(to time.Duration) {
+		n := resolved
+		cl.RunUntil(simclock.Time(to))
+		inEngine += resolved - n
+	}
+	var base time.Duration
+	var before Stats
+	for p, ph := range []struct {
+		dur  time.Duration
+		rate float64
+	}{{time.Second, 1500}, {2 * time.Second, 4500}} {
+		if p == 1 {
+			before = cl.Stats()
+		}
+		gap := func() time.Duration { return time.Duration(stream.Exp(1/ph.rate) * float64(time.Second)) }
+		for at := gap(); at < ph.dur; at += gap() {
+			run(base + at)
+			if err := cl.SubmitRequestSinkOn(0, SubmitSpec{Model: names[zipf.Draw()], SLO: 100 * time.Millisecond}, sink); err != nil {
+				t.Fatal(err)
+			}
+			sent++
+		}
+		base += ph.dur
+		run(base)
+	}
+	after := cl.Stats()
+	run(base + time.Second) // drain: SLO ≪ 1 s
+
+	if sink.n != sent {
+		t.Fatalf("sent %d, completed %d", sent, sink.n)
+	}
+	if loads, unloads := after.ActionsLoad-before.ActionsLoad, after.ActionsUnload-before.ActionsUnload; loads == 0 || unloads == 0 {
+		t.Fatalf("hi phase issued %d LOADs and %d UNLOADs; the count must cover both", loads, unloads)
+	}
+	if inEngine != 0 {
+		t.Fatalf("%d name resolutions while the engine ran: some scheduler, worker or metrics path looks a model up by name again", inEngine)
+	}
+	if resolved > sent {
+		t.Fatalf("%d name resolutions for %d submitted requests: more than one per request", resolved, sent)
+	}
+	t.Logf("%d requests, %d name resolutions, 0 inside the engine", sent, resolved)
 }

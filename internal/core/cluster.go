@@ -176,11 +176,11 @@ type Cluster struct {
 	clientLinks []*network.Duplex
 
 	// route is the lock-free model→shard routing hint for goroutines
-	// outside any engine (live admission routing). It tracks modelShard
-	// but may be momentarily stale across a migration; a submission
-	// landing on a stale shard is forwarded to the real owner through
-	// crossInject, so staleness costs one extra network hop, never
-	// correctness.
+	// outside any engine (live admission routing), which may not read
+	// models. It tracks each model's owner but may be momentarily stale
+	// across a migration; a submission landing on a stale shard is
+	// forwarded to the real owner through crossInject, so staleness
+	// costs one extra network hop, never correctness.
 	route sync.Map
 
 	// crossInject delivers r onto another shard's engine at virtual
@@ -192,15 +192,15 @@ type Cluster struct {
 	// ---- shard bookkeeping (cluster-global; controllers only know
 	// their own slice) ----
 
-	// modelShard maps every registered model to its current owning
-	// shard; the initial assignment is a consistent hash of the name,
-	// mutated only by migration. modelOrder preserves cluster-global
-	// registration order (worker pre-loads replay it deterministically)
-	// and zoos keeps each instance's catalogue entry for routing-layer
-	// byte accounting.
-	modelShard map[string]int
+	// models is the cluster-wide model table every shard's controller
+	// shares (models.go): a name's ID, and through its live registration
+	// its catalogue entry and owning shard — the initial owner is a
+	// consistent hash of the name, changed only by migration. host is
+	// the same set as every worker's host RAM sees it, and modelOrder
+	// preserves cluster-global registration order for ModelNames.
+	models     *modelTable
+	host       *worker.Models
 	modelOrder []string
-	zoos       map[string]*modelzoo.Model
 
 	// workerShard maps global worker ID → owning shard (assignment is
 	// id mod Shards, so runtime scale-out stripes deterministically).
@@ -236,13 +236,13 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	}
 
 	cl := &Cluster{
-		Eng:        engines[0],
-		cfg:        cfg,
-		src:        rng.NewSource(cfg.Seed),
-		engines:    engines,
-		Metrics:    newMetrics(cfg.MetricsInterval),
-		modelShard: make(map[string]int),
-		zoos:       make(map[string]*modelzoo.Model),
+		Eng:     engines[0],
+		cfg:     cfg,
+		src:     rng.NewSource(cfg.Seed),
+		engines: engines,
+		Metrics: newMetrics(cfg.MetricsInterval),
+		models:  newModelTable(),
+		host:    new(worker.Models),
 	}
 	if nEng > 1 {
 		cl.Metrics.setConcurrent()
@@ -251,7 +251,9 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		ccfg := cfg.Controller
 		ccfg.IDStart = uint64(i)
 		ccfg.IDStride = uint64(cfg.Shards)
-		cl.Ctls = append(cl.Ctls, NewController(cl.engFor(i), ccfg, cl.newScheduler()))
+		ctl := NewController(cl.engFor(i), ccfg, cl.newScheduler())
+		ctl.tab, ctl.shard = cl.models, i
+		cl.Ctls = append(cl.Ctls, ctl)
 	}
 	cl.Ctl = cl.Ctls[0]
 	for _, eng := range engines {
@@ -379,16 +381,15 @@ func (cl *Cluster) shardForName(name string) int {
 	return int(h.Sum64() % uint64(len(cl.Ctls)))
 }
 
-// ctlForModel resolves the controller that currently owns model. The
-// fallback shard covers names no longer (or never) registered: the
-// chosen controller answers with ReasonUnregistered, so any shard is
-// semantically correct — using the submission-time owner keeps the
-// accounting deterministic.
-func (cl *Cluster) ctlForModel(model string, fallback int) *Controller {
-	if s, ok := cl.modelShard[model]; ok {
-		return cl.Ctls[s]
+// ownerOf resolves the shard that currently owns model id. The fallback
+// covers names no longer registered: the controller it selects answers
+// with ReasonUnregistered, so any shard is semantically correct — using
+// the submission-time owner keeps the accounting deterministic.
+func (cl *Cluster) ownerOf(id ModelID, fallback int) int {
+	if mi := cl.models.live[id]; mi != nil {
+		return mi.owner.shard
 	}
-	return cl.Ctls[fallback]
+	return fallback
 }
 
 // addWorker constructs one worker with the cluster's geometry, wires its
@@ -409,7 +410,11 @@ func (cl *Cluster) addWorker() int {
 		Noise:          cl.cfg.Noise,
 		BestEffort:     cl.cfg.WorkerBestEffort,
 	}.Resolved()
-	w := worker.New(cl.engFor(shard), cl.src, wcfg)
+	// The worker comes up with every registered model (§5.1: workers
+	// pre-load all models into host RAM — shard ownership partitions
+	// scheduling, not host memory, which is what makes model migration a
+	// pure control-plane operation): the host set is shared.
+	w := worker.New(cl.engFor(shard), cl.src, wcfg, cl.host)
 	link := network.NewDuplex(cl.engFor(shard))
 	link.AtoB.Latency = cl.cfg.NetLatency
 	link.BtoA.Latency = cl.cfg.NetLatency
@@ -419,13 +424,6 @@ func (cl *Cluster) addWorker() int {
 	wl := &workerLink{cl: cl, ctl: ctl, w: w, li: link}
 	ctl.AddWorker(id, wcfg.GPUs, wcfg.PageCacheBytes, wcfg.PageSize, wl.sendAction)
 	w.OnResult = wl.sendResult
-	// Bring the new worker up with every model registered so far
-	// (§5.1: workers pre-load all models into host RAM — shard
-	// ownership partitions scheduling, not host memory, which is what
-	// makes model migration a pure control-plane operation).
-	for _, name := range cl.modelOrder {
-		w.RegisterModel(name, cl.zoos[name])
-	}
 	cl.Workers = append(cl.Workers, w)
 	cl.workerShard = append(cl.workerShard, shard)
 	cl.Metrics.attachGPUs(w)
@@ -493,7 +491,9 @@ func (wl *workerLink) sendAction(a *action.Action, payloadBytes int64) {
 func (wl *workerLink) sendResult(r action.Result) {
 	var bytes int64
 	if r.Type == action.Infer && r.Status.IsSuccess() {
-		bytes = int64(len(r.RequestIDs)) * outputBytesOf(wl.cl, r.Model)
+		if mi := wl.cl.models.live[r.ModelID]; mi != nil {
+			bytes = int64(len(r.RequestIDs)) * mi.zoo.OutputBytes()
+		}
 	}
 	var h *resultHop
 	if n := len(wl.freeR); n > 0 {
@@ -503,13 +503,6 @@ func (wl *workerLink) sendResult(r action.Result) {
 	}
 	h.r = r
 	wl.li.BtoA.SendRun(bytes, h)
-}
-
-func outputBytesOf(cl *Cluster, model string) int64 {
-	if zoo, ok := cl.zoos[model]; ok {
-		return zoo.OutputBytes()
-	}
-	return 0
 }
 
 // Config returns the effective cluster configuration.
@@ -624,25 +617,21 @@ func (cl *Cluster) InjectDisturbance(workerID, gpuID int, d time.Duration) error
 // fail with ReasonUnregistered; replicas are unloaded. Models with
 // in-flight actions return ErrModelBusy.
 func (cl *Cluster) UnregisterModel(name string) error {
-	shard, ok := cl.modelShard[name]
-	if !ok {
+	mi := cl.models.lookup(name)
+	if mi == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownModel, name)
 	}
-	if err := cl.Ctls[shard].UnregisterModel(name); err != nil {
+	if err := mi.owner.UnregisterModel(name); err != nil {
 		return err
 	}
-	delete(cl.modelShard, name)
 	cl.route.Delete(name)
-	delete(cl.zoos, name)
 	for i, n := range cl.modelOrder {
 		if n == name {
 			cl.modelOrder = append(cl.modelOrder[:i], cl.modelOrder[i+1:]...)
 			break
 		}
 	}
-	for _, w := range cl.Workers {
-		w.UnregisterModel(name)
-	}
+	cl.host.Unregister(mi.id)
 	return nil
 }
 
@@ -687,8 +676,11 @@ func (cl *Cluster) ShardCount() int { return len(cl.Ctls) }
 
 // ShardOf returns the shard currently owning model.
 func (cl *Cluster) ShardOf(model string) (int, bool) {
-	s, ok := cl.modelShard[model]
-	return s, ok
+	mi := cl.models.lookup(model)
+	if mi == nil {
+		return 0, false
+	}
+	return mi.owner.shard, true
 }
 
 // Migrations returns the number of cross-shard model migrations
@@ -698,11 +690,10 @@ func (cl *Cluster) Migrations() uint64 { return cl.migrations }
 // ModelStats returns the per-model metrics slice for name. ok is false
 // when the model is unknown and has never produced a response.
 func (cl *Cluster) ModelStats(name string) (ModelStats, bool) {
-	st, ok := cl.Metrics.ModelStats(name, cl.Eng.Now().Duration())
-	if !ok {
-		if _, known := cl.modelShard[name]; !known {
-			return ModelStats{}, false
-		}
+	id := cl.models.resolve(name)
+	st, ok := cl.Metrics.modelStats(id, cl.Eng.Now().Duration())
+	if !ok && cl.models.live[id] == nil {
+		return ModelStats{}, false
 	}
 	return st, true
 }
@@ -718,20 +709,13 @@ func (cl *Cluster) TenantStats(tenant string) (TenantStats, bool) {
 // controller and to every worker (workers pre-load all models into host
 // RAM, §5.1, regardless of shard ownership).
 func (cl *Cluster) RegisterModel(name string, zoo *modelzoo.Model) error {
-	if _, dup := cl.modelShard[name]; dup {
-		return fmt.Errorf("%w: %q", ErrDuplicateModel, name)
-	}
 	shard := cl.shardForName(name)
 	if err := cl.Ctls[shard].RegisterModel(name, zoo); err != nil {
 		return err
 	}
-	cl.modelShard[name] = shard
 	cl.route.Store(name, shard)
 	cl.modelOrder = append(cl.modelOrder, name)
-	cl.zoos[name] = zoo
-	for _, w := range cl.Workers {
-		w.RegisterModel(name, zoo)
-	}
+	cl.host.Register(cl.models.lookup(name).id, zoo)
 	return nil
 }
 
@@ -782,7 +766,7 @@ type Handle struct {
 	// response fires, so every use goes through CancelRequestGen.
 	req           *Request
 	reqGen        uint64
-	model         string
+	model         ModelID
 	cancelPending bool
 	done          bool
 	resp          Response
@@ -793,7 +777,7 @@ var handlePool = sync.Pool{New: func() any {
 	return &Handle{doneCh: make(chan struct{}, 1)}
 }}
 
-func acquireHandle(cl *Cluster, model string) *Handle {
+func acquireHandle(cl *Cluster, model ModelID) *Handle {
 	h := handlePool.Get().(*Handle)
 	select {
 	case <-h.doneCh: // drain a leftover token, defensively
@@ -828,7 +812,7 @@ func (h *Handle) Release() {
 	h.cl = nil
 	h.id = 0
 	h.req, h.reqGen = nil, 0
-	h.model = ""
+	h.model = 0
 	h.cancelPending, h.done = false, false
 	h.resp, h.latency = Response{}, 0
 	h.mu.Unlock()
@@ -917,7 +901,7 @@ func (h *Handle) Cancel() bool {
 	// cancellation path schedules the response event that will re-enter
 	// the completion callback. The generation check makes a cancel that
 	// raced the response (and the request's recycling) a no-op.
-	return cl.ctlForModel(model, 0).CancelRequestGen(req, gen)
+	return cl.Ctls[cl.ownerOf(model, 0)].CancelRequestGen(req, gen)
 }
 
 // Submit issues one client request with default options. The input
@@ -939,8 +923,15 @@ func (cl *Cluster) Submit(model string, slo time.Duration, onDone func(Response,
 // shard's engine goroutine — route with OwnerShardHint and use
 // SubmitRequestOn via a shard-targeted injection.
 func (cl *Cluster) SubmitRequest(spec SubmitSpec, onDone func(Response, time.Duration)) (*Handle, error) {
-	local, _ := cl.modelShard[spec.Model] // unknown models rejected below
-	return cl.SubmitRequestOn(local, spec, onDone)
+	// Shard 0 stands in until the name is resolved; an unknown model is
+	// rejected whatever the shard.
+	mi, err := cl.checkSpec(0, &spec)
+	if err != nil {
+		return nil, err
+	}
+	h := acquireHandle(cl, mi.id)
+	cl.sendSubmission(mi.owner.shard, spec, mi, h, onDone, nil)
+	return h, nil
 }
 
 // SubmitRequestOn is SubmitRequest entered on shard local's engine: the
@@ -950,11 +941,12 @@ func (cl *Cluster) SubmitRequest(spec SubmitSpec, onDone func(Response, time.Dur
 // is forwarded once over the shard interconnect at the cross-shard
 // network latency.
 func (cl *Cluster) SubmitRequestOn(local int, spec SubmitSpec, onDone func(Response, time.Duration)) (*Handle, error) {
-	if err := cl.checkSpec(local, spec); err != nil {
+	mi, err := cl.checkSpec(local, &spec)
+	if err != nil {
 		return nil, err
 	}
-	h := acquireHandle(cl, spec.Model)
-	cl.sendSubmission(local, spec, h, onDone, nil)
+	h := acquireHandle(cl, mi.id)
+	cl.sendSubmission(local, spec, mi, h, onDone, nil)
 	return h, nil
 }
 
@@ -974,37 +966,42 @@ type ResponseSink interface {
 // zero-allocation submission path for servers that track completion
 // entirely through their own pooled per-request state.
 func (cl *Cluster) SubmitRequestSinkOn(local int, spec SubmitSpec, sink ResponseSink) error {
-	if err := cl.checkSpec(local, spec); err != nil {
+	mi, err := cl.checkSpec(local, &spec)
+	if err != nil {
 		return err
 	}
-	cl.sendSubmission(local, spec, nil, nil, sink)
+	cl.sendSubmission(local, spec, mi, nil, nil, sink)
 	return nil
 }
 
-// checkSpec validates a submission before any resource is acquired.
-func (cl *Cluster) checkSpec(local int, spec SubmitSpec) error {
+// checkSpec validates a submission before any resource is acquired and
+// resolves its model — the one time the request's name is looked up. The
+// ID goes into the spec; each later hop reads the table by it.
+func (cl *Cluster) checkSpec(local int, spec *SubmitSpec) (*ModelInfo, error) {
 	if spec.Model == "" {
-		return fmt.Errorf("%w: empty model name", ErrInvalidRequest)
+		return nil, fmt.Errorf("%w: empty model name", ErrInvalidRequest)
 	}
 	if spec.SLO <= 0 {
-		return fmt.Errorf("%w: non-positive SLO %v", ErrInvalidRequest, spec.SLO)
+		return nil, fmt.Errorf("%w: non-positive SLO %v", ErrInvalidRequest, spec.SLO)
 	}
 	if spec.MaxBatch < 0 {
-		return fmt.Errorf("%w: negative batch cap %d", ErrInvalidRequest, spec.MaxBatch)
+		return nil, fmt.Errorf("%w: negative batch cap %d", ErrInvalidRequest, spec.MaxBatch)
 	}
 	if local < 0 || local >= len(cl.Ctls) {
-		return fmt.Errorf("%w: %d (have %d)", ErrNoSuchShard, local, len(cl.Ctls))
+		return nil, fmt.Errorf("%w: %d (have %d)", ErrNoSuchShard, local, len(cl.Ctls))
 	}
-	if _, ok := cl.modelShard[spec.Model]; !ok {
-		return fmt.Errorf("%w: %q", ErrUnknownModel, spec.Model)
+	mi := cl.models.lookup(spec.Model)
+	if mi == nil {
+		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, spec.Model)
 	}
-	return nil
+	spec.id = mi.id
+	return mi, nil
 }
 
 // sendSubmission puts one validated submission on shard local's client
 // link. h may be nil (the sink path).
-func (cl *Cluster) sendSubmission(local int, spec SubmitSpec, h *Handle, onDone func(Response, time.Duration), sink ResponseSink) {
-	zoo := cl.zoos[spec.Model]
+func (cl *Cluster) sendSubmission(local int, spec SubmitSpec, mi *ModelInfo, h *Handle, onDone func(Response, time.Duration), sink ResponseSink) {
+	zoo := mi.zoo
 	inputBytes := zoo.InputBytes()
 	if cl.cfg.ZeroLengthInputs {
 		inputBytes = 0
@@ -1058,10 +1055,7 @@ func (s *submission) Run() {
 // across shards if the owner lives on another engine, then submit.
 func (s *submission) deliver() {
 	cl := s.cl
-	owner := s.local
-	if o, ok := cl.modelShard[s.spec.Model]; ok {
-		owner = o
-	}
+	owner := cl.ownerOf(s.spec.id, s.local)
 	if owner != s.local && cl.multiEngine() {
 		// The owner lives on another engine: one hop over the shard
 		// interconnect. The delivery instant is stamped on the sending
@@ -1114,9 +1108,7 @@ func (s *submission) Respond(resp Response) {
 	// The responding controller is the model's current owner; follow it
 	// (after a barrier-time migration the response must leave on the
 	// adopting shard's link and engine).
-	if o, ok := cl.modelShard[resp.Model]; ok {
-		s.local = o
-	}
+	s.local = cl.ownerOf(resp.id, s.local)
 	outBytes := s.zoo.OutputBytes()
 	if !resp.Success {
 		outBytes = 0
@@ -1135,10 +1127,7 @@ func (s *submission) complete() {
 	latency := now.Sub(s.sentAt)
 	// Attribute the response to the shard that owned the model at
 	// completion (it may have migrated since submission).
-	shard := s.local
-	if o, ok := cl.modelShard[s.resp.Model]; ok {
-		shard = o
-	}
+	shard := cl.ownerOf(s.resp.id, s.local)
 	cl.Metrics.record(now, shard, s.resp, latency, s.spec.SLO)
 	// Finalize the flight-recorder trace with the client-observed
 	// outcome. The recorder shard is s.local — the engine this

@@ -129,10 +129,14 @@ type Controller struct {
 	workers    []*workerHandle
 	workerByID map[int]*workerHandle
 	gpus       []*GPUMirror
-	models     map[string]*ModelInfo
-	// modelList holds registered models in registration order — the
-	// deterministic iteration order the control plane uses where the
-	// models map would introduce map-order nondeterminism.
+	// tab interns model names to dense IDs and holds each name's live
+	// registration (models.go) — shared with the sibling shards when the
+	// controller is part of a cluster, whose index among them is shard.
+	tab   *modelTable
+	shard int
+	// modelList holds this controller's registered models in
+	// registration order — the deterministic iteration order of the
+	// control plane.
 	modelList []*ModelInfo
 	nextSeq   uint64
 
@@ -276,7 +280,7 @@ func NewController(eng *simclock.Engine, cfg Config, schd Scheduler) *Controller
 		cfg:             cfg.withDefaults(),
 		schd:            schd,
 		workerByID:      make(map[int]*workerHandle),
-		models:          make(map[string]*ModelInfo),
+		tab:             newModelTable(),
 		activeModels:    make(map[*ModelInfo]bool),
 		pendingInfers:   make(map[uint64]pendingInfer),
 		InferDuration:   predictor.NewErrorTracker(),
@@ -287,7 +291,7 @@ func NewController(eng *simclock.Engine, cfg Config, schd Scheduler) *Controller
 	c.nextRequestID = c.cfg.IDStart
 	c.nextActionID = c.cfg.IDStart
 	c.demandIdx.desc = true
-	c.profile = predictor.NewProfile(c.cfg.ProfileWindow)
+	c.profile = predictor.NewProfile(c.cfg.ProfileWindow, modelzoo.BatchSizes)
 	schd.Attach(c)
 	return c
 }
@@ -389,7 +393,7 @@ func (c *Controller) FailWorker(id int) error {
 			r.state = stateDone
 			c.stats.WorkerLost++
 			c.respond(r, Response{
-				RequestID: r.ID, Model: r.Model, Tenant: r.Tenant, Success: false,
+				RequestID: r.ID, Model: r.Model, id: r.mi.id, Tenant: r.Tenant, Success: false,
 				Reason: ReasonWorkerFailed, ColdStart: r.coldStart, CompletedAt: c.eng.Now(),
 			})
 		}
@@ -399,8 +403,7 @@ func (c *Controller) FailWorker(id int) error {
 		c.recycleBatch(p.reqs)
 	}
 	for _, g := range wh.gpus {
-		g.inFlightInfers = make(map[string]int)
-		g.loading = make(map[string]simclock.Time)
+		clear(g.actions)
 	}
 	return nil
 }
@@ -485,6 +488,11 @@ func (c *Controller) WorkerStateOf(id int) (WorkerState, error) {
 
 // RegisterModel announces a model instance, seeding its action profiles
 // from offline profiling data (§5.1). Duplicate names are an error.
+//
+// The name keeps the ID (and this controller the profile block) of any
+// earlier registration: measurements learned for the same catalogue
+// model carry over, while seeds that differ — the name now stands for
+// another model — discard them (predictor.Estimator.Seed).
 func (c *Controller) RegisterModel(name string, zoo *modelzoo.Model) error {
 	if zoo == nil {
 		return fmt.Errorf("%w: nil model for %q", ErrInvalidRequest, name)
@@ -492,18 +500,31 @@ func (c *Controller) RegisterModel(name string, zoo *modelzoo.Model) error {
 	if name == "" {
 		return fmt.Errorf("%w: empty model name", ErrInvalidRequest)
 	}
-	if _, dup := c.models[name]; dup {
+	id := c.tab.intern(name)
+	if c.tab.live[id] != nil {
 		return fmt.Errorf("%w: %q", ErrDuplicateModel, name)
 	}
-	mi := &ModelInfo{name: name, zoo: zoo, owner: c, seq: c.nextSeq}
+	mi := &ModelInfo{name: name, id: id, zoo: zoo, owner: c, seq: c.nextSeq}
 	c.nextSeq++
-	c.models[name] = mi
+	c.tab.live[id] = mi
 	c.modelList = append(c.modelList, mi)
 	for _, b := range modelzoo.BatchSizes {
-		c.profile.Seed(predictor.Key{Op: "exec", Model: name, Batch: b}, zoo.ExecLatency(b))
+		c.profile.Seed(id, predictor.Key{Op: predictor.Exec, Batch: b}, zoo.ExecLatency(b))
 	}
-	c.profile.Seed(predictor.Key{Op: "load", Model: name}, zoo.Transfer())
+	c.profile.Seed(id, predictor.Key{Op: predictor.Load}, zoo.Transfer())
 	return nil
+}
+
+// unlist drops mi from this controller's registry (unregistration, or
+// extraction for a migration); its name keeps its ID.
+func (c *Controller) unlist(mi *ModelInfo) {
+	c.tab.live[mi.id] = nil
+	for i, m := range c.modelList {
+		if m == mi {
+			c.modelList = append(c.modelList[:i], c.modelList[i+1:]...)
+			break
+		}
+	}
 }
 
 // UnregisterModel removes a model instance: its queued requests fail
@@ -512,11 +533,11 @@ func (c *Controller) RegisterModel(name string, zoo *modelzoo.Model) error {
 // (a LOAD or INFER somewhere in the cluster) is ErrModelBusy — run the
 // engine until its work drains, then retry.
 func (c *Controller) UnregisterModel(name string) error {
-	mi, ok := c.models[name]
+	mi, ok := c.Model(name)
 	if !ok {
 		return fmt.Errorf("%w: %q", ErrUnknownModel, name)
 	}
-	if c.modelBusy(name) {
+	if c.modelBusy(mi) {
 		return fmt.Errorf("%w: %q", ErrModelBusy, name)
 	}
 
@@ -530,7 +551,7 @@ func (c *Controller) UnregisterModel(name string) error {
 		r.state = stateDone
 		c.stats.Unregistered++
 		c.respond(r, Response{
-			RequestID: r.ID, Model: r.Model, Tenant: r.Tenant, Success: false,
+			RequestID: r.ID, Model: r.Model, id: mi.id, Tenant: r.Tenant, Success: false,
 			Reason: ReasonUnregistered, ColdStart: r.coldStart, CompletedAt: c.eng.Now(),
 		})
 		c.releaseRequest(r)
@@ -547,24 +568,36 @@ func (c *Controller) UnregisterModel(name string) error {
 	}
 
 	c.reindexModel(mi) // removes mi from the ordered indexes
-	delete(c.models, name)
-	for i, m := range c.modelList {
-		if m == mi {
-			c.modelList = append(c.modelList[:i], c.modelList[i+1:]...)
-			break
-		}
-	}
+	c.unlist(mi)
 	return nil
 }
 
-// Model returns the registry entry for name.
+// Model returns this controller's registry entry for name. It resolves
+// the name; code that already holds a request, an action result or an ID
+// reads the entry off that instead (Request.ModelInfo, ModelByID).
 func (c *Controller) Model(name string) (*ModelInfo, bool) {
-	mi, ok := c.models[name]
-	return mi, ok
+	return c.owned(c.tab.lookup(name))
+}
+
+// ModelByID returns this controller's registry entry for id — how a
+// scheduler walking GPUMirror.Pages gets from a cache key to its model.
+func (c *Controller) ModelByID(id ModelID) (*ModelInfo, bool) {
+	if id <= 0 || int(id) >= len(c.tab.live) {
+		return nil, false
+	}
+	return c.owned(c.tab.live[id])
+}
+
+// owned narrows a live registration to one this controller owns.
+func (c *Controller) owned(mi *ModelInfo) (*ModelInfo, bool) {
+	if mi == nil || mi.owner != c {
+		return nil, false
+	}
+	return mi, true
 }
 
 // ModelCount returns the number of registered instances.
-func (c *Controller) ModelCount() int { return len(c.models) }
+func (c *Controller) ModelCount() int { return len(c.modelList) }
 
 // ActiveModels returns the set of models with queued requests. The
 // returned map is live; schedulers must not mutate it.
@@ -572,12 +605,12 @@ func (c *Controller) ActiveModels() map[*ModelInfo]bool { return c.activeModels 
 
 // EstimateExec predicts execution latency of (model, batch).
 func (c *Controller) EstimateExec(mi *ModelInfo, batch int) time.Duration {
-	return c.profile.Estimate(predictor.Key{Op: "exec", Model: mi.name, Batch: batch})
+	return c.profile.Estimate(mi.id, predictor.Key{Op: predictor.Exec, Batch: batch})
 }
 
 // EstimateLoad predicts the weight-transfer duration of model.
 func (c *Controller) EstimateLoad(mi *ModelInfo) time.Duration {
-	return c.profile.Estimate(predictor.Key{Op: "load", Model: mi.name})
+	return c.profile.Estimate(mi.id, predictor.Key{Op: predictor.Load})
 }
 
 // Submit accepts one client request with default options — the original
@@ -607,13 +640,21 @@ func (c *Controller) SubmitSpecTo(spec SubmitSpec, rsp Responder) *Request {
 
 func (c *Controller) submitSpec(spec SubmitSpec, onResponse func(Response), rsp Responder) *Request {
 	now := c.eng.Now()
-	mi, ok := c.models[spec.Model]
+	// The cluster's submission edge resolved the name already; the ID it
+	// left in the spec is read against the table as it is now, so a model
+	// unregistered, re-registered or migrated while the request was on
+	// the wire is seen as exactly that.
+	id := spec.id
+	if id == 0 {
+		id = c.tab.resolve(spec.Model)
+	}
+	mi, ok := c.owned(c.tab.live[id])
 	if !ok {
 		c.nextRequestID += c.cfg.IDStride
 		c.stats.Requests++
 		c.stats.Unregistered++
 		resp := Response{
-			RequestID: c.nextRequestID, Model: spec.Model, Tenant: spec.Tenant,
+			RequestID: c.nextRequestID, Model: spec.Model, id: id, Tenant: spec.Tenant,
 			Success: false, Reason: ReasonUnregistered, CompletedAt: now,
 		}
 		if rsp != nil {
@@ -645,6 +686,7 @@ func (c *Controller) submitSpec(spec SubmitSpec, onResponse func(Response), rsp 
 		OutputBytes: mi.zoo.OutputBytes(),
 		OnResponse:  onResponse,
 		responder:   rsp,
+		mi:          mi,
 		state:       stateQueued,
 		deadline:    now.Add(spec.SLO - margin),
 		execEst:     c.EstimateExec(mi, 1),
@@ -697,14 +739,10 @@ func (c *Controller) submitSpec(spec SubmitSpec, onResponse func(Response), rsp 
 // completed or is in flight — in-flight work cannot be clawed back,
 // §4.2).
 func (c *Controller) CancelRequest(r *Request) bool {
-	if r == nil || r.state != stateQueued {
+	if r == nil || r.state != stateQueued || r.ctl != c {
 		return false
 	}
-	mi, ok := c.models[r.Model]
-	if !ok {
-		return false
-	}
-	c.cancelRequest(mi, r)
+	c.cancelRequest(r.mi, r)
 	done := r.state == stateDone
 	if done {
 		c.releaseRequest(r)
@@ -738,7 +776,7 @@ func (c *Controller) cancelRequest(mi *ModelInfo, r *Request) {
 	r.state = stateDone
 	c.stats.Cancelled++
 	c.respond(r, Response{
-		RequestID: r.ID, Model: r.Model, Tenant: r.Tenant, Success: false,
+		RequestID: r.ID, Model: r.Model, id: mi.id, Tenant: r.Tenant, Success: false,
 		Reason: ReasonCancelled, ColdStart: r.coldStart, CompletedAt: c.eng.Now(),
 	})
 	c.schd.OnCancel(r)
@@ -753,7 +791,7 @@ func (c *Controller) timeoutRequest(r *Request) {
 	r.state = stateDone
 	c.stats.Rejected++
 	c.respond(r, Response{
-		RequestID: r.ID, Model: r.Model, Tenant: r.Tenant, Success: false,
+		RequestID: r.ID, Model: r.Model, id: r.mi.id, Tenant: r.Tenant, Success: false,
 		Reason: ReasonTimeout, ColdStart: r.coldStart, CompletedAt: c.eng.Now(),
 	})
 }
@@ -827,6 +865,7 @@ func (c *Controller) SendInfer(g *GPUMirror, mi *ModelInfo, batch int, reqs []*R
 		Type:               action.Infer,
 		GPU:                g.GPU,
 		Model:              mi.name,
+		ModelID:            mi.id,
 		Batch:              batch,
 		RequestIDs:         ids,
 		Earliest:           earliest,
@@ -837,8 +876,8 @@ func (c *Controller) SendInfer(g *GPUMirror, mi *ModelInfo, batch int, reqs []*R
 		OutputBytes:        outputs,
 	}
 	g.ExecFreeAt = completion
-	g.inFlightInfers[mi.name]++
-	g.Pages.Touch(mi.name)
+	g.outstanding(mi.id).infers++
+	g.Pages.Touch(mi.id)
 	c.pendingInfers[a.ID] = pendingInfer{g: g, reqs: reqs, a: a}
 	c.stats.ActionsInfer++
 	c.reindexModel(mi)
@@ -856,7 +895,7 @@ func (c *Controller) SendInfer(g *GPUMirror, mi *ModelInfo, batch int, reqs []*R
 // pages (via SendUnload).
 func (c *Controller) SendLoad(g *GPUMirror, mi *ModelInfo, earliest, latest simclock.Time) *action.Action {
 	pages := mi.zoo.Pages(g.Pages.PageSize())
-	if err := g.Pages.Alloc(mi.name, pages); err != nil {
+	if err := g.Pages.Alloc(mi.id, pages); err != nil {
 		panic(fmt.Sprintf("core: SendLoad without free pages: %v", err))
 	}
 	est := c.EstimateLoad(mi)
@@ -874,12 +913,13 @@ func (c *Controller) SendLoad(g *GPUMirror, mi *ModelInfo, earliest, latest simc
 		Type:               action.Load,
 		GPU:                g.GPU,
 		Model:              mi.name,
+		ModelID:            mi.id,
 		Earliest:           earliest,
 		Latest:             latest,
 		ExpectedDuration:   est,
 		ExpectedCompletion: transferEnd,
 	}
-	g.loading[mi.name] = eta
+	g.outstanding(mi.id).loading = eta
 	g.LoadFreeAt = transferEnd
 	mi.addReplica(g)
 	if len(mi.queue) > 0 {
@@ -894,10 +934,10 @@ func (c *Controller) SendLoad(g *GPUMirror, mi *ModelInfo, earliest, latest simc
 // SendUnload dispatches an UNLOAD for mi on mirror g and updates the
 // mirror immediately (UNLOAD always succeeds on the worker, §5.2).
 func (c *Controller) SendUnload(g *GPUMirror, mi *ModelInfo) *action.Action {
-	if err := g.Pages.Free(mi.name); err != nil {
+	if err := g.Pages.Free(mi.id); err != nil {
 		panic(fmt.Sprintf("core: SendUnload: %v", err))
 	}
-	delete(g.loading, mi.name)
+	g.outstanding(mi.id).loading = 0
 	mi.dropReplica(g)
 	delete(g.withWork, mi)
 	c.nextActionID += c.cfg.IDStride
@@ -906,6 +946,7 @@ func (c *Controller) SendUnload(g *GPUMirror, mi *ModelInfo) *action.Action {
 		Type:     action.Unload,
 		GPU:      g.GPU,
 		Model:    mi.name,
+		ModelID:  mi.id,
 		Earliest: c.eng.Now(),
 		Latest:   simclock.MaxTime,
 	}
@@ -948,16 +989,15 @@ func (c *Controller) HandleResult(res action.Result) {
 }
 
 func (c *Controller) handleLoadResult(g *GPUMirror, res action.Result) {
-	mi := c.models[res.Model]
-	if mi == nil {
+	g.outstanding(res.ModelID).loading = 0
+	mi, ok := c.ModelByID(res.ModelID)
+	if !ok {
 		// The model was unregistered while its LOAD was in flight (the
 		// control plane refuses that — defensive for future callers).
-		delete(g.loading, res.Model)
 		return
 	}
 	if res.Status.IsSuccess() {
-		delete(g.loading, res.Model)
-		c.profile.Observe(predictor.Key{Op: "load", Model: res.Model}, res.Duration)
+		c.profile.Observe(mi.id, predictor.Key{Op: predictor.Load}, res.Duration)
 		c.LoadDuration.Record(res.ExpectedDuration, res.Duration)
 		c.LoadCompletion.Record(absTimeError(res.ExpectedCompletion, res.End))
 		c.flight.LoadDone(res.Model, res.WorkerID, res.GPU, res.Start.Duration(), res.End.Duration(), true)
@@ -969,12 +1009,9 @@ func (c *Controller) handleLoadResult(g *GPUMirror, res action.Result) {
 	// Rejected LOAD: roll the mirror back.
 	c.stats.LoadFailures++
 	c.flight.LoadDone(res.Model, res.WorkerID, res.GPU, res.Start.Duration(), res.End.Duration(), false)
-	delete(g.loading, res.Model)
-	if g.Pages.Has(res.Model) {
-		if err := g.Pages.Free(res.Model); err == nil {
-			mi.dropReplica(g)
-			delete(g.withWork, mi)
-		}
+	if g.Pages.Free(mi.id) == nil { // errors only when already gone
+		mi.dropReplica(g)
+		delete(g.withWork, mi)
 	}
 	c.reindexModel(mi)
 }
@@ -985,17 +1022,15 @@ func (c *Controller) handleInferResult(g *GPUMirror, res action.Result) *action.
 	p := c.pendingInfers[res.ActionID]
 	reqs := p.reqs
 	delete(c.pendingInfers, res.ActionID)
-	mi := c.models[res.Model]
-	if n := g.inFlightInfers[res.Model]; n <= 1 {
-		delete(g.inFlightInfers, res.Model)
-	} else {
-		g.inFlightInfers[res.Model] = n - 1
+	if out := g.outstanding(res.ModelID); out.infers > 0 {
+		out.infers--
 	}
-	if mi == nil {
+	mi, ok := c.ModelByID(res.ModelID)
+	if !ok {
 		return p.a // unregistered mid-flight; requests were already answered
 	}
 	if res.Status.IsSuccess() {
-		c.profile.Observe(predictor.Key{Op: "exec", Model: res.Model, Batch: res.Batch}, res.Duration)
+		c.profile.Observe(mi.id, predictor.Key{Op: predictor.Exec, Batch: res.Batch}, res.Duration)
 		c.InferDuration.Record(res.ExpectedDuration, res.Duration)
 		c.InferCompletion.Record(absTimeError(res.ExpectedCompletion, res.End))
 		c.flight.ExecDone(res.RequestIDs, res.ActionID, res.Model, res.WorkerID, res.GPU,
@@ -1010,7 +1045,7 @@ func (c *Controller) handleInferResult(g *GPUMirror, res action.Result) *action.
 			r.state = stateDone
 			c.stats.Succeeded++
 			c.respond(r, Response{
-				RequestID: r.ID, Model: r.Model, Tenant: r.Tenant, Success: true,
+				RequestID: r.ID, Model: r.Model, id: mi.id, Tenant: r.Tenant, Success: true,
 				Batch: res.Batch, ColdStart: r.coldStart, CompletedAt: c.eng.Now(),
 			})
 		}
@@ -1027,7 +1062,7 @@ func (c *Controller) handleInferResult(g *GPUMirror, res action.Result) *action.
 		r.state = stateDone
 		c.stats.Rejected++
 		c.respond(r, Response{
-			RequestID: r.ID, Model: r.Model, Tenant: r.Tenant, Success: false,
+			RequestID: r.ID, Model: r.Model, id: mi.id, Tenant: r.Tenant, Success: false,
 			Reason: ReasonRejected, ColdStart: r.coldStart, CompletedAt: c.eng.Now(),
 		})
 	}

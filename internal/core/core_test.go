@@ -354,7 +354,7 @@ func TestRegisterCopiesNames(t *testing.T) {
 	if cl.Ctl.ModelCount() != 3 {
 		t.Fatal("controller registry wrong")
 	}
-	if cl.Workers[0].ModelCount() != 3 {
+	if cl.Workers[0].Models().Count() != 3 {
 		t.Fatal("worker registry wrong")
 	}
 }

@@ -343,7 +343,7 @@ func (c *Controller) flushLoadSigns() {
 // deadline — exactly the seed scheduler's per-model inner loop, factored
 // out so the indexed and linear selection paths share it.
 func (c *Controller) inferCandidate(g *GPUMirror, mi *ModelInfo, now simclock.Time) (batch int, earliest, requiredStart simclock.Time) {
-	readyAt, ok := g.Resident(mi.name)
+	readyAt, ok := g.Resident(mi)
 	if !ok || mi.QueuedCount() == 0 {
 		return 0, 0, simclock.MaxTime
 	}

@@ -273,7 +273,7 @@ func compareControllerState(t *testing.T, c *Controller, now simclock.Time) (pos
 				}
 				continue
 			}
-			if _, ok := g.Resident(mi.name); ok != mi.residentOnGPU(g) {
+			if _, ok := g.Resident(mi); ok != mi.residentOnGPU(g) {
 				t.Fatalf("t=%v: %s on w%d.g%d: mirror says resident=%v, replica list says %v",
 					now, mi.name, g.WorkerID, g.GPU, ok, mi.residentOnGPU(g))
 			}

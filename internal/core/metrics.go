@@ -4,6 +4,7 @@ import (
 	"sync"
 	"time"
 
+	"clockwork/internal/action"
 	"clockwork/internal/simclock"
 	"clockwork/internal/telemetry"
 	"clockwork/internal/worker"
@@ -45,7 +46,7 @@ type Metrics struct {
 	// (Fig 8(e)); ColdModels counts distinct models with ≥1 cold start
 	// per interval (Fig 8(d)).
 	ColdStartThroughput *telemetry.TimeSeries
-	coldModelSets       []map[string]bool
+	coldModelSets       []coldSet
 
 	// GPUUtil and PCIUtil integrate device busy time across all GPUs
 	// (Fig 6(d,e)); NumGPUs normalises them to fractions.
@@ -57,16 +58,13 @@ type Metrics struct {
 	Failures  telemetry.Counter
 	SLOMisses telemetry.Counter // successes that exceeded the SLO end-to-end
 
-	// perModel and perTenant break client-observed outcomes down for
-	// the control plane's ModelStats/TenantStats (lazily allocated on
-	// a model/tenant's first response). lastModel/lastMC memoise the
-	// most recent lookup: responses arrive in model bursts (batches
-	// complete together), so the common record() skips the map hash.
-	// Entries are never deleted, so the memoised pointer cannot dangle.
-	perModel  map[string]*modelCounters
+	// perModel (by model ID) and perTenant break client-observed
+	// outcomes down for the control plane's ModelStats/TenantStats,
+	// lazily allocated on a model/tenant's first response. IDs are
+	// permanent per name, so a model's counters survive unregistration
+	// and are found again when the name comes back.
+	perModel  []*modelCounters
 	perTenant map[string]*tenantCounters
-	lastModel string
-	lastMC    *modelCounters
 
 	// perShard bins client-observed outcomes by the scheduler shard
 	// that owned the model at completion — the balance signal the
@@ -105,6 +103,20 @@ type ShardBin struct {
 	// successes that exceeded it end-to-end.
 	WithinSLO uint64
 	SLOMisses uint64
+}
+
+// coldSet is the set of model IDs seen cold in one interval, sized to
+// the highest of them, and its count.
+type coldSet struct {
+	seen []bool
+	n    int
+}
+
+func (s *coldSet) add(id ModelID) {
+	if s.seen = action.Grow(s.seen, id); !s.seen[id] {
+		s.seen[id] = true
+		s.n++
+	}
 }
 
 // modelCounters aggregates one model's client-observed outcomes.
@@ -165,7 +177,6 @@ func newMetrics(interval time.Duration) *Metrics {
 		ColdStartThroughput: telemetry.NewTimeSeries(interval),
 		GPUUtil:             telemetry.NewUtilization(interval),
 		PCIUtil:             telemetry.NewUtilization(interval),
-		perModel:            make(map[string]*modelCounters),
 		perTenant:           make(map[string]*tenantCounters),
 		recentLatency:       telemetry.NewHistogram(),
 	}
@@ -249,11 +260,11 @@ func (m *Metrics) latencyHist(idx int) *telemetry.Histogram {
 	return m.LatencySeries[idx]
 }
 
-func (m *Metrics) coldSet(idx int) map[string]bool {
+func (m *Metrics) coldSet(idx int) *coldSet {
 	for len(m.coldModelSets) <= idx {
-		m.coldModelSets = append(m.coldModelSets, make(map[string]bool))
+		m.coldModelSets = append(m.coldModelSets, coldSet{})
 	}
-	return m.coldModelSets[idx]
+	return &m.coldModelSets[idx]
 }
 
 // shardBin returns the (lazily grown) bin for shard i.
@@ -293,14 +304,11 @@ func (m *Metrics) record(now simclock.Time, shard int, resp Response, latency, s
 	sb := m.shardBin(shard)
 	sb.Requests++
 
-	mc := m.lastMC
-	if mc == nil || resp.Model != m.lastModel {
-		mc = m.perModel[resp.Model]
-		if mc == nil {
-			mc = &modelCounters{latency: telemetry.NewHistogram()}
-			m.perModel[resp.Model] = mc
-		}
-		m.lastModel, m.lastMC = resp.Model, mc
+	m.perModel = action.Grow(m.perModel, resp.id)
+	mc := m.perModel[resp.id]
+	if mc == nil {
+		mc = &modelCounters{latency: telemetry.NewHistogram()}
+		m.perModel[resp.id] = mc
 	}
 	mc.requests++
 	mc.latency.Observe(latency)
@@ -340,7 +348,7 @@ func (m *Metrics) record(now simclock.Time, shard int, resp Response, latency, s
 		m.Batch.Add(now, float64(resp.Batch))
 		if resp.ColdStart {
 			m.ColdStartThroughput.Incr(now)
-			m.coldSet(idx)[resp.Model] = true
+			m.coldSet(idx).add(resp.id)
 		}
 	} else {
 		m.Failures.Incr()
@@ -357,19 +365,19 @@ func (m *Metrics) record(now simclock.Time, shard int, resp Response, latency, s
 			mc.rejected++
 		}
 		if resp.ColdStart {
-			m.coldSet(idx)[resp.Model] = true
+			m.coldSet(idx).add(resp.id)
 		}
 	}
 }
 
-// ModelStats returns the per-model aggregate for name; ok is false when
+// modelStats returns the per-model aggregate for id; ok is false when
 // the model has not produced any response yet. elapsed (the run's
 // virtual duration) normalises goodput.
-func (m *Metrics) ModelStats(name string, elapsed time.Duration) (ModelStats, bool) {
-	mc, ok := m.perModel[name]
-	if !ok {
+func (m *Metrics) modelStats(id ModelID, elapsed time.Duration) (ModelStats, bool) {
+	if int(id) >= len(m.perModel) || m.perModel[id] == nil {
 		return ModelStats{}, false
 	}
+	mc := m.perModel[id]
 	st := ModelStats{
 		Requests:   mc.requests,
 		Succeeded:  mc.succeeded,
@@ -407,7 +415,7 @@ func (m *Metrics) ColdModels(i int) int {
 	if i < 0 || i >= len(m.coldModelSets) {
 		return 0
 	}
-	return len(m.coldModelSets[i])
+	return m.coldModelSets[i].n
 }
 
 // GPUUtilFraction returns the mean per-GPU busy fraction in interval i.

@@ -23,17 +23,15 @@ type GPUMirror struct {
 	// Pages mirrors the worker's PageCache (same deterministic type).
 	Pages *memory.PageCache
 
-	// loading maps model → predicted LOAD completion instant.
-	loading map[string]simclock.Time
+	// actions holds, by model ID, what is outstanding for the model on
+	// this GPU. It is grown to the highest ID the GPU has been sent an
+	// action for, not sized by the registry.
+	actions []modelActions
 
 	// ExecFreeAt and LoadFreeAt are the predicted instants the INFER and
 	// LOAD executors drain their submitted work.
 	ExecFreeAt simclock.Time
 	LoadFreeAt simclock.Time
-
-	// inFlightInfers counts submitted-but-unresolved INFER actions per
-	// model, so eviction never targets a model that is about to execute.
-	inFlightInfers map[string]int
 
 	// withWork indexes the models resident (or loading) on this GPU
 	// that currently have queued requests — the scheduler's candidate
@@ -60,28 +58,55 @@ type GPUMirror struct {
 	// disabled marks the GPU unschedulable: its worker is draining or
 	// failed (control plane). Schedulers must skip disabled mirrors.
 	disabled bool
+
+	// wake is the ClockworkScheduler's re-evaluation event for this GPU
+	// (one scheduler drives a controller, so one per mirror), created on
+	// first use by armWake.
+	wake *gpuWake
 }
 
 func newGPUMirror(workerID, gpu int, pageCacheBytes, pageSize int64) *GPUMirror {
 	return &GPUMirror{
-		WorkerID:       workerID,
-		GPU:            gpu,
-		Pages:          memory.NewPageCache(pageCacheBytes, pageSize),
-		loading:        make(map[string]simclock.Time),
-		inFlightInfers: make(map[string]int),
-		withWork:       make(map[*ModelInfo]bool),
-		loadCeil:       math.MaxInt64, // no model cleared yet: no limit
+		WorkerID: workerID,
+		GPU:      gpu,
+		Pages:    memory.NewPageCache(pageCacheBytes, pageSize),
+		withWork: make(map[*ModelInfo]bool),
+		loadCeil: math.MaxInt64, // no model cleared yet: no limit
 	}
 }
 
-// Resident reports whether the controller believes model's weights are
-// (or will momentarily be) on this GPU, and when they become usable
-// (MinTime when already usable).
-func (g *GPUMirror) Resident(model string) (readyAt simclock.Time, ok bool) {
-	if eta, loading := g.loading[model]; loading {
+// modelActions is one model's outstanding work on one GPU: loading is
+// the predicted instant its LOAD in flight lands (zero: none — a real ETA
+// lies a positive transfer time and network allowance after some instant
+// ≥ 0), infers the number of submitted-but-unresolved INFER actions, so
+// eviction never targets a model that is about to execute.
+type modelActions struct {
+	loading simclock.Time
+	infers  int32
+}
+
+// outstanding returns id's slot for writing, growing the table to it.
+func (g *GPUMirror) outstanding(id ModelID) *modelActions {
+	g.actions = action.Grow(g.actions, id)
+	return &g.actions[id]
+}
+
+// peek returns what is outstanding for id (nothing, beyond the table).
+func (g *GPUMirror) peek(id ModelID) modelActions {
+	if int(id) < len(g.actions) {
+		return g.actions[id]
+	}
+	return modelActions{}
+}
+
+// Resident reports whether the controller believes mi's weights are (or
+// will momentarily be) on this GPU, and when they become usable (MinTime
+// when already usable).
+func (g *GPUMirror) Resident(mi *ModelInfo) (readyAt simclock.Time, ok bool) {
+	if eta := g.peek(mi.id).loading; eta != 0 {
 		return eta, true
 	}
-	if g.Pages.Has(model) {
+	if g.Pages.Has(mi.id) {
 		return simclock.MinTime, true
 	}
 	return 0, false
@@ -91,14 +116,11 @@ func (g *GPUMirror) Resident(model string) (readyAt simclock.Time, ok bool) {
 // disabled mirrors must not receive new actions.
 func (g *GPUMirror) Disabled() bool { return g.disabled }
 
-// IsLoading reports whether a LOAD for model is in flight.
-func (g *GPUMirror) IsLoading(model string) bool {
-	_, ok := g.loading[model]
-	return ok
-}
+// IsLoading reports whether a LOAD for mi is in flight.
+func (g *GPUMirror) IsLoading(mi *ModelInfo) bool { return g.peek(mi.id).loading != 0 }
 
-// InFlight returns the number of unresolved INFER actions for model.
-func (g *GPUMirror) InFlight(model string) int { return g.inFlightInfers[model] }
+// InFlight returns the number of unresolved INFER actions for mi.
+func (g *GPUMirror) InFlight(mi *ModelInfo) int { return int(g.peek(mi.id).infers) }
 
 // ModelsWithWork returns the live candidate set of models on this GPU
 // with queued requests. Callers must not mutate it.
@@ -124,7 +146,7 @@ func (g *GPUMirror) OutstandingLoadWork(now simclock.Time) time.Duration {
 
 // String implements fmt.Stringer.
 func (g *GPUMirror) String() string {
-	return fmt.Sprintf("mirror{w%d.g%d %v loading=%d}", g.WorkerID, g.GPU, g.Pages, len(g.loading))
+	return fmt.Sprintf("mirror{w%d.g%d %v}", g.WorkerID, g.GPU, g.Pages)
 }
 
 // workerHandle couples a worker's mirrors with its transport hook.
@@ -148,7 +170,10 @@ type workerHandle struct {
 // the controller mutates it.
 type ModelInfo struct {
 	name string
-	zoo  *modelzoo.Model
+	// id is the name's dense ID in the controller's model table: what
+	// every per-GPU, per-worker and per-profile table is indexed by.
+	id  ModelID
+	zoo *modelzoo.Model
 	// owner is the controller this entry is registered with (rebound on
 	// migration adoption); PopBatch draws batch slices from its pool.
 	owner *Controller
@@ -204,6 +229,9 @@ type ModelInfo struct {
 // Name returns the model instance name.
 func (mi *ModelInfo) Name() string { return mi.name }
 
+// ID returns the instance's dense ID — the key of GPUMirror.Pages.
+func (mi *ModelInfo) ID() ModelID { return mi.id }
+
 // Zoo returns the underlying catalogue model.
 func (mi *ModelInfo) Zoo() *modelzoo.Model { return mi.zoo }
 
@@ -218,8 +246,8 @@ func (mi *ModelInfo) Demand() time.Duration { return mi.demand }
 func (mi *ModelInfo) ResidentOn() []*GPUMirror { return mi.residentOn }
 
 // residentOnGPU reports whether g holds (or is loading) this model. On
-// an enabled mirror it agrees with g.Resident(mi.name) and costs a scan
-// of a handful of pointers instead of two string-keyed map lookups.
+// an enabled mirror it agrees with g.Resident(mi); it is a scan of a
+// handful of pointers the caller usually has in cache already.
 func (mi *ModelInfo) residentOnGPU(g *GPUMirror) bool {
 	for _, r := range mi.residentOn {
 		if r == g {

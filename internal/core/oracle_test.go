@@ -78,7 +78,7 @@ func (s *ClockworkScheduler) bestLoadLinear(g *GPUMirror, now simclock.Time) *Mo
 		if mi.demand <= 0 {
 			continue
 		}
-		if _, resident := g.Resident(mi.name); resident {
+		if _, resident := g.Resident(mi); resident {
 			continue
 		}
 		p := loadPriorityLinear(cfg, mi, loads)
@@ -98,7 +98,7 @@ func (s *ClockworkScheduler) bestLoadOldestLinear(g *GPUMirror, now simclock.Tim
 	var best *ModelInfo
 	bestDeadline := simclock.MaxTime
 	for mi := range s.c.ActiveModels() {
-		if _, resident := g.Resident(mi.name); resident {
+		if _, resident := g.Resident(mi); resident {
 			continue
 		}
 		eta := simclock.Max(now, g.LoadFreeAt).Add(s.c.EstimateLoad(mi))
@@ -117,11 +117,11 @@ func (s *ClockworkScheduler) bestLoadOldestLinear(g *GPUMirror, now simclock.Tim
 func (s *ClockworkScheduler) nextVictimLinear(g *GPUMirror) *ModelInfo {
 	keys := g.Pages.Keys() // MRU first
 	for i := len(keys) - 1; i >= 0; i-- {
-		name := keys[i]
-		if g.IsLoading(name) || g.InFlight(name) > 0 {
+		id := keys[i]
+		if out := g.peek(id); out.loading != 0 || out.infers > 0 {
 			continue
 		}
-		if mi, ok := s.c.Model(name); ok {
+		if mi, ok := s.c.ModelByID(id); ok {
 			return mi
 		}
 	}

@@ -92,10 +92,11 @@ func (cl *Cluster) MigrateModel(name string, toShard int) error {
 	if toShard < 0 || toShard >= len(cl.Ctls) {
 		return fmt.Errorf("%w: %d (have %d)", ErrNoSuchShard, toShard, len(cl.Ctls))
 	}
-	from, ok := cl.modelShard[name]
-	if !ok {
+	mi := cl.models.lookup(name)
+	if mi == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownModel, name)
 	}
+	from := mi.owner.shard
 	if from == toShard {
 		return nil
 	}
@@ -103,10 +104,10 @@ func (cl *Cluster) MigrateModel(name string, toShard int) error {
 	if err != nil {
 		return err
 	}
-	// Re-point ownership before adoption so anything resolving the
-	// owner from inside adoption (scheduler callbacks, cancels) sees
-	// the new shard.
-	cl.modelShard[name] = toShard
+	// Between extraction and adoption the name has no live registration;
+	// adoption installs the new one before it runs any scheduler
+	// callback, so anything resolving the owner from inside it (cancels,
+	// responses) sees the new shard.
 	cl.route.Store(name, toShard)
 	cl.migrations++
 	// Building flight-recorder traces follow their queued requests to

@@ -94,6 +94,11 @@ type SubmitSpec struct {
 	// in (e.g. 1 forces solo execution for latency experiments).
 	MaxBatch int
 
+	// id is Model resolved by the cluster's submission edge, zero when
+	// the spec did not come through it (a bare controller resolves the
+	// name itself).
+	id ModelID
+
 	// preCancelled marks a request the client cancelled while it was
 	// still in transit to the controller: it is accounted and answered
 	// (ReasonCancelled) on arrival, before the scheduler ever sees it.
@@ -103,7 +108,9 @@ type SubmitSpec struct {
 
 // Request is one client inference request as the controller sees it.
 type Request struct {
-	ID      uint64
+	ID uint64
+	// Model is the instance name, for responses, traces and schedulers'
+	// logs; the controller works from mi.
 	Model   string
 	SLO     time.Duration
 	Arrival simclock.Time // at the controller
@@ -124,6 +131,9 @@ type Request struct {
 	responder  Responder
 
 	// ---- scheduler-internal state ----
+	// mi is the registry entry whose queue holds (or held) the request;
+	// adoption after a migration re-points it along with ctl.
+	mi        *ModelInfo
 	state     requestState
 	deadline  simclock.Time
 	coldStart bool
@@ -166,13 +176,11 @@ func (r *Request) Run() {
 	}
 	switch r.state {
 	case stateQueued:
-		if mi, ok := c.models[r.Model]; ok {
-			c.cancelRequest(mi, r)
-			if r.state == stateDone {
-				// The timer was the last engine-side reference; client
-				// handles hold a generation and survive the recycle.
-				c.releaseRequest(r)
-			}
+		c.cancelRequest(r.mi, r)
+		if r.state == stateDone {
+			// The timer was the last engine-side reference; client
+			// handles hold a generation and survive the recycle.
+			c.releaseRequest(r)
 		}
 	case stateInFlight:
 		// Answered at the deadline, but the in-flight action still lists
@@ -184,6 +192,10 @@ func (r *Request) Run() {
 
 // Deadline returns the instant the response stops being useful.
 func (r *Request) Deadline() simclock.Time { return r.deadline }
+
+// ModelInfo returns the registry entry of the model the request targets
+// — what a scheduler's OnRequest needs, without looking Model up.
+func (r *Request) ModelInfo() *ModelInfo { return r.mi }
 
 type requestState uint8
 
@@ -201,8 +213,11 @@ const (
 type Response struct {
 	RequestID uint64
 	Model     string
-	Tenant    string
-	Success   bool
+	// id is Model's dense ID, for the routing layer and the per-model
+	// metrics (zero only when a bare controller rejects an unknown name).
+	id      ModelID
+	Tenant  string
+	Success bool
 	// Reason is ReasonNone on success; see the Reason constants for the
 	// failure taxonomy.
 	Reason Reason

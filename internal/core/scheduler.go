@@ -23,8 +23,7 @@ import (
 //     SLO is provably unmeetable (Controller.Submit's last-chance timer),
 //     so workers never burn cycles on fruitless work.
 type ClockworkScheduler struct {
-	c     *Controller
-	wakes map[*GPUMirror]*gpuWake
+	c *Controller
 
 	// LoadSelection switches between Appendix B's priority policy
 	// (default) and the naive ablation policy. Set before first use.
@@ -34,7 +33,7 @@ type ClockworkScheduler struct {
 // gpuWake is the preallocated re-evaluation event for one GPU: armWake
 // re-arms its embedded timer in Runner form, so the scheduler's wake
 // path — hit on every pass over a saturated executor — never allocates
-// a timer closure. One gpuWake lives per (scheduler, GPU) pair.
+// a timer closure. One gpuWake lives per GPU, on its mirror.
 type gpuWake struct {
 	s   *ClockworkScheduler
 	g   *GPUMirror
@@ -56,7 +55,7 @@ const (
 
 // NewClockworkScheduler returns the paper's scheduler.
 func NewClockworkScheduler() *ClockworkScheduler {
-	return &ClockworkScheduler{wakes: make(map[*GPUMirror]*gpuWake)}
+	return &ClockworkScheduler{}
 }
 
 // Attach implements Scheduler.
@@ -75,7 +74,7 @@ func (s *ClockworkScheduler) Attach(c *Controller) {
 // multi-resident model does not depend on the order its LOADs happened
 // to be issued in.
 func (s *ClockworkScheduler) OnRequest(r *Request) {
-	mi, _ := s.c.Model(r.Model)
+	mi := r.mi
 	for _, g := range s.c.GPUs() {
 		if mi.residentOnGPU(g) {
 			s.scheduleGPU(g)
@@ -292,11 +291,11 @@ func (s *ClockworkScheduler) evictFor(g *GPUMirror, mi *ModelInfo) bool {
 // every resident key per eviction.
 func (s *ClockworkScheduler) nextVictim(g *GPUMirror) *ModelInfo {
 	var victim *ModelInfo
-	g.Pages.ScanLRU(func(name string) bool {
-		if g.IsLoading(name) || g.InFlight(name) > 0 {
+	g.Pages.ScanLRU(func(id ModelID) bool {
+		if out := g.peek(id); out.loading != 0 || out.infers > 0 {
 			return true
 		}
-		if mi, ok := s.c.Model(name); ok {
+		if mi, ok := s.c.ModelByID(id); ok {
 			victim = mi
 			return false
 		}
@@ -328,10 +327,10 @@ func (s *ClockworkScheduler) armWake(g *GPUMirror) {
 	if wake <= now {
 		wake = now.Add(time.Nanosecond)
 	}
-	w := s.wakes[g]
+	w := g.wake
 	if w == nil {
 		w = &gpuWake{s: s, g: g}
-		s.wakes[g] = w
+		g.wake = w
 	}
 	if w.tmr.Pending() && w.tmr.When() <= wake {
 		return // an adequate wake is already armed

@@ -104,10 +104,12 @@ func TestLoadPriorityPrefersHighDemand(t *testing.T) {
 	}
 	// Run one event at a time until a load begins (mirror has loading).
 	g := cl.Ctl.GPUs()[0]
+	hot, _ := cl.Ctl.Model("hot")
+	cool, _ := cl.Ctl.Model("cool")
 	for firstLoad == "" && cl.Eng.Step() {
-		for _, name := range []string{"hot", "cool"} {
-			if g.IsLoading(name) {
-				firstLoad = name
+		for _, mi := range []*ModelInfo{hot, cool} {
+			if g.IsLoading(mi) {
+				firstLoad = mi.Name()
 				break
 			}
 		}
@@ -118,7 +120,7 @@ func TestLoadPriorityPrefersHighDemand(t *testing.T) {
 	// load decision. Accept either "hot first" or "cool first then hot
 	// immediately", but hot must be loading before cool finishes.
 	cl.RunFor(5 * time.Millisecond)
-	if !g.IsLoading("hot") && !g.Pages.Has("hot") {
+	if !g.IsLoading(hot) && !g.Pages.Has(hot.ID()) {
 		t.Fatal("high-demand model not prioritised for loading")
 	}
 }
@@ -135,11 +137,12 @@ func TestNextVictimSkipsLoadingAndInFlight(t *testing.T) {
 		t.Fatalf("victim = %v, want a", v)
 	}
 	// Mark a as having an in-flight INFER: no victim available.
-	g.inFlightInfers["a"] = 1
+	a, _ := cl.Ctl.Model("a")
+	g.outstanding(a.id).infers = 1
 	if v := s.nextVictim(g); v != nil {
 		t.Fatalf("victim = %v, want none (in-flight)", v.Name())
 	}
-	delete(g.inFlightInfers, "a")
+	g.outstanding(a.id).infers = 0
 }
 
 func TestLoadOldestFirstPolicy(t *testing.T) {
@@ -157,20 +160,21 @@ func TestLoadOldestFirstPolicy(t *testing.T) {
 
 func TestMirrorResidentStates(t *testing.T) {
 	g := newGPUMirror(0, 0, 100*16*1024*1024, 16*1024*1024)
-	if _, ok := g.Resident("x"); ok {
+	x := &ModelInfo{name: "x", id: 7}
+	if _, ok := g.Resident(x); ok {
 		t.Fatal("empty mirror should not report resident")
 	}
-	if err := g.Pages.Alloc("x", 3); err != nil {
+	if err := g.Pages.Alloc(x.id, 3); err != nil {
 		t.Fatal(err)
 	}
-	if ready, ok := g.Resident("x"); !ok || ready != simclock.MinTime {
+	if ready, ok := g.Resident(x); !ok || ready != simclock.MinTime {
 		t.Fatal("allocated model should be immediately resident")
 	}
-	g.loading["x"] = simclock.Time(5 * time.Millisecond)
-	if ready, ok := g.Resident("x"); !ok || ready != simclock.Time(5*time.Millisecond) {
+	g.outstanding(x.id).loading = simclock.Time(5 * time.Millisecond)
+	if ready, ok := g.Resident(x); !ok || ready != simclock.Time(5*time.Millisecond) {
 		t.Fatal("loading model should report its ETA")
 	}
-	if !g.IsLoading("x") {
+	if !g.IsLoading(x) {
 		t.Fatal("IsLoading wrong")
 	}
 	if g.String() == "" {

@@ -19,16 +19,16 @@ import (
 // controllers with its queued requests intact — no request is lost,
 // duplicated, or answered twice.
 
-// modelBusy reports whether name has an in-flight action whose result
+// modelBusy reports whether mi has an in-flight action whose result
 // will still be honoured — a LOAD or INFER on a non-failed worker
 // (draining workers keep their promises; failed workers' in-flight
 // requests were already answered and their results are dropped).
-func (c *Controller) modelBusy(name string) bool {
+func (c *Controller) modelBusy(mi *ModelInfo) bool {
 	for _, g := range c.gpus {
 		if c.workerByID[g.WorkerID].failed {
 			continue
 		}
-		if g.IsLoading(name) || g.InFlight(name) > 0 {
+		if g.IsLoading(mi) || g.InFlight(mi) > 0 {
 			return true
 		}
 	}
@@ -67,7 +67,7 @@ func (c *Controller) HottestMigratable(maxDemand time.Duration) (name string, de
 		if mi.demand <= 0 {
 			return false // demand-descending: nothing below qualifies
 		}
-		if mi.demand >= maxDemand || c.modelBusy(mi.name) {
+		if mi.demand >= maxDemand || c.modelBusy(mi) {
 			return true
 		}
 		name, demand, ok = mi.name, mi.demand, true
@@ -83,11 +83,11 @@ func (c *Controller) HottestMigratable(maxDemand time.Duration) (name string, de
 // dropped. A model with in-flight actions is ErrModelBusy — the
 // rebalancer skips it this cycle and retries later.
 func (c *Controller) ExtractModel(name string) (*modelzoo.Model, []*Request, error) {
-	mi, ok := c.models[name]
+	mi, ok := c.Model(name)
 	if !ok {
 		return nil, nil, fmt.Errorf("%w: %q", ErrUnknownModel, name)
 	}
-	if c.modelBusy(name) {
+	if c.modelBusy(mi) {
 		return nil, nil, fmt.Errorf("%w: %q", ErrModelBusy, name)
 	}
 
@@ -121,35 +121,30 @@ func (c *Controller) ExtractModel(name string) (*modelzoo.Model, []*Request, err
 	mi.residentOn = nil
 
 	c.reindexModel(mi)
-	delete(c.models, name)
-	for i, m := range c.modelList {
-		if m == mi {
-			c.modelList = append(c.modelList[:i], c.modelList[i+1:]...)
-			break
-		}
-	}
+	c.unlist(mi)
 	return mi.zoo, reqs, nil
 }
 
 // AdoptModel completes a migration: it registers the model on this
 // controller and re-enqueues the requests extracted from the previous
 // owner, preserving their IDs, deadlines, priorities and arrival
-// order. Execution estimates restart from the model's offline profile
-// (the learned rolling window stays with the old shard, exactly as if
-// the model had been re-registered on a fresh controller); admission
-// timers re-arm against the new estimates, so a request whose
-// last-chance instant already passed is cancelled promptly rather than
-// lost.
+// order. Execution estimates come from this controller's own profile:
+// the rolling windows a shard learns stay with that shard, so a model it
+// has never owned starts from the offline seeds, and one that migrates
+// back finds the windows it left behind (registration re-seeds with the
+// same values, which keeps them). Admission timers re-arm against these
+// estimates, so a request whose last-chance instant already passed is
+// cancelled promptly rather than lost.
 func (c *Controller) AdoptModel(name string, zoo *modelzoo.Model, reqs []*Request) error {
 	if err := c.RegisterModel(name, zoo); err != nil {
 		return err
 	}
-	mi := c.models[name]
+	mi := c.tab.lookup(name)
 	for _, r := range reqs {
 		if r.state != stateQueued {
 			continue // answered before the migration was decided
 		}
-		r.ctl = c // the request's armed timers now dispatch here
+		r.ctl, r.mi = c, mi // the request's armed timers now dispatch here
 		r.execEst = c.EstimateExec(mi, 1)
 		mi.enqueue(r)
 		mi.demand += r.execEst

@@ -17,7 +17,8 @@ import (
 // live.
 
 // ProfileEntry is one action key's measured window for a model:
-// Op "exec" with a batch size, or Op "load" (Batch 0). Window is
+// Op "exec" with a batch size, or Op "load" (Batch 0) — predictor.Op's
+// spellings. Window is
 // oldest-first, so replaying it through the profile's Observe
 // reconstructs the estimator exactly.
 type ProfileEntry struct {
@@ -31,16 +32,17 @@ type ProfileEntry struct {
 // export an empty slice — their estimators are fully re-derivable from
 // the catalogue seed at registration.
 func (c *Controller) ExportProfile(model string) []ProfileEntry {
+	mi, ok := c.Model(model)
+	if !ok {
+		return nil
+	}
 	var out []ProfileEntry
 	for _, k := range c.profile.Keys() {
-		if k.Model != model {
-			continue
-		}
-		w := c.profile.ExportKey(k)
+		w := c.profile.ExportKey(mi.id, k)
 		if len(w) == 0 {
 			continue
 		}
-		out = append(out, ProfileEntry{Op: k.Op, Batch: k.Batch, Window: w})
+		out = append(out, ProfileEntry{Op: string(k.Op), Batch: k.Batch, Window: w})
 	}
 	return out
 }
@@ -51,32 +53,33 @@ func (c *Controller) ExportProfile(model string) []ProfileEntry {
 // own keys, and observing for an unregistered model would create
 // orphan estimators).
 func (c *Controller) ImportProfile(model string, entries []ProfileEntry) {
-	if _, ok := c.models[model]; !ok {
+	mi, ok := c.Model(model)
+	if !ok {
 		return
 	}
 	for _, e := range entries {
 		for _, d := range e.Window {
-			c.profile.Observe(predictor.Key{Op: e.Op, Model: model, Batch: e.Batch}, d)
+			c.profile.Observe(mi.id, predictor.Key{Op: predictor.Op(e.Op), Batch: e.Batch}, d)
 		}
 	}
 }
 
 // ExportProfile routes the export to model's owning shard.
 func (cl *Cluster) ExportProfile(model string) ([]ProfileEntry, error) {
-	shard, ok := cl.modelShard[model]
-	if !ok {
+	mi := cl.models.lookup(model)
+	if mi == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, model)
 	}
-	return cl.Ctls[shard].ExportProfile(model), nil
+	return mi.owner.ExportProfile(model), nil
 }
 
 // ImportProfile routes the import to model's owning shard.
 func (cl *Cluster) ImportProfile(model string, entries []ProfileEntry) error {
-	shard, ok := cl.modelShard[model]
-	if !ok {
+	mi := cl.models.lookup(model)
+	if mi == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownModel, model)
 	}
-	cl.Ctls[shard].ImportProfile(model, entries)
+	mi.owner.ImportProfile(model, entries)
 	return nil
 }
 
@@ -84,9 +87,9 @@ func (cl *Cluster) ImportProfile(model string, entries []ProfileEntry) error {
 // what a snapshot stores so recovery can re-register the instance from
 // the embedded catalogue. ok is false for unknown instances.
 func (cl *Cluster) ZooNameOf(instance string) (string, bool) {
-	zoo, ok := cl.zoos[instance]
-	if !ok {
+	mi := cl.models.lookup(instance)
+	if mi == nil {
 		return "", false
 	}
-	return zoo.Name, true
+	return mi.zoo.Name, true
 }

@@ -1,9 +1,18 @@
 package memory
 
 import (
-	"fmt"
 	"testing"
 	"testing/quick"
+
+	"clockwork/internal/action"
+)
+
+// Keys the tests use; ghost is never allocated.
+const (
+	keyA action.ModelID = iota + 1
+	keyB
+	keyC
+	ghost action.ModelID = 99
 )
 
 func newCache(pages int) *PageCache {
@@ -18,16 +27,16 @@ func TestPageCacheBasics(t *testing.T) {
 	if c.PageSize() != DefaultPageSize {
 		t.Fatal("page size wrong")
 	}
-	if err := c.Alloc("a", 7); err != nil {
+	if err := c.Alloc(keyA, 7); err != nil {
 		t.Fatal(err)
 	}
-	if c.FreePages() != 3 || c.UsedPages() != 7 || !c.Has("a") || c.PagesOf("a") != 7 {
+	if c.FreePages() != 3 || c.UsedPages() != 7 || !c.Has(keyA) || c.PagesOf(keyA) != 7 {
 		t.Fatal("post-alloc state wrong")
 	}
-	if err := c.Free("a"); err != nil {
+	if err := c.Free(keyA); err != nil {
 		t.Fatal(err)
 	}
-	if c.FreePages() != 10 || c.Has("a") || c.PagesOf("a") != 0 {
+	if c.FreePages() != 10 || c.Has(keyA) || c.PagesOf(keyA) != 0 {
 		t.Fatal("post-free state wrong")
 	}
 	if err := c.CheckInvariants(); err != nil {
@@ -37,22 +46,22 @@ func TestPageCacheBasics(t *testing.T) {
 
 func TestPageCacheAllocFailures(t *testing.T) {
 	c := newCache(10)
-	if err := c.Alloc("a", 0); err == nil {
+	if err := c.Alloc(keyA, 0); err == nil {
 		t.Fatal("zero pages should fail")
 	}
-	if err := c.Alloc("a", -1); err == nil {
+	if err := c.Alloc(keyA, -1); err == nil {
 		t.Fatal("negative pages should fail")
 	}
-	if err := c.Alloc("a", 11); err == nil {
+	if err := c.Alloc(keyA, 11); err == nil {
 		t.Fatal("oversized alloc should fail")
 	}
-	if err := c.Alloc("a", 6); err != nil {
+	if err := c.Alloc(keyA, 6); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Alloc("a", 1); err == nil {
+	if err := c.Alloc(keyA, 1); err == nil {
 		t.Fatal("double alloc should fail")
 	}
-	if err := c.Alloc("b", 5); err == nil {
+	if err := c.Alloc(keyB, 5); err == nil {
 		t.Fatal("alloc beyond free should fail")
 	}
 	// Failure must not change state.
@@ -66,69 +75,69 @@ func TestPageCacheAllocFailures(t *testing.T) {
 
 func TestPageCacheFreeFailures(t *testing.T) {
 	c := newCache(4)
-	if err := c.Free("ghost"); err == nil {
+	if err := c.Free(ghost); err == nil {
 		t.Fatal("free of absent key should fail")
 	}
-	mustAlloc(t, c, "a", 2)
-	if err := c.Pin("a"); err != nil {
+	mustAlloc(t, c, keyA, 2)
+	if err := c.Pin(keyA); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Free("a"); err == nil {
+	if err := c.Free(keyA); err == nil {
 		t.Fatal("free of pinned key should fail")
 	}
-	if err := c.Unpin("a"); err != nil {
+	if err := c.Unpin(keyA); err != nil {
 		t.Fatal(err)
 	}
-	if err := c.Free("a"); err != nil {
+	if err := c.Free(keyA); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestPinSemantics(t *testing.T) {
 	c := newCache(4)
-	if err := c.Pin("ghost"); err == nil {
+	if err := c.Pin(ghost); err == nil {
 		t.Fatal("pin of absent key should fail")
 	}
-	if err := c.Unpin("ghost"); err == nil {
+	if err := c.Unpin(ghost); err == nil {
 		t.Fatal("unpin of absent key should fail")
 	}
-	mustAlloc(t, c, "a", 1)
-	if err := c.Unpin("a"); err == nil {
+	mustAlloc(t, c, keyA, 1)
+	if err := c.Unpin(keyA); err == nil {
 		t.Fatal("unpin of unpinned key should fail")
 	}
-	_ = c.Pin("a")
-	_ = c.Pin("a")
-	if c.Pinned("a") != 2 {
-		t.Fatalf("pin count = %d", c.Pinned("a"))
+	_ = c.Pin(keyA)
+	_ = c.Pin(keyA)
+	if c.Pinned(keyA) != 2 {
+		t.Fatalf("pin count = %d", c.Pinned(keyA))
 	}
-	_ = c.Unpin("a")
-	if c.Pinned("a") != 1 {
+	_ = c.Unpin(keyA)
+	if c.Pinned(keyA) != 1 {
 		t.Fatal("nested pins broken")
 	}
-	if c.Pinned("ghost") != 0 {
+	if c.Pinned(ghost) != 0 {
 		t.Fatal("absent key pin count should be 0")
 	}
 }
 
 func TestLRUVictimOrder(t *testing.T) {
 	c := newCache(10)
-	mustAlloc(t, c, "a", 1)
-	mustAlloc(t, c, "b", 1)
-	mustAlloc(t, c, "c", 1)
-	// LRU order: a oldest.
-	if v, ok := c.LRUVictim(); !ok || v != "a" {
-		t.Fatalf("victim = %q", v)
+	mustAlloc(t, c, keyA, 1)
+	mustAlloc(t, c, keyB, 1)
+	mustAlloc(t, c, keyC, 1)
+	// LRU order: keyA oldest.
+	if v, ok := c.LRUVictim(); !ok || v != keyA {
+		t.Fatalf("victim = %d", v)
 	}
-	c.Touch("a") // now b is oldest
-	if v, ok := c.LRUVictim(); !ok || v != "b" {
-		t.Fatalf("victim = %q", v)
+	c.Touch(keyA) // now keyB is oldest
+	if v, ok := c.LRUVictim(); !ok || v != keyB {
+		t.Fatalf("victim = %d", v)
 	}
-	_ = c.Pin("b") // pinned entries are skipped
-	if v, ok := c.LRUVictim(); !ok || v != "c" {
-		t.Fatalf("victim = %q", v)
+	_ = c.Pin(keyB) // pinned entries are skipped
+	if v, ok := c.LRUVictim(); !ok || v != keyC {
+		t.Fatalf("victim = %d", v)
 	}
-	_ = c.Pin("c")
-	_ = c.Pin("a")
+	_ = c.Pin(keyC)
+	_ = c.Pin(keyA)
 	if _, ok := c.LRUVictim(); ok {
 		t.Fatal("all pinned: no victim expected")
 	}
@@ -136,11 +145,11 @@ func TestLRUVictimOrder(t *testing.T) {
 
 func TestKeysMRUOrder(t *testing.T) {
 	c := newCache(10)
-	mustAlloc(t, c, "a", 1)
-	mustAlloc(t, c, "b", 1)
-	c.Touch("a")
+	mustAlloc(t, c, keyA, 1)
+	mustAlloc(t, c, keyB, 1)
+	c.Touch(keyA)
 	keys := c.Keys()
-	if len(keys) != 2 || keys[0] != "a" || keys[1] != "b" {
+	if len(keys) != 2 || keys[0] != keyA || keys[1] != keyB {
 		t.Fatalf("keys = %v", keys)
 	}
 	if c.Len() != 2 {
@@ -150,7 +159,7 @@ func TestKeysMRUOrder(t *testing.T) {
 
 func TestTouchAbsentKeyIsNoop(t *testing.T) {
 	c := newCache(2)
-	c.Touch("ghost") // must not panic
+	c.Touch(ghost) // must not panic
 }
 
 func TestPageCachePanicsOnBadConstruction(t *testing.T) {
@@ -175,7 +184,7 @@ func TestStringNonEmpty(t *testing.T) {
 	}
 }
 
-func mustAlloc(t *testing.T, c *PageCache, key string, pages int) {
+func mustAlloc(t *testing.T, c *PageCache, key action.ModelID, pages int) {
 	t.Helper()
 	if err := c.Alloc(key, pages); err != nil {
 		t.Fatal(err)
@@ -193,10 +202,10 @@ func TestPageCacheInvariantsProperty(t *testing.T) {
 	}
 	f := func(ops []op) bool {
 		c := newCache(32)
-		live := map[string]int{}
-		pins := map[string]int{}
+		live := map[action.ModelID]int{}
+		pins := map[action.ModelID]int{}
 		for _, o := range ops {
-			key := fmt.Sprintf("m%d", o.Key%8)
+			key := action.ModelID(o.Key % 8)
 			switch o.Kind % 5 {
 			case 0: // alloc
 				pages := int(o.Pages%10) + 1
@@ -248,7 +257,7 @@ func TestPageCacheInvariantsProperty(t *testing.T) {
 	}
 }
 
-func sum(m map[string]int) int {
+func sum(m map[action.ModelID]int) int {
 	s := 0
 	for _, v := range m {
 		s += v

@@ -2,9 +2,9 @@ package predictor
 
 import (
 	"fmt"
-	"sort"
 	"time"
 
+	"clockwork/internal/action"
 	"clockwork/internal/telemetry"
 )
 
@@ -18,6 +18,10 @@ type Estimator struct {
 	n      int
 	seeded bool
 	seed   time.Duration
+	// est is the current prediction. Estimate is asked many times per
+	// request and the window moves once per action, so the maximum is
+	// taken when the window changes (Observe, Seed), not when it is read.
+	est time.Duration
 }
 
 // NewEstimator returns an estimator over the given window size.
@@ -30,9 +34,16 @@ func NewEstimator(windowSize int) *Estimator {
 
 // Seed installs a profiling-derived initial estimate, used until real
 // measurements arrive (Clockwork profiles each model at load time, §5.1).
+// Measurements belong to what the seed profiled: seeding again with a
+// different value — the key now names a different model — discards them,
+// seeding again with the same value keeps them.
 func (e *Estimator) Seed(d time.Duration) {
+	if e.seeded && e.seed != d {
+		e.idx, e.n = 0, 0
+	}
 	e.seeded = true
 	e.seed = d
+	e.est = e.estimate()
 }
 
 // Observe records a measured duration.
@@ -45,6 +56,7 @@ func (e *Estimator) Observe(d time.Duration) {
 	if e.n < len(e.window) {
 		e.n++
 	}
+	e.est = e.estimate()
 }
 
 // Count returns the number of measurements in the window.
@@ -68,7 +80,9 @@ func (e *Estimator) Export() []time.Duration {
 // Estimate returns the current prediction: the maximum over the window
 // (a p99-style upper estimate), or the profiling seed before any
 // measurement, or 0 if neither exists.
-func (e *Estimator) Estimate() time.Duration {
+func (e *Estimator) Estimate() time.Duration { return e.est }
+
+func (e *Estimator) estimate() time.Duration {
 	if e.n == 0 {
 		if e.seeded {
 			return e.seed
@@ -89,91 +103,132 @@ func (e *Estimator) Estimate() time.Duration {
 	return max
 }
 
-// Key identifies one estimator: an operation ("exec", "load"), the model,
-// and the batch size (0 for non-batched operations).
+// Op is the kind of action an estimator predicts, spelled as snapshots
+// store it: INFER execution (per batch size) or LOAD weight transfer.
+type Op string
+
+// The two predicted operations.
+const (
+	Exec Op = "exec"
+	Load Op = "load"
+)
+
+// Key identifies one of a model's estimators: the operation and, for
+// Exec, the batch size (0 for Load).
 type Key struct {
-	Op    string
-	Model string
+	Op    Op
 	Batch int
 }
 
 // String implements fmt.Stringer.
 func (k Key) String() string {
 	if k.Batch > 0 {
-		return fmt.Sprintf("%s/%s/b%d", k.Op, k.Model, k.Batch)
+		return fmt.Sprintf("%s/b%d", k.Op, k.Batch)
 	}
-	return fmt.Sprintf("%s/%s", k.Op, k.Model)
+	return string(k.Op)
 }
 
-// Profile is the controller's collection of estimators, one per key.
+// Profile is one controller's collection of estimators: a block per
+// model, indexed by the model's dense ID, holding one estimator per
+// compiled batch size and one for LOAD. A prediction is two slice
+// indexations; nothing on that path hashes or compares a name.
 type Profile struct {
 	window int
-	m      map[Key]*Estimator
+	keys   []Key  // a block's layout: Exec by ascending batch, then Load
+	slot   []int8 // batch size → index into a block; -1 = not compiled
+	models [][]Estimator
 }
 
-// NewProfile returns an empty profile using the given window size per key.
-func NewProfile(windowSize int) *Profile {
+// NewProfile returns an empty profile for models compiled at the given
+// batch sizes (ascending), using the given window size per key.
+func NewProfile(windowSize int, batches []int) *Profile {
 	if windowSize <= 0 {
 		windowSize = DefaultWindow
 	}
-	return &Profile{window: windowSize, m: make(map[Key]*Estimator)}
-}
-
-func (p *Profile) get(k Key) *Estimator {
-	e, ok := p.m[k]
-	if !ok {
-		e = NewEstimator(p.window)
-		p.m[k] = e
+	p := &Profile{window: windowSize}
+	for i, b := range batches {
+		for len(p.slot) <= b {
+			p.slot = append(p.slot, -1)
+		}
+		p.slot[b] = int8(i)
+		p.keys = append(p.keys, Key{Op: Exec, Batch: b})
 	}
-	return e
+	p.keys = append(p.keys, Key{Op: Load})
+	return p
 }
 
-// Seed installs a profiling-derived estimate for k.
-func (p *Profile) Seed(k Key, d time.Duration) { p.get(k).Seed(d) }
+// find returns model's estimator for k, nil when the model has no block
+// yet or k is not a key of this profile.
+func (p *Profile) find(model action.ModelID, k Key) *Estimator {
+	if model < 0 || int(model) >= len(p.models) || p.models[model] == nil {
+		return nil
+	}
+	block := p.models[model]
+	switch k.Op {
+	case Exec:
+		if k.Batch >= 0 && k.Batch < len(p.slot) && p.slot[k.Batch] >= 0 {
+			return &block[p.slot[k.Batch]]
+		}
+	case Load:
+		return &block[len(block)-1]
+	}
+	return nil
+}
 
-// Observe records a measurement for k.
-func (p *Profile) Observe(k Key, d time.Duration) { p.get(k).Observe(d) }
+// get is find that creates model's block on first use: one allocation
+// for the estimators and one for their windows. The table of blocks
+// grows to the highest ID this controller has profiled.
+func (p *Profile) get(model action.ModelID, k Key) *Estimator {
+	if p.models = action.Grow(p.models, model); p.models[model] == nil {
+		block := make([]Estimator, len(p.keys))
+		windows := make([]time.Duration, len(p.keys)*p.window)
+		for i := range block {
+			block[i].window = windows[i*p.window : (i+1)*p.window : (i+1)*p.window]
+		}
+		p.models[model] = block
+	}
+	return p.find(model, k)
+}
 
-// Estimate returns the prediction for k (0 when nothing is known).
-func (p *Profile) Estimate(k Key) time.Duration {
-	if e, ok := p.m[k]; ok {
-		return e.Estimate()
+// Seed installs a profiling-derived estimate for model's key k (see
+// Estimator.Seed for what re-seeding does). Keys outside the profile's
+// batch sizes are ignored, here and in Observe.
+func (p *Profile) Seed(model action.ModelID, k Key, d time.Duration) {
+	if e := p.get(model, k); e != nil {
+		e.Seed(d)
+	}
+}
+
+// Observe records a measurement for model's key k.
+func (p *Profile) Observe(model action.ModelID, k Key, d time.Duration) {
+	if e := p.get(model, k); e != nil {
+		e.Observe(d)
+	}
+}
+
+// Estimate returns the prediction for model's key k (0 when nothing is
+// known).
+func (p *Profile) Estimate(model action.ModelID, k Key) time.Duration {
+	if e := p.find(model, k); e != nil {
+		return e.est
 	}
 	return 0
 }
 
-// Len returns the number of keys tracked.
-func (p *Profile) Len() int { return len(p.m) }
-
-// ExportKey returns k's measured window oldest-first (nil when the key
-// is untracked or unmeasured). The profiling seed is not exported: it
-// re-derives from the model catalogue at registration.
-func (p *Profile) ExportKey(k Key) []time.Duration {
-	e, ok := p.m[k]
-	if !ok || e.n == 0 {
+// ExportKey returns the measured window of model's key k oldest-first
+// (nil when untracked or unmeasured). The profiling seed is not
+// exported: it re-derives from the model catalogue at registration.
+func (p *Profile) ExportKey(model action.ModelID, k Key) []time.Duration {
+	e := p.find(model, k)
+	if e == nil || e.n == 0 {
 		return nil
 	}
 	return e.Export()
 }
 
-// Keys returns every tracked key sorted by (Model, Op, Batch), so
-// exports serialize deterministically regardless of map iteration.
-func (p *Profile) Keys() []Key {
-	keys := make([]Key, 0, len(p.m))
-	for k := range p.m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].Model != keys[j].Model {
-			return keys[i].Model < keys[j].Model
-		}
-		if keys[i].Op != keys[j].Op {
-			return keys[i].Op < keys[j].Op
-		}
-		return keys[i].Batch < keys[j].Batch
-	})
-	return keys
-}
+// Keys returns every model's keys in (Op, Batch) order, so exports
+// serialize deterministically.
+func (p *Profile) Keys() []Key { return p.keys }
 
 // ErrorTracker accumulates prediction-error telemetry for Fig 9:
 // overpredictions (actual < predicted) and underpredictions

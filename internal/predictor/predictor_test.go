@@ -71,34 +71,82 @@ func TestEstimatorPanicsOnBadWindow(t *testing.T) {
 }
 
 func TestKeyString(t *testing.T) {
-	k := Key{Op: "exec", Model: "resnet50", Batch: 4}
-	if k.String() != "exec/resnet50/b4" {
+	k := Key{Op: Exec, Batch: 4}
+	if k.String() != "exec/b4" {
 		t.Fatalf("got %q", k.String())
 	}
-	k2 := Key{Op: "load", Model: "resnet50"}
-	if k2.String() != "load/resnet50" {
+	k2 := Key{Op: Load}
+	if k2.String() != "load" {
 		t.Fatalf("got %q", k2.String())
 	}
 }
 
 func TestProfileRouting(t *testing.T) {
-	p := NewProfile(0) // 0 → DefaultWindow
-	ka := Key{Op: "exec", Model: "a", Batch: 1}
-	kb := Key{Op: "exec", Model: "b", Batch: 1}
-	p.Observe(ka, 2*time.Millisecond)
-	p.Observe(kb, 7*time.Millisecond)
-	if p.Estimate(ka) != 2*time.Millisecond || p.Estimate(kb) != 7*time.Millisecond {
-		t.Fatal("keys not isolated")
+	p := NewProfile(0, []int{1, 2, 4}) // 0 → DefaultWindow
+	const a, b, c = 3, 9, 5            // model IDs, deliberately not dense
+	exec1 := Key{Op: Exec, Batch: 1}
+	p.Observe(a, exec1, 2*time.Millisecond)
+	p.Observe(b, exec1, 7*time.Millisecond)
+	if p.Estimate(a, exec1) != 2*time.Millisecond || p.Estimate(b, exec1) != 7*time.Millisecond {
+		t.Fatal("models not isolated")
 	}
-	if p.Estimate(Key{Op: "load", Model: "c"}) != 0 {
-		t.Fatal("unknown key should estimate 0")
+	if p.Estimate(a, Key{Op: Exec, Batch: 2}) != 0 {
+		t.Fatal("batch sizes not isolated")
 	}
-	if p.Len() != 2 {
-		t.Fatalf("len = %d", p.Len())
+	if p.Estimate(c, Key{Op: Load}) != 0 || p.Estimate(100, exec1) != 0 {
+		t.Fatal("unknown model should estimate 0")
 	}
-	p.Seed(Key{Op: "load", Model: "c"}, time.Millisecond)
-	if p.Estimate(Key{Op: "load", Model: "c"}) != time.Millisecond {
+	p.Seed(c, Key{Op: Load}, time.Millisecond)
+	if p.Estimate(c, Key{Op: Load}) != time.Millisecond {
 		t.Fatal("seed through profile failed")
+	}
+	// A batch size the profile was not built for is not a key.
+	p.Observe(a, Key{Op: Exec, Batch: 3}, time.Second)
+	p.Observe(a, Key{Op: Exec, Batch: 64}, time.Second)
+	p.Observe(a, Key{Op: "warm", Batch: 1}, time.Second)
+	if p.Estimate(a, Key{Op: Exec, Batch: 3}) != 0 || p.Estimate(a, Key{Op: Exec, Batch: 64}) != 0 ||
+		p.Estimate(a, Key{Op: "warm", Batch: 1}) != 0 || p.Estimate(a, exec1) != 2*time.Millisecond {
+		t.Fatal("a key outside the profile was tracked")
+	}
+	// Keys come in (Op, Batch) order and export what was observed.
+	want := []Key{{Exec, 1}, {Exec, 2}, {Exec, 4}, {Load, 0}}
+	if got := p.Keys(); len(got) != len(want) {
+		t.Fatalf("keys = %v", got)
+	} else {
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("keys = %v", got)
+			}
+		}
+	}
+	if w := p.ExportKey(a, exec1); len(w) != 1 || w[0] != 2*time.Millisecond {
+		t.Fatalf("export = %v", w)
+	}
+	if w := p.ExportKey(c, Key{Op: Load}); w != nil {
+		t.Fatalf("seed exported: %v", w)
+	}
+}
+
+// Re-seeding with the value already installed keeps the learned window;
+// re-seeding with a different one — the key now names another model —
+// starts over from the new seed.
+func TestEstimatorReseed(t *testing.T) {
+	e := NewEstimator(3)
+	e.Seed(5 * time.Millisecond)
+	for i := 0; i < 3; i++ {
+		e.Observe(2 * time.Millisecond)
+	}
+	e.Seed(5 * time.Millisecond)
+	if e.Estimate() != 2*time.Millisecond || e.Count() != 3 {
+		t.Fatalf("same seed dropped the window: %v (%d)", e.Estimate(), e.Count())
+	}
+	e.Seed(40 * time.Millisecond)
+	if e.Estimate() != 40*time.Millisecond || e.Count() != 0 {
+		t.Fatalf("new seed kept the old window: %v (%d)", e.Estimate(), e.Count())
+	}
+	e.Observe(30 * time.Millisecond)
+	if e.Estimate() != 40*time.Millisecond || len(e.Export()) != 1 {
+		t.Fatalf("after reseed: %v %v", e.Estimate(), e.Export())
 	}
 }
 

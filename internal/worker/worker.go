@@ -65,14 +65,58 @@ func (c Config) Resolved() Config {
 	return c
 }
 
+// Models is the set of model instances held in host RAM, indexed by
+// dense ID (nil: not registered). Workers pre-load every registered model
+// (§5.1), so the set is the same on all of them: a cluster keeps one
+// Models and hands it to each worker it builds, and registering an
+// instance is one write however many workers there are.
+type Models struct{ zoo []*modelzoo.Model }
+
+// Register places a model instance in host RAM under id (workers
+// pre-load all models from disk on startup, §5.1).
+func (ms *Models) Register(id action.ModelID, m *modelzoo.Model) {
+	if m == nil {
+		panic("worker: nil model")
+	}
+	ms.zoo = action.Grow(ms.zoo, id)
+	ms.zoo[id] = m
+}
+
+// Unregister drops a model instance from host RAM (the control plane's
+// UnregisterModel; GPU pages are reclaimed by UNLOAD actions).
+func (ms *Models) Unregister(id action.ModelID) {
+	if ms.Get(id) != nil {
+		ms.zoo[id] = nil
+	}
+}
+
+// Get returns the instance registered under id, nil when there is none.
+func (ms *Models) Get(id action.ModelID) *modelzoo.Model {
+	if id < 0 || int(id) >= len(ms.zoo) {
+		return nil
+	}
+	return ms.zoo[id]
+}
+
+// Count returns the number of registered instances.
+func (ms *Models) Count() int {
+	n := 0
+	for _, m := range ms.zoo {
+		if m != nil {
+			n++
+		}
+	}
+	return n
+}
+
 // Worker is a predictable Clockwork worker process. All models are
-// pre-loaded into host RAM (RegisterModel); GPU memory is managed as a
-// page cache under exclusive controller direction.
+// pre-loaded into host RAM (Models); GPU memory is managed as a page
+// cache under exclusive controller direction.
 type Worker struct {
 	cfg    Config
 	eng    *simclock.Engine
 	gpus   []*GPU
-	models map[string]*modelzoo.Model
+	models *Models
 
 	// OnResult receives every action result; the cluster layer wires it
 	// to the controller's network link.
@@ -110,20 +154,23 @@ type GPU struct {
 	loadExec  *executor
 	inferExec *executor
 
-	// ready marks models whose weights finished transferring; pages may
-	// be allocated before the transfer completes, and an EXEC that
-	// arrives in that gap is rejected rather than stalled.
-	ready map[string]bool
+	// ready marks models (by ID) whose weights finished transferring;
+	// pages may be allocated before the transfer completes, and an EXEC
+	// that arrives in that gap is rejected rather than stalled. runLoad
+	// grows it with the page allocation, so a model holding pages always
+	// has a slot.
+	ready []bool
 }
 
-// New constructs a worker on eng. Random streams derive from src so every
-// worker/GPU pair has independent deterministic noise.
-func New(eng *simclock.Engine, src *rng.Source, cfg Config) *Worker {
+// New constructs a worker on eng holding the models in host RAM. Random
+// streams derive from src so every worker/GPU pair has independent
+// deterministic noise.
+func New(eng *simclock.Engine, src *rng.Source, cfg Config, models *Models) *Worker {
 	cfg = cfg.Resolved()
 	w := &Worker{
 		cfg:         cfg,
 		eng:         eng,
-		models:      make(map[string]*modelzoo.Model),
+		models:      models,
 		inferStates: make(map[uint64]*inferState),
 	}
 	for i := 0; i < cfg.GPUs; i++ {
@@ -136,7 +183,6 @@ func New(eng *simclock.Engine, src *rng.Source, cfg Config) *Worker {
 			Pages:    memory.NewPageCache(cfg.PageCacheBytes, cfg.PageSize),
 			IO:       memory.NewIOCache(cfg.IOCacheBytes),
 			WS:       memory.NewWorkspace(cfg.WorkspaceBytes),
-			ready:    make(map[string]bool),
 		}
 		gi := g
 		g.loadExec = newExecutor(eng, fmt.Sprintf("w%d.g%d.load", cfg.ID, i),
@@ -162,35 +208,14 @@ func (w *Worker) GPU(i int) *GPU { return w.gpus[i] }
 // Stats returns a copy of the outcome counters.
 func (w *Worker) Stats() Stats { return w.stats }
 
-// RegisterModel places a model instance in host RAM under the given
-// instance name (workers pre-load all models from disk on startup, §5.1).
-func (w *Worker) RegisterModel(name string, m *modelzoo.Model) {
-	if m == nil {
-		panic("worker: nil model")
-	}
-	w.models[name] = m
-}
-
-// UnregisterModel drops a model instance from host RAM (the control
-// plane's UnregisterModel; GPU pages are reclaimed by UNLOAD actions).
-func (w *Worker) UnregisterModel(name string) {
-	delete(w.models, name)
-}
-
 // Fail marks the worker failed: subsequently delivered actions are
 // dropped on the floor, simulating a crashed worker process. Results of
 // work already in progress may still be emitted; the controller drops
 // them.
 func (w *Worker) Fail() { w.failed = true }
 
-// HasModel reports whether the instance name is registered.
-func (w *Worker) HasModel(name string) bool {
-	_, ok := w.models[name]
-	return ok
-}
-
-// ModelCount returns the number of registered instances.
-func (w *Worker) ModelCount() int { return len(w.models) }
+// Models returns the host-RAM model set this worker serves from.
+func (w *Worker) Models() *Models { return w.models }
 
 // PageCapacity returns the page cache size (pages) of GPU i.
 func (w *Worker) PageCapacity(i int) int { return w.gpus[i].Pages.TotalPages() }
@@ -226,6 +251,7 @@ func (w *Worker) emit(g *GPU, a *action.Action, st action.Status, start, end sim
 		WorkerID:           w.cfg.ID,
 		GPU:                g.Index,
 		Model:              a.Model,
+		ModelID:            a.ModelID,
 		Batch:              a.Batch,
 		RequestIDs:         a.RequestIDs,
 		Start:              start,
@@ -260,27 +286,28 @@ func (w *Worker) rejectAction(g *GPU, a *action.Action, st action.Status) {
 // ---- LOAD ----
 
 func (w *Worker) runLoad(g *GPU, a *action.Action, done func()) {
-	m, ok := w.models[a.Model]
-	if !ok {
+	m := w.models.Get(a.ModelID)
+	if m == nil {
 		w.rejectAction(g, a, action.RejectedNotLoaded)
 		done()
 		return
 	}
-	if g.Pages.Has(a.Model) {
+	if g.Pages.Has(a.ModelID) {
 		w.rejectAction(g, a, action.RejectedAlreadyLoaded)
 		done()
 		return
 	}
 	pages := m.Pages(g.Pages.PageSize())
-	if err := g.Pages.Alloc(a.Model, pages); err != nil {
+	if err := g.Pages.Alloc(a.ModelID, pages); err != nil {
 		w.rejectAction(g, a, action.RejectedNoPages)
 		done()
 		return
 	}
+	g.ready = action.Grow(g.ready, a.ModelID)
 	start := w.eng.Now()
 	g.H2D.Transfer(m.Transfer(), func(tStart, tEnd simclock.Time, actual time.Duration) {
-		g.ready[a.Model] = true
-		g.Pages.Touch(a.Model)
+		g.ready[a.ModelID] = true
+		g.Pages.Touch(a.ModelID)
 		w.emit(g, a, action.Success, start, tEnd, actual)
 		done()
 	})
@@ -289,19 +316,19 @@ func (w *Worker) runLoad(g *GPU, a *action.Action, done func()) {
 // ---- UNLOAD ----
 
 func (w *Worker) runUnload(g *GPU, a *action.Action) {
-	if !g.Pages.Has(a.Model) {
+	if !g.Pages.Has(a.ModelID) {
 		w.rejectAction(g, a, action.RejectedNotResident)
 		return
 	}
-	if g.Pages.Pinned(a.Model) > 0 {
+	if g.Pages.Pinned(a.ModelID) > 0 {
 		w.rejectAction(g, a, action.RejectedBusy)
 		return
 	}
-	if err := g.Pages.Free(a.Model); err != nil {
+	if err := g.Pages.Free(a.ModelID); err != nil {
 		w.rejectAction(g, a, action.RejectedBusy)
 		return
 	}
-	delete(g.ready, a.Model)
+	g.ready[a.ModelID] = false
 	now := w.eng.Now()
 	w.emit(g, a, action.Success, now, now, 0)
 }
@@ -380,7 +407,7 @@ func (st *inferState) TransferDone(_, _ simclock.Time, _ time.Duration) {
 // admitInfer performs the INPUT stage immediately on receipt (§5.2):
 // reserve IO memory, start the input copy, enqueue the EXEC stage.
 func (w *Worker) admitInfer(g *GPU, a *action.Action) {
-	if _, ok := w.models[a.Model]; !ok {
+	if w.models.Get(a.ModelID) == nil {
 		w.rejectAction(g, a, action.RejectedNotLoaded)
 		return
 	}
@@ -424,12 +451,12 @@ func (w *Worker) runExec(g *GPU, a *action.Action, done func()) {
 		done()
 		return
 	}
-	if !g.Pages.Has(a.Model) {
+	if !g.Pages.Has(a.ModelID) {
 		w.rejectInfer(g, a, action.RejectedNotLoaded)
 		done()
 		return
 	}
-	if !g.ready[a.Model] {
+	if !g.ready[a.ModelID] {
 		// Pages allocated but the LOAD transfer has not landed: this is
 		// an error, not something to ride out (§4.2). Stalling here
 		// would hold the executor hostage and cascade lateness into
@@ -451,7 +478,7 @@ func (w *Worker) runExec(g *GPU, a *action.Action, done func()) {
 
 func (w *Worker) execNow(st *inferState) {
 	g, a, done := st.g, st.a, st.done
-	if err := g.Pages.Pin(a.Model); err != nil {
+	if err := g.Pages.Pin(a.ModelID); err != nil {
 		w.rejectInfer(g, a, action.RejectedNotLoaded)
 		done()
 		return
@@ -461,9 +488,9 @@ func (w *Worker) execNow(st *inferState) {
 			panic(fmt.Sprintf("worker: workspace, action %d: %v (one-at-a-time EXEC violated)", a.ID, err))
 		}
 	}
-	g.Pages.Touch(a.Model)
+	g.Pages.Touch(a.ModelID)
 	st.execStart = w.eng.Now()
-	m := w.models[a.Model]
+	m := w.models.Get(a.ModelID)
 	if w.cfg.BestEffort {
 		// Baseline mode: hand the kernel to the hardware scheduler and
 		// immediately accept the next action — the thread-pool design
@@ -489,7 +516,7 @@ func (st *inferState) ExecDone(actual time.Duration) {
 			panic(fmt.Sprintf("worker: workspace release: %v", err))
 		}
 	}
-	if err := g.Pages.Unpin(a.Model); err != nil {
+	if err := g.Pages.Unpin(a.ModelID); err != nil {
 		panic(fmt.Sprintf("worker: unpin: %v", err))
 	}
 	st.output = true

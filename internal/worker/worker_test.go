@@ -11,13 +11,17 @@ import (
 	"clockwork/internal/simclock"
 )
 
-const testModel = "resnet50_v1b#0"
+// The instance the tests serve, by ID; ghost is never registered.
+const (
+	testModel action.ModelID = 1
+	ghost     action.ModelID = 42
+)
 
 func newTestWorker(t *testing.T) (*simclock.Engine, *Worker, *[]action.Result) {
 	t.Helper()
 	eng := simclock.NewEngine()
-	w := New(eng, rng.NewSource(1), Config{ID: 0, GPUs: 1, Noise: gpu.NoNoise})
-	w.RegisterModel(testModel, modelzoo.ResNet50())
+	w := New(eng, rng.NewSource(1), Config{ID: 0, GPUs: 1, Noise: gpu.NoNoise}, new(Models))
+	w.Models().Register(testModel, modelzoo.ResNet50())
 	var results []action.Result
 	w.OnResult = func(r action.Result) { results = append(results, r) }
 	return eng, w, &results
@@ -25,7 +29,7 @@ func newTestWorker(t *testing.T) (*simclock.Engine, *Worker, *[]action.Result) {
 
 func loadAction(id uint64) *action.Action {
 	return &action.Action{
-		ID: id, Type: action.Load, Model: testModel,
+		ID: id, Type: action.Load, ModelID: testModel,
 		Earliest: 0, Latest: simclock.MaxTime,
 	}
 }
@@ -33,7 +37,7 @@ func loadAction(id uint64) *action.Action {
 func inferAction(id uint64, earliest, latest simclock.Time) *action.Action {
 	m := modelzoo.ResNet50()
 	return &action.Action{
-		ID: id, Type: action.Infer, Model: testModel, Batch: 1,
+		ID: id, Type: action.Infer, ModelID: testModel, Batch: 1,
 		RequestIDs: []uint64{id},
 		Earliest:   earliest, Latest: latest,
 		InputBytes: m.InputBytes(), OutputBytes: m.OutputBytes(),
@@ -150,14 +154,14 @@ func TestLoadNoPagesRejected(t *testing.T) {
 	w := New(eng, rng.NewSource(1), Config{
 		ID: 0, GPUs: 1, Noise: gpu.NoNoise,
 		PageCacheBytes: 7 * 16 * 1024 * 1024,
-	})
-	w.RegisterModel("a", modelzoo.ResNet50())
-	w.RegisterModel("b", modelzoo.ResNet50())
+	}, new(Models))
+	w.Models().Register(1, modelzoo.ResNet50())
+	w.Models().Register(2, modelzoo.ResNet50())
 	var results []action.Result
 	w.OnResult = func(r action.Result) { results = append(results, r) }
 
-	w.Submit(&action.Action{ID: 1, Type: action.Load, Model: "a", Latest: simclock.MaxTime})
-	w.Submit(&action.Action{ID: 2, Type: action.Load, Model: "b", Latest: simclock.MaxTime})
+	w.Submit(&action.Action{ID: 1, Type: action.Load, ModelID: 1, Latest: simclock.MaxTime})
+	w.Submit(&action.Action{ID: 2, Type: action.Load, ModelID: 2, Latest: simclock.MaxTime})
 	eng.Run()
 	if results[0].Status != action.Success {
 		t.Fatalf("first load: %v", results[0].Status)
@@ -180,7 +184,7 @@ func TestLoadAlreadyLoadedRejected(t *testing.T) {
 
 func TestLoadUnknownModelRejected(t *testing.T) {
 	eng, w, results := newTestWorker(t)
-	w.Submit(&action.Action{ID: 1, Type: action.Load, Model: "ghost", Latest: simclock.MaxTime})
+	w.Submit(&action.Action{ID: 1, Type: action.Load, ModelID: ghost, Latest: simclock.MaxTime})
 	eng.Run()
 	if (*results)[0].Status != action.RejectedNotLoaded {
 		t.Fatalf("status = %v", (*results)[0].Status)
@@ -190,7 +194,7 @@ func TestLoadUnknownModelRejected(t *testing.T) {
 func TestUnloadSemantics(t *testing.T) {
 	eng, w, results := newTestWorker(t)
 	// Unload of non-resident model fails.
-	w.Submit(&action.Action{ID: 1, Type: action.Unload, Model: testModel})
+	w.Submit(&action.Action{ID: 1, Type: action.Unload, ModelID: testModel})
 	eng.Run()
 	if (*results)[0].Status != action.RejectedNotResident {
 		t.Fatalf("status = %v", (*results)[0].Status)
@@ -198,7 +202,7 @@ func TestUnloadSemantics(t *testing.T) {
 	// Load, then unload succeeds immediately.
 	w.Submit(loadAction(2))
 	eng.Run()
-	w.Submit(&action.Action{ID: 3, Type: action.Unload, Model: testModel})
+	w.Submit(&action.Action{ID: 3, Type: action.Unload, ModelID: testModel})
 	eng.Run()
 	last := (*results)[len(*results)-1]
 	if !last.Status.IsSuccess() {
@@ -226,7 +230,7 @@ func TestUnloadWhileExecutingRejected(t *testing.T) {
 	if !w.GPU(0).Dev.Busy() {
 		t.Fatal("never started executing")
 	}
-	w.Submit(&action.Action{ID: 3, Type: action.Unload, Model: testModel})
+	w.Submit(&action.Action{ID: 3, Type: action.Unload, ModelID: testModel})
 	eng.Run()
 	var unload *action.Result
 	for i := range *results {
@@ -268,7 +272,7 @@ func TestSubmitBadGPUPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	w.Submit(&action.Action{ID: 1, Type: action.Load, Model: testModel, GPU: 5})
+	w.Submit(&action.Action{ID: 1, Type: action.Load, ModelID: testModel, GPU: 5})
 }
 
 func TestRegisterNilModelPanics(t *testing.T) {
@@ -278,7 +282,7 @@ func TestRegisterNilModelPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	w.RegisterModel("x", nil)
+	w.Models().Register(7, nil)
 }
 
 func TestWorkerAccessors(t *testing.T) {
@@ -286,11 +290,17 @@ func TestWorkerAccessors(t *testing.T) {
 	if w.ID() != 0 || w.NumGPUs() != 1 {
 		t.Fatal("accessors wrong")
 	}
-	if !w.HasModel(testModel) || w.HasModel("ghost") {
-		t.Fatal("HasModel wrong")
+	ms := w.Models()
+	if ms.Get(testModel) == nil || ms.Get(ghost) != nil || ms.Get(-1) != nil {
+		t.Fatal("Models.Get wrong")
 	}
-	if w.ModelCount() != 1 {
-		t.Fatal("ModelCount wrong")
+	if ms.Count() != 1 {
+		t.Fatal("Models.Count wrong")
+	}
+	ms.Unregister(ghost)
+	ms.Unregister(testModel)
+	if ms.Count() != 0 || ms.Get(testModel) != nil {
+		t.Fatal("Models.Unregister wrong")
 	}
 	if w.PageCapacity(0) <= 0 {
 		t.Fatal("PageCapacity wrong")
@@ -299,7 +309,7 @@ func TestWorkerAccessors(t *testing.T) {
 
 func TestDefaultConfigCapacity(t *testing.T) {
 	eng := simclock.NewEngine()
-	w := New(eng, rng.NewSource(1), Config{ID: 3})
+	w := New(eng, rng.NewSource(1), Config{ID: 3}, new(Models))
 	if w.NumGPUs() != DefaultGPUs {
 		t.Fatalf("gpus = %d", w.NumGPUs())
 	}

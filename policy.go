@@ -50,6 +50,10 @@ type GPUMirror = core.GPUMirror
 // ModelInfo is the controller-side registry entry for one model.
 type ModelInfo = core.ModelInfo
 
+// ModelID is a registered model instance's dense identifier: the key of
+// GPUMirror.Pages, resolved to a ModelInfo by Controller.ModelByID.
+type ModelID = core.ModelID
+
 // PolicySpec describes a pluggable serving policy: a scheduler factory
 // plus the cluster-level switches the policy requires.
 type PolicySpec struct {
