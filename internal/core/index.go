@@ -80,7 +80,9 @@ func (c *Controller) reindexModel(mi *ModelInfo) {
 	// Every GPU whose ℓ_g moves is reported to the gate; a call that
 	// leaves share and replica set as they were (an estimate
 	// observation, a LOAD landing) moves nothing.
-	active := c.activeModels[mi]
+	// Membership of activeModels, read off the queue the set is defined
+	// by (every queue mutation updates the set before it reindexes).
+	active := len(mi.queue) > 0
 	var share time.Duration
 	var hosts []*GPUMirror
 	if active && mi.demand > 0 && len(mi.residentOn) > 0 {

@@ -266,6 +266,10 @@ func compareControllerState(t *testing.T, c *Controller, now simclock.Time) (pos
 	// The replica lists are the mirrors' residency, seen from the other
 	// side (on enabled mirrors; a detached mirror keeps stale pages).
 	for _, mi := range c.modelList {
+		// reindexModel reads activity off the queue; the set must agree.
+		if c.activeModels[mi] != (len(mi.queue) > 0) {
+			t.Fatalf("t=%v: %s active=%v with %d queued", now, mi.name, c.activeModels[mi], len(mi.queue))
+		}
 		for _, g := range c.GPUs() {
 			if g.disabled {
 				if mi.residentOnGPU(g) {
