@@ -8,6 +8,7 @@ package clockwork_test
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -64,23 +65,33 @@ func TestEveryRegisteredPolicyServes(t *testing.T) {
 // exists to prove third-party schedulers can be written and registered
 // against the public surface alone.
 type fifoScheduler struct {
-	c *clockwork.Controller
+	c      *clockwork.Controller
+	models []*clockwork.ModelInfo // every model a request arrived for
 }
 
-func (s *fifoScheduler) Attach(c *clockwork.Controller)           { s.c = c }
-func (s *fifoScheduler) OnCancel(*clockwork.ControllerRequest)    {}
-func (s *fifoScheduler) OnResult(res clockwork.ActionResult)      { s.pump() }
-func (s *fifoScheduler) OnRequest(r *clockwork.ControllerRequest) { s.pump() }
+func (s *fifoScheduler) Attach(c *clockwork.Controller)        { s.c = c }
+func (s *fifoScheduler) OnCancel(*clockwork.ControllerRequest) {}
+func (s *fifoScheduler) OnResult(res clockwork.ActionResult)   { s.pump() }
+
+func (s *fifoScheduler) OnRequest(r *clockwork.ControllerRequest) {
+	if mi := r.ModelInfo(); !slices.Contains(s.models, mi) {
+		s.models = append(s.models, mi)
+	}
+	s.pump()
+}
 
 func (s *fifoScheduler) pump() {
 	g := s.c.GPUs()[0]
-	for mi := range s.c.ActiveModels() {
+	for _, mi := range s.models {
+		if mi.QueuedCount() == 0 {
+			continue
+		}
 		readyAt, resident := g.Resident(mi)
 		if !resident {
 			s.c.SendLoad(g, mi, s.c.Now(), clockwork.MaxVirtualTime)
 			continue
 		}
-		if g.InFlight(mi) > 0 || mi.QueuedCount() == 0 {
+		if g.InFlight(mi) > 0 {
 			continue
 		}
 		earliest := s.c.Now()

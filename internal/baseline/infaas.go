@@ -185,13 +185,13 @@ func (s *INFaaS) pump(g *core.GPUMirror) {
 		// Oldest-arrival-first across the models placed on g, with
 		// request ID as the tie-break: closed-loop clients routinely
 		// submit at the same instant, and without the tie-break this
-		// pick depended on Go map iteration order — the one source of
-		// run-to-run nondeterminism the determinism harness found.
+		// pick would depend on the order of g's work list, which is a
+		// history of swap-removes.
 		var pick *core.ModelInfo
 		var pickReady simclock.Time
 		var pickID uint64
 		var oldest simclock.Time = simclock.MaxTime
-		for mi := range g.ModelsWithWork() {
+		for _, mi := range g.ModelsWithWork() {
 			r := mi.PeekOldest()
 			if r == nil {
 				continue

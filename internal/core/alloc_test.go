@@ -19,7 +19,7 @@ import (
 //
 // The spread state (16 GPUs, every active model replicated, nothing
 // loadable) holds the nothing-to-load gate to the same ceiling, both
-// answering from its counters and flushing the GPUs a demand change
+// answering from its empty sets and flushing the GPUs a demand change
 // dirtied.
 func TestAllocRatchetSchedulerPass(t *testing.T) {
 	if testing.Short() {
@@ -56,14 +56,18 @@ func TestAllocRatchetSchedulerPass(t *testing.T) {
 // what BenchmarkSchedulerPass could not see while it only built
 // single-GPU states: LOAD selection's work *per request* as load grows.
 // It counts exact load-priority evaluations (Controller.priorityEvals —
-// every one the walk, the gate's flush and reindexModel make) on a
+// every one bestLoad, the flush and reindexModel make) on a
 // 16-GPU cluster serving 1,024 Zipf instances of the zoo, at about 10%
 // and about 85% of capacity, and fails if a request at the high point
 // costs more than 4× one at the low point. Before the nothing-to-load
 // gate the demand walk evaluated every active model, for every GPU, on
 // every event: 22 evaluations per request at the low point and 1,266 at
-// the high one (2.1 and 4.5 with it). The count is a pure function of
-// the seed.
+// the high one (2.1 and 4.5 with the gate in front of that walk; 2.0
+// and 2.9 now that bestLoad reads the gate's own sets). The count is a
+// pure function of the seed. A further half second at twice the high
+// rate — an overload burst, in which replicated models do go positive —
+// then checks every GPU's selection on its own: after the flush it
+// evaluates no more priorities than the positive set holds.
 func TestLoadSelectionWorkFlatInLoad(t *testing.T) {
 	if testing.Short() {
 		t.Skip("work ratchet skipped in -short")
@@ -83,7 +87,7 @@ func TestLoadSelectionWorkFlatInLoad(t *testing.T) {
 	// ramp gives replication two seconds to catch up with the ninefold
 	// rate step, so that hi measures the loaded steady state and not the
 	// transition, in which hot models really are under-replicated,
-	// priorities really are positive and the walk rightly runs.
+	// priorities really are positive and bestLoad rightly evaluates them.
 	phases := []struct {
 		name     string
 		rate     float64
@@ -108,6 +112,70 @@ func TestLoadSelectionWorkFlatInLoad(t *testing.T) {
 	}
 	if lo, hi := perReq["lo"], perReq["hi"]; hi > 4*lo {
 		t.Fatalf("load selection costs %.1f priority evaluations per request at ~85%% load against %.1f at ~10%%: more than 4×, so its work grows with load again", hi, lo)
+	}
+
+	c, s := cl.Ctl, cl.Ctl.schd.(*ClockworkScheduler)
+	zipfWorkload(cl, 5, names, 0.9, 9000, 10*time.Second, 10500*time.Millisecond)
+	calls, positive := 0, 0
+	for steps := 0; c.Now() < simclock.Time(10500*time.Millisecond) && cl.Eng.Step(); steps++ {
+		if steps%7 != 0 {
+			continue
+		}
+		c.flushLoadSigns()
+		for _, g := range c.gpus {
+			evals := c.priorityEvals
+			s.bestLoad(g, c.Now())
+			if n := c.priorityEvals - evals; n > uint64(len(c.posSet)) {
+				t.Fatalf("t=%v: bestLoad on w%d.g%d evaluated %d priorities with %d models in the positive set", c.Now(), g.WorkerID, g.GPU, n, len(c.posSet))
+			}
+			calls++
+			positive += len(c.posSet)
+		}
+	}
+	if positive == 0 {
+		t.Fatalf("%d bestLoad calls, none with a positive model to evaluate", calls)
+	}
+	t.Logf("burst: %d bestLoad calls, %.2f positive models per call", calls, float64(positive)/float64(calls))
+}
+
+// TestOnRequestWorkFlatInGPUs is the ratchet on OnRequest's reach: the
+// GPUs it runs a pass on per request (ClockworkScheduler.visits) must
+// not grow with the cluster. Two clusters at the same load per GPU —
+// about half of capacity — and with the same number of Zipf instances
+// of the zoo per GPU, 64: 16 GPUs with 1,024 models and 128 GPUs with
+// 8,192. A request at 128 GPUs may cost at most 2× the passes of one
+// at 16. The seed's loop gave every GPU a pass on every request (8×);
+// with the skip rule a request costs its replicas, plus the GPUs where
+// a LOAD pass can act (1.55 and 2.23 passes). The count is a pure
+// function of the seed.
+func TestOnRequestWorkFlatInGPUs(t *testing.T) {
+	if testing.Short() {
+		t.Skip("work ratchet skipped in -short")
+	}
+	perReq := func(workers int) float64 {
+		cl := NewCluster(ClusterConfig{Workers: workers, GPUsPerWorker: 2, Seed: 1, ZeroLengthInputs: true})
+		gpus := 2 * workers
+		zoo := modelzoo.All()
+		names := make([]string, 64*gpus)
+		for i := range names {
+			z := zoo[i%len(zoo)]
+			names[i] = fmt.Sprintf("%s#%d", z.Name, i/len(zoo))
+			if err := cl.RegisterModel(names[i], z); err != nil {
+				t.Fatal(err)
+			}
+		}
+		zipfWorkload(cl, 1, names, 0.9, 165*float64(gpus), 0, 3*time.Second)
+		cl.RunUntil(simclock.Time(time.Second)) // warm-up
+		s := cl.Ctl.schd.(*ClockworkScheduler)
+		visits, reqs := s.visits, cl.Ctl.stats.Requests
+		cl.RunUntil(simclock.Time(3 * time.Second))
+		reqs = cl.Ctl.stats.Requests - reqs
+		n := float64(s.visits-visits) / float64(reqs)
+		t.Logf("%d GPUs: %d requests, %.2f GPU passes per request", gpus, reqs, n)
+		return n
+	}
+	if small, large := perReq(8), perReq(64); large > 2*small {
+		t.Fatalf("OnRequest runs %.2f GPU passes per request on 128 GPUs against %.2f on 16: more than 2×, so its work grows with the cluster again", large, small)
 	}
 }
 

@@ -125,10 +125,12 @@ type Controller struct {
 	// workers holds this controller's workers in the order they were
 	// added; workerByID addresses them by their cluster-global ID (a
 	// sharded control plane gives each controller a non-contiguous slice
-	// of the global worker ID space).
+	// of the global worker ID space, so the other shards' IDs are nil).
 	workers    []*workerHandle
-	workerByID map[int]*workerHandle
+	workerByID []*workerHandle
 	gpus       []*GPUMirror
+	// loadTree spans the GPUs' LOAD executor horizons (index.go).
+	loadTree loadTree
 	// tab interns model names to dense IDs and holds each name's live
 	// registration (models.go) — shared with the sibling shards when the
 	// controller is part of a cluster, whose index among them is shard.
@@ -140,29 +142,29 @@ type Controller struct {
 	modelList []*ModelInfo
 	nextSeq   uint64
 
-	// activeModels is the set of models with at least one queued
-	// request (Appendix B's demand tracking works over this set).
-	activeModels map[*ModelInfo]bool
+	// active counts the models with queued requests, the set Appendix
+	// B's demand tracking works over. wakesLapsed is set when the count
+	// rises from zero: while it was zero no LOAD wake was armed, and the
+	// scheduler's next OnRequest re-arms them.
+	active      int
+	wakesLapsed bool
 
-	// demandIdx orders active models by demand (descending) and
-	// deadlineIdx by earliest queued deadline (ascending); together
-	// with the per-GPU strategy heaps they replace the seed's
-	// O(models) scans (see index.go). deadlineIdx is maintained only
-	// when a scheduler opts in via enableDeadlineIndex.
-	demandIdx     modelTreap
+	// deadlineIdx orders active models by earliest queued deadline (see
+	// index.go), maintained only once a scheduler opts in via
+	// enableDeadlineIndex.
 	deadlineIdx   modelTreap
 	deadlineIdxOn bool
 
-	// The nothing-to-load gate (index.go): coldActive counts active
-	// models with positive demand and no replica anywhere, posReplicated
-	// those with replicas whose exact load priority was positive when
-	// last settled; dirtyGPUs lists the mirrors whose ℓ_g has since
+	// The load candidates (index.go): coldIdx orders the active models
+	// with positive demand and no replica anywhere by demand, posSet
+	// holds those with replicas whose exact load priority was positive
+	// when last settled; dirtyGPUs lists the mirrors whose ℓ_g has since
 	// moved past the level their withWork models were cleared to, so
 	// that those models are due another look. reindexModel is their
 	// only writer. priorityEvals counts exact loadPriority evaluations,
 	// for the work ratchet in the tests.
-	coldActive    int
-	posReplicated int
+	coldIdx       modelTreap
+	posSet        []*ModelInfo
 	dirtyGPUs     []*GPUMirror
 	priorityEvals uint64
 
@@ -279,9 +281,7 @@ func NewController(eng *simclock.Engine, cfg Config, schd Scheduler) *Controller
 		eng:             eng,
 		cfg:             cfg.withDefaults(),
 		schd:            schd,
-		workerByID:      make(map[int]*workerHandle),
 		tab:             newModelTable(),
-		activeModels:    make(map[*ModelInfo]bool),
 		pendingInfers:   make(map[uint64]pendingInfer),
 		InferDuration:   predictor.NewErrorTracker(),
 		LoadDuration:    predictor.NewErrorTracker(),
@@ -290,7 +290,6 @@ func NewController(eng *simclock.Engine, cfg Config, schd Scheduler) *Controller
 	}
 	c.nextRequestID = c.cfg.IDStart
 	c.nextActionID = c.cfg.IDStart
-	c.demandIdx.desc = true
 	c.profile = predictor.NewProfile(c.cfg.ProfileWindow, modelzoo.BatchSizes)
 	schd.Attach(c)
 	return c
@@ -324,20 +323,21 @@ func (c *Controller) WorkerCount() int { return len(c.workers) }
 // global ID space across shards), but must be unique and ascending.
 func (c *Controller) AddWorker(id, gpuCount int, pageCacheBytes, pageSize int64,
 	submit func(a *action.Action, payloadBytes int64)) {
-	if _, dup := c.workerByID[id]; dup {
-		panic(fmt.Sprintf("core: duplicate worker ID %d", id))
-	}
 	if n := len(c.workers); n > 0 && c.workers[n-1].id >= id {
 		panic(fmt.Sprintf("core: workers must be added in ascending ID order (got %d after %d)", id, c.workers[n-1].id))
 	}
 	wh := &workerHandle{id: id, submit: submit}
 	for i := 0; i < gpuCount; i++ {
 		m := newGPUMirror(id, i, pageCacheBytes, pageSize)
+		m.idx = len(c.gpus)
 		wh.gpus = append(wh.gpus, m)
 		c.gpus = append(c.gpus, m)
 	}
 	c.workers = append(c.workers, wh)
-	c.workerByID[id] = wh
+	// IDs ascend, so id lies past every slot the table has.
+	c.workerByID = append(c.workerByID, make([]*workerHandle, id-len(c.workerByID))...)
+	c.workerByID = append(c.workerByID, wh)
+	c.loadTree.reset(c.gpus)
 }
 
 // DrainWorker takes a worker out of scheduling: no new actions are sent
@@ -410,17 +410,10 @@ func (c *Controller) FailWorker(id int) error {
 
 // worker validates a (cluster-global) worker ID against this controller.
 func (c *Controller) worker(id int) (*workerHandle, error) {
-	wh, ok := c.workerByID[id]
-	if !ok {
+	if id < 0 || id >= len(c.workerByID) || c.workerByID[id] == nil {
 		return nil, fmt.Errorf("%w: %d (shard has %d workers)", ErrNoSuchWorker, id, len(c.workers))
 	}
-	return wh, nil
-}
-
-// OwnsWorker reports whether worker id belongs to this controller.
-func (c *Controller) OwnsWorker(id int) bool {
-	_, ok := c.workerByID[id]
-	return ok
+	return c.workerByID[id], nil
 }
 
 // mirror returns the mirror of (workerID, gpu); both must belong to this
@@ -436,9 +429,9 @@ func (c *Controller) mirror(workerID, gpu int) *GPUMirror {
 func (c *Controller) detachWorker(wh *workerHandle) {
 	for _, g := range wh.gpus {
 		g.disabled = true
+		c.loadTree.set(g)
 		for _, mi := range c.modelList {
 			if mi.dropReplica(g) {
-				delete(g.withWork, mi)
 				c.reindexModel(mi)
 			}
 		}
@@ -557,7 +550,9 @@ func (c *Controller) UnregisterModel(name string) error {
 		c.releaseRequest(r)
 	}
 	mi.demand = 0
-	c.noteQueueMaybeEmpty(mi)
+	if len(queued) > 0 {
+		c.noteQueueMaybeEmpty(mi)
+	}
 
 	// Evict every replica (deterministic GPU order; disabled mirrors
 	// were already detached and their workers keep stale weights).
@@ -598,10 +593,6 @@ func (c *Controller) owned(mi *ModelInfo) (*ModelInfo, bool) {
 
 // ModelCount returns the number of registered instances.
 func (c *Controller) ModelCount() int { return len(c.modelList) }
-
-// ActiveModels returns the set of models with queued requests. The
-// returned map is live; schedulers must not mutate it.
-func (c *Controller) ActiveModels() map[*ModelInfo]bool { return c.activeModels }
 
 // EstimateExec predicts execution latency of (model, batch).
 func (c *Controller) EstimateExec(mi *ModelInfo, batch int) time.Duration {
@@ -702,10 +693,7 @@ func (c *Controller) submitSpec(spec SubmitSpec, onResponse func(Response), rsp 
 	mi.enqueue(r)
 	mi.demand += r.execEst
 	if len(mi.queue) == 1 {
-		c.activeModels[mi] = true
-		for _, g := range mi.residentOn {
-			g.withWork[mi] = true
-		}
+		c.activate(mi)
 	}
 	c.reindexModel(mi)
 	c.flight.Admitted(r.ID, r.Model, r.Tenant, r.SLO, r.Priority, r.coldStart, len(mi.queue), now.Duration())
@@ -796,11 +784,25 @@ func (c *Controller) timeoutRequest(r *Request) {
 	})
 }
 
+// activate counts mi, whose queue has just gone from empty to not, as
+// active, and gives the GPUs holding it work for it.
+func (c *Controller) activate(mi *ModelInfo) {
+	if c.active == 0 {
+		c.wakesLapsed = true
+	}
+	c.active++
+	for _, g := range mi.residentOn {
+		g.addWork(mi)
+	}
+}
+
+// noteQueueMaybeEmpty is activate's inverse, called after requests left
+// mi's queue, which held some: if none are left mi is no longer active.
 func (c *Controller) noteQueueMaybeEmpty(mi *ModelInfo) {
 	if len(mi.queue) == 0 {
-		delete(c.activeModels, mi)
+		c.active--
 		for _, g := range mi.residentOn {
-			delete(g.withWork, mi)
+			g.dropWork(mi)
 		}
 	}
 }
@@ -921,10 +923,8 @@ func (c *Controller) SendLoad(g *GPUMirror, mi *ModelInfo, earliest, latest simc
 	}
 	g.outstanding(mi.id).loading = eta
 	g.LoadFreeAt = transferEnd
+	c.loadTree.set(g)
 	mi.addReplica(g)
-	if len(mi.queue) > 0 {
-		g.withWork[mi] = true
-	}
 	c.stats.ActionsLoad++
 	c.reindexModel(mi)
 	c.workerByID[g.WorkerID].submit(a, 0)
@@ -939,7 +939,6 @@ func (c *Controller) SendUnload(g *GPUMirror, mi *ModelInfo) *action.Action {
 	}
 	g.outstanding(mi.id).loading = 0
 	mi.dropReplica(g)
-	delete(g.withWork, mi)
 	c.nextActionID += c.cfg.IDStride
 	a := &action.Action{
 		ID:       c.nextActionID,
@@ -1011,7 +1010,6 @@ func (c *Controller) handleLoadResult(g *GPUMirror, res action.Result) {
 	c.flight.LoadDone(res.Model, res.WorkerID, res.GPU, res.Start.Duration(), res.End.Duration(), false)
 	if g.Pages.Free(mi.id) == nil { // errors only when already gone
 		mi.dropReplica(g)
-		delete(g.withWork, mi)
 	}
 	c.reindexModel(mi)
 }

@@ -21,7 +21,7 @@
 //  3. Schedule. The scheduler keeps every GPU executor supplied with
 //     at most Lookahead of predicted work: INFER strategies picked
 //     from per-GPU strategy heaps, LOADs by Appendix B demand
-//     priority over the demand-ordered index (see index.go).
+//     priority among the load candidates (see index.go).
 //  4. Execute. Actions travel to the worker, run (or get rejected if
 //     their window closed), and results return to HandleResult,
 //     which updates mirrors, feeds the predictor, and answers the

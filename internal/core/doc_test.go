@@ -86,8 +86,8 @@ func TestDemandAccountingUnderCancellation(t *testing.T) {
 	if mi.Demand() != 0 {
 		t.Fatalf("demand leaked %v", mi.Demand())
 	}
-	if len(cl.Ctl.ActiveModels()) != 0 {
-		t.Fatal("active set leaked")
+	if cl.Ctl.active != 0 {
+		t.Fatalf("active count leaked: %d", cl.Ctl.active)
 	}
 	if simclock.Time(0) != 0 { // keep simclock import honest
 		t.Fatal("unreachable")

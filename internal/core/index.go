@@ -23,42 +23,25 @@ import (
 //     strategy (queue mutation, estimate observation, residency change),
 //     and lazily re-keyed on pop, so a scheduling decision is O(log n)
 //     amortised instead of O(models-with-work).
-//   - a demand-ordered treap over active models: since a model's load
-//     priority p_m is bounded above by its demand d_m, descending the
-//     treap in demand order lets bestLoad stop as soon as the next
-//     model's demand cannot beat the best exact priority found
-//     (branch-and-bound), while per-GPU allocated demand ℓ_g is
-//     maintained incrementally instead of being rebuilt per call.
-//   - the nothing-to-load gate in front of that walk. The walk's bound
-//     only bites once a positive priority has been found; when every
-//     active model is replicated and fulfilled (p_m ≤ 0) — the common
-//     state of a loaded cluster — it visits every active model, per
-//     GPU, per event, to return nil. The controller therefore keeps the
-//     count of active models whose exact priority is positive, split
-//     into coldActive (no replica: p_m = d_m > 0, no arithmetic needed)
-//     and posReplicated, and bestLoad asks anythingToLoad first. A
-//     model's priority depends on its own demand, activity and replica
-//     set, and on ℓ_g of its hosting GPUs. reindexModel settles the
-//     model's own sign with the same loadPriority the walk uses. The
-//     other models feel the change only through ℓ_g, and p_m is
-//     monotone in it: a model found at p_m ≤ 0 is at the same time
-//     cleared up to the ℓ_g levels at which that would still hold
-//     (clearLoad — verified with the exact arithmetic, not estimated),
-//     each GPU remembers the lowest level any of its models was cleared
-//     to, and only a GPU filling past that level goes on the dirty list
-//     whose withWork models the gate looks at again before it trusts
-//     posReplicated. The gate answers "nothing" only when every active
-//     model has p_m ≤ 0 by an exact evaluation that is either current
-//     or proven to still hold, so it cannot change a decision; whenever
-//     it answers "something" the walk runs unchanged.
+//   - the load candidates, the active models whose load priority p_m
+//     is positive: a demand-ordered treap of the cold ones (no replica,
+//     so p_m = d_m with no ℓ_g term) and an unordered set of the
+//     replicated ones. Each model's sign is settled with the exact
+//     loadPriority against the incrementally maintained ℓ_g whenever it
+//     changes, and when ℓ_g of a GPU hosting it moves past the level at
+//     which its p_m ≤ 0 was proven (clearLoad, flushLoadSigns). bestLoad
+//     takes the cold treap's first model and evaluates each positive
+//     one's p_m afresh: no model is ever keyed by its priority.
+//   - the LOAD horizon tree, which finds for OnRequest, in controller
+//     order, the GPUs whose LOAD executor a pass could act on.
 //   - a deadline-ordered treap (enabled only for the LoadOldestFirst
 //     ablation policy) over active models keyed by earliest queued
 //     deadline.
 //
 // The invariant all of this rests on: reindexModel is the only writer
-// of the indexes, of ℓ_g and of the gate's counters, and every mutation
-// of a model's demand, active-set membership or replica set is followed
-// by reindexModel(mi) before the scheduler runs again.
+// of the indexes, of ℓ_g and of the candidate sets, and every mutation
+// of a model's demand, activity or replica set is followed by
+// reindexModel(mi) before the scheduler runs again.
 //
 // Determinism: all index orders break ties by model registration
 // sequence, which makes selection deterministic where the seed's map
@@ -80,8 +63,6 @@ func (c *Controller) reindexModel(mi *ModelInfo) {
 	// Every GPU whose ℓ_g moves is reported to the gate; a call that
 	// leaves share and replica set as they were (an estimate
 	// observation, a LOAD landing) moves nothing.
-	// Membership of activeModels, read off the queue the set is defined
-	// by (every queue mutation updates the set before it reindexes).
 	active := len(mi.queue) > 0
 	var share time.Duration
 	var hosts []*GPUMirror
@@ -109,13 +90,6 @@ func (c *Controller) reindexModel(mi *ModelInfo) {
 	}
 	c.settleLoadSign(mi, active)
 
-	// Demand index membership: exactly the active models.
-	if active {
-		c.demandIdx.update(mi, &mi.demandNode, int64(mi.demand))
-	} else {
-		c.demandIdx.remove(&mi.demandNode)
-	}
-
 	// Deadline index (ablation load policy only).
 	if c.deadlineIdxOn {
 		if active {
@@ -128,12 +102,9 @@ func (c *Controller) reindexModel(mi *ModelInfo) {
 	// Strategy entries: one fresh entry per GPU where mi has work. Old
 	// entries for mi (previous stamps) become garbage and are discarded
 	// lazily when popped, or swept by compaction.
-	if mi.QueuedCount() > 0 {
+	if active {
 		now := c.eng.Now()
 		for _, g := range mi.residentOn {
-			if !g.withWork[mi] {
-				continue
-			}
 			batch, _, rs := c.inferCandidate(g, mi, now)
 			if batch == 0 {
 				continue // infeasible until the next stamp bump
@@ -159,7 +130,7 @@ func (c *Controller) fulfilled(share, l time.Duration) time.Duration {
 
 // loadPriority computes Appendix B's p_m = d_m − Σ_g a_{m,g} ·
 // capacity_g / ℓ_g from the incrementally maintained per-GPU loads.
-// The walk in bestLoad and the gate below both call it, so they cannot
+// bestLoad and the sign settlement below both call it, so they cannot
 // disagree about a sign.
 //
 // No "will the load land before the current deadlines" filter: demand
@@ -199,7 +170,7 @@ func (g *GPUMirror) loadLevel(headroom float64) time.Duration {
 	return limit
 }
 
-// loadSign is one model's contribution to the gate's counters.
+// loadSign says which load-candidate set a model is in.
 type loadSign uint8
 
 const (
@@ -209,9 +180,11 @@ const (
 )
 
 // settleLoadSign recomputes mi's sign on the current state (active says
-// whether mi is in activeModels) and moves the gate's counters by the
-// difference. A replicated model found at p_m ≤ 0 also records how long
-// that verdict keeps: see clearLoad.
+// whether mi has queued requests) and moves mi into the matching set: the
+// cold index, keyed by demand so that its first model is the one of
+// highest demand and then lowest registration seq, or the positive set.
+// A replicated model found at p_m ≤ 0 also records how long that verdict
+// keeps: see clearLoad.
 func (c *Controller) settleLoadSign(mi *ModelInfo, active bool) {
 	sign := signNone
 	if active && mi.demand > 0 {
@@ -223,20 +196,21 @@ func (c *Controller) settleLoadSign(mi *ModelInfo, active bool) {
 			c.clearLoad(mi, p)
 		}
 	}
-	if sign == mi.loadSign {
-		return
+	if sign == signCold {
+		c.coldIdx.update(mi, &mi.coldNode, -int64(mi.demand))
+	} else {
+		c.coldIdx.remove(&mi.coldNode)
 	}
-	switch mi.loadSign {
-	case signCold:
-		c.coldActive--
-	case signPositive:
-		c.posReplicated--
-	}
-	switch sign {
-	case signCold:
-		c.coldActive++
-	case signPositive:
-		c.posReplicated++
+	if sign == signPositive && mi.posAt == 0 {
+		c.posSet = append(c.posSet, mi)
+		mi.posAt = len(c.posSet)
+	} else if sign != signPositive && mi.posAt != 0 {
+		last := len(c.posSet) - 1
+		moved := c.posSet[last]
+		c.posSet[mi.posAt-1], moved.posAt = moved, mi.posAt
+		c.posSet[last] = nil
+		c.posSet = c.posSet[:last]
+		mi.posAt = 0
 	}
 	mi.loadSign = sign
 }
@@ -294,41 +268,39 @@ func (mi *ModelInfo) stillCleared(g *GPUMirror) (level time.Duration, ok bool) {
 // noteLoadMoved is called for each GPU whose ℓ_g a reindex moved. The
 // models sharing g need another look if ℓ_g rose past the lowest level
 // one of them was cleared to, or — ℓ_g may have fallen — if some
-// replicated model somewhere is counted positive and might no longer be
-// (leaving it counted would be safe, the walk decides; it would only
-// never end). O(1); the dirty list is bounded by the GPU count.
+// replicated model somewhere is in the positive set and might no longer
+// belong there. O(1); the dirty list is bounded by the GPU count.
 func (c *Controller) noteLoadMoved(g *GPUMirror) {
-	if !g.loadDirty && (g.allocDemand > g.loadCeil || c.posReplicated > 0) {
+	if !g.loadDirty && (g.allocDemand > g.loadCeil || len(c.posSet) > 0) {
 		g.loadDirty = true
 		c.dirtyGPUs = append(c.dirtyGPUs, g)
 	}
 }
 
-// anythingToLoad is the gate: it reports whether any active model has a
-// positive load priority right now. A cold active model answers yes
-// without arithmetic (and without flushing — the walk is about to run
-// anyway); otherwise the dirty GPUs are flushed first, so a no means
-// every active model is either freshly evaluated ≤ 0 or cleared ≤ 0 up
-// to levels its GPUs are still under.
+// anythingToLoad is the nothing-to-load gate: it reports whether any
+// active model has a positive load priority right now. A cold active
+// model answers yes without arithmetic (and without flushing);
+// otherwise the dirty GPUs are flushed first, so a no means every
+// active model is either freshly evaluated ≤ 0 or cleared ≤ 0 up to
+// levels its GPUs are still under.
 func (c *Controller) anythingToLoad() bool {
-	if c.coldActive > 0 {
+	if c.coldIdx.Len() > 0 {
 		return true
 	}
 	c.flushLoadSigns()
-	return c.posReplicated > 0
+	return len(c.posSet) > 0
 }
 
 // flushLoadSigns looks again at the active models resident on each
-// dirty GPU — exactly its withWork set, which the controller updates
-// together with activeModels — and rebuilds the GPU's ceiling
+// dirty GPU — exactly its withWork set — and rebuilds the GPU's ceiling
 // from them: a model whose clearance still stands costs a comparison
 // per replica, the others are re-settled with the exact arithmetic.
-// Counter and ceiling updates commute, so the map order does not matter.
+// Set and ceiling updates commute, so the slice order does not matter.
 func (c *Controller) flushLoadSigns() {
 	for _, g := range c.dirtyGPUs {
 		g.loadDirty = false
 		g.loadCeil = math.MaxInt64
-		for mi := range g.withWork {
+		for _, mi := range g.withWork {
 			if level, ok := mi.stillCleared(g); !ok {
 				c.settleLoadSign(mi, true)
 			} else if level < g.loadCeil {
@@ -388,10 +360,86 @@ func (c *Controller) enableDeadlineIndex() {
 	}
 	c.deadlineIdxOn = true
 	for _, mi := range c.modelList {
-		if c.activeModels[mi] {
+		if len(mi.queue) > 0 {
 			c.deadlineIdx.update(mi, &mi.deadlineNode, int64(mi.MinDeadline()))
 		}
 	}
+}
+
+// ---- LOAD executor horizons ----
+
+// loadTree is a tournament over the controller's GPUs in controller
+// order: leaf i spans GPU i's LoadFreeAt, each inner node the lowest and
+// highest instant below it; a disabled GPU or a padding leaf spans
+// nothing. It finds OnRequest the next GPU whose LOAD executor is below
+// the lookahead, or saturated, in O(log GPUs). AddWorker builds it;
+// SendLoad and detachWorker refresh a leaf.
+type loadTree []loadSpan
+
+type loadSpan struct{ lo, hi simclock.Time }
+
+var noSpan = loadSpan{simclock.MaxTime, simclock.MinTime}
+
+// has reports whether some GPU under s has its LOAD executor saturated
+// (draining at or after x = now + Lookahead), or else below it.
+func (s loadSpan) has(x simclock.Time, saturated bool) bool {
+	if saturated {
+		return s.hi >= x
+	}
+	return s.lo < x
+}
+
+func (t *loadTree) reset(gpus []*GPUMirror) {
+	n := 1
+	for n < len(gpus) {
+		n *= 2
+	}
+	*t = make(loadTree, 2*n)
+	for i := range *t {
+		(*t)[i] = noSpan
+	}
+	for _, g := range gpus {
+		t.set(g)
+	}
+}
+
+// set refreshes g's leaf after its LoadFreeAt or disabled flag changed.
+func (t loadTree) set(g *GPUMirror) {
+	i := len(t)/2 + g.idx
+	if t[i] = noSpan; !g.disabled {
+		t[i] = loadSpan{g.LoadFreeAt, g.LoadFreeAt}
+	}
+	for i /= 2; i > 0; i /= 2 {
+		l, r := t[2*i], t[2*i+1]
+		t[i] = loadSpan{min(l.lo, r.lo), max(l.hi, r.hi)}
+	}
+}
+
+// next returns the controller index of the first GPU at or after from
+// that has(x, saturated), or a number ≥ the GPU count when none does.
+func (t loadTree) next(from int, x simclock.Time, saturated bool) int {
+	n := len(t) / 2
+	if from >= n {
+		return n
+	}
+	i := n + from
+	for !t[i].has(x, saturated) {
+		// Nothing under i: move to the subtree just right of it.
+		for i&1 == 1 {
+			i /= 2
+		}
+		if i == 0 {
+			return n
+		}
+		i++
+	}
+	for i < n {
+		i *= 2
+		if !t[i].has(x, saturated) {
+			i++
+		}
+	}
+	return i - n
 }
 
 // ---- per-GPU strategy heap ----
@@ -515,15 +563,13 @@ func (g *GPUMirror) compactStrategies() {
 // ---- ordered model index (treap) ----
 
 // modelTreap is a balanced ordered index over models, keyed by an int64
-// with model registration sequence as tie-break. Node priorities are a
-// deterministic hash of the sequence, so the tree shape — and therefore
-// iteration order and timing — is identical across runs.
+// ascending with model registration sequence as tie-break (the cold
+// index keys by negated demand). Node priorities are a deterministic
+// hash of the sequence, so the tree shape — and therefore iteration
+// order and timing — is identical across runs.
 type modelTreap struct {
 	root *treapNode
 	size int
-	// desc iterates keys high-to-low when true (demand order); low-to-
-	// high otherwise (deadline order).
-	desc bool
 	// free recycles detached nodes: every demand change re-keys a model
 	// (remove + insert), which would otherwise allocate a node per
 	// queue mutation.
@@ -539,9 +585,6 @@ type treapNode struct {
 
 func (t *modelTreap) less(a, b *treapNode) bool {
 	if a.key != b.key {
-		if t.desc {
-			return a.key > b.key
-		}
 		return a.key < b.key
 	}
 	return a.mi.seq < b.mi.seq
@@ -646,8 +689,19 @@ func rotateLeft(n *treapNode) *treapNode {
 // Len returns the number of indexed models.
 func (t *modelTreap) Len() int { return t.size }
 
-// Scan visits models in index order (descending key for demand order,
-// ascending for deadline order) until cb returns false.
+// First returns the first model in index order, or nil.
+func (t *modelTreap) First() *ModelInfo {
+	n := t.root
+	if n == nil {
+		return nil
+	}
+	for n.l != nil {
+		n = n.l
+	}
+	return n.mi
+}
+
+// Scan visits models in index order until cb returns false.
 func (t *modelTreap) Scan(cb func(mi *ModelInfo) bool) {
 	t.walk(t.root, cb)
 }

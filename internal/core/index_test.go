@@ -77,7 +77,7 @@ func TestSchedulerNeverDispatchesLateInfer(t *testing.T) {
 // victim selection against the seed's linear scans on identical state —
 // on pointer identity, the oracles breaking ties the way the indexes
 // document — together with everything the selection rests on: the
-// nothing-to-load gate's counters against a from-scratch recount, the
+// load-candidate sets against a from-scratch recount, the
 // replica lists against the mirrors' own residency, ℓ_g against its
 // rebuild, and the page-cache mirrors' internal invariants.
 //
@@ -88,6 +88,7 @@ func TestSchedulerNeverDispatchesLateInfer(t *testing.T) {
 // whose cold tail cycles through page caches too small to hold it, with
 // control-plane churn mid-run — a worker failing, one draining, one
 // joining, hot models unregistered and migrated between the shards.
+// In both, every GPU OnRequest skips is audited (auditSkips).
 func TestIndexedSelectionMatchesLinear(t *testing.T) {
 	for seed := uint64(1); seed <= 3; seed++ {
 		seed := seed
@@ -97,6 +98,7 @@ func TestIndexedSelectionMatchesLinear(t *testing.T) {
 				Workers: 1, GPUsPerWorker: 2, Seed: seed,
 				PageCacheBytes: 10 * 7 * 16 * 1024 * 1024,
 			})
+			auditSkips(t, cl)
 			randomWorkload(cl, seed, 16, 600, 2*time.Second)
 			runCompared(t, cl, 3*time.Second, 7, nil)
 		})
@@ -112,6 +114,7 @@ func TestIndexedSelectionMatchesLinear(t *testing.T) {
 				PageCacheBytes:    14 * 7 * 16 * 1024 * 1024,
 				RebalanceInterval: 200 * time.Millisecond,
 			})
+			skipped := auditSkips(t, cl)
 			names, _ := cl.RegisterCopies("m", modelzoo.ResNet50(), 256)
 			zipfWorkload(cl, seed, names, 0.9, 3500, 0, 1500*time.Millisecond)
 			// A 150 ms overload burst on top: demand outruns the hosting
@@ -158,8 +161,12 @@ func TestIndexedSelectionMatchesLinear(t *testing.T) {
 				t.Fatalf("only %d of %d churn steps ran", done, len(churn))
 			}
 			if n.gated == 0 || n.picked == 0 || n.positive == 0 {
-				t.Fatalf("the run must exercise the gate, the walk and positive replicated models, got %+v", n)
+				t.Fatalf("the run must exercise the gate, the selection and positive replicated models, got %+v", n)
 			}
+			if *skipped == 0 {
+				t.Fatal("OnRequest skipped no GPU; the skip audit never ran")
+			}
+			t.Logf("%d skipped GPU passes audited, %+v", *skipped, n)
 			if cl.Migrations() < 4 {
 				t.Fatalf("migrations = %d, want the four scripted ones at least", cl.Migrations())
 			}
@@ -191,6 +198,39 @@ func zipfWorkload(cl *Cluster, seed uint64, names []string, exp, rate float64, f
 		})
 	}
 	cl.Eng.At(simclock.Time(from), arrival)
+}
+
+// auditSkips gives every GPU that OnRequest skips, at the point of the
+// controller-order walk where the seed's every-GPU loop visited it, the
+// pass that loop ran — scheduleLoads, then armWake — and fails if that
+// pass sends an action or arms a wake: the skip rule claims it does
+// neither. It returns the number of skips audited.
+func auditSkips(t *testing.T, cl *Cluster) *int {
+	n := new(int)
+	for _, ctl := range cl.Ctls {
+		ctl, s := ctl, ctl.schd.(*ClockworkScheduler)
+		s.testOnSkip = func(g *GPUMirror) {
+			*n++
+			wake := func() simclock.Timer {
+				if g.wake == nil {
+					return simclock.Timer{}
+				}
+				return g.wake.tmr
+			}
+			st, w := ctl.stats, wake()
+			s.scheduleLoads(g)
+			s.armWake(g)
+			if ctl.stats != st {
+				t.Fatalf("t=%v: skipped w%d.g%d: its pass sends actions (LOAD %d→%d, UNLOAD %d→%d)", ctl.Now(),
+					g.WorkerID, g.GPU, st.ActionsLoad, ctl.stats.ActionsLoad, st.ActionsUnload, ctl.stats.ActionsUnload)
+			}
+			if wake() != w {
+				t.Fatalf("t=%v: skipped w%d.g%d: its pass arms a wake at %v (pending before: %v at %v)", ctl.Now(),
+					g.WorkerID, g.GPU, g.wake.tmr.When(), w.Pending(), w.When())
+			}
+		}
+	}
+	return n
 }
 
 // runCompared steps cl's engine to `until`, calling between (when
@@ -239,7 +279,7 @@ func runCompared(t *testing.T, cl *Cluster, until time.Duration, every int, betw
 // compareTally says what a compared run exercised.
 type compareTally struct {
 	gated     int // load selections the gate answered with nil
-	walkedNil int // … the walk answered with nil
+	walkedNil int // … the candidates answered with nil
 	picked    int // … that selected a model
 	positive  int // controller states holding a replicated model with p_m > 0
 }
@@ -264,13 +304,25 @@ func compareControllerState(t *testing.T, c *Controller, now simclock.Time) (pos
 	}
 
 	// The replica lists are the mirrors' residency, seen from the other
-	// side (on enabled mirrors; a detached mirror keeps stale pages).
+	// side (on enabled mirrors; a detached mirror keeps stale pages), and
+	// the work lists are the resident models with queued requests.
+	active, work := 0, make(map[*GPUMirror]int)
 	for _, mi := range c.modelList {
-		// reindexModel reads activity off the queue; the set must agree.
-		if c.activeModels[mi] != (len(mi.queue) > 0) {
-			t.Fatalf("t=%v: %s active=%v with %d queued", now, mi.name, c.activeModels[mi], len(mi.queue))
+		if len(mi.queue) > 0 {
+			active++
 		}
 		for _, g := range c.GPUs() {
+			inWork := int(mi.id) < len(g.actions) && g.actions[mi.id].work != 0
+			if inWork {
+				work[g]++
+				if g.withWork[g.actions[mi.id].work-1] != mi {
+					t.Fatalf("t=%v: %s's withWork slot on w%d.g%d holds another model", now, mi.name, g.WorkerID, g.GPU)
+				}
+			}
+			if inWork != (mi.residentOnGPU(g) && len(mi.queue) > 0) {
+				t.Fatalf("t=%v: %s in withWork of w%d.g%d = %v with %d queued, resident=%v",
+					now, mi.name, g.WorkerID, g.GPU, inWork, len(mi.queue), mi.residentOnGPU(g))
+			}
 			if g.disabled {
 				if mi.residentOnGPU(g) {
 					t.Fatalf("t=%v: %s still lists detached w%d.g%d", now, mi.name, g.WorkerID, g.GPU)
@@ -281,23 +333,40 @@ func compareControllerState(t *testing.T, c *Controller, now simclock.Time) (pos
 				t.Fatalf("t=%v: %s on w%d.g%d: mirror says resident=%v, replica list says %v",
 					now, mi.name, g.WorkerID, g.GPU, ok, mi.residentOnGPU(g))
 			}
-			if g.withWork[mi] != (mi.residentOnGPU(g) && len(mi.queue) > 0) {
-				t.Fatalf("t=%v: withWork[%s] on w%d.g%d = %v with %d queued, resident=%v",
-					now, mi.name, g.WorkerID, g.GPU, g.withWork[mi], len(mi.queue), mi.residentOnGPU(g))
+		}
+	}
+	if c.active != active {
+		t.Fatalf("t=%v: active count %d, %d models have queued requests", now, c.active, active)
+	}
+	for _, g := range c.GPUs() {
+		if len(g.withWork) != work[g] {
+			t.Fatalf("t=%v: w%d.g%d lists %d models with work, %d are", now, g.WorkerID, g.GPU, len(g.withWork), work[g])
+		}
+	}
+	// The LOAD horizon tree answers what a scan of the mirrors would.
+	x := now.Add(c.cfg.Lookahead)
+	for _, saturated := range []bool{false, true} {
+		want := len(c.gpus)
+		for from := len(c.gpus) - 1; from >= 0; from-- {
+			if g := c.gpus[from]; !g.disabled && (g.OutstandingLoadWork(now) >= c.cfg.Lookahead) == saturated {
+				want = from
+			}
+			if got := min(c.loadTree.next(from, x, saturated), len(c.gpus)); got != want {
+				t.Fatalf("t=%v: next GPU from %d with saturated=%v: tree says %d, scan %d", now, from, saturated, got, want)
 			}
 		}
 	}
 
-	// The gate. exactSign is a model's sign by the linear priority on
-	// the rebuilt ℓ_g. Before the flush, a model none of whose GPUs is
-	// waiting for one must already carry its exact sign — for a
-	// replicated model settled at p ≤ 0 that is the clearance argument
-	// (verdict proven up to levels its GPUs are still under) put to the
-	// test. After the flush every model must, and the counters are the
-	// recount.
+	// The load candidates. exactSign is a model's sign by the linear
+	// priority on the rebuilt ℓ_g. Before the flush, a model none of
+	// whose GPUs is waiting for one must already carry its exact sign —
+	// for a replicated model settled at p ≤ 0 that is the clearance
+	// argument (verdict proven up to levels its GPUs are still under)
+	// put to the test. After the flush every model must, and the cold
+	// index and the positive set hold exactly the models of their sign.
 	exactSign := func(mi *ModelInfo) loadSign {
 		switch {
-		case mi.demand <= 0 || !c.activeModels[mi]:
+		case mi.demand <= 0 || len(mi.queue) == 0:
 			return signNone
 		case len(mi.residentOn) == 0:
 			return signCold
@@ -322,6 +391,11 @@ func compareControllerState(t *testing.T, c *Controller, now simclock.Time) (pos
 		if mi.loadSign != sign {
 			t.Fatalf("t=%v: %s carries load sign %d after a flush, exact sign is %d", now, mi.name, mi.loadSign, sign)
 		}
+		inCold := mi.coldNode != nil && mi.coldNode.key == -int64(mi.demand)
+		inPos := mi.posAt > 0 && mi.posAt <= len(c.posSet) && c.posSet[mi.posAt-1] == mi
+		if inCold != (sign == signCold) || inPos != (sign == signPositive) {
+			t.Fatalf("t=%v: %s with sign %d: in the cold index %v, in the positive set %v", now, mi.name, sign, inCold, inPos)
+		}
 		switch sign {
 		case signCold:
 			cold++
@@ -329,17 +403,17 @@ func compareControllerState(t *testing.T, c *Controller, now simclock.Time) (pos
 			pos++
 		}
 	}
-	if len(c.dirtyGPUs) != 0 || c.coldActive != cold || c.posReplicated != pos {
-		t.Fatalf("t=%v: after a flush the gate counts cold=%d positive=%d with %d GPUs dirty, recount %d / %d",
-			now, c.coldActive, c.posReplicated, len(c.dirtyGPUs), cold, pos)
+	if len(c.dirtyGPUs) != 0 || c.coldIdx.Len() != cold || len(c.posSet) != pos {
+		t.Fatalf("t=%v: after a flush the sets hold cold=%d positive=%d with %d GPUs dirty, recount %d / %d",
+			now, c.coldIdx.Len(), len(c.posSet), len(c.dirtyGPUs), cold, pos)
 	}
 	return pos > 0
 }
 
 // compareSelections checks one GPU's three selections against the
-// linear oracles and reports whether bestLoad had to walk (the gate saw
-// something loadable somewhere) or answered from the gate, and what it
-// selected.
+// linear oracles and reports whether bestLoad had candidates (the gate
+// saw something loadable somewhere) or answered from the gate, and what
+// it selected.
 func compareSelections(t *testing.T, s *ClockworkScheduler, g *GPUMirror, now simclock.Time) (walked bool, load *ModelInfo) {
 	t.Helper()
 
@@ -350,7 +424,7 @@ func compareSelections(t *testing.T, s *ClockworkScheduler, g *GPUMirror, now si
 			now, name(mi1), b1, e1, rs1, name(mi2), b2, e2, rs2)
 	}
 
-	walked = s.c.coldActive > 0 || s.c.posReplicated > 0 // flushed by the caller
+	walked = s.c.coldIdx.Len() > 0 || len(s.c.posSet) > 0 // flushed by the caller
 	l1 := s.bestLoad(g, now)
 	l2 := s.bestLoadLinear(g, now)
 	if l1 != l2 {
@@ -401,7 +475,7 @@ func TestOldestFirstIndexMatchesLinear(t *testing.T) {
 				steps++
 				if late && steps == 500 {
 					// Mid-run, with models active and queues non-empty.
-					if len(cl.Ctl.activeModels) == 0 {
+					if cl.Ctl.active == 0 {
 						t.Fatal("no active model at the switch; the late build would be vacuous")
 					}
 					s.LoadSelection = LoadOldestFirst
@@ -419,9 +493,9 @@ func TestOldestFirstIndexMatchesLinear(t *testing.T) {
 						hits++
 					}
 				}
-				if cl.Ctl.deadlineIdx.Len() != len(cl.Ctl.activeModels) {
+				if cl.Ctl.deadlineIdx.Len() != cl.Ctl.active {
 					t.Fatalf("t=%v: deadline index holds %d models, %d are active",
-						now, cl.Ctl.deadlineIdx.Len(), len(cl.Ctl.activeModels))
+						now, cl.Ctl.deadlineIdx.Len(), cl.Ctl.active)
 				}
 			}
 			if hits == 0 {
@@ -432,22 +506,23 @@ func TestOldestFirstIndexMatchesLinear(t *testing.T) {
 }
 
 // TestModelTreapOrdering exercises the treap directly under random
-// insert/re-key/remove churn against a sorted reference.
+// insert/re-key/remove churn against a sorted reference, with keys as
+// they come and negated (the cold index's demand order).
 func TestModelTreapOrdering(t *testing.T) {
-	for _, desc := range []bool{true, false} {
-		tr := &modelTreap{desc: desc}
+	for _, sign := range []int64{1, -1} {
+		tr := &modelTreap{}
 		stream := rng.NewStream(99)
 		models := make([]*ModelInfo, 64)
 		keys := make(map[*ModelInfo]int64)
 		for i := range models {
 			models[i] = &ModelInfo{name: fmt.Sprintf("m%d", i), seq: uint64(i)}
 		}
-		slot := func(mi *ModelInfo) **treapNode { return &mi.demandNode }
+		slot := func(mi *ModelInfo) **treapNode { return &mi.coldNode }
 		for op := 0; op < 5000; op++ {
 			mi := models[stream.Intn(len(models))]
 			switch stream.Intn(3) {
 			case 0, 1: // insert or re-key
-				k := int64(stream.Intn(40)) // narrow range to force ties
+				k := sign * int64(stream.Intn(40)) // narrow range to force ties
 				tr.update(mi, slot(mi), k)
 				keys[mi] = k
 			case 2:
@@ -468,9 +543,6 @@ func TestModelTreapOrdering(t *testing.T) {
 		}
 		sort.Slice(want, func(i, j int) bool {
 			if want[i].key != want[j].key {
-				if desc {
-					return want[i].key > want[j].key
-				}
 				return want[i].key < want[j].key
 			}
 			return want[i].mi.seq < want[j].mi.seq
@@ -485,9 +557,12 @@ func TestModelTreapOrdering(t *testing.T) {
 		}
 		for i := range want {
 			if got[i].mi != want[i].mi {
-				t.Fatalf("desc=%v: position %d: got %s(key %d), want %s(key %d)",
-					desc, i, got[i].mi.name, got[i].key, want[i].mi.name, want[i].key)
+				t.Fatalf("sign=%d: position %d: got %s(key %d), want %s(key %d)",
+					sign, i, got[i].mi.name, got[i].key, want[i].mi.name, want[i].key)
 			}
+		}
+		if len(want) > 0 && tr.First() != want[0].mi {
+			t.Fatalf("sign=%d: First is %s, want %s", sign, name(tr.First()), want[0].mi.name)
 		}
 		// Early exit stops the walk.
 		visited := 0

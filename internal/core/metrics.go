@@ -290,11 +290,12 @@ func (m *Metrics) record(now simclock.Time, shard int, resp Response, latency, s
 	m.lock()
 	defer m.unlock()
 	idx := m.bucket(now)
-	m.LatencyAll.Observe(latency)
-	m.latencyHist(idx).Observe(latency)
+	lat := telemetry.NewSample(latency) // bucketed once for five histograms
+	m.LatencyAll.ObserveSample(lat)
+	m.latencyHist(idx).ObserveSample(lat)
 	m.Throughput.Incr(now)
 	m.recentCompleted++
-	m.recentLatency.Observe(latency)
+	m.recentLatency.ObserveSample(lat)
 	if !resp.Success || latency > slo {
 		m.recentViolations++
 	}
@@ -311,7 +312,7 @@ func (m *Metrics) record(now simclock.Time, shard int, resp Response, latency, s
 		m.perModel[resp.id] = mc
 	}
 	mc.requests++
-	mc.latency.Observe(latency)
+	mc.latency.ObserveSample(lat)
 	if resp.ColdStart {
 		mc.coldStarts++
 	}
@@ -333,7 +334,7 @@ func (m *Metrics) record(now simclock.Time, shard int, resp Response, latency, s
 			tc.succeeded++
 		}
 		if latency <= slo {
-			m.LatencyGood.Observe(latency)
+			m.LatencyGood.ObserveSample(lat)
 			m.Goodput.Incr(now)
 			mc.withinSLO++
 			sb.WithinSLO++

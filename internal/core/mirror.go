@@ -19,6 +19,8 @@ import (
 type GPUMirror struct {
 	WorkerID int
 	GPU      int
+	// idx is this mirror's position in its controller's GPU order.
+	idx int
 
 	// Pages mirrors the worker's PageCache (same deterministic type).
 	Pages *memory.PageCache
@@ -33,10 +35,11 @@ type GPUMirror struct {
 	ExecFreeAt simclock.Time
 	LoadFreeAt simclock.Time
 
-	// withWork indexes the models resident (or loading) on this GPU
-	// that currently have queued requests — the scheduler's candidate
-	// set for the next INFER.
-	withWork map[*ModelInfo]bool
+	// withWork lists, in no particular order, the models resident (or
+	// loading) on this GPU that currently have queued requests — the
+	// scheduler's candidate set for the next INFER. Each member's slot
+	// in actions holds its position, for O(1) swap-removes.
+	withWork []*ModelInfo
 
 	// stratQ is the strategy heap for this GPU: one lazily re-keyed
 	// entry per model with work, ordered by required start time (see
@@ -70,7 +73,6 @@ func newGPUMirror(workerID, gpu int, pageCacheBytes, pageSize int64) *GPUMirror 
 		WorkerID: workerID,
 		GPU:      gpu,
 		Pages:    memory.NewPageCache(pageCacheBytes, pageSize),
-		withWork: make(map[*ModelInfo]bool),
 		loadCeil: math.MaxInt64, // no model cleared yet: no limit
 	}
 }
@@ -79,10 +81,32 @@ func newGPUMirror(workerID, gpu int, pageCacheBytes, pageSize int64) *GPUMirror 
 // the predicted instant its LOAD in flight lands (zero: none — a real ETA
 // lies a positive transfer time and network allowance after some instant
 // ≥ 0), infers the number of submitted-but-unresolved INFER actions, so
-// eviction never targets a model that is about to execute.
+// eviction never targets a model that is about to execute. work is the
+// model's position in withWork plus one (zero: not in it).
 type modelActions struct {
 	loading simclock.Time
 	infers  int32
+	work    int32
+}
+
+// addWork puts mi in withWork (idempotent).
+func (g *GPUMirror) addWork(mi *ModelInfo) {
+	if a := g.outstanding(mi.id); a.work == 0 {
+		g.withWork = append(g.withWork, mi)
+		a.work = int32(len(g.withWork))
+	}
+}
+
+// dropWork takes mi out of withWork (idempotent), moving the last member
+// into its place.
+func (g *GPUMirror) dropWork(mi *ModelInfo) {
+	if int(mi.id) >= len(g.actions) || g.actions[mi.id].work == 0 {
+		return
+	}
+	i, last := g.actions[mi.id].work, len(g.withWork)-1
+	g.withWork[i-1], g.actions[g.withWork[last].id].work = g.withWork[last], i
+	g.withWork[last] = nil
+	g.withWork, g.actions[mi.id].work = g.withWork[:last], 0
 }
 
 // outstanding returns id's slot for writing, growing the table to it.
@@ -122,9 +146,10 @@ func (g *GPUMirror) IsLoading(mi *ModelInfo) bool { return g.peek(mi.id).loading
 // InFlight returns the number of unresolved INFER actions for mi.
 func (g *GPUMirror) InFlight(mi *ModelInfo) int { return int(g.peek(mi.id).infers) }
 
-// ModelsWithWork returns the live candidate set of models on this GPU
-// with queued requests. Callers must not mutate it.
-func (g *GPUMirror) ModelsWithWork() map[*ModelInfo]bool { return g.withWork }
+// ModelsWithWork returns the models on this GPU with queued requests, in
+// no particular order. The slice is live: sending an action can reorder
+// it, so callers finish ranging over it first, and must not mutate it.
+func (g *GPUMirror) ModelsWithWork() []*ModelInfo { return g.withWork }
 
 // OutstandingExecWork returns predicted time until the INFER executor
 // drains, from instant now.
@@ -213,16 +238,18 @@ type ModelInfo struct {
 	// can retract it exactly before applying the new share.
 	loadShare time.Duration
 	sharedOn  []*GPUMirror
-	// loadSign is what this model currently contributes to the
-	// controller's coldActive/posReplicated counters; written only by
+	// loadSign says which of the controller's load-candidate sets this
+	// model is in — the cold index or the positive set; written only by
 	// Controller.settleLoadSign. While it is signNone on an active
 	// replicated model, clearedTo[i] is the ℓ level of residentOn[i] up
 	// to which p_m ≤ 0 is proven (see Controller.clearLoad).
 	loadSign  loadSign
 	clearedTo []time.Duration
-	// demandNode/deadlineNode are this model's handles in the
-	// controller's ordered indexes.
-	demandNode   *treapNode
+	// posAt is this model's position in the controller's positive set
+	// plus one (zero: not in it); coldNode and deadlineNode are its
+	// handles in the cold and deadline indexes.
+	posAt        int
+	coldNode     *treapNode
 	deadlineNode *treapNode
 }
 
@@ -262,7 +289,8 @@ func (mi *ModelInfo) residentOnGPU(g *GPUMirror) bool {
 // rather than at one, two and three entries.
 const replicaRoom = 4
 
-// addReplica records g as holding this model (idempotent).
+// addReplica records g as holding this model (idempotent), and as having
+// work for it if it has queued requests.
 func (mi *ModelInfo) addReplica(g *GPUMirror) {
 	if mi.residentOn == nil {
 		mi.residentOn = make([]*GPUMirror, 0, replicaRoom)
@@ -270,11 +298,26 @@ func (mi *ModelInfo) addReplica(g *GPUMirror) {
 	if !mi.residentOnGPU(g) {
 		mi.residentOn = append(mi.residentOn, g)
 	}
+	if len(mi.queue) > 0 {
+		g.addWork(mi)
+	}
+}
+
+// nextReplica returns the lowest controller index at or after from of a
+// GPU holding this model, or n when there is none.
+func (mi *ModelInfo) nextReplica(from, n int) int {
+	for _, g := range mi.residentOn {
+		if g.idx >= from && g.idx < n {
+			n = g.idx
+		}
+	}
+	return n
 }
 
 // dropReplica removes g from the replica list, keeping the others in
 // order, and reports whether it was there.
 func (mi *ModelInfo) dropReplica(g *GPUMirror) bool {
+	g.dropWork(mi)
 	for i, r := range mi.residentOn {
 		if r == g {
 			n := copy(mi.residentOn[i:], mi.residentOn[i+1:])

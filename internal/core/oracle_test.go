@@ -17,7 +17,7 @@ import (
 // earliest required start, then registration sequence.
 func (s *ClockworkScheduler) bestStrategyLinear(g *GPUMirror, now simclock.Time) (best *ModelInfo, batch int, earliest, requiredStart simclock.Time) {
 	requiredStart = simclock.MaxTime
-	for mi := range g.ModelsWithWork() {
+	for _, mi := range g.ModelsWithWork() {
 		b, start, rs := s.c.inferCandidate(g, mi, now)
 		if b == 0 {
 			continue
@@ -32,9 +32,9 @@ func (s *ClockworkScheduler) bestStrategyLinear(g *GPUMirror, now simclock.Time)
 // rebuildAllocDemand recomputes ℓ_g from scratch over active models.
 func rebuildAllocDemand(c *Controller) map[*GPUMirror]time.Duration {
 	loads := make(map[*GPUMirror]time.Duration, len(c.GPUs()))
-	for mi := range c.ActiveModels() {
+	for _, mi := range c.modelList {
 		n := len(mi.residentOn)
-		if n == 0 || mi.demand <= 0 {
+		if mi.QueuedCount() == 0 || n == 0 || mi.demand <= 0 {
 			continue
 		}
 		share := mi.demand / time.Duration(n)
@@ -64,8 +64,8 @@ func loadPriorityLinear(cfg Config, mi *ModelInfo, loads map[*GPUMirror]time.Dur
 
 // bestLoadLinear is the seed's O(active models) scan with a per-call
 // ℓ_g rebuild and the mirror's own residency test: highest positive
-// priority, then highest demand, then registration sequence — the order
-// in which the demand-descending walk meets equal priorities.
+// priority, then highest demand, then registration sequence — the
+// tie-break bestLoad documents.
 func (s *ClockworkScheduler) bestLoadLinear(g *GPUMirror, now simclock.Time) *ModelInfo {
 	if s.LoadSelection == LoadOldestFirst {
 		return s.bestLoadOldestLinear(g, now)
@@ -74,8 +74,8 @@ func (s *ClockworkScheduler) bestLoadLinear(g *GPUMirror, now simclock.Time) *Mo
 	loads := rebuildAllocDemand(s.c)
 	var best *ModelInfo
 	var bestP time.Duration
-	for mi := range s.c.ActiveModels() {
-		if mi.demand <= 0 {
+	for _, mi := range s.c.modelList {
+		if mi.QueuedCount() == 0 || mi.demand <= 0 {
 			continue
 		}
 		if _, resident := g.Resident(mi); resident {
@@ -97,8 +97,8 @@ func (s *ClockworkScheduler) bestLoadLinear(g *GPUMirror, now simclock.Time) *Mo
 func (s *ClockworkScheduler) bestLoadOldestLinear(g *GPUMirror, now simclock.Time) *ModelInfo {
 	var best *ModelInfo
 	bestDeadline := simclock.MaxTime
-	for mi := range s.c.ActiveModels() {
-		if _, resident := g.Resident(mi); resident {
+	for _, mi := range s.c.modelList {
+		if _, resident := g.Resident(mi); mi.QueuedCount() == 0 || resident {
 			continue
 		}
 		eta := simclock.Max(now, g.LoadFreeAt).Add(s.c.EstimateLoad(mi))

@@ -28,6 +28,13 @@ type ClockworkScheduler struct {
 	// LoadSelection switches between Appendix B's priority policy
 	// (default) and the naive ablation policy. Set before first use.
 	LoadSelection LoadPolicy
+
+	// visits counts the GPUs OnRequest ran a pass on, for the work
+	// ratchet in the tests; testOnSkip, when non-nil, is called for
+	// every GPU it skipped, at the point of the controller-order walk
+	// where the GPU would have had its pass (tests audit the skip rule).
+	visits     uint64
+	testOnSkip func(g *GPUMirror)
 }
 
 // gpuWake is the preallocated re-evaluation event for one GPU: armWake
@@ -69,27 +76,56 @@ func (s *ClockworkScheduler) Attach(c *Controller) {
 }
 
 // OnRequest implements Scheduler: new demand may enable an INFER on any
-// GPU holding the model, or justify a LOAD anywhere. GPUs are visited
-// in controller order, not replica-list order, so the dispatch for a
-// multi-resident model does not depend on the order its LOADs happened
-// to be issued in.
+// GPU holding the model, or justify a LOAD anywhere. Each GPU holding
+// the model gets a full pass; another gets a LOAD pass (scheduleLoads,
+// then armWake) only where that can act — it is enabled, its LOAD
+// executor is below the lookahead and loadsPossible — or, on the first
+// request after the active set was empty (no LOAD wake was armed), where
+// its LOAD executor is saturated. DESIGN.md has why a skipped pass is a
+// no-op. The passes run in controller GPU order, not replica-list
+// order, so the dispatch for a multi-resident model does not depend on
+// the order its LOADs were issued in; the LOAD horizon tree finds the
+// GPUs between them.
 func (s *ClockworkScheduler) OnRequest(r *Request) {
-	mi := r.mi
-	for _, g := range s.c.GPUs() {
-		if mi.residentOnGPU(g) {
-			s.scheduleGPU(g)
-			continue
+	c, mi := s.c, r.mi
+	lapsed := c.wakesLapsed
+	c.wakesLapsed = false
+	n := len(c.gpus)
+	x := c.eng.Now().Add(c.cfg.Lookahead)
+	for at := 0; at < n; {
+		// A pass only acts on its own GPU: which GPUs from at on hold
+		// mi, and where their LOAD executors stand, holds until then.
+		i := mi.nextReplica(at, n)
+		if lapsed {
+			i = min(i, c.loadTree.next(at, x, true))
 		}
-		// Cold or under-replicated demand: consider loads everywhere.
-		// This loop still touches every GPU per request, but what it
-		// pays per GPU is small: a saturated LOAD executor exits on the
-		// lookahead check, and an idle one — the usual case under INFER-
-		// bound load — asks bestLoad, whose nothing-to-load gate answers
-		// in O(1) once the first call of the pass has flushed the GPUs
-		// this request dirtied.
-		s.scheduleLoads(g)
-		s.armWake(g)
+		if i > at && s.loadsPossible() {
+			i = min(i, c.loadTree.next(at, x, false))
+		}
+		if s.testOnSkip != nil {
+			for _, g := range c.gpus[at:min(i, n)] {
+				s.testOnSkip(g)
+			}
+		}
+		if i >= n {
+			return
+		}
+		s.visits++
+		if g := c.gpus[i]; mi.residentOnGPU(g) {
+			s.scheduleGPU(g)
+		} else {
+			s.scheduleLoads(g)
+			s.armWake(g)
+		}
+		at = i + 1
 	}
+}
+
+// loadsPossible reports whether bestLoad could select anything on some
+// GPU: a model is active and, under the priority policy, the
+// nothing-to-load gate is open.
+func (s *ClockworkScheduler) loadsPossible() bool {
+	return s.c.active > 0 && (s.LoadSelection == LoadOldestFirst || s.c.anythingToLoad())
 }
 
 // OnResult implements Scheduler: a result frees mirror capacity
@@ -114,10 +150,9 @@ func (s *ClockworkScheduler) scheduleInfers(g *GPUMirror) {
 	if g.disabled {
 		return
 	}
-	cfg := s.c.Config()
 	for {
 		now := s.c.Now()
-		if g.OutstandingExecWork(now) >= cfg.Lookahead {
+		if g.OutstandingExecWork(now) >= s.c.cfg.Lookahead {
 			return
 		}
 		mi, batch, earliest, requiredStart := s.bestStrategy(g, now)
@@ -141,7 +176,8 @@ func (s *ClockworkScheduler) scheduleInfers(g *GPUMirror) {
 // It reads g's strategy heap instead of scanning every model with work.
 // The heap's stored keys are lower bounds on each entry's current
 // required start (see stratEntry), so popping proceeds: stale entries
-// (stamp mismatch) are dropped, entries whose model has become
+// (stamp mismatch, or a model that no longer has queued requests on g)
+// are dropped, entries whose model has become
 // infeasible are dropped (within a stamp epoch infeasibility is
 // permanent — the start bound only grows — and every event that could
 // restore feasibility bumps the stamp and pushes a fresh entry), and
@@ -152,7 +188,7 @@ func (s *ClockworkScheduler) bestStrategy(g *GPUMirror, now simclock.Time) (best
 	for len(g.stratQ) > 0 {
 		e := g.stratQ[0]
 		mi := e.mi
-		if e.stamp != mi.stamp || !g.withWork[mi] {
+		if e.stamp != mi.stamp || len(mi.queue) == 0 || !mi.residentOnGPU(g) {
 			g.stratQ.popTop()
 			continue
 		}
@@ -177,10 +213,9 @@ func (s *ClockworkScheduler) scheduleLoads(g *GPUMirror) {
 	if g.disabled {
 		return
 	}
-	cfg := s.c.Config()
 	for {
 		now := s.c.Now()
-		if g.OutstandingLoadWork(now) >= cfg.Lookahead {
+		if g.OutstandingLoadWork(now) >= s.c.cfg.Lookahead {
 			return
 		}
 		best := s.bestLoad(g, now)
@@ -191,56 +226,44 @@ func (s *ClockworkScheduler) scheduleLoads(g *GPUMirror) {
 			return // cannot free enough pages right now
 		}
 		earliest := simclock.Max(now, g.LoadFreeAt)
-		latest := earliest.Add(cfg.Lookahead)
+		latest := earliest.Add(s.c.cfg.Lookahead)
 		s.c.SendLoad(g, best, earliest, latest)
 	}
 }
 
 // bestLoad returns the non-resident model with the highest positive load
-// priority whose LOAD would still be useful, or nil.
+// priority whose LOAD would still be useful, or nil. Equal priorities go
+// to the higher demand, then to the earlier registration.
 //
-// Two stages. First the controller's nothing-to-load gate (index.go):
-// if no active model has a positive priority anywhere — every one is
-// replicated and its replicas' GPUs absorb its demand, the steady state
-// of a loaded cluster — the answer is nil without visiting a model.
-// The gate is exact — every active model's p_m ≤ 0 is an evaluation by
-// the same loadPriority that is either current or proven to still hold
-// — so it never changes a decision; it only skips walks that would have
-// found nothing.
-// Otherwise the demand-ordered index is descended: a model's priority
-// p_m = d_m − Σ fulfilled is bounded above by its demand d_m, so once
-// the next model's demand cannot exceed the best exact priority found,
-// no later model can win and the descent stops. ℓ_g comes from the
-// incrementally maintained per-GPU allocated demand rather than a
-// per-call rebuild, and residency is read off the model's replica list.
+// Flushed, the controller's load candidates (index.go) are exactly the
+// active models with p_m > 0. The cold treap's first model is the best
+// cold one (p_m = d_m, resident nowhere); each positive model not on g
+// has its p_m evaluated, unless p_m ≤ d_m cannot win. In the steady
+// state of a loaded cluster both sets are empty and the answer costs
+// the flush alone.
 func (s *ClockworkScheduler) bestLoad(g *GPUMirror, now simclock.Time) *ModelInfo {
 	c := s.c
-	if len(c.activeModels) == 0 {
+	if c.active == 0 {
 		return nil
 	}
 	if s.LoadSelection == LoadOldestFirst {
 		return s.bestLoadOldest(g, now)
 	}
-	if !c.anythingToLoad() {
-		return nil
-	}
-	var best *ModelInfo
+	c.flushLoadSigns()
+	best := c.coldIdx.First()
 	var bestP time.Duration
-	c.demandIdx.Scan(func(mi *ModelInfo) bool {
-		if mi.demand <= 0 {
-			return false // demand-descending: nothing below can qualify
+	if best != nil {
+		bestP = best.demand
+	}
+	for _, mi := range c.posSet {
+		if (best != nil && mi.demand < bestP) || mi.residentOnGPU(g) {
+			continue
 		}
-		if best != nil && mi.demand <= bestP {
-			return false // upper bound: p_m ≤ d_m cannot beat bestP
-		}
-		if mi.residentOnGPU(g) {
-			return true
-		}
-		if p := c.loadPriority(mi); p > 0 && (best == nil || p > bestP) {
+		if p := c.loadPriority(mi); best == nil || p > bestP ||
+			(p == bestP && (mi.demand > best.demand || (mi.demand == best.demand && mi.seq < best.seq))) {
 			best, bestP = mi, p
 		}
-		return true
-	})
+	}
 	return best
 }
 
@@ -310,14 +333,14 @@ func (s *ClockworkScheduler) armWake(g *GPUMirror) {
 	if g.disabled {
 		return
 	}
-	cfg := s.c.Config()
+	lookahead := s.c.cfg.Lookahead
 	now := s.c.Now()
 	wake := simclock.MaxTime
-	if len(g.withWork) > 0 && g.OutstandingExecWork(now) >= cfg.Lookahead {
-		wake = simclock.Min(wake, g.ExecFreeAt.Add(-cfg.Lookahead))
+	if len(g.withWork) > 0 && g.OutstandingExecWork(now) >= lookahead {
+		wake = simclock.Min(wake, g.ExecFreeAt.Add(-lookahead))
 	}
-	if len(s.c.activeModels) > 0 && g.OutstandingLoadWork(now) >= cfg.Lookahead {
-		wake = simclock.Min(wake, g.LoadFreeAt.Add(-cfg.Lookahead))
+	if s.c.active > 0 && g.OutstandingLoadWork(now) >= lookahead {
+		wake = simclock.Min(wake, g.LoadFreeAt.Add(-lookahead))
 	}
 	if wake == simclock.MaxTime {
 		return

@@ -67,12 +67,11 @@ func benchState(nModels, resident, reqsPer int) (*ClockworkScheduler, *GPUMirror
 // spreadState builds the state benchState cannot: 16 GPUs and nModels
 // active models, every one of them replicated on two GPUs (model i on
 // GPUs i and i+1 mod 16) whose allocated demand stays under the load
-// horizon, so every exact priority is ≤ 0 and nothing is loadable. One
-// GPU with everything resident, or a cold majority, are the two states
-// in which the demand walk is short; this is the one in which it visits
-// every active model to return nil — the steady state of a loaded
-// multi-GPU cluster. Returns the scheduler, the GPU to ask for, and a
-// model that is not resident on it.
+// horizon, so every exact priority is ≤ 0, nothing is loadable and both
+// load-candidate sets are empty — the steady state of a loaded multi-GPU
+// cluster, in which a linear scan visits every active model to return
+// nil. Returns the scheduler, the GPU to ask for, and a model that is
+// not resident on it.
 func spreadState(nModels int) (*ClockworkScheduler, *GPUMirror, *ModelInfo, simclock.Time) {
 	const gpus = 16
 	eng := simclock.NewEngine()
@@ -96,11 +95,11 @@ func spreadState(nModels int) (*ClockworkScheduler, *GPUMirror, *ModelInfo, simc
 	s.Attach(ctl)
 	g := ctl.GPUs()[0]
 	other, _ := ctl.Model("bench-m5") // on GPUs 5 and 6
-	if ctl.coldActive != 0 || !other.residentOnGPU(ctl.GPUs()[5]) || other.residentOnGPU(g) {
+	if ctl.coldIdx.Len() != 0 || !other.residentOnGPU(ctl.GPUs()[5]) || other.residentOnGPU(g) {
 		panic("spreadState: not the state it documents")
 	}
-	if ctl.flushLoadSigns(); ctl.posReplicated != 0 {
-		panic(fmt.Sprintf("spreadState: %d of %d models have a positive priority; shrink the state", ctl.posReplicated, nModels))
+	if ctl.flushLoadSigns(); len(ctl.posSet) != 0 {
+		panic(fmt.Sprintf("spreadState: %d of %d models have a positive priority; shrink the state", len(ctl.posSet), nModels))
 	}
 	return s, g, other, eng.Now()
 }

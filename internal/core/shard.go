@@ -39,8 +39,10 @@ func (c *Controller) modelBusy(mi *ModelInfo) bool {
 // models — the skew signal the cross-shard rebalancer compares.
 func (c *Controller) TotalDemand() time.Duration {
 	var d time.Duration
-	for mi := range c.activeModels {
-		d += mi.demand
+	for _, mi := range c.modelList {
+		if len(mi.queue) > 0 {
+			d += mi.demand
+		}
 	}
 	return d
 }
@@ -60,19 +62,15 @@ func (c *Controller) SchedulableGPUs() int {
 
 // HottestMigratable returns the highest-demand active model that can
 // migrate right now (no in-flight LOAD/INFER) with demand strictly
-// below maxDemand, descending the demand-ordered index. Selection is
-// deterministic: demand order with registration-sequence tie-breaks.
+// below maxDemand. Selection is deterministic: one pass in registration
+// order keeps the first of equal demands. It runs on the rebalancer's
+// cold path only, so it scans rather than keeping an index.
 func (c *Controller) HottestMigratable(maxDemand time.Duration) (name string, demand time.Duration, ok bool) {
-	c.demandIdx.Scan(func(mi *ModelInfo) bool {
-		if mi.demand <= 0 {
-			return false // demand-descending: nothing below qualifies
+	for _, mi := range c.modelList {
+		if len(mi.queue) > 0 && mi.demand > demand && mi.demand < maxDemand && !c.modelBusy(mi) {
+			name, demand, ok = mi.name, mi.demand, true
 		}
-		if mi.demand >= maxDemand || c.modelBusy(mi) {
-			return true
-		}
-		name, demand, ok = mi.name, mi.demand, true
-		return false
-	})
+	}
 	return name, demand, ok
 }
 
@@ -105,7 +103,9 @@ func (c *Controller) ExtractModel(name string) (*modelzoo.Model, []*Request, err
 	mi.queue = mi.queue[:0]
 	mi.capped = 0
 	mi.demand = 0
-	c.noteQueueMaybeEmpty(mi)
+	if len(reqs) > 0 {
+		c.noteQueueMaybeEmpty(mi)
+	}
 
 	// Evict every replica in deterministic GPU order; mirrors of
 	// drained/failed workers were already detached from residency, but
@@ -114,9 +114,6 @@ func (c *Controller) ExtractModel(name string) (*modelzoo.Model, []*Request, err
 		if !g.disabled && mi.residentOnGPU(g) {
 			c.SendUnload(g, mi)
 		}
-	}
-	for _, g := range mi.residentOn {
-		delete(g.withWork, mi)
 	}
 	mi.residentOn = nil
 
@@ -150,7 +147,7 @@ func (c *Controller) AdoptModel(name string, zoo *modelzoo.Model, reqs []*Reques
 		mi.demand += r.execEst
 	}
 	if len(mi.queue) > 0 {
-		c.activeModels[mi] = true
+		c.activate(mi)
 	}
 	c.reindexModel(mi)
 	for _, r := range reqs {

@@ -56,24 +56,37 @@ func bucketLower(idx int) time.Duration {
 	return time.Duration(histMinNanos * math.Pow(10, float64(idx)/bucketsPerDecade))
 }
 
+// Sample is a duration with its bucket worked out, for a value observed
+// into several histograms: the logarithm is taken once, in NewSample.
+type Sample struct {
+	d   time.Duration
+	idx int
+}
+
+// NewSample clamps d as Observe does and buckets it.
+func NewSample(d time.Duration) Sample {
+	d = max(d, 0)
+	return Sample{d, bucketIndex(d)}
+}
+
 // Observe records one duration. Negative durations are clamped to zero.
 func (h *Histogram) Observe(d time.Duration) {
-	if d < 0 {
-		d = 0
-	}
-	h.count++
-	h.sum += float64(d)
-	if d < h.min {
-		h.min = d
-	}
-	if d > h.max {
-		h.max = d
-	}
+	d = max(d, 0)
 	if d != h.lastD {
 		h.lastD = d
 		h.lastIdx = bucketIndex(d)
 	}
-	h.buckets[h.lastIdx]++
+	h.ObserveSample(Sample{d, h.lastIdx})
+}
+
+// ObserveSample records s: the same as Observe with the duration s was
+// made from.
+func (h *Histogram) ObserveSample(s Sample) {
+	h.count++
+	h.sum += float64(s.d)
+	h.min = min(h.min, s.d)
+	h.max = max(h.max, s.d)
+	h.buckets[s.idx]++
 }
 
 // Count returns the number of observations.

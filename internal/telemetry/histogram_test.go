@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 	"testing/quick"
 	"time"
@@ -171,6 +172,43 @@ func TestHistogramMergeConservesCountProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A sample bucketed once and observed is the same observation as its
+// duration observed: same count, sum, extremes, buckets and quantiles,
+// over repeats (Observe's memo), the clamp, the floor and the top.
+func TestObserveSampleMatchesObserve(t *testing.T) {
+	stream := rand.New(rand.NewSource(7))
+	a, b := NewHistogram(), NewHistogram()
+	for i := 0; i < 5000; i++ {
+		d := time.Duration(stream.ExpFloat64() * float64(20*time.Millisecond))
+		switch i % 50 {
+		case 0:
+			d = -d
+		case 1:
+			d = 37
+		case 2:
+			d = 100 * time.Hour
+		case 3, 4:
+			d = 5 * time.Millisecond
+		}
+		a.Observe(d)
+		b.ObserveSample(NewSample(d))
+	}
+	if a.count != b.count || a.sum != b.sum || a.min != b.min || a.max != b.max {
+		t.Fatalf("Observe: n=%d sum=%v [%v, %v]; ObserveSample: n=%d sum=%v [%v, %v]",
+			a.count, a.sum, a.min, a.max, b.count, b.sum, b.min, b.max)
+	}
+	for i := range a.buckets {
+		if a.buckets[i] != b.buckets[i] {
+			t.Fatalf("bucket %d: Observe %d, ObserveSample %d", i, a.buckets[i], b.buckets[i])
+		}
+	}
+	for q := 0.0; q <= 1; q += 0.001 {
+		if qa, qb := a.Quantile(q), b.Quantile(q); qa != qb {
+			t.Fatalf("q=%v: Observe %v, ObserveSample %v", q, qa, qb)
+		}
 	}
 }
 
