@@ -138,6 +138,101 @@ func TestRegisterExternalPolicy(t *testing.T) {
 	}
 }
 
+// workListScheduler dispatches only when none of its actions is
+// outstanding, and then sends one batch-1 INFER per model on GPU 0's work
+// list from inside the range over it. Each INFER empties its model's
+// queue and so takes the model off the live list mid-range.
+type workListScheduler struct {
+	c       *clockwork.Controller
+	models  []*clockwork.ModelInfo
+	work    []*clockwork.ModelInfo
+	pending int // actions sent whose results have not come back
+	maxSent int // most INFERs sent in one range over the work list
+}
+
+func (s *workListScheduler) Attach(c *clockwork.Controller)        { s.c = c }
+func (s *workListScheduler) OnCancel(*clockwork.ControllerRequest) {}
+func (s *workListScheduler) OnResult(clockwork.ActionResult)       { s.pending--; s.pump() }
+
+func (s *workListScheduler) OnRequest(r *clockwork.ControllerRequest) {
+	if mi := r.ModelInfo(); !slices.Contains(s.models, mi) {
+		s.models = append(s.models, mi)
+	}
+	s.pump()
+}
+
+func (s *workListScheduler) pump() {
+	if s.pending > 0 {
+		return
+	}
+	g := s.c.GPUs()[0]
+	for _, mi := range s.models {
+		if _, resident := g.Resident(mi); !resident && mi.QueuedCount() > 0 {
+			s.c.SendLoad(g, mi, s.c.Now(), clockwork.MaxVirtualTime)
+			s.pending++
+		}
+	}
+	if s.pending > 0 {
+		return
+	}
+	sent := 0
+	s.work = g.ModelsWithWork(s.work)
+	for _, mi := range s.work {
+		s.c.SendInfer(g, mi, 1, mi.PopBatch(1), s.c.Now(), clockwork.MaxVirtualTime)
+		s.pending++
+		sent++
+	}
+	s.maxSent = max(s.maxSent, sent)
+}
+
+// TestModelsWithWorkSafeToSendWhileRanging serves same-instant bursts
+// through workListScheduler: the INFERs it sends while ranging over
+// ModelsWithWork must not make it skip a model or meet an emptied slot.
+func TestModelsWithWorkSafeToSendWhileRanging(t *testing.T) {
+	var s *workListScheduler
+	err := clockwork.RegisterPolicy("test-worklist", clockwork.PolicySpec{
+		New: func() clockwork.Scheduler {
+			s = &workListScheduler{}
+			return s
+		},
+		DisableAdmissionControl: true,
+		Description:             "test-only scheduler sending while ranging over a GPU's work list",
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys := mustSys(t, clockwork.Config{Policy: "test-worklist", ExactTiming: true})
+	models := []string{"a", "b", "c", "d"}
+	for _, m := range models {
+		if err := sys.RegisterModel(m, "resnet50_v1b"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submitted, served := 0, 0
+	burst := func() {
+		for _, m := range models {
+			submitted++
+			if err := sys.Submit(m, time.Second, func(r clockwork.Result) {
+				if r.Success {
+					served++
+				}
+			}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		sys.RunFor(500 * time.Millisecond)
+	}
+	for i := 0; i < 3; i++ {
+		burst()
+	}
+	if served != submitted {
+		t.Fatalf("served %d of %d", served, submitted)
+	}
+	if s.maxSent < 3 {
+		t.Fatalf("at most %d INFERs sent in one range; the test needs several models leaving the list mid-range", s.maxSent)
+	}
+}
+
 func TestMaxBatchSizeCapsBatches(t *testing.T) {
 	sys := mustSys(t, clockwork.Config{ExactTiming: true, Seed: 2})
 	if err := sys.RegisterModel("m", "resnet50_v1b"); err != nil {

@@ -25,6 +25,7 @@ type INFaaS struct {
 	// each GPU's pipeline shallow but busy.
 	outstanding map[*core.GPUMirror]int
 	lastScale   map[string]simclock.Time
+	work        []*core.ModelInfo // pump's copy of a GPU's work list
 }
 
 // Reactive knobs.
@@ -191,7 +192,8 @@ func (s *INFaaS) pump(g *core.GPUMirror) {
 		var pickReady simclock.Time
 		var pickID uint64
 		var oldest simclock.Time = simclock.MaxTime
-		for _, mi := range g.ModelsWithWork() {
+		s.work = g.ModelsWithWork(s.work)
+		for _, mi := range s.work {
 			r := mi.PeekOldest()
 			if r == nil {
 				continue

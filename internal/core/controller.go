@@ -129,8 +129,6 @@ type Controller struct {
 	workers    []*workerHandle
 	workerByID []*workerHandle
 	gpus       []*GPUMirror
-	// loadTree spans the GPUs' LOAD executor horizons (index.go).
-	loadTree loadTree
 	// tab interns model names to dense IDs and holds each name's live
 	// registration (models.go) — shared with the sibling shards when the
 	// controller is part of a cluster, whose index among them is shard.
@@ -329,7 +327,6 @@ func (c *Controller) AddWorker(id, gpuCount int, pageCacheBytes, pageSize int64,
 	wh := &workerHandle{id: id, submit: submit}
 	for i := 0; i < gpuCount; i++ {
 		m := newGPUMirror(id, i, pageCacheBytes, pageSize)
-		m.idx = len(c.gpus)
 		wh.gpus = append(wh.gpus, m)
 		c.gpus = append(c.gpus, m)
 	}
@@ -337,7 +334,6 @@ func (c *Controller) AddWorker(id, gpuCount int, pageCacheBytes, pageSize int64,
 	// IDs ascend, so id lies past every slot the table has.
 	c.workerByID = append(c.workerByID, make([]*workerHandle, id-len(c.workerByID))...)
 	c.workerByID = append(c.workerByID, wh)
-	c.loadTree.reset(c.gpus)
 }
 
 // DrainWorker takes a worker out of scheduling: no new actions are sent
@@ -429,7 +425,6 @@ func (c *Controller) mirror(workerID, gpu int) *GPUMirror {
 func (c *Controller) detachWorker(wh *workerHandle) {
 	for _, g := range wh.gpus {
 		g.disabled = true
-		c.loadTree.set(g)
 		for _, mi := range c.modelList {
 			if mi.dropReplica(g) {
 				c.reindexModel(mi)
@@ -923,7 +918,6 @@ func (c *Controller) SendLoad(g *GPUMirror, mi *ModelInfo, earliest, latest simc
 	}
 	g.outstanding(mi.id).loading = eta
 	g.LoadFreeAt = transferEnd
-	c.loadTree.set(g)
 	mi.addReplica(g)
 	c.stats.ActionsLoad++
 	c.reindexModel(mi)

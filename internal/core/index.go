@@ -32,8 +32,6 @@ import (
 //     which its p_m ≤ 0 was proven (clearLoad, flushLoadSigns). bestLoad
 //     takes the cold treap's first model and evaluates each positive
 //     one's p_m afresh: no model is ever keyed by its priority.
-//   - the LOAD horizon tree, which finds for OnRequest, in controller
-//     order, the GPUs whose LOAD executor a pass could act on.
 //   - a deadline-ordered treap (enabled only for the LoadOldestFirst
 //     ablation policy) over active models keyed by earliest queued
 //     deadline.
@@ -364,82 +362,6 @@ func (c *Controller) enableDeadlineIndex() {
 			c.deadlineIdx.update(mi, &mi.deadlineNode, int64(mi.MinDeadline()))
 		}
 	}
-}
-
-// ---- LOAD executor horizons ----
-
-// loadTree is a tournament over the controller's GPUs in controller
-// order: leaf i spans GPU i's LoadFreeAt, each inner node the lowest and
-// highest instant below it; a disabled GPU or a padding leaf spans
-// nothing. It finds OnRequest the next GPU whose LOAD executor is below
-// the lookahead, or saturated, in O(log GPUs). AddWorker builds it;
-// SendLoad and detachWorker refresh a leaf.
-type loadTree []loadSpan
-
-type loadSpan struct{ lo, hi simclock.Time }
-
-var noSpan = loadSpan{simclock.MaxTime, simclock.MinTime}
-
-// has reports whether some GPU under s has its LOAD executor saturated
-// (draining at or after x = now + Lookahead), or else below it.
-func (s loadSpan) has(x simclock.Time, saturated bool) bool {
-	if saturated {
-		return s.hi >= x
-	}
-	return s.lo < x
-}
-
-func (t *loadTree) reset(gpus []*GPUMirror) {
-	n := 1
-	for n < len(gpus) {
-		n *= 2
-	}
-	*t = make(loadTree, 2*n)
-	for i := range *t {
-		(*t)[i] = noSpan
-	}
-	for _, g := range gpus {
-		t.set(g)
-	}
-}
-
-// set refreshes g's leaf after its LoadFreeAt or disabled flag changed.
-func (t loadTree) set(g *GPUMirror) {
-	i := len(t)/2 + g.idx
-	if t[i] = noSpan; !g.disabled {
-		t[i] = loadSpan{g.LoadFreeAt, g.LoadFreeAt}
-	}
-	for i /= 2; i > 0; i /= 2 {
-		l, r := t[2*i], t[2*i+1]
-		t[i] = loadSpan{min(l.lo, r.lo), max(l.hi, r.hi)}
-	}
-}
-
-// next returns the controller index of the first GPU at or after from
-// that has(x, saturated), or a number ≥ the GPU count when none does.
-func (t loadTree) next(from int, x simclock.Time, saturated bool) int {
-	n := len(t) / 2
-	if from >= n {
-		return n
-	}
-	i := n + from
-	for !t[i].has(x, saturated) {
-		// Nothing under i: move to the subtree just right of it.
-		for i&1 == 1 {
-			i /= 2
-		}
-		if i == 0 {
-			return n
-		}
-		i++
-	}
-	for i < n {
-		i *= 2
-		if !t[i].has(x, saturated) {
-			i++
-		}
-	}
-	return i - n
 }
 
 // ---- per-GPU strategy heap ----

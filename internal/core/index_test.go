@@ -343,19 +343,6 @@ func compareControllerState(t *testing.T, c *Controller, now simclock.Time) (pos
 			t.Fatalf("t=%v: w%d.g%d lists %d models with work, %d are", now, g.WorkerID, g.GPU, len(g.withWork), work[g])
 		}
 	}
-	// The LOAD horizon tree answers what a scan of the mirrors would.
-	x := now.Add(c.cfg.Lookahead)
-	for _, saturated := range []bool{false, true} {
-		want := len(c.gpus)
-		for from := len(c.gpus) - 1; from >= 0; from-- {
-			if g := c.gpus[from]; !g.disabled && (g.OutstandingLoadWork(now) >= c.cfg.Lookahead) == saturated {
-				want = from
-			}
-			if got := min(c.loadTree.next(from, x, saturated), len(c.gpus)); got != want {
-				t.Fatalf("t=%v: next GPU from %d with saturated=%v: tree says %d, scan %d", now, from, saturated, got, want)
-			}
-		}
-	}
 
 	// The load candidates. exactSign is a model's sign by the linear
 	// priority on the rebuilt ℓ_g. Before the flush, a model none of

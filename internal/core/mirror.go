@@ -19,8 +19,6 @@ import (
 type GPUMirror struct {
 	WorkerID int
 	GPU      int
-	// idx is this mirror's position in its controller's GPU order.
-	idx int
 
 	// Pages mirrors the worker's PageCache (same deterministic type).
 	Pages *memory.PageCache
@@ -146,10 +144,12 @@ func (g *GPUMirror) IsLoading(mi *ModelInfo) bool { return g.peek(mi.id).loading
 // InFlight returns the number of unresolved INFER actions for mi.
 func (g *GPUMirror) InFlight(mi *ModelInfo) int { return int(g.peek(mi.id).infers) }
 
-// ModelsWithWork returns the models on this GPU with queued requests, in
-// no particular order. The slice is live: sending an action can reorder
-// it, so callers finish ranging over it first, and must not mutate it.
-func (g *GPUMirror) ModelsWithWork() []*ModelInfo { return g.withWork }
+// ModelsWithWork returns buf[:0] with the models on this GPU that have
+// queued requests appended, in no particular order. The result is a
+// copy, so a caller may send actions while ranging over it.
+func (g *GPUMirror) ModelsWithWork(buf []*ModelInfo) []*ModelInfo {
+	return append(buf[:0], g.withWork...)
+}
 
 // OutstandingExecWork returns predicted time until the INFER executor
 // drains, from instant now.
@@ -301,17 +301,6 @@ func (mi *ModelInfo) addReplica(g *GPUMirror) {
 	if len(mi.queue) > 0 {
 		g.addWork(mi)
 	}
-}
-
-// nextReplica returns the lowest controller index at or after from of a
-// GPU holding this model, or n when there is none.
-func (mi *ModelInfo) nextReplica(from, n int) int {
-	for _, g := range mi.residentOn {
-		if g.idx >= from && g.idx < n {
-			n = g.idx
-		}
-	}
-	return n
 }
 
 // dropReplica removes g from the replica list, keeping the others in

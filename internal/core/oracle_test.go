@@ -17,7 +17,7 @@ import (
 // earliest required start, then registration sequence.
 func (s *ClockworkScheduler) bestStrategyLinear(g *GPUMirror, now simclock.Time) (best *ModelInfo, batch int, earliest, requiredStart simclock.Time) {
 	requiredStart = simclock.MaxTime
-	for _, mi := range g.ModelsWithWork() {
+	for _, mi := range g.withWork {
 		b, start, rs := s.c.inferCandidate(g, mi, now)
 		if b == 0 {
 			continue

@@ -80,44 +80,32 @@ func (s *ClockworkScheduler) Attach(c *Controller) {
 // the model gets a full pass; another gets a LOAD pass (scheduleLoads,
 // then armWake) only where that can act — it is enabled, its LOAD
 // executor is below the lookahead and loadsPossible — or, on the first
-// request after the active set was empty (no LOAD wake was armed), where
-// its LOAD executor is saturated. DESIGN.md has why a skipped pass is a
-// no-op. The passes run in controller GPU order, not replica-list
-// order, so the dispatch for a multi-resident model does not depend on
-// the order its LOADs were issued in; the LOAD horizon tree finds the
-// GPUs between them.
+// request after the active set was empty (no LOAD wake was armed), on
+// every enabled GPU. DESIGN.md has why a skipped pass is a no-op. The
+// passes run in controller GPU order, not replica-list order, so the
+// dispatch for a multi-resident model does not depend on the order its
+// LOADs were issued in.
 func (s *ClockworkScheduler) OnRequest(r *Request) {
 	c, mi := s.c, r.mi
 	lapsed := c.wakesLapsed
 	c.wakesLapsed = false
-	n := len(c.gpus)
-	x := c.eng.Now().Add(c.cfg.Lookahead)
-	for at := 0; at < n; {
-		// A pass only acts on its own GPU: which GPUs from at on hold
-		// mi, and where their LOAD executors stand, holds until then.
-		i := mi.nextReplica(at, n)
-		if lapsed {
-			i = min(i, c.loadTree.next(at, x, true))
-		}
-		if i > at && s.loadsPossible() {
-			i = min(i, c.loadTree.next(at, x, false))
-		}
-		if s.testOnSkip != nil {
-			for _, g := range c.gpus[at:min(i, n)] {
-				s.testOnSkip(g)
-			}
-		}
-		if i >= n {
-			return
-		}
-		s.visits++
-		if g := c.gpus[i]; mi.residentOnGPU(g) {
+	x := c.eng.Now().Add(c.cfg.Lookahead) // LOAD executors draining before x are below the lookahead
+	possible := s.loadsPossible()         // only a pass can change it
+	for _, g := range c.gpus {
+		switch {
+		case mi.residentOnGPU(g):
 			s.scheduleGPU(g)
-		} else {
+		case !g.disabled && (lapsed || (possible && g.LoadFreeAt < x)):
 			s.scheduleLoads(g)
 			s.armWake(g)
+		default:
+			if s.testOnSkip != nil {
+				s.testOnSkip(g)
+			}
+			continue
 		}
-		at = i + 1
+		s.visits++
+		possible = s.loadsPossible()
 	}
 }
 
