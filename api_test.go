@@ -185,23 +185,28 @@ func (s *workListScheduler) pump() {
 	s.maxSent = max(s.maxSent, sent)
 }
 
+// lastWorkList is the workListScheduler the "test-worklist" policy made
+// last.
+var lastWorkList *workListScheduler
+
 // TestModelsWithWorkSafeToSendWhileRanging serves same-instant bursts
 // through workListScheduler: the INFERs it sends while ranging over
 // ModelsWithWork must not make it skip a model or meet an emptied slot.
 func TestModelsWithWorkSafeToSendWhileRanging(t *testing.T) {
-	var s *workListScheduler
+	// Registered once per process (-count > 1 reruns find it there).
 	err := clockwork.RegisterPolicy("test-worklist", clockwork.PolicySpec{
 		New: func() clockwork.Scheduler {
-			s = &workListScheduler{}
-			return s
+			lastWorkList = &workListScheduler{}
+			return lastWorkList
 		},
 		DisableAdmissionControl: true,
 		Description:             "test-only scheduler sending while ranging over a GPU's work list",
 	})
-	if err != nil {
+	if err != nil && !errors.Is(err, clockwork.ErrDuplicatePolicy) {
 		t.Fatal(err)
 	}
 	sys := mustSys(t, clockwork.Config{Policy: "test-worklist", ExactTiming: true})
+	s := lastWorkList
 	models := []string{"a", "b", "c", "d"}
 	for _, m := range models {
 		if err := sys.RegisterModel(m, "resnet50_v1b"); err != nil {
