@@ -124,7 +124,7 @@ func TestRegisterExternalPolicy(t *testing.T) {
 	}
 	served := 0
 	for i := 0; i < 5; i++ {
-		if err := sys.Submit("m", time.Second, func(r clockwork.Result) {
+		if _, err := sys.SubmitRequest(clockwork.Request{Model: "m", SLO: time.Second}, func(r clockwork.Result) {
 			if r.Success {
 				served++
 			}
@@ -217,7 +217,7 @@ func TestModelsWithWorkSafeToSendWhileRanging(t *testing.T) {
 	burst := func() {
 		for _, m := range models {
 			submitted++
-			if err := sys.Submit(m, time.Second, func(r clockwork.Result) {
+			if _, err := sys.SubmitRequest(clockwork.Request{Model: m, SLO: time.Second}, func(r clockwork.Result) {
 				if r.Success {
 					served++
 				}
@@ -244,7 +244,7 @@ func TestMaxBatchSizeCapsBatches(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Warm the model so the burst has latitude to batch.
-	sys.Submit("m", 100*time.Millisecond, nil)
+	sys.SubmitRequest(clockwork.Request{Model: "m", SLO: 100 * time.Millisecond}, nil)
 	sys.RunFor(100 * time.Millisecond)
 
 	batches := map[int]int{}
@@ -270,7 +270,7 @@ func TestPriorityOrdersQueue(t *testing.T) {
 	if err := sys.RegisterModel("m", "resnet50_v1b"); err != nil {
 		t.Fatal(err)
 	}
-	sys.Submit("m", 100*time.Millisecond, nil) // warm
+	sys.SubmitRequest(clockwork.Request{Model: "m", SLO: 100 * time.Millisecond}, nil) // warm
 	sys.RunFor(100 * time.Millisecond)
 
 	var order []string
@@ -367,7 +367,7 @@ func TestControlPlaneWorkerLifecycle(t *testing.T) {
 	}
 	// Serve once on worker 0.
 	ok := false
-	sys.Submit("m", 100*time.Millisecond, func(r clockwork.Result) { ok = r.Success })
+	sys.SubmitRequest(clockwork.Request{Model: "m", SLO: 100 * time.Millisecond}, func(r clockwork.Result) { ok = r.Success })
 	sys.RunFor(100 * time.Millisecond)
 	if !ok {
 		t.Fatal("baseline serve failed")
@@ -390,7 +390,7 @@ func TestControlPlaneWorkerLifecycle(t *testing.T) {
 	}
 	served := 0
 	for i := 0; i < 10; i++ {
-		sys.Submit("m", 100*time.Millisecond, func(r clockwork.Result) {
+		sys.SubmitRequest(clockwork.Request{Model: "m", SLO: 100 * time.Millisecond}, func(r clockwork.Result) {
 			if r.Success {
 				served++
 			}
@@ -418,12 +418,12 @@ func TestFailWorkerFailsInFlight(t *testing.T) {
 	if err := sys.RegisterModel("m", "resnet50_v1b"); err != nil {
 		t.Fatal(err)
 	}
-	sys.Submit("m", 100*time.Millisecond, nil) // warm
+	sys.SubmitRequest(clockwork.Request{Model: "m", SLO: 100 * time.Millisecond}, nil) // warm
 	sys.RunFor(100 * time.Millisecond)
 
 	outcomes := map[clockwork.Reason]int{}
 	for i := 0; i < 6; i++ {
-		sys.Submit("m", 50*time.Millisecond, func(r clockwork.Result) {
+		sys.SubmitRequest(clockwork.Request{Model: "m", SLO: 50 * time.Millisecond}, func(r clockwork.Result) {
 			outcomes[r.Reason]++
 		})
 	}
@@ -462,7 +462,7 @@ func TestUnregisterModel(t *testing.T) {
 	}
 	// Serve both, then retire "drop" at quiescence.
 	for _, m := range []string{"keep", "drop"} {
-		sys.Submit(m, 100*time.Millisecond, nil)
+		sys.SubmitRequest(clockwork.Request{Model: m, SLO: 100 * time.Millisecond}, nil)
 	}
 	sys.RunFor(200 * time.Millisecond)
 
@@ -472,12 +472,12 @@ func TestUnregisterModel(t *testing.T) {
 	if err := sys.UnregisterModel("drop"); err != nil {
 		t.Fatal(err)
 	}
-	if err := sys.Submit("drop", time.Second, nil); !errors.Is(err, clockwork.ErrUnknownModel) {
+	if _, err := sys.SubmitRequest(clockwork.Request{Model: "drop", SLO: time.Second}, nil); !errors.Is(err, clockwork.ErrUnknownModel) {
 		t.Fatalf("submitting to an unregistered model: want ErrUnknownModel, got %v", err)
 	}
 	// "keep" is unaffected.
 	ok := false
-	sys.Submit("keep", 100*time.Millisecond, func(r clockwork.Result) { ok = r.Success })
+	sys.SubmitRequest(clockwork.Request{Model: "keep", SLO: 100 * time.Millisecond}, func(r clockwork.Result) { ok = r.Success })
 	sys.RunFor(100 * time.Millisecond)
 	if !ok {
 		t.Fatal("surviving model stopped serving")
@@ -487,7 +487,7 @@ func TestUnregisterModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ok = false
-	sys.Submit("drop", 100*time.Millisecond, func(r clockwork.Result) { ok = r.Success })
+	sys.SubmitRequest(clockwork.Request{Model: "drop", SLO: 100 * time.Millisecond}, func(r clockwork.Result) { ok = r.Success })
 	sys.RunFor(100 * time.Millisecond)
 	if !ok {
 		t.Fatal("re-registered model failed to serve")
@@ -504,7 +504,7 @@ func TestUnregisterFailsQueuedRequests(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got clockwork.Result
-	sys.Submit("m", 10*time.Second, func(r clockwork.Result) { got = r })
+	sys.SubmitRequest(clockwork.Request{Model: "m", SLO: 10 * time.Second}, func(r clockwork.Result) { got = r })
 	sys.RunFor(10 * time.Millisecond) // request reaches the controller queue
 	if err := sys.UnregisterModel("m"); err != nil {
 		t.Fatal(err)
@@ -523,11 +523,11 @@ func TestUnregisterBusyOnDrainedWorker(t *testing.T) {
 	if err := sys.RegisterModel("m", "resnet50_v1b"); err != nil {
 		t.Fatal(err)
 	}
-	sys.Submit("m", 100*time.Millisecond, nil) // warm
+	sys.SubmitRequest(clockwork.Request{Model: "m", SLO: 100 * time.Millisecond}, nil) // warm
 	sys.RunFor(100 * time.Millisecond)
 
 	var got clockwork.Result
-	sys.Submit("m", 100*time.Millisecond, func(r clockwork.Result) { got = r })
+	sys.SubmitRequest(clockwork.Request{Model: "m", SLO: 100 * time.Millisecond}, func(r clockwork.Result) { got = r })
 	sys.RunFor(time.Millisecond) // INFER now in flight
 	if err := sys.DrainWorker(0); err != nil {
 		t.Fatal(err)
@@ -552,7 +552,7 @@ func TestCancelInTransitBeatsDispatch(t *testing.T) {
 	if err := sys.RegisterModel("m", "resnet50_v1b"); err != nil {
 		t.Fatal(err)
 	}
-	sys.Submit("m", 100*time.Millisecond, nil) // warm; GPU idle afterwards
+	sys.SubmitRequest(clockwork.Request{Model: "m", SLO: 100 * time.Millisecond}, nil) // warm; GPU idle afterwards
 	sys.RunFor(100 * time.Millisecond)
 
 	var got clockwork.Result
@@ -665,7 +665,7 @@ func TestShardedPublicAPI(t *testing.T) {
 	succeeded := 0
 	for round := 0; round < 5; round++ {
 		for _, n := range names {
-			if err := sys.Submit(n, 250*time.Millisecond, func(r clockwork.Result) {
+			if _, err := sys.SubmitRequest(clockwork.Request{Model: n, SLO: 250 * time.Millisecond}, func(r clockwork.Result) {
 				if r.Success {
 					succeeded++
 				}
@@ -711,7 +711,7 @@ func TestShardedPublicAPI(t *testing.T) {
 	}
 	sys.Rebalance() // must not panic or disturb serving
 	ok2 := false
-	sys.Submit(names[0], time.Second, func(r clockwork.Result) { ok2 = r.Success })
+	sys.SubmitRequest(clockwork.Request{Model: names[0], SLO: time.Second}, func(r clockwork.Result) { ok2 = r.Success })
 	sys.RunFor(2 * time.Second)
 	if !ok2 {
 		t.Fatal("migrated model stopped serving")
@@ -721,6 +721,71 @@ func TestShardedPublicAPI(t *testing.T) {
 	// error, not a panic.
 	if _, err := clockwork.New(clockwork.Config{Workers: 1, Shards: 4}); err == nil {
 		t.Fatal("want error for Shards > Workers")
+	}
+}
+
+// TestSubmitShardIgnoredOnOneEngine: on a single-engine system the shard
+// SubmitRequestSink takes is range-checked and otherwise ignored, so a
+// request entered on a shard that does not own its model is accounted
+// exactly like one from SubmitRequest. A model unregistered while its
+// request is on the wire shows the difference: the controller the
+// request lands on answers it, minting the ID and taking the shard bin.
+func TestSubmitShardIgnoredOnOneEngine(t *testing.T) {
+	type outcome struct {
+		id     uint64
+		reason clockwork.Reason
+		bins   [2]uint64
+	}
+	run := func(submit func(sys *clockwork.System, req clockwork.Request, done func(clockwork.Result)) error) outcome {
+		sys := mustSys(t, clockwork.Config{Workers: 2, GPUsPerWorker: 1, Shards: 2, Seed: 1})
+		names, err := sys.RegisterCopies("m", "resnet50_v1b", 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// Traffic first, so both controllers have minted IDs.
+		for _, n := range names {
+			sys.SubmitRequest(clockwork.Request{Model: n, SLO: time.Second}, nil)
+		}
+		sys.RunFor(time.Second)
+		victim := ""
+		for _, n := range names {
+			if s, _ := sys.ShardOf(n); s == 0 {
+				victim = n
+			}
+		}
+		if victim == "" {
+			t.Fatal("no model owned by shard 0")
+		}
+		var got outcome
+		if err := submit(sys, clockwork.Request{Model: victim, SLO: time.Second}, func(r clockwork.Result) {
+			got.id, got.reason = r.RequestID, r.Reason
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := sys.UnregisterModel(victim); err != nil {
+			t.Fatal(err)
+		}
+		sys.RunFor(time.Second)
+		for i := range got.bins {
+			st, _ := sys.ShardStats(i)
+			got.bins[i] = st.Requests
+		}
+		return got
+	}
+	want := run(func(sys *clockwork.System, req clockwork.Request, done func(clockwork.Result)) error {
+		_, err := sys.SubmitRequest(req, done)
+		return err
+	})
+	if want.id == 0 || want.reason != clockwork.ReasonUnregistered {
+		t.Fatalf("SubmitRequest: %+v, want an unregistered outcome", want)
+	}
+	for shard := 0; shard < 2; shard++ {
+		got := run(func(sys *clockwork.System, req clockwork.Request, done func(clockwork.Result)) error {
+			return sys.SubmitRequestSink(shard, req, sinkFunc(done))
+		})
+		if got != want {
+			t.Fatalf("SubmitRequestSink on shard %d: %+v, SubmitRequest: %+v", shard, got, want)
+		}
 	}
 }
 
@@ -737,7 +802,7 @@ func TestShardedSummaryMatchesUnshardedWorkload(t *testing.T) {
 		}
 		for round := 0; round < 10; round++ {
 			for _, n := range names {
-				sys.Submit(n, 200*time.Millisecond, nil)
+				sys.SubmitRequest(clockwork.Request{Model: n, SLO: 200 * time.Millisecond}, nil)
 			}
 			sys.RunFor(50 * time.Millisecond)
 		}

@@ -258,7 +258,7 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sys.Submit("m", 100*time.Millisecond, nil)
+		sys.SubmitRequest(clockwork.Request{Model: "m", SLO: 100 * time.Millisecond}, nil)
 		sys.RunFor(3 * time.Millisecond)
 	}
 }

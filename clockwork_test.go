@@ -22,7 +22,7 @@ func TestPublicAPIServing(t *testing.T) {
 		t.Fatal(err)
 	}
 	var got Result
-	if err := sys.Submit("m", 100*time.Millisecond, func(r Result) { got = r }); err != nil {
+	if _, err := sys.SubmitRequest(Request{Model: "m", SLO: 100 * time.Millisecond}, func(r Result) { got = r }); err != nil {
 		t.Fatal(err)
 	}
 	sys.RunFor(100 * time.Millisecond)
@@ -72,7 +72,7 @@ func TestSubmitValidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Unregistered model names are a typed error, not a silent accept.
-	if err := sys.Submit("ghost", time.Second, nil); !errors.Is(err, ErrUnknownModel) {
+	if _, err := sys.SubmitRequest(Request{Model: "ghost", SLO: time.Second}, nil); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("want ErrUnknownModel, got %v", err)
 	}
 	if _, err := sys.SubmitRequest(Request{Model: "m"}, nil); !errors.Is(err, ErrInvalidRequest) {
@@ -104,7 +104,7 @@ func TestPublicAPICopies(t *testing.T) {
 	}
 	done := 0
 	for _, n := range names {
-		sys.Submit(n, 100*time.Millisecond, func(r Result) {
+		sys.SubmitRequest(Request{Model: n, SLO: 100 * time.Millisecond}, func(r Result) {
 			if r.Success {
 				done++
 			}
@@ -196,7 +196,7 @@ func TestRegisterCustomModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	ok := false
-	sys.Submit("my-custom-net", 100*time.Millisecond, func(r Result) { ok = r.Success })
+	sys.SubmitRequest(Request{Model: "my-custom-net", SLO: 100 * time.Millisecond}, func(r Result) { ok = r.Success })
 	sys.RunFor(time.Second)
 	if !ok {
 		t.Fatal("custom model failed to serve")
@@ -214,7 +214,7 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 			t.Fatal(err)
 		}
 		for i := 0; i < 50; i++ {
-			sys.Submit("m", 100*time.Millisecond, nil)
+			sys.SubmitRequest(Request{Model: "m", SLO: 100 * time.Millisecond}, nil)
 			sys.RunFor(5 * time.Millisecond)
 		}
 		sys.RunFor(time.Second)

@@ -32,7 +32,9 @@
 // cap (MaxBatchSize) — and report typed outcomes: Result.Reason is a
 // Reason enum (ReasonCancelled, ReasonRejected, ReasonTimeout, …), not
 // a string. SubmitRequest returns a Handle for client-side inspection
-// and best-effort cancellation.
+// and best-effort cancellation; SubmitRequestSink is the handle-free
+// form for callers that pool their per-request state. Both are adapters
+// over one submission path.
 //
 // # Policies
 //

@@ -64,7 +64,7 @@ func ExampleNew_sharded() {
 
 	for round := 0; round < 4; round++ {
 		for _, n := range names {
-			sys.Submit(n, 100*time.Millisecond, nil)
+			sys.SubmitRequest(clockwork.Request{Model: n, SLO: 100 * time.Millisecond}, nil)
 		}
 		sys.RunFor(200 * time.Millisecond)
 	}

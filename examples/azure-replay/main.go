@@ -58,7 +58,7 @@ func main() {
 						time.Duration(rnd.Float64()*float64(time.Minute))
 					sys.After(at, func() {
 						perMinute[m]++
-						sys.Submit(model, slo, func(r clockwork.Result) {
+						sys.SubmitRequest(clockwork.Request{Model: model, SLO: slo}, func(r clockwork.Result) {
 							if r.Success && r.Latency <= slo {
 								okPerMinute[m]++
 							}

@@ -58,7 +58,7 @@ func main() {
 				if e := epochOf(now); e >= 0 {
 					slo := time.Duration(float64(base) * multipliers[e])
 					epochs[e].sent++
-					sys.Submit(name, slo, func(r clockwork.Result) {
+					sys.SubmitRequest(clockwork.Request{Model: name, SLO: slo}, func(r clockwork.Result) {
 						if r.Success && r.Latency <= slo {
 							epochs[e].ok++
 						}

@@ -202,11 +202,6 @@ type Decision struct {
 	Reason string
 }
 
-// Moved reports whether the decision changes anything.
-func (d Decision) Moved(curWindow int) bool {
-	return d.Window != curWindow || d.AddWorkers > 0 || d.DrainWorker || d.Rebalance
-}
-
 // Controller is the closed-loop decision engine. Not safe for
 // concurrent use: evaluate it from one goroutine (the engine goroutine
 // it is injected on).

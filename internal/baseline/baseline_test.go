@@ -8,6 +8,16 @@ import (
 	"clockwork/internal/modelzoo"
 )
 
+// submitFn submits a default-options request for model with fn (may be
+// nil) as its completion.
+func submitFn(cl *core.Cluster, model string, slo time.Duration, fn func(core.Response, time.Duration)) {
+	var sink core.ResponseSink
+	if fn != nil {
+		sink = core.ResponseFunc(fn)
+	}
+	cl.Submit(0, core.SubmitSpec{Model: model, SLO: slo}, sink)
+}
+
 func clipperCluster() *core.Cluster {
 	return core.NewCluster(core.ClusterConfig{
 		Workers: 1, GPUsPerWorker: 1,
@@ -32,7 +42,7 @@ func TestClipperServesRequests(t *testing.T) {
 	cl.RegisterModel("m", modelzoo.ResNet50())
 	ok := 0
 	for i := 0; i < 20; i++ {
-		cl.Submit("m", 100*time.Millisecond, func(r core.Response, _ time.Duration) {
+		submitFn(cl, "m", 100*time.Millisecond, func(r core.Response, _ time.Duration) {
 			if r.Success {
 				ok++
 			}
@@ -51,7 +61,7 @@ func TestClipperNeverCancels(t *testing.T) {
 	late, ok := 0, 0
 	// An unmeetable SLO: Clockwork would cancel; Clipper executes late.
 	for i := 0; i < 10; i++ {
-		cl.Submit("m", time.Millisecond, func(r core.Response, l time.Duration) {
+		submitFn(cl, "m", time.Millisecond, func(r core.Response, l time.Duration) {
 			if r.Success {
 				ok++
 				if l > time.Millisecond {
@@ -83,7 +93,7 @@ func TestClipperBatchesUnderLoad(t *testing.T) {
 			return
 		}
 		for j := 0; j < 4; j++ {
-			cl.Submit("m", 500*time.Millisecond, func(r core.Response, _ time.Duration) {
+			submitFn(cl, "m", 500*time.Millisecond, func(r core.Response, _ time.Duration) {
 				if r.Success && r.Batch > 1 {
 					sawBatch = true
 				}
@@ -108,8 +118,8 @@ func TestClipperStaticPlacement(t *testing.T) {
 	})
 	cl.RegisterModel("a", modelzoo.ResNet50())
 	cl.RegisterModel("b", modelzoo.ResNet50())
-	cl.Submit("a", 100*time.Millisecond, nil)
-	cl.Submit("b", 100*time.Millisecond, nil)
+	submitFn(cl, "a", 100*time.Millisecond, nil)
+	submitFn(cl, "b", 100*time.Millisecond, nil)
 	cl.RunFor(500 * time.Millisecond)
 	// Round-robin: the two models land on different GPUs.
 	miA, _ := cl.Ctl.Model("a")
@@ -128,7 +138,7 @@ func TestINFaaSServesRequests(t *testing.T) {
 	cl.RegisterModel("m", modelzoo.ResNet50())
 	ok := 0
 	for i := 0; i < 20; i++ {
-		cl.Submit("m", 100*time.Millisecond, func(r core.Response, _ time.Duration) {
+		submitFn(cl, "m", 100*time.Millisecond, func(r core.Response, _ time.Duration) {
 			if r.Success {
 				ok++
 			}
@@ -147,10 +157,10 @@ func TestINFaaSVariantSelectionRespectsSLO(t *testing.T) {
 	// Generous SLO: expect large batches under a burst.
 	batches := map[int]int{}
 	// Warm first.
-	cl.Submit("m", 500*time.Millisecond, nil)
+	submitFn(cl, "m", 500*time.Millisecond, nil)
 	cl.RunFor(100 * time.Millisecond)
 	for i := 0; i < 32; i++ {
-		cl.Submit("m", 500*time.Millisecond, func(r core.Response, _ time.Duration) {
+		submitFn(cl, "m", 500*time.Millisecond, func(r core.Response, _ time.Duration) {
 			if r.Success {
 				batches[r.Batch]++
 			}
@@ -170,11 +180,11 @@ func TestINFaaSVariantSelectionRespectsSLO(t *testing.T) {
 	// Tight SLO: variant selection caps batch so exec fits SLO/2.
 	cl2 := infaasCluster()
 	cl2.RegisterModel("m", modelzoo.ResNet50())
-	cl2.Submit("m", 10*time.Millisecond, nil)
+	submitFn(cl2, "m", 10*time.Millisecond, nil)
 	cl2.RunFor(100 * time.Millisecond)
 	batches2 := map[int]int{}
 	for i := 0; i < 32; i++ {
-		cl2.Submit("m", 10*time.Millisecond, func(r core.Response, _ time.Duration) {
+		submitFn(cl2, "m", 10*time.Millisecond, func(r core.Response, _ time.Duration) {
 			if r.Success {
 				batches2[r.Batch]++
 			}
@@ -205,7 +215,7 @@ func TestINFaaSReactiveScaling(t *testing.T) {
 			return
 		}
 		for j := 0; j < 3; j++ {
-			cl.Submit("m", time.Second, nil)
+			submitFn(cl, "m", time.Second, nil)
 		}
 		cl.Eng.After(time.Millisecond, func() { loop(i + 1) })
 	}
@@ -242,7 +252,7 @@ func TestBaselineEvictionUnderPressure(t *testing.T) {
 		if i%2 == 1 {
 			model, cnt = "b", &okB
 		}
-		cl.Submit(model, time.Second, func(r core.Response, _ time.Duration) {
+		submitFn(cl, model, time.Second, func(r core.Response, _ time.Duration) {
 			if r.Success {
 				*cnt++
 			}

@@ -179,6 +179,59 @@ func TestOnRequestWorkFlatInGPUs(t *testing.T) {
 	}
 }
 
+// TestAllocRatchetSubmit pins what a request costs on the one submission
+// path, submit plus run to completion, in steady state, for each of its
+// completion forms: a pooled sink, a Handle released after its outcome,
+// and a ResponseFunc. Each must stay under the ceiling. The closure form
+// used to mint a pooled Handle nobody released, and paid 2 allocations
+// per request for it.
+func TestAllocRatchetSubmit(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation ratchet skipped in -short")
+	}
+	const ceiling = 0.5
+	cl := NewCluster(ClusterConfig{Workers: 1, GPUsPerWorker: 1, Seed: 1})
+	if err := cl.RegisterModel("m", modelzoo.ResNet50()); err != nil {
+		t.Fatal(err)
+	}
+	spec := SubmitSpec{Model: "m", SLO: 100 * time.Millisecond}
+	sink := &countingSink{}
+	fn := ResponseFunc(func(Response, time.Duration) { sink.n++ })
+	submit := func(s ResponseSink) {
+		if err := cl.Submit(0, spec, s); err != nil {
+			t.Fatal(err)
+		}
+		cl.RunFor(20 * time.Millisecond) // a warm request completes in ~4 ms
+	}
+	for _, p := range []struct {
+		name string
+		op   func()
+	}{
+		{"sink", func() { submit(sink) }},
+		{"Handle with Release", func() {
+			h := NewHandle(nil)
+			submit(h)
+			if !h.Done() {
+				t.Fatal("request did not complete")
+			}
+			h.Release()
+		}},
+		{"ResponseFunc", func() { submit(fn) }},
+	} {
+		for i := 0; i < 20; i++ {
+			p.op() // warm the pools, the model and the metrics tables
+		}
+		avg := testing.AllocsPerRun(500, p.op)
+		if avg > ceiling {
+			t.Fatalf("%s: submit plus completion allocates %.2f objects per request, ratchet ceiling is %.2f", p.name, avg, ceiling)
+		}
+		t.Logf("%s: %.2f allocations per request", p.name, avg)
+	}
+	if sink.n == 0 {
+		t.Fatal("no outcome reached a sink")
+	}
+}
+
 // countingSink counts the outcomes a run delivered.
 type countingSink struct{ n int }
 
@@ -234,7 +287,7 @@ func TestModelNameResolvedOncePerRequest(t *testing.T) {
 		gap := func() time.Duration { return time.Duration(stream.Exp(1/ph.rate) * float64(time.Second)) }
 		for at := gap(); at < ph.dur; at += gap() {
 			run(base + at)
-			if err := cl.SubmitRequestSinkOn(0, SubmitSpec{Model: names[zipf.Draw()], SLO: 100 * time.Millisecond}, sink); err != nil {
+			if err := cl.Submit(0, SubmitSpec{Model: names[zipf.Draw()], SLO: 100 * time.Millisecond}, sink); err != nil {
 				t.Fatal(err)
 			}
 			sent++

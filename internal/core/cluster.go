@@ -737,19 +737,36 @@ func (cl *Cluster) RegisterCopies(base string, zoo *modelzoo.Model, n int) ([]st
 
 // ---- submission ----
 
-// Handle tracks one submitted request from the client's side. In
-// simulation mode inspect or cancel between Run* calls; in live mode
-// (the engine paced by a simclock.Driver on its own goroutine) Done,
-// Outcome, ID and Wait are safe to call from any goroutine — completion
-// is published through a channel, so callers block on Wait instead of
-// busy-polling Done.
+// ResponseSink receives a submission's terminal outcome, on the engine
+// goroutine, exactly once per accepted submission; like every
+// completion it must stay short and non-blocking. It is the one
+// completion interface of Submit: callers that pool their per-request
+// state (the serve transports) implement it, a *Handle is one, and
+// ResponseFunc adapts a closure.
+type ResponseSink interface {
+	OnResponse(resp Response, latency time.Duration)
+}
+
+// ResponseFunc adapts a closure to ResponseSink, as simclock.Func adapts
+// one to Runner. A func value is pointer-shaped, so the conversion
+// allocates nothing beyond the closure itself.
+type ResponseFunc func(resp Response, latency time.Duration)
+
+// OnResponse implements ResponseSink.
+func (f ResponseFunc) OnResponse(resp Response, latency time.Duration) { f(resp, latency) }
+
+// Handle tracks one submitted request from the client's side: it is the
+// ResponseSink that remembers. In simulation mode inspect or cancel
+// between Run* calls; in live mode (the engine paced by a
+// simclock.Driver on its own goroutine) Done, Outcome, ID and Wait are
+// safe to call from any goroutine — completion is published through a
+// channel, so callers block on Wait instead of busy-polling Done.
 //
 // Handles recycle through a pool (see Release): a generation counter,
 // bumped on every release, lets callers that outlive their handle prove
 // staleness instead of observing the recycled successor — the same
 // guard simclock.Timer and Request use.
 type Handle struct {
-	cl *Cluster
 	// doneCh is a reusable capacity-1 token channel. Completion sends
 	// one token; every reader takes it and immediately puts it back
 	// (baton passing), which gives close()-style broadcast without
@@ -758,15 +775,18 @@ type Handle struct {
 
 	// mu guards the mutable fields below: they are written on the
 	// engine goroutine and may be read from client goroutines.
-	mu  sync.Mutex
-	gen uint64 // recycling generation; bumped by Release
-	id  uint64 // controller-assigned ID, cached (req itself recycles)
-	// req/reqGen identify the controller-side request while it is
-	// pending. The request object may be recycled the instant its
-	// response fires, so every use goes through CancelRequestGen.
+	mu   sync.Mutex
+	gen  uint64       // recycling generation; bumped by Release
+	id   uint64       // controller-assigned ID, cached (req itself recycles)
+	next ResponseSink // completion forwarded after the handle settles
+	// cl, model, req and reqGen identify the controller-side request
+	// while it is pending, bound when it arrives there. The request
+	// object may be recycled the instant its response fires, so every
+	// use goes through CancelRequestGen.
+	cl            *Cluster
+	model         ModelID
 	req           *Request
 	reqGen        uint64
-	model         ModelID
 	cancelPending bool
 	done          bool
 	resp          Response
@@ -777,14 +797,16 @@ var handlePool = sync.Pool{New: func() any {
 	return &Handle{doneCh: make(chan struct{}, 1)}
 }}
 
-func acquireHandle(cl *Cluster, model ModelID) *Handle {
+// NewHandle takes a handle from the pool, ready to pass to Submit as
+// its sink; next (may be nil) receives the outcome after the handle has
+// settled. Release returns it.
+func NewHandle(next ResponseSink) *Handle {
 	h := handlePool.Get().(*Handle)
 	select {
 	case <-h.doneCh: // drain a leftover token, defensively
 	default:
 	}
-	h.cl = cl
-	h.model = model
+	h.next = next
 	return h
 }
 
@@ -809,10 +831,9 @@ func (h *Handle) Release() {
 		h.mu.Unlock()
 		return
 	}
-	h.cl = nil
-	h.id = 0
+	h.id, h.next = 0, nil
+	h.cl, h.model = nil, 0
 	h.req, h.reqGen = nil, 0
-	h.model = 0
 	h.cancelPending, h.done = false, false
 	h.resp, h.latency = Response{}, 0
 	h.mu.Unlock()
@@ -904,73 +925,70 @@ func (h *Handle) Cancel() bool {
 	return cl.Ctls[cl.ownerOf(model, 0)].CancelRequestGen(req, gen)
 }
 
-// Submit issues one client request with default options. The input
-// travels client→controller over the shared client link; the response
-// is delivered back to the client, where latency is measured and
-// recorded. onDone may be nil. Unknown models are a typed error.
-func (cl *Cluster) Submit(model string, slo time.Duration, onDone func(Response, time.Duration)) error {
-	_, err := cl.SubmitRequest(SubmitSpec{Model: model, SLO: slo}, onDone)
-	return err
-}
-
-// SubmitRequest issues one client request with full per-request options
-// and returns a client-side handle. The model must be registered at
-// submission time (ErrUnknownModel otherwise); the owning shard is
-// resolved when the request arrives at the control plane, so a model
-// migrated mid-transit lands on its new shard, and one unregistered
-// mid-transit fails the request rather than corrupting controller
-// state. With EnginePerShard the caller must already be on the owning
-// shard's engine goroutine — route with OwnerShardHint and use
-// SubmitRequestOn via a shard-targeted injection.
-func (cl *Cluster) SubmitRequest(spec SubmitSpec, onDone func(Response, time.Duration)) (*Handle, error) {
-	// Shard 0 stands in until the name is resolved; an unknown model is
-	// rejected whatever the shard.
-	mi, err := cl.checkSpec(0, &spec)
-	if err != nil {
-		return nil, err
+// OnResponse implements ResponseSink: settle the handle, publish the
+// completion token, then forward to the next sink — publishing first,
+// so a next sink that hands the result to another goroutine never sees
+// its own handle still pending.
+func (h *Handle) OnResponse(resp Response, latency time.Duration) {
+	h.mu.Lock()
+	h.done = true
+	if h.id == 0 {
+		// The request never reported in via deliver (pre-cancelled or
+		// unregistered mid-transit): the response carries the minted ID.
+		h.id = resp.RequestID
 	}
-	h := acquireHandle(cl, mi.id)
-	cl.sendSubmission(mi.owner.shard, spec, mi, h, onDone, nil)
-	return h, nil
-}
-
-// SubmitRequestOn is SubmitRequest entered on shard local's engine: the
-// input travels that shard's client link and the submission timestamp
-// reads that shard's clock. If the model's owner turns out to be a
-// different shard (a stale routing hint after a migration), the request
-// is forwarded once over the shard interconnect at the cross-shard
-// network latency.
-func (cl *Cluster) SubmitRequestOn(local int, spec SubmitSpec, onDone func(Response, time.Duration)) (*Handle, error) {
-	mi, err := cl.checkSpec(local, &spec)
-	if err != nil {
-		return nil, err
+	// The controller-side request recycles the moment its response
+	// fires; drop the reference so a post-completion Cancel is a pure
+	// handle-local no-op.
+	h.req, h.reqGen = nil, 0
+	h.resp, h.latency = resp, latency
+	next := h.next
+	h.next = nil
+	h.mu.Unlock()
+	// The token send replaces close(): waiters baton-pass it.
+	select {
+	case h.doneCh <- struct{}{}:
+	default:
 	}
-	h := acquireHandle(cl, mi.id)
-	cl.sendSubmission(local, spec, mi, h, onDone, nil)
-	return h, nil
+	if next != nil {
+		next.OnResponse(resp, latency)
+	}
 }
 
-// ResponseSink receives a submission's terminal outcome — the
-// interface-shaped alternative to the onDone callback, so callers that
-// pool their per-request state (the serve transports) can complete
-// requests without minting a closure per submission. OnResponse runs on
-// the engine goroutine, exactly once per accepted submission; like every
-// completion callback it must stay short and non-blocking.
-type ResponseSink interface {
-	OnResponse(resp Response, latency time.Duration)
-}
-
-// SubmitRequestSinkOn is the fire-and-forget form of SubmitRequestOn: no
-// client-side Handle is minted (nothing to Wait on, nothing to recycle),
-// and the outcome is delivered to sink instead of a callback. It is the
-// zero-allocation submission path for servers that track completion
-// entirely through their own pooled per-request state.
-func (cl *Cluster) SubmitRequestSinkOn(local int, spec SubmitSpec, sink ResponseSink) error {
+// Submit issues one client request entered on shard local: the input
+// travels that shard's client link, the submission timestamp reads that
+// shard's clock, and sink (may be nil) receives the outcome once it is
+// back at the client, where latency is measured and recorded. It is the
+// one submission path — a *Handle is a sink, ResponseFunc adapts a
+// closure, and nothing is allocated per request on the way down.
+//
+// The model must be registered at submission time (ErrUnknownModel
+// otherwise); the owning shard is resolved when the request arrives at
+// the control plane, so a model migrated mid-transit lands on its new
+// shard, and one unregistered mid-transit fails the request rather than
+// corrupting controller state. On a single-engine cluster local is only
+// range-checked: every shard lives on one engine, and the request
+// enters at the model's owner. With EnginePerShard the caller must be
+// on local's engine goroutine (route with OwnerShardHint); if local
+// does not own the model (a hint made stale by a migration), the
+// request is forwarded once over the shard interconnect at the
+// cross-shard network latency.
+func (cl *Cluster) Submit(local int, spec SubmitSpec, sink ResponseSink) error {
 	mi, err := cl.checkSpec(local, &spec)
 	if err != nil {
 		return err
 	}
-	cl.sendSubmission(local, spec, mi, nil, nil, sink)
+	if !cl.multiEngine() {
+		local = mi.owner.shard
+	}
+	inputBytes := mi.zoo.InputBytes()
+	if cl.cfg.ZeroLengthInputs {
+		inputBytes = 0
+	}
+	s := submissionPool.Get().(*submission)
+	s.cl, s.spec, s.zoo, s.sink = cl, spec, mi.zoo, sink
+	s.local, s.sentAt = local, cl.engFor(local).Now()
+	cl.clientLinks[cl.linkIdx(local)].AtoB.SendRun(inputBytes, s)
 	return nil
 }
 
@@ -998,20 +1016,6 @@ func (cl *Cluster) checkSpec(local int, spec *SubmitSpec) (*ModelInfo, error) {
 	return mi, nil
 }
 
-// sendSubmission puts one validated submission on shard local's client
-// link. h may be nil (the sink path).
-func (cl *Cluster) sendSubmission(local int, spec SubmitSpec, mi *ModelInfo, h *Handle, onDone func(Response, time.Duration), sink ResponseSink) {
-	zoo := mi.zoo
-	inputBytes := zoo.InputBytes()
-	if cl.cfg.ZeroLengthInputs {
-		inputBytes = 0
-	}
-	s := submissionPool.Get().(*submission)
-	s.cl, s.spec, s.h, s.zoo = cl, spec, h, zoo
-	s.local, s.sentAt, s.onDone, s.sink = local, cl.engFor(local).Now(), onDone, sink
-	cl.clientLinks[cl.linkIdx(local)].AtoB.SendRun(inputBytes, s)
-}
-
 // submission carries one request across its client-side network hops.
 // It is the hops' preallocated event receiver (simclock.Runner): one
 // struct serves the client→controller delivery, the cross-shard
@@ -1023,11 +1027,9 @@ func (cl *Cluster) sendSubmission(local int, spec SubmitSpec, mi *ModelInfo, h *
 type submission struct {
 	cl     *Cluster
 	spec   SubmitSpec
-	h      *Handle // nil on the sink (fire-and-forget) path
 	zoo    *modelzoo.Model
 	local  int // shard whose engine currently hosts this submission
 	sentAt simclock.Time
-	onDone func(Response, time.Duration)
 	sink   ResponseSink
 
 	resp  Response
@@ -1077,22 +1079,23 @@ func (s *submission) deliver() {
 	}
 	// A Cancel issued while the request was on the wire is applied
 	// inside the controller's submission, before the scheduler can
-	// dispatch — the in-transit cancel is authoritative. The sink path
-	// has no handle and therefore no cancel-in-transit to apply.
-	if s.h != nil {
-		s.h.mu.Lock()
-		s.spec.preCancelled = s.h.cancelPending
-		s.h.mu.Unlock()
+	// dispatch — the in-transit cancel is authoritative. Only a Handle
+	// can cancel; any other sink has no cancel-in-transit to apply.
+	h, _ := s.sink.(*Handle)
+	if h != nil {
+		h.mu.Lock()
+		s.spec.preCancelled = h.cancelPending
+		h.mu.Unlock()
 	}
 	s.local = owner
 	ctl := cl.Ctls[owner]
-	req := ctl.SubmitSpecTo(s.spec, s)
+	req := ctl.Submit(s.spec, s)
 	if req != nil {
-		if s.h != nil {
-			s.h.mu.Lock()
-			s.h.id = req.ID
-			s.h.req, s.h.reqGen = req, req.Gen()
-			s.h.mu.Unlock()
+		if h != nil {
+			h.mu.Lock()
+			h.id, h.cl, h.model = req.ID, cl, s.spec.id
+			h.req, h.reqGen = req, req.Gen()
+			h.mu.Unlock()
 		}
 		// The controller-side Admitted hook already created the trace;
 		// stamp the client-side send instant it cannot know.
@@ -1119,10 +1122,9 @@ func (s *submission) Respond(resp Response) {
 }
 
 // complete runs at the client side of the response hop: measure
-// latency, record metrics, publish the handle.
+// latency, record metrics, hand the outcome to the sink.
 func (s *submission) complete() {
 	cl := s.cl
-	h := s.h
 	now := cl.engFor(s.local).Now()
 	latency := now.Sub(s.sentAt)
 	// Attribute the response to the shard that owned the model at
@@ -1139,35 +1141,9 @@ func (s *submission) complete() {
 		Batch: s.resp.Batch, ColdStart: s.resp.ColdStart,
 		SLO: s.spec.SLO, Latency: latency,
 	}, now.Duration())
-	if h != nil {
-		h.mu.Lock()
-		h.done = true
-		if h.id == 0 {
-			// The request never reported in via deliver (pre-cancelled or
-			// unregistered mid-transit): the response carries the minted ID.
-			h.id = s.resp.RequestID
-		}
-		// The controller-side request recycles the moment its response
-		// fires; drop the reference so a post-completion Cancel is a pure
-		// handle-local no-op.
-		h.req, h.reqGen = nil, 0
-		h.resp = s.resp
-		h.latency = latency
-		h.mu.Unlock()
-		// Publish completion before the callback so a callback that hands
-		// the result to another goroutine never sees its own handle still
-		// pending. The token send replaces close(): waiters baton-pass it.
-		select {
-		case h.doneCh <- struct{}{}:
-		default:
-		}
-	}
-	onDone, sink, resp := s.onDone, s.sink, s.resp
+	sink, resp := s.sink, s.resp
 	*s = submission{}
 	submissionPool.Put(s)
-	if onDone != nil {
-		onDone(resp, latency)
-	}
 	if sink != nil {
 		sink.OnResponse(resp, latency)
 	}

@@ -599,32 +599,17 @@ func (c *Controller) EstimateLoad(mi *ModelInfo) time.Duration {
 	return c.profile.Estimate(mi.id, predictor.Key{Op: predictor.Load})
 }
 
-// Submit accepts one client request with default options — the original
-// submission path, kept for the common case.
-func (c *Controller) Submit(model string, slo time.Duration, onResponse func(Response)) *Request {
-	return c.SubmitSpec(SubmitSpec{Model: model, SLO: slo}, onResponse)
-}
-
-// SubmitSpec accepts one client request. The cluster layer invokes this
-// when the request arrives at the controller over the network. The
-// controller no longer trusts its caller to have validated the model:
-// an unregistered model (e.g. unregistered while the request was in
-// transit) fails the request with ReasonUnregistered rather than
-// panicking, and returns nil.
-func (c *Controller) SubmitSpec(spec SubmitSpec, onResponse func(Response)) *Request {
-	return c.submitSpec(spec, onResponse, nil)
-}
-
-// SubmitSpecTo is SubmitSpec with a preallocated Responder instead of a
-// response closure — the allocation-free submission form. The returned
-// request may be recycled as soon as its terminal response fires;
-// callers retaining it must capture Gen() before the response can
-// arrive and check it before acting (see Handle in the cluster layer).
-func (c *Controller) SubmitSpecTo(spec SubmitSpec, rsp Responder) *Request {
-	return c.submitSpec(spec, nil, rsp)
-}
-
-func (c *Controller) submitSpec(spec SubmitSpec, onResponse func(Response), rsp Responder) *Request {
+// Submit accepts one client request; rsp (may be nil) receives its
+// terminal outcome. The cluster layer invokes this when the request
+// arrives at the controller over the network. The controller does not
+// trust its caller to have validated the model: an unregistered model
+// (e.g. unregistered while the request was in transit) fails the
+// request with ReasonUnregistered rather than panicking, and returns
+// nil. The returned request may be recycled as soon as its terminal
+// response fires; callers retaining it must capture Gen() before the
+// response can arrive and check it before acting (see Handle in the
+// cluster layer).
+func (c *Controller) Submit(spec SubmitSpec, rsp Responder) *Request {
 	now := c.eng.Now()
 	// The cluster's submission edge resolved the name already; the ID it
 	// left in the spec is read against the table as it is now, so a model
@@ -645,8 +630,6 @@ func (c *Controller) submitSpec(spec SubmitSpec, onResponse func(Response), rsp 
 		}
 		if rsp != nil {
 			rsp.Respond(resp)
-		} else if onResponse != nil {
-			onResponse(resp)
 		}
 		return nil
 	}
@@ -670,7 +653,6 @@ func (c *Controller) submitSpec(spec SubmitSpec, onResponse func(Response), rsp 
 		Arrival:     now,
 		InputBytes:  mi.zoo.InputBytes(),
 		OutputBytes: mi.zoo.OutputBytes(),
-		OnResponse:  onResponse,
 		responder:   rsp,
 		mi:          mi,
 		state:       stateQueued,
@@ -806,11 +788,8 @@ func (c *Controller) respond(r *Request, resp Response) {
 	r.cancelTmr.Stop()
 	r.cancelTmr = simclock.Timer{}
 	c.flight.Responded(r.ID, c.eng.Now().Duration())
-	switch {
-	case r.responder != nil:
+	if r.responder != nil {
 		r.responder.Respond(resp)
-	case r.OnResponse != nil:
-		r.OnResponse(resp)
 	}
 }
 

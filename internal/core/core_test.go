@@ -16,13 +16,23 @@ func testCluster(t *testing.T, cfg ClusterConfig) *Cluster {
 	return cl
 }
 
+// submitFn submits a default-options request for model with fn (may be
+// nil) as its completion — the closure form most tests want.
+func submitFn(cl *Cluster, model string, slo time.Duration, fn func(Response, time.Duration)) error {
+	var sink ResponseSink
+	if fn != nil {
+		sink = ResponseFunc(fn)
+	}
+	return cl.Submit(0, SubmitSpec{Model: model, SLO: slo}, sink)
+}
+
 func TestSingleRequestColdStart(t *testing.T) {
 	cl := testCluster(t, ClusterConfig{Workers: 1, GPUsPerWorker: 1})
 	cl.RegisterModel("m", modelzoo.ResNet50())
 
 	var resp Response
 	var lat time.Duration
-	cl.Submit("m", 100*time.Millisecond, func(r Response, l time.Duration) { resp, lat = r, l })
+	submitFn(cl, "m", 100*time.Millisecond, func(r Response, l time.Duration) { resp, lat = r, l })
 	cl.RunFor(200 * time.Millisecond)
 
 	if !resp.Success {
@@ -45,7 +55,7 @@ func TestSecondRequestIsWarm(t *testing.T) {
 	var lats []time.Duration
 	var colds []bool
 	submit := func() {
-		cl.Submit("m", 100*time.Millisecond, func(r Response, l time.Duration) {
+		submitFn(cl, "m", 100*time.Millisecond, func(r Response, l time.Duration) {
 			lats = append(lats, l)
 			colds = append(colds, r.ColdStart)
 		})
@@ -77,7 +87,7 @@ func TestUnmeetableSLOCancelledInAdvance(t *testing.T) {
 	var resp Response
 	got := false
 	// 1ms SLO < batch-1 exec (2.77ms): provably unmeetable.
-	cl.Submit("m", time.Millisecond, func(r Response, _ time.Duration) { resp, got = r, true })
+	submitFn(cl, "m", time.Millisecond, func(r Response, _ time.Duration) { resp, got = r, true })
 	cl.RunFor(50 * time.Millisecond)
 
 	if !got {
@@ -97,13 +107,13 @@ func TestBatchingUnderBurst(t *testing.T) {
 	cl.RegisterModel("m", modelzoo.ResNet50())
 
 	// Warm the model.
-	cl.Submit("m", 100*time.Millisecond, nil)
+	submitFn(cl, "m", 100*time.Millisecond, nil)
 	cl.RunFor(100 * time.Millisecond)
 
 	// A burst of 16 simultaneous requests with latitude to batch.
 	batches := make(map[int]int)
 	for i := 0; i < 16; i++ {
-		cl.Submit("m", 100*time.Millisecond, func(r Response, _ time.Duration) {
+		submitFn(cl, "m", 100*time.Millisecond, func(r Response, _ time.Duration) {
 			if r.Success {
 				batches[r.Batch]++
 			}
@@ -139,7 +149,7 @@ func TestAllSuccessesMeetSLO(t *testing.T) {
 		if i >= 500 {
 			return
 		}
-		cl.Submit("m", slo, func(r Response, l time.Duration) {
+		submitFn(cl, "m", slo, func(r Response, l time.Duration) {
 			responses++
 			if r.Success && l > slo {
 				violations++
@@ -179,7 +189,7 @@ func TestEvictionUnderMemoryPressure(t *testing.T) {
 		if i%2 == 1 {
 			model, cnt = "b", &okB
 		}
-		cl.Submit(model, 100*time.Millisecond, func(r Response, _ time.Duration) {
+		submitFn(cl, model, 100*time.Millisecond, func(r Response, _ time.Duration) {
 			if r.Success {
 				*cnt++
 			}
@@ -206,7 +216,7 @@ func TestMirrorMatchesWorkerAtQuiescence(t *testing.T) {
 	names, _ := cl.RegisterCopies("resnet18_v2", modelzoo.MustByName("resnet18_v2"), 8)
 	for round := 0; round < 5; round++ {
 		for _, n := range names {
-			cl.Submit(n, 100*time.Millisecond, nil)
+			submitFn(cl, n, 100*time.Millisecond, nil)
 		}
 		cl.RunFor(300 * time.Millisecond)
 	}
@@ -238,7 +248,7 @@ func TestLoadBalanceAcrossWorkers(t *testing.T) {
 	var loop func()
 	loop = func() {
 		for i := 0; i < 8; i++ {
-			cl.Submit("m", 20*time.Millisecond, func(r Response, _ time.Duration) {
+			submitFn(cl, "m", 20*time.Millisecond, func(r Response, _ time.Duration) {
 				if r.Success {
 					done++
 				}
@@ -267,7 +277,7 @@ func TestPredictionErrorsAreTiny(t *testing.T) {
 	cl := testCluster(t, ClusterConfig{Workers: 1, GPUsPerWorker: 1})
 	cl.RegisterModel("m", modelzoo.ResNet50())
 	for i := 0; i < 50; i++ {
-		cl.Submit("m", 100*time.Millisecond, nil)
+		submitFn(cl, "m", 100*time.Millisecond, nil)
 		cl.RunFor(20 * time.Millisecond)
 	}
 	if cl.Ctl.InferDuration.Count() < 50 {
@@ -289,7 +299,7 @@ func TestStatsConservation(t *testing.T) {
 		if i%10 == 0 {
 			slo = time.Millisecond // unmeetable
 		}
-		cl.Submit("m", slo, nil)
+		submitFn(cl, "m", slo, nil)
 		cl.RunFor(5 * time.Millisecond)
 	}
 	cl.RunFor(time.Second)
@@ -309,7 +319,7 @@ func TestMetricsRecorded(t *testing.T) {
 	cl := testCluster(t, ClusterConfig{Workers: 1, GPUsPerWorker: 1, MetricsInterval: time.Second})
 	cl.RegisterModel("m", modelzoo.ResNet50())
 	for i := 0; i < 10; i++ {
-		cl.Submit("m", 100*time.Millisecond, nil)
+		submitFn(cl, "m", 100*time.Millisecond, nil)
 		cl.RunFor(10 * time.Millisecond)
 	}
 	cl.RunFor(time.Second)
@@ -338,7 +348,7 @@ func TestZeroLengthInputsMode(t *testing.T) {
 	cl := testCluster(t, ClusterConfig{Workers: 1, GPUsPerWorker: 1, ZeroLengthInputs: true})
 	cl.RegisterModel("m", modelzoo.ResNet50())
 	ok := false
-	cl.Submit("m", 100*time.Millisecond, func(r Response, _ time.Duration) { ok = r.Success })
+	submitFn(cl, "m", 100*time.Millisecond, func(r Response, _ time.Duration) { ok = r.Success })
 	cl.RunFor(100 * time.Millisecond)
 	if !ok {
 		t.Fatal("zero-length input request failed")
@@ -361,7 +371,7 @@ func TestRegisterCopiesNames(t *testing.T) {
 
 func TestSubmitUnknownModelTypedError(t *testing.T) {
 	cl := testCluster(t, ClusterConfig{Workers: 1, GPUsPerWorker: 1})
-	if err := cl.Submit("ghost", time.Second, nil); !errors.Is(err, ErrUnknownModel) {
+	if err := submitFn(cl, "ghost", time.Second, nil); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("want ErrUnknownModel, got %v", err)
 	}
 }

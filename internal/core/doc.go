@@ -10,9 +10,9 @@
 // A request traverses the package in five steps (the full picture,
 // including the packages on either side, is in ARCHITECTURE.md):
 //
-//  1. Submit. Cluster.SubmitRequest validates the spec, resolves the
-//     model's owning scheduler shard, and puts the input on the
-//     client network link.
+//  1. Submit. Cluster.Submit, the one submission path, validates the
+//     spec, resolves the model's name to its ID, and puts the input on
+//     the client network link.
 //  2. Shard. On arrival the owning Controller mints a request ID
 //     (from the shard's disjoint ID progression), derives the
 //     internal deadline from the SLO, enqueues the request on its
@@ -28,8 +28,9 @@
 //     batch's requests.
 //  5. Respond. The response crosses the client link back; the cluster
 //     records client-observed latency into Metrics (global,
-//     per-model, per-tenant and per-shard bins) and settles the
-//     client's Handle.
+//     per-model, per-tenant and per-shard bins) and hands the outcome
+//     to the submission's ResponseSink: a pooled serving-path sink, a
+//     Handle, or a ResponseFunc.
 //
 // # Sharding
 //

@@ -28,7 +28,7 @@ func TestNoRejectCascadeUnderChurn(t *testing.T) {
 		if n >= 2000 {
 			return
 		}
-		cl.Submit(names[i%len(names)], 100*time.Millisecond, nil)
+		submitFn(cl, names[i%len(names)], 100*time.Millisecond, nil)
 		i++
 		cl.Eng.After(2*time.Millisecond, func() { loop(n + 1) })
 	}
@@ -58,7 +58,7 @@ func TestInferNeverRacesLoadETA(t *testing.T) {
 		// second model… simpler: fresh cluster per-iteration would be
 		// slow; instead rely on the first cold start being scheduled
 		// against the load ETA.
-		cl.Submit("m", 100*time.Millisecond, func(r Response, _ time.Duration) {
+		submitFn(cl, "m", 100*time.Millisecond, func(r Response, _ time.Duration) {
 			if !r.Success && r.Reason == ReasonRejected {
 				notLoaded++
 			}
@@ -76,7 +76,7 @@ func TestDemandAccountingUnderCancellation(t *testing.T) {
 	cl := testCluster(t, ClusterConfig{Workers: 1, GPUsPerWorker: 1})
 	cl.RegisterModel("m", modelzoo.ResNet50())
 	for i := 0; i < 200; i++ {
-		cl.Submit("m", time.Millisecond, nil) // all unmeetable
+		submitFn(cl, "m", time.Millisecond, nil) // all unmeetable
 	}
 	cl.RunFor(time.Second)
 	mi, _ := cl.Ctl.Model("m")

@@ -24,7 +24,7 @@ func TestDisturbanceDoesNotViolateSLOs(t *testing.T) {
 		if i >= 400 {
 			return
 		}
-		cl.Submit("m", slo, func(r Response, l time.Duration) {
+		submitFn(cl, "m", slo, func(r Response, l time.Duration) {
 			switch {
 			case r.Success && l > slo:
 				violations++
@@ -68,7 +68,7 @@ func TestRecoveryAfterDisturbanceBurst(t *testing.T) {
 	cl.RegisterModel("m", modelzoo.ResNet50())
 
 	// Warm up.
-	cl.Submit("m", 100*time.Millisecond, nil)
+	submitFn(cl, "m", 100*time.Millisecond, nil)
 	cl.RunFor(100 * time.Millisecond)
 
 	// A big one-shot stall while traffic flows.
@@ -80,7 +80,7 @@ func TestRecoveryAfterDisturbanceBurst(t *testing.T) {
 		if i >= 100 {
 			return
 		}
-		cl.Submit("m", 50*time.Millisecond, func(r Response, l time.Duration) {
+		submitFn(cl, "m", 50*time.Millisecond, func(r Response, l time.Duration) {
 			// Count successes in the tail half, after recovery.
 			if r.Success && i >= 50 {
 				okAfter++
@@ -112,7 +112,7 @@ func TestNoisyHardwareStillMeetsSLOs(t *testing.T) {
 		if i >= 2000 {
 			return
 		}
-		cl.Submit("m", slo, func(r Response, l time.Duration) {
+		submitFn(cl, "m", slo, func(r Response, l time.Duration) {
 			if r.Success {
 				ok++
 				if l > slo {
@@ -143,7 +143,7 @@ func TestJitteredNetworkKeepsServing(t *testing.T) {
 	cl.RegisterModel("m", modelzoo.ResNet50())
 	ok := 0
 	for i := 0; i < 50; i++ {
-		cl.Submit("m", 100*time.Millisecond, func(r Response, _ time.Duration) {
+		submitFn(cl, "m", 100*time.Millisecond, func(r Response, _ time.Duration) {
 			if r.Success {
 				ok++
 			}

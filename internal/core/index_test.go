@@ -31,7 +31,7 @@ func randomWorkload(cl *Cluster, seed uint64, nModels int, rate float64, span ti
 			if cl.Eng.Now() >= stop {
 				return
 			}
-			cl.Submit(names[zipf.Draw()], slos[stream.Intn(len(slos))], nil)
+			submitFn(cl, names[zipf.Draw()], slos[stream.Intn(len(slos))], nil)
 			arrival()
 		})
 	}
@@ -193,7 +193,7 @@ func zipfWorkload(cl *Cluster, seed uint64, names []string, exp, rate float64, f
 			if cl.Eng.Now() >= stop {
 				return
 			}
-			_ = cl.Submit(names[zipf.Draw()], 100*time.Millisecond, nil)
+			_ = submitFn(cl, names[zipf.Draw()], 100*time.Millisecond, nil)
 			arrival()
 		})
 	}

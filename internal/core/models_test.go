@@ -17,7 +17,7 @@ import (
 func fillExecWindow(t *testing.T, cl *Cluster, name string) time.Duration {
 	t.Helper()
 	for i := 0; i < 2*predictor.DefaultWindow; i++ {
-		if err := cl.Submit(name, 250*time.Millisecond, nil); err != nil {
+		if err := submitFn(cl, name, 250*time.Millisecond, nil); err != nil {
 			t.Fatal(err)
 		}
 		cl.RunFor(60 * time.Millisecond)
@@ -73,7 +73,7 @@ func TestReregisterOtherZooModelRestartsProfile(t *testing.T) {
 	}
 	// And the new model is served on the new estimates.
 	ok := false
-	_ = cl.Submit("m", 250*time.Millisecond, func(r Response, _ time.Duration) { ok = r.Success })
+	_ = submitFn(cl, "m", 250*time.Millisecond, func(r Response, _ time.Duration) { ok = r.Success })
 	cl.RunFor(300 * time.Millisecond)
 	if !ok {
 		t.Fatal("request for the re-registered model failed")
@@ -191,13 +191,13 @@ func interningChurn(t *testing.T, shards int, seed uint64) {
 		t.Helper()
 		i := len(outcomes)
 		outcomes = append(outcomes, 0)
-		h, err := cl.SubmitRequest(SubmitSpec{Model: name, SLO: 100 * time.Millisecond}, func(resp Response, _ time.Duration) {
+		h := NewHandle(ResponseFunc(func(resp Response, _ time.Duration) {
 			outcomes[i]++
 			if resp.Model != name {
 				t.Errorf("submission %d for %s answered as %s", i, name, resp.Model)
 			}
-		})
-		if err != nil {
+		}))
+		if err := cl.Submit(0, SubmitSpec{Model: name, SLO: 100 * time.Millisecond}, h); err != nil {
 			t.Fatalf("submit %s: %v", name, err)
 		}
 		return h

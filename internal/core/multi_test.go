@@ -25,12 +25,12 @@ func TestMultiGPUWorkerRoutesActions(t *testing.T) {
 		if i >= 500 {
 			return
 		}
-		cl.Submit("a", 20*time.Millisecond, func(r Response, _ time.Duration) {
+		submitFn(cl, "a", 20*time.Millisecond, func(r Response, _ time.Duration) {
 			if r.Success {
 				done++
 			}
 		})
-		cl.Submit("b", 20*time.Millisecond, func(r Response, _ time.Duration) {
+		submitFn(cl, "b", 20*time.Millisecond, func(r Response, _ time.Duration) {
 			if r.Success {
 				done++
 			}
@@ -57,7 +57,7 @@ func TestManyModelsManyWorkers(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, n := range names {
 			model := n
-			cl.Submit(model, 100*time.Millisecond, func(r Response, _ time.Duration) {
+			submitFn(cl, model, 100*time.Millisecond, func(r Response, _ time.Duration) {
 				if r.Success {
 					served[model]++
 				}
@@ -87,11 +87,11 @@ func TestResponseMarginDefaultScalesWithSLO(t *testing.T) {
 	cl.RegisterModel("m", modelzoo.ResNet50())
 	// A 4ms SLO (margin = SLO/20 = 200µs) is serviceable warm:
 	// exec 2.77ms + IO leaves ~1ms of scheduling headroom.
-	cl.Submit("m", 100*time.Millisecond, nil) // warm the model
+	submitFn(cl, "m", 100*time.Millisecond, nil) // warm the model
 	cl.RunFor(100 * time.Millisecond)
 	ok := false
 	var lat time.Duration
-	cl.Submit("m", 4*time.Millisecond, func(r Response, l time.Duration) { ok, lat = r.Success, l })
+	submitFn(cl, "m", 4*time.Millisecond, func(r Response, l time.Duration) { ok, lat = r.Success, l })
 	cl.RunFor(100 * time.Millisecond)
 	if !ok {
 		t.Fatal("4ms SLO should be serviceable warm")
@@ -107,21 +107,21 @@ func TestExplicitResponseMargin(t *testing.T) {
 		Controller: Config{ResponseMargin: 5 * time.Millisecond},
 	})
 	cl.RegisterModel("m", modelzoo.ResNet50())
-	cl.Submit("m", 100*time.Millisecond, nil)
+	submitFn(cl, "m", 100*time.Millisecond, nil)
 	cl.RunFor(100 * time.Millisecond)
 	// With a 5ms margin, an 8ms SLO leaves a 3ms budget — marginally
 	// above the 2.77ms execution but below exec + transport, so the
 	// request must fail (cancelled in advance, or rejected when the
 	// action misses its now-unmeetable window).
 	var resp Response
-	cl.Submit("m", 8*time.Millisecond, func(r Response, _ time.Duration) { resp = r })
+	submitFn(cl, "m", 8*time.Millisecond, func(r Response, _ time.Duration) { resp = r })
 	cl.RunFor(100 * time.Millisecond)
 	if resp.Success {
 		t.Fatalf("want failure under fat margin, got %+v", resp)
 	}
 	// And the margin must not break a comfortably feasible SLO.
 	ok := false
-	cl.Submit("m", 50*time.Millisecond, func(r Response, _ time.Duration) { ok = r.Success })
+	submitFn(cl, "m", 50*time.Millisecond, func(r Response, _ time.Duration) { ok = r.Success })
 	cl.RunFor(100 * time.Millisecond)
 	if !ok {
 		t.Fatal("50ms SLO should succeed with a 5ms margin")

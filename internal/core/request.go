@@ -77,7 +77,7 @@ func (r Reason) String() string {
 
 // SubmitSpec carries everything a caller may say about one inference
 // request. Model and SLO are required; the rest default to zero values
-// that reproduce the original Submit(model, slo) behaviour exactly.
+// (FIFO within the model's queue, no tenant, no batch cap).
 type SubmitSpec struct {
 	// Model is the registered instance name the request targets.
 	Model string
@@ -123,12 +123,8 @@ type Request struct {
 	InputBytes  int64
 	OutputBytes int64
 
-	// OnResponse is invoked exactly once with the outcome. The cluster
-	// layer wires it back over the client's network link. responder is
-	// the allocation-free alternative: a preallocated receiver checked
-	// first (see Responder).
-	OnResponse func(Response)
-	responder  Responder
+	// responder receives the outcome exactly once (see Responder).
+	responder Responder
 
 	// ---- scheduler-internal state ----
 	// mi is the registry entry whose queue holds (or held) the request;
@@ -150,9 +146,10 @@ type Request struct {
 	gen uint64
 }
 
-// Responder receives a request's terminal outcome — the closure-free
-// alternative to OnResponse. A pooled per-submission struct implements
-// it, so the response path carries no per-request func value.
+// Responder receives a request's terminal outcome at the controller.
+// The cluster's pooled per-submission struct implements it and wires the
+// outcome back over the client's network link, so the response path
+// carries no per-request func value.
 type Responder interface {
 	Respond(Response)
 }
@@ -189,9 +186,6 @@ func (r *Request) Run() {
 		c.timeoutRequest(r)
 	}
 }
-
-// Deadline returns the instant the response stops being useful.
-func (r *Request) Deadline() simclock.Time { return r.deadline }
 
 // ModelInfo returns the registry entry of the model the request targets
 // — what a scheduler's OnRequest needs, without looking Model up.

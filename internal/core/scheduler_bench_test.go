@@ -56,7 +56,7 @@ func benchState(nModels, resident, reqsPer int) (*ClockworkScheduler, *GPUMirror
 	}
 	for _, n := range names {
 		for j := 0; j < reqsPer; j++ {
-			ctl.Submit(n, 100*time.Millisecond, nil)
+			ctl.Submit(SubmitSpec{Model: n, SLO: 100 * time.Millisecond}, nil)
 		}
 	}
 	s := NewClockworkScheduler()
@@ -89,7 +89,7 @@ func spreadState(nModels int) (*ClockworkScheduler, *GPUMirror, *ModelInfo, simc
 		mi, _ := ctl.Model(name)
 		loadNow(ctl, ctl.GPUs()[i%gpus], mi, now)
 		loadNow(ctl, ctl.GPUs()[(i+1)%gpus], mi, now)
-		ctl.Submit(name, 100*time.Millisecond, nil)
+		ctl.Submit(SubmitSpec{Model: name, SLO: 100 * time.Millisecond}, nil)
 	}
 	s := NewClockworkScheduler()
 	s.Attach(ctl)

@@ -24,7 +24,7 @@ func TestBestStrategyPrefersLargestFeasibleBatch(t *testing.T) {
 	cl, s := schedCluster(t, 0)
 	cl.RegisterModel("m", modelzoo.ResNet50())
 	// Warm the model and let the system drain.
-	cl.Submit("m", 100*time.Millisecond, nil)
+	submitFn(cl, "m", 100*time.Millisecond, nil)
 	cl.RunFor(200 * time.Millisecond)
 
 	// Pile up 16 requests while the executor is busy with a decoy so
@@ -34,7 +34,7 @@ func TestBestStrategyPrefersLargestFeasibleBatch(t *testing.T) {
 	// Queue 16 requests "manually": submit them all at one instant.
 	var batches []int
 	for i := 0; i < 16; i++ {
-		cl.Submit("m", 100*time.Millisecond, func(r Response, _ time.Duration) {
+		submitFn(cl, "m", 100*time.Millisecond, func(r Response, _ time.Duration) {
 			if r.Success {
 				batches = append(batches, r.Batch)
 			}
@@ -63,12 +63,12 @@ func TestSchedulerRespectsUncompiledBatchSizes(t *testing.T) {
 	// to a compiled size, never up.
 	cl, _ := schedCluster(t, 0)
 	cl.RegisterModel("m", modelzoo.ResNet50())
-	cl.Submit("m", 100*time.Millisecond, nil)
+	submitFn(cl, "m", 100*time.Millisecond, nil)
 	cl.RunFor(200 * time.Millisecond)
 
 	var batches []int
 	for i := 0; i < 7; i++ { // 7 → batches of 4+2+1 or similar
-		cl.Submit("m", 100*time.Millisecond, func(r Response, _ time.Duration) {
+		submitFn(cl, "m", 100*time.Millisecond, func(r Response, _ time.Duration) {
 			if r.Success {
 				batches = append(batches, r.Batch)
 			}
@@ -93,9 +93,9 @@ func TestLoadPriorityPrefersHighDemand(t *testing.T) {
 
 	// Submit demand at one instant before the scheduler can react:
 	// 1 request for cool (submitted first!), then 8 for hot.
-	cl.Submit("cool", 100*time.Millisecond, nil)
+	submitFn(cl, "cool", 100*time.Millisecond, nil)
 	for i := 0; i < 8; i++ {
-		cl.Submit("hot", 100*time.Millisecond, nil)
+		submitFn(cl, "hot", 100*time.Millisecond, nil)
 	}
 	// Find which LOAD went first.
 	var firstLoad string
@@ -129,7 +129,7 @@ func TestNextVictimSkipsLoadingAndInFlight(t *testing.T) {
 	cl, s := schedCluster(t, 0)
 	cl.RegisterModel("a", modelzoo.ResNet50())
 	cl.RegisterModel("b", modelzoo.ResNet50())
-	cl.Submit("a", 100*time.Millisecond, nil)
+	submitFn(cl, "a", 100*time.Millisecond, nil)
 	cl.RunFor(100 * time.Millisecond) // a resident, idle
 
 	g := cl.Ctl.GPUs()[0]
@@ -151,7 +151,7 @@ func TestLoadOldestFirstPolicy(t *testing.T) {
 	cl := NewCluster(ClusterConfig{Workers: 1, GPUsPerWorker: 1, NoNoise: true, Scheduler: s})
 	cl.RegisterModel("m", modelzoo.ResNet50())
 	ok := false
-	cl.Submit("m", 100*time.Millisecond, func(r Response, _ time.Duration) { ok = r.Success })
+	submitFn(cl, "m", 100*time.Millisecond, func(r Response, _ time.Duration) { ok = r.Success })
 	cl.RunFor(100 * time.Millisecond)
 	if !ok {
 		t.Fatal("oldest-first policy failed to serve")

@@ -56,9 +56,8 @@ func TestShardedClusterServes(t *testing.T) {
 	var handles []*Handle
 	for round := 0; round < perModel; round++ {
 		for _, n := range names {
-			h, err := cl.SubmitRequest(SubmitSpec{Model: n, SLO: 250 * time.Millisecond},
-				func(Response, time.Duration) { responses++ })
-			if err != nil {
+			h := NewHandle(ResponseFunc(func(Response, time.Duration) { responses++ }))
+			if err := cl.Submit(0, SubmitSpec{Model: n, SLO: 250 * time.Millisecond}, h); err != nil {
 				t.Fatal(err)
 			}
 			handles = append(handles, h)
@@ -111,13 +110,10 @@ func TestMigrationLosslessProperty(t *testing.T) {
 	submitted := 0
 	submit := func(n string, slo time.Duration) {
 		var h *Handle
-		h2, err := cl.SubmitRequest(SubmitSpec{Model: n, SLO: slo}, func(Response, time.Duration) {
-			perRequest[h]++
-		})
-		if err != nil {
+		h = NewHandle(ResponseFunc(func(Response, time.Duration) { perRequest[h]++ }))
+		if err := cl.Submit(0, SubmitSpec{Model: n, SLO: slo}, h); err != nil {
 			t.Fatal(err)
 		}
-		h = h2
 		perRequest[h] = 0
 		handles = append(handles, h)
 		submitted++
@@ -199,7 +195,7 @@ func TestShardedDeterminism(t *testing.T) {
 				if round%2 == 1 {
 					n = names[2+i%3]
 				}
-				cl.Submit(n, 100*time.Millisecond, func(r Response, l time.Duration) {
+				submitFn(cl, n, 100*time.Millisecond, func(r Response, l time.Duration) {
 					log += fmt.Sprintf("%d:%s:%v:%v\n", r.RequestID, r.Model, r.Success, l)
 				})
 			}
@@ -253,7 +249,7 @@ func TestRebalancerMovesSkewedDemand(t *testing.T) {
 	for round := 0; round < 30; round++ {
 		for _, n := range hot {
 			for i := 0; i < 20; i++ {
-				cl.Submit(n, 2*time.Second, nil)
+				submitFn(cl, n, 2*time.Second, nil)
 			}
 		}
 		cl.RunFor(10 * time.Millisecond)
@@ -314,7 +310,7 @@ func TestRebalancerSkipsDeadShards(t *testing.T) {
 	for round := 0; round < 30; round++ {
 		for _, n := range shard0 {
 			for i := 0; i < 20; i++ {
-				cl.Submit(n, 2*time.Second, nil)
+				submitFn(cl, n, 2*time.Second, nil)
 			}
 		}
 		cl.RunFor(10 * time.Millisecond)
@@ -340,7 +336,7 @@ func TestRebalancerSkipsDeadShards(t *testing.T) {
 	}
 	for _, n := range shard1 {
 		for i := 0; i < 20; i++ {
-			cl.Submit(n, 2*time.Second, nil)
+			submitFn(cl, n, 2*time.Second, nil)
 		}
 	}
 	cl.RunFor(100 * time.Millisecond)
@@ -404,12 +400,12 @@ func TestShardedControlPlaneRouting(t *testing.T) {
 	if _, ok := cl.ShardOf(names[0]); ok {
 		t.Fatal("unregistered model still owned")
 	}
-	if err := cl.Submit(names[0], time.Second, nil); !errors.Is(err, ErrUnknownModel) {
+	if err := submitFn(cl, names[0], time.Second, nil); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("want ErrUnknownModel after unregister, got %v", err)
 	}
 	// And the remaining models still serve.
 	okResp := false
-	cl.Submit(names[1], time.Second, func(r Response, _ time.Duration) { okResp = r.Success })
+	submitFn(cl, names[1], time.Second, func(r Response, _ time.Duration) { okResp = r.Success })
 	cl.RunFor(2 * time.Second)
 	if !okResp {
 		t.Fatal("surviving model failed to serve after control-plane churn")
@@ -435,9 +431,8 @@ func TestMigrateCarriesQueuedCancel(t *testing.T) {
 	}
 	calls := 0
 	var resp Response
-	h, err := cl.SubmitRequest(SubmitSpec{Model: victim, SLO: time.Minute},
-		func(r Response, _ time.Duration) { calls++; resp = r })
-	if err != nil {
+	h := NewHandle(ResponseFunc(func(r Response, _ time.Duration) { calls++; resp = r }))
+	if err := cl.Submit(0, SubmitSpec{Model: victim, SLO: time.Minute}, h); err != nil {
 		t.Fatal(err)
 	}
 	cl.RunFor(10 * time.Millisecond) // arrives; queued, unservable
@@ -467,7 +462,7 @@ func TestMigrateCarriesQueuedCancel(t *testing.T) {
 
 	// The migrated model now serves on its new shard.
 	served := false
-	cl.Submit(victim, time.Second, func(r Response, _ time.Duration) { served = r.Success })
+	submitFn(cl, victim, time.Second, func(r Response, _ time.Duration) { served = r.Success })
 	cl.RunFor(2 * time.Second)
 	if !served {
 		t.Fatal("migrated model failed to serve on its new shard")

@@ -21,7 +21,7 @@ func newTracedCluster(t *testing.T) (*Cluster, *trace.Recorder) {
 func TestClusterFlightRecorderCapture(t *testing.T) {
 	cl, rec := newTracedCluster(t)
 	cl.RegisterModel("m", modelzoo.ResNet50())
-	cl.Submit("m", 100*time.Millisecond, nil)
+	submitFn(cl, "m", 100*time.Millisecond, nil)
 	cl.RunFor(100 * time.Millisecond)
 
 	snap := rec.Snapshot()
@@ -71,7 +71,7 @@ func TestClusterFlightRecorderCapture(t *testing.T) {
 func TestClusterFlightRecorderFailureCapture(t *testing.T) {
 	cl, rec := newTracedCluster(t)
 	cl.RegisterModel("m", modelzoo.ResNet50())
-	cl.Submit("m", time.Millisecond, nil) // unmeetable
+	submitFn(cl, "m", time.Millisecond, nil) // unmeetable
 	cl.RunFor(100 * time.Millisecond)
 
 	snap := rec.Snapshot()
@@ -110,7 +110,7 @@ func TestFlightRecorderPureObserver(t *testing.T) {
 		cl.RegisterModel("m", modelzoo.ResNet50())
 		for i := 0; i < 50; i++ {
 			cl.Eng.After(time.Duration(i)*2*time.Millisecond, func() {
-				cl.Submit("m", 50*time.Millisecond, nil)
+				submitFn(cl, "m", 50*time.Millisecond, nil)
 			})
 		}
 		cl.RunFor(500 * time.Millisecond)
@@ -145,7 +145,7 @@ func TestFlightRecorderFollowsMigration(t *testing.T) {
 	if err := cl.DrainWorker(from); err != nil {
 		t.Fatal(err)
 	}
-	cl.Submit("m", 250*time.Millisecond, nil)
+	submitFn(cl, "m", 250*time.Millisecond, nil)
 	cl.RunFor(5 * time.Millisecond) // request admitted and queued
 	if err := cl.MigrateModel("m", to); err != nil {
 		t.Fatal(err)

@@ -150,7 +150,7 @@ func RunAblationLoadPolicy(dur time.Duration, seed uint64) *AblationResult {
 					if cl.Eng.Now() >= stop {
 						return
 					}
-					cl.Submit(names[zipf.Draw()], slo, nil)
+					cl.Submit(0, core.SubmitSpec{Model: names[zipf.Draw()], SLO: slo}, nil)
 					arrival()
 				})
 			}

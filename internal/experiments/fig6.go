@@ -122,7 +122,7 @@ func RunFig6(cfg Fig6Config) *Fig6Result {
 	var violated uint64
 
 	submit := func(model string, minor bool) {
-		cl.Submit(model, cfg.SLO, func(r core.Response, l time.Duration) {
+		cl.Submit(0, core.SubmitSpec{Model: model, SLO: cfg.SLO}, core.ResponseFunc(func(r core.Response, l time.Duration) {
 			now := cl.Eng.Now()
 			idx := int(int64(now) / int64(time.Minute))
 			if l > maxLatency {
@@ -146,7 +146,7 @@ func RunFig6(cfg Fig6Config) *Fig6Result {
 			if r.Success && l <= cfg.SLO {
 				majorGood.Incr(now)
 			}
-		})
+		}))
 	}
 
 	// Minor workload: Poisson at MinorRate for the whole experiment.

@@ -108,11 +108,11 @@ func RunFig7(cfg Fig7Config) *Fig7Result {
 				if e >= 0 {
 					slo := sloOf(e)
 					counters[e].sent++
-					cl.Submit(model, slo, func(r core.Response, l time.Duration) {
+					cl.Submit(0, core.SubmitSpec{Model: model, SLO: slo}, core.ResponseFunc(func(r core.Response, l time.Duration) {
 						if r.Success && l <= slo {
 							counters[e].ok++
 						}
-					})
+					}))
 				}
 				arrival()
 			})
@@ -242,11 +242,11 @@ func RunFig7Isolation(cfg Fig7IsoConfig) *Fig7IsoResult {
 				if e := epochOf(now); e >= 0 {
 					slo := sloOf(e)
 					epochs[e].lsSent++
-					cl.Submit(model, slo, func(r core.Response, l time.Duration) {
+					cl.Submit(0, core.SubmitSpec{Model: model, SLO: slo}, core.ResponseFunc(func(r core.Response, l time.Duration) {
 						if r.Success && l <= slo {
 							epochs[e].lsOK++
 						}
-					})
+					}))
 				}
 				arrival()
 			})
@@ -263,14 +263,14 @@ func RunFig7Isolation(cfg Fig7IsoConfig) *Fig7IsoResult {
 			if cl.Eng.Now() >= endAt {
 				return
 			}
-			cl.Submit(model, bcSLO, func(r core.Response, _ time.Duration) {
+			cl.Submit(0, core.SubmitSpec{Model: model, SLO: bcSLO}, core.ResponseFunc(func(r core.Response, _ time.Duration) {
 				if r.Success {
 					if e := epochOf(r.CompletedAt); e >= 0 {
 						epochs[e].bcDone++
 					}
 				}
 				inFlight()
-			})
+			}))
 		}
 		for i := 0; i < cfg.BCConc; i++ {
 			inFlight()

@@ -9,10 +9,12 @@ import (
 	"time"
 )
 
-// One driver, two shapes. The single-engine tests keep the names they
-// had when a separate single-engine driver existed (the suite's floor
-// list pins them); the contracts that do not depend on the shape —
-// Barrier, inject-after-stop, abort — run table-driven over shapes.
+// One driver, two shapes. The single-engine tests are named
+// TestDriverOneEngine*; those still called TestRealtimeDriver* keep the
+// name they had when a separate single-engine driver existed, and are
+// renamed a few at a time. The contracts that do not depend on the
+// shape — Barrier, inject-after-stop, abort — run table-driven over
+// shapes.
 var shapes = []int{1, 3}
 
 // startDriver builds n engines, lets prime schedule on them before any
@@ -77,7 +79,7 @@ func waitDone(t *testing.T, wg *sync.WaitGroup, timeout time.Duration) {
 
 // ---- single engine: the N=1 pacer ----
 
-func TestRealtimeDriverRunsEvents(t *testing.T) {
+func TestDriverOneEngineRunsEvents(t *testing.T) {
 	var fired atomic.Int32
 	_, _, stop := startDriver(t, 1, 1000, 0, func(e []*Engine) {
 		e[0].After(time.Microsecond, func() { fired.Add(1) })
@@ -87,7 +89,7 @@ func TestRealtimeDriverRunsEvents(t *testing.T) {
 	waitFor(t, 2*time.Second, "both events to fire", func() bool { return fired.Load() == 2 })
 }
 
-func TestRealtimeDriverInject(t *testing.T) {
+func TestDriverOneEngineInject(t *testing.T) {
 	d, _, stop := startDriver(t, 1, 0, 0, nil) // speed 0 → treated as 1.0
 	var hit atomic.Bool
 	inject(d, 0, func() { hit.Store(true) })
@@ -99,11 +101,11 @@ func TestRealtimeDriverInject(t *testing.T) {
 	time.Sleep(10 * time.Millisecond)
 }
 
-// TestRealtimeDriverPacingBounds checks the speed multiplier's pacing
+// TestDriverOneEnginePacingBounds checks the speed multiplier's pacing
 // contract: a span of virtual time can never elapse in less wall time
 // than span/speed. (No tight upper bound — a loaded CI machine may run
 // arbitrarily late; late is allowed, early is a pacing bug.)
-func TestRealtimeDriverPacingBounds(t *testing.T) {
+func TestDriverOneEnginePacingBounds(t *testing.T) {
 	for _, speed := range []float64{1, 10, 100} {
 		const events = 10
 		span := 200 * time.Millisecond * time.Duration(speed) // virtual

@@ -50,12 +50,12 @@ func (c *ClosedLoopClient) submit() {
 		return
 	}
 	c.sent++
-	c.cl.Submit(c.model, c.slo, func(r core.Response, l time.Duration) {
+	c.cl.Submit(0, core.SubmitSpec{Model: c.model, SLO: c.slo}, core.ResponseFunc(func(r core.Response, l time.Duration) {
 		if r.Success && l <= c.slo {
 			c.succeeded++
 		}
 		c.submit()
-	})
+	}))
 }
 
 // Sent returns the number of requests issued.
@@ -103,11 +103,11 @@ func (c *OpenLoopClient) scheduleNext() {
 			return
 		}
 		c.sent++
-		c.cl.Submit(c.model, c.slo, func(r core.Response, l time.Duration) {
+		c.cl.Submit(0, core.SubmitSpec{Model: c.model, SLO: c.slo}, core.ResponseFunc(func(r core.Response, l time.Duration) {
 			if r.Success && l <= c.slo {
 				c.succeeded++
 			}
-		})
+		}))
 		c.scheduleNext()
 	})
 }

@@ -266,7 +266,7 @@ func (rp *Replayer) scheduleMinuteBody(m int) {
 			at := time.Duration(rp.stream.Float64() * float64(time.Minute))
 			rp.cl.Eng.After(at, func() {
 				rp.sent++
-				rp.cl.Submit(model, rp.slo, nil)
+				rp.cl.Submit(0, core.SubmitSpec{Model: model, SLO: rp.slo}, nil)
 			})
 		}
 	}

@@ -46,6 +46,12 @@ func hashAck(h hash.Hash, corr, reqID uint64, success bool, reason uint8, latenc
 	h.Write(buf[:])
 }
 
+// ackFunc is a replayed request's completion sink: a closure carrying
+// the correlation ID the live run acknowledged the request under.
+type ackFunc func(clockwork.Result)
+
+func (f ackFunc) OnResult(r clockwork.Result) { f(r) }
+
 // ReplayResult reports a deterministic replay.
 type ReplayResult struct {
 	// RecordedHash digests the epoch's recorded ack stream;
@@ -98,7 +104,7 @@ func ReplayEpochTraced(e *EpochData, flight *trace.Recorder) (*ReplayResult, err
 	res := &ReplayResult{}
 	recHash := sha256.New()
 	repHash := sha256.New()
-	onResult := func(corr uint64) func(clockwork.Result) {
+	ack := func(corr uint64) ackFunc {
 		return func(r clockwork.Result) {
 			hashAck(repHash, corr, r.RequestID, r.Success, uint8(r.Reason), r.Latency, r.Batch, r.ColdStart, sys.EngineSteps(), sys.Now())
 			res.ReplayedAcks++
@@ -135,12 +141,11 @@ func ReplayEpochTraced(e *EpochData, flight *trace.Recorder) (*ReplayResult, err
 						Priority:     g.Priority,
 						Tenant:       g.Tenant,
 						MaxBatchSize: g.MaxBatch,
-						OnResult:     onResult(g.Corr),
 					}
 					// A submission the live run saw fail (unknown
 					// model, draining) recorded no ack; it fails here
 					// identically and contributes nothing either.
-					_, _ = sys.SubmitRequestOn(g.Shard, req, nil)
+					_ = sys.SubmitRequestSink(g.Shard, req, ack(g.Corr))
 					res.Requests++
 				}
 			})

@@ -54,9 +54,9 @@ func TestMultiLiveSubmitAllShards(t *testing.T) {
 		}
 		for j := 0; j < perModel; j++ {
 			if !live.InjectOn(shard, func() {
-				h, err := sys.SubmitRequestOn(shard, clockwork.Request{Model: model, SLO: time.Second}, nil)
+				h, err := sys.SubmitRequest(clockwork.Request{Model: model, SLO: time.Second}, nil)
 				if err != nil {
-					t.Errorf("SubmitRequestOn(%d, %s): %v", shard, model, err)
+					t.Errorf("SubmitRequest(%s) on shard %d: %v", model, shard, err)
 					handles <- clockwork.Handle{}
 					return
 				}
@@ -117,27 +117,25 @@ func TestMultiLiveStaleShardForwards(t *testing.T) {
 	}
 	wrong := 1 - shard
 
-	hc := make(chan clockwork.Handle, 1)
+	rc := make(chan clockwork.Result, 1)
 	if !live.InjectOn(wrong, func() {
-		h, err := sys.SubmitRequestOn(wrong, clockwork.Request{Model: "m0", SLO: time.Second}, nil)
+		err := sys.SubmitRequestSink(wrong, clockwork.Request{Model: "m0", SLO: time.Second}, sinkFunc(func(r clockwork.Result) { rc <- r }))
 		if err != nil {
-			t.Errorf("SubmitRequestOn(wrong shard): %v", err)
-			hc <- clockwork.Handle{}
-			return
+			t.Errorf("SubmitRequestSink(wrong shard): %v", err)
+			close(rc)
 		}
-		hc <- h
 	}) {
 		t.Fatal("InjectOn refused while driver running")
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 20*time.Second)
-	defer cancel()
-	h := <-hc
-	if h == (clockwork.Handle{}) {
-		t.FailNow()
-	}
-	res, err := h.Wait(ctx)
-	if err != nil {
-		t.Fatalf("Wait: %v", err)
+	var res clockwork.Result
+	select {
+	case r, ok := <-rc:
+		if !ok {
+			t.FailNow()
+		}
+		res = r
+	case <-time.After(20 * time.Second):
+		t.Fatal("forwarded submission never completed")
 	}
 	if !res.Success {
 		t.Fatalf("forwarded submission failed: %+v", res)
@@ -233,7 +231,7 @@ func TestMultiLiveRebalance(t *testing.T) {
 		live.InjectOn(0, func() {
 			for _, name := range names {
 				for k := 0; k < 20; k++ {
-					_, _ = sys.SubmitRequestOn(0, clockwork.Request{Model: name, SLO: 30 * time.Second}, nil)
+					_ = sys.SubmitRequestSink(0, clockwork.Request{Model: name, SLO: 30 * time.Second}, nil)
 				}
 			}
 		})

@@ -125,15 +125,3 @@ func (r *Replay) Apply(step uint64, at time.Duration, fn func()) error {
 	}
 	return nil
 }
-
-// RunQuiescent executes remaining internal events until either the
-// queue drains or maxSteps more events have run — the post-record tail
-// that lets in-flight requests reach their outcomes. The step bound
-// keeps a periodic timer (a sharded system's rebalancer) from making
-// the tail infinite.
-func (r *Replay) RunQuiescent(maxSteps uint64) {
-	eng := r.sys.cluster.Eng
-	limit := eng.Steps() + maxSteps
-	for eng.Steps() < limit && eng.Step() {
-	}
-}

@@ -207,31 +207,19 @@ func resultOf(r core.Response, l time.Duration) Result {
 
 // SubmitRequest issues an inference request with full per-request
 // options and returns a client-side handle. onDone (may be nil) runs
-// when the response reaches the client. Unknown models and malformed
-// specs are typed errors (ErrUnknownModel, ErrInvalidRequest) — the
-// submission path no longer silently accepts unregistered names.
+// when the response reaches the client, after req.OnResult. Unknown
+// models and malformed specs are typed errors (ErrUnknownModel,
+// ErrInvalidRequest). On a Config.EnginePerShard system the caller must
+// be on the model's owning shard's engine goroutine (Live.InjectOn with
+// the shard from OwnerShard); from any other shard, use
+// SubmitRequestSink.
 func (s *System) SubmitRequest(req Request, onDone func(Result)) (Handle, error) {
-	spec, cb := req.lower(onDone)
-	h, err := s.cluster.SubmitRequest(spec, cb)
-	if err != nil {
-		return Handle{}, err
+	shard := 0
+	if s.cluster.EnginePerShard() {
+		shard, _ = s.cluster.OwnerShardHint(req.Model)
 	}
-	return Handle{h: h, gen: h.Gen()}, nil
-}
-
-// SubmitRequestOn is SubmitRequest entered on a specific shard — the
-// routed form for Config.EnginePerShard systems, where the caller must
-// already be on shard's engine goroutine (via Live.InjectOn with the
-// shard from OwnerShard). If shard turns out not to own the model —
-// the routing hint was a migration stale — the submission is forwarded
-// to the real owner over the cross-shard network, costing one extra
-// hop. Out-of-range shards are ErrNoSuchShard. On a single-engine
-// system it is identical to SubmitRequest with the shard ignored (all
-// shards live on one engine).
-func (s *System) SubmitRequestOn(shard int, req Request, onDone func(Result)) (Handle, error) {
-	spec, cb := req.lower(onDone)
-	h, err := s.cluster.SubmitRequestOn(shard, spec, cb)
-	if err != nil {
+	h := core.NewHandle(lowerResult(req.OnResult, onDone, nil))
+	if err := s.cluster.Submit(shard, req.spec(), h); err != nil {
 		return Handle{}, err
 	}
 	return Handle{h: h, gen: h.Gen()}, nil
@@ -245,86 +233,70 @@ type ResultSink interface {
 	OnResult(Result)
 }
 
-// sinkLower adapts a public ResultSink to the core response interface.
-// It recycles itself through a pool the moment the response fires, so
-// the sink path stays allocation-free in steady state.
-type sinkLower struct {
-	sink ResultSink
-}
-
-var sinkLowerPool = sync.Pool{New: func() any { return new(sinkLower) }}
-
-func (b *sinkLower) OnResponse(r core.Response, l time.Duration) {
-	sink := b.sink
-	b.sink = nil
-	sinkLowerPool.Put(b)
-	sink.OnResult(resultOf(r, l))
-}
-
 // SubmitRequestSink is the fire-and-forget submission path: no Handle is
 // minted (nothing to Wait on, nothing to Release), and the outcome is
-// delivered to sink's OnResult exactly once. shard has SubmitRequestOn's
-// semantics (ignored on a single-engine system; the caller must be on
-// that shard's engine goroutine otherwise). req.OnResult must be nil —
-// the sink IS the completion callback (ErrInvalidRequest otherwise).
-// This is the serving path for callers that keep per-request state in
-// pools of their own: nothing is allocated per request on the way down.
+// delivered to sink's OnResult exactly once. shard is the shard whose
+// engine the caller is on: with Config.EnginePerShard the caller must be
+// on that engine goroutine, and a shard that does not own the model
+// forwards the request to its owner, costing one extra hop; on a
+// single-engine system the shard is range-checked and otherwise ignored.
+// Out-of-range shards are ErrNoSuchShard. req.OnResult must be nil — the
+// sink IS the completion callback (ErrInvalidRequest otherwise). This is
+// the serving path for callers that keep per-request state in pools of
+// their own: nothing is allocated per request on the way down.
 func (s *System) SubmitRequestSink(shard int, req Request, sink ResultSink) error {
 	if req.OnResult != nil {
 		return fmt.Errorf("%w: SubmitRequestSink with both OnResult and a sink", ErrInvalidRequest)
 	}
-	spec := core.SubmitSpec{
+	return s.cluster.Submit(shard, req.spec(), lowerResult(nil, nil, sink))
+}
+
+// spec translates the public request into the core submission spec.
+func (req Request) spec() core.SubmitSpec {
+	return core.SubmitSpec{
 		Model:    req.Model,
 		SLO:      req.SLO,
 		Priority: req.Priority,
 		Tenant:   req.Tenant,
 		MaxBatch: req.MaxBatchSize,
 	}
-	var cs core.ResponseSink
-	var b *sinkLower
+}
+
+// resultLower adapts the public completion forms to the core
+// ResponseSink: Request.OnResult fires first, then SubmitRequest's
+// onDone, then SubmitRequestSink's sink. It recycles itself through a
+// pool the moment the response fires, so lowering allocates nothing per
+// request in steady state.
+type resultLower struct {
+	onResult, onDone func(Result)
+	sink             ResultSink
+}
+
+var resultLowerPool = sync.Pool{New: func() any { return new(resultLower) }}
+
+// lowerResult returns a pooled adapter for the given completions, or nil
+// when there is nothing to notify.
+func lowerResult(onResult, onDone func(Result), sink ResultSink) core.ResponseSink {
+	if onResult == nil && onDone == nil && sink == nil {
+		return nil
+	}
+	b := resultLowerPool.Get().(*resultLower)
+	b.onResult, b.onDone, b.sink = onResult, onDone, sink
+	return b
+}
+
+func (b *resultLower) OnResponse(r core.Response, l time.Duration) {
+	onResult, onDone, sink := b.onResult, b.onDone, b.sink
+	*b = resultLower{}
+	resultLowerPool.Put(b)
+	res := resultOf(r, l)
+	if onResult != nil {
+		onResult(res)
+	}
+	if onDone != nil {
+		onDone(res)
+	}
 	if sink != nil {
-		b = sinkLowerPool.Get().(*sinkLower)
-		b.sink = sink
-		cs = b
+		sink.OnResult(res)
 	}
-	err := s.cluster.SubmitRequestSinkOn(shard, spec, cs)
-	if err != nil && b != nil {
-		b.sink = nil
-		sinkLowerPool.Put(b)
-	}
-	return err
-}
-
-// lower translates the public request into the core submission spec and
-// completion callback.
-func (req Request) lower(onDone func(Result)) (core.SubmitSpec, func(core.Response, time.Duration)) {
-	spec := core.SubmitSpec{
-		Model:    req.Model,
-		SLO:      req.SLO,
-		Priority: req.Priority,
-		Tenant:   req.Tenant,
-		MaxBatch: req.MaxBatchSize,
-	}
-	var cb func(core.Response, time.Duration)
-	if onDone != nil || req.OnResult != nil {
-		onResult := req.OnResult
-		cb = func(r core.Response, l time.Duration) {
-			res := resultOf(r, l)
-			if onResult != nil {
-				onResult(res)
-			}
-			if onDone != nil {
-				onDone(res)
-			}
-		}
-	}
-	return spec, cb
-}
-
-// Submit issues an inference request with default options — the
-// convenience path for plain (model, SLO) submissions. onDone (may be
-// nil) runs when the response reaches the client.
-func (s *System) Submit(model string, slo time.Duration, onDone func(Result)) error {
-	_, err := s.SubmitRequest(Request{Model: model, SLO: slo}, onDone)
-	return err
 }

@@ -158,9 +158,6 @@ func (r *Recorder) RecordShed() {
 	}
 }
 
-// ShedCount returns the number of admission sheds recorded.
-func (r *Recorder) ShedCount() uint64 { return r.shed.Load() }
-
 // Move transfers the in-flight building state of the given request IDs
 // from one shard's recorder to another's, following a model migration.
 // Must run with both engines stopped (the migration itself already
