@@ -127,9 +127,9 @@ func TestDriverOneEnginePacingBounds(t *testing.T) {
 	}
 }
 
-// TestRealtimeDriverInjectAfterStop checks that Inject against a
+// TestDriverOneEngineInjectAfterStop checks that Inject against a
 // stopped driver neither panics nor mutates the engine.
-func TestRealtimeDriverInjectAfterStop(t *testing.T) {
+func TestDriverOneEngineInjectAfterStop(t *testing.T) {
 	d, engines, stop := startDriver(t, 1, 1000, 0, nil)
 	stop()
 	e := engines[0]
@@ -144,10 +144,10 @@ func TestRealtimeDriverInjectAfterStop(t *testing.T) {
 	}
 }
 
-// TestRealtimeDriverInjectFromCallback checks Inject's reentrancy
+// TestDriverOneEngineInjectFromCallback checks Inject's reentrancy
 // contract: an event callback may inject follow-up work (the serving
 // plane's resubmit-on-result pattern) without deadlocking the driver.
-func TestRealtimeDriverInjectFromCallback(t *testing.T) {
+func TestDriverOneEngineInjectFromCallback(t *testing.T) {
 	d, _, stop := startDriver(t, 1, 1000, 0, nil)
 	defer stop()
 	var depth atomic.Int32

@@ -9,20 +9,23 @@ import (
 )
 
 // Allocation ratchets: hard ceilings on steady-state allocs per request
-// for the two hot paths this package owns. These run as ordinary tests
+// for the hot paths this package owns. These run as ordinary tests
 // (CI runs them on every push), so a regression that re-introduces
 // per-request garbage fails the build instead of silently eroding the
 // engine floor. The ceilings are set a small margin above the measured
-// steady state (0 allocs for both paths) to absorb runtime noise —
-// background driver pacing, GC bookkeeping — not to leave room for new
-// per-request allocations.
+// steady state to absorb runtime noise — background driver pacing, GC
+// bookkeeping — not to leave room for new per-request allocations.
 const (
 	// liveAllocCeiling bounds one Inject → Wait → Release round trip on
 	// the live engine (measured: 0 allocs/op; ISSUE-10 target ≤ 12).
 	liveAllocCeiling = 4.0
 	// streamAllocCeiling bounds one sequential stream-transport round
-	// trip, client and server included (measured: 2 allocs/op).
-	streamAllocCeiling = 10.0
+	// trip, client and server included (measured: 0 allocs/op).
+	streamAllocCeiling = 4.0
+	// httpAllocCeiling bounds one sequential HTTP/JSON round trip,
+	// client and server included (measured: 99 allocs/op, nearly all of
+	// them net/http and encoding/json internals).
+	httpAllocCeiling = 104.0
 )
 
 // TestAllocRatchetLiveRoundTrip pins the engine floor: submit on the
@@ -94,5 +97,41 @@ func TestAllocRatchetStreamRoundTrip(t *testing.T) {
 	}
 	if avg := testing.AllocsPerRun(200, fire); avg > streamAllocCeiling {
 		t.Fatalf("stream round trip allocates %.1f objects/op, ratchet ceiling is %.1f", avg, streamAllocCeiling)
+	}
+}
+
+// TestAllocRatchetHTTPRoundTrip pins the HTTP/JSON front door the same
+// way: one sequential Infer over loopback HTTP, counting allocations
+// across the whole process (client, net/http, handler and engine).
+func TestAllocRatchetHTTPRoundTrip(t *testing.T) {
+	if testing.Short() {
+		t.Skip("allocation ratchet skipped in -short")
+	}
+	if raceEnabled {
+		// Under the race detector sync.Pool drops puts at random, so
+		// net/http's pooled buffers are reallocated: 111 allocs/op.
+		t.Skip("HTTP allocation ratchet skipped under the race detector")
+	}
+	_, client := newTestServer(t, clockwork.Config{Workers: 1, GPUsPerWorker: 2}, 10_000)
+	ctx := context.Background()
+	if err := client.RegisterModel(ctx, "m", "resnet50_v1b"); err != nil {
+		t.Fatal(err)
+	}
+	fire := func() {
+		res, err := client.Infer(ctx, clockwork.Request{Model: "m", SLO: time.Second})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Success {
+			t.Fatalf("infer failed: %+v", res)
+		}
+	}
+	for i := 0; i < 50; i++ {
+		fire()
+	}
+	avg := testing.AllocsPerRun(200, fire)
+	t.Logf("HTTP round trip: %.1f allocs/op", avg)
+	if avg > httpAllocCeiling {
+		t.Fatalf("HTTP round trip allocates %.1f objects/op, ratchet ceiling is %.1f", avg, httpAllocCeiling)
 	}
 }

@@ -189,7 +189,7 @@ func (s *Server) handleAutoscalerPost(w http.ResponseWriter, r *http.Request) {
 			s.ascWindow.Store(int64(n))
 		})
 		if doErr != nil {
-			writeError(w, http.StatusServiceUnavailable, "stopped", doErr)
+			writeAPIError(w, doErr)
 			return
 		}
 	}

@@ -132,7 +132,8 @@ func TestWriteJSONSuccessUnchanged(t *testing.T) {
 // regression: frames arriving after the live driver stopped used to be
 // silently dropped by Inject with their admission slots still held, so
 // Shutdown's drain hung until its deadline. Now the abort path answers
-// every item with an error frame and releases its slot.
+// every item with an error frame and releases its slot. Both front
+// doors report the event as the same typed error, ErrLiveStopped.
 func TestStreamInjectAfterStopReleasesWindow(t *testing.T) {
 	srv, client, sc := newTestStreamServer(t,
 		clockwork.Config{Workers: 1, GPUsPerWorker: 1}, Options{Speed: 1000, MaxInFlight: 8})
@@ -147,13 +148,18 @@ func TestStreamInjectAfterStopReleasesWindow(t *testing.T) {
 	// yes).
 	srv.Live().Stop()
 
-	// The infer must come back as a typed error frame, not hang.
-	if _, err := sc.Infer(ctx, clockwork.Request{Model: "m", SLO: time.Second}); err == nil {
-		t.Fatal("Infer after driver stop reported success")
-	}
-	// And the models control frame must be answered too.
-	if _, err := sc.Models(ctx); err == nil {
-		t.Fatal("Models after driver stop reported success")
+	// The infer must come back as a typed error, not hang, and the
+	// models control frame must be answered too — over either transport.
+	for _, front := range []struct {
+		name string
+		tr   Transport
+	}{{"stream", sc}, {"http", client}} {
+		if _, err := front.tr.Infer(ctx, clockwork.Request{Model: "m", SLO: time.Second}); !errors.Is(err, clockwork.ErrLiveStopped) {
+			t.Fatalf("%s Infer after driver stop: %v, want ErrLiveStopped", front.name, err)
+		}
+		if _, err := front.tr.Models(ctx); !errors.Is(err, clockwork.ErrLiveStopped) {
+			t.Fatalf("%s Models after driver stop: %v, want ErrLiveStopped", front.name, err)
+		}
 	}
 
 	// The admission slots must all be back: a stranded slot would hang

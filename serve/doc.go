@@ -7,15 +7,15 @@
 //
 //   - Server: an HTTP/JSON front end (POST /v1/infer, model
 //     registration, the worker/shard admin plane, GET /metrics in
-//     Prometheus text format) that bridges concurrent connections onto
-//     the single-threaded engine through clockwork.Live — a submission
-//     is injected onto the owning engine's goroutine, every other
-//     engine-side call runs under the Live.Do barrier, every connection
-//     handler blocks until its request's sink delivers the outcome, and
+//     Prometheus text format) over the single-threaded engine, through
+//     clockwork.Live. Both transports share one per-request state
+//     machine — admit into one bounded window (Options.MaxInFlight;
+//     beyond it HTTP answers 429, the stream a typed overloaded frame),
+//     inject onto the owning engine, exactly one outcome, release — and
+//     differ only in decoding a request and writing its outcome out.
+//     Every other engine-side call runs under the Live.Do barrier, and
 //     graceful Shutdown drains in-flight requests before stopping the
-//     clock. Both transports admit through one bounded in-flight
-//     window (Options.MaxInFlight): beyond it HTTP answers 429 and the
-//     stream a typed overloaded frame (ErrOverloaded).
+//     clock.
 //   - The stream transport (Server.ServeStream + StreamClient, wire
 //     codec in serve/stream): the fast path — length-prefixed binary
 //     frames over TCP, many in-flight requests multiplexed per

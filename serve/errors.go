@@ -48,6 +48,7 @@ var wireCodes = []wireCode{
 	{"no_such_shard", http.StatusNotFound, stream.CodeNoSuchShard, clockwork.ErrNoSuchShard},
 	{"overloaded", http.StatusTooManyRequests, stream.CodeOverloaded, ErrOverloaded},
 	{"draining", http.StatusServiceUnavailable, stream.CodeDraining, ErrDraining},
+	{"stopped", http.StatusServiceUnavailable, stream.CodeStopped, clockwork.ErrLiveStopped},
 }
 
 // errToCode maps a typed error onto its (status, code) pair; unmatched

@@ -44,7 +44,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		agg = s.flight.Aggregate()
 	})
 	if doErr != nil {
-		writeError(w, http.StatusServiceUnavailable, "stopped", doErr)
+		writeAPIError(w, doErr)
 		return
 	}
 

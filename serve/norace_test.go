@@ -8,3 +8,7 @@ package serve
 // -short runs) use a reduced volume — the integrity invariants checked
 // are identical.
 const e2eRequests = 100_000
+
+// raceEnabled reports a race-detector build, where allocation counts
+// differ (sync.Pool drops puts at random).
+const raceEnabled = false

@@ -6,6 +6,7 @@ import (
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -212,35 +213,67 @@ func TestServeGracefulDrain(t *testing.T) {
 }
 
 // TestServeDrainDeadlineReleasesWaiters: when the drain deadline
-// expires with requests still in flight, their handlers are released
-// (error response) rather than stranded on a stopped clock.
+// expires with a request still in flight, over either transport, the
+// stranded call is released (an error) rather than left on a stopped
+// clock, no goroutine stays parked in Shutdown, and a second Shutdown
+// has nothing left to wait for — the stranded request's outcome can
+// never come.
 func TestServeDrainDeadlineReleasesWaiters(t *testing.T) {
-	// Very slow virtual clock: the in-flight request cannot complete
-	// within the test, so only the stopCtx release can unblock it.
-	srv, client := newTestServer(t, clockwork.Config{}, 0.001)
-	ctx := context.Background()
-	if err := client.RegisterModel(ctx, "m", "resnet50_v1b"); err != nil {
-		t.Fatalf("RegisterModel: %v", err)
-	}
-	inferDone := make(chan error, 1)
-	go func() {
-		_, err := client.Infer(ctx, clockwork.Request{Model: "m", SLO: time.Hour})
-		inferDone <- err
-	}()
-	time.Sleep(50 * time.Millisecond) // let it get in flight
+	for _, transport := range []string{"http", "stream"} {
+		t.Run(transport, func(t *testing.T) {
+			// Very slow virtual clock: the in-flight request cannot
+			// complete within the test.
+			srv, client, sc := newTestStreamServer(t, clockwork.Config{}, Options{Speed: 0.001})
+			ctx := context.Background()
+			if err := client.RegisterModel(ctx, "m", "resnet50_v1b"); err != nil {
+				t.Fatalf("RegisterModel: %v", err)
+			}
+			var front Transport = client
+			if transport == "stream" {
+				front = sc
+			}
+			inferDone := make(chan error, 1)
+			go func() {
+				_, err := front.Infer(ctx, clockwork.Request{Model: "m", SLO: time.Hour})
+				inferDone <- err
+			}()
+			deadline := time.Now().Add(5 * time.Second)
+			for serverInflight(srv) == 0 {
+				if time.Now().After(deadline) {
+					t.Fatal("request never got in flight")
+				}
+				time.Sleep(2 * time.Millisecond)
+			}
 
-	shCtx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
-	defer cancel()
-	if err := srv.Shutdown(shCtx); !errors.Is(err, context.DeadlineExceeded) {
-		t.Fatalf("Shutdown with in-flight work: %v, want DeadlineExceeded", err)
-	}
-	select {
-	case err := <-inferDone:
-		if err == nil {
-			t.Fatal("stranded infer should have errored")
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("infer handler stranded after drain deadline")
+			shCtx, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+			defer cancel()
+			if err := srv.Shutdown(shCtx); !errors.Is(err, context.DeadlineExceeded) {
+				t.Fatalf("Shutdown with in-flight work: %v, want DeadlineExceeded", err)
+			}
+			select {
+			case err := <-inferDone:
+				if err == nil {
+					t.Fatal("stranded infer should have errored")
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("infer call stranded after drain deadline")
+			}
+
+			const again = 5 * time.Second
+			start := time.Now()
+			shCtx2, cancel2 := context.WithTimeout(ctx, again)
+			defer cancel2()
+			if err := srv.Shutdown(shCtx2); err != nil {
+				t.Fatalf("second Shutdown: %v", err)
+			}
+			if took := time.Since(start); took > again/5 {
+				t.Fatalf("second Shutdown took %v of its %v deadline", took, again)
+			}
+			buf := make([]byte, 1<<20)
+			if stacks := string(buf[:runtime.Stack(buf, true)]); strings.Contains(stacks, "serve.(*Server).Shutdown") {
+				t.Fatalf("goroutine left parked in Shutdown:\n%s", stacks)
+			}
+		})
 	}
 }
 

@@ -75,8 +75,8 @@ type TraceConfig struct {
 
 // Server is the HTTP/JSON front end of a live System: it bridges
 // concurrent connections onto the single-threaded engine through the
-// Live driver (every engine-side call goes through Live.Do; every
-// waiter blocks on Handle.Wait), so the engine keeps its lock-free
+// Live driver (inferences are injected, every other engine-side call
+// runs under Live.Do), so the engine keeps its lock-free
 // single-goroutine discipline while the HTTP layer fans out.
 //
 // Endpoints:
@@ -115,24 +115,19 @@ type Server struct {
 	draining bool
 	hsrv     *http.Server
 
-	// inflight tracks infer requests between admission and response so
-	// Shutdown can drain them before stopping the clock; inflightN is
-	// the same count as a number, checked against maxInFlight (the
-	// backpressure window — 0 means unbounded). Both transports admit
-	// through the same window. stopCtx is cancelled immediately before
-	// the driver stops, releasing any handler still blocked in
-	// Handle.Wait (a drain that hit its deadline): once the clock
-	// halts, those waits could otherwise never return.
-	inflight    sync.WaitGroup
+	// inflightN counts infer requests admitted but not yet finished (see
+	// inflight.go), checked against maxInFlight (the backpressure window
+	// — 0 means unbounded). Both transports admit through the same
+	// window. drained is closed once the server is draining and the
+	// count is zero: Shutdown's drain waits on it. stopCtx is cancelled
+	// immediately before the driver stops, releasing any HTTP handler
+	// still waiting on its outcome (a drain that hit its deadline): once
+	// the clock halts, that outcome can never come.
 	inflightN   int
 	maxInFlight int
+	drained     chan struct{}
 	stopCtx     context.Context
 	stopCancel  context.CancelFunc
-	// pendingCalls tracks HTTP infer calls between admission and
-	// release, so Shutdown can release the slots of requests whose
-	// outcome will never come once the clock freezes — the bulk
-	// replacement for a per-request context.AfterFunc watcher.
-	pendingCalls map[*inferCall]struct{}
 
 	// Stream-transport state: open listeners (closed first on
 	// Shutdown, so no new connections arrive during the drain) and
@@ -184,16 +179,16 @@ func New(sys *clockwork.System, opts Options) *Server {
 		sys.AttachFlightRecorder(flight)
 	}
 	s := &Server{
-		sys:          sys,
-		live:         sys.StartLive(opts.Speed),
-		mux:          http.NewServeMux(),
-		rec:          opts.Journal,
-		flight:       flight,
-		started:      time.Now(),
-		maxInFlight:  opts.MaxInFlight,
-		streamLns:    make(map[net.Listener]struct{}),
-		streamConns:  make(map[*streamConn]struct{}),
-		pendingCalls: make(map[*inferCall]struct{}),
+		sys:         sys,
+		live:        sys.StartLive(opts.Speed),
+		mux:         http.NewServeMux(),
+		rec:         opts.Journal,
+		flight:      flight,
+		started:     time.Now(),
+		maxInFlight: opts.MaxInFlight,
+		drained:     make(chan struct{}),
+		streamLns:   make(map[net.Listener]struct{}),
+		streamConns: make(map[*streamConn]struct{}),
 	}
 	if s.rec != nil && s.live.MultiEngine() {
 		panic("serve: Options.Journal requires a single-engine system (journaling and replay are single-engine features)")
@@ -296,10 +291,14 @@ func (s *Server) ListenAndServe(addr string) error {
 // HTTP listener stops accepting, every in-flight request runs to its
 // outcome (the engine keeps ticking while they drain), and only then
 // does the wall-clock driver stop. ctx bounds the drain; on expiry the
-// driver is stopped anyway and Shutdown returns ctx's error.
+// driver is stopped anyway and Shutdown returns ctx's error. A request
+// the expired drain strands in the engine keeps its admission slot —
+// its outcome can never come — and a later Shutdown does not wait for
+// it: once the driver has stopped there is nothing left to drain.
 func (s *Server) Shutdown(ctx context.Context) error {
 	s.mu.Lock()
 	s.draining = true
+	s.wakeDrainLocked()
 	hsrv := s.hsrv
 	s.mu.Unlock()
 
@@ -316,13 +315,9 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	if hsrv != nil {
 		err = hsrv.Shutdown(ctx)
 	}
-	drained := make(chan struct{})
-	go func() {
-		s.inflight.Wait()
-		close(drained)
-	}()
 	select {
-	case <-drained:
+	case <-s.drained:
+	case <-s.stopCtx.Done(): // an earlier Shutdown stopped the driver
 	case <-ctx.Done():
 		if err == nil {
 			err = ctx.Err()
@@ -332,46 +327,38 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	// outcome has been queued on its connection's writer. Finish the
 	// stream connections now — each writer flushes its queue and closes
 	// the socket — so no completed response is lost to the shutdown.
-	// Flushes run in parallel and remain bounded by ctx: a peer that
-	// stopped reading cannot stall the drain past the deadline (its
-	// socket is force-closed, which unblocks the stalled writer).
+	// The writers flush in parallel, bounded by ctx and a grace window:
+	// a peer that stopped reading cannot stall the drain (its socket is
+	// closed under the stalled writer, which unblocks it).
 	s.streamMu.Lock()
 	conns := make([]*streamConn, 0, len(s.streamConns))
 	for sc := range s.streamConns {
+		sc.close()
 		conns = append(conns, sc)
 	}
 	s.streamMu.Unlock()
-	var flushWG sync.WaitGroup
-	for _, sc := range conns {
-		flushWG.Add(1)
-		go func(sc *streamConn) {
-			defer flushWG.Done()
-			sc.finish()
-		}(sc)
-	}
-	flushed := make(chan struct{})
-	go func() {
-		flushWG.Wait()
-		close(flushed)
-	}()
-	select {
-	case <-flushed:
-	case <-ctx.Done():
-		for _, sc := range conns {
-			sc.forceClose()
+	grace := time.NewTimer(3 * time.Second)
+	defer grace.Stop()
+	for i := range conns {
+		select {
+		case <-conns[i].writerDone:
+			continue
+		case <-grace.C:
+		case <-ctx.Done():
+			if err == nil {
+				err = ctx.Err()
+			}
 		}
-		<-flushed
-		if err == nil {
-			err = ctx.Err()
+		for _, sc := range conns[i:] {
+			sc.c.Close()
+			<-sc.writerDone
 		}
+		break
 	}
-	// Release any handler still blocked on its outcome (only possible
+	// Release any handler still waiting on its outcome (only possible
 	// when the drain deadline expired) before freezing the clock, so no
-	// goroutine is stranded waiting on an engine that will never tick —
-	// and release those requests' admission slots, which their engine-
-	// side completion will now never release.
+	// goroutine is stranded waiting on an engine that will never tick.
 	s.stopCancel()
-	s.releasePendingCalls()
 	s.live.Stop()
 	// The engine goroutine is gone: no append can race the close. Flush
 	// and fsync the journal tail so the drained state is durable.
@@ -391,9 +378,8 @@ func (s *Server) isDraining() bool {
 
 // admit registers one in-flight infer, refusing with ErrDraining once
 // Shutdown has begun and with ErrOverloaded when the admission window
-// (Options.MaxInFlight) is full. The checks and the WaitGroup
-// increment share the mutex, so no increment can race the drain's
-// Wait: after Shutdown sets draining, the in-flight count only
+// (Options.MaxInFlight) is full. The checks and the increment share
+// the mutex, so after Shutdown sets draining the in-flight count only
 // decreases. Every successful admit must be paired with one release.
 func (s *Server) admit() error {
 	s.mu.Lock()
@@ -413,7 +399,6 @@ func (s *Server) admit() error {
 		return ErrOverloaded
 	}
 	s.inflightN++
-	s.inflight.Add(1)
 	return nil
 }
 
@@ -435,39 +420,25 @@ func (s *Server) SetMaxInFlight(n int) {
 	s.mu.Unlock()
 }
 
-// release undoes one admit, once the request's response has been
-// written (HTTP) or queued on its connection's writer (stream).
+// release undoes one admit, once the request's outcome has been handed
+// to its transport (inflight.finish).
 func (s *Server) release() {
 	s.mu.Lock()
 	s.inflightN--
+	s.wakeDrainLocked()
 	s.mu.Unlock()
-	s.inflight.Done()
 }
 
-// releaseCall is release plus deregistering the HTTP call from the
-// shutdown bulk-release set, in the same critical section.
-func (s *Server) releaseCall(c *inferCall) {
-	s.mu.Lock()
-	delete(s.pendingCalls, c)
-	s.inflightN--
-	s.mu.Unlock()
-	s.inflight.Done()
-}
-
-// releasePendingCalls releases the admission slot of every HTTP infer
-// call still awaiting its outcome — Shutdown's replacement for the
-// per-request stopCtx watcher, run immediately before the clock
-// freezes (those outcomes will never come). The per-call CAS absorbs a
-// racing completion.
-func (s *Server) releasePendingCalls() {
-	s.mu.Lock()
-	pending := make([]*inferCall, 0, len(s.pendingCalls))
-	for c := range s.pendingCalls {
-		pending = append(pending, c)
+// wakeDrainLocked closes drained once a draining server has no
+// admitted request left without its outcome. Caller holds s.mu.
+func (s *Server) wakeDrainLocked() {
+	if !s.draining || s.inflightN > 0 {
+		return
 	}
-	s.mu.Unlock()
-	for _, c := range pending {
-		c.rel()
+	select {
+	case <-s.drained:
+	default:
+		close(s.drained)
 	}
 }
 
@@ -483,244 +454,95 @@ func (s *Server) inflightLow() bool {
 
 // ---- handlers ----
 
-// inferCall is the pooled per-request state of the HTTP infer path: the
-// decoded request, the response being built, the JSON decode buffer,
-// the two engine-crossing channels, and closures prebuilt once per
-// struct — so the steady-state handler borrows one object instead of
-// allocating scratch, channels, and a closure per hook on every
-// request. The struct is shared between the handler goroutine and the
-// engine turn; a two-party refcount returns it to the pool when the
-// last holder lets go (a handler abandoned by its client can return
-// while the engine-side outcome is still on its way).
+// inferCall is the HTTP transport's per-request state: the decoded
+// request, the response being built, the pooled decode buffer, and the
+// outcome its inflight record hands back. It returns to the pool only
+// once its outcome has been received: a handler abandoned by its client
+// leaves it to the garbage collector, because the outcome may still be
+// on its way into it.
 type inferCall struct {
-	s    *Server
 	req  InferRequest
 	resp InferResponse
 	body []byte
-
-	shard int
-	corr  uint64 // journal correlation (meaningful only when recording)
-
-	// outc carries the submission outcome (accepted / refused /
-	// driver stopped) from the injected closure back to the handler;
-	// resc carries the engine-side result. Both are reusable
-	// capacity-1 channels, drained on the struct's way back to the pool.
-	outc chan submitOutcome
-	resc chan clockwork.Result
-
-	// relFlag makes the admission-slot release idempotent across its
-	// three racers (outcome, early error path, shutdown's bulk
-	// release); reset on acquire. It replaces the old per-request
-	// sync.Once.
-	relFlag atomic.Uint32
-	// refs counts the parties still holding the struct: the handler,
-	// plus the engine side between a successful submit and OnResult.
-	refs atomic.Int32
-
-	// Method-value closures built once per struct (pool New), handed to
-	// InjectOrAbortOn without per-request allocs.
-	runF, abortF func()
+	res  clockwork.Result
+	err  error
+	// done is signalled (not closed) by externalize, so the channel
+	// lives as long as the pooled struct.
+	done chan struct{}
 }
 
 var inferCallPool = sync.Pool{New: func() any {
-	c := &inferCall{
-		body: make([]byte, 0, 512),
-		outc: make(chan submitOutcome, 1),
-		resc: make(chan clockwork.Result, 1),
-	}
-	c.runF, c.abortF = c.run, c.abort
-	return c
+	return &inferCall{body: make([]byte, 0, 512), done: make(chan struct{}, 1)}
 }}
 
-func acquireInferCall(s *Server) *inferCall {
-	c := inferCallPool.Get().(*inferCall)
-	c.s = s
-	c.relFlag.Store(0)
-	c.refs.Store(1)
-	s.mu.Lock()
-	s.pendingCalls[c] = struct{}{}
-	s.mu.Unlock()
-	return c
-}
-
-// unref drops one holder's reference; the last one out resets the
-// struct and returns it to the pool.
-func (c *inferCall) unref() {
-	if c.refs.Add(-1) != 0 {
-		return
-	}
-	// Drain tokens an abandoned wait left behind (client-gone path).
-	select {
-	case <-c.outc:
-	default:
-	}
-	select {
-	case <-c.resc:
-	default:
-	}
-	c.s = nil
-	c.req, c.resp = InferRequest{}, InferResponse{}
+func (c *inferCall) free() {
+	c.req, c.resp, c.res, c.err = InferRequest{}, InferResponse{}, clockwork.Result{}, nil
 	c.body = c.body[:0]
-	c.shard, c.corr = 0, 0
 	inferCallPool.Put(c)
 }
 
-// rel releases the admission slot, exactly once per request; whichever
-// of its racers (outcome, early error, shutdown's bulk release) fires
-// first wins.
-func (c *inferCall) rel() {
-	if c.relFlag.CompareAndSwap(0, 1) {
-		c.s.releaseCall(c)
-	}
+// externalize hands the outcome to the waiting handler, which writes it
+// out. The send is its last touch of c: the handler may recycle c the
+// moment it receives.
+func (c *inferCall) externalize(_ *inflight, res clockwork.Result, err error) {
+	c.res, c.err = res, err
+	c.done <- struct{}{}
 }
 
-// run executes on the engine turn: journal the injection, submit
-// through the fire-and-forget sink path (no Handle, no completion
-// closure — this struct IS the sink), report the submission outcome
-// back to the handler.
-func (c *inferCall) run() {
-	s := c.s
-	if s.rec != nil {
-		c.corr = s.rec.Infer(c.shard, c.req.Model, c.req.SLO, c.req.Priority, c.req.Tenant, c.req.MaxBatchSize)
-	}
-	c.refs.Add(1) // the engine side holds the struct until OnResult
-	err := s.sys.SubmitRequestSink(c.shard, clockwork.Request{
-		Model:        c.req.Model,
-		SLO:          c.req.SLO,
-		Priority:     c.req.Priority,
-		Tenant:       c.req.Tenant,
-		MaxBatchSize: c.req.MaxBatchSize,
-	}, c)
-	if err != nil {
-		c.refs.Add(-1) // refused: no OnResult will come
-	}
-	if s.rec != nil {
-		s.rec.Commit()
-	}
-	c.outc <- submitOutcome{err: err}
-}
-
-// abort is the InjectOrAbortOn refusal path (driver stopped).
-func (c *inferCall) abort() {
-	c.outc <- submitOutcome{stopped: true}
-}
-
-// OnResult implements clockwork.ResultSink — the engine-side
-// completion. The outcome travels back through resc rather than
-// Handle.Wait: the journal's ack record is appended here, strictly
-// before the send, and the receiving handler flushes the journal before
-// responding — so the ack reaches the kernel before the response can
-// reach the wire, the no-acked-request-lost invariant.
-func (c *inferCall) OnResult(res clockwork.Result) {
-	s := c.s
-	if s.rec != nil {
-		s.rec.Ack(c.corr, res)
-	}
-	c.resc <- res
-	c.rel()
-	c.unref()
-}
-
-// ownerShard picks the engine shard to inject a submission on: the
-// model's owner per the lock-free routing hint when the system runs one
-// engine per shard, shard 0 otherwise. An unregistered model maps to
-// shard 0, whose controller answers ErrUnknownModel.
-func (s *Server) ownerShard(model string) int {
-	if !s.live.MultiEngine() {
-		return 0
-	}
-	if shard, ok := s.sys.OwnerShard(model); ok {
-		return shard
-	}
-	return 0
-}
-
-// submitOutcome carries the engine-side submission outcome back to the
-// handler goroutine.
-type submitOutcome struct {
-	err     error
-	stopped bool
-}
-
+// handleInfer is the HTTP front door: decode, admit, inject a batch of
+// one, wait for the outcome, encode. A refusal is just another outcome.
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
+	c := inferCallPool.Get().(*inferCall)
+	if !decodeJSONBuf(w, r, &c.req, &c.body) {
+		c.free()
+		return
+	}
 	if err := s.admit(); err != nil {
-		status, code := errToCode(err)
+		c.free()
 		if errors.Is(err, ErrOverloaded) {
 			// One second is the resolution Retry-After has; the window
 			// usually reopens far sooner.
 			w.Header().Set("Retry-After", "1")
 		}
-		writeError(w, status, code, err)
+		writeAPIError(w, err)
 		return
 	}
-	// The admission slot is held until the request reaches its OUTCOME,
-	// not until this handler returns: a handler abandoned by its client
-	// leaves a request still occupying the engine, and the in-flight
-	// window must keep counting it or MaxInFlight stops bounding
-	// engine-side work (the whole point of admission). c.rel is
-	// idempotent; whichever of these fires first wins:
-	//   - the request's OnResult (the normal case, on the engine turn),
-	//   - an early error path below (never submitted),
-	//   - Shutdown's bulk release (the driver is freezing; the outcome
-	//     will never come).
-	c := acquireInferCall(s)
-	defer c.unref()
-	if !decodeJSONBuf(w, r, &c.req, &c.body) {
-		c.rel()
-		return
-	}
-
-	// Inject on the shard owning the model (shard 0 on a single-engine
-	// system): a routed injection wakes one engine instead of
-	// barrier-stopping all of them, and InjectOrAbortOn guarantees
-	// exactly one of run/abort fires even across a racing Stop, so the
-	// outcome channel always receives.
-	c.shard = s.ownerShard(c.req.Model)
-	s.live.InjectOrAbortOn(c.shard, c.runF, c.abortF)
-	out := <-c.outc
-	if out.stopped {
-		c.rel()
-		writeError(w, http.StatusServiceUnavailable, "stopped", clockwork.ErrLiveStopped)
-		return
-	}
-	if out.err != nil {
-		c.rel()
-		writeAPIError(w, out.err)
-		return
-	}
-	// Wait until completion, the client disconnecting, or the server
+	it := s.newInflight(c, 0, clockwork.Request{
+		Model:        c.req.Model,
+		SLO:          c.req.SLO,
+		Priority:     c.req.Priority,
+		Tenant:       c.req.Tenant,
+		MaxBatchSize: c.req.MaxBatchSize,
+	})
+	b := getBatch()
+	b.its = append(b.its, it)
+	s.injectOn(it.shard, b)
+	// Wait for the outcome, the client disconnecting, or the server
 	// giving up its drain (stopCtx) — the last so no handler is left
-	// waiting on a clock that stopped ticking.
-	var res clockwork.Result
-	var werr error
+	// waiting on a clock that stopped ticking. An abandoned request still
+	// runs to its outcome inside the engine, and keeps its admission slot
+	// until then: nothing reaches a gone client, but the work is real.
 	select {
-	case res = <-c.resc:
-		// Group-commit barrier: the ack record buffered in OnResult must
-		// be in the kernel before this handler puts the response on the
-		// wire. One handler's flush covers every ack buffered since the
-		// last barrier; the repeat calls are lock-and-return no-ops.
-		if s.rec != nil {
-			s.rec.Flush()
-		}
+	case <-c.done:
 	case <-r.Context().Done():
-		werr = r.Context().Err()
+		writeError(w, http.StatusServiceUnavailable, "client_gone", r.Context().Err())
+		return
 	case <-s.stopCtx.Done():
-		werr = s.stopCtx.Err()
-	}
-	if werr != nil {
-		// Distinguish the two release causes: the server abandoning its
-		// drain (stopCtx) vs. the client disconnecting. The request
-		// itself still runs to its outcome inside the engine (if the
-		// clock keeps ticking) — and its admission slot stays charged
-		// until that outcome: nothing useful reaches a gone client, but
-		// the engine-side work is still real.
-		code := "client_gone"
-		if s.stopCtx.Err() != nil && r.Context().Err() == nil {
-			code = "draining"
-		}
-		writeError(w, http.StatusServiceUnavailable, code, werr)
+		writeAPIError(w, ErrDraining)
 		return
 	}
+	defer c.free()
+	if c.err != nil {
+		writeAPIError(w, c.err)
+		return
+	}
+	// Group-commit barrier: the ack buffered in finish must be in the
+	// kernel before this handler puts the response on the wire. One
+	// handler's flush covers every ack buffered since the last barrier.
+	if s.rec != nil {
+		s.rec.Flush()
+	}
+	res := &c.res
 	c.resp = InferResponse{
 		RequestID:  res.RequestID,
 		Model:      res.Model,
@@ -762,7 +584,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 		}
 	})
 	if doErr != nil {
-		writeError(w, http.StatusServiceUnavailable, "stopped", doErr)
+		writeAPIError(w, doErr)
 		return
 	}
 	if err != nil {
@@ -775,7 +597,7 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	var models []string
 	if doErr := s.live.Do(func() { s.recNoop(); models = s.sys.Models() }); doErr != nil {
-		writeError(w, http.StatusServiceUnavailable, "stopped", doErr)
+		writeAPIError(w, doErr)
 		return
 	}
 	writeJSON(w, ModelsResponse{Models: models})
@@ -784,7 +606,7 @@ func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	st, doErr := s.snapshot()
 	if doErr != nil {
-		writeError(w, http.StatusServiceUnavailable, "stopped", doErr)
+		writeAPIError(w, doErr)
 		return
 	}
 	writeJSON(w, st)
@@ -820,7 +642,7 @@ func (s *Server) handleAddWorker(w http.ResponseWriter, r *http.Request) {
 		id = s.sys.AddWorker()
 	}
 	if doErr := s.live.Do(doFn); doErr != nil {
-		writeError(w, http.StatusServiceUnavailable, "stopped", doErr)
+		writeAPIError(w, doErr)
 		return
 	}
 	writeJSON(w, WorkerResponse{ID: id, State: "active"})
@@ -848,7 +670,7 @@ func (s *Server) handleWorkerOp(kind string, op func(int) error) http.HandlerFun
 			}
 		})
 		if doErr != nil {
-			writeError(w, http.StatusServiceUnavailable, "stopped", doErr)
+			writeAPIError(w, doErr)
 			return
 		}
 		if err != nil {
@@ -868,7 +690,7 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 		migrated = s.sys.Rebalance()
 	}
 	if doErr := s.live.Do(doFn); doErr != nil {
-		writeError(w, http.StatusServiceUnavailable, "stopped", doErr)
+		writeAPIError(w, doErr)
 		return
 	}
 	writeJSON(w, RebalanceResponse{Migrated: migrated})
@@ -890,7 +712,7 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		resp.Migrations = s.sys.Migrations()
 	})
 	if doErr != nil {
-		writeError(w, http.StatusServiceUnavailable, "stopped", doErr)
+		writeAPIError(w, doErr)
 		return
 	}
 	writeJSON(w, resp)
@@ -908,7 +730,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	var serr error
 	doErr := s.live.Do(func() { info, serr = s.rec.Snapshot() })
 	if doErr != nil {
-		writeError(w, http.StatusServiceUnavailable, "stopped", doErr)
+		writeAPIError(w, doErr)
 		return
 	}
 	if serr != nil {

@@ -41,6 +41,10 @@ const (
 	// CodeDraining: the server is shutting down and admits no new work
 	// (the binary-wire form of HTTP 503 while draining).
 	CodeDraining uint8 = 9
+	// CodeStopped: the server's live driver has stopped, so the frame
+	// could not reach the engine (the binary-wire form of HTTP 503
+	// "stopped").
+	CodeStopped uint8 = 10
 )
 
 const (

@@ -54,25 +54,6 @@ func (s *Server) ServeStream(ln net.Listener) error {
 	}
 }
 
-// streamInfer is one decoded, admitted inference awaiting injection.
-// shard is the engine it will be injected on — the model's owner per
-// the routing hint on a multi-engine system, always 0 otherwise.
-type streamInfer struct {
-	corr  uint64
-	shard int
-	req   clockwork.Request
-}
-
-// batchPool recycles the injection batches; ownership passes from the
-// reader goroutine to the injected closure, which returns the slice
-// after submitting.
-var batchPool = sync.Pool{
-	New: func() any {
-		b := make([]streamInfer, 0, maxStreamBatch)
-		return &b
-	},
-}
-
 // serveStreamConn runs one connection: a reader loop on this
 // goroutine, a writer goroutine for responses.
 func (s *Server) serveStreamConn(c net.Conn) {
@@ -98,20 +79,12 @@ func (s *Server) serveStreamConn(c net.Conn) {
 	defer sc.close()
 
 	dec := stream.NewDecoder(c)
-	batch := batchPool.Get().(*[]streamInfer)
-	*batch = (*batch)[:0]
+	b := getBatch()
 	// The reader can exit mid-coalesce (disconnect, malformed frame)
-	// with requests admitted but not yet injected: their admission
-	// slots must be released — and the batch emptied — before the
-	// slice returns to the pool, or the slots leak and a later
-	// connection would inject this connection's ghost requests.
-	defer func() {
-		for range *batch {
-			s.release()
-		}
-		*batch = (*batch)[:0]
-		batchPool.Put(batch)
-	}()
+	// with requests admitted but not yet injected: they finish like any
+	// other record, so their slots come back and the batch returns to
+	// the pool empty.
+	defer func() { b.fail(ErrStreamClosed) }()
 	for {
 		typ, p, err := dec.Next()
 		if err != nil {
@@ -120,10 +93,10 @@ func (s *Server) serveStreamConn(c net.Conn) {
 		// Coalesce: pull every frame already readable — they arrived
 		// within the same scheduling quantum — into one injection.
 		for {
-			if !s.streamFrame(sc, dec, typ, p, batch) {
+			if !s.streamFrame(sc, dec, typ, p, b) {
 				return
 			}
-			if dec.Buffered() == 0 || len(*batch) >= maxStreamBatch {
+			if dec.Buffered() == 0 || len(b.its) >= maxStreamBatch {
 				break
 			}
 			typ, p, err = dec.Next()
@@ -131,10 +104,9 @@ func (s *Server) serveStreamConn(c net.Conn) {
 				return
 			}
 		}
-		if len(*batch) > 0 {
-			s.injectBatch(sc, batch)
-			batch = batchPool.Get().(*[]streamInfer)
-			*batch = (*batch)[:0]
+		if len(b.its) > 0 {
+			s.injectByShard(b)
+			b = getBatch()
 		}
 	}
 }
@@ -143,7 +115,7 @@ func (s *Server) serveStreamConn(c net.Conn) {
 // infers are admitted into the pending batch (or refused with an error
 // frame), control frames are answered via their own injections. A
 // false return drops the connection (protocol violation).
-func (s *Server) streamFrame(sc *streamConn, dec *stream.Decoder, typ uint8, p []byte, batch *[]streamInfer) bool {
+func (s *Server) streamFrame(sc *streamConn, dec *stream.Decoder, typ uint8, p []byte, b *batch) bool {
 	switch typ {
 	case stream.TypeInfer:
 		var f stream.InferFrame
@@ -154,17 +126,13 @@ func (s *Server) streamFrame(sc *streamConn, dec *stream.Decoder, typ uint8, p [
 			sc.sendError(f.Corr, errToWire(err), err.Error())
 			return true
 		}
-		*batch = append(*batch, streamInfer{
-			corr:  f.Corr,
-			shard: s.ownerShard(f.Model),
-			req: clockwork.Request{
-				Model:        f.Model,
-				SLO:          time.Duration(f.SLO),
-				Priority:     int(f.Priority),
-				Tenant:       f.Tenant,
-				MaxBatchSize: int(f.MaxBatch),
-			},
-		})
+		b.its = append(b.its, s.newInflight(sc, f.Corr, clockwork.Request{
+			Model:        f.Model,
+			SLO:          time.Duration(f.SLO),
+			Priority:     int(f.Priority),
+			Tenant:       f.Tenant,
+			MaxBatchSize: int(f.MaxBatch),
+		}))
 		return true
 	case stream.TypeModels:
 		corr, err := stream.DecodeCorr(p)
@@ -181,7 +149,7 @@ func (s *Server) streamFrame(sc *streamConn, dec *stream.Decoder, typ uint8, p [
 			m.models = append(m.models[:0], s.sys.Models()...)
 			sc.send(m)
 		}, func() {
-			sc.sendError(corr, errToWire(ErrDraining), "live driver stopped")
+			sc.sendError(corr, errToWire(clockwork.ErrLiveStopped), clockwork.ErrLiveStopped.Error())
 		})
 		return true
 	default:
@@ -189,73 +157,47 @@ func (s *Server) streamFrame(sc *streamConn, dec *stream.Decoder, typ uint8, p [
 	}
 }
 
-// injectBatch hands the whole batch to its engine as ONE injected
-// closure: however many requests the reader coalesced, the engine is
-// woken once and the driver pays one turn. On a multi-engine system the
-// batch is first partitioned by owner shard (each sub-batch wakes only
-// its own engine); the common case — every coalesced frame targeting
-// the same shard — stays a single injection with no re-slicing.
-func (s *Server) injectBatch(sc *streamConn, batch *[]streamInfer) {
-	b := *batch
-	mixed := false
-	for i := 1; i < len(b); i++ {
-		if b[i].shard != b[0].shard {
-			mixed = true
-			break
+// injectByShard injects a coalesced batch, one engine turn per owner
+// shard, so each turn wakes only its own engine. The records are split
+// in place, in frame order; when they all share one shard — always on a
+// single-engine system — that is one injection and no copying.
+func (s *Server) injectByShard(b *batch) {
+	for b != nil {
+		shard := b.its[0].shard
+		var rest *batch
+		n := 0
+		for _, it := range b.its {
+			if it.shard == shard {
+				b.its[n] = it
+				n++
+				continue
+			}
+			if rest == nil {
+				rest = getBatch()
+			}
+			rest.its = append(rest.its, it)
 		}
+		b.its = b.its[:n]
+		s.injectOn(shard, b)
+		b = rest
 	}
-	if !mixed {
-		s.injectBatchOn(b[0].shard, sc, batch)
+}
+
+// externalize queues the record's outcome frame toward the client. At
+// low occupancy a result skips the writer-goroutine handoff and is
+// written from the engine turn itself: one context switch fewer on the
+// latency path, while bursts (high occupancy) still coalesce through
+// the writer. After close the frame is dropped: the peer is gone, and
+// the slot is released all the same.
+func (sc *streamConn) externalize(it *inflight, res clockwork.Result, err error) {
+	if err != nil {
+		sc.sendError(it.corr, errToWire(err), err.Error())
 		return
-	}
-	parts := make(map[int]*[]streamInfer)
-	for i := range b {
-		p := parts[b[i].shard]
-		if p == nil {
-			p = batchPool.Get().(*[]streamInfer)
-			*p = (*p)[:0]
-			parts[b[i].shard] = p
-		}
-		*p = append(*p, b[i])
-	}
-	*batch = (*batch)[:0]
-	batchPool.Put(batch)
-	for shard, p := range parts {
-		s.injectBatchOn(shard, sc, p)
-	}
-}
-
-// streamSink is one in-flight request's completion state on the stream
-// path: a pooled clockwork.ResultSink that replaces the per-request
-// OnResult closure (and the discarded client Handle) of the old
-// submission form. OnResult runs exactly once on the engine turn, so the
-// sink can return itself to the pool there.
-type streamSink struct {
-	s     *Server
-	sc    *streamConn
-	corr  uint64 // client correlation ID
-	jcorr uint64 // journal correlation (0 when not recording)
-}
-
-var streamSinkPool = sync.Pool{New: func() any { return new(streamSink) }}
-
-// OnResult implements clockwork.ResultSink: queue the result frame,
-// release the admission slot, recycle the sink.
-func (k *streamSink) OnResult(res clockwork.Result) {
-	s, sc, corr, jcorr := k.s, k.sc, k.corr, k.jcorr
-	*k = streamSink{}
-	streamSinkPool.Put(k)
-	if s.rec != nil {
-		// Buffer the ack before the result frame can be queued toward
-		// the client. The group-commit flush happens on whichever
-		// goroutine externalizes the frame: the writer loop before its
-		// socket write, or this engine turn before sendInline below.
-		s.rec.Ack(jcorr, res)
 	}
 	m := outFramePool.Get().(*outFrame)
 	m.typ = stream.TypeResult
 	m.result = stream.ResultFrame{
-		Corr:      corr,
+		Corr:      it.corr,
 		RequestID: res.RequestID,
 		Latency:   int64(res.Latency),
 		Batch:     uint64(res.Batch),
@@ -263,11 +205,7 @@ func (k *streamSink) OnResult(res clockwork.Result) {
 		Success:   res.Success,
 		ColdStart: res.ColdStart,
 	}
-	// At low occupancy, skip the writer-goroutine handoff and write from
-	// the engine turn itself: one context switch fewer on the latency
-	// path, while bursts (high occupancy) still coalesce through the
-	// writer.
-	if s.inflightLow() {
+	if s := it.s; s.inflightLow() {
 		// Barrier before the engine-turn socket write; an inline miss
 		// falls back to the queue, where the writer loop re-barriers
 		// before its own write.
@@ -275,56 +213,10 @@ func (k *streamSink) OnResult(res clockwork.Result) {
 			s.rec.Flush()
 		}
 		if sc.sendInline(m) {
-			s.release()
 			return
 		}
 	}
 	sc.send(m)
-	s.release()
-}
-
-// injectBatchOn injects one single-shard batch. Each request's
-// completion sink queues a result frame on the connection writer and
-// releases its admission slot — the slot is held until the outcome
-// exists, so the in-flight window means what it says even if the
-// connection dies first. A stopped driver runs the abort path instead:
-// every admitted item is answered with a draining error frame and its
-// slot released, so Inject-after-Stop can neither strand slots (a drain
-// that never finishes) nor leave client correlations hanging.
-func (s *Server) injectBatchOn(shard int, sc *streamConn, batch *[]streamInfer) {
-	s.live.InjectOrAbortOn(shard, func() {
-		for i := range *batch {
-			it := &(*batch)[i]
-			// One journal record per request of the coalesced batch, all
-			// stamped with this closure's engine step — replay regroups
-			// them into one injection by that shared stamp. The records
-			// buffer until the Commit below: one write(2) per batch.
-			var jcorr uint64
-			if s.rec != nil {
-				jcorr = s.rec.Infer(shard, it.req.Model, it.req.SLO, it.req.Priority, it.req.Tenant, it.req.MaxBatchSize)
-			}
-			k := streamSinkPool.Get().(*streamSink)
-			k.s, k.sc, k.corr, k.jcorr = s, sc, it.corr, jcorr
-			if err := s.sys.SubmitRequestSink(shard, it.req, k); err != nil {
-				*k = streamSink{}
-				streamSinkPool.Put(k)
-				sc.sendError(it.corr, errToWire(err), err.Error())
-				s.release()
-			}
-		}
-		if s.rec != nil {
-			s.rec.Commit()
-		}
-		*batch = (*batch)[:0]
-		batchPool.Put(batch)
-	}, func() {
-		for i := range *batch {
-			sc.sendError((*batch)[i].corr, errToWire(ErrDraining), "live driver stopped")
-			s.release()
-		}
-		*batch = (*batch)[:0]
-		batchPool.Put(batch)
-	})
 }
 
 // ---- per-connection writer ----
@@ -377,8 +269,8 @@ func newStreamConn(c net.Conn) *streamConn {
 	return sc
 }
 
-// send queues one frame for the writer. After close/finish the frame
-// is dropped (the peer is gone or going); the pool gets it back either
+// send queues one frame for the writer. After close the frame is
+// dropped (the peer is gone or going); the pool gets it back either
 // way.
 func (sc *streamConn) send(m *outFrame) {
 	sc.mu.Lock()
@@ -494,28 +386,4 @@ func (sc *streamConn) close() {
 	sc.closed = true
 	sc.cond.Signal()
 	sc.mu.Unlock()
-}
-
-// finish is close plus waiting for the writer to flush — the graceful
-// variant Shutdown uses after the drain, so every queued response
-// reaches the wire before the socket closes. A peer that stops reading
-// cannot stall shutdown past the grace window: the socket is then
-// closed under the writer, unblocking it. (Shutdown additionally
-// bounds all finishes with its ctx via forceClose.)
-func (sc *streamConn) finish() {
-	sc.close()
-	select {
-	case <-sc.writerDone:
-	case <-time.After(3 * time.Second):
-		sc.c.Close()
-		<-sc.writerDone
-	}
-}
-
-// forceClose tears the socket down immediately, unblocking a writer
-// stalled on a peer that stopped reading. Used when the drain deadline
-// expires.
-func (sc *streamConn) forceClose() {
-	sc.close()
-	sc.c.Close()
 }

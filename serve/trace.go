@@ -45,7 +45,7 @@ func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 		snap.VirtualNow = s.sys.Now()
 	})
 	if doErr != nil {
-		writeError(w, http.StatusServiceUnavailable, "stopped", doErr)
+		writeAPIError(w, doErr)
 		return
 	}
 	if wall, virtual, ok := s.live.WallOrigin(); ok {
@@ -85,7 +85,7 @@ func (s *Server) handleTracePost(w http.ResponseWriter, r *http.Request) {
 	// same consistent entry the dump uses.
 	var st trace.Stats
 	if doErr := s.live.Do(func() { s.recNoop(); st = s.flight.Aggregate().Stats }); doErr != nil {
-		writeError(w, http.StatusServiceUnavailable, "stopped", doErr)
+		writeAPIError(w, doErr)
 		return
 	}
 	writeJSON(w, TraceStatusResponse{
