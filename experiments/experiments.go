@@ -61,13 +61,6 @@ type (
 	// scheduler shards.
 	ScaleConfig = experiments.ScaleConfig
 	ScaleResult = experiments.ScaleResult
-	// AutoscaleConfig / AutoscaleResult / AutoscaleCell: the closed-loop
-	// autoscaling sweep — every static {workers, admission window}
-	// configuration vs the closed control loop under diurnal or
-	// flash-crowd load.
-	AutoscaleConfig = experiments.AutoscaleConfig
-	AutoscaleResult = experiments.AutoscaleResult
-	AutoscaleCell   = experiments.AutoscaleCell
 	// AblationResult / PagingResult: DESIGN.md ablations.
 	AblationResult = experiments.AblationResult
 	PagingResult   = experiments.PagingResult
@@ -85,7 +78,6 @@ var (
 	RunFig9               = experiments.RunFig9
 	RunSLOScale           = experiments.RunSLOScale
 	RunScale              = experiments.RunScale
-	RunAutoscale          = experiments.RunAutoscale
 	RunAblationLookahead  = experiments.RunAblationLookahead
 	RunAblationPredictor  = experiments.RunAblationPredictor
 	RunAblationLoadPolicy = experiments.RunAblationLoadPolicy

@@ -49,12 +49,12 @@ func RunFig2a(cfg Fig2aConfig) *Fig2aResult {
 
 	var run func()
 	run = func() {
-		dev.Exec(base, func(actual time.Duration) {
+		dev.ExecRun(base, gpu.ExecFunc(func(actual time.Duration) {
 			samples = append(samples, actual)
 			if len(samples) < cfg.Inferences {
 				run()
 			}
-		})
+		}))
 	}
 	run()
 	eng.Run()

@@ -86,41 +86,22 @@ func (d *Device) InjectDisturbance(extra time.Duration) {
 	}
 }
 
-// Exec runs one kernel in serial mode. base is the profiled execution
-// latency (from the model zoo); the actual duration includes sampled
-// noise and any injected disturbance, and is reported to done. Exec
-// panics if a serial execution is already in flight — Clockwork workers
-// must never overlap EXECs.
-func (d *Device) Exec(base time.Duration, done func(actual time.Duration)) {
-	if d.busy {
-		panic("gpu: overlapping serial Exec — worker must run one EXEC at a time")
-	}
-	if base <= 0 {
-		panic(fmt.Sprintf("gpu: non-positive exec duration %v", base))
-	}
-	actual := d.noise.Apply(base, d.stream) + d.pendingDisturbance
-	d.pendingDisturbance = 0
-	start := d.eng.Now()
-	d.busy = true
-	d.busyUntil = start.Add(actual)
-	d.eng.Schedule(d.busyUntil, func() {
-		d.busy = false
-		d.execCount++
-		if d.OnBusy != nil {
-			d.OnBusy(start, d.eng.Now())
-		}
-		done(actual)
-	})
-}
-
-// ExecRunner receives a Runner-form serial-exec completion — the
-// allocation-free alternative to Exec's done closure.
+// ExecRunner receives a serial execution's completion.
 type ExecRunner interface {
 	ExecDone(actual time.Duration)
 }
 
-// ExecRun is Exec in allocation-free Runner form. Serial mode only:
-// the single in-flight execution's context is held in Device fields.
+// ExecFunc adapts a closure to ExecRunner.
+type ExecFunc func(actual time.Duration)
+
+func (f ExecFunc) ExecDone(actual time.Duration) { f(actual) }
+
+// ExecRun runs one kernel in serial mode. base is the profiled execution
+// latency (from the model zoo); the actual duration includes sampled
+// noise and any injected disturbance, and is reported to r. ExecRun
+// panics if a serial execution is already in flight — Clockwork workers
+// must never overlap EXECs — so the single in-flight execution's
+// context is held in Device fields and nothing is allocated.
 func (d *Device) ExecRun(base time.Duration, r ExecRunner) {
 	if d.busy {
 		panic("gpu: overlapping serial Exec — worker must run one EXEC at a time")

@@ -17,10 +17,10 @@ func TestSerialExecNoNoiseIsExact(t *testing.T) {
 	eng, d := newTestDevice(NoNoise)
 	var got time.Duration
 	var at simclock.Time
-	d.Exec(2900*time.Microsecond, func(actual time.Duration) {
+	d.ExecRun(2900*time.Microsecond, ExecFunc(func(actual time.Duration) {
 		got = actual
 		at = eng.Now()
-	})
+	}))
 	if !d.Busy() {
 		t.Fatal("device should be busy")
 	}
@@ -41,13 +41,13 @@ func TestSerialExecNoNoiseIsExact(t *testing.T) {
 
 func TestSerialExecOverlapPanics(t *testing.T) {
 	_, d := newTestDevice(NoNoise)
-	d.Exec(time.Millisecond, func(time.Duration) {})
+	d.ExecRun(time.Millisecond, ExecFunc(func(time.Duration) {}))
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic on overlapping Exec")
 		}
 	}()
-	d.Exec(time.Millisecond, func(time.Duration) {})
+	d.ExecRun(time.Millisecond, ExecFunc(func(time.Duration) {}))
 }
 
 func TestSerialExecBadDurationPanics(t *testing.T) {
@@ -57,7 +57,7 @@ func TestSerialExecBadDurationPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	d.Exec(0, func(time.Duration) {})
+	d.ExecRun(0, ExecFunc(func(time.Duration) {}))
 }
 
 func TestSerialExecNoiseIsTiny(t *testing.T) {
@@ -66,12 +66,12 @@ func TestSerialExecNoiseIsTiny(t *testing.T) {
 	var durations []time.Duration
 	var run func()
 	run = func() {
-		d.Exec(base, func(actual time.Duration) {
+		d.ExecRun(base, ExecFunc(func(actual time.Duration) {
 			durations = append(durations, actual)
 			if len(durations) < 20000 {
 				run()
 			}
-		})
+		}))
 	}
 	run()
 	eng.Run()
@@ -97,13 +97,13 @@ func TestInjectDisturbanceDelaysNextExec(t *testing.T) {
 	d.InjectDisturbance(5 * time.Millisecond)
 	d.InjectDisturbance(-time.Second) // ignored
 	var got time.Duration
-	d.Exec(time.Millisecond, func(actual time.Duration) { got = actual })
+	d.ExecRun(time.Millisecond, ExecFunc(func(actual time.Duration) { got = actual }))
 	eng.Run()
 	if got != 6*time.Millisecond {
 		t.Fatalf("actual = %v, want 6ms", got)
 	}
 	// Disturbance is one-shot.
-	d.Exec(time.Millisecond, func(actual time.Duration) { got = actual })
+	d.ExecRun(time.Millisecond, ExecFunc(func(actual time.Duration) { got = actual }))
 	eng.Run()
 	if got != time.Millisecond {
 		t.Fatalf("second exec = %v, want 1ms", got)
@@ -114,7 +114,7 @@ func TestDeviceOnBusyReportsSpans(t *testing.T) {
 	eng, d := newTestDevice(NoNoise)
 	var spans []time.Duration
 	d.OnBusy = func(from, to simclock.Time) { spans = append(spans, to.Sub(from)) }
-	d.Exec(time.Millisecond, func(time.Duration) {})
+	d.ExecRun(time.Millisecond, ExecFunc(func(time.Duration) {}))
 	eng.Run()
 	if len(spans) != 1 || spans[0] != time.Millisecond {
 		t.Fatalf("spans = %v", spans)

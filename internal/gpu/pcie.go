@@ -69,35 +69,17 @@ func (l *Link) DurationForBytes(n int64) time.Duration {
 	return l.PerTransferOverhead + time.Duration(float64(n)/l.BytesPerSecond*float64(time.Second))
 }
 
-// Transfer enqueues a transfer with a known base duration (e.g. a model's
-// profiled weight-transfer time). done receives the instants the transfer
-// actually occupied the link and the on-link duration.
-func (l *Link) Transfer(base time.Duration, done func(start, end simclock.Time, actual time.Duration)) {
-	if base <= 0 {
-		panic(fmt.Sprintf("gpu: non-positive transfer duration %v", base))
-	}
-	actual := l.noise.Apply(base, l.stream)
-	start := simclock.Max(l.eng.Now(), l.busyUntil)
-	end := start.Add(actual)
-	l.busyUntil = end
-	l.count++
-	l.eng.Schedule(end, func() {
-		if l.OnBusy != nil {
-			l.OnBusy(start, end)
-		}
-		done(start, end, actual)
-	})
-}
-
-// TransferBytes enqueues a transfer priced by size.
-func (l *Link) TransferBytes(n int64, done func(start, end simclock.Time, actual time.Duration)) {
-	l.Transfer(l.DurationForBytes(n), done)
-}
-
-// TransferRunner receives a Runner-form transfer completion — the
-// allocation-free alternative to Transfer's done closure.
+// TransferRunner receives a transfer's completion: the instants the
+// transfer actually occupied the link and the on-link duration.
 type TransferRunner interface {
 	TransferDone(start, end simclock.Time, actual time.Duration)
+}
+
+// TransferFunc adapts a closure to TransferRunner.
+type TransferFunc func(start, end simclock.Time, actual time.Duration)
+
+func (f TransferFunc) TransferDone(start, end simclock.Time, actual time.Duration) {
+	f(start, end, actual)
 }
 
 // transferEv is one queued transfer's completion event. Several may be
@@ -121,8 +103,10 @@ func (t *transferEv) Run() {
 	r.TransferDone(start, end, actual)
 }
 
-// TransferRun is Transfer in allocation-free Runner form: the completion
-// event node is recycled through the link's free list.
+// TransferRun enqueues a transfer with a known base duration (e.g. a
+// model's profiled weight-transfer time) and reports its completion to
+// r. The completion event node is recycled through the link's free
+// list, so nothing is allocated.
 func (l *Link) TransferRun(base time.Duration, r TransferRunner) {
 	if base <= 0 {
 		panic(fmt.Sprintf("gpu: non-positive transfer duration %v", base))
@@ -142,7 +126,7 @@ func (l *Link) TransferRun(base time.Duration, r TransferRunner) {
 	l.eng.ScheduleRun(end, t)
 }
 
-// TransferBytesRun is TransferBytes in Runner form.
+// TransferBytesRun enqueues a transfer priced by size.
 func (l *Link) TransferBytesRun(n int64, r TransferRunner) {
 	l.TransferRun(l.DurationForBytes(n), r)
 }

@@ -17,12 +17,12 @@ func newTestLink() (*simclock.Engine, *Link) {
 func TestLinkTransferCompletes(t *testing.T) {
 	eng, l := newTestLink()
 	var gotStart, gotEnd simclock.Time
-	l.Transfer(8330*time.Microsecond, func(start, end simclock.Time, actual time.Duration) {
+	l.TransferRun(8330*time.Microsecond, TransferFunc(func(start, end simclock.Time, actual time.Duration) {
 		gotStart, gotEnd = start, end
 		if actual != 8330*time.Microsecond {
 			t.Fatalf("actual = %v", actual)
 		}
-	})
+	}))
 	eng.Run()
 	if gotStart != 0 || gotEnd != simclock.Time(8330*time.Microsecond) {
 		t.Fatalf("span = [%v, %v]", gotStart, gotEnd)
@@ -32,8 +32,8 @@ func TestLinkTransferCompletes(t *testing.T) {
 func TestLinkIsFIFO(t *testing.T) {
 	eng, l := newTestLink()
 	var order []int
-	l.Transfer(10*time.Millisecond, func(_, _ simclock.Time, _ time.Duration) { order = append(order, 1) })
-	l.Transfer(time.Millisecond, func(_, _ simclock.Time, _ time.Duration) { order = append(order, 2) })
+	l.TransferRun(10*time.Millisecond, TransferFunc(func(_, _ simclock.Time, _ time.Duration) { order = append(order, 1) }))
+	l.TransferRun(time.Millisecond, TransferFunc(func(_, _ simclock.Time, _ time.Duration) { order = append(order, 2) }))
 	eng.Run()
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("order = %v", order)
@@ -49,7 +49,7 @@ func TestLinkQueueDelay(t *testing.T) {
 	if l.QueueDelay() != 0 {
 		t.Fatal("idle link should have zero queue delay")
 	}
-	l.Transfer(5*time.Millisecond, func(_, _ simclock.Time, _ time.Duration) {})
+	l.TransferRun(5*time.Millisecond, TransferFunc(func(_, _ simclock.Time, _ time.Duration) {}))
 	if l.QueueDelay() != 5*time.Millisecond {
 		t.Fatalf("queue delay = %v", l.QueueDelay())
 	}
@@ -96,18 +96,18 @@ func TestTransferBadDurationPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	l.Transfer(0, func(_, _ simclock.Time, _ time.Duration) {})
+	l.TransferRun(0, TransferFunc(func(_, _ simclock.Time, _ time.Duration) {}))
 }
 
 func TestTransferBytes(t *testing.T) {
 	eng, l := newTestLink()
 	fired := false
-	l.TransferBytes(1024*1024, func(start, end simclock.Time, actual time.Duration) {
+	l.TransferBytesRun(1024*1024, TransferFunc(func(start, end simclock.Time, actual time.Duration) {
 		fired = true
 		if actual <= 0 {
 			t.Fatal("non-positive actual")
 		}
-	})
+	}))
 	eng.Run()
 	if !fired {
 		t.Fatal("callback not fired")
@@ -118,8 +118,8 @@ func TestLinkOnBusy(t *testing.T) {
 	eng, l := newTestLink()
 	var total time.Duration
 	l.OnBusy = func(from, to simclock.Time) { total += to.Sub(from) }
-	l.Transfer(3*time.Millisecond, func(_, _ simclock.Time, _ time.Duration) {})
-	l.Transfer(2*time.Millisecond, func(_, _ simclock.Time, _ time.Duration) {})
+	l.TransferRun(3*time.Millisecond, TransferFunc(func(_, _ simclock.Time, _ time.Duration) {}))
+	l.TransferRun(2*time.Millisecond, TransferFunc(func(_, _ simclock.Time, _ time.Duration) {}))
 	eng.Run()
 	if total != 5*time.Millisecond {
 		t.Fatalf("busy total = %v", total)

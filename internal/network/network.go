@@ -39,20 +39,11 @@ func NewLink(eng *simclock.Engine) *Link {
 	return &Link{eng: eng, Latency: DefaultLatency, BytesPerSecond: DefaultBandwidth}
 }
 
-// Send transmits a message of the given size and runs deliver at the
+// SendRun transmits a message of the given size and runs r at the
 // receiver when it arrives. Zero-byte messages still pay propagation
-// latency (request metadata).
-func (l *Link) Send(bytes int64, deliver func()) {
-	if deliver == nil {
-		panic("network: nil deliver")
-	}
-	l.eng.Schedule(l.arrivalAt(bytes), deliver)
-}
-
-// SendRun is Send with a preallocated receiver instead of a closure —
-// the allocation-free form for per-request hops whose receiver already
-// exists (see simclock.Runner). Serialisation, latency and jitter are
-// identical to Send.
+// latency (request metadata). Per-request hops pass a receiver that
+// already exists, so nothing is allocated; a closure goes through
+// simclock.Func.
 func (l *Link) SendRun(bytes int64, r simclock.Runner) {
 	if r == nil {
 		panic("network: nil receiver")

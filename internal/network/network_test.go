@@ -12,7 +12,7 @@ func TestSendDeliversAfterLatency(t *testing.T) {
 	eng := simclock.NewEngine()
 	l := NewLink(eng)
 	var at simclock.Time
-	l.Send(0, func() { at = eng.Now() })
+	l.SendRun(0, simclock.Func(func() { at = eng.Now() }))
 	eng.Run()
 	if at != simclock.Time(DefaultLatency) {
 		t.Fatalf("delivered at %v, want %v", at, DefaultLatency)
@@ -28,7 +28,7 @@ func TestSendSerialisationDelay(t *testing.T) {
 	l.Latency = 0
 	// 1.25 MB at 1.25 GB/s = 1ms.
 	var at simclock.Time
-	l.Send(1_250_000, func() { at = eng.Now() })
+	l.SendRun(1_250_000, simclock.Func(func() { at = eng.Now() }))
 	eng.Run()
 	if at != simclock.Time(time.Millisecond) {
 		t.Fatalf("delivered at %v, want 1ms", at)
@@ -40,8 +40,8 @@ func TestLinkFIFOBacklog(t *testing.T) {
 	l := NewLink(eng)
 	l.Latency = 0
 	var order []int
-	l.Send(1_250_000, func() { order = append(order, 1) }) // 1ms
-	l.Send(1_250_000, func() { order = append(order, 2) }) // +1ms
+	l.SendRun(1_250_000, simclock.Func(func() { order = append(order, 1) })) // 1ms
+	l.SendRun(1_250_000, simclock.Func(func() { order = append(order, 2) })) // +1ms
 	if d := l.QueueDelay(); d != 2*time.Millisecond {
 		t.Fatalf("queue delay = %v", d)
 	}
@@ -60,7 +60,7 @@ func TestInfiniteBandwidth(t *testing.T) {
 	l.BytesPerSecond = 0
 	l.Latency = time.Microsecond
 	var at simclock.Time
-	l.Send(1<<40, func() { at = eng.Now() })
+	l.SendRun(1<<40, simclock.Func(func() { at = eng.Now() }))
 	eng.Run()
 	if at != simclock.Time(time.Microsecond) {
 		t.Fatalf("delivered at %v", at)
@@ -79,7 +79,7 @@ func TestJitterOccasionallyDelays(t *testing.T) {
 	for i := 0; i < 1000; i++ {
 		sentAt := eng.Now()
 		var arrived simclock.Time
-		l.Send(0, func() { arrived = eng.Now() })
+		l.SendRun(0, simclock.Func(func() { arrived = eng.Now() }))
 		eng.Run()
 		if arrived.Sub(sentAt) > 0 {
 			delayed++
@@ -94,8 +94,8 @@ func TestSendPanics(t *testing.T) {
 	eng := simclock.NewEngine()
 	l := NewLink(eng)
 	for i, fn := range []func(){
-		func() { l.Send(-1, func() {}) },
-		func() { l.Send(0, nil) },
+		func() { l.SendRun(-1, simclock.Func(func() {})) },
+		func() { l.SendRun(0, nil) },
 	} {
 		func() {
 			defer func() {
@@ -114,9 +114,9 @@ func TestDuplexIndependentDirections(t *testing.T) {
 	d.AtoB.Latency = 0
 	d.BtoA.Latency = 0
 	// Saturate A→B; B→A must be unaffected.
-	d.AtoB.Send(12_500_000, func() {}) // 10ms at 1.25GB/s
+	d.AtoB.SendRun(12_500_000, simclock.Func(func() {})) // 10ms at 1.25GB/s
 	var backAt simclock.Time
-	d.BtoA.Send(0, func() { backAt = eng.Now() })
+	d.BtoA.SendRun(0, simclock.Func(func() { backAt = eng.Now() }))
 	eng.Run()
 	if backAt != 0 {
 		t.Fatalf("reverse direction delayed: %v", backAt)

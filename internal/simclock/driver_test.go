@@ -10,11 +10,8 @@ import (
 )
 
 // One driver, two shapes. The single-engine tests are named
-// TestDriverOneEngine*; those still called TestRealtimeDriver* keep the
-// name they had when a separate single-engine driver existed, and are
-// renamed a few at a time. The contracts that do not depend on the
-// shape — Barrier, inject-after-stop, abort — run table-driven over
-// shapes.
+// TestDriverOneEngine*. The contracts that do not depend on the shape —
+// Barrier, inject-after-stop, abort — run table-driven over shapes.
 var shapes = []int{1, 3}
 
 // startDriver builds n engines, lets prime schedule on them before any
@@ -168,11 +165,11 @@ func TestDriverOneEngineInjectFromCallback(t *testing.T) {
 	}
 }
 
-// TestRealtimeDriverIdleReanchor checks that virtual time keeps
+// TestDriverOneEngineIdleReanchor checks that virtual time keeps
 // tracking the wall clock across idle gaps: work injected after an
 // idle period lands at the wall-implied instant, and follow-up timers
 // it arms are paced — not executed as an "overdue" burst.
-func TestRealtimeDriverIdleReanchor(t *testing.T) {
+func TestDriverOneEngineIdleReanchor(t *testing.T) {
 	const speed = 100.0
 	d, engines, stop := startDriver(t, 1, speed, 0, nil)
 	defer stop()
@@ -207,11 +204,11 @@ func TestRealtimeDriverIdleReanchor(t *testing.T) {
 	}
 }
 
-// TestRealtimeDriverConcurrentInjectStress hammers Inject from many
+// TestDriverOneEngineConcurrentInjectStress hammers Inject from many
 // goroutines while the driver runs, and overlaps the stop with the
 // tail of the injections — the -race workout for the serving plane's
 // hot path.
-func TestRealtimeDriverConcurrentInjectStress(t *testing.T) {
+func TestDriverOneEngineConcurrentInjectStress(t *testing.T) {
 	d, _, stop := startDriver(t, 1, 1e6, 0, nil) // virtual time nearly free
 	const (
 		goroutines = 16

@@ -305,12 +305,12 @@ func (w *Worker) runLoad(g *GPU, a *action.Action, done func()) {
 	}
 	g.ready = action.Grow(g.ready, a.ModelID)
 	start := w.eng.Now()
-	g.H2D.Transfer(m.Transfer(), func(tStart, tEnd simclock.Time, actual time.Duration) {
+	g.H2D.TransferRun(m.Transfer(), gpu.TransferFunc(func(tStart, tEnd simclock.Time, actual time.Duration) {
 		g.ready[a.ModelID] = true
 		g.Pages.Touch(a.ModelID)
 		w.emit(g, a, action.Success, start, tEnd, actual)
 		done()
-	})
+	}))
 }
 
 // ---- UNLOAD ----

@@ -22,6 +22,11 @@ const (
 	// streamAllocCeiling bounds one sequential stream-transport round
 	// trip, client and server included (measured: 0 allocs/op).
 	streamAllocCeiling = 4.0
+	// streamBatchAllocCeiling bounds one SubmitBatch of streamBatchSize
+	// requests, client and server included (measured: 3 allocs/batch —
+	// the client's per-batch call, correlation and outcome slices).
+	streamBatchAllocCeiling = 7.0
+	streamBatchSize         = 64
 	// httpAllocCeiling bounds one sequential HTTP/JSON round trip,
 	// client and server included (measured: 99 allocs/op, nearly all of
 	// them net/http and encoding/json internals).
@@ -73,31 +78,68 @@ func TestAllocRatchetLiveRoundTrip(t *testing.T) {
 	}
 }
 
-// TestAllocRatchetStreamRoundTrip pins the stream transport: one
-// sequential Infer over a loopback binary-frame connection, counting
-// allocations across the whole process (server connection goroutines
-// included — frames, calls, sinks and responses all pool).
+// TestAllocRatchetStreamRoundTrip pins the stream transport over a
+// loopback binary-frame connection, counting allocations across the
+// whole process (server connection goroutines included — frames, calls,
+// sinks and responses all pool). Two inputs: one sequential Infer, and
+// one SubmitBatch of streamBatchSize requests on
+// BenchmarkStreamBatchRoundTrip's geometry.
 func TestAllocRatchetStreamRoundTrip(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation ratchet skipped in -short")
 	}
-	_, client, _ := newBenchStreamServer(t, 1, 1)
 	ctx := context.Background()
-	fire := func() {
-		res, err := client.Infer(ctx, clockwork.Request{Model: "m", SLO: time.Second})
-		if err != nil {
-			t.Fatal(err)
+	t.Run("sequential", func(t *testing.T) {
+		_, client, _ := newBenchStreamServer(t, 1, 1)
+		fire := func() {
+			res, err := client.Infer(ctx, clockwork.Request{Model: "m", SLO: time.Second})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Success {
+				t.Fatalf("infer failed: %+v", res)
+			}
 		}
-		if !res.Success {
-			t.Fatalf("infer failed: %+v", res)
+		for i := 0; i < 50; i++ {
+			fire()
 		}
-	}
-	for i := 0; i < 50; i++ {
-		fire()
-	}
-	if avg := testing.AllocsPerRun(200, fire); avg > streamAllocCeiling {
-		t.Fatalf("stream round trip allocates %.1f objects/op, ratchet ceiling is %.1f", avg, streamAllocCeiling)
-	}
+		if avg := testing.AllocsPerRun(200, fire); avg > streamAllocCeiling {
+			t.Fatalf("stream round trip allocates %.1f objects/op, ratchet ceiling is %.1f", avg, streamAllocCeiling)
+		}
+	})
+	t.Run("batch", func(t *testing.T) {
+		if raceEnabled {
+			// Under the race detector sync.Pool drops puts at random,
+			// so a batch's pooled frames are reallocated: ~100 allocs.
+			t.Skip("batched stream allocation ratchet skipped under the race detector")
+		}
+		_, client, models := newBenchStreamServer(t, 1, 4)
+		reqs := make([]clockwork.Request, streamBatchSize)
+		for i := range reqs {
+			reqs[i] = clockwork.Request{Model: models[i%len(models)], SLO: time.Second}
+		}
+		fire := func() {
+			outs, err := client.SubmitBatch(ctx, reqs)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, o := range outs {
+				// As in the benchmark, an engine-level rejection is a
+				// valid round trip; only a transport failure is not.
+				if o.Err != nil {
+					t.Fatalf("batched infer transport failure: %v", o.Err)
+				}
+			}
+		}
+		for i := 0; i < 20; i++ {
+			fire()
+		}
+		avg := testing.AllocsPerRun(100, fire)
+		t.Logf("stream batch of %d: %.1f allocs/batch", streamBatchSize, avg)
+		if avg > streamBatchAllocCeiling {
+			t.Fatalf("stream batch allocates %.1f objects/batch, ratchet ceiling is %.1f", avg, streamBatchAllocCeiling)
+		}
+	})
 }
 
 // TestAllocRatchetHTTPRoundTrip pins the HTTP/JSON front door the same

@@ -158,19 +158,18 @@ func BenchmarkStreamRoundTrip(b *testing.B) {
 }
 
 // BenchmarkStreamBatchRoundTrip measures pipelined batched submission:
-// 64 requests per SubmitBatch, one coalesced write and one engine
-// injection server-side. ns/op is per request, not per batch.
+// streamBatchSize (64) requests per SubmitBatch, one coalesced write and
+// one engine injection server-side. ns/op is per request, not per batch.
 func BenchmarkStreamBatchRoundTrip(b *testing.B) {
 	_, client, models := newBenchStreamServer(b, 1, 4)
 	ctx := context.Background()
-	const batch = 64
-	reqs := make([]clockwork.Request, batch)
+	reqs := make([]clockwork.Request, streamBatchSize)
 	for i := range reqs {
 		reqs[i] = clockwork.Request{Model: models[i%len(models)], SLO: time.Second}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
-	for n := 0; n < b.N; n += batch {
+	for n := 0; n < b.N; n += streamBatchSize {
 		outs, err := client.SubmitBatch(ctx, reqs)
 		if err != nil {
 			b.Fatal(err)
