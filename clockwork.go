@@ -6,6 +6,7 @@ import (
 
 	_ "clockwork/internal/baseline" // registers the clipper/infaas policies
 	"clockwork/internal/core"
+	"clockwork/internal/simclock"
 	"clockwork/trace"
 )
 
@@ -76,6 +77,11 @@ type System struct {
 	live atomic.Bool
 }
 
+// init installs the seam internal harnesses read raw telemetry through.
+func init() {
+	core.ClusterOf = func(s any) *core.Cluster { return s.(*System).cluster }
+}
+
 // New constructs a serving system. The configured policy is resolved
 // through the registry; an unknown name returns an error listing every
 // registered policy (it does not panic).
@@ -137,9 +143,14 @@ func (s *System) Now() time.Duration { return s.cluster.Eng.Now().Duration() }
 // After schedules fn at now+d on the virtual clock — the hook workload
 // generators use to pace themselves. With Config.EnginePerShard it
 // schedules on shard 0's engine and must run on that engine's goroutine
-// (inside Live.Do, or a callback already on shard 0).
+// (inside Live.Do, or a callback already on shard 0). It panics on a
+// nil fn.
 func (s *System) After(d time.Duration, fn func()) {
-	s.cluster.Eng.After(d, fn)
+	if fn == nil {
+		panic("clockwork: After with nil fn")
+	}
+	eng := s.cluster.Eng
+	eng.ScheduleRun(eng.Now().Add(d), simclock.Func(fn))
 }
 
 // AttachFlightRecorder wires the per-request flight recorder r into the
@@ -207,17 +218,3 @@ func (s *System) Summary() Summary {
 func (s *System) LatencyPercentile(p float64) time.Duration {
 	return s.cluster.Metrics.LatencyAll.Percentile(p)
 }
-
-// Cluster exposes the underlying cluster.
-//
-// Deprecated: this is an escape hatch for experiment harnesses that
-// need raw telemetry (per-bucket time series, the controller's
-// prediction-error trackers). Application code should use the public
-// control-plane API instead — Submit/SubmitRequest, AddWorker/
-// DrainWorker/FailWorker, UnregisterModel, Summary, ModelStats/
-// TenantStats/ShardStats, and the shard operations ShardOf/
-// MigrateModel/Rebalance — which covers everything the paper's API
-// exposes (see ARCHITECTURE.md). Note that on a sharded system the
-// returned cluster's Ctl field is shard 0's controller only; the
-// accessor will eventually be unexported.
-func (s *System) Cluster() *core.Cluster { return s.cluster }

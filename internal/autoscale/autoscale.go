@@ -168,19 +168,6 @@ type Signals struct {
 	Window        int
 }
 
-// ViolationRate is the fraction of this period's admission-seeking
-// requests that missed their objective, counting sheds as violations —
-// the end-to-end reporting rate. Evaluate deliberately does not use
-// it: the window loop reasons over the engine-observed rate alone and
-// treats sheds as reopen pressure (see Evaluate).
-func (s Signals) ViolationRate() float64 {
-	total := s.Completed + s.Shed
-	if total == 0 {
-		return 0
-	}
-	return float64(s.Violations+s.Shed) / float64(total)
-}
-
 // Decision is one evaluation's actuation plan. The zero Decision (with
 // Window echoing the input) means "hold everything".
 type Decision struct {

@@ -6,6 +6,7 @@ import (
 
 	"clockwork/internal/core"
 	"clockwork/internal/modelzoo"
+	"clockwork/internal/simclock"
 )
 
 // submitFn submits a default-options request for model with fn (may be
@@ -99,7 +100,7 @@ func TestClipperBatchesUnderLoad(t *testing.T) {
 				}
 			})
 		}
-		cl.Eng.After(2*time.Millisecond, func() { loop(i + 1) })
+		cl.Eng.ScheduleRun(cl.Eng.Now().Add(2*time.Millisecond), simclock.Func(func() { loop(i + 1) }))
 	}
 	loop(0)
 	cl.RunFor(3 * time.Second)
@@ -217,7 +218,7 @@ func TestINFaaSReactiveScaling(t *testing.T) {
 		for j := 0; j < 3; j++ {
 			submitFn(cl, "m", time.Second, nil)
 		}
-		cl.Eng.After(time.Millisecond, func() { loop(i + 1) })
+		cl.Eng.ScheduleRun(cl.Eng.Now().Add(time.Millisecond), simclock.Func(func() { loop(i + 1) }))
 	}
 	loop(0)
 	cl.RunFor(5 * time.Second)

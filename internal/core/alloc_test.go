@@ -180,52 +180,81 @@ func TestOnRequestWorkFlatInGPUs(t *testing.T) {
 }
 
 // TestAllocRatchetSubmit pins what a request costs on the one submission
-// path, submit plus run to completion, in steady state, for each of its
-// completion forms: a pooled sink, a Handle released after its outcome,
-// and a ResponseFunc. Each must stay under the ceiling. The closure form
-// used to mint a pooled Handle nobody released, and paid 2 allocations
-// per request for it.
+// path, submit plus run to completion, for each of its completion forms
+// on a warm model — a pooled sink, a Handle released after its outcome,
+// and a ResponseFunc — and for a cold start. Each must stay under its
+// ceiling. The closure form used to mint a pooled Handle nobody
+// released, and paid 2 allocations per request for it.
+//
+// The cold-start case alternates between two ResNet50 instances on one
+// GPU whose page cache holds one and a half of them, so every request
+// is LOAD + UNLOAD + EXEC. It pays the two actions it mints, the LOAD
+// and the UNLOAD (2.00); the LOAD's weight-transfer completion, once a
+// closure, allocates nothing.
 func TestAllocRatchetSubmit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation ratchet skipped in -short")
 	}
-	const ceiling = 0.5
-	cl := NewCluster(ClusterConfig{Workers: 1, GPUsPerWorker: 1, Seed: 1})
-	if err := cl.RegisterModel("m", modelzoo.ResNet50()); err != nil {
-		t.Fatal(err)
+	newCluster := func(pageCache int64, names ...string) *Cluster {
+		cl := NewCluster(ClusterConfig{Workers: 1, GPUsPerWorker: 1, Seed: 1, PageCacheBytes: pageCache})
+		for _, name := range names {
+			if err := cl.RegisterModel(name, modelzoo.ResNet50()); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return cl
 	}
-	spec := SubmitSpec{Model: "m", SLO: 100 * time.Millisecond}
+	warm := newCluster(0, "m")
+	cold := newCluster(3*modelzoo.ResNet50().WeightsBytes()/2, "a", "b")
 	sink := &countingSink{}
 	fn := ResponseFunc(func(Response, time.Duration) { sink.n++ })
-	submit := func(s ResponseSink) {
-		if err := cl.Submit(0, spec, s); err != nil {
+	submit := func(cl *Cluster, model string, s ResponseSink, run time.Duration) {
+		if err := cl.Submit(0, SubmitSpec{Model: model, SLO: 100 * time.Millisecond}, s); err != nil {
 			t.Fatal(err)
 		}
-		cl.RunFor(20 * time.Millisecond) // a warm request completes in ~4 ms
+		cl.RunFor(run)
 	}
+	const warmRun = 20 * time.Millisecond // a warm request completes in ~4 ms
+	coldModels := [2]string{"a", "b"}
+	next := 0
 	for _, p := range []struct {
-		name string
-		op   func()
+		name    string
+		cl      *Cluster
+		ceiling float64
+		op      func()
 	}{
-		{"sink", func() { submit(sink) }},
-		{"Handle with Release", func() {
+		{"sink", warm, 0.5, func() { submit(warm, "m", sink, warmRun) }},
+		{"Handle with Release", warm, 0.5, func() {
 			h := NewHandle(nil)
-			submit(h)
+			submit(warm, "m", h, warmRun)
 			if !h.Done() {
 				t.Fatal("request did not complete")
 			}
 			h.Release()
 		}},
-		{"ResponseFunc", func() { submit(fn) }},
+		{"ResponseFunc", warm, 0.5, func() { submit(warm, "m", fn, warmRun) }},
+		{"cold start", cold, 2.5, func() {
+			next ^= 1
+			submit(cold, coldModels[next], sink, 100*time.Millisecond)
+		}},
 	} {
-		for i := 0; i < 20; i++ {
-			p.op() // warm the pools, the model and the metrics tables
-		}
-		avg := testing.AllocsPerRun(500, p.op)
-		if avg > ceiling {
-			t.Fatalf("%s: submit plus completion allocates %.2f objects per request, ratchet ceiling is %.2f", p.name, avg, ceiling)
-		}
-		t.Logf("%s: %.2f allocations per request", p.name, avg)
+		t.Run(p.name, func(t *testing.T) {
+			for i := 0; i < 20; i++ {
+				p.op() // warm the pools, the models and the metrics tables
+			}
+			before := p.cl.Ctl.Stats()
+			avg := testing.AllocsPerRun(500, p.op)
+			after := p.cl.Ctl.Stats()
+			if avg > p.ceiling {
+				t.Fatalf("submit plus completion allocates %.2f objects per request, ratchet ceiling is %.2f", avg, p.ceiling)
+			}
+			if p.cl == cold {
+				if n, c := after.Requests-before.Requests, after.ColdStart-before.ColdStart; c != n {
+					t.Fatalf("%d of %d measured requests were cold starts, want all", c, n)
+				}
+			}
+			t.Logf("%.2f allocations per request", avg)
+		})
 	}
 	if sink.n == 0 {
 		t.Fatal("no outcome reached a sink")

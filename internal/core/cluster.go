@@ -143,6 +143,11 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	return c
 }
 
+// ClusterOf returns the cluster behind a *clockwork.System. The root
+// package installs it, so harnesses inside the module can read raw
+// telemetry while the public API exports no cluster.
+var ClusterOf func(system any) *Cluster
+
 // Cluster is a fully wired Clockwork deployment on a single event
 // engine. With ClusterConfig.Shards == 1 (the default) it is the
 // paper's system: one centralized controller owning every GPU. With

@@ -309,10 +309,6 @@ func (c *Controller) Stats() Stats { return c.stats }
 // drained or failed workers (check Disabled before scheduling onto one).
 func (c *Controller) GPUs() []*GPUMirror { return c.gpus }
 
-// WorkerCount returns the number of workers ever added (drained and
-// failed workers keep their IDs).
-func (c *Controller) WorkerCount() int { return len(c.workers) }
-
 // AddWorker registers a worker's mirrors and its transport hook. The
 // cluster layer calls this during setup — and at runtime for control-
 // plane scale-out — exchanging page-cache geometry like the startup

@@ -155,7 +155,7 @@ func TestAllSuccessesMeetSLO(t *testing.T) {
 				violations++
 			}
 		})
-		cl.Eng.After(2*time.Millisecond, func() { submitLoop(i + 1) })
+		cl.Eng.ScheduleRun(cl.Eng.Now().Add(2*time.Millisecond), simclock.Func(func() { submitLoop(i + 1) }))
 	}
 	submitLoop(0)
 	cl.RunFor(5 * time.Second)
@@ -255,7 +255,7 @@ func TestLoadBalanceAcrossWorkers(t *testing.T) {
 			})
 		}
 		if cl.Eng.Now() < simclock.Time(2*time.Second) {
-			cl.Eng.After(2*time.Millisecond, loop)
+			cl.Eng.ScheduleRun(cl.Eng.Now().Add(2*time.Millisecond), simclock.Func(loop))
 		}
 	}
 	loop()

@@ -30,7 +30,7 @@ func TestNoRejectCascadeUnderChurn(t *testing.T) {
 		}
 		submitFn(cl, names[i%len(names)], 100*time.Millisecond, nil)
 		i++
-		cl.Eng.After(2*time.Millisecond, func() { loop(n + 1) })
+		cl.Eng.ScheduleRun(cl.Eng.Now().Add(2*time.Millisecond), simclock.Func(func() { loop(n + 1) }))
 	}
 	loop(0)
 	cl.RunFor(6 * time.Second)

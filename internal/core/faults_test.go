@@ -6,6 +6,7 @@ import (
 
 	"clockwork/internal/gpu"
 	"clockwork/internal/modelzoo"
+	"clockwork/internal/simclock"
 )
 
 // These tests exercise C3 (§4.3): external factors the controller cannot
@@ -39,7 +40,7 @@ func TestDisturbanceDoesNotViolateSLOs(t *testing.T) {
 		if i%50 == 0 {
 			cl.InjectDisturbance(0, 0, 20*time.Millisecond)
 		}
-		cl.Eng.After(4*time.Millisecond, func() { loop(i + 1) })
+		cl.Eng.ScheduleRun(cl.Eng.Now().Add(4*time.Millisecond), simclock.Func(func() { loop(i + 1) }))
 	}
 	loop(0)
 	cl.RunFor(3 * time.Second)
@@ -86,7 +87,7 @@ func TestRecoveryAfterDisturbanceBurst(t *testing.T) {
 				okAfter++
 			}
 		})
-		cl.Eng.After(3*time.Millisecond, func() { loop(i + 1) })
+		cl.Eng.ScheduleRun(cl.Eng.Now().Add(3*time.Millisecond), simclock.Func(func() { loop(i + 1) }))
 	}
 	loop(0)
 	cl.RunFor(2 * time.Second)
@@ -120,7 +121,7 @@ func TestNoisyHardwareStillMeetsSLOs(t *testing.T) {
 				}
 			}
 		})
-		cl.Eng.After(2500*time.Microsecond, func() { loop(i + 1) })
+		cl.Eng.ScheduleRun(cl.Eng.Now().Add(2500*time.Microsecond), simclock.Func(func() { loop(i + 1) }))
 	}
 	loop(0)
 	cl.RunFor(8 * time.Second)

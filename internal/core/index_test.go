@@ -27,13 +27,13 @@ func randomWorkload(cl *Cluster, seed uint64, nModels int, rate float64, span ti
 	var arrival func()
 	arrival = func() {
 		gap := time.Duration(stream.Exp(1.0/rate) * float64(time.Second))
-		cl.Eng.After(gap, func() {
+		cl.Eng.ScheduleRun(cl.Eng.Now().Add(gap), simclock.Func(func() {
 			if cl.Eng.Now() >= stop {
 				return
 			}
 			submitFn(cl, names[zipf.Draw()], slos[stream.Intn(len(slos))], nil)
 			arrival()
-		})
+		}))
 	}
 	arrival()
 }
@@ -189,15 +189,15 @@ func zipfWorkload(cl *Cluster, seed uint64, names []string, exp, rate float64, f
 	var arrival func()
 	arrival = func() {
 		gap := time.Duration(stream.Exp(1.0/rate) * float64(time.Second))
-		cl.Eng.After(gap, func() {
+		cl.Eng.ScheduleRun(cl.Eng.Now().Add(gap), simclock.Func(func() {
 			if cl.Eng.Now() >= stop {
 				return
 			}
 			_ = submitFn(cl, names[zipf.Draw()], 100*time.Millisecond, nil)
 			arrival()
-		})
+		}))
 	}
-	cl.Eng.At(simclock.Time(from), arrival)
+	cl.Eng.ScheduleRun(simclock.Time(from), simclock.Func(arrival))
 }
 
 // auditSkips gives every GPU that OnRequest skips, at the point of the

@@ -35,7 +35,7 @@ func TestMultiGPUWorkerRoutesActions(t *testing.T) {
 				done++
 			}
 		})
-		cl.Eng.After(2*time.Millisecond, func() { loop(i + 1) })
+		cl.Eng.ScheduleRun(cl.Eng.Now().Add(2*time.Millisecond), simclock.Func(func() { loop(i + 1) }))
 	}
 	loop(0)
 	cl.RunFor(3 * time.Second)

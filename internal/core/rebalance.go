@@ -136,10 +136,14 @@ func (cl *Cluster) MigrateModel(name string, toShard int) error {
 // is a control-plane operation, §5.1 — weights are already in every
 // worker's host RAM).
 func (cl *Cluster) armRebalancer() {
-	var tick func()
-	tick = func() {
-		cl.RebalanceOnce()
-		cl.Eng.After(cl.cfg.RebalanceInterval, tick)
-	}
-	cl.Eng.After(cl.cfg.RebalanceInterval, tick)
+	cl.Eng.ScheduleRun(cl.Eng.Now().Add(cl.cfg.RebalanceInterval), (*rebalanceTick)(cl))
+}
+
+// rebalanceTick is the Cluster seen as its rebalance loop's Runner.
+type rebalanceTick Cluster
+
+func (t *rebalanceTick) Run() {
+	cl := (*Cluster)(t)
+	cl.RebalanceOnce()
+	cl.armRebalancer()
 }

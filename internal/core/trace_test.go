@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"clockwork/internal/modelzoo"
+	"clockwork/internal/simclock"
 	"clockwork/trace"
 )
 
@@ -109,9 +110,9 @@ func TestFlightRecorderPureObserver(t *testing.T) {
 		}
 		cl.RegisterModel("m", modelzoo.ResNet50())
 		for i := 0; i < 50; i++ {
-			cl.Eng.After(time.Duration(i)*2*time.Millisecond, func() {
+			cl.Eng.ScheduleRun(cl.Eng.Now().Add(time.Duration(i)*2*time.Millisecond), simclock.Func(func() {
 				submitFn(cl, "m", 50*time.Millisecond, nil)
-			})
+			}))
 		}
 		cl.RunFor(500 * time.Millisecond)
 		return cl.Stats(), cl.Eng.Steps()

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"clockwork"
 	"clockwork/internal/core"
 	"clockwork/internal/modelzoo"
 	"clockwork/internal/rng"
@@ -87,9 +86,9 @@ func RunAblationLookahead(dur time.Duration, seed uint64) *AblationResult {
 	return &AblationResult{
 		Name: "scheduler lookahead",
 		Rows: runner.Map(sweep, func(la time.Duration) AblationRow {
-			cl := newSystemCluster(SystemClockwork, clockwork.Config{
+			cl := newSystemCluster(SystemClockwork, core.ClusterConfig{
 				Workers: 1, GPUsPerWorker: 1, Seed: seed,
-				Lookahead: la,
+				Controller: core.Config{Lookahead: la},
 			})
 			return ablationWorkload(la.String(), cl, dur)
 		}),
@@ -106,9 +105,9 @@ func RunAblationPredictor(dur time.Duration, seed uint64) *AblationResult {
 	return &AblationResult{
 		Name: "predictor window",
 		Rows: runner.Map([]int{1, 10, 100}, func(w int) AblationRow {
-			cl := newSystemCluster(SystemClockwork, clockwork.Config{
+			cl := newSystemCluster(SystemClockwork, core.ClusterConfig{
 				Workers: 1, GPUsPerWorker: 1, Seed: seed,
-				ProfileWindow: w,
+				Controller: core.Config{ProfileWindow: w},
 			})
 			return ablationWorkload(fmt.Sprintf("window=%d", w), cl, dur)
 		}),
@@ -132,7 +131,7 @@ func RunAblationLoadPolicy(dur time.Duration, seed uint64) *AblationResult {
 			if policy != SystemClockwork {
 				label = "oldest-first"
 			}
-			cl := newSystemCluster(policy, clockwork.Config{
+			cl := newSystemCluster(policy, core.ClusterConfig{
 				Workers: 1, GPUsPerWorker: 1, Seed: seed,
 				PageCacheBytes: 10 * 7 * 16 * 1024 * 1024,
 			})
@@ -146,13 +145,13 @@ func RunAblationLoadPolicy(dur time.Duration, seed uint64) *AblationResult {
 			var arrival func()
 			arrival = func() {
 				gap := time.Duration(stream.Exp(1.0/600) * float64(time.Second))
-				cl.Eng.After(gap, func() {
+				cl.Eng.ScheduleRun(cl.Eng.Now().Add(gap), simclock.Func(func() {
 					if cl.Eng.Now() >= stop {
 						return
 					}
 					cl.Submit(0, core.SubmitSpec{Model: names[zipf.Draw()], SLO: slo}, nil)
 					arrival()
-				})
+				}))
 			}
 			arrival()
 			cl.RunUntil(stop.Add(time.Second))

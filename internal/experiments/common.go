@@ -20,17 +20,15 @@ const (
 // Systems lists the three systems of Fig 5.
 var Systems = []string{SystemClockwork, SystemClipper, SystemINFaaS}
 
-// newSystemCluster builds a cluster running the named system's policy
-// through the public API (the registry resolves the scheduler and the
-// baseline switches); the returned *core.Cluster is the experiment
-// harness's telemetry escape hatch into the same System.
-func newSystemCluster(system string, cfg clockwork.Config) *core.Cluster {
-	cfg.Policy = clockwork.Policy(system)
-	sys, err := clockwork.New(cfg)
+// newSystemCluster builds a cluster running the named system's policy,
+// as clockwork.New does (the registry resolves the scheduler and the
+// baseline switches), for harnesses that read raw telemetry.
+func newSystemCluster(system string, cfg core.ClusterConfig) *core.Cluster {
+	cl, err := core.NewClusterWithPolicy(system, cfg)
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
-	return sys.Cluster()
+	return cl
 }
 
 // fmtMS renders a duration as milliseconds with two decimals.

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"clockwork"
+	"clockwork/internal/core"
 	"clockwork/internal/modelzoo"
 	"clockwork/internal/runner"
 	"clockwork/internal/simclock"
@@ -98,7 +98,7 @@ func RunFig5(cfg Fig5Config) *Fig5Result {
 }
 
 func runFig5Cell(cfg Fig5Config, system string, slo time.Duration) Fig5Cell {
-	cl := newSystemCluster(system, clockwork.Config{
+	cl := newSystemCluster(system, core.ClusterConfig{
 		Workers: 1, GPUsPerWorker: 1,
 		Seed:            cfg.Seed,
 		MetricsInterval: time.Second,

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"clockwork"
 	"clockwork/internal/core"
 	"clockwork/internal/modelzoo"
 	"clockwork/internal/rng"
@@ -86,7 +85,7 @@ type Fig6Result struct {
 // RunFig6 reproduces Fig 6: serving thousands of models from one worker.
 func RunFig6(cfg Fig6Config) *Fig6Result {
 	cfg = cfg.withDefaults()
-	cl := newSystemCluster(SystemClockwork, clockwork.Config{
+	cl := newSystemCluster(SystemClockwork, core.ClusterConfig{
 		Workers: 1, GPUsPerWorker: 1,
 		PageCacheBytes:  cfg.PageCacheBytes,
 		Seed:            cfg.Seed,
@@ -153,13 +152,13 @@ func RunFig6(cfg Fig6Config) *Fig6Result {
 	var minorArrival func()
 	minorArrival = func() {
 		gap := time.Duration(minorStream.Exp(1.0/cfg.MinorRate) * float64(time.Second))
-		cl.Eng.After(gap, func() {
+		cl.Eng.ScheduleRun(cl.Eng.Now().Add(gap), simclock.Func(func() {
 			if cl.Eng.Now() >= end {
 				return
 			}
 			submit(minorName, true)
 			minorArrival()
-		})
+		}))
 	}
 	minorArrival()
 
@@ -169,7 +168,7 @@ func RunFig6(cfg Fig6Config) *Fig6Result {
 	var majorArrival func()
 	majorArrival = func() {
 		gap := time.Duration(majorStream.Exp(1.0/cfg.MajorRate) * float64(time.Second))
-		cl.Eng.After(gap, func() {
+		cl.Eng.ScheduleRun(cl.Eng.Now().Add(gap), simclock.Func(func() {
 			if cl.Eng.Now() >= end {
 				return
 			}
@@ -177,11 +176,9 @@ func RunFig6(cfg Fig6Config) *Fig6Result {
 				submit(majorNames[majorStream.Intn(active)], false)
 			}
 			majorArrival()
-		})
+		}))
 	}
-	cl.Eng.At(start, func() {
-		majorArrival()
-	})
+	cl.Eng.ScheduleRun(start, simclock.Func(majorArrival))
 	// Activation chain: one more Major model per period.
 	var activate func()
 	activate = func() {
@@ -189,9 +186,9 @@ func RunFig6(cfg Fig6Config) *Fig6Result {
 			return
 		}
 		active++
-		cl.Eng.After(cfg.ActivationPeriod, activate)
+		cl.Eng.ScheduleRun(cl.Eng.Now().Add(cfg.ActivationPeriod), simclock.Func(activate))
 	}
-	cl.Eng.At(start, activate)
+	cl.Eng.ScheduleRun(start, simclock.Func(activate))
 
 	cl.RunUntil(end.Add(2 * cfg.SLO))
 

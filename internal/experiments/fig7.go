@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"clockwork"
 	"clockwork/internal/core"
 	"clockwork/internal/modelzoo"
 	"clockwork/internal/rng"
@@ -65,7 +64,7 @@ type Fig7Result struct {
 // RunFig7 reproduces Fig 7 (left) for one (N, R) configuration.
 func RunFig7(cfg Fig7Config) *Fig7Result {
 	cfg = cfg.withDefaults()
-	cl := newSystemCluster(SystemClockwork, clockwork.Config{
+	cl := newSystemCluster(SystemClockwork, core.ClusterConfig{
 		Workers: cfg.Workers, GPUsPerWorker: 1,
 		Seed:            cfg.Seed,
 		MetricsInterval: time.Second,
@@ -99,7 +98,7 @@ func RunFig7(cfg Fig7Config) *Fig7Result {
 		var arrival func()
 		arrival = func() {
 			gap := time.Duration(stream.Exp(1.0/perModel) * float64(time.Second))
-			cl.Eng.After(gap, func() {
+			cl.Eng.ScheduleRun(cl.Eng.Now().Add(gap), simclock.Func(func() {
 				now := cl.Eng.Now()
 				if now >= endAt {
 					return
@@ -115,7 +114,7 @@ func RunFig7(cfg Fig7Config) *Fig7Result {
 					}))
 				}
 				arrival()
-			})
+			}))
 		}
 		arrival()
 	}
@@ -203,7 +202,7 @@ type Fig7IsoResult struct {
 // and BC throughput as the LS SLO sweeps upward.
 func RunFig7Isolation(cfg Fig7IsoConfig) *Fig7IsoResult {
 	cfg = cfg.withDefaults()
-	cl := newSystemCluster(SystemClockwork, clockwork.Config{
+	cl := newSystemCluster(SystemClockwork, core.ClusterConfig{
 		Workers: cfg.Workers, GPUsPerWorker: 1,
 		Seed:            cfg.Seed,
 		MetricsInterval: time.Second,
@@ -234,7 +233,7 @@ func RunFig7Isolation(cfg Fig7IsoConfig) *Fig7IsoResult {
 		var arrival func()
 		arrival = func() {
 			gap := time.Duration(stream.Exp(1.0/cfg.LSRate) * float64(time.Second))
-			cl.Eng.After(gap, func() {
+			cl.Eng.ScheduleRun(cl.Eng.Now().Add(gap), simclock.Func(func() {
 				now := cl.Eng.Now()
 				if now >= endAt {
 					return
@@ -249,7 +248,7 @@ func RunFig7Isolation(cfg Fig7IsoConfig) *Fig7IsoResult {
 					}))
 				}
 				arrival()
-			})
+			}))
 		}
 		arrival()
 	}

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"time"
 
-	"clockwork"
 	"clockwork/internal/core"
 	"clockwork/internal/modelzoo"
 	"clockwork/internal/rng"
@@ -99,7 +98,7 @@ type Fig8Result struct {
 // trace over Clockwork.
 func RunFig8(cfg Fig8Config) *Fig8Result {
 	cfg = cfg.withDefaults()
-	cl := newSystemCluster(SystemClockwork, clockwork.Config{
+	cl := newSystemCluster(SystemClockwork, core.ClusterConfig{
 		Workers:          cfg.Workers,
 		GPUsPerWorker:    cfg.GPUsPerWorker,
 		Seed:             cfg.Seed,

@@ -172,7 +172,7 @@ func TestGoldenColdTailBitIdentical(t *testing.T) {
 	var before core.Stats
 	for p, ph := range phases {
 		if p == 1 {
-			before = sys.Cluster().Stats()
+			before = core.ClusterOf(sys).Stats()
 		}
 		gaps := workload.NewPoissonArrivals(seed*2+uint64(p), ph.rate)
 		for at := gaps.Next(); at < ph.dur; at += gaps.Next() {
@@ -185,7 +185,7 @@ func TestGoldenColdTailBitIdentical(t *testing.T) {
 		base += ph.dur
 		sys.RunUntil(base)
 	}
-	after := sys.Cluster().Stats()
+	after := core.ClusterOf(sys).Stats()
 	sys.RunUntil(base + time.Second) // drain: SLO ≪ 1 s
 	if sink.n != sent {
 		t.Fatalf("sent %d, completed %d", sent, sink.n)

@@ -28,7 +28,6 @@ type Device struct {
 	// the Runner-form completion context (ExecRun) lives right here and
 	// the Device itself is the completion event's Runner.
 	busy       bool
-	busyUntil  simclock.Time
 	execStart  simclock.Time
 	execActual time.Duration
 	execR      ExecRunner
@@ -36,7 +35,7 @@ type Device struct {
 	// Concurrent-mode state.
 	active       []*kernel
 	quantum      time.Duration
-	quantumTimer *simclock.Timer
+	quantumTimer simclock.Timer
 
 	// One-shot fault injection: added to the next serial execution.
 	pendingDisturbance time.Duration
@@ -58,7 +57,6 @@ const DefaultQuantum = 100 * time.Microsecond
 
 type kernel struct {
 	remaining time.Duration
-	elapsed   func() time.Duration // wall time so far, for the callback
 	started   simclock.Time
 	done      func(actual time.Duration)
 }
@@ -70,10 +68,6 @@ func NewDevice(eng *simclock.Engine, stream *rng.Stream, noise Noise) *Device {
 
 // Busy reports whether a serial execution is in flight.
 func (d *Device) Busy() bool { return d.busy }
-
-// BusyUntil returns when the current serial execution finishes
-// (zero time if idle).
-func (d *Device) BusyUntil() simclock.Time { return d.busyUntil }
 
 // ExecCount returns the number of completed executions (both modes).
 func (d *Device) ExecCount() uint64 { return d.execCount }
@@ -113,9 +107,8 @@ func (d *Device) ExecRun(base time.Duration, r ExecRunner) {
 	d.pendingDisturbance = 0
 	start := d.eng.Now()
 	d.busy = true
-	d.busyUntil = start.Add(actual)
 	d.execStart, d.execActual, d.execR = start, actual, r
-	d.eng.ScheduleRun(d.busyUntil, d)
+	d.eng.ScheduleRun(start.Add(actual), d)
 }
 
 // Run completes the in-flight serial execution — the Device is its own
@@ -165,14 +158,19 @@ func speedup(k int) float64 {
 // pending; idempotence keeps exactly one quantum loop alive no matter how
 // completion callbacks interleave with resubmission.
 func (d *Device) scheduleQuantum() {
-	if d.quantumTimer != nil {
+	if d.quantumTimer.Pending() {
 		return
 	}
-	d.quantumTimer = d.eng.After(d.quantum, d.runQuantum)
+	d.quantumTimer = d.eng.AtRun(d.eng.Now().Add(d.quantum), (*quantumTick)(d))
 }
 
+// quantumTick is the Device seen as its quantum event's Runner (the
+// Device's own Run completes serial executions).
+type quantumTick Device
+
+func (q *quantumTick) Run() { (*Device)(q).runQuantum() }
+
 func (d *Device) runQuantum() {
-	d.quantumTimer = nil
 	if len(d.active) == 0 {
 		return
 	}

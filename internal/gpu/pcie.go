@@ -55,9 +55,6 @@ func NewLink(eng *simclock.Engine, stream *rng.Stream, noise Noise) *Link {
 	}
 }
 
-// BusyUntil returns the instant the link drains its current queue.
-func (l *Link) BusyUntil() simclock.Time { return l.busyUntil }
-
 // Count returns the number of transfers enqueued so far.
 func (l *Link) Count() uint64 { return l.count }
 
@@ -73,13 +70,6 @@ func (l *Link) DurationForBytes(n int64) time.Duration {
 // transfer actually occupied the link and the on-link duration.
 type TransferRunner interface {
 	TransferDone(start, end simclock.Time, actual time.Duration)
-}
-
-// TransferFunc adapts a closure to TransferRunner.
-type TransferFunc func(start, end simclock.Time, actual time.Duration)
-
-func (f TransferFunc) TransferDone(start, end simclock.Time, actual time.Duration) {
-	f(start, end, actual)
 }
 
 // transferEv is one queued transfer's completion event. Several may be

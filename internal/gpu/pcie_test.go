@@ -9,6 +9,13 @@ import (
 	"clockwork/internal/simclock"
 )
 
+// transferFunc adapts a closure to TransferRunner.
+type transferFunc func(start, end simclock.Time, actual time.Duration)
+
+func (f transferFunc) TransferDone(start, end simclock.Time, actual time.Duration) {
+	f(start, end, actual)
+}
+
 func newTestLink() (*simclock.Engine, *Link) {
 	eng := simclock.NewEngine()
 	return eng, NewLink(eng, rng.NewStream(1), NoNoise)
@@ -17,7 +24,7 @@ func newTestLink() (*simclock.Engine, *Link) {
 func TestLinkTransferCompletes(t *testing.T) {
 	eng, l := newTestLink()
 	var gotStart, gotEnd simclock.Time
-	l.TransferRun(8330*time.Microsecond, TransferFunc(func(start, end simclock.Time, actual time.Duration) {
+	l.TransferRun(8330*time.Microsecond, transferFunc(func(start, end simclock.Time, actual time.Duration) {
 		gotStart, gotEnd = start, end
 		if actual != 8330*time.Microsecond {
 			t.Fatalf("actual = %v", actual)
@@ -32,8 +39,8 @@ func TestLinkTransferCompletes(t *testing.T) {
 func TestLinkIsFIFO(t *testing.T) {
 	eng, l := newTestLink()
 	var order []int
-	l.TransferRun(10*time.Millisecond, TransferFunc(func(_, _ simclock.Time, _ time.Duration) { order = append(order, 1) }))
-	l.TransferRun(time.Millisecond, TransferFunc(func(_, _ simclock.Time, _ time.Duration) { order = append(order, 2) }))
+	l.TransferRun(10*time.Millisecond, transferFunc(func(_, _ simclock.Time, _ time.Duration) { order = append(order, 1) }))
+	l.TransferRun(time.Millisecond, transferFunc(func(_, _ simclock.Time, _ time.Duration) { order = append(order, 2) }))
 	eng.Run()
 	if len(order) != 2 || order[0] != 1 || order[1] != 2 {
 		t.Fatalf("order = %v", order)
@@ -49,7 +56,7 @@ func TestLinkQueueDelay(t *testing.T) {
 	if l.QueueDelay() != 0 {
 		t.Fatal("idle link should have zero queue delay")
 	}
-	l.TransferRun(5*time.Millisecond, TransferFunc(func(_, _ simclock.Time, _ time.Duration) {}))
+	l.TransferRun(5*time.Millisecond, transferFunc(func(_, _ simclock.Time, _ time.Duration) {}))
 	if l.QueueDelay() != 5*time.Millisecond {
 		t.Fatalf("queue delay = %v", l.QueueDelay())
 	}
@@ -96,13 +103,13 @@ func TestTransferBadDurationPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	l.TransferRun(0, TransferFunc(func(_, _ simclock.Time, _ time.Duration) {}))
+	l.TransferRun(0, transferFunc(func(_, _ simclock.Time, _ time.Duration) {}))
 }
 
 func TestTransferBytes(t *testing.T) {
 	eng, l := newTestLink()
 	fired := false
-	l.TransferBytesRun(1024*1024, TransferFunc(func(start, end simclock.Time, actual time.Duration) {
+	l.TransferBytesRun(1024*1024, transferFunc(func(start, end simclock.Time, actual time.Duration) {
 		fired = true
 		if actual <= 0 {
 			t.Fatal("non-positive actual")
@@ -118,8 +125,8 @@ func TestLinkOnBusy(t *testing.T) {
 	eng, l := newTestLink()
 	var total time.Duration
 	l.OnBusy = func(from, to simclock.Time) { total += to.Sub(from) }
-	l.TransferRun(3*time.Millisecond, TransferFunc(func(_, _ simclock.Time, _ time.Duration) {}))
-	l.TransferRun(2*time.Millisecond, TransferFunc(func(_, _ simclock.Time, _ time.Duration) {}))
+	l.TransferRun(3*time.Millisecond, transferFunc(func(_, _ simclock.Time, _ time.Duration) {}))
+	l.TransferRun(2*time.Millisecond, transferFunc(func(_, _ simclock.Time, _ time.Duration) {}))
 	eng.Run()
 	if total != 5*time.Millisecond {
 		t.Fatalf("busy total = %v", total)

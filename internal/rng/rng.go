@@ -48,14 +48,8 @@ func (s *Stream) Float64() float64 { return s.r.Float64() }
 // Intn returns a uniform int in [0,n). n must be > 0.
 func (s *Stream) Intn(n int) int { return s.r.Intn(n) }
 
-// Int63 returns a uniform non-negative int64.
-func (s *Stream) Int63() int64 { return s.r.Int63() }
-
 // Perm returns a random permutation of [0,n).
 func (s *Stream) Perm(n int) []int { return s.r.Perm(n) }
-
-// Shuffle randomises the order of n elements using swap.
-func (s *Stream) Shuffle(n int, swap func(i, j int)) { s.r.Shuffle(n, swap) }
 
 // Normal returns a draw from N(mean, stddev²).
 func (s *Stream) Normal(mean, stddev float64) float64 {

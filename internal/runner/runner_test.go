@@ -51,7 +51,7 @@ func simScenario(i int) string {
 			return
 		}
 		gap := time.Duration(stream.Exp(0.001) * float64(time.Second))
-		eng.After(gap, arrival)
+		eng.ScheduleRun(eng.Now().Add(gap), simclock.Func(arrival))
 	}
 	arrival()
 	eng.Run()

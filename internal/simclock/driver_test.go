@@ -79,8 +79,8 @@ func waitDone(t *testing.T, wg *sync.WaitGroup, timeout time.Duration) {
 func TestDriverOneEngineRunsEvents(t *testing.T) {
 	var fired atomic.Int32
 	_, _, stop := startDriver(t, 1, 1000, 0, func(e []*Engine) {
-		e[0].After(time.Microsecond, func() { fired.Add(1) })
-		e[0].After(2*time.Microsecond, func() { fired.Add(1) })
+		e[0].ScheduleRun(e[0].Now().Add(time.Microsecond), Func(func() { fired.Add(1) }))
+		e[0].ScheduleRun(e[0].Now().Add(2*time.Microsecond), Func(func() { fired.Add(1) }))
 	})
 	defer stop()
 	waitFor(t, 2*time.Second, "both events to fire", func() bool { return fired.Load() == 2 })
@@ -110,7 +110,7 @@ func TestDriverOneEnginePacingBounds(t *testing.T) {
 		start := time.Now()
 		_, _, stop := startDriver(t, 1, speed, 0, func(e []*Engine) {
 			for i := 1; i <= events; i++ {
-				e[0].After(span*time.Duration(i)/events, func() { fired.Add(1) })
+				e[0].ScheduleRun(e[0].Now().Add(span*time.Duration(i)/events), Func(func() { fired.Add(1) }))
 			}
 		})
 		waitFor(t, 30*time.Second, fmt.Sprintf("speed %g: %d events", speed, events),
@@ -184,7 +184,7 @@ func TestDriverOneEngineIdleReanchor(t *testing.T) {
 	inject(d, 0, func() {
 		injectedWall = time.Now()
 		injected <- e.Now()
-		e.After(time.Second, func() { close(fired) }) // 1s virtual = 10ms wall
+		e.ScheduleRun(e.Now().Add(time.Second), Func(func() { close(fired) })) // 1s virtual = 10ms wall
 	})
 	at := <-injected
 	// The idle gap was ~100ms wall = ~10s virtual; anything well past
@@ -276,7 +276,7 @@ func TestMultiBarrier(t *testing.T) {
 		for i := range engines {
 			i := i
 			var tick func()
-			tick = func() { engines[i].After(100*time.Microsecond, tick) }
+			tick = func() { engines[i].ScheduleRun(engines[i].Now().Add(100*time.Microsecond), Func(tick)) }
 			inject(d, i, tick)
 		}
 		for round := 0; round < 10; round++ {
@@ -344,12 +344,12 @@ func (b *backlog) prime(engines []*Engine) {
 	for i, e := range engines {
 		i := i
 		for k := 0; k < 200; k++ {
-			e.Schedule(0, func() {
+			e.ScheduleRun(0, Func(func() {
 				if !b.drain.Load() {
 					time.Sleep(time.Millisecond)
 				}
 				b.stepped[i].Add(1)
-			})
+			}))
 		}
 	}
 }
@@ -502,7 +502,7 @@ func TestMultiSkewBound(t *testing.T) {
 	// of the wall if unthrottled, and far past shard 0 without the
 	// bound (the wall alone allows speed×elapsed of divergence).
 	var tick func()
-	tick = func() { engines[1].After(10*time.Microsecond, tick) }
+	tick = func() { engines[1].ScheduleRun(engines[1].Now().Add(10*time.Microsecond), Func(tick)) }
 	inject(d, 1, tick)
 
 	time.Sleep(100 * time.Millisecond) // wall headroom ≈ 10s of virtual time
@@ -522,7 +522,7 @@ func TestMultiIdleShardDoesNotThrottle(t *testing.T) {
 	defer stop()
 	// Shard 0 stays empty (parked). Shard 1 runs dense work.
 	var tick func()
-	tick = func() { engines[1].After(500*time.Microsecond, tick) }
+	tick = func() { engines[1].ScheduleRun(engines[1].Now().Add(500*time.Microsecond), Func(tick)) }
 	inject(d, 1, tick)
 	time.Sleep(50 * time.Millisecond)
 	// At speed 1000, 50ms wall ≈ 50s virtual. The busy shard must have

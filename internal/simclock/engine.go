@@ -19,7 +19,7 @@ type Engine struct {
 	stopped bool
 	// free recycles event nodes: the serving hot path schedules a dozen
 	// events per request, and pooling them (plus the handle-free
-	// Schedule entry point) keeps steady-state scheduling off the heap.
+	// ScheduleRun entry point) keeps steady-state scheduling off the heap.
 	free []*event
 }
 
@@ -84,9 +84,10 @@ type Aborter interface {
 	Abort()
 }
 
-// Func adapts a closure to Runner and Aborter — the one adapter behind
-// every closure-taking entry point. A func value is pointer-shaped, so
-// the interface conversion allocates nothing beyond the closure itself.
+// Func adapts a closure to Runner and Aborter, for set-up code and
+// one-off events where a preallocated receiver would buy nothing. A
+// func value is pointer-shaped, so the interface conversion allocates
+// nothing beyond the closure itself.
 type Func func()
 
 func (f Func) Run()   { f() }
@@ -172,60 +173,36 @@ func (e *Engine) Steps() uint64 { return e.stepped }
 // the queue until popped, so Len is an upper bound on live events.
 func (e *Engine) Len() int { return len(e.pq) }
 
-// At schedules fn to run at instant t. Scheduling in the past (or at the
-// current instant) is allowed and fires on the next step, preserving FIFO
-// order among same-instant events. It panics on a nil fn, since a nil
-// event is always a bug in the caller. Callers that never Stop the
-// returned timer should prefer Schedule, which allocates no handle.
-func (e *Engine) At(t Time, fn func()) *Timer {
-	ev := e.scheduleEv(t, false, wrap(fn))
-	return &Timer{ev: ev, gen: ev.gen}
-}
-
-// Schedule is At without the cancellation handle — the hot-path form
-// for fire-and-forget events (network deliveries, executor wakeups),
-// which reuses pooled event nodes and allocates nothing beyond fn
-// itself.
-func (e *Engine) Schedule(t Time, fn func()) {
-	e.scheduleEv(t, false, wrap(fn))
-}
-
-// ScheduleFront schedules fn at instant t ahead of every event already
+// ScheduleFront schedules r at instant t ahead of every event already
 // queued for that instant (normal scheduling is FIFO among same-instant
 // events; front scheduling wins those ties). It exists for deterministic
 // replay: a journaled injection must re-enter the engine before the
 // same-instant internal events that were scheduled between the original
 // injection's transfer and its execution — those executed after it in
 // the recorded run, and front scheduling restores that order. Ordinary
-// code should use Schedule.
-func (e *Engine) ScheduleFront(t Time, fn func()) {
-	e.scheduleEv(t, true, wrap(fn))
+// code should use ScheduleRun.
+func (e *Engine) ScheduleFront(t Time, r Runner) {
+	e.scheduleEv(t, true, r)
 }
 
-// ScheduleRun is Schedule with a preallocated Runner instead of a
-// closure: the fully allocation-free scheduling form for recurring
-// per-request events. Ordering is identical to Schedule — closure and
-// Runner events draw from one sequence counter.
+// ScheduleRun schedules r to run at instant t, without a cancellation
+// handle. Scheduling in the past (or at the current instant) is allowed
+// and fires on the next step, preserving FIFO order among same-instant
+// events. It reuses pooled event nodes, so with a preallocated r it
+// allocates nothing. It panics on a nil r, since a nil event is always
+// a bug in the caller; note that Func(nil) is a non-nil Runner, so
+// callers adapting a closure check it themselves.
 func (e *Engine) ScheduleRun(t Time, r Runner) {
 	e.scheduleEv(t, false, r)
 }
 
-// AtRun is At with a preallocated Runner, returning the Timer by value
-// so cancellable hot-path events (admission-control timers) need no
-// handle allocation either. The zero Timer is valid: Stop and Pending
+// AtRun is ScheduleRun with a cancellation handle, returned by value so
+// cancellable hot-path events (admission-control timers) need no handle
+// allocation either. The zero Timer is valid: Stop and Pending
 // report false, When reports 0.
 func (e *Engine) AtRun(t Time, r Runner) Timer {
 	ev := e.scheduleEv(t, false, r)
 	return Timer{ev: ev, gen: ev.gen}
-}
-
-// wrap adapts fn for scheduleEv. The nil check must precede the
-// conversion: Func(nil) is a non-nil Runner.
-func wrap(fn func()) Runner {
-	if fn == nil {
-		panic("simclock: schedule with nil fn")
-	}
-	return Func(fn)
 }
 
 // scheduleEv queues r at instant t (clamped to now), drawing its
@@ -267,12 +244,6 @@ func (e *Engine) recycle(ev *event) {
 	if len(e.free) < 4096 {
 		e.free = append(e.free, ev)
 	}
-}
-
-// After schedules fn to run d after the current instant. Negative d is
-// clamped to "now".
-func (e *Engine) After(d time.Duration, fn func()) *Timer {
-	return e.At(e.now.Add(d), fn)
 }
 
 // Step processes the single earliest event. It returns false if the queue

@@ -38,9 +38,9 @@ func TestTimeArithmetic(t *testing.T) {
 func TestEngineFiresInOrder(t *testing.T) {
 	e := NewEngine()
 	var order []int
-	e.At(Time(30), func() { order = append(order, 3) })
-	e.At(Time(10), func() { order = append(order, 1) })
-	e.At(Time(20), func() { order = append(order, 2) })
+	e.ScheduleRun(Time(30), Func(func() { order = append(order, 3) }))
+	e.ScheduleRun(Time(10), Func(func() { order = append(order, 1) }))
+	e.ScheduleRun(Time(20), Func(func() { order = append(order, 2) }))
 	e.Run()
 	if len(order) != 3 || order[0] != 1 || order[1] != 2 || order[2] != 3 {
 		t.Fatalf("order = %v", order)
@@ -55,7 +55,7 @@ func TestEngineSameInstantFIFO(t *testing.T) {
 	var order []int
 	for i := 0; i < 100; i++ {
 		i := i
-		e.At(Time(5), func() { order = append(order, i) })
+		e.ScheduleRun(Time(5), Func(func() { order = append(order, i) }))
 	}
 	e.Run()
 	for i, v := range order {
@@ -68,9 +68,9 @@ func TestEngineSameInstantFIFO(t *testing.T) {
 func TestEnginePastSchedulingClampsToNow(t *testing.T) {
 	e := NewEngine()
 	var firedAt Time
-	e.At(Time(100), func() {
-		e.At(Time(50), func() { firedAt = e.Now() }) // in the past
-	})
+	e.ScheduleRun(Time(100), Func(func() {
+		e.ScheduleRun(Time(50), Func(func() { firedAt = e.Now() })) // in the past
+	}))
 	e.Run()
 	if firedAt != Time(100) {
 		t.Fatalf("past event fired at %v, want clamped to 100", firedAt)
@@ -80,7 +80,7 @@ func TestEnginePastSchedulingClampsToNow(t *testing.T) {
 func TestTimerStop(t *testing.T) {
 	e := NewEngine()
 	fired := false
-	tm := e.At(Time(10), func() { fired = true })
+	tm := e.AtRun(Time(10), Func(func() { fired = true }))
 	if !tm.Pending() {
 		t.Fatal("timer should be pending")
 	}
@@ -104,7 +104,7 @@ func TestTimerStop(t *testing.T) {
 
 func TestTimerStopAfterFire(t *testing.T) {
 	e := NewEngine()
-	tm := e.At(Time(1), func() {})
+	tm := e.AtRun(Time(1), Func(func() {}))
 	e.Run()
 	if tm.Stop() {
 		t.Fatal("Stop after fire should report false")
@@ -114,9 +114,9 @@ func TestTimerStopAfterFire(t *testing.T) {
 func TestRunUntilAdvancesClock(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	e.At(Time(10), func() { count++ })
-	e.At(Time(20), func() { count++ })
-	e.At(Time(30), func() { count++ })
+	e.ScheduleRun(Time(10), Func(func() { count++ }))
+	e.ScheduleRun(Time(20), Func(func() { count++ }))
+	e.ScheduleRun(Time(30), Func(func() { count++ }))
 	e.RunUntil(Time(20))
 	if count != 2 {
 		t.Fatalf("count = %d, want 2", count)
@@ -141,8 +141,8 @@ func TestRunUntilEmptyQueueStillAdvances(t *testing.T) {
 func TestStopHaltsRun(t *testing.T) {
 	e := NewEngine()
 	count := 0
-	e.At(Time(1), func() { count++; e.Stop() })
-	e.At(Time(2), func() { count++ })
+	e.ScheduleRun(Time(1), Func(func() { count++; e.Stop() }))
+	e.ScheduleRun(Time(2), Func(func() { count++ }))
 	e.Run()
 	if count != 1 {
 		t.Fatalf("count = %d, want 1 (Stop should halt)", count)
@@ -154,15 +154,17 @@ func TestStopHaltsRun(t *testing.T) {
 	}
 }
 
+// TestAfterSchedulesRelative: an event scheduled at Now().Add(d) from
+// inside another event fires d after it.
 func TestAfterSchedulesRelative(t *testing.T) {
 	e := NewEngine()
 	var at Time
-	e.At(Time(time.Millisecond), func() {
-		e.After(2*time.Millisecond, func() { at = e.Now() })
-	})
+	e.ScheduleRun(Time(time.Millisecond), Func(func() {
+		e.ScheduleRun(e.Now().Add(2*time.Millisecond), Func(func() { at = e.Now() }))
+	}))
 	e.Run()
 	if at != Time(3*time.Millisecond) {
-		t.Fatalf("After fired at %v", at)
+		t.Fatalf("relative event fired at %v", at)
 	}
 }
 
@@ -171,7 +173,7 @@ func TestNextEventAt(t *testing.T) {
 	if e.NextEventAt() != MaxTime {
 		t.Fatal("empty queue should report MaxTime")
 	}
-	tm := e.At(Time(42), func() {})
+	tm := e.AtRun(Time(42), Func(func() {}))
 	if e.NextEventAt() != Time(42) {
 		t.Fatal("wrong next event")
 	}
@@ -181,13 +183,22 @@ func TestNextEventAt(t *testing.T) {
 	}
 }
 
+// TestAtNilPanics: every scheduling form panics on a nil Runner.
 func TestAtNilPanics(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on nil fn")
-		}
-	}()
-	NewEngine().At(Time(0), nil)
+	for name, schedule := range map[string]func(*Engine){
+		"ScheduleRun":   func(e *Engine) { e.ScheduleRun(0, nil) },
+		"AtRun":         func(e *Engine) { e.AtRun(0, nil) },
+		"ScheduleFront": func(e *Engine) { e.ScheduleFront(0, nil) },
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s: expected panic on nil Runner", name)
+				}
+			}()
+			schedule(NewEngine())
+		}()
+	}
 }
 
 // Property: any set of scheduled instants fires in nondecreasing time
@@ -203,7 +214,7 @@ func TestEventOrderProperty(t *testing.T) {
 		for i, v := range raw {
 			at := Time(int64(v) + 32768) // nonnegative
 			i := i
-			e.At(at, func() { fired = append(fired, rec{e.Now(), i}) })
+			e.ScheduleRun(at, Func(func() { fired = append(fired, rec{e.Now(), i}) }))
 		}
 		e.Run()
 		if len(fired) != len(raw) {
@@ -241,7 +252,7 @@ func TestClockMonotoneProperty(t *testing.T) {
 		if depth > 3 {
 			return
 		}
-		e.After(time.Duration(rnd.Intn(1000)), func() {
+		e.ScheduleRun(e.Now().Add(time.Duration(rnd.Intn(1000))), Func(func() {
 			if e.Now() < last {
 				violations++
 			}
@@ -249,7 +260,7 @@ func TestClockMonotoneProperty(t *testing.T) {
 			if rnd.Intn(3) == 0 {
 				schedule(depth + 1)
 			}
-		})
+		}))
 	}
 	for i := 0; i < 500; i++ {
 		schedule(0)
@@ -262,7 +273,7 @@ func TestClockMonotoneProperty(t *testing.T) {
 
 func TestEngineStringer(t *testing.T) {
 	e := NewEngine()
-	e.At(Time(1), func() {})
+	e.ScheduleRun(Time(1), Func(func() {}))
 	if s := e.String(); s == "" {
 		t.Fatal("empty String()")
 	}
@@ -274,7 +285,7 @@ func TestEngineStringer(t *testing.T) {
 // alias the new event.
 func TestTimerStaleAfterRecycle(t *testing.T) {
 	eng := NewEngine()
-	stale := eng.At(Time(10), func() {})
+	stale := eng.AtRun(Time(10), Func(func() {}))
 	if got := stale.When(); got != Time(10) {
 		t.Fatalf("pending When() = %v, want 10", got)
 	}
@@ -283,7 +294,7 @@ func TestTimerStaleAfterRecycle(t *testing.T) {
 	// back in use.
 	fired := 0
 	for i := 0; i < 8; i++ {
-		eng.At(Time(20+i), func() { fired++ })
+		eng.ScheduleRun(Time(20+i), Func(func() { fired++ }))
 	}
 	if stale.Pending() {
 		t.Fatal("fired timer reports Pending after node recycling")
@@ -306,7 +317,7 @@ func TestTimerStaleAfterRecycle(t *testing.T) {
 // the timer is pending — 0 after firing and after Stop.
 func TestTimerWhenLifecycle(t *testing.T) {
 	eng := NewEngine()
-	tm := eng.At(Time(7), func() {})
+	tm := eng.AtRun(Time(7), Func(func() {}))
 	if got := tm.When(); got != Time(7) {
 		t.Fatalf("When() = %v, want 7", got)
 	}
@@ -314,7 +325,7 @@ func TestTimerWhenLifecycle(t *testing.T) {
 	if got := tm.When(); got != 0 {
 		t.Fatalf("When() after Stop = %v, want 0", got)
 	}
-	fired := eng.At(Time(9), func() {})
+	fired := eng.AtRun(Time(9), Func(func() {}))
 	eng.Run()
 	if got := fired.When(); got != 0 {
 		t.Fatalf("When() after firing = %v, want 0", got)
@@ -329,13 +340,13 @@ type testRunner struct {
 
 func (r *testRunner) Run() { *r.order = append(*r.order, r.tag) }
 
-// TestRunnerEventsInterleave: ScheduleRun/AtRun events order identically
-// to closure events — the representation must not affect (at, seq)
-// ordering.
+// TestRunnerEventsInterleave: Func-adapted closures and preallocated
+// Runners order identically — the event body's representation must not
+// affect (at, seq) ordering.
 func TestRunnerEventsInterleave(t *testing.T) {
 	eng := NewEngine()
 	var order []int
-	eng.Schedule(Time(5), func() { order = append(order, 1) })
+	eng.ScheduleRun(Time(5), Func(func() { order = append(order, 1) }))
 	eng.ScheduleRun(Time(5), &testRunner{order: &order, tag: 2})
 	eng.AtRun(Time(5), &testRunner{order: &order, tag: 3})
 	eng.ScheduleRun(Time(3), &testRunner{order: &order, tag: 0})
@@ -369,18 +380,23 @@ func TestAtRunValueTimer(t *testing.T) {
 	}
 }
 
-// TestScheduleMatchesAt: the handle-free Schedule entry point must
-// order identically to At.
+// TestScheduleMatchesAt: ScheduleRun and AtRun draw from one sequence
+// counter, so same-instant events fire in scheduling order whichever
+// form scheduled them, and ScheduleFront wins every same-instant tie
+// while keeping FIFO order among front events.
 func TestScheduleMatchesAt(t *testing.T) {
 	eng := NewEngine()
 	var order []int
-	eng.Schedule(Time(5), func() { order = append(order, 1) })
-	eng.At(Time(5), func() { order = append(order, 2) })
-	eng.Schedule(Time(3), func() { order = append(order, 0) })
+	eng.ScheduleRun(Time(5), &testRunner{order: &order, tag: 3})
+	eng.AtRun(Time(5), &testRunner{order: &order, tag: 4})
+	eng.ScheduleRun(Time(5), &testRunner{order: &order, tag: 5})
+	eng.ScheduleFront(Time(5), &testRunner{order: &order, tag: 1})
+	eng.ScheduleFront(Time(5), &testRunner{order: &order, tag: 2})
+	eng.AtRun(Time(3), &testRunner{order: &order, tag: 0})
 	eng.Run()
 	for i, v := range order {
 		if i != v {
-			t.Fatalf("order = %v, want [0 1 2]", order)
+			t.Fatalf("order = %v, want [0 1 2 3 4 5]", order)
 		}
 	}
 }

@@ -9,16 +9,6 @@ import (
 // the experiment. The zero Time is the experiment epoch.
 type Time int64
 
-// Common durations re-exported for call-site brevity.
-const (
-	Nanosecond  = time.Nanosecond
-	Microsecond = time.Microsecond
-	Millisecond = time.Millisecond
-	Second      = time.Second
-	Minute      = time.Minute
-	Hour        = time.Hour
-)
-
 // Add returns t shifted forward by d (backward if d is negative).
 func (t Time) Add(d time.Duration) Time { return t + Time(d) }
 

@@ -13,7 +13,7 @@ func newBench(eng *simclock.Engine) (*executor, *[]uint64, *[]uint64) {
 	x := newExecutor(eng, "test",
 		func(a *action.Action, done func()) {
 			started = append(started, a.ID)
-			eng.After(time.Millisecond, done) // pretend 1ms of work
+			eng.ScheduleRun(eng.Now().Add(time.Millisecond), simclock.Func(done)) // pretend 1ms of work
 		},
 		func(a *action.Action) { rejected = append(rejected, a.ID) })
 	return x, &started, &rejected
@@ -54,10 +54,10 @@ func TestExecutorWaitsForEarliest(t *testing.T) {
 func TestExecutorRejectsExpiredWindow(t *testing.T) {
 	eng := simclock.NewEngine()
 	x, started, rejected := newBench(eng)
-	eng.At(simclock.Time(10*time.Millisecond), func() {
+	eng.ScheduleRun(simclock.Time(10*time.Millisecond), simclock.Func(func() {
 		x.enqueue(act(1, 0, simclock.Time(5*time.Millisecond))) // expired
 		x.enqueue(act(2, 0, simclock.MaxTime))
-	})
+	}))
 	eng.Run()
 	if len(*rejected) != 1 || (*rejected)[0] != 1 {
 		t.Fatalf("rejected = %v", *rejected)
@@ -71,9 +71,9 @@ func TestExecutorBoundaryInclusive(t *testing.T) {
 	eng := simclock.NewEngine()
 	x, started, rejected := newBench(eng)
 	// latest == now is still allowed to begin (window is inclusive).
-	eng.At(simclock.Time(5*time.Millisecond), func() {
+	eng.ScheduleRun(simclock.Time(5*time.Millisecond), simclock.Func(func() {
 		x.enqueue(act(1, 0, simclock.Time(5*time.Millisecond)))
-	})
+	}))
 	eng.Run()
 	if len(*started) != 1 || len(*rejected) != 0 {
 		t.Fatalf("started=%v rejected=%v", *started, *rejected)
@@ -90,7 +90,7 @@ func TestExecutorSerialises(t *testing.T) {
 			if running > maxRunning {
 				maxRunning = running
 			}
-			eng.After(time.Millisecond, func() { running--; done() })
+			eng.ScheduleRun(eng.Now().Add(time.Millisecond), simclock.Func(func() { running--; done() }))
 		},
 		func(a *action.Action) {})
 	for i := uint64(1); i <= 10; i++ {
@@ -108,9 +108,9 @@ func TestExecutorEarlierArrivalPreempts(t *testing.T) {
 	// First enqueue an action far in the future; then a nearer one must
 	// run first even though it arrived second.
 	x.enqueue(act(1, simclock.Time(50*time.Millisecond), simclock.MaxTime))
-	eng.At(simclock.Time(time.Millisecond), func() {
+	eng.ScheduleRun(simclock.Time(time.Millisecond), simclock.Func(func() {
 		x.enqueue(act(2, simclock.Time(2*time.Millisecond), simclock.MaxTime))
-	})
+	}))
 	eng.Run()
 	if (*started)[0] != 2 {
 		t.Fatalf("order = %v", *started)

@@ -154,6 +154,13 @@ type GPU struct {
 	loadExec  *executor
 	inferExec *executor
 
+	// The in-flight LOAD: loadExec runs one at a time, so its action and
+	// start instant live here and the GPU itself is the weight
+	// transfer's TransferRunner (as the Device is its EXEC's Runner).
+	w         *Worker
+	load      *action.Action
+	loadStart simclock.Time
+
 	// ready marks models (by ID) whose weights finished transferring;
 	// pages may be allocated before the transfer completes, and an EXEC
 	// that arrives in that gap is rejected rather than stalled. runLoad
@@ -175,6 +182,7 @@ func New(eng *simclock.Engine, src *rng.Source, cfg Config, models *Models) *Wor
 	}
 	for i := 0; i < cfg.GPUs; i++ {
 		g := &GPU{
+			w:        w,
 			Index:    i,
 			Dev:      gpu.NewDevice(eng, src.Stream(fmt.Sprintf("w%d.g%d.exec", cfg.ID, i)), cfg.Noise),
 			H2D:      gpu.NewLink(eng, src.Stream(fmt.Sprintf("w%d.g%d.h2d", cfg.ID, i)), cfg.Noise),
@@ -304,13 +312,19 @@ func (w *Worker) runLoad(g *GPU, a *action.Action, done func()) {
 		return
 	}
 	g.ready = action.Grow(g.ready, a.ModelID)
-	start := w.eng.Now()
-	g.H2D.TransferRun(m.Transfer(), gpu.TransferFunc(func(tStart, tEnd simclock.Time, actual time.Duration) {
-		g.ready[a.ModelID] = true
-		g.Pages.Touch(a.ModelID)
-		w.emit(g, a, action.Success, start, tEnd, actual)
-		done()
-	}))
+	g.load, g.loadStart = a, w.eng.Now()
+	g.H2D.TransferRun(m.Transfer(), g)
+}
+
+// TransferDone completes the in-flight LOAD once its weights have
+// landed, then frees the LOAD executor's slot.
+func (g *GPU) TransferDone(_, end simclock.Time, actual time.Duration) {
+	a := g.load
+	g.load = nil
+	g.ready[a.ModelID] = true
+	g.Pages.Touch(a.ModelID)
+	g.w.emit(g, a, action.Success, g.loadStart, end, actual)
+	g.loadExec.done()
 }
 
 // ---- UNLOAD ----

@@ -34,10 +34,6 @@ func NewClosedLoop(cl *core.Cluster, model string, slo time.Duration, concurrenc
 // re-issued. Must be called before Start.
 func (c *ClosedLoopClient) StopAt(t simclock.Time) { c.stopAt = t }
 
-// SetSLO changes the SLO used for subsequent requests (the §6.3 SLO
-// sweep raises it mid-run).
-func (c *ClosedLoopClient) SetSLO(slo time.Duration) { c.slo = slo }
-
 // Start issues the initial window of requests.
 func (c *ClosedLoopClient) Start() {
 	for i := 0; i < c.concurrency; i++ {
@@ -90,26 +86,29 @@ func NewOpenLoop(cl *core.Cluster, stream *rng.Stream, model string, slo time.Du
 // StopAt bounds the submission window. Must be called before Start.
 func (c *OpenLoopClient) StopAt(t simclock.Time) { c.stopAt = t }
 
-// SetSLO changes the SLO used for subsequent requests.
-func (c *OpenLoopClient) SetSLO(slo time.Duration) { c.slo = slo }
-
 // Start schedules the first arrival.
 func (c *OpenLoopClient) Start() { c.scheduleNext() }
 
 func (c *OpenLoopClient) scheduleNext() {
 	gap := time.Duration(c.stream.Exp(1.0/c.rate) * float64(time.Second))
-	c.cl.Eng.After(gap, func() {
-		if c.cl.Eng.Now() >= c.stopAt {
-			return
+	c.cl.Eng.ScheduleRun(c.cl.Eng.Now().Add(gap), (*openLoopArrival)(c))
+}
+
+// openLoopArrival is the client seen as its arrival event's Runner.
+type openLoopArrival OpenLoopClient
+
+func (a *openLoopArrival) Run() {
+	c := (*OpenLoopClient)(a)
+	if c.cl.Eng.Now() >= c.stopAt {
+		return
+	}
+	c.sent++
+	c.cl.Submit(0, core.SubmitSpec{Model: c.model, SLO: c.slo}, core.ResponseFunc(func(r core.Response, l time.Duration) {
+		if r.Success && l <= c.slo {
+			c.succeeded++
 		}
-		c.sent++
-		c.cl.Submit(0, core.SubmitSpec{Model: c.model, SLO: c.slo}, core.ResponseFunc(func(r core.Response, l time.Duration) {
-			if r.Success && l <= c.slo {
-				c.succeeded++
-			}
-		}))
-		c.scheduleNext()
-	})
+	}))
+	c.scheduleNext()
 }
 
 // Sent returns the number of requests issued.

@@ -7,6 +7,7 @@ import (
 
 	"clockwork/internal/core"
 	"clockwork/internal/rng"
+	"clockwork/internal/simclock"
 )
 
 // FunctionKind classifies a synthetic serverless function workload,
@@ -247,7 +248,7 @@ func (rp *Replayer) Sent() uint64 { return rp.sent }
 // minute, targeted at the function's model instance. Minutes chain
 // lazily so the event heap holds at most one minute of arrivals.
 func (rp *Replayer) Start() {
-	rp.cl.Eng.After(0, func() { rp.scheduleMinuteBody(0) })
+	rp.cl.Eng.ScheduleRun(rp.cl.Eng.Now(), simclock.Func(func() { rp.scheduleMinuteBody(0) }))
 }
 
 func (rp *Replayer) scheduleMinuteBody(m int) {
@@ -264,11 +265,11 @@ func (rp *Replayer) scheduleMinuteBody(m int) {
 		model := rp.models[f.ID%len(rp.models)]
 		for k := 0; k < n; k++ {
 			at := time.Duration(rp.stream.Float64() * float64(time.Minute))
-			rp.cl.Eng.After(at, func() {
+			rp.cl.Eng.ScheduleRun(rp.cl.Eng.Now().Add(at), simclock.Func(func() {
 				rp.sent++
 				rp.cl.Submit(0, core.SubmitSpec{Model: model, SLO: rp.slo}, nil)
-			})
+			}))
 		}
 	}
-	rp.cl.Eng.After(time.Minute, func() { rp.scheduleMinuteBody(m + 1) })
+	rp.cl.Eng.ScheduleRun(rp.cl.Eng.Now().Add(time.Minute), simclock.Func(func() { rp.scheduleMinuteBody(m + 1) }))
 }

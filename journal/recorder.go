@@ -156,10 +156,8 @@ func (r *Recorder) syncLoop(every time.Duration) {
 	}
 }
 
-// Dir returns the journal directory; Epoch the epoch this recorder
-// appends to.
-func (r *Recorder) Dir() string { return r.w.dir }
-func (r *Recorder) Epoch() int  { return r.w.epoch }
+// Epoch returns the epoch this recorder appends to.
+func (r *Recorder) Epoch() int { return r.w.epoch }
 
 // SnapshotEvery exposes the configured periodic-snapshot cadence (0
 // when disabled) — the serve layer drives the ticker.

@@ -135,9 +135,6 @@ func (l *Live) WallOrigin() (wall time.Time, virtual time.Duration, ok bool) {
 	return w, v.Duration(), ok
 }
 
-// System returns the system this driver paces.
-func (l *Live) System() *System { return l.sys }
-
 // MultiEngine reports whether this driver paces one engine per shard
 // (Config.EnginePerShard).
 func (l *Live) MultiEngine() bool { return l.sys.cluster.EnginePerShard() }

@@ -101,8 +101,11 @@ func (r *Replay) StepTo(step uint64) error {
 // same-instant queued events, exactly where the live driver's transfer
 // placed it — and executes as step number step. A landing mismatch
 // (wrong step count or instant) is a detected divergence, not a silent
-// drift.
+// drift. It panics on a nil fn.
 func (r *Replay) Apply(step uint64, at time.Duration, fn func()) error {
+	if fn == nil {
+		panic("clockwork: replay Apply with nil fn")
+	}
 	if step == 0 {
 		return fmt.Errorf("clockwork: replay record stamped at step 0 (stamps count the injection's own step)")
 	}
@@ -113,7 +116,7 @@ func (r *Replay) Apply(step uint64, at time.Duration, fn func()) error {
 	if now := eng.Now().Duration(); now > at {
 		return fmt.Errorf("clockwork: replay clock %v already past recorded instant %v at step %d", now, at, step)
 	}
-	eng.ScheduleFront(simclock.Time(at), fn)
+	eng.ScheduleFront(simclock.Time(at), simclock.Func(fn))
 	if !eng.Step() {
 		return fmt.Errorf("clockwork: replay engine refused the injected step %d", step)
 	}

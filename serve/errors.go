@@ -83,16 +83,6 @@ func codeToErr(code string) error {
 	return nil
 }
 
-// wireToErr maps a stream code byte back onto the typed error.
-func wireToErr(wire uint8) error {
-	for _, c := range wireCodes {
-		if c.wire == wire {
-			return c.err
-		}
-	}
-	return nil
-}
-
 // wireToCode maps a stream code byte onto the JSON transport's
 // (status, code) vocabulary, so stream errors render as APIError with
 // the same fields a JSON client would see.

@@ -157,7 +157,7 @@ type Server struct {
 }
 
 // New starts the system's wall-clock driver and returns a server ready
-// to accept connections (via Serve/ListenAndServe, or by mounting
+// to accept connections (via Serve, or by mounting
 // Handler on an existing mux). The caller must not drive the system's
 // virtual clock (RunFor etc.) while the server lives; register models
 // either before New or through the /v1/models endpoint.
@@ -276,15 +276,6 @@ func (s *Server) Serve(ln net.Listener) error {
 		return nil
 	}
 	return err
-}
-
-// ListenAndServe binds addr and serves until Shutdown.
-func (s *Server) ListenAndServe(addr string) error {
-	ln, err := net.Listen("tcp", addr)
-	if err != nil {
-		return err
-	}
-	return s.Serve(ln)
 }
 
 // Shutdown drains the server: new infers are refused with 503, the

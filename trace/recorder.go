@@ -109,9 +109,6 @@ func (r *Recorder) Shard(i int) *ShardRecorder {
 	return r.shards[i]
 }
 
-// Shards returns the bound shard count.
-func (r *Recorder) Shards() int { return len(r.shards) }
-
 // SetEnabled flips recording on or off. Safe from any goroutine:
 // recording is a pure observer, so a mid-flight flip changes what is
 // captured, never what the scheduler does.

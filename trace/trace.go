@@ -78,10 +78,6 @@ func (c Cause) String() string {
 	}
 }
 
-// Causes lists the taxonomy in declaration order (metrics emission
-// iterates it for deterministic output).
-var Causes = []Cause{CauseNone, CauseQueueing, CauseColdStart, CauseMispredict, CauseAdmissionShed, CauseWorkerLoss}
-
 // Failure-reason codes, mirroring internal/core's Reason constants so
 // the recorder can classify outcomes without importing the engine
 // (internal/core imports this package, not the reverse). A compile-time

@@ -17,9 +17,6 @@ type MAFConfig = workload.MAFConfig
 // Trace is a synthesized multi-function invocation trace.
 type Trace = workload.Trace
 
-// FunctionTrace is one function's invocation counts per minute.
-type FunctionTrace = workload.FunctionTrace
-
 // FunctionKind classifies a synthetic serverless function workload.
 type FunctionKind = workload.FunctionKind
 
@@ -61,31 +58,4 @@ func NewPoissonArrivals(seed uint64, ratePerSec float64) *Arrivals {
 // Next draws the gap to the next arrival.
 func (a *Arrivals) Next() time.Duration {
 	return time.Duration(a.stream.Exp(1.0/a.rate) * float64(time.Second))
-}
-
-// Envelope is a time-varying rate multiplier: the instantaneous rate
-// at elapsed time t is base × env(t). Envelopes shape the open-loop
-// load the closed-loop autoscaler is judged against.
-type Envelope = workload.Envelope
-
-// Spike is one flash-crowd event (linear ramp up, hold, ramp down).
-type Spike = workload.Spike
-
-// Diurnal returns one sinusoidal day stretched over period, from
-// trough to peak; sharpness ≥ 1 narrows the rush hour.
-func Diurnal(period time.Duration, trough, peak float64, sharpness int) Envelope {
-	return workload.Diurnal(period, trough, peak, sharpness)
-}
-
-// FlashCrowd returns a flat base multiplier punctuated by spikes.
-func FlashCrowd(base float64, spikes ...Spike) Envelope {
-	return workload.FlashCrowd(base, spikes...)
-}
-
-// ArrivalSchedule materialises the arrival instants of a
-// non-homogeneous Poisson process with rate base × env(t) over
-// [0, horizon) by thinning; ceiling must dominate the envelope. Equal
-// (seed, parameters) pairs give identical schedules.
-func ArrivalSchedule(seed uint64, base, ceiling float64, env Envelope, horizon time.Duration) []time.Duration {
-	return workload.ArrivalSchedule(rng.NewSource(seed).Stream("arrivals.varying"), base, ceiling, env, horizon)
 }
