@@ -189,8 +189,8 @@ func TestOnRequestWorkFlatInGPUs(t *testing.T) {
 // The cold-start case alternates between two ResNet50 instances on one
 // GPU whose page cache holds one and a half of them, so every request
 // is LOAD + UNLOAD + EXEC. It pays the two actions it mints, the LOAD
-// and the UNLOAD (2.00); the LOAD's weight-transfer completion, once a
-// closure, allocates nothing.
+// and the UNLOAD (2.00); the LOAD's weight-transfer completion must
+// allocate nothing.
 func TestAllocRatchetSubmit(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation ratchet skipped in -short")
