@@ -30,7 +30,7 @@ type Config struct {
 	// EnginePerShard gives every scheduler shard its own event engine
 	// and, in live mode, its own pacing goroutine — an N-shard control
 	// plane can then use N cores. The shards' virtual clocks stay within
-	// a bounded skew window of each other (see SkewBound); cross-shard
+	// a bounded skew window of each other (see StartLive); cross-shard
 	// interactions travel through synchronised handoffs and
 	// whole-cluster operations run under a stop-the-world barrier
 	// (Live.Do). Simulation entry points (RunFor/RunUntil) are
@@ -39,13 +39,6 @@ type Config struct {
 	// with EnginePerShard the cross-shard interleaving is wall-clock
 	// dependent, exactly like injection timing in live mode.
 	EnginePerShard bool
-	// SkewBound caps how far one shard's virtual clock may run ahead of
-	// a lagging sibling's in EnginePerShard mode (the conservative-PDES
-	// lookahead). Zero derives it from the cross-shard interaction
-	// floor: no shard can affect another in under one network latency,
-	// widened so an OS scheduling quantum at high speed multipliers does
-	// not throttle healthy shards. Ignored without EnginePerShard.
-	SkewBound time.Duration
 	// Policy selects the scheduler by registry name (default
 	// PolicyClockwork). See RegisterPolicy and Policies.
 	Policy Policy
@@ -92,7 +85,6 @@ func New(cfg Config) (*System, error) {
 		Shards:            cfg.Shards,
 		RebalanceInterval: cfg.RebalanceInterval,
 		EnginePerShard:    cfg.EnginePerShard,
-		SkewBound:         cfg.SkewBound,
 		Seed:              cfg.Seed,
 		PageCacheBytes:    cfg.PageCacheBytes,
 		NoNoise:           cfg.ExactTiming,

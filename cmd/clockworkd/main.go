@@ -25,7 +25,8 @@
 // beyond it HTTP answers 429 (Retry-After) and the stream answers typed
 // overloaded error frames. -multicore runs each scheduler shard on its
 // own engine and goroutine, synchronised within a bounded virtual-clock
-// skew (-skew-bound), so an N-shard daemon can use N cores.
+// skew derived from the network latency and -speed, so an N-shard
+// daemon can use N cores.
 //
 // -autoscale closes the control loop: a periodic engine-side policy
 // re-derives the admission window from observed SLO headroom (shrink
@@ -94,7 +95,6 @@ func main() {
 		gpus         = flag.Int("gpus", 1, "GPUs per worker")
 		shards       = flag.Int("shards", 1, "control-plane scheduler shards")
 		multicore    = flag.Bool("multicore", false, "one engine+goroutine per shard (bounded-skew sync; needs -shards > 1 to matter)")
-		skewBound    = flag.Duration("skew-bound", 0, "max virtual-clock skew between shard engines with -multicore (0 = derive from network latency and speed)")
 		policy       = flag.String("policy", string(clockwork.PolicyClockwork), "serving policy (see -list-policies)")
 		listPolicies = flag.Bool("list-policies", false, "print registered policies and exit")
 		speed        = flag.Float64("speed", 1.0, "virtual-vs-wall clock multiplier")
@@ -149,7 +149,6 @@ func main() {
 		GPUsPerWorker:  *gpus,
 		Shards:         *shards,
 		EnginePerShard: *multicore,
-		SkewBound:      *skewBound,
 		Policy:         clockwork.Policy(*policy),
 		Seed:           *seed,
 	}

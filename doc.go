@@ -73,8 +73,8 @@
 // StartLive paces the engine against the wall clock (at any speed
 // multiple) so the same System serves real traffic: concurrent
 // goroutines funnel work onto the engine goroutine with Live.Inject or
-// Live.Do, block for completion with Handle.Wait (or a per-request
-// Request.OnResult callback, which fires on the engine goroutine), and
+// Live.Do, block for completion with Handle.Wait (or SubmitRequest's
+// onDone callback, which fires on the engine goroutine), and
 // stop the clock with Live.Stop. Package clockwork/serve builds the
 // network front door on these primitives — an HTTP/JSON server
 // (cmd/clockworkd), a typed client, and a wall-clock load generator

@@ -97,10 +97,8 @@ func TestHandleReleaseBeforeCompletion(t *testing.T) {
 	sys := newSimSystem(t)
 
 	var got []clockwork.Result
-	h, err := sys.SubmitRequest(clockwork.Request{
-		Model: "m", SLO: time.Second,
-		OnResult: func(r clockwork.Result) { got = append(got, r) },
-	}, nil)
+	h, err := sys.SubmitRequest(clockwork.Request{Model: "m", SLO: time.Second},
+		func(r clockwork.Result) { got = append(got, r) })
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -110,7 +108,7 @@ func TestHandleReleaseBeforeCompletion(t *testing.T) {
 	}
 	sys.RunFor(time.Second)
 	if len(got) != 1 || !got[0].Success {
-		t.Fatalf("OnResult after early Release: %+v, want one success", got)
+		t.Fatalf("onDone after early Release: %+v, want one success", got)
 	}
 	if _, ok := h.Outcome(); ok {
 		t.Error("released handle exposes an outcome")
@@ -150,18 +148,13 @@ func TestSubmitRequestSink(t *testing.T) {
 }
 
 // TestSubmitRequestSinkErrors: submission errors surface synchronously
-// (typed), the sink never fires for them, and combining OnResult with a
-// sink is rejected — the sink IS the completion callback.
+// (typed) and the sink never fires for them.
 func TestSubmitRequestSinkErrors(t *testing.T) {
 	sys := newSimSystem(t)
 
 	sink := &countingSink{}
-	err := sys.SubmitRequestSink(0, clockwork.Request{
-		Model: "m", SLO: time.Second,
-		OnResult: func(clockwork.Result) {},
-	}, sink)
-	if !errors.Is(err, clockwork.ErrInvalidRequest) {
-		t.Fatalf("OnResult+sink: %v, want ErrInvalidRequest", err)
+	if err := sys.SubmitRequestSink(0, clockwork.Request{Model: "m", SLO: -time.Second}, sink); !errors.Is(err, clockwork.ErrInvalidRequest) {
+		t.Fatalf("negative SLO: %v, want ErrInvalidRequest", err)
 	}
 	if err := sys.SubmitRequestSink(0, clockwork.Request{Model: "nope", SLO: time.Second}, sink); !errors.Is(err, clockwork.ErrUnknownModel) {
 		t.Fatalf("unknown model: %v, want ErrUnknownModel", err)

@@ -7,7 +7,9 @@
 // and returns one Decision, with no clock reads and no randomness — so
 // a decision made inside an injected closure is deterministic at its
 // virtual instant, journalable as a single record, and bit-for-bit
-// reproducible under replay. See ARCHITECTURE.md, "Closed-loop
+// reproducible under replay. Step runs one period end to end — gather
+// the signals, evaluate, apply the worker actions — for the daemon and
+// the simulated experiment alike. See ARCHITECTURE.md, "Closed-loop
 // control".
 package autoscale
 
@@ -38,46 +40,21 @@ type Config struct {
 	MinWorkers int
 	MaxWorkers int
 
-	// HighViolation is the violation-rate high watermark: at or above
-	// it the window shrinks multiplicatively (default 0.01). The rate
+	// HighViolation is the violation-rate high watermark (default
+	// 0.01): at or above it the window shrinks by shrinkFactor. The rate
 	// here is engine-observed — violations among admitted requests;
-	// sheds feed the reopen path instead (see Evaluate).
+	// sheds feed the reopen path instead (see Evaluate). Growth is only
+	// considered at or below the low watermark, HighViolation/10.
 	HighViolation float64
-	// LowViolation is the low watermark: growth is only considered at
-	// or below it (default HighViolation/10).
-	LowViolation float64
 
-	// HeadroomFactor gates window growth on latency headroom: the
-	// period's p99 must sit below HeadroomFactor × the period's
-	// representative SLO (default 0.8). The bar must stay reachable
-	// for the slowest model in the mix — a batch-8 ResNet whose bare
-	// execution sits at 60% of the SLO can never show a p99 under half
-	// of it, and a gate it cannot pass pins the window shut forever.
-	HeadroomFactor float64
-
-	// ShrinkFactor is the multiplicative window decrease on a high
-	// period (default 0.5). GrowStep is the additive increase per
-	// sustained low period (default max(1, window/8), resolved per
-	// decision when zero).
-	ShrinkFactor float64
-	GrowStep     int
+	// GrowStep is the additive window increase per sustained low period
+	// (default max(1, window/8), resolved per decision when zero).
+	GrowStep int
 
 	// GrowSustain is the hysteresis on growth: that many consecutive
 	// low periods must pass before the window grows (default 2).
 	// Shrinking acts immediately — the asymmetry protects the SLO.
 	GrowSustain int
-
-	// DemandHigh/DemandLow are per-GPU demand watermarks, as fractions
-	// of one demand horizon of aggregate GPU time (defaults 0.75 and
-	// 0.20). The horizon is the shorter of the control period and the
-	// period's observed SLO: the scheduler proactively cancels work it
-	// cannot serve by its deadline, so outstanding demand saturates
-	// near SLO×GPUs no matter how overloaded the system is — a
-	// period-long horizon would never see the high watermark. A shard
-	// set whose demand exceeds DemandHigh×GPUs×horizon is
-	// overcommitted, one under DemandLow×GPUs×horizon is idle.
-	DemandHigh float64
-	DemandLow  float64
 
 	// WorkerSustain is the hysteresis on worker scaling: demand must
 	// stay past a watermark for that many consecutive periods before a
@@ -88,6 +65,32 @@ type Config struct {
 	WorkerSustain int
 	Cooldown      int
 }
+
+const (
+	// headroomFactor gates window growth on latency headroom: the
+	// period's p99 must sit below headroomFactor × the period's
+	// representative SLO. The bar must stay reachable for the slowest
+	// model in the mix — a batch-8 ResNet whose bare execution sits at
+	// 60% of the SLO can never show a p99 under half of it, and a gate
+	// it cannot pass pins the window shut forever.
+	headroomFactor = 0.8
+
+	// shrinkFactor is the multiplicative window decrease on a high
+	// period.
+	shrinkFactor = 0.5
+
+	// demandHigh and demandLow are per-GPU demand watermarks, as
+	// fractions of one demand horizon of aggregate GPU time. The
+	// horizon is the shorter of the control period and the period's
+	// observed SLO: the scheduler proactively cancels work it cannot
+	// serve by its deadline, so outstanding demand saturates near
+	// SLO×GPUs no matter how overloaded the system is — a period-long
+	// horizon would never see the high watermark. A shard set whose
+	// demand exceeds demandHigh×GPUs×horizon is overcommitted, one
+	// under demandLow×GPUs×horizon is idle.
+	demandHigh = 0.75
+	demandLow  = 0.20
+)
 
 // WithDefaults resolves every zero field to its documented default.
 func (c Config) WithDefaults() Config {
@@ -112,23 +115,8 @@ func (c Config) WithDefaults() Config {
 	if c.HighViolation <= 0 {
 		c.HighViolation = 0.01
 	}
-	if c.LowViolation <= 0 {
-		c.LowViolation = c.HighViolation / 10
-	}
-	if c.HeadroomFactor <= 0 {
-		c.HeadroomFactor = 0.8
-	}
-	if c.ShrinkFactor <= 0 || c.ShrinkFactor >= 1 {
-		c.ShrinkFactor = 0.5
-	}
 	if c.GrowSustain <= 0 {
 		c.GrowSustain = 2
-	}
-	if c.DemandHigh <= 0 {
-		c.DemandHigh = 0.75
-	}
-	if c.DemandLow <= 0 {
-		c.DemandLow = 0.20
 	}
 	if c.WorkerSustain <= 0 {
 		c.WorkerSustain = 3
@@ -234,12 +222,12 @@ func (c *Controller) Evaluate(s Signals) Decision {
 		// Shrink immediately: every period above the watermark is SLO
 		// damage already done.
 		c.lowStreak = 0
-		nw := c.clampWindow(int(float64(d.Window) * c.cfg.ShrinkFactor))
+		nw := c.clampWindow(int(float64(d.Window) * shrinkFactor))
 		if nw < d.Window {
 			d.Window = nw
 			d.Reason = fmt.Sprintf("shrink window: violation rate %.2f%%", 100*rate)
 		}
-	case rate <= c.cfg.LowViolation && c.headroomIdle(s):
+	case rate <= c.cfg.HighViolation/10 && c.headroomIdle(s):
 		// Grow only after GrowSustain consecutive quiet periods, and
 		// only when the p99 shows real headroom — a quiet period at a
 		// saturated p99 is luck, not capacity.
@@ -263,9 +251,9 @@ func (c *Controller) Evaluate(s Signals) Decision {
 			if nw > d.Window {
 				d.Window = nw
 				if s.Shed > 0 {
-					d.Reason = fmt.Sprintf("reopen window: %d shed with p99 %v under %.0f%% of SLO", s.Shed, s.P99, 100*c.cfg.HeadroomFactor)
+					d.Reason = fmt.Sprintf("reopen window: %d shed with p99 %v under %.0f%% of SLO", s.Shed, s.P99, 100*headroomFactor)
 				} else {
-					d.Reason = fmt.Sprintf("grow window: violation rate %.2f%%, p99 %v under %.0f%% of SLO", 100*rate, s.P99, 100*c.cfg.HeadroomFactor)
+					d.Reason = fmt.Sprintf("grow window: violation rate %.2f%%, p99 %v under %.0f%% of SLO", 100*rate, s.P99, 100*headroomFactor)
 				}
 			}
 			c.lowStreak = 0
@@ -296,7 +284,7 @@ func (c *Controller) Evaluate(s Signals) Decision {
 	if s.Completed+s.Shed > 0 {
 		shedFrac = float64(s.Shed) / float64(s.Completed+s.Shed)
 	}
-	pressure := util >= c.cfg.DemandHigh ||
+	pressure := util >= demandHigh ||
 		(s.Completed > 0 && rate >= c.cfg.HighViolation) ||
 		(shedFrac >= c.cfg.HighViolation && !c.headroomIdle(s))
 	switch {
@@ -310,7 +298,7 @@ func (c *Controller) Evaluate(s Signals) Decision {
 			c.highStreak = 0
 			c.cooldown = c.cfg.Cooldown
 		}
-	case util <= c.cfg.DemandLow && s.ActiveWorkers > c.cfg.MinWorkers && rate <= c.cfg.LowViolation && s.Shed == 0:
+	case util <= demandLow && s.ActiveWorkers > c.cfg.MinWorkers && rate <= c.cfg.HighViolation/10 && s.Shed == 0:
 		// A shedding period never drains: low demand under a pinched
 		// window is starvation, not idleness.
 		c.highStreak = 0
@@ -339,12 +327,12 @@ func (c *Controller) headroomIdle(s Signals) bool {
 	if s.SLO <= 0 {
 		return false
 	}
-	return float64(s.P99) < c.cfg.HeadroomFactor*float64(s.SLO)
+	return float64(s.P99) < headroomFactor*float64(s.SLO)
 }
 
 // demandUtil normalises outstanding demand to fractions of one demand
 // horizon (min(Period, SLO)) of aggregate GPU time — see the
-// DemandHigh doc for why the SLO bounds the horizon.
+// demandHigh doc for why the SLO bounds the horizon.
 func (c *Controller) demandUtil(s Signals) float64 {
 	if s.SchedulableGPUs <= 0 {
 		return 0

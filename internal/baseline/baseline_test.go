@@ -22,7 +22,7 @@ func submitFn(cl *core.Cluster, model string, slo time.Duration, fn func(core.Re
 func clipperCluster() *core.Cluster {
 	return core.NewCluster(core.ClusterConfig{
 		Workers: 1, GPUsPerWorker: 1,
-		Scheduler:        NewClipper(),
+		NewScheduler:     func() core.Scheduler { return NewClipper() },
 		WorkerBestEffort: true,
 		Controller:       core.Config{DisableAdmissionControl: true},
 		NoNoise:          true,
@@ -32,9 +32,9 @@ func clipperCluster() *core.Cluster {
 func infaasCluster() *core.Cluster {
 	return core.NewCluster(core.ClusterConfig{
 		Workers: 1, GPUsPerWorker: 1,
-		Scheduler:  NewINFaaS(),
-		Controller: core.Config{DisableAdmissionControl: true},
-		NoNoise:    true,
+		NewScheduler: func() core.Scheduler { return NewINFaaS() },
+		Controller:   core.Config{DisableAdmissionControl: true},
+		NoNoise:      true,
 	})
 }
 
@@ -112,7 +112,7 @@ func TestClipperBatchesUnderLoad(t *testing.T) {
 func TestClipperStaticPlacement(t *testing.T) {
 	cl := core.NewCluster(core.ClusterConfig{
 		Workers: 2, GPUsPerWorker: 1,
-		Scheduler:        NewClipper(),
+		NewScheduler:     func() core.Scheduler { return NewClipper() },
 		WorkerBestEffort: true,
 		Controller:       core.Config{DisableAdmissionControl: true},
 		NoNoise:          true,
@@ -204,9 +204,9 @@ func TestINFaaSVariantSelectionRespectsSLO(t *testing.T) {
 func TestINFaaSReactiveScaling(t *testing.T) {
 	cl := core.NewCluster(core.ClusterConfig{
 		Workers: 2, GPUsPerWorker: 1,
-		Scheduler:  NewINFaaS(),
-		Controller: core.Config{DisableAdmissionControl: true},
-		NoNoise:    true,
+		NewScheduler: func() core.Scheduler { return NewINFaaS() },
+		Controller:   core.Config{DisableAdmissionControl: true},
+		NoNoise:      true,
 	})
 	cl.RegisterModel("m", modelzoo.ResNet50())
 	// Overload one model far past the scale threshold.
@@ -240,7 +240,7 @@ func TestCompiledBatchAtMost(t *testing.T) {
 func TestBaselineEvictionUnderPressure(t *testing.T) {
 	cl := core.NewCluster(core.ClusterConfig{
 		Workers: 1, GPUsPerWorker: 1,
-		Scheduler:      NewClipper(),
+		NewScheduler:   func() core.Scheduler { return NewClipper() },
 		Controller:     core.Config{DisableAdmissionControl: true},
 		NoNoise:        true,
 		PageCacheBytes: 7 * 16 * 1024 * 1024, // one ResNet50

@@ -23,14 +23,11 @@ type ClusterConfig struct {
 	Workers       int
 	GPUsPerWorker int
 
-	// Worker geometry overrides (zero = paper defaults).
-	DeviceMemBytes int64
+	// PageCacheBytes overrides the per-GPU weight cache (zero = the
+	// paper's device memory minus IOCache and Workspace).
 	PageCacheBytes int64
 
-	// Noise selects the hardware timing noise model; the zero value
-	// means gpu.DefaultNoise (use gpu.NoNoise for exact-schedule tests
-	// by setting NoNoise=true).
-	Noise   gpu.Noise
+	// NoNoise turns off gpu.DefaultNoise, for exact-schedule tests.
 	NoNoise bool
 
 	Seed uint64
@@ -59,38 +56,22 @@ type ClusterConfig struct {
 	// timing in live mode.
 	EnginePerShard bool
 
-	// SkewBound caps how far one shard's virtual clock may run ahead of
-	// a lagging sibling's in EnginePerShard mode (the conservative-PDES
-	// lookahead). Zero derives it from the cross-shard interaction
-	// floor: no shard can affect another in under one network latency,
-	// widened so an OS scheduling quantum at high speed multipliers
-	// does not throttle healthy shards. Ignored without EnginePerShard.
-	SkewBound time.Duration
-
 	// RebalanceInterval is the cross-shard rebalancer's period (default
-	// 1s of virtual time; only armed when Shards > 1). RebalanceFactor
-	// is the demand-skew trigger: a rebalance pass migrates models when
-	// the hottest shard's demand exceeds factor × the coldest's
-	// (default 1.5). MaxMigrations bounds migrations per pass
-	// (default 4).
+	// 1s of virtual time; only armed when Shards > 1). See rebalance.go
+	// for the skew trigger and the per-pass migration cap.
 	RebalanceInterval time.Duration
-	RebalanceFactor   float64
-	MaxMigrations     int
 
-	// Controller configuration and scheduler. A nil Scheduler selects
-	// the paper's ClockworkScheduler; NewClusterWithPolicy resolves
-	// schedulers by registry name instead. With Shards > 1 every shard
-	// needs its own scheduler instance: set NewScheduler (a factory)
-	// instead of Scheduler.
+	// Controller configuration and scheduler factory. A nil
+	// NewScheduler selects the paper's ClockworkScheduler;
+	// NewClusterWithPolicy resolves it by registry name instead. The
+	// factory runs once per shard, so every shard owns its scheduler.
 	Controller   Config
-	Scheduler    Scheduler
 	NewScheduler func() Scheduler
 
-	// Network shape. Client bandwidth 0 = unconstrained aggregate
-	// (clients live on many machines); worker links default to 10Gbps.
-	NetLatency      time.Duration
-	WorkerBandwidth float64
-	ClientBandwidth float64
+	// NetLatency is the one-way network latency (default
+	// network.DefaultLatency). Worker links run at 10Gbps and client
+	// links are unconstrained (clients live on many machines).
+	NetLatency time.Duration
 
 	// ZeroLengthInputs reproduces the §6.5 scale experiment: clients
 	// send zero-length inputs and workers generate inputs on arrival.
@@ -118,27 +99,11 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.RebalanceInterval <= 0 {
 		c.RebalanceInterval = time.Second
 	}
-	if c.RebalanceFactor <= 1 {
-		c.RebalanceFactor = 1.5
-	}
-	if c.MaxMigrations <= 0 {
-		c.MaxMigrations = 4
-	}
 	if c.MetricsInterval <= 0 {
 		c.MetricsInterval = time.Minute
 	}
-	var zero gpu.Noise
-	if c.Noise == zero && !c.NoNoise {
-		c.Noise = gpu.DefaultNoise
-	}
-	if c.NoNoise {
-		c.Noise = gpu.NoNoise
-	}
 	if c.NetLatency <= 0 {
 		c.NetLatency = network.DefaultLatency
-	}
-	if c.WorkerBandwidth <= 0 {
-		c.WorkerBandwidth = network.DefaultBandwidth
 	}
 	return c
 }
@@ -222,10 +187,9 @@ type Cluster struct {
 
 // NewCluster builds a deployment. Register models with RegisterModel (or
 // RegisterCopies), then drive load via Submit and run the engine.
-// Invalid shard geometry (more shards than workers, or a single
-// Scheduler instance shared across shards) panics: both are
-// construction-time programming errors. NewClusterWithPolicy returns
-// them as errors instead.
+// Invalid shard geometry (more shards than workers) panics: it is a
+// construction-time programming error. NewClusterWithPolicy returns it
+// as an error instead.
 func NewCluster(cfg ClusterConfig) *Cluster {
 	cfg = cfg.withDefaults()
 	if err := cfg.validateShards(); err != nil {
@@ -265,8 +229,8 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		link := network.NewDuplex(eng)
 		link.AtoB.Latency = cfg.NetLatency
 		link.BtoA.Latency = cfg.NetLatency
-		link.AtoB.BytesPerSecond = cfg.ClientBandwidth
-		link.BtoA.BytesPerSecond = cfg.ClientBandwidth
+		link.AtoB.BytesPerSecond = 0 // unconstrained
+		link.BtoA.BytesPerSecond = 0
 		cl.clientLinks = append(cl.clientLinks, link)
 	}
 
@@ -331,9 +295,6 @@ func (c ClusterConfig) validateShards() error {
 	if c.Shards > c.Workers {
 		return fmt.Errorf("%d shards need at least as many workers (have %d)", c.Shards, c.Workers)
 	}
-	if c.Shards > 1 && c.NewScheduler == nil && c.Scheduler != nil {
-		return fmt.Errorf("Shards=%d needs NewScheduler (a per-shard factory); a single Scheduler instance cannot drive multiple shards", c.Shards)
-	}
 	return nil
 }
 
@@ -360,17 +321,12 @@ func (cl *Cluster) SetFlightRecorder(r *trace.Recorder) {
 func (cl *Cluster) FlightRecorder() *trace.Recorder { return cl.flight }
 
 // newScheduler mints one shard's scheduler: the factory when set, the
-// single configured instance otherwise (Shards == 1 only), the paper's
-// scheduler by default.
+// paper's scheduler by default.
 func (cl *Cluster) newScheduler() Scheduler {
-	switch {
-	case cl.cfg.NewScheduler != nil:
+	if cl.cfg.NewScheduler != nil {
 		return cl.cfg.NewScheduler()
-	case cl.cfg.Scheduler != nil:
-		return cl.cfg.Scheduler
-	default:
-		return NewClockworkScheduler()
 	}
+	return NewClockworkScheduler()
 }
 
 // shardForName is the consistent initial model→shard assignment: an
@@ -407,12 +363,15 @@ func (cl *Cluster) addWorker() int {
 	id := len(cl.Workers)
 	shard := id % len(cl.Ctls)
 	ctl := cl.Ctls[shard]
+	noise := gpu.DefaultNoise
+	if cl.cfg.NoNoise {
+		noise = gpu.NoNoise
+	}
 	wcfg := worker.Config{
 		ID:             id,
 		GPUs:           cl.cfg.GPUsPerWorker,
-		DeviceMemBytes: cl.cfg.DeviceMemBytes,
 		PageCacheBytes: cl.cfg.PageCacheBytes,
-		Noise:          cl.cfg.Noise,
+		Noise:          noise,
 		BestEffort:     cl.cfg.WorkerBestEffort,
 	}.Resolved()
 	// The worker comes up with every registered model (§5.1: workers
@@ -423,11 +382,9 @@ func (cl *Cluster) addWorker() int {
 	link := network.NewDuplex(cl.engFor(shard))
 	link.AtoB.Latency = cl.cfg.NetLatency
 	link.BtoA.Latency = cl.cfg.NetLatency
-	link.AtoB.BytesPerSecond = cl.cfg.WorkerBandwidth
-	link.BtoA.BytesPerSecond = cl.cfg.WorkerBandwidth
 
 	wl := &workerLink{cl: cl, ctl: ctl, w: w, li: link}
-	ctl.AddWorker(id, wcfg.GPUs, wcfg.PageCacheBytes, wcfg.PageSize, wl.sendAction)
+	ctl.AddWorker(id, wcfg.GPUs, wcfg.PageCacheBytes, wl.sendAction)
 	w.OnResult = wl.sendResult
 	cl.Workers = append(cl.Workers, w)
 	cl.workerShard = append(cl.workerShard, shard)

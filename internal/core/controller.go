@@ -20,9 +20,6 @@ type Config struct {
 	// ProfileWindow is the rolling measurement window per action key
 	// (§5.3: the past 10 actions).
 	ProfileWindow int
-	// LoadHorizon scales GPU capacity when computing Appendix B load
-	// priorities.
-	LoadHorizon time.Duration
 	// ResponseMargin is subtracted from each request's SLO to form its
 	// internal deadline, covering the result's return path (output
 	// transfer + network). Zero selects min(1ms, SLO/20) per request.
@@ -32,11 +29,6 @@ type Config struct {
 	// they treat the SLO as a soft goal and execute requests even after
 	// their deadlines have passed.
 	DisableAdmissionControl bool
-	// NetworkAllowance pads predicted LOAD completion times to cover the
-	// controller→worker hop, so an INFER whose window opens at a LOAD's
-	// ETA never races the transfer (default 500µs).
-	NetworkAllowance time.Duration
-
 	// IDStart and IDStride partition the request/action ID spaces across
 	// scheduler shards: shard i of N runs with IDStart=i, IDStride=N, so
 	// every controller mints IDs from a disjoint arithmetic progression
@@ -48,8 +40,14 @@ type Config struct {
 
 // Defaults from the paper.
 const (
-	DefaultLookahead   = 5 * time.Millisecond
+	DefaultLookahead = 5 * time.Millisecond
+	// DefaultLoadHorizon scales GPU capacity when computing Appendix B
+	// load priorities.
 	DefaultLoadHorizon = 100 * time.Millisecond
+	// networkAllowance pads predicted LOAD completion times to cover the
+	// controller→worker hop, so an INFER whose window opens at a LOAD's
+	// ETA never races the transfer.
+	networkAllowance = 500 * time.Microsecond
 )
 
 func (c Config) withDefaults() Config {
@@ -58,12 +56,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProfileWindow <= 0 {
 		c.ProfileWindow = predictor.DefaultWindow
-	}
-	if c.LoadHorizon <= 0 {
-		c.LoadHorizon = DefaultLoadHorizon
-	}
-	if c.NetworkAllowance <= 0 {
-		c.NetworkAllowance = 500 * time.Microsecond
 	}
 	if c.IDStride == 0 {
 		c.IDStride = 1
@@ -312,17 +304,18 @@ func (c *Controller) GPUs() []*GPUMirror { return c.gpus }
 // AddWorker registers a worker's mirrors and its transport hook. The
 // cluster layer calls this during setup — and at runtime for control-
 // plane scale-out — exchanging page-cache geometry like the startup
-// handshake of §5.3. Worker IDs are cluster-global and need not be
-// contiguous within one controller (a sharded control plane stripes the
-// global ID space across shards), but must be unique and ascending.
-func (c *Controller) AddWorker(id, gpuCount int, pageCacheBytes, pageSize int64,
+// handshake of §5.3 (pages are the paper's memory.DefaultPageSize).
+// Worker IDs are cluster-global and need not be contiguous within one
+// controller (a sharded control plane stripes the global ID space
+// across shards), but must be unique and ascending.
+func (c *Controller) AddWorker(id, gpuCount int, pageCacheBytes int64,
 	submit func(a *action.Action, payloadBytes int64)) {
 	if n := len(c.workers); n > 0 && c.workers[n-1].id >= id {
 		panic(fmt.Sprintf("core: workers must be added in ascending ID order (got %d after %d)", id, c.workers[n-1].id))
 	}
 	wh := &workerHandle{id: id, submit: submit}
 	for i := 0; i < gpuCount; i++ {
-		m := newGPUMirror(id, i, pageCacheBytes, pageSize)
+		m := newGPUMirror(id, i, pageCacheBytes)
 		wh.gpus = append(wh.gpus, m)
 		c.gpus = append(c.gpus, m)
 	}
@@ -879,7 +872,7 @@ func (c *Controller) SendLoad(g *GPUMirror, mi *ModelInfo, earliest, latest simc
 	// INFER window math a network-allowance later, so windows opened at
 	// the ETA never race the transfer's completion.
 	transferEnd := simclock.Max(earliest, c.eng.Now()).Add(est)
-	eta := transferEnd.Add(c.cfg.NetworkAllowance)
+	eta := transferEnd.Add(networkAllowance)
 	a := &action.Action{
 		ID:                 c.nextActionID,
 		Type:               action.Load,

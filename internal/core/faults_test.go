@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"clockwork/internal/gpu"
 	"clockwork/internal/modelzoo"
 	"clockwork/internal/simclock"
 )
@@ -100,11 +99,7 @@ func TestRecoveryAfterDisturbanceBurst(t *testing.T) {
 func TestNoisyHardwareStillMeetsSLOs(t *testing.T) {
 	// With the calibrated noise model (not NoNoise), rolling p99-style
 	// profiles must keep successful responses within SLO.
-	cl := NewCluster(ClusterConfig{
-		Workers: 1, GPUsPerWorker: 1,
-		Noise: gpu.DefaultNoise,
-		Seed:  3,
-	})
+	cl := NewCluster(ClusterConfig{Workers: 1, GPUsPerWorker: 1, Seed: 3})
 	cl.RegisterModel("m", modelzoo.ResNet50())
 	const slo = 25 * time.Millisecond
 	violations, ok := 0, 0

@@ -123,7 +123,7 @@ func (c *Controller) fulfilled(share, l time.Duration) time.Duration {
 	if l <= 0 {
 		l = time.Nanosecond
 	}
-	return time.Duration(float64(share) * float64(c.cfg.LoadHorizon) / float64(l))
+	return time.Duration(float64(share) * float64(DefaultLoadHorizon) / float64(l))
 }
 
 // loadPriority computes Appendix B's p_m = d_m − Σ_g a_{m,g} ·

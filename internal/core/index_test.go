@@ -357,7 +357,7 @@ func compareControllerState(t *testing.T, c *Controller, now simclock.Time) (pos
 			return signNone
 		case len(mi.residentOn) == 0:
 			return signCold
-		case loadPriorityLinear(c.cfg, mi, rebuilt) > 0:
+		case loadPriorityLinear(mi, rebuilt) > 0:
 			return signPositive
 		}
 		return signNone
@@ -449,7 +449,7 @@ func TestOldestFirstIndexMatchesLinear(t *testing.T) {
 				s.LoadSelection = LoadOldestFirst
 			}
 			cl := NewCluster(ClusterConfig{
-				Workers: 1, GPUsPerWorker: 1, Seed: 11, Scheduler: s,
+				Workers: 1, GPUsPerWorker: 1, Seed: 11, NewScheduler: func() Scheduler { return s },
 				PageCacheBytes: 6 * 7 * 16 * 1024 * 1024,
 			})
 			if cl.Ctl.deadlineIdxOn == late {

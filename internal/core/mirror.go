@@ -66,11 +66,11 @@ type GPUMirror struct {
 	wake *gpuWake
 }
 
-func newGPUMirror(workerID, gpu int, pageCacheBytes, pageSize int64) *GPUMirror {
+func newGPUMirror(workerID, gpu int, pageCacheBytes int64) *GPUMirror {
 	return &GPUMirror{
 		WorkerID: workerID,
 		GPU:      gpu,
-		Pages:    memory.NewPageCache(pageCacheBytes, pageSize),
+		Pages:    memory.NewPageCache(pageCacheBytes, memory.DefaultPageSize),
 		loadCeil: math.MaxInt64, // no model cleared yet: no limit
 	}
 }

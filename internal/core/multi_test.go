@@ -134,25 +134,25 @@ func TestControllerAddWorkerOutOfOrderPanics(t *testing.T) {
 	// unique.
 	eng := simclock.NewEngine()
 	c := NewController(eng, Config{}, NewClockworkScheduler())
-	c.AddWorker(3, 1, 1<<30, 1<<24, func(a *action.Action, _ int64) {})
+	c.AddWorker(3, 1, 1<<30, func(a *action.Action, _ int64) {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	c.AddWorker(1, 1, 1<<30, 1<<24, func(a *action.Action, _ int64) {})
+	c.AddWorker(1, 1, 1<<30, func(a *action.Action, _ int64) {})
 }
 
 func TestControllerAddWorkerDuplicateIDPanics(t *testing.T) {
 	eng := simclock.NewEngine()
 	c := NewController(eng, Config{}, NewClockworkScheduler())
-	c.AddWorker(0, 1, 1<<30, 1<<24, func(a *action.Action, _ int64) {})
+	c.AddWorker(0, 1, 1<<30, func(a *action.Action, _ int64) {})
 	defer func() {
 		if recover() == nil {
 			t.Fatal("expected panic")
 		}
 	}()
-	c.AddWorker(0, 1, 1<<30, 1<<24, func(a *action.Action, _ int64) {})
+	c.AddWorker(0, 1, 1<<30, func(a *action.Action, _ int64) {})
 }
 
 func TestControllerRegisterDuplicateError(t *testing.T) {

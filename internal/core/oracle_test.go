@@ -47,7 +47,7 @@ func rebuildAllocDemand(c *Controller) map[*GPUMirror]time.Duration {
 
 // loadPriorityLinear is Appendix B's p_m computed against a from-scratch
 // ℓ_g rebuild.
-func loadPriorityLinear(cfg Config, mi *ModelInfo, loads map[*GPUMirror]time.Duration) time.Duration {
+func loadPriorityLinear(mi *ModelInfo, loads map[*GPUMirror]time.Duration) time.Duration {
 	p := mi.demand
 	if n := len(mi.residentOn); n > 0 {
 		share := mi.demand / time.Duration(n)
@@ -56,7 +56,7 @@ func loadPriorityLinear(cfg Config, mi *ModelInfo, loads map[*GPUMirror]time.Dur
 			if l <= 0 {
 				l = time.Nanosecond
 			}
-			p -= time.Duration(float64(share) * float64(cfg.LoadHorizon) / float64(l))
+			p -= time.Duration(float64(share) * float64(DefaultLoadHorizon) / float64(l))
 		}
 	}
 	return p
@@ -70,7 +70,6 @@ func (s *ClockworkScheduler) bestLoadLinear(g *GPUMirror, now simclock.Time) *Mo
 	if s.LoadSelection == LoadOldestFirst {
 		return s.bestLoadOldestLinear(g, now)
 	}
-	cfg := s.c.Config()
 	loads := rebuildAllocDemand(s.c)
 	var best *ModelInfo
 	var bestP time.Duration
@@ -81,7 +80,7 @@ func (s *ClockworkScheduler) bestLoadLinear(g *GPUMirror, now simclock.Time) *Mo
 		if _, resident := g.Resident(mi); resident {
 			continue
 		}
-		p := loadPriorityLinear(cfg, mi, loads)
+		p := loadPriorityLinear(mi, loads)
 		if p <= 0 {
 			continue
 		}

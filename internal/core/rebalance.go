@@ -11,7 +11,7 @@ import (
 // one shard while its siblings idle. The rebalancer runs periodically
 // on the virtual clock (Shards > 1 only) and migrates whole models —
 // queued requests included — from the hottest shard to the coldest
-// until the skew drops below the configured factor.
+// until the skew drops below rebalanceFactor.
 //
 // Every step is deterministic: shard demand sums are integer
 // nanosecond totals, hot/cold selection breaks ties by lowest shard
@@ -19,6 +19,13 @@ import (
 // shard's demand-ordered index (registration-sequence tie-breaks), so
 // two runs with equal seeds migrate the same models at the same
 // instants.
+
+// A pass migrates models while the hottest shard's demand exceeds
+// rebalanceFactor × the coldest's, at most maxMigrations of them.
+const (
+	rebalanceFactor = 1.5
+	maxMigrations   = 4
+)
 
 // RebalanceOnce runs one rebalance pass immediately and returns the
 // number of models migrated. The periodic rebalancer calls this every
@@ -29,14 +36,14 @@ func (cl *Cluster) RebalanceOnce() int {
 		return 0
 	}
 	moved := 0
-	for moved < cl.cfg.MaxMigrations {
+	for moved < maxMigrations {
 		hot, cold := cl.demandExtremes()
 		if hot == cold {
 			break
 		}
 		hotD := cl.Ctls[hot].TotalDemand()
 		coldD := cl.Ctls[cold].TotalDemand()
-		if float64(hotD) <= cl.cfg.RebalanceFactor*float64(coldD) {
+		if float64(hotD) <= rebalanceFactor*float64(coldD) {
 			break // within tolerance
 		}
 		// Only migrate a model that strictly narrows the gap: moving

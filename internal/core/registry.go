@@ -107,7 +107,6 @@ func NewClusterWithPolicy(policy string, cfg ClusterConfig) (*Cluster, error) {
 	if err != nil {
 		return nil, err
 	}
-	cfg.Scheduler = nil
 	cfg.NewScheduler = spec.New
 	if spec.DisableAdmissionControl {
 		cfg.Controller.DisableAdmissionControl = true

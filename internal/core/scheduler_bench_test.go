@@ -41,7 +41,7 @@ func benchState(nModels, resident, reqsPer int) (*ClockworkScheduler, *GPUMirror
 	zoo := modelzoo.ResNet50()
 	pageSize := int64(16 * 1024 * 1024)
 	cacheBytes := int64(resident+8) * int64(zoo.Pages(pageSize)) * pageSize
-	ctl.AddWorker(0, 1, cacheBytes, pageSize, func(*action.Action, int64) {})
+	ctl.AddWorker(0, 1, cacheBytes, func(*action.Action, int64) {})
 	g := ctl.GPUs()[0]
 
 	names := make([]string, nModels)
@@ -80,7 +80,7 @@ func spreadState(nModels int) (*ClockworkScheduler, *GPUMirror, *ModelInfo, simc
 	pageSize := int64(16 * 1024 * 1024)
 	perGPU := int64(2*nModels/gpus + 8)
 	for w := 0; w < gpus; w++ {
-		ctl.AddWorker(w, 1, perGPU*int64(zoo.Pages(pageSize))*pageSize, pageSize, func(*action.Action, int64) {})
+		ctl.AddWorker(w, 1, perGPU*int64(zoo.Pages(pageSize))*pageSize, func(*action.Action, int64) {})
 	}
 	now := eng.Now()
 	for i := 0; i < nModels; i++ {

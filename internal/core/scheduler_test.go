@@ -13,7 +13,7 @@ import (
 func schedCluster(t *testing.T, pageCacheModels int) (*Cluster, *ClockworkScheduler) {
 	t.Helper()
 	s := NewClockworkScheduler()
-	cfg := ClusterConfig{Workers: 1, GPUsPerWorker: 1, NoNoise: true, Scheduler: s}
+	cfg := ClusterConfig{Workers: 1, GPUsPerWorker: 1, NoNoise: true, NewScheduler: func() Scheduler { return s }}
 	if pageCacheModels > 0 {
 		cfg.PageCacheBytes = int64(pageCacheModels) * 7 * 16 * 1024 * 1024
 	}
@@ -148,7 +148,7 @@ func TestNextVictimSkipsLoadingAndInFlight(t *testing.T) {
 func TestLoadOldestFirstPolicy(t *testing.T) {
 	s := NewClockworkScheduler()
 	s.LoadSelection = LoadOldestFirst
-	cl := NewCluster(ClusterConfig{Workers: 1, GPUsPerWorker: 1, NoNoise: true, Scheduler: s})
+	cl := NewCluster(ClusterConfig{Workers: 1, GPUsPerWorker: 1, NoNoise: true, NewScheduler: func() Scheduler { return s }})
 	cl.RegisterModel("m", modelzoo.ResNet50())
 	ok := false
 	submitFn(cl, "m", 100*time.Millisecond, func(r Response, _ time.Duration) { ok = r.Success })
@@ -159,7 +159,7 @@ func TestLoadOldestFirstPolicy(t *testing.T) {
 }
 
 func TestMirrorResidentStates(t *testing.T) {
-	g := newGPUMirror(0, 0, 100*16*1024*1024, 16*1024*1024)
+	g := newGPUMirror(0, 0, 100*16*1024*1024)
 	x := &ModelInfo{name: "x", id: 7}
 	if _, ok := g.Resident(x); ok {
 		t.Fatal("empty mirror should not report resident")
@@ -183,7 +183,7 @@ func TestMirrorResidentStates(t *testing.T) {
 }
 
 func TestMirrorOutstandingWork(t *testing.T) {
-	g := newGPUMirror(0, 0, 16*1024*1024, 16*1024*1024)
+	g := newGPUMirror(0, 0, 16*1024*1024)
 	now := simclock.Time(10 * time.Millisecond)
 	if g.OutstandingExecWork(now) != 0 || g.OutstandingLoadWork(now) != 0 {
 		t.Fatal("fresh mirror should have no outstanding work")

@@ -260,8 +260,8 @@ func runAutoscaleCell(cfg AutoscaleConfig, arrivals []time.Duration, picks []int
 	}
 
 	if spec.closed {
-		// The same signal → decision → actuator path the daemon runs,
-		// evaluated at virtual instants instead of wall ticks. The
+		// autoscale.Step is the sense → decide → act body the daemon's
+		// tick runs, here at virtual instants instead of wall ticks. The
 		// experiment shortens the hysteresis to one period: a spike is
 		// short, and the cooldown still spaces worker actions out.
 		ctl := autoscale.New(autoscale.Config{
@@ -274,39 +274,16 @@ func runAutoscaleCell(cfg AutoscaleConfig, arrivals []time.Duration, picks []int
 		})
 		var tick func()
 		tick = func() {
-			rs := sys.DrainRecentStats()
-			var demand time.Duration
-			gpus := 0
-			for _, sd := range sys.DemandSnapshot() {
-				demand += sd.Demand
-				gpus += sd.SchedulableGPUs
-			}
-			d := ctl.Evaluate(autoscale.Signals{
-				Completed:       rs.Completed,
-				Violations:      rs.Violations,
-				Shed:            shedPeriod,
-				P99:             rs.P99,
-				SLO:             rs.MinSLO,
-				Demand:          demand,
-				SchedulableGPUs: gpus,
-				ActiveWorkers:   sys.ActiveWorkers(),
-				Window:          window,
-			})
+			a := autoscale.Step(sys, ctl, shedPeriod, window)
 			shedPeriod = 0
-			window = d.Window
-			for k := 0; k < d.AddWorkers; k++ {
+			window = a.Window
+			if a.Added > 0 || a.Drained >= 0 {
 				account()
-				sys.AddWorker()
-				active++
-				if active > peak {
-					peak = active
-				}
-			}
-			if d.DrainWorker {
-				if id := highestActiveWorker(sys); id >= 0 && sys.DrainWorker(id) == nil {
-					account()
+				active += a.Added
+				if a.Drained >= 0 {
 					active--
 				}
+				peak = max(peak, active)
 			}
 			if seen < len(arrivals) || finished < admitted {
 				sys.After(cfg.Period, tick)
@@ -337,18 +314,6 @@ func runAutoscaleCell(cfg AutoscaleConfig, arrivals []time.Duration, picks []int
 		cell.ViolationRate = float64(cell.Violations) / float64(cell.Arrivals)
 	}
 	return cell
-}
-
-// highestActiveWorker returns the largest worker ID still active, or
-// -1 — the deterministic drain-target convention the serve layer's
-// actuator shares.
-func highestActiveWorker(sys *clockwork.System) int {
-	for id := sys.Workers() - 1; id >= 0; id-- {
-		if st, err := sys.WorkerStateOf(id); err == nil && st == clockwork.WorkerActive {
-			return id
-		}
-	}
-	return -1
 }
 
 // String implements fmt.Stringer.

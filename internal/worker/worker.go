@@ -12,15 +12,11 @@ import (
 	"clockwork/internal/simclock"
 )
 
-// Config parameterises a worker. Zero-valued fields take the paper's
-// defaults (2×32GB v100 GPUs, 16MB pages, 512MB IOCache and Workspace).
+// Config parameterises a worker on the paper's v100 memory geometry
+// (32GB devices, 16MB pages, 512MB IOCache and Workspace).
 type Config struct {
-	ID             int
-	GPUs           int
-	DeviceMemBytes int64 // total GPU memory per device
-	PageSize       int64
-	IOCacheBytes   int64
-	WorkspaceBytes int64
+	ID   int
+	GPUs int
 	// PageCacheBytes, if > 0, overrides the derived page cache size
 	// (device memory minus IOCache and Workspace).
 	PageCacheBytes int64
@@ -47,20 +43,8 @@ func (c Config) Resolved() Config {
 	if c.GPUs <= 0 {
 		c.GPUs = DefaultGPUs
 	}
-	if c.DeviceMemBytes <= 0 {
-		c.DeviceMemBytes = DefaultDeviceMemBytes
-	}
-	if c.PageSize <= 0 {
-		c.PageSize = memory.DefaultPageSize
-	}
-	if c.IOCacheBytes <= 0 {
-		c.IOCacheBytes = memory.DefaultIOCacheBytes
-	}
-	if c.WorkspaceBytes <= 0 {
-		c.WorkspaceBytes = memory.DefaultWorkspaceBytes
-	}
 	if c.PageCacheBytes <= 0 {
-		c.PageCacheBytes = c.DeviceMemBytes - c.IOCacheBytes - c.WorkspaceBytes
+		c.PageCacheBytes = DefaultDeviceMemBytes - memory.DefaultIOCacheBytes - memory.DefaultWorkspaceBytes
 	}
 	return c
 }
@@ -188,9 +172,9 @@ func New(eng *simclock.Engine, src *rng.Source, cfg Config, models *Models) *Wor
 			H2D:      gpu.NewLink(eng, src.Stream(fmt.Sprintf("w%d.g%d.h2d", cfg.ID, i)), cfg.Noise),
 			InputH2D: gpu.NewLink(eng, src.Stream(fmt.Sprintf("w%d.g%d.in", cfg.ID, i)), cfg.Noise),
 			D2H:      gpu.NewLink(eng, src.Stream(fmt.Sprintf("w%d.g%d.d2h", cfg.ID, i)), cfg.Noise),
-			Pages:    memory.NewPageCache(cfg.PageCacheBytes, cfg.PageSize),
-			IO:       memory.NewIOCache(cfg.IOCacheBytes),
-			WS:       memory.NewWorkspace(cfg.WorkspaceBytes),
+			Pages:    memory.NewPageCache(cfg.PageCacheBytes, memory.DefaultPageSize),
+			IO:       memory.NewIOCache(memory.DefaultIOCacheBytes),
+			WS:       memory.NewWorkspace(memory.DefaultWorkspaceBytes),
 		}
 		gi := g
 		g.loadExec = newExecutor(eng, fmt.Sprintf("w%d.g%d.load", cfg.ID, i),

@@ -18,7 +18,6 @@ func sampleState() *State {
 			Workers:       3,
 			GPUsPerWorker: 2,
 			Shards:        2,
-			SkewBound:     5 * time.Millisecond,
 			Policy:        clockwork.PolicyClockwork,
 			Seed:          99,
 		},

@@ -408,7 +408,7 @@ func appendState(b []byte, st *State) []byte {
 	b = appendUvarint(b, uint64(cfg.GPUsPerWorker))
 	b = appendUvarint(b, uint64(cfg.Shards))
 	b = appendVarint(b, int64(cfg.RebalanceInterval))
-	b = appendVarint(b, int64(cfg.SkewBound))
+	b = appendVarint(b, 0) // retired skew-bound slot, kept for the layout
 	b = appendString(b, string(cfg.Policy))
 	b = appendUvarint(b, cfg.Seed)
 	b = appendVarint(b, int64(cfg.Lookahead))
@@ -457,7 +457,7 @@ func decodeState(c *cursor) (*State, error) {
 	st.Config.GPUsPerWorker = int(c.uvarint())
 	st.Config.Shards = int(c.uvarint())
 	st.Config.RebalanceInterval = time.Duration(c.varint())
-	st.Config.SkewBound = time.Duration(c.varint())
+	c.varint() // retired skew-bound slot
 	st.Config.Policy = clockwork.Policy(c.str())
 	st.Config.Seed = c.uvarint()
 	st.Config.Lookahead = time.Duration(c.varint())

@@ -55,9 +55,9 @@ type Live struct {
 // on one engine would race.
 //
 // With Config.EnginePerShard each shard gets its own pacing goroutine;
-// the shards' clocks stay within the bounded-skew window (Config
-// .SkewBound, or the derived cross-shard interaction floor) of each
-// other, and a wall-clock ticker drives the cross-shard rebalancer
+// the shards' clocks stay within the bounded-skew window (the
+// cross-shard interaction floor, see liveLookahead) of each other, and
+// a wall-clock ticker drives the cross-shard rebalancer
 // under a barrier.
 func (s *System) StartLive(speed float64) *Live {
 	if !s.live.CompareAndSwap(false, true) {
@@ -100,18 +100,14 @@ func (s *System) StartLive(speed float64) *Live {
 	return l
 }
 
-// liveLookahead derives the driver's bounded-skew window: the
-// configured SkewBound if set, otherwise the cross-shard interaction
-// floor — no shard can affect another in less than one network latency
-// of virtual time — widened to cover an OS scheduling quantum at the
+// liveLookahead derives the driver's bounded-skew window (the
+// conservative-PDES lookahead) from the cross-shard interaction floor —
+// no shard can affect another in less than one network latency of
+// virtual time — widened to cover an OS scheduling quantum at the
 // configured speed so a descheduled pacer does not throttle healthy
 // siblings.
 func (s *System) liveLookahead(speed float64) time.Duration {
-	cfg := s.cluster.Config()
-	if cfg.SkewBound > 0 {
-		return cfg.SkewBound
-	}
-	la := cfg.NetLatency
+	la := s.cluster.Config().NetLatency
 	// 2ms of wall time is a generous scheduling quantum; at speed X the
 	// virtual clock covers X times that while a pacer is off-CPU.
 	if quantum := time.Duration(2 * float64(time.Millisecond) * speed); quantum > la {

@@ -92,26 +92,18 @@ func TestLiveOnResult(t *testing.T) {
 	sys, live := newLiveSystem(t, 1000)
 
 	var mu sync.Mutex
-	got := make([]clockwork.Result, 0, 2)
+	got := make([]clockwork.Result, 0, 1)
 	fromCallback := make(chan clockwork.Result, 1)
 	var h clockwork.Handle
 	var err error
 	if doErr := live.Do(func() {
-		h, err = sys.SubmitRequest(clockwork.Request{
-			Model: "m",
-			SLO:   time.Second,
-			OnResult: func(r clockwork.Result) {
+		h, err = sys.SubmitRequest(clockwork.Request{Model: "m", SLO: time.Second},
+			func(r clockwork.Result) {
 				mu.Lock()
 				got = append(got, r)
 				mu.Unlock()
 				fromCallback <- r
-			},
-		}, func(r clockwork.Result) {
-			// onDone fires after OnResult.
-			mu.Lock()
-			got = append(got, r)
-			mu.Unlock()
-		})
+			})
 	}); doErr != nil {
 		t.Fatal(doErr)
 	}
@@ -127,15 +119,15 @@ func TestLiveOnResult(t *testing.T) {
 	select {
 	case cb := <-fromCallback:
 		if cb != res {
-			t.Fatalf("OnResult saw %+v, Wait saw %+v", cb, res)
+			t.Fatalf("onDone saw %+v, Wait saw %+v", cb, res)
 		}
 	case <-ctx.Done():
-		t.Fatal("OnResult never fired")
+		t.Fatal("onDone never fired")
 	}
 	mu.Lock()
 	defer mu.Unlock()
-	if len(got) != 2 {
-		t.Fatalf("callbacks fired %d times, want 2 (OnResult then onDone)", len(got))
+	if len(got) != 1 {
+		t.Fatalf("onDone fired %d times, want 1", len(got))
 	}
 }
 

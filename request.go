@@ -3,7 +3,6 @@ package clockwork
 import (
 	"context"
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -69,13 +68,6 @@ type Request struct {
 	// MaxBatchSize, if > 0, caps the batch this request may execute in
 	// (1 forces solo execution).
 	MaxBatchSize int
-	// OnResult, if non-nil, is invoked exactly once with the final
-	// outcome, before SubmitRequest's onDone argument (both may be set;
-	// both fire). Like every completion callback it runs on the engine
-	// goroutine — in live mode keep it short and non-blocking, and hand
-	// heavy work to another goroutine. Prefer Handle.Wait when a
-	// goroutine just needs to block until completion.
-	OnResult func(Result)
 }
 
 // Result is the client-observed outcome of one inference request.
@@ -207,9 +199,12 @@ func resultOf(r core.Response, l time.Duration) Result {
 
 // SubmitRequest issues an inference request with full per-request
 // options and returns a client-side handle. onDone (may be nil) runs
-// when the response reaches the client, after req.OnResult. Unknown
-// models and malformed specs are typed errors (ErrUnknownModel,
-// ErrInvalidRequest). On a Config.EnginePerShard system the caller must
+// exactly once with the final outcome when the response reaches the
+// client. Like every completion callback it runs on the engine
+// goroutine — in live mode keep it short and non-blocking, and hand
+// heavy work to another goroutine; prefer Handle.Wait when a goroutine
+// just needs to block until completion. Unknown models and malformed
+// specs are typed errors (ErrUnknownModel, ErrInvalidRequest). On a Config.EnginePerShard system the caller must
 // be on the model's owning shard's engine goroutine (Live.InjectOn with
 // the shard from OwnerShard); from any other shard, use
 // SubmitRequestSink.
@@ -218,7 +213,11 @@ func (s *System) SubmitRequest(req Request, onDone func(Result)) (Handle, error)
 	if s.cluster.EnginePerShard() {
 		shard, _ = s.cluster.OwnerShardHint(req.Model)
 	}
-	h := core.NewHandle(lowerResult(req.OnResult, onDone, nil))
+	var sink ResultSink
+	if onDone != nil {
+		sink = resultFunc(onDone)
+	}
+	h := core.NewHandle(lowerResult(sink))
 	if err := s.cluster.Submit(shard, req.spec(), h); err != nil {
 		return Handle{}, err
 	}
@@ -226,8 +225,8 @@ func (s *System) SubmitRequest(req Request, onDone func(Result)) (Handle, error)
 }
 
 // ResultSink receives a request's final outcome — the interface-shaped
-// alternative to the OnResult callback for callers that pool their
-// per-request state. OnResult runs on the engine goroutine, exactly once
+// alternative to SubmitRequest's onDone callback for callers that pool
+// their per-request state. OnResult runs on the engine goroutine, exactly once
 // per accepted submission; keep it short and non-blocking.
 type ResultSink interface {
 	OnResult(Result)
@@ -240,15 +239,10 @@ type ResultSink interface {
 // on that engine goroutine, and a shard that does not own the model
 // forwards the request to its owner, costing one extra hop; on a
 // single-engine system the shard is range-checked and otherwise ignored.
-// Out-of-range shards are ErrNoSuchShard. req.OnResult must be nil — the
-// sink IS the completion callback (ErrInvalidRequest otherwise). This is
-// the serving path for callers that keep per-request state in pools of
+// Out-of-range shards are ErrNoSuchShard. This is the serving path for callers that keep per-request state in pools of
 // their own: nothing is allocated per request on the way down.
 func (s *System) SubmitRequestSink(shard int, req Request, sink ResultSink) error {
-	if req.OnResult != nil {
-		return fmt.Errorf("%w: SubmitRequestSink with both OnResult and a sink", ErrInvalidRequest)
-	}
-	return s.cluster.Submit(shard, req.spec(), lowerResult(nil, nil, sink))
+	return s.cluster.Submit(shard, req.spec(), lowerResult(sink))
 }
 
 // spec translates the public request into the core submission spec.
@@ -262,41 +256,32 @@ func (req Request) spec() core.SubmitSpec {
 	}
 }
 
-// resultLower adapts the public completion forms to the core
-// ResponseSink: Request.OnResult fires first, then SubmitRequest's
-// onDone, then SubmitRequestSink's sink. It recycles itself through a
+// resultFunc is SubmitRequest's onDone seen as a ResultSink.
+type resultFunc func(Result)
+
+func (f resultFunc) OnResult(r Result) { f(r) }
+
+// resultLower adapts a ResultSink to the core ResponseSink. It recycles itself through a
 // pool the moment the response fires, so lowering allocates nothing per
 // request in steady state.
-type resultLower struct {
-	onResult, onDone func(Result)
-	sink             ResultSink
-}
+type resultLower struct{ sink ResultSink }
 
 var resultLowerPool = sync.Pool{New: func() any { return new(resultLower) }}
 
-// lowerResult returns a pooled adapter for the given completions, or nil
-// when there is nothing to notify.
-func lowerResult(onResult, onDone func(Result), sink ResultSink) core.ResponseSink {
-	if onResult == nil && onDone == nil && sink == nil {
+// lowerResult returns a pooled adapter for sink, or nil when there is
+// nothing to notify.
+func lowerResult(sink ResultSink) core.ResponseSink {
+	if sink == nil {
 		return nil
 	}
 	b := resultLowerPool.Get().(*resultLower)
-	b.onResult, b.onDone, b.sink = onResult, onDone, sink
+	b.sink = sink
 	return b
 }
 
 func (b *resultLower) OnResponse(r core.Response, l time.Duration) {
-	onResult, onDone, sink := b.onResult, b.onDone, b.sink
+	sink := b.sink
 	*b = resultLower{}
 	resultLowerPool.Put(b)
-	res := resultOf(r, l)
-	if onResult != nil {
-		onResult(res)
-	}
-	if onDone != nil {
-		onDone(res)
-	}
-	if sink != nil {
-		sink.OnResult(res)
-	}
+	sink.OnResult(resultOf(r, l))
 }

@@ -3,18 +3,16 @@ package serve
 import (
 	"errors"
 	"net/http"
-	"time"
 
-	"clockwork"
 	"clockwork/internal/autoscale"
 )
 
-// This file is the actuation half of the closed control loop: package
-// autoscale decides, this file observes and applies. Each control
-// period Live.Every runs autoscaleTick under the stop-the-world barrier
-// (Live.Do), where it gathers one period's signals at a single virtual
-// instant, runs the pure controller, and actuates — window resize at
-// the serve layer, worker ops and rebalance inside the engine. With
+// This file drives the closed control loop from the serve layer. Each
+// control period Live.Every runs autoscaleTick under the stop-the-world
+// barrier (Live.Do), where autoscale.Step gathers one period's signals
+// at a single virtual instant, runs the pure controller and applies
+// worker ops and rebalance inside the engine; the tick resizes the
+// admission window, which lives at the serve layer. With
 // journaling on, the tick appends exactly one record: the decision
 // (recAutoscale) when anything moved, a no-op otherwise, so replay
 // consumes the tick's engine step one-for-one and recovery carries the
@@ -29,66 +27,29 @@ type AutoscaleConfig = autoscale.Config
 // the server was built without Options.Autoscale.
 var ErrNoAutoscaler = errors.New("autoscaling is not enabled (start with -autoscale)")
 
-// autoscaleTick runs engine-side once per control period: gather the
-// period's signals, evaluate, actuate, journal. Exactly one goroutine
+// autoscaleTick runs engine-side once per control period: sense,
+// decide and act (autoscale.Step), apply the window, journal. Exactly one goroutine
 // (the Every ticker) triggers it, so the controller and the signal
 // drains keep their single-consumer discipline.
 func (s *Server) autoscaleTick() {
 	// Drain the period accumulators even when paused, so a re-enable
 	// starts from a fresh period instead of a backlog of stale signal.
 	shed := s.shedPeriod.Swap(0)
-	rs := s.sys.DrainRecentStats()
 	if !s.ascEnabled.Load() {
+		s.sys.DrainRecentStats()
 		s.recNoop()
 		return
 	}
 
-	var demand time.Duration
-	gpus := 0
-	for _, sd := range s.sys.DemandSnapshot() {
-		demand += sd.Demand
-		gpus += sd.SchedulableGPUs
-	}
 	window := s.MaxInFlight()
-	d := s.asc.Evaluate(autoscale.Signals{
-		Completed:       rs.Completed,
-		Violations:      rs.Violations,
-		Shed:            shed,
-		P99:             rs.P99,
-		SLO:             rs.MinSLO,
-		Demand:          demand,
-		SchedulableGPUs: gpus,
-		ActiveWorkers:   s.sys.ActiveWorkers(),
-		Window:          window,
-	})
-
-	added, drainID, rebal := 0, -1, false
-	if d.Window != window {
-		s.SetMaxInFlight(d.Window)
+	a := autoscale.Step(s.sys, s.asc, shed, window)
+	if a.Window != window {
+		s.SetMaxInFlight(a.Window)
 	}
-	for i := 0; i < d.AddWorkers; i++ {
-		s.sys.AddWorker()
-		added++
-	}
-	if d.DrainWorker {
-		// The decision says "drain one"; the deterministic convention
-		// says which: the highest-ID active worker. The chosen ID goes
-		// into the journal record so replay drains the same one.
-		if id := s.highestActiveWorker(); id >= 0 {
-			if err := s.sys.DrainWorker(id); err == nil {
-				drainID = id
-			}
-		}
-	}
-	if d.Rebalance && (added > 0 || drainID >= 0) {
-		rebal = true
-		s.sys.Rebalance()
-	}
-
-	moved := d.Window != window || added > 0 || drainID >= 0 || rebal
+	moved := a.Window != window || a.Added > 0 || a.Drained >= 0 || a.Rebalanced
 	if s.rec != nil {
 		if moved {
-			s.rec.Autoscale(d.Window, added, drainID, rebal)
+			s.rec.Autoscale(a.Window, a.Added, a.Drained, a.Rebalanced)
 		} else {
 			s.rec.Noop()
 		}
@@ -100,27 +61,16 @@ func (s *Server) autoscaleTick() {
 	if moved {
 		s.ascMoves.Add(1)
 	}
-	s.ascAdded.Add(uint64(added))
-	if drainID >= 0 {
+	s.ascAdded.Add(uint64(a.Added))
+	if a.Drained >= 0 {
 		s.ascDrained.Add(1)
 	}
-	s.ascWindow.Store(int64(d.Window))
-	if d.Reason != "" {
+	s.ascWindow.Store(int64(a.Window))
+	if a.Reason != "" {
 		s.ascMu.Lock()
-		s.ascReason = d.Reason
+		s.ascReason = a.Reason
 		s.ascMu.Unlock()
 	}
-}
-
-// highestActiveWorker returns the largest worker ID still in
-// WorkerActive state, or -1. Engine-side read.
-func (s *Server) highestActiveWorker() int {
-	for id := s.sys.Workers() - 1; id >= 0; id-- {
-		if st, err := s.sys.WorkerStateOf(id); err == nil && st == clockwork.WorkerActive {
-			return id
-		}
-	}
-	return -1
 }
 
 // handleAutoscalerGet (GET /v1/admin/autoscaler) reports the loop's

@@ -95,7 +95,6 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 }
 
 // Infer submits one inference and blocks until its outcome returns.
-// req.OnResult is ignored (completion is the HTTP response itself).
 func (c *Client) Infer(ctx context.Context, req clockwork.Request) (clockwork.Result, error) {
 	var resp InferResponse
 	err := c.do(ctx, http.MethodPost, "/v1/infer", InferRequest{

@@ -67,10 +67,9 @@ type TraceConfig struct {
 	// negative means the default (trace.DefaultSampleRate). SLO
 	// violations are always retained regardless of the rate.
 	SampleRate float64
-	// RingSize and ViolationRingSize bound the per-shard retention
-	// rings (0 = trace package defaults).
-	RingSize          int
-	ViolationRingSize int
+	// RingSize bounds the per-shard retention rings (0 = the trace
+	// package default).
+	RingSize int
 }
 
 // Server is the HTTP/JSON front end of a live System: it bridges
@@ -173,7 +172,6 @@ func New(sys *clockwork.System, opts Options) *Server {
 			topts.Enabled = tc.Enabled
 			topts.SampleRate = tc.SampleRate
 			topts.RingSize = tc.RingSize
-			topts.ViolationRingSize = tc.ViolationRingSize
 		}
 		flight = trace.New(topts)
 		sys.AttachFlightRecorder(flight)

@@ -81,8 +81,7 @@ func (c *StreamClient) pick() *clientStream {
 }
 
 // Infer submits one inference over the stream and blocks until its
-// outcome returns. req.OnResult is ignored (completion is the response
-// frame itself). A ctx cancellation abandons the wait, not the
+// outcome returns. A ctx cancellation abandons the wait, not the
 // request: the server still runs it to its outcome.
 func (c *StreamClient) Infer(ctx context.Context, req clockwork.Request) (clockwork.Result, error) {
 	cs := c.pick()

@@ -9,8 +9,10 @@ import (
 	"go/format"
 	"go/parser"
 	"go/token"
+	"io/fs"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -117,6 +119,34 @@ func renderSurface(t *testing.T, b *bytes.Buffer, dir string) {
 		funcs(typ.Methods)
 	}
 	b.WriteString("\n")
+}
+
+// TestPublicAPIBoundary: cmd/ and examples/ compile against the public
+// surface alone (clockwork, clockwork/experiments, clockwork/workload,
+// …) — never against clockwork/internal/... . What they need, a caller
+// outside the module needs too.
+func TestPublicAPIBoundary(t *testing.T) {
+	fset := token.NewFileSet()
+	for _, root := range []string{"cmd", "examples"} {
+		err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {
+			if err != nil || d.IsDir() || !strings.HasSuffix(path, ".go") {
+				return err
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.ImportsOnly)
+			if err != nil {
+				return err
+			}
+			for _, imp := range f.Imports {
+				if p, _ := strconv.Unquote(imp.Path.Value); strings.HasPrefix(p, "clockwork/internal/") {
+					t.Errorf("%s imports %s: cmd/ and examples/ must use the public API", fset.Position(imp.Pos()), p)
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
 }
 
 // firstDiff shows the first line where got departs from want.

@@ -24,10 +24,11 @@ type Options struct {
 	// RingSize bounds the per-shard completed-trace ring (and the exec
 	// and load span rings). Default 2048.
 	RingSize int
-	// ViolationRingSize bounds the always-retained per-shard ring of
-	// SLO-violating traces. Default 256.
-	ViolationRingSize int
 }
+
+// violationRingSize bounds the always-retained per-shard ring of
+// SLO-violating traces.
+const violationRingSize = 256
 
 func (o Options) withDefaults() Options {
 	if o.SampleRate < 0 {
@@ -38,9 +39,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.RingSize <= 0 {
 		o.RingSize = 2048
-	}
-	if o.ViolationRingSize <= 0 {
-		o.ViolationRingSize = 256
 	}
 	return o
 }
@@ -235,7 +233,7 @@ func newShardRecorder(r *Recorder, shard int) *ShardRecorder {
 		shard:      shard,
 		building:   make(map[uint64]*RequestTrace),
 		completed:  newRing[*RequestTrace](r.opts.RingSize),
-		violations: newRing[*RequestTrace](r.opts.ViolationRingSize),
+		violations: newRing[*RequestTrace](violationRingSize),
 		execs:      newRing[ExecSpan](r.opts.RingSize),
 		loads:      newRing[LoadSpan](r.opts.RingSize),
 		lastLoad:   make(map[string]LoadSpan),
