@@ -11,6 +11,7 @@ import (
 	"go/token"
 	"io/fs"
 	"os"
+	"path"
 	"path/filepath"
 	"strconv"
 	"strings"
@@ -50,29 +51,51 @@ func TestPublicSurface(t *testing.T) {
 	}
 }
 
-// renderSurface appends the exported declarations of the package in dir.
-func renderSurface(t *testing.T, b *bytes.Buffer, dir string) {
+// parseSurface parses the non-test files of the package in dir, without
+// comments (no doc text), and returns its exported declarations plus
+// the import path behind each import name its files use.
+func parseSurface(t *testing.T, fset *token.FileSet, dir string) (*doc.Package, map[string]string) {
 	t.Helper()
-	fset := token.NewFileSet()
 	paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var files []*ast.File
+	imports := make(map[string]string)
 	for _, p := range paths {
 		if strings.HasSuffix(p, "_test.go") {
 			continue
 		}
-		f, err := parser.ParseFile(fset, p, nil, 0) // no comments: no doc text
+		f, err := parser.ParseFile(fset, p, nil, 0)
 		if err != nil {
 			t.Fatal(err)
 		}
 		files = append(files, f)
+		for _, imp := range f.Imports {
+			ip, _ := strconv.Unquote(imp.Path.Value)
+			name := path.Base(ip)
+			if imp.Name != nil {
+				name = imp.Name.Name
+			}
+			imports[name] = ip
+		}
 	}
-	pkg, err := doc.NewFromFiles(fset, files, "clockwork/"+dir)
+	pkg, err := doc.NewFromFiles(fset, files, path.Join("clockwork", filepath.ToSlash(dir)))
 	if err != nil {
 		t.Fatal(err)
 	}
+	return pkg, imports
+}
+
+// renderSurface appends the exported declarations of the package in dir.
+// An alias of a type in a module-internal package is followed by that
+// type's exported fields and methods, so the public names pin the
+// shape they expose and not only the target's name.
+func renderSurface(t *testing.T, b *bytes.Buffer, dir string) {
+	t.Helper()
+	fset := token.NewFileSet()
+	pkg, imports := parseSurface(t, fset, dir)
+	internal := make(map[string]*doc.Package)
 	decl := func(n ast.Node) {
 		if f, ok := n.(*ast.FuncDecl); ok {
 			f.Body = nil
@@ -117,6 +140,27 @@ func renderSurface(t *testing.T, b *bytes.Buffer, dir string) {
 		values(typ.Vars)
 		funcs(typ.Funcs)
 		funcs(typ.Methods)
+		spec := typ.Decl.Specs[0].(*ast.TypeSpec)
+		sel, ok := spec.Type.(*ast.SelectorExpr)
+		if !spec.Assign.IsValid() || !ok {
+			continue
+		}
+		ip := imports[sel.X.(*ast.Ident).Name]
+		if !strings.HasPrefix(ip, "clockwork/internal/") {
+			continue
+		}
+		target := internal[ip]
+		if target == nil {
+			target, _ = parseSurface(t, fset, strings.TrimPrefix(ip, "clockwork/"))
+			internal[ip] = target
+		}
+		for _, tt := range target.Types {
+			if tt.Name == sel.Sel.Name {
+				fmt.Fprintf(b, "// %s.%s:\n", sel.X.(*ast.Ident).Name, tt.Name)
+				decl(tt.Decl)
+				funcs(tt.Methods)
+			}
+		}
 	}
 	b.WriteString("\n")
 }
