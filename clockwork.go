@@ -192,8 +192,8 @@ func (s *System) Summary() Summary {
 	return Summary{
 		Requests:    st.Requests,
 		Succeeded:   st.Succeeded,
-		Failed:      m.Failures.Value(),
-		SLOMisses:   m.SLOMisses.Value(),
+		Failed:      m.Total.Failed,
+		SLOMisses:   m.Total.SLOMisses,
 		Cancelled:   st.Cancelled,
 		Rejected:    st.Rejected,
 		P50:         m.LatencyAll.Percentile(50),

@@ -126,7 +126,7 @@ func (s *System) Rebalance() int { return s.cluster.RebalanceOnce() }
 
 // ShardStats is one shard's slice of the client-observed outcome
 // counters.
-type ShardStats = core.ShardBin
+type ShardStats = core.Outcomes
 
 // ShardStats returns shard i's outcome counters (responses are
 // attributed to the shard owning the model at completion).
@@ -166,7 +166,7 @@ func (s *System) ModelStats(name string) (ModelStats, bool) {
 
 // TenantStats aggregates outcomes across all requests labelled with one
 // Tenant value.
-type TenantStats = core.TenantStats
+type TenantStats = core.Outcomes
 
 // TenantStats returns per-tenant counters; ok is false for tenants that
 // have not produced any response yet.

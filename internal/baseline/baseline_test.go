@@ -11,10 +11,10 @@ import (
 
 // submitFn submits a default-options request for model with fn (may be
 // nil) as its completion.
-func submitFn(cl *core.Cluster, model string, slo time.Duration, fn func(core.Response, time.Duration)) {
-	var sink core.ResponseSink
+func submitFn(cl *core.Cluster, model string, slo time.Duration, fn func(core.Result)) {
+	var sink core.ResultSink
 	if fn != nil {
-		sink = core.ResponseFunc(fn)
+		sink = core.ResultFunc(fn)
 	}
 	cl.Submit(0, core.SubmitSpec{Model: model, SLO: slo}, sink)
 }
@@ -43,7 +43,7 @@ func TestClipperServesRequests(t *testing.T) {
 	cl.RegisterModel("m", modelzoo.ResNet50())
 	ok := 0
 	for i := 0; i < 20; i++ {
-		submitFn(cl, "m", 100*time.Millisecond, func(r core.Response, _ time.Duration) {
+		submitFn(cl, "m", 100*time.Millisecond, func(r core.Result) {
 			if r.Success {
 				ok++
 			}
@@ -62,10 +62,10 @@ func TestClipperNeverCancels(t *testing.T) {
 	late, ok := 0, 0
 	// An unmeetable SLO: Clockwork would cancel; Clipper executes late.
 	for i := 0; i < 10; i++ {
-		submitFn(cl, "m", time.Millisecond, func(r core.Response, l time.Duration) {
+		submitFn(cl, "m", time.Millisecond, func(r core.Result) {
 			if r.Success {
 				ok++
-				if l > time.Millisecond {
+				if r.Latency > time.Millisecond {
 					late++
 				}
 			}
@@ -94,7 +94,7 @@ func TestClipperBatchesUnderLoad(t *testing.T) {
 			return
 		}
 		for j := 0; j < 4; j++ {
-			submitFn(cl, "m", 500*time.Millisecond, func(r core.Response, _ time.Duration) {
+			submitFn(cl, "m", 500*time.Millisecond, func(r core.Result) {
 				if r.Success && r.Batch > 1 {
 					sawBatch = true
 				}
@@ -139,7 +139,7 @@ func TestINFaaSServesRequests(t *testing.T) {
 	cl.RegisterModel("m", modelzoo.ResNet50())
 	ok := 0
 	for i := 0; i < 20; i++ {
-		submitFn(cl, "m", 100*time.Millisecond, func(r core.Response, _ time.Duration) {
+		submitFn(cl, "m", 100*time.Millisecond, func(r core.Result) {
 			if r.Success {
 				ok++
 			}
@@ -161,7 +161,7 @@ func TestINFaaSVariantSelectionRespectsSLO(t *testing.T) {
 	submitFn(cl, "m", 500*time.Millisecond, nil)
 	cl.RunFor(100 * time.Millisecond)
 	for i := 0; i < 32; i++ {
-		submitFn(cl, "m", 500*time.Millisecond, func(r core.Response, _ time.Duration) {
+		submitFn(cl, "m", 500*time.Millisecond, func(r core.Result) {
 			if r.Success {
 				batches[r.Batch]++
 			}
@@ -185,7 +185,7 @@ func TestINFaaSVariantSelectionRespectsSLO(t *testing.T) {
 	cl2.RunFor(100 * time.Millisecond)
 	batches2 := map[int]int{}
 	for i := 0; i < 32; i++ {
-		submitFn(cl2, "m", 10*time.Millisecond, func(r core.Response, _ time.Duration) {
+		submitFn(cl2, "m", 10*time.Millisecond, func(r core.Result) {
 			if r.Success {
 				batches2[r.Batch]++
 			}
@@ -253,7 +253,7 @@ func TestBaselineEvictionUnderPressure(t *testing.T) {
 		if i%2 == 1 {
 			model, cnt = "b", &okB
 		}
-		submitFn(cl, model, time.Second, func(r core.Response, _ time.Duration) {
+		submitFn(cl, model, time.Second, func(r core.Result) {
 			if r.Success {
 				*cnt++
 			}

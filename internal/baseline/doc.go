@@ -11,8 +11,8 @@
 //
 // The Clipper baseline additionally executes kernels concurrently
 // (thread-pool per model container), inheriting the hardware scheduler's
-// latency variability (Fig 2b) — configure its cluster with
-// WorkerBestEffort: true.
+// latency variability (Fig 2b) — its policy registers with
+// BestEffortWorkers: true.
 //
 // Both register themselves in the policy registry (names "clipper" and
 // "infaas") from init, so clockwork.New(Config{Policy: ...}) — and any

@@ -9,7 +9,7 @@ func init() {
 	core.MustRegisterPolicy("clipper", core.PolicySpec{
 		New:                     func() core.Scheduler { return NewClipper() },
 		DisableAdmissionControl: true,
-		WorkerBestEffort:        true,
+		BestEffortWorkers:       true,
 		Description:             "Clipper-like baseline [11]: per-model containers, AIMD batching, static placement, concurrent EXECs",
 	})
 	core.MustRegisterPolicy("infaas", core.PolicySpec{

@@ -207,8 +207,8 @@ func TestAllocRatchetSubmit(t *testing.T) {
 	warm := newCluster(0, "m")
 	cold := newCluster(3*modelzoo.ResNet50().WeightsBytes()/2, "a", "b")
 	sink := &countingSink{}
-	fn := ResponseFunc(func(Response, time.Duration) { sink.n++ })
-	submit := func(cl *Cluster, model string, s ResponseSink, run time.Duration) {
+	fn := ResultFunc(func(Result) { sink.n++ })
+	submit := func(cl *Cluster, model string, s ResultSink, run time.Duration) {
 		if err := cl.Submit(0, SubmitSpec{Model: model, SLO: 100 * time.Millisecond}, s); err != nil {
 			t.Fatal(err)
 		}
@@ -264,7 +264,7 @@ func TestAllocRatchetSubmit(t *testing.T) {
 // countingSink counts the outcomes a run delivered.
 type countingSink struct{ n int }
 
-func (s *countingSink) OnResponse(Response, time.Duration) { s.n++ }
+func (s *countingSink) OnResult(Result) { s.n++ }
 
 // TestModelNameResolvedOncePerRequest is the structural guard on "names
 // at the edges, IDs inside": a request's model name goes through the

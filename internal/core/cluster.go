@@ -661,7 +661,7 @@ func (cl *Cluster) ModelStats(name string) (ModelStats, bool) {
 }
 
 // TenantStats returns the per-tenant metrics slice for tenant.
-func (cl *Cluster) TenantStats(tenant string) (TenantStats, bool) {
+func (cl *Cluster) TenantStats(tenant string) (Outcomes, bool) {
 	return cl.Metrics.TenantStats(tenant)
 }
 
@@ -699,26 +699,26 @@ func (cl *Cluster) RegisterCopies(base string, zoo *modelzoo.Model, n int) ([]st
 
 // ---- submission ----
 
-// ResponseSink receives a submission's terminal outcome, on the engine
+// ResultSink receives a submission's final outcome, on the engine
 // goroutine, exactly once per accepted submission; like every
 // completion it must stay short and non-blocking. It is the one
 // completion interface of Submit: callers that pool their per-request
 // state (the serve transports) implement it, a *Handle is one, and
-// ResponseFunc adapts a closure.
-type ResponseSink interface {
-	OnResponse(resp Response, latency time.Duration)
+// ResultFunc adapts a closure.
+type ResultSink interface {
+	OnResult(Result)
 }
 
-// ResponseFunc adapts a closure to ResponseSink, as simclock.Func adapts
+// ResultFunc adapts a closure to ResultSink, as simclock.Func adapts
 // one to Runner. A func value is pointer-shaped, so the conversion
 // allocates nothing beyond the closure itself.
-type ResponseFunc func(resp Response, latency time.Duration)
+type ResultFunc func(Result)
 
-// OnResponse implements ResponseSink.
-func (f ResponseFunc) OnResponse(resp Response, latency time.Duration) { f(resp, latency) }
+// OnResult implements ResultSink.
+func (f ResultFunc) OnResult(r Result) { f(r) }
 
 // Handle tracks one submitted request from the client's side: it is the
-// ResponseSink that remembers. In simulation mode inspect or cancel
+// ResultSink that remembers. In simulation mode inspect or cancel
 // between Run* calls; in live mode (the engine paced by a
 // simclock.Driver on its own goroutine) Done, Outcome, ID and Wait are
 // safe to call from any goroutine — completion is published through a
@@ -738,9 +738,9 @@ type Handle struct {
 	// mu guards the mutable fields below: they are written on the
 	// engine goroutine and may be read from client goroutines.
 	mu   sync.Mutex
-	gen  uint64       // recycling generation; bumped by Release
-	id   uint64       // controller-assigned ID, cached (req itself recycles)
-	next ResponseSink // completion forwarded after the handle settles
+	gen  uint64     // recycling generation; bumped by Release
+	id   uint64     // controller-assigned ID, cached (req itself recycles)
+	next ResultSink // completion forwarded after the handle settles
 	// cl, model, req and reqGen identify the controller-side request
 	// while it is pending, bound when it arrives there. The request
 	// object may be recycled the instant its response fires, so every
@@ -751,8 +751,7 @@ type Handle struct {
 	reqGen        uint64
 	cancelPending bool
 	done          bool
-	resp          Response
-	latency       time.Duration
+	res           Result
 }
 
 var handlePool = sync.Pool{New: func() any {
@@ -762,7 +761,7 @@ var handlePool = sync.Pool{New: func() any {
 // NewHandle takes a handle from the pool, ready to pass to Submit as
 // its sink; next (may be nil) receives the outcome after the handle has
 // settled. Release returns it.
-func NewHandle(next ResponseSink) *Handle {
+func NewHandle(next ResultSink) *Handle {
 	h := handlePool.Get().(*Handle)
 	select {
 	case <-h.doneCh: // drain a leftover token, defensively
@@ -797,7 +796,7 @@ func (h *Handle) Release() {
 	h.cl, h.model = nil, 0
 	h.req, h.reqGen = nil, 0
 	h.cancelPending, h.done = false, false
-	h.resp, h.latency = Response{}, 0
+	h.res = Result{}
 	h.mu.Unlock()
 	select {
 	case <-h.doneCh:
@@ -821,27 +820,24 @@ func (h *Handle) Done() bool {
 	return h.done
 }
 
-// Outcome returns the final response and client-observed latency; ok is
-// false while the request is still pending.
-func (h *Handle) Outcome() (Response, time.Duration, bool) {
+// Outcome returns the final result; ok is false while the request is
+// still pending.
+func (h *Handle) Outcome() (Result, bool) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	if !h.done {
-		return Response{}, 0, false
-	}
-	return h.resp, h.latency, true
+	return h.res, h.done
 }
 
 // Wait blocks until the request reaches a final outcome or ctx is
 // cancelled. It is the live-mode completion primitive: something else —
 // a simclock.Driver, or test code calling Run* — must be advancing the
 // engine, or Wait only returns via ctx.
-func (h *Handle) Wait(ctx context.Context) (Response, time.Duration, error) {
+func (h *Handle) Wait(ctx context.Context) (Result, error) {
 	h.mu.Lock()
 	if h.done {
-		resp, lat := h.resp, h.latency
+		res := h.res
 		h.mu.Unlock()
-		return resp, lat, nil
+		return res, nil
 	}
 	h.mu.Unlock()
 	select {
@@ -849,11 +845,11 @@ func (h *Handle) Wait(ctx context.Context) (Response, time.Duration, error) {
 		// Pass the baton so any other waiter also wakes.
 		h.doneCh <- struct{}{}
 	case <-ctx.Done():
-		return Response{}, 0, ctx.Err()
+		return Result{}, ctx.Err()
 	}
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	return h.resp, h.latency, nil
+	return h.res, nil
 }
 
 // Cancel requests cancellation and reports whether it took effect. A
@@ -887,23 +883,23 @@ func (h *Handle) Cancel() bool {
 	return cl.Ctls[cl.ownerOf(model, 0)].CancelRequestGen(req, gen)
 }
 
-// OnResponse implements ResponseSink: settle the handle, publish the
+// OnResult implements ResultSink: settle the handle, publish the
 // completion token, then forward to the next sink — publishing first,
 // so a next sink that hands the result to another goroutine never sees
 // its own handle still pending.
-func (h *Handle) OnResponse(resp Response, latency time.Duration) {
+func (h *Handle) OnResult(res Result) {
 	h.mu.Lock()
 	h.done = true
 	if h.id == 0 {
 		// The request never reported in via deliver (pre-cancelled or
 		// unregistered mid-transit): the response carries the minted ID.
-		h.id = resp.RequestID
+		h.id = res.RequestID
 	}
 	// The controller-side request recycles the moment its response
 	// fires; drop the reference so a post-completion Cancel is a pure
 	// handle-local no-op.
 	h.req, h.reqGen = nil, 0
-	h.resp, h.latency = resp, latency
+	h.res = res
 	next := h.next
 	h.next = nil
 	h.mu.Unlock()
@@ -913,7 +909,7 @@ func (h *Handle) OnResponse(resp Response, latency time.Duration) {
 	default:
 	}
 	if next != nil {
-		next.OnResponse(resp, latency)
+		next.OnResult(res)
 	}
 }
 
@@ -921,7 +917,7 @@ func (h *Handle) OnResponse(resp Response, latency time.Duration) {
 // travels that shard's client link, the submission timestamp reads that
 // shard's clock, and sink (may be nil) receives the outcome once it is
 // back at the client, where latency is measured and recorded. It is the
-// one submission path — a *Handle is a sink, ResponseFunc adapts a
+// one submission path — a *Handle is a sink, ResultFunc adapts a
 // closure, and nothing is allocated per request on the way down.
 //
 // The model must be registered at submission time (ErrUnknownModel
@@ -935,7 +931,7 @@ func (h *Handle) OnResponse(resp Response, latency time.Duration) {
 // does not own the model (a hint made stale by a migration), the
 // request is forwarded once over the shard interconnect at the
 // cross-shard network latency.
-func (cl *Cluster) Submit(local int, spec SubmitSpec, sink ResponseSink) error {
+func (cl *Cluster) Submit(local int, spec SubmitSpec, sink ResultSink) error {
 	mi, err := cl.checkSpec(local, &spec)
 	if err != nil {
 		return err
@@ -964,8 +960,8 @@ func (cl *Cluster) checkSpec(local int, spec *SubmitSpec) (*ModelInfo, error) {
 	if spec.SLO <= 0 {
 		return nil, fmt.Errorf("%w: non-positive SLO %v", ErrInvalidRequest, spec.SLO)
 	}
-	if spec.MaxBatch < 0 {
-		return nil, fmt.Errorf("%w: negative batch cap %d", ErrInvalidRequest, spec.MaxBatch)
+	if spec.MaxBatchSize < 0 {
+		return nil, fmt.Errorf("%w: negative batch cap %d", ErrInvalidRequest, spec.MaxBatchSize)
 	}
 	if local < 0 || local >= len(cl.Ctls) {
 		return nil, fmt.Errorf("%w: %d (have %d)", ErrNoSuchShard, local, len(cl.Ctls))
@@ -992,9 +988,9 @@ type submission struct {
 	zoo    *modelzoo.Model
 	local  int // shard whose engine currently hosts this submission
 	sentAt simclock.Time
-	sink   ResponseSink
+	sink   ResultSink
 
-	resp  Response
+	res   Result
 	phase uint8
 }
 
@@ -1068,46 +1064,47 @@ func (s *submission) deliver() {
 // Respond implements core.Responder: it receives the controller's
 // terminal outcome and sends it back over the owning shard's client
 // link.
-func (s *submission) Respond(resp Response) {
+func (s *submission) Respond(res Result) {
 	cl := s.cl
 	// The responding controller is the model's current owner; follow it
 	// (after a barrier-time migration the response must leave on the
 	// adopting shard's link and engine).
-	s.local = cl.ownerOf(resp.id, s.local)
+	s.local = cl.ownerOf(res.id, s.local)
 	outBytes := s.zoo.OutputBytes()
-	if !resp.Success {
+	if !res.Success {
 		outBytes = 0
 	}
-	s.resp = resp
+	s.res = res
 	s.phase = subComplete
 	cl.clientLinks[cl.linkIdx(s.local)].BtoA.SendRun(outBytes, s)
 }
 
-// complete runs at the client side of the response hop: measure
-// latency, record metrics, hand the outcome to the sink.
+// complete runs at the client side of the response hop: stamp the
+// latency, record metrics, hand the result to the sink.
 func (s *submission) complete() {
 	cl := s.cl
 	now := cl.engFor(s.local).Now()
-	latency := now.Sub(s.sentAt)
+	res := s.res
+	res.Latency = now.Sub(s.sentAt)
 	// Attribute the response to the shard that owned the model at
 	// completion (it may have migrated since submission).
-	shard := cl.ownerOf(s.resp.id, s.local)
-	cl.Metrics.record(now, shard, s.resp, latency, s.spec.SLO)
+	shard := cl.ownerOf(res.id, s.local)
+	cl.Metrics.record(now, shard, res, s.spec.SLO)
 	// Finalize the flight-recorder trace with the client-observed
 	// outcome. The recorder shard is s.local — the engine this
 	// completion runs on, which is where the trace's building state
 	// lives (Move keeps it there across queued-request migrations).
 	cl.flight.Shard(s.local).Completed(trace.Outcome{
-		ID: s.resp.RequestID, Model: s.spec.Model, Tenant: s.spec.Tenant,
-		Success: s.resp.Success, Reason: uint8(s.resp.Reason), ReasonStr: s.resp.Reason.String(),
-		Batch: s.resp.Batch, ColdStart: s.resp.ColdStart,
-		SLO: s.spec.SLO, Latency: latency,
+		ID: res.RequestID, Model: s.spec.Model, Tenant: s.spec.Tenant,
+		Success: res.Success, Reason: uint8(res.Reason), ReasonStr: res.Reason.String(),
+		Batch: res.Batch, ColdStart: res.ColdStart,
+		SLO: s.spec.SLO, Latency: res.Latency,
 	}, now.Duration())
-	sink, resp := s.sink, s.resp
+	sink := s.sink
 	*s = submission{}
 	submissionPool.Put(s)
 	if sink != nil {
-		sink.OnResponse(resp, latency)
+		sink.OnResult(res)
 	}
 }
 

@@ -377,9 +377,9 @@ func (c *Controller) FailWorker(id int) error {
 			}
 			r.state = stateDone
 			c.stats.WorkerLost++
-			c.respond(r, Response{
+			c.respond(r, Result{
 				RequestID: r.ID, Model: r.Model, id: r.mi.id, Tenant: r.Tenant, Success: false,
-				Reason: ReasonWorkerFailed, ColdStart: r.coldStart, CompletedAt: c.eng.Now(),
+				Reason: ReasonWorkerFailed, ColdStart: r.coldStart,
 			})
 		}
 		// The dead worker's late results are dropped at HandleResult's
@@ -527,9 +527,9 @@ func (c *Controller) UnregisterModel(name string) error {
 		mi.removeRequest(r)
 		r.state = stateDone
 		c.stats.Unregistered++
-		c.respond(r, Response{
+		c.respond(r, Result{
 			RequestID: r.ID, Model: r.Model, id: mi.id, Tenant: r.Tenant, Success: false,
-			Reason: ReasonUnregistered, ColdStart: r.coldStart, CompletedAt: c.eng.Now(),
+			Reason: ReasonUnregistered, ColdStart: r.coldStart,
 		})
 		c.releaseRequest(r)
 	}
@@ -613,9 +613,9 @@ func (c *Controller) Submit(spec SubmitSpec, rsp Responder) *Request {
 		c.nextRequestID += c.cfg.IDStride
 		c.stats.Requests++
 		c.stats.Unregistered++
-		resp := Response{
+		resp := Result{
 			RequestID: c.nextRequestID, Model: spec.Model, id: id, Tenant: spec.Tenant,
-			Success: false, Reason: ReasonUnregistered, CompletedAt: now,
+			Success: false, Reason: ReasonUnregistered,
 		}
 		if rsp != nil {
 			rsp.Respond(resp)
@@ -638,7 +638,7 @@ func (c *Controller) Submit(spec SubmitSpec, rsp Responder) *Request {
 		SLO:         spec.SLO,
 		Priority:    spec.Priority,
 		Tenant:      spec.Tenant,
-		MaxBatch:    spec.MaxBatch,
+		MaxBatch:    spec.MaxBatchSize,
 		Arrival:     now,
 		InputBytes:  mi.zoo.InputBytes(),
 		OutputBytes: mi.zoo.OutputBytes(),
@@ -729,9 +729,9 @@ func (c *Controller) cancelRequest(mi *ModelInfo, r *Request) {
 	c.reindexModel(mi)
 	r.state = stateDone
 	c.stats.Cancelled++
-	c.respond(r, Response{
+	c.respond(r, Result{
 		RequestID: r.ID, Model: r.Model, id: mi.id, Tenant: r.Tenant, Success: false,
-		Reason: ReasonCancelled, ColdStart: r.coldStart, CompletedAt: c.eng.Now(),
+		Reason: ReasonCancelled, ColdStart: r.coldStart,
 	})
 	c.schd.OnCancel(r)
 }
@@ -744,9 +744,9 @@ func (c *Controller) timeoutRequest(r *Request) {
 	}
 	r.state = stateDone
 	c.stats.Rejected++
-	c.respond(r, Response{
+	c.respond(r, Result{
 		RequestID: r.ID, Model: r.Model, id: r.mi.id, Tenant: r.Tenant, Success: false,
-		Reason: ReasonTimeout, ColdStart: r.coldStart, CompletedAt: c.eng.Now(),
+		Reason: ReasonTimeout, ColdStart: r.coldStart,
 	})
 }
 
@@ -773,7 +773,7 @@ func (c *Controller) noteQueueMaybeEmpty(mi *ModelInfo) {
 	}
 }
 
-func (c *Controller) respond(r *Request, resp Response) {
+func (c *Controller) respond(r *Request, resp Result) {
 	r.cancelTmr.Stop()
 	r.cancelTmr = simclock.Timer{}
 	c.flight.Responded(r.ID, c.eng.Now().Duration())
@@ -1004,9 +1004,9 @@ func (c *Controller) handleInferResult(g *GPUMirror, res action.Result) *action.
 			}
 			r.state = stateDone
 			c.stats.Succeeded++
-			c.respond(r, Response{
+			c.respond(r, Result{
 				RequestID: r.ID, Model: r.Model, id: mi.id, Tenant: r.Tenant, Success: true,
-				Batch: res.Batch, ColdStart: r.coldStart, CompletedAt: c.eng.Now(),
+				Batch: res.Batch, ColdStart: r.coldStart,
 			})
 		}
 		c.recycleBatch(reqs)
@@ -1021,9 +1021,9 @@ func (c *Controller) handleInferResult(g *GPUMirror, res action.Result) *action.
 		}
 		r.state = stateDone
 		c.stats.Rejected++
-		c.respond(r, Response{
+		c.respond(r, Result{
 			RequestID: r.ID, Model: r.Model, id: mi.id, Tenant: r.Tenant, Success: false,
-			Reason: ReasonRejected, ColdStart: r.coldStart, CompletedAt: c.eng.Now(),
+			Reason: ReasonRejected, ColdStart: r.coldStart,
 		})
 	}
 	// Deliberately do NOT rewind g.ExecFreeAt for the phantom work: the

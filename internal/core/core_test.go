@@ -18,10 +18,10 @@ func testCluster(t *testing.T, cfg ClusterConfig) *Cluster {
 
 // submitFn submits a default-options request for model with fn (may be
 // nil) as its completion — the closure form most tests want.
-func submitFn(cl *Cluster, model string, slo time.Duration, fn func(Response, time.Duration)) error {
-	var sink ResponseSink
+func submitFn(cl *Cluster, model string, slo time.Duration, fn func(Result)) error {
+	var sink ResultSink
 	if fn != nil {
-		sink = ResponseFunc(fn)
+		sink = ResultFunc(fn)
 	}
 	return cl.Submit(0, SubmitSpec{Model: model, SLO: slo}, sink)
 }
@@ -30,9 +30,9 @@ func TestSingleRequestColdStart(t *testing.T) {
 	cl := testCluster(t, ClusterConfig{Workers: 1, GPUsPerWorker: 1})
 	cl.RegisterModel("m", modelzoo.ResNet50())
 
-	var resp Response
+	var resp Result
 	var lat time.Duration
-	submitFn(cl, "m", 100*time.Millisecond, func(r Response, l time.Duration) { resp, lat = r, l })
+	submitFn(cl, "m", 100*time.Millisecond, func(r Result) { resp, lat = r, r.Latency })
 	cl.RunFor(200 * time.Millisecond)
 
 	if !resp.Success {
@@ -55,8 +55,8 @@ func TestSecondRequestIsWarm(t *testing.T) {
 	var lats []time.Duration
 	var colds []bool
 	submit := func() {
-		submitFn(cl, "m", 100*time.Millisecond, func(r Response, l time.Duration) {
-			lats = append(lats, l)
+		submitFn(cl, "m", 100*time.Millisecond, func(r Result) {
+			lats = append(lats, r.Latency)
 			colds = append(colds, r.ColdStart)
 		})
 	}
@@ -84,10 +84,10 @@ func TestUnmeetableSLOCancelledInAdvance(t *testing.T) {
 	cl := testCluster(t, ClusterConfig{Workers: 1, GPUsPerWorker: 1})
 	cl.RegisterModel("m", modelzoo.ResNet50())
 
-	var resp Response
+	var resp Result
 	got := false
 	// 1ms SLO < batch-1 exec (2.77ms): provably unmeetable.
-	submitFn(cl, "m", time.Millisecond, func(r Response, _ time.Duration) { resp, got = r, true })
+	submitFn(cl, "m", time.Millisecond, func(r Result) { resp, got = r, true })
 	cl.RunFor(50 * time.Millisecond)
 
 	if !got {
@@ -113,7 +113,7 @@ func TestBatchingUnderBurst(t *testing.T) {
 	// A burst of 16 simultaneous requests with latitude to batch.
 	batches := make(map[int]int)
 	for i := 0; i < 16; i++ {
-		submitFn(cl, "m", 100*time.Millisecond, func(r Response, _ time.Duration) {
+		submitFn(cl, "m", 100*time.Millisecond, func(r Result) {
 			if r.Success {
 				batches[r.Batch]++
 			}
@@ -149,9 +149,9 @@ func TestAllSuccessesMeetSLO(t *testing.T) {
 		if i >= 500 {
 			return
 		}
-		submitFn(cl, "m", slo, func(r Response, l time.Duration) {
+		submitFn(cl, "m", slo, func(r Result) {
 			responses++
-			if r.Success && l > slo {
+			if r.Success && r.Latency > slo {
 				violations++
 			}
 		})
@@ -189,7 +189,7 @@ func TestEvictionUnderMemoryPressure(t *testing.T) {
 		if i%2 == 1 {
 			model, cnt = "b", &okB
 		}
-		submitFn(cl, model, 100*time.Millisecond, func(r Response, _ time.Duration) {
+		submitFn(cl, model, 100*time.Millisecond, func(r Result) {
 			if r.Success {
 				*cnt++
 			}
@@ -248,7 +248,7 @@ func TestLoadBalanceAcrossWorkers(t *testing.T) {
 	var loop func()
 	loop = func() {
 		for i := 0; i < 8; i++ {
-			submitFn(cl, "m", 20*time.Millisecond, func(r Response, _ time.Duration) {
+			submitFn(cl, "m", 20*time.Millisecond, func(r Result) {
 				if r.Success {
 					done++
 				}
@@ -339,7 +339,7 @@ func TestMetricsRecorded(t *testing.T) {
 	if m.ColdModels(0) != 1 {
 		t.Fatalf("cold models = %d, want 1", m.ColdModels(0))
 	}
-	if m.Success.Value() != 10 || m.Failures.Value() != 0 {
+	if m.Total.Succeeded != 10 || m.Total.Failed != 0 {
 		t.Fatal("success/failure counters wrong")
 	}
 }
@@ -348,7 +348,7 @@ func TestZeroLengthInputsMode(t *testing.T) {
 	cl := testCluster(t, ClusterConfig{Workers: 1, GPUsPerWorker: 1, ZeroLengthInputs: true})
 	cl.RegisterModel("m", modelzoo.ResNet50())
 	ok := false
-	submitFn(cl, "m", 100*time.Millisecond, func(r Response, _ time.Duration) { ok = r.Success })
+	submitFn(cl, "m", 100*time.Millisecond, func(r Result) { ok = r.Success })
 	cl.RunFor(100 * time.Millisecond)
 	if !ok {
 		t.Fatal("zero-length input request failed")

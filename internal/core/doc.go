@@ -27,10 +27,11 @@
 //     which updates mirrors, feeds the predictor, and answers the
 //     batch's requests.
 //  5. Respond. The response crosses the client link back; the cluster
-//     records client-observed latency into Metrics (global,
-//     per-model, per-tenant and per-shard bins) and hands the outcome
-//     to the submission's ResponseSink: a pooled serving-path sink, a
-//     Handle, or a ResponseFunc.
+//     stamps the client-observed latency on the Result, counts it in
+//     Metrics (one Outcomes ledger each globally, per shard, per
+//     model and per tenant) and hands it to the submission's
+//     ResultSink: a pooled serving-path sink, a Handle, or a
+//     ResultFunc.
 //
 // # Sharding
 //

@@ -58,7 +58,7 @@ func TestInferNeverRacesLoadETA(t *testing.T) {
 		// second model… simpler: fresh cluster per-iteration would be
 		// slow; instead rely on the first cold start being scheduled
 		// against the load ETA.
-		submitFn(cl, "m", 100*time.Millisecond, func(r Response, _ time.Duration) {
+		submitFn(cl, "m", 100*time.Millisecond, func(r Result) {
 			if !r.Success && r.Reason == ReasonRejected {
 				notLoaded++
 			}

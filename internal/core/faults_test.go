@@ -24,9 +24,9 @@ func TestDisturbanceDoesNotViolateSLOs(t *testing.T) {
 		if i >= 400 {
 			return
 		}
-		submitFn(cl, "m", slo, func(r Response, l time.Duration) {
+		submitFn(cl, "m", slo, func(r Result) {
 			switch {
-			case r.Success && l > slo:
+			case r.Success && r.Latency > slo:
 				violations++
 			case r.Success:
 				successes++
@@ -80,7 +80,7 @@ func TestRecoveryAfterDisturbanceBurst(t *testing.T) {
 		if i >= 100 {
 			return
 		}
-		submitFn(cl, "m", 50*time.Millisecond, func(r Response, l time.Duration) {
+		submitFn(cl, "m", 50*time.Millisecond, func(r Result) {
 			// Count successes in the tail half, after recovery.
 			if r.Success && i >= 50 {
 				okAfter++
@@ -108,10 +108,10 @@ func TestNoisyHardwareStillMeetsSLOs(t *testing.T) {
 		if i >= 2000 {
 			return
 		}
-		submitFn(cl, "m", slo, func(r Response, l time.Duration) {
+		submitFn(cl, "m", slo, func(r Result) {
 			if r.Success {
 				ok++
-				if l > slo {
+				if r.Latency > slo {
 					violations++
 				}
 			}
@@ -139,7 +139,7 @@ func TestJitteredNetworkKeepsServing(t *testing.T) {
 	cl.RegisterModel("m", modelzoo.ResNet50())
 	ok := 0
 	for i := 0; i < 50; i++ {
-		submitFn(cl, "m", 100*time.Millisecond, func(r Response, _ time.Duration) {
+		submitFn(cl, "m", 100*time.Millisecond, func(r Result) {
 			if r.Success {
 				ok++
 			}

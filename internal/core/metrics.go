@@ -54,32 +54,29 @@ type Metrics struct {
 	PCIUtil *telemetry.Utilization
 	NumGPUs int
 
-	Success   telemetry.Counter
-	Failures  telemetry.Counter
-	SLOMisses telemetry.Counter // successes that exceeded the SLO end-to-end
+	// Total counts every client-observed outcome.
+	Total Outcomes
 
-	// perModel (by model ID) and perTenant break client-observed
-	// outcomes down for the control plane's ModelStats/TenantStats,
-	// lazily allocated on a model/tenant's first response. IDs are
-	// permanent per name, so a model's counters survive unregistration
-	// and are found again when the name comes back.
-	perModel  []*modelCounters
-	perTenant map[string]*tenantCounters
+	// perModel (by model ID) and perTenant break the same outcomes down
+	// for the control plane's ModelStats/TenantStats, lazily allocated
+	// on a model/tenant's first response. IDs are permanent per name,
+	// so a model's counters survive unregistration and are found again
+	// when the name comes back.
+	perModel  []*modelOutcomes
+	perTenant map[string]*Outcomes
 
-	// perShard bins client-observed outcomes by the scheduler shard
-	// that owned the model at completion — the balance signal the
-	// sharded control plane exposes (grown lazily to the highest shard
-	// index seen).
-	perShard []ShardBin
+	// perShard bins outcomes by the scheduler shard that owned the
+	// model at completion — the balance signal the sharded control
+	// plane exposes (grown lazily to the highest shard index seen).
+	perShard []Outcomes
 
-	// recent* accumulate one control period's client-observed outcomes
-	// for the closed-loop autoscaler: a single engine-confined consumer
-	// drains and resets them each period via DrainRecent. Guarded by
-	// the same lock()/unlock() gate as every other write path.
-	recentCompleted  uint64
-	recentViolations uint64
-	recentLatency    *telemetry.Histogram
-	recentMinSLO     time.Duration
+	// recent* accumulate one control period's outcomes for the
+	// closed-loop autoscaler: a single engine-confined consumer drains
+	// and resets them each period via DrainRecent. Guarded by the same
+	// lock()/unlock() gate as every other write path.
+	recent        Outcomes
+	recentLatency *telemetry.Histogram
+	recentMinSLO  time.Duration
 }
 
 // RecentStats is one control period's slice of the client-observed
@@ -93,9 +90,10 @@ type RecentStats struct {
 	MinSLO     time.Duration
 }
 
-// ShardBin is one scheduler shard's slice of the client-observed
-// outcome counters.
-type ShardBin struct {
+// Outcomes counts client-observed outcomes. The metrics keep one
+// ledger globally (Metrics.Total) and one per shard, per model and per
+// tenant, all fed by the same add.
+type Outcomes struct {
 	Requests  uint64
 	Succeeded uint64
 	Failed    uint64
@@ -103,6 +101,44 @@ type ShardBin struct {
 	// successes that exceeded it end-to-end.
 	WithinSLO uint64
 	SLOMisses uint64
+	// ColdStarts counts responses whose request arrived with the model
+	// not GPU-resident anywhere.
+	ColdStarts uint64
+	// Failure taxonomy (see Reason): Cancelled includes unregistered
+	// models; WorkerLost counts requests whose in-flight work died with
+	// a failed worker.
+	Cancelled  uint64
+	Rejected   uint64
+	TimedOut   uint64
+	WorkerLost uint64
+}
+
+// add counts one result against its request's SLO.
+func (o *Outcomes) add(res Result, slo time.Duration) {
+	o.Requests++
+	if res.ColdStart {
+		o.ColdStarts++
+	}
+	if res.Success {
+		o.Succeeded++
+		if res.Latency <= slo {
+			o.WithinSLO++
+		} else {
+			o.SLOMisses++
+		}
+		return
+	}
+	o.Failed++
+	switch res.Reason {
+	case ReasonCancelled, ReasonUnregistered:
+		o.Cancelled++
+	case ReasonTimeout:
+		o.TimedOut++
+	case ReasonWorkerFailed:
+		o.WorkerLost++
+	default:
+		o.Rejected++
+	}
 }
 
 // coldSet is the set of model IDs seen cold in one interval, sized to
@@ -119,51 +155,20 @@ func (s *coldSet) add(id ModelID) {
 	}
 }
 
-// modelCounters aggregates one model's client-observed outcomes.
-type modelCounters struct {
-	requests, succeeded, failed uint64
-	withinSLO, sloMisses        uint64
-	coldStarts                  uint64
-	cancelled, rejected         uint64
-	timedOut, workerLost        uint64
-	latency                     *telemetry.Histogram
-}
-
-// tenantCounters aggregates one tenant's client-observed outcomes.
-type tenantCounters struct {
-	requests, succeeded, withinSLO uint64
+// modelOutcomes is one model's ledger plus its latency distribution.
+type modelOutcomes struct {
+	Outcomes
+	latency *telemetry.Histogram
 }
 
 // ModelStats is the per-model slice of the metrics, exposed through the
 // runtime control plane.
 type ModelStats struct {
-	Requests  uint64
-	Succeeded uint64
-	Failed    uint64
-	// WithinSLO counts successes inside their SLO; SLOMisses counts
-	// successes that exceeded it end-to-end.
-	WithinSLO uint64
-	SLOMisses uint64
-	// ColdStarts counts responses whose request arrived with the model
-	// not GPU-resident anywhere.
-	ColdStarts uint64
-	// Failure taxonomy (see Reason). WorkerLost counts requests whose
-	// in-flight work died with a failed worker.
-	Cancelled  uint64
-	Rejected   uint64
-	TimedOut   uint64
-	WorkerLost uint64
+	Outcomes
 	// Client-observed latency over all of the model's requests.
 	P50, P99, Max time.Duration
 	// GoodputMean is within-SLO responses per second of elapsed run.
 	GoodputMean float64
-}
-
-// TenantStats is the per-tenant slice of the metrics.
-type TenantStats struct {
-	Requests  uint64
-	Succeeded uint64
-	WithinSLO uint64
 }
 
 func newMetrics(interval time.Duration) *Metrics {
@@ -177,7 +182,7 @@ func newMetrics(interval time.Duration) *Metrics {
 		ColdStartThroughput: telemetry.NewTimeSeries(interval),
 		GPUUtil:             telemetry.NewUtilization(interval),
 		PCIUtil:             telemetry.NewUtilization(interval),
-		perTenant:           make(map[string]*tenantCounters),
+		perTenant:           make(map[string]*Outcomes),
 		recentLatency:       telemetry.NewHistogram(),
 	}
 }
@@ -191,13 +196,12 @@ func (m *Metrics) DrainRecent() RecentStats {
 	m.lock()
 	defer m.unlock()
 	st := RecentStats{
-		Completed:  m.recentCompleted,
-		Violations: m.recentViolations,
+		Completed:  m.recent.Requests,
+		Violations: m.recent.Failed + m.recent.SLOMisses,
 		P99:        m.recentLatency.Percentile(99),
 		MinSLO:     m.recentMinSLO,
 	}
-	m.recentCompleted = 0
-	m.recentViolations = 0
+	m.recent = Outcomes{}
 	m.recentLatency = telemetry.NewHistogram()
 	m.recentMinSLO = 0
 	return st
@@ -267,107 +271,65 @@ func (m *Metrics) coldSet(idx int) *coldSet {
 	return &m.coldModelSets[idx]
 }
 
-// shardBin returns the (lazily grown) bin for shard i.
-func (m *Metrics) shardBin(i int) *ShardBin {
-	for len(m.perShard) <= i {
-		m.perShard = append(m.perShard, ShardBin{})
-	}
-	return &m.perShard[i]
-}
-
-// ShardStats returns shard i's outcome bin (zero for shards that have
-// not completed any response yet).
-func (m *Metrics) ShardStats(i int) ShardBin {
+// ShardStats returns shard i's outcomes (zero for shards that have not
+// completed any response yet).
+func (m *Metrics) ShardStats(i int) Outcomes {
 	if i < 0 || i >= len(m.perShard) {
-		return ShardBin{}
+		return Outcomes{}
 	}
 	return m.perShard[i]
 }
 
-// record ingests one client-observed response, attributed to the
+// record ingests one client-observed result, attributed to the
 // scheduler shard owning the model at completion.
-func (m *Metrics) record(now simclock.Time, shard int, resp Response, latency, slo time.Duration) {
+func (m *Metrics) record(now simclock.Time, shard int, res Result, slo time.Duration) {
 	m.lock()
 	defer m.unlock()
 	idx := m.bucket(now)
-	lat := telemetry.NewSample(latency) // bucketed once for five histograms
+	lat := telemetry.NewSample(res.Latency) // bucketed once for five histograms
 	m.LatencyAll.ObserveSample(lat)
 	m.latencyHist(idx).ObserveSample(lat)
 	m.Throughput.Incr(now)
-	m.recentCompleted++
 	m.recentLatency.ObserveSample(lat)
-	if !resp.Success || latency > slo {
-		m.recentViolations++
-	}
 	if slo > 0 && (m.recentMinSLO == 0 || slo < m.recentMinSLO) {
 		m.recentMinSLO = slo
 	}
-	sb := m.shardBin(shard)
-	sb.Requests++
 
-	m.perModel = action.Grow(m.perModel, resp.id)
-	mc := m.perModel[resp.id]
-	if mc == nil {
-		mc = &modelCounters{latency: telemetry.NewHistogram()}
-		m.perModel[resp.id] = mc
+	m.Total.add(res, slo)
+	m.recent.add(res, slo)
+	for len(m.perShard) <= shard {
+		m.perShard = append(m.perShard, Outcomes{})
 	}
-	mc.requests++
-	mc.latency.ObserveSample(lat)
-	if resp.ColdStart {
-		mc.coldStarts++
+	m.perShard[shard].add(res, slo)
+	m.perModel = action.Grow(m.perModel, res.id)
+	mo := m.perModel[res.id]
+	if mo == nil {
+		mo = &modelOutcomes{latency: telemetry.NewHistogram()}
+		m.perModel[res.id] = mo
 	}
-	var tc *tenantCounters
-	if resp.Tenant != "" {
-		tc = m.perTenant[resp.Tenant]
-		if tc == nil {
-			tc = &tenantCounters{}
-			m.perTenant[resp.Tenant] = tc
+	mo.add(res, slo)
+	mo.latency.ObserveSample(lat)
+	if res.Tenant != "" {
+		to := m.perTenant[res.Tenant]
+		if to == nil {
+			to = &Outcomes{}
+			m.perTenant[res.Tenant] = to
 		}
-		tc.requests++
+		to.add(res, slo)
 	}
 
-	if resp.Success {
-		m.Success.Incr()
-		mc.succeeded++
-		sb.Succeeded++
-		if tc != nil {
-			tc.succeeded++
-		}
-		if latency <= slo {
+	if res.Success {
+		if res.Latency <= slo {
 			m.LatencyGood.ObserveSample(lat)
 			m.Goodput.Incr(now)
-			mc.withinSLO++
-			sb.WithinSLO++
-			if tc != nil {
-				tc.withinSLO++
-			}
-		} else {
-			m.SLOMisses.Incr()
-			mc.sloMisses++
-			sb.SLOMisses++
 		}
-		m.Batch.Add(now, float64(resp.Batch))
-		if resp.ColdStart {
+		m.Batch.Add(now, float64(res.Batch))
+		if res.ColdStart {
 			m.ColdStartThroughput.Incr(now)
-			m.coldSet(idx).add(resp.id)
 		}
-	} else {
-		m.Failures.Incr()
-		mc.failed++
-		sb.Failed++
-		switch resp.Reason {
-		case ReasonCancelled, ReasonUnregistered:
-			mc.cancelled++
-		case ReasonTimeout:
-			mc.timedOut++
-		case ReasonWorkerFailed:
-			mc.workerLost++
-		default:
-			mc.rejected++
-		}
-		if resp.ColdStart {
-			m.coldSet(idx).add(resp.id)
-		}
+	}
+	if res.ColdStart {
+		m.coldSet(idx).add(res.id)
 	}
 }
 
@@ -378,36 +340,27 @@ func (m *Metrics) modelStats(id ModelID, elapsed time.Duration) (ModelStats, boo
 	if int(id) >= len(m.perModel) || m.perModel[id] == nil {
 		return ModelStats{}, false
 	}
-	mc := m.perModel[id]
+	mo := m.perModel[id]
 	st := ModelStats{
-		Requests:   mc.requests,
-		Succeeded:  mc.succeeded,
-		Failed:     mc.failed,
-		WithinSLO:  mc.withinSLO,
-		SLOMisses:  mc.sloMisses,
-		ColdStarts: mc.coldStarts,
-		Cancelled:  mc.cancelled,
-		Rejected:   mc.rejected,
-		TimedOut:   mc.timedOut,
-		WorkerLost: mc.workerLost,
-		P50:        mc.latency.Percentile(50),
-		P99:        mc.latency.Percentile(99),
-		Max:        mc.latency.Max(),
+		Outcomes: mo.Outcomes,
+		P50:      mo.latency.Percentile(50),
+		P99:      mo.latency.Percentile(99),
+		Max:      mo.latency.Max(),
 	}
 	if s := elapsed.Seconds(); s > 0 {
-		st.GoodputMean = float64(mc.withinSLO) / s
+		st.GoodputMean = float64(mo.WithinSLO) / s
 	}
 	return st, true
 }
 
-// TenantStats returns the per-tenant aggregate; ok is false for tenants
+// TenantStats returns the per-tenant outcomes; ok is false for tenants
 // that have not produced any response.
-func (m *Metrics) TenantStats(tenant string) (TenantStats, bool) {
-	tc, ok := m.perTenant[tenant]
+func (m *Metrics) TenantStats(tenant string) (Outcomes, bool) {
+	to, ok := m.perTenant[tenant]
 	if !ok {
-		return TenantStats{}, false
+		return Outcomes{}, false
 	}
-	return TenantStats{Requests: tc.requests, Succeeded: tc.succeeded, WithinSLO: tc.withinSLO}, true
+	return *to, true
 }
 
 // ColdModels returns the number of distinct models that had at least one

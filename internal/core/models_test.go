@@ -73,7 +73,7 @@ func TestReregisterOtherZooModelRestartsProfile(t *testing.T) {
 	}
 	// And the new model is served on the new estimates.
 	ok := false
-	_ = submitFn(cl, "m", 250*time.Millisecond, func(r Response, _ time.Duration) { ok = r.Success })
+	_ = submitFn(cl, "m", 250*time.Millisecond, func(r Result) { ok = r.Success })
 	cl.RunFor(300 * time.Millisecond)
 	if !ok {
 		t.Fatal("request for the re-registered model failed")
@@ -191,7 +191,7 @@ func interningChurn(t *testing.T, shards int, seed uint64) {
 		t.Helper()
 		i := len(outcomes)
 		outcomes = append(outcomes, 0)
-		h := NewHandle(ResponseFunc(func(resp Response, _ time.Duration) {
+		h := NewHandle(ResultFunc(func(resp Result) {
 			outcomes[i]++
 			if resp.Model != name {
 				t.Errorf("submission %d for %s answered as %s", i, name, resp.Model)
@@ -210,7 +210,7 @@ func interningChurn(t *testing.T, shards int, seed uint64) {
 	landed := func(h *Handle, name string, unregistered bool, shard int) {
 		t.Helper()
 		cl.RunFor(3 * cl.cfg.NetLatency)
-		resp, _, done := h.Outcome()
+		resp, done := h.Outcome()
 		if unregistered {
 			if !done || resp.Reason != ReasonUnregistered {
 				t.Fatalf("%s unregistered under its request: done=%v reason %q", name, done, resp.Reason)

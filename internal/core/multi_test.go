@@ -25,12 +25,12 @@ func TestMultiGPUWorkerRoutesActions(t *testing.T) {
 		if i >= 500 {
 			return
 		}
-		submitFn(cl, "a", 20*time.Millisecond, func(r Response, _ time.Duration) {
+		submitFn(cl, "a", 20*time.Millisecond, func(r Result) {
 			if r.Success {
 				done++
 			}
 		})
-		submitFn(cl, "b", 20*time.Millisecond, func(r Response, _ time.Duration) {
+		submitFn(cl, "b", 20*time.Millisecond, func(r Result) {
 			if r.Success {
 				done++
 			}
@@ -57,7 +57,7 @@ func TestManyModelsManyWorkers(t *testing.T) {
 	for round := 0; round < 3; round++ {
 		for _, n := range names {
 			model := n
-			submitFn(cl, model, 100*time.Millisecond, func(r Response, _ time.Duration) {
+			submitFn(cl, model, 100*time.Millisecond, func(r Result) {
 				if r.Success {
 					served[model]++
 				}
@@ -91,7 +91,7 @@ func TestResponseMarginDefaultScalesWithSLO(t *testing.T) {
 	cl.RunFor(100 * time.Millisecond)
 	ok := false
 	var lat time.Duration
-	submitFn(cl, "m", 4*time.Millisecond, func(r Response, l time.Duration) { ok, lat = r.Success, l })
+	submitFn(cl, "m", 4*time.Millisecond, func(r Result) { ok, lat = r.Success, r.Latency })
 	cl.RunFor(100 * time.Millisecond)
 	if !ok {
 		t.Fatal("4ms SLO should be serviceable warm")
@@ -113,15 +113,15 @@ func TestExplicitResponseMargin(t *testing.T) {
 	// above the 2.77ms execution but below exec + transport, so the
 	// request must fail (cancelled in advance, or rejected when the
 	// action misses its now-unmeetable window).
-	var resp Response
-	submitFn(cl, "m", 8*time.Millisecond, func(r Response, _ time.Duration) { resp = r })
+	var resp Result
+	submitFn(cl, "m", 8*time.Millisecond, func(r Result) { resp = r })
 	cl.RunFor(100 * time.Millisecond)
 	if resp.Success {
 		t.Fatalf("want failure under fat margin, got %+v", resp)
 	}
 	// And the margin must not break a comfortably feasible SLO.
 	ok := false
-	submitFn(cl, "m", 50*time.Millisecond, func(r Response, _ time.Duration) { ok = r.Success })
+	submitFn(cl, "m", 50*time.Millisecond, func(r Result) { ok = r.Success })
 	cl.RunFor(100 * time.Millisecond)
 	if !ok {
 		t.Fatal("50ms SLO should succeed with a 5ms margin")

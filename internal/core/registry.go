@@ -13,15 +13,15 @@ import (
 // dimensions (§6.1): who decides, whether admission control runs, and
 // whether workers execute best-effort.
 type PolicySpec struct {
-	// New returns a fresh scheduler instance. Factories must not share
-	// state between instances; every cluster gets its own scheduler.
+	// New returns a fresh Scheduler per system; it must not share
+	// mutable state between instances.
 	New func() Scheduler
-	// DisableAdmissionControl turns off cancel-in-advance for clusters
-	// running this policy (baselines treat the SLO as a soft goal).
+	// DisableAdmissionControl turns off cancel-in-advance (baselines
+	// treat the SLO as a soft goal and execute late requests).
 	DisableAdmissionControl bool
-	// WorkerBestEffort switches workers into the baseline thread-pool
-	// execution mode (concurrent EXECs, Fig 2b's latency variability).
-	WorkerBestEffort bool
+	// BestEffortWorkers runs workers in the baseline thread-pool mode:
+	// concurrent EXECs with the Fig 2b latency variability.
+	BestEffortWorkers bool
 	// Description is a one-line summary for listings.
 	Description string
 }
@@ -111,7 +111,7 @@ func NewClusterWithPolicy(policy string, cfg ClusterConfig) (*Cluster, error) {
 	if spec.DisableAdmissionControl {
 		cfg.Controller.DisableAdmissionControl = true
 	}
-	if spec.WorkerBestEffort {
+	if spec.BestEffortWorkers {
 		cfg.WorkerBestEffort = true
 	}
 	if err := cfg.withDefaults().validateShards(); err != nil {

@@ -75,24 +75,26 @@ func (r Reason) String() string {
 	}
 }
 
-// SubmitSpec carries everything a caller may say about one inference
-// request. Model and SLO are required; the rest default to zero values
-// (FIFO within the model's queue, no tenant, no batch cap).
+// SubmitSpec describes one inference submission; the public package
+// names it Request. Model and SLO are required; the remaining fields are
+// optional per-request choices the controller folds into its global plan
+// (the paper's thesis: every performance-relevant choice is consolidated
+// centrally — this struct is how clients state theirs).
 type SubmitSpec struct {
-	// Model is the registered instance name the request targets.
+	// Model is the registered instance name to serve.
 	Model string
-	// SLO is the end-to-end latency objective; the controller derives
-	// the request's internal deadline from it.
+	// SLO is the end-to-end latency objective for this request; the
+	// controller derives the request's internal deadline from it.
 	SLO time.Duration
-	// Priority orders requests within a model's queue: higher-priority
-	// requests are served before lower-priority ones, FIFO within a
-	// priority level. The default 0 preserves pure FIFO.
+	// Priority orders requests within a model's queue: higher values
+	// are served first, FIFO within a level. Default 0.
 	Priority int
-	// Tenant labels the request for per-tenant accounting. Optional.
+	// Tenant labels the request for per-tenant accounting (see
+	// TenantStats). Optional.
 	Tenant string
-	// MaxBatch, if > 0, caps the batch size this request may execute
-	// in (e.g. 1 forces solo execution for latency experiments).
-	MaxBatch int
+	// MaxBatchSize, if > 0, caps the batch this request may execute in
+	// (1 forces solo execution).
+	MaxBatchSize int
 
 	// id is Model resolved by the cluster's submission edge, zero when
 	// the spec did not come through it (a bare controller resolves the
@@ -115,7 +117,8 @@ type Request struct {
 	SLO     time.Duration
 	Arrival simclock.Time // at the controller
 
-	// Priority, Tenant and MaxBatch mirror the SubmitSpec fields.
+	// Priority, Tenant and MaxBatch mirror the SubmitSpec fields
+	// (MaxBatch is SubmitSpec.MaxBatchSize).
 	Priority int
 	Tenant   string
 	MaxBatch int
@@ -151,7 +154,7 @@ type Request struct {
 // outcome back over the client's network link, so the response path
 // carries no per-request func value.
 type Responder interface {
-	Respond(Response)
+	Respond(Result)
 }
 
 // Gen returns the request's recycling generation. Capture it alongside
@@ -203,29 +206,35 @@ const (
 	stateDone
 )
 
-// Response is the terminal outcome of a request.
-type Response struct {
+// Result is the client-observed outcome of one inference request.
+type Result struct {
+	// RequestID is the controller-assigned request identifier.
 	RequestID uint64
-	Model     string
+	// Model and Tenant echo the submission, for shared callbacks.
+	Model  string
+	Tenant string
+	// Success reports whether the inference executed and returned.
+	Success bool
+	// Reason is ReasonNone on success; otherwise it explains the
+	// failure (see the Reason constants).
+	Reason Reason
+	// Latency is the end-to-end client-observed latency, stamped when
+	// the response reaches the client (zero while it is still at the
+	// controller).
+	Latency time.Duration
+	// Batch is the batch size the request executed in.
+	Batch int
+	// ColdStart reports whether the model was not GPU-resident when the
+	// request arrived.
+	ColdStart bool
+
 	// id is Model's dense ID, for the routing layer and the per-model
 	// metrics (zero only when a bare controller rejects an unknown name).
-	id      ModelID
-	Tenant  string
-	Success bool
-	// Reason is ReasonNone on success; see the Reason constants for the
-	// failure taxonomy.
-	Reason Reason
-	// Batch is the batch size the request executed in (success only).
-	Batch int
-	// ColdStart reports whether the model was not GPU-resident anywhere
-	// when the request arrived.
-	ColdStart bool
-	// CompletedAt is the controller-side completion instant.
-	CompletedAt simclock.Time
+	id ModelID
 }
 
 // String implements fmt.Stringer.
-func (r Response) String() string {
+func (r Result) String() string {
 	if r.Success {
 		return fmt.Sprintf("response{#%d %s ok b%d}", r.RequestID, r.Model, r.Batch)
 	}

@@ -34,7 +34,7 @@ func TestBestStrategyPrefersLargestFeasibleBatch(t *testing.T) {
 	// Queue 16 requests "manually": submit them all at one instant.
 	var batches []int
 	for i := 0; i < 16; i++ {
-		submitFn(cl, "m", 100*time.Millisecond, func(r Response, _ time.Duration) {
+		submitFn(cl, "m", 100*time.Millisecond, func(r Result) {
 			if r.Success {
 				batches = append(batches, r.Batch)
 			}
@@ -68,7 +68,7 @@ func TestSchedulerRespectsUncompiledBatchSizes(t *testing.T) {
 
 	var batches []int
 	for i := 0; i < 7; i++ { // 7 → batches of 4+2+1 or similar
-		submitFn(cl, "m", 100*time.Millisecond, func(r Response, _ time.Duration) {
+		submitFn(cl, "m", 100*time.Millisecond, func(r Result) {
 			if r.Success {
 				batches = append(batches, r.Batch)
 			}
@@ -151,7 +151,7 @@ func TestLoadOldestFirstPolicy(t *testing.T) {
 	cl := NewCluster(ClusterConfig{Workers: 1, GPUsPerWorker: 1, NoNoise: true, NewScheduler: func() Scheduler { return s }})
 	cl.RegisterModel("m", modelzoo.ResNet50())
 	ok := false
-	submitFn(cl, "m", 100*time.Millisecond, func(r Response, _ time.Duration) { ok = r.Success })
+	submitFn(cl, "m", 100*time.Millisecond, func(r Result) { ok = r.Success })
 	cl.RunFor(100 * time.Millisecond)
 	if !ok {
 		t.Fatal("oldest-first policy failed to serve")
@@ -242,11 +242,11 @@ func TestModelInfoDeadlines(t *testing.T) {
 }
 
 func TestRequestResponseStrings(t *testing.T) {
-	ok := Response{RequestID: 1, Model: "m", Success: true, Batch: 4}
+	ok := Result{RequestID: 1, Model: "m", Success: true, Batch: 4}
 	if ok.String() == "" {
 		t.Fatal("empty")
 	}
-	bad := Response{RequestID: 2, Model: "m", Reason: ReasonCancelled}
+	bad := Result{RequestID: 2, Model: "m", Reason: ReasonCancelled}
 	if bad.String() == "" {
 		t.Fatal("empty")
 	}

@@ -57,7 +57,7 @@ func TestShardedClusterServes(t *testing.T) {
 	var handles []*Handle
 	for round := 0; round < perModel; round++ {
 		for _, n := range names {
-			h := NewHandle(ResponseFunc(func(Response, time.Duration) { responses++ }))
+			h := NewHandle(ResultFunc(func(Result) { responses++ }))
 			if err := cl.Submit(0, SubmitSpec{Model: n, SLO: 250 * time.Millisecond}, h); err != nil {
 				t.Fatal(err)
 			}
@@ -111,7 +111,7 @@ func TestMigrationLosslessProperty(t *testing.T) {
 	submitted := 0
 	submit := func(n string, slo time.Duration) {
 		var h *Handle
-		h = NewHandle(ResponseFunc(func(Response, time.Duration) { perRequest[h]++ }))
+		h = NewHandle(ResultFunc(func(Result) { perRequest[h]++ }))
 		if err := cl.Submit(0, SubmitSpec{Model: n, SLO: slo}, h); err != nil {
 			t.Fatal(err)
 		}
@@ -147,7 +147,7 @@ func TestMigrationLosslessProperty(t *testing.T) {
 
 	for h, nCalls := range perRequest {
 		if nCalls != 1 {
-			t.Fatalf("request %d answered %d times (resp=%v)", h.ID(), nCalls, h.resp)
+			t.Fatalf("request %d answered %d times (resp=%v)", h.ID(), nCalls, h.res)
 		}
 		if !h.Done() {
 			t.Fatalf("request %d has no outcome", h.ID())
@@ -201,8 +201,8 @@ func TestShardedDeterminism(t *testing.T) {
 		var log string
 		for round := 0; round < 20; round++ {
 			for i := 0; i < 24; i++ {
-				submitFn(cl, hot[(round+i)%len(hot)], 500*time.Millisecond, func(r Response, l time.Duration) {
-					log += fmt.Sprintf("%d:%s:%v:%v\n", r.RequestID, r.Model, r.Success, l)
+				submitFn(cl, hot[(round+i)%len(hot)], 500*time.Millisecond, func(r Result) {
+					log += fmt.Sprintf("%d:%s:%v:%v\n", r.RequestID, r.Model, r.Success, r.Latency)
 				})
 			}
 			cl.RunFor(10 * time.Millisecond)
@@ -403,7 +403,7 @@ func TestShardedControlPlaneRouting(t *testing.T) {
 	}
 	// And the remaining models still serve.
 	okResp := false
-	submitFn(cl, names[1], time.Second, func(r Response, _ time.Duration) { okResp = r.Success })
+	submitFn(cl, names[1], time.Second, func(r Result) { okResp = r.Success })
 	cl.RunFor(2 * time.Second)
 	if !okResp {
 		t.Fatal("surviving model failed to serve after control-plane churn")
@@ -428,8 +428,8 @@ func TestMigrateCarriesQueuedCancel(t *testing.T) {
 		t.Fatal(err)
 	}
 	calls := 0
-	var resp Response
-	h := NewHandle(ResponseFunc(func(r Response, _ time.Duration) { calls++; resp = r }))
+	var resp Result
+	h := NewHandle(ResultFunc(func(r Result) { calls++; resp = r }))
 	if err := cl.Submit(0, SubmitSpec{Model: victim, SLO: time.Minute}, h); err != nil {
 		t.Fatal(err)
 	}
@@ -460,7 +460,7 @@ func TestMigrateCarriesQueuedCancel(t *testing.T) {
 
 	// The migrated model now serves on its new shard.
 	served := false
-	submitFn(cl, victim, time.Second, func(r Response, _ time.Duration) { served = r.Success })
+	submitFn(cl, victim, time.Second, func(r Result) { served = r.Success })
 	cl.RunFor(2 * time.Second)
 	if !served {
 		t.Fatal("migrated model failed to serve on its new shard")

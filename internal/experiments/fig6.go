@@ -121,28 +121,28 @@ func RunFig6(cfg Fig6Config) *Fig6Result {
 	var violated uint64
 
 	submit := func(model string, minor bool) {
-		cl.Submit(0, core.SubmitSpec{Model: model, SLO: cfg.SLO}, core.ResponseFunc(func(r core.Response, l time.Duration) {
+		cl.Submit(0, core.SubmitSpec{Model: model, SLO: cfg.SLO}, core.ResultFunc(func(r core.Result) {
 			now := cl.Eng.Now()
 			idx := int(int64(now) / int64(time.Minute))
-			if l > maxLatency {
-				maxLatency = l
+			if r.Latency > maxLatency {
+				maxLatency = r.Latency
 			}
-			if r.Success && l > cfg.SLO {
+			if r.Success && r.Latency > cfg.SLO {
 				violated++
 			}
 			if minor {
-				latAt(minorLat, idx).Observe(l)
-				if r.Success && l <= cfg.SLO {
+				latAt(minorLat, idx).Observe(r.Latency)
+				if r.Success && r.Latency <= cfg.SLO {
 					minorGood.Incr(now)
 				}
 				return
 			}
-			latAt(majorLat, idx).Observe(l)
+			latAt(majorLat, idx).Observe(r.Latency)
 			majorTotal.Incr(now)
 			if r.ColdStart {
 				majorCold.Incr(now)
 			}
-			if r.Success && l <= cfg.SLO {
+			if r.Success && r.Latency <= cfg.SLO {
 				majorGood.Incr(now)
 			}
 		}))

@@ -107,8 +107,8 @@ func RunFig7(cfg Fig7Config) *Fig7Result {
 				if e >= 0 {
 					slo := sloOf(e)
 					counters[e].sent++
-					cl.Submit(0, core.SubmitSpec{Model: model, SLO: slo}, core.ResponseFunc(func(r core.Response, l time.Duration) {
-						if r.Success && l <= slo {
+					cl.Submit(0, core.SubmitSpec{Model: model, SLO: slo}, core.ResultFunc(func(r core.Result) {
+						if r.Success && r.Latency <= slo {
 							counters[e].ok++
 						}
 					}))
@@ -241,8 +241,8 @@ func RunFig7Isolation(cfg Fig7IsoConfig) *Fig7IsoResult {
 				if e := epochOf(now); e >= 0 {
 					slo := sloOf(e)
 					epochs[e].lsSent++
-					cl.Submit(0, core.SubmitSpec{Model: model, SLO: slo}, core.ResponseFunc(func(r core.Response, l time.Duration) {
-						if r.Success && l <= slo {
+					cl.Submit(0, core.SubmitSpec{Model: model, SLO: slo}, core.ResultFunc(func(r core.Result) {
+						if r.Success && r.Latency <= slo {
 							epochs[e].lsOK++
 						}
 					}))
@@ -255,6 +255,7 @@ func RunFig7Isolation(cfg Fig7IsoConfig) *Fig7IsoResult {
 
 	// BC: closed-loop clients with an effectively unbounded SLO.
 	const bcSLO = 60 * time.Second
+	netLatency := cl.Config().NetLatency
 	for _, name := range bcNames {
 		model := name
 		var inFlight func()
@@ -262,9 +263,12 @@ func RunFig7Isolation(cfg Fig7IsoConfig) *Fig7IsoResult {
 			if cl.Eng.Now() >= endAt {
 				return
 			}
-			cl.Submit(0, core.SubmitSpec{Model: model, SLO: bcSLO}, core.ResponseFunc(func(r core.Response, _ time.Duration) {
+			cl.Submit(0, core.SubmitSpec{Model: model, SLO: bcSLO}, core.ResultFunc(func(r core.Result) {
 				if r.Success {
-					if e := epochOf(r.CompletedAt); e >= 0 {
+					// The response left the controller one client-link
+					// latency ago: the link has no bandwidth cap and no
+					// jitter.
+					if e := epochOf(cl.Eng.Now().Add(-netLatency)); e >= 0 {
 						epochs[e].bcDone++
 					}
 				}

@@ -136,8 +136,8 @@ func RunFig8(cfg Fig8Config) *Fig8Result {
 		Requests:    cl.Ctl.Stats().Requests,
 		Throughput:  float64(m.Throughput.TotalCount()) / (float64(cfg.Minutes) * 60),
 		Goodput:     float64(m.Goodput.TotalCount()) / (float64(cfg.Minutes) * 60),
-		Failed:      m.Failures.Value(),
-		SLOExceeded: m.SLOMisses.Value(),
+		Failed:      m.Total.Failed,
+		SLOExceeded: m.Total.SLOMisses,
 		MaxLatency:  m.LatencyAll.Max(),
 		Cluster:     cl,
 	}

@@ -46,8 +46,8 @@ func (c *ClosedLoopClient) submit() {
 		return
 	}
 	c.sent++
-	c.cl.Submit(0, core.SubmitSpec{Model: c.model, SLO: c.slo}, core.ResponseFunc(func(r core.Response, l time.Duration) {
-		if r.Success && l <= c.slo {
+	c.cl.Submit(0, core.SubmitSpec{Model: c.model, SLO: c.slo}, core.ResultFunc(func(r core.Result) {
+		if r.Success && r.Latency <= c.slo {
 			c.succeeded++
 		}
 		c.submit()
@@ -103,8 +103,8 @@ func (a *openLoopArrival) Run() {
 		return
 	}
 	c.sent++
-	c.cl.Submit(0, core.SubmitSpec{Model: c.model, SLO: c.slo}, core.ResponseFunc(func(r core.Response, l time.Duration) {
-		if r.Success && l <= c.slo {
+	c.cl.Submit(0, core.SubmitSpec{Model: c.model, SLO: c.slo}, core.ResultFunc(func(r core.Result) {
+		if r.Success && r.Latency <= c.slo {
 			c.succeeded++
 		}
 	}))

@@ -56,30 +56,13 @@ type ModelID = core.ModelID
 
 // PolicySpec describes a pluggable serving policy: a scheduler factory
 // plus the cluster-level switches the policy requires.
-type PolicySpec struct {
-	// New returns a fresh Scheduler per system; it must not share
-	// mutable state between instances.
-	New func() Scheduler
-	// DisableAdmissionControl turns off cancel-in-advance (baselines
-	// treat the SLO as a soft goal and execute late requests).
-	DisableAdmissionControl bool
-	// BestEffortWorkers runs workers in the baseline thread-pool mode:
-	// concurrent EXECs with the Fig 2b latency variability.
-	BestEffortWorkers bool
-	// Description is a one-line summary for listings.
-	Description string
-}
+type PolicySpec = core.PolicySpec
 
 // RegisterPolicy adds a named policy so New(Config{Policy: name}) can
 // resolve it. Names must be unique (ErrDuplicatePolicy otherwise);
 // built-in policies and the baselines register themselves the same way.
 func RegisterPolicy(name Policy, spec PolicySpec) error {
-	return core.RegisterPolicy(string(name), core.PolicySpec{
-		New:                     spec.New,
-		DisableAdmissionControl: spec.DisableAdmissionControl,
-		WorkerBestEffort:        spec.BestEffortWorkers,
-		Description:             spec.Description,
-	})
+	return core.RegisterPolicy(string(name), spec)
 }
 
 // ErrDuplicatePolicy: RegisterPolicy was called twice for one name.

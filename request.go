@@ -3,8 +3,6 @@ package clockwork
 import (
 	"context"
 	"errors"
-	"sync"
-	"time"
 
 	"clockwork/internal/core"
 )
@@ -51,45 +49,11 @@ var (
 
 // Request describes one inference submission. Model and SLO are
 // required; the remaining fields are optional per-request choices the
-// controller folds into its global plan (the paper's thesis: every
-// performance-relevant choice is consolidated centrally — this struct
-// is how clients state theirs).
-type Request struct {
-	// Model is the registered instance name to serve.
-	Model string
-	// SLO is the end-to-end latency objective for this request.
-	SLO time.Duration
-	// Priority orders requests within a model's queue: higher values
-	// are served first, FIFO within a level. Default 0.
-	Priority int
-	// Tenant labels the request for per-tenant accounting (see
-	// TenantStats). Optional.
-	Tenant string
-	// MaxBatchSize, if > 0, caps the batch this request may execute in
-	// (1 forces solo execution).
-	MaxBatchSize int
-}
+// controller folds into its global plan.
+type Request = core.SubmitSpec
 
 // Result is the client-observed outcome of one inference request.
-type Result struct {
-	// RequestID is the controller-assigned request identifier.
-	RequestID uint64
-	// Model and Tenant echo the submission, for shared callbacks.
-	Model  string
-	Tenant string
-	// Success reports whether the inference executed and returned.
-	Success bool
-	// Reason is ReasonNone on success; otherwise it explains the
-	// failure (see the Reason constants).
-	Reason Reason
-	// Latency is the end-to-end client-observed latency.
-	Latency time.Duration
-	// Batch is the batch size the request executed in.
-	Batch int
-	// ColdStart reports whether the model was not GPU-resident when the
-	// request arrived.
-	ColdStart bool
-}
+type Result = core.Result
 
 // ErrHandleReleased is returned by Handle.Wait on a handle that was
 // released (or never initialised): the underlying slot may already
@@ -150,11 +114,7 @@ func (h Handle) Outcome() (Result, bool) {
 	if !h.valid() {
 		return Result{}, false
 	}
-	resp, latency, done := h.h.Outcome()
-	if !done {
-		return Result{}, false
-	}
-	return resultOf(resp, latency), true
+	return h.h.Outcome()
 }
 
 // Wait blocks until the request reaches a final outcome or ctx is
@@ -168,11 +128,7 @@ func (h Handle) Wait(ctx context.Context) (Result, error) {
 	if !h.valid() {
 		return Result{}, ErrHandleReleased
 	}
-	resp, latency, err := h.h.Wait(ctx)
-	if err != nil {
-		return Result{}, err
-	}
-	return resultOf(resp, latency), nil
+	return h.h.Wait(ctx)
 }
 
 // Cancel requests cancellation and reports whether it took effect:
@@ -182,19 +138,6 @@ func (h Handle) Wait(ctx context.Context) (Result, error) {
 // reports false, and so does a cancel on a released handle.
 func (h Handle) Cancel() bool {
 	return h.valid() && h.h.Cancel()
-}
-
-func resultOf(r core.Response, l time.Duration) Result {
-	return Result{
-		RequestID: r.RequestID,
-		Model:     r.Model,
-		Tenant:    r.Tenant,
-		Success:   r.Success,
-		Reason:    r.Reason,
-		Latency:   l,
-		Batch:     r.Batch,
-		ColdStart: r.ColdStart,
-	}
 }
 
 // SubmitRequest issues an inference request with full per-request
@@ -215,10 +158,10 @@ func (s *System) SubmitRequest(req Request, onDone func(Result)) (Handle, error)
 	}
 	var sink ResultSink
 	if onDone != nil {
-		sink = resultFunc(onDone)
+		sink = core.ResultFunc(onDone)
 	}
-	h := core.NewHandle(lowerResult(sink))
-	if err := s.cluster.Submit(shard, req.spec(), h); err != nil {
+	h := core.NewHandle(sink)
+	if err := s.cluster.Submit(shard, req, h); err != nil {
 		return Handle{}, err
 	}
 	return Handle{h: h, gen: h.Gen()}, nil
@@ -228,9 +171,7 @@ func (s *System) SubmitRequest(req Request, onDone func(Result)) (Handle, error)
 // alternative to SubmitRequest's onDone callback for callers that pool
 // their per-request state. OnResult runs on the engine goroutine, exactly once
 // per accepted submission; keep it short and non-blocking.
-type ResultSink interface {
-	OnResult(Result)
-}
+type ResultSink = core.ResultSink
 
 // SubmitRequestSink is the fire-and-forget submission path: no Handle is
 // minted (nothing to Wait on, nothing to Release), and the outcome is
@@ -242,46 +183,5 @@ type ResultSink interface {
 // Out-of-range shards are ErrNoSuchShard. This is the serving path for callers that keep per-request state in pools of
 // their own: nothing is allocated per request on the way down.
 func (s *System) SubmitRequestSink(shard int, req Request, sink ResultSink) error {
-	return s.cluster.Submit(shard, req.spec(), lowerResult(sink))
-}
-
-// spec translates the public request into the core submission spec.
-func (req Request) spec() core.SubmitSpec {
-	return core.SubmitSpec{
-		Model:    req.Model,
-		SLO:      req.SLO,
-		Priority: req.Priority,
-		Tenant:   req.Tenant,
-		MaxBatch: req.MaxBatchSize,
-	}
-}
-
-// resultFunc is SubmitRequest's onDone seen as a ResultSink.
-type resultFunc func(Result)
-
-func (f resultFunc) OnResult(r Result) { f(r) }
-
-// resultLower adapts a ResultSink to the core ResponseSink. It recycles itself through a
-// pool the moment the response fires, so lowering allocates nothing per
-// request in steady state.
-type resultLower struct{ sink ResultSink }
-
-var resultLowerPool = sync.Pool{New: func() any { return new(resultLower) }}
-
-// lowerResult returns a pooled adapter for sink, or nil when there is
-// nothing to notify.
-func lowerResult(sink ResultSink) core.ResponseSink {
-	if sink == nil {
-		return nil
-	}
-	b := resultLowerPool.Get().(*resultLower)
-	b.sink = sink
-	return b
-}
-
-func (b *resultLower) OnResponse(r core.Response, l time.Duration) {
-	sink := b.sink
-	*b = resultLower{}
-	resultLowerPool.Put(b)
-	sink.OnResult(resultOf(r, l))
+	return s.cluster.Submit(shard, req, sink)
 }
