@@ -153,53 +153,8 @@ func ReplayEpochTraced(e *EpochData, flight *trace.Recorder) (*ReplayResult, err
 				return nil, fmt.Errorf("seq %d: %w", rec.Seq, err)
 			}
 			i = j
-		case recRegister:
-			rec := rec
-			if err := rp.Apply(rec.Step, rec.VT, func() {
-				if rec.Copies > 0 {
-					_, _ = sys.RegisterCopies(rec.Instance, rec.Zoo, rec.Copies)
-				} else {
-					_ = sys.RegisterModel(rec.Instance, rec.Zoo)
-				}
-			}); err != nil {
-				return nil, fmt.Errorf("seq %d: %w", rec.Seq, err)
-			}
-		case recAddWorker:
-			if err := rp.Apply(rec.Step, rec.VT, func() { sys.AddWorker() }); err != nil {
-				return nil, fmt.Errorf("seq %d: %w", rec.Seq, err)
-			}
-		case recDrainWorker:
-			id := rec.WorkerID
-			if err := rp.Apply(rec.Step, rec.VT, func() { _ = sys.DrainWorker(id) }); err != nil {
-				return nil, fmt.Errorf("seq %d: %w", rec.Seq, err)
-			}
-		case recFailWorker:
-			id := rec.WorkerID
-			if err := rp.Apply(rec.Step, rec.VT, func() { _ = sys.FailWorker(id) }); err != nil {
-				return nil, fmt.Errorf("seq %d: %w", rec.Seq, err)
-			}
-		case recRebalance:
-			if err := rp.Apply(rec.Step, rec.VT, func() { sys.Rebalance() }); err != nil {
-				return nil, fmt.Errorf("seq %d: %w", rec.Seq, err)
-			}
-		case recAutoscale:
-			// Re-apply the recorded decision's engine-visible actuations.
-			// The window itself lives at the serve layer (admission is
-			// outside the engine) and needs no replay — but the worker
-			// ops ran inside the decision's injected closure and must
-			// land at the same step.
-			add, drain, reb := rec.AddWorkers, rec.WorkerID, rec.Rebal
-			if err := rp.Apply(rec.Step, rec.VT, func() {
-				for k := 0; k < add; k++ {
-					sys.AddWorker()
-				}
-				if drain >= 0 {
-					_ = sys.DrainWorker(drain)
-				}
-				if reb {
-					sys.Rebalance()
-				}
-			}); err != nil {
+		case recRegister, recAddWorker, recDrainWorker, recFailWorker, recRebalance, recAutoscale:
+			if err := rp.Apply(rec.Step, rec.VT, func() { rec.applyOp(sys) }); err != nil {
 				return nil, fmt.Errorf("seq %d: %w", rec.Seq, err)
 			}
 		case recNoop, recSnapshot:
@@ -230,6 +185,44 @@ func ReplayEpochTraced(e *EpochData, flight *trace.Recorder) (*ReplayResult, err
 	res.FinalVT = sys.Now()
 	res.Summary = sys.Summary()
 	return res, nil
+}
+
+// applyOp re-applies a control-plane record's System calls and reports
+// whether rec is one. An op that failed live (a duplicate name, an
+// unknown worker) fails identically here, and both outcomes leave the
+// same state, so errors are dropped. An autoscale record re-applies the
+// decision's engine-visible actuations; its window lives at the serve
+// layer (admission is outside the engine) and needs no replay.
+func (rec *Record) applyOp(sys *clockwork.System) bool {
+	switch rec.Type {
+	case recRegister:
+		if rec.Copies > 0 {
+			_, _ = sys.RegisterCopies(rec.Instance, rec.Zoo, rec.Copies)
+		} else {
+			_ = sys.RegisterModel(rec.Instance, rec.Zoo)
+		}
+	case recAddWorker:
+		sys.AddWorker()
+	case recDrainWorker:
+		_ = sys.DrainWorker(rec.WorkerID)
+	case recFailWorker:
+		_ = sys.FailWorker(rec.WorkerID)
+	case recRebalance:
+		sys.Rebalance()
+	case recAutoscale:
+		for k := 0; k < rec.AddWorkers; k++ {
+			sys.AddWorker()
+		}
+		if rec.WorkerID >= 0 {
+			_ = sys.DrainWorker(rec.WorkerID)
+		}
+		if rec.Rebal {
+			sys.Rebalance()
+		}
+	default:
+		return false
+	}
+	return true
 }
 
 // ---- crash recovery ----
@@ -311,42 +304,11 @@ func (e *EpochData) Rebuild() (*clockwork.System, *State, *RecoveryReport, error
 		if rec.Seq <= baseSeq {
 			continue
 		}
-		switch rec.Type {
-		case recRegister:
-			if rec.Copies > 0 {
-				_, err = sys.RegisterCopies(rec.Instance, rec.Zoo, rec.Copies)
-			} else {
-				err = sys.RegisterModel(rec.Instance, rec.Zoo)
-			}
-			// A registration that failed live (duplicate name) fails
-			// identically here; both outcomes restore the same
-			// registry.
-			_ = err
+		if rec.applyOp(sys) {
 			rep.AppliedOps++
-		case recAddWorker:
-			sys.AddWorker()
-			rep.AppliedOps++
-		case recDrainWorker:
-			_ = sys.DrainWorker(rec.WorkerID)
-			rep.AppliedOps++
-		case recFailWorker:
-			_ = sys.FailWorker(rec.WorkerID)
-			rep.AppliedOps++
-		case recRebalance:
-			sys.Rebalance()
-			rep.AppliedOps++
-		case recAutoscale:
-			for k := 0; k < rec.AddWorkers; k++ {
-				sys.AddWorker()
-			}
-			if rec.WorkerID >= 0 {
-				_ = sys.DrainWorker(rec.WorkerID)
-			}
-			if rec.Rebal {
-				sys.Rebalance()
-			}
+		}
+		if rec.Type == recAutoscale {
 			lastWindow = rec.Window
-			rep.AppliedOps++
 		}
 	}
 	for i := range e.Records {
