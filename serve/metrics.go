@@ -55,7 +55,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 	}
-	counter("clockwork_requests_total", "Client requests with a final outcome.", st.Requests)
+	counter("clockwork_requests_total", "Client requests that reached the controller, including those still in flight.", st.Requests)
 	counter("clockwork_succeeded_total", "Requests that executed and returned.", st.Succeeded)
 	counter("clockwork_failed_total", "Requests with a failure outcome.", st.Failed)
 	counter("clockwork_slo_misses_total", "Successful responses that exceeded their SLO.", st.SLOMisses)
@@ -111,14 +111,20 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("clockwork_autoscaler_workers_drained_total", "Workers drained by the closed loop.", s.ascDrained.Load())
 	}
 
-	fmt.Fprintf(&b, "# HELP clockwork_latency_seconds Client-observed latency (virtual clock).\n")
+	// The summary's count is its observations: one per request with a
+	// final outcome, which the shard bins count too.
+	var completed uint64
+	for _, sb := range shards {
+		completed += sb.Requests
+	}
+	fmt.Fprintf(&b, "# HELP clockwork_latency_seconds Client-observed latency of requests with a final outcome (virtual clock).\n")
 	fmt.Fprintf(&b, "# TYPE clockwork_latency_seconds summary\n")
 	for i, q := range latencyQuantiles {
 		fmt.Fprintf(&b, "clockwork_latency_seconds{quantile=%q} %g\n", q.label, quants[i])
 	}
-	fmt.Fprintf(&b, "clockwork_latency_seconds_count %d\n", st.Requests)
+	fmt.Fprintf(&b, "clockwork_latency_seconds_count %d\n", completed)
 
-	fmt.Fprintf(&b, "# HELP clockwork_shard_requests_total Requests attributed to each shard.\n")
+	fmt.Fprintf(&b, "# HELP clockwork_shard_requests_total Requests with a final outcome, attributed to the shard owning the model at completion.\n")
 	fmt.Fprintf(&b, "# TYPE clockwork_shard_requests_total counter\n")
 	for i, sb := range shards {
 		fmt.Fprintf(&b, "clockwork_shard_requests_total{shard=\"%d\"} %d\n", i, sb.Requests)

@@ -168,6 +168,48 @@ func TestServeMetricsEndpoint(t *testing.T) {
 	}
 }
 
+// TestMetricsLatencyCountsCompletions: the latency summary's _count is
+// the number of observations behind its quantiles — requests with a
+// final outcome — not the controller's arrival count, which includes
+// requests still in flight.
+func TestMetricsLatencyCountsCompletions(t *testing.T) {
+	sys, err := clockwork.New(clockwork.Config{})
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	if err := sys.RegisterModel("m", "resnet50_v1b"); err != nil {
+		t.Fatalf("RegisterModel: %v", err)
+	}
+	for i := 0; i < 8; i++ {
+		if _, err := sys.SubmitRequest(clockwork.Request{Model: "m", SLO: time.Second}, nil); err != nil {
+			t.Fatalf("SubmitRequest: %v", err)
+		}
+	}
+	// Long enough to reach the controller, far short of the cold start;
+	// at this speed the requests stay in flight through the scrape.
+	sys.RunFor(time.Millisecond)
+	srv := New(sys, Options{Speed: 0.001})
+	t.Cleanup(func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("Shutdown: %v", err)
+		}
+	})
+	rec := httptest.NewRecorder()
+	srv.Handler().ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+	text := rec.Body.String()
+	for _, want := range []string{
+		"clockwork_requests_total 8\n",
+		"clockwork_latency_seconds_count 0\n",
+		`clockwork_shard_requests_total{shard="0"} 0` + "\n",
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q; got:\n%s", want, text)
+		}
+	}
+}
+
 // TestServeGracefulDrain checks the shutdown contract: in-flight
 // requests complete, new requests are refused, and the driver stops.
 func TestServeGracefulDrain(t *testing.T) {
