@@ -70,7 +70,7 @@ func main() {
 		if err := client.WaitReady(readyCtx); err != nil {
 			log.Fatalf("clockwork-loadgen: server %s not ready: %v", *addr, err)
 		}
-		cfg.Client = client
+		cfg.Transport = client
 	case "stream":
 		// The stream listener has no health endpoint; readiness is a
 		// successful dial, retried until the timeout.

@@ -56,7 +56,7 @@ func main() {
 
 	// …then a second of closed-loop load.
 	rep, err := serve.RunLoad(ctx, serve.LoadConfig{
-		Client:      client,
+		Transport:   client,
 		SLO:         500 * time.Millisecond,
 		Concurrency: 8,
 		Duration:    time.Second,

@@ -32,10 +32,7 @@ type BatchTransport interface {
 // LoadConfig parameterises one wall-clock load-generation run against a
 // clockworkd server.
 type LoadConfig struct {
-	// Client is the target server's HTTP client. Either Client or
-	// Transport must be set; Transport wins when both are.
-	Client *Client
-	// Transport, if non-nil, is the transport to drive — a
+	// Transport is the transport to drive (required): a Client, a
 	// StreamClient, or any custom Transport.
 	Transport Transport
 	// Batch, if > 1, makes closed-loop workers submit their requests
@@ -146,10 +143,7 @@ func newLoadWorkerState() *loadWorkerState {
 func RunLoad(ctx context.Context, cfg LoadConfig) (*LoadReport, error) {
 	transport := cfg.Transport
 	if transport == nil {
-		if cfg.Client == nil {
-			return nil, fmt.Errorf("serve: LoadConfig needs a Client or a Transport")
-		}
-		transport = cfg.Client
+		return nil, fmt.Errorf("serve: LoadConfig needs a Transport")
 	}
 	if cfg.SLO <= 0 {
 		cfg.SLO = 250 * time.Millisecond

@@ -335,7 +335,7 @@ func TestServeEndToEndLoad(t *testing.T) {
 	}
 
 	rep, err := RunLoad(ctx, LoadConfig{
-		Client:      client,
+		Transport:   client,
 		SLO:         time.Second,
 		Concurrency: 64,
 		Duration:    10 * time.Minute, // the request budget terminates the run
@@ -373,7 +373,7 @@ func TestServeOpenLoop(t *testing.T) {
 		t.Fatalf("RegisterModel: %v", err)
 	}
 	rep, err := RunLoad(ctx, LoadConfig{
-		Client:      client,
+		Transport:   client,
 		SLO:         time.Second,
 		Concurrency: 16,
 		Rate:        500,
