@@ -193,6 +193,52 @@ func TestPublicAPIBoundary(t *testing.T) {
 	}
 }
 
+// TestPackageComments: every package carries a package comment (a doc
+// comment directly above some file's package clause — doc.go by
+// convention), so `go doc` tells the request-lifecycle story end to end
+// (see ARCHITECTURE.md). go vet catches malformed doc directives; this
+// catches absent docs.
+func TestPackageComments(t *testing.T) {
+	fset := token.NewFileSet()
+	err := filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+		if err != nil || !d.IsDir() {
+			return err
+		}
+		if name := d.Name(); dir != "." && (name == "testdata" || strings.HasPrefix(name, ".") || strings.HasPrefix(name, "_")) {
+			return filepath.SkipDir
+		}
+		if _, err := os.Stat(filepath.Join(dir, "go.mod")); dir != "." && err == nil {
+			return filepath.SkipDir // another module (bench/)
+		}
+		paths, err := filepath.Glob(filepath.Join(dir, "*.go"))
+		if err != nil {
+			return err
+		}
+		found, documented := false, false
+		for _, p := range paths {
+			if strings.HasSuffix(p, "_test.go") {
+				continue
+			}
+			found = true
+			f, err := parser.ParseFile(fset, p, nil, parser.PackageClauseOnly|parser.ParseComments)
+			if err != nil {
+				return err
+			}
+			if f.Doc != nil {
+				documented = true
+				break
+			}
+		}
+		if found && !documented {
+			t.Errorf("package %s has no package comment", filepath.ToSlash(dir))
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+}
+
 // firstDiff shows the first line where got departs from want.
 func firstDiff(want, got string) string {
 	w, g := strings.Split(want, "\n"), strings.Split(got, "\n")
