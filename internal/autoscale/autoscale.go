@@ -7,9 +7,10 @@
 // and returns one Decision, with no clock reads and no randomness — so
 // a decision made inside an injected closure is deterministic at its
 // virtual instant, journalable as a single record, and bit-for-bit
-// reproducible under replay. Step runs one period end to end — gather
-// the signals, evaluate, apply the worker actions — for the daemon and
-// the simulated experiment alike. See ARCHITECTURE.md, "Closed-loop
+// reproducible under replay. Step senses and decides one period —
+// gather the signals, evaluate, pick the drain target — for the daemon
+// and the simulated experiment alike, and returns a journal.Autoscale
+// op that journal.Apply actuates. See ARCHITECTURE.md, "Closed-loop
 // control".
 package autoscale
 
@@ -164,8 +165,8 @@ type Decision struct {
 	// compare against the current window to see whether it moved.
 	Window int
 	// AddWorkers asks for that many AddWorker calls; DrainWorker asks
-	// for one active worker to be drained (the actuator picks which —
-	// by convention the highest-ID active worker, so the choice is
+	// for one active worker to be drained (Step picks which — by
+	// convention the highest-ID active worker, so the choice is
 	// deterministic). At most one of the two is set.
 	AddWorkers  int
 	DrainWorker bool

@@ -10,6 +10,7 @@ import (
 	"clockwork/internal/rng"
 	"clockwork/internal/runner"
 	"clockwork/internal/workload"
+	"clockwork/journal"
 	"clockwork/trace"
 )
 
@@ -260,10 +261,11 @@ func runAutoscaleCell(cfg AutoscaleConfig, arrivals []time.Duration, picks []int
 	}
 
 	if spec.closed {
-		// autoscale.Step is the sense → decide → act body the daemon's
-		// tick runs, here at virtual instants instead of wall ticks. The
-		// experiment shortens the hysteresis to one period: a spike is
-		// short, and the cooldown still spaces worker actions out.
+		// autoscale.Step and journal.Apply are the sense → decide → act
+		// body the daemon's tick runs, here at virtual instants instead
+		// of wall ticks and with no journal. The experiment shortens the
+		// hysteresis to one period: a spike is short, and the cooldown
+		// still spaces worker actions out.
 		ctl := autoscale.New(autoscale.Config{
 			Period:      cfg.Period,
 			MinWindow:   cfg.MinWindow,
@@ -274,15 +276,13 @@ func runAutoscaleCell(cfg AutoscaleConfig, arrivals []time.Duration, picks []int
 		})
 		var tick func()
 		tick = func() {
-			a := autoscale.Step(sys, ctl, shedPeriod, window)
+			op, _ := autoscale.Step(sys, ctl, shedPeriod, window)
+			_, _ = journal.Apply(sys, nil, op) // Step drains only an active worker: no error
 			shedPeriod = 0
-			window = a.Window
-			if a.Added > 0 || a.Drained >= 0 {
+			window = op.Window
+			if op.AddWorkers > 0 || op.Drain >= 0 {
 				account()
-				active += a.Added
-				if a.Drained >= 0 {
-					active--
-				}
+				active = sys.ActiveWorkers()
 				peak = max(peak, active)
 			}
 			if seen < len(arrivals) || finished < admitted {

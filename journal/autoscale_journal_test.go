@@ -146,3 +146,79 @@ func TestAutoscalerDecisionsReplayDeterministically(t *testing.T) {
 		t.Fatalf("recorded only %d acks, want >= 9", res.RecordedAcks)
 	}
 }
+
+// TestAutoscalerAdminPinRecovers is the operator round trip on a
+// journaled daemon with the loop on: a window beyond the bounds
+// clamps, a paused loop keeps an operator's pinned window, and
+// recovery carries the pinned window into the next epoch.
+func TestAutoscalerAdminPinRecovers(t *testing.T) {
+	dir := t.TempDir()
+	cfg := clockwork.Config{Workers: 1, GPUsPerWorker: 1, Seed: 3}
+	sys, err := clockwork.New(cfg)
+	if err != nil {
+		t.Fatalf("New: %v", err)
+	}
+	rec, err := journal.Create(dir, sys, cfg, journal.Options{Fsync: journal.FsyncNever, Speed: 2000})
+	if err != nil {
+		t.Fatalf("journal.Create: %v", err)
+	}
+	// A short period: an enabled loop ticks hundreds of times while
+	// the test waits, and idle periods would regrow any pinned window.
+	asc := serve.AutoscaleConfig{Period: 100 * time.Millisecond, MinWindow: 8, MaxWindow: 512}
+	srv := serve.New(sys, serve.Options{Speed: 2000, Journal: rec, Autoscale: &asc})
+	ts := httptest.NewServer(srv.Handler())
+	defer ts.Close()
+
+	call := func(method, body string) serve.AutoscalerStatusResponse {
+		t.Helper()
+		req, _ := http.NewRequest(method, ts.URL+"/v1/admin/autoscaler", bytes.NewBufferString(body))
+		resp, err := http.DefaultClient.Do(req)
+		if err != nil {
+			t.Fatalf("%s autoscaler: %v", method, err)
+		}
+		defer resp.Body.Close()
+		raw, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("%s autoscaler %s: status %d: %s", method, body, resp.StatusCode, raw)
+		}
+		var st serve.AutoscalerStatusResponse
+		if err := json.Unmarshal(raw, &st); err != nil {
+			t.Fatalf("autoscaler status: %v (%s)", err, raw)
+		}
+		return st
+	}
+
+	if st := call(http.MethodPost, `{"enabled": false, "window": 100000}`); st.Enabled || st.Window != 512 {
+		t.Fatalf("window above MaxWindow: %+v, want paused at 512", st)
+	}
+	if st := call(http.MethodPost, `{"window": 1}`); st.Window != 8 {
+		t.Fatalf("window below MinWindow: %+v, want 8", st)
+	}
+	if st := call(http.MethodPost, `{"enabled": false, "window": 64}`); st.Enabled || st.Window != 64 {
+		t.Fatalf("pin: %+v, want paused at 64", st)
+	}
+	time.Sleep(50 * time.Millisecond) // ~1,000 control periods at speed 2000
+	if st := call(http.MethodGet, ""); st.Enabled || st.Window != 64 {
+		t.Fatalf("pinned window did not stick: %+v, want paused at 64", st)
+	}
+	if got := srv.MaxInFlight(); got != 64 {
+		t.Fatalf("admission window = %d, want the pinned 64", got)
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := srv.Shutdown(ctx); err != nil {
+		t.Fatalf("Shutdown: %v", err)
+	}
+	ep, err := journal.Load(dir)
+	if err != nil {
+		t.Fatalf("Load: %v", err)
+	}
+	_, carry, _, err := ep.Rebuild()
+	if err != nil {
+		t.Fatalf("Rebuild: %v", err)
+	}
+	if carry.MaxInFlight != 64 {
+		t.Fatalf("recovered MaxInFlight = %d, want the pinned 64", carry.MaxInFlight)
+	}
+}

@@ -8,19 +8,23 @@
 // is the same deterministic event machinery the simulations run, so a
 // single-engine live system is a pure function of (seed, the sequence
 // of injected operations, each operation's virtual instant and engine
-// step position). The Recorder captures exactly that triple for every
-// injection the serve layer performs — inference submissions,
-// registrations, worker ops, and even read-only scrapes (as no-op
-// records, because reads consume engine steps too and replay must
-// consume them identically) — plus an acknowledgement record per
+// step position). The journal captures exactly that triple for every
+// injection the serve layer performs. A control-plane mutation is an
+// Op value (Register, AddWorker, DrainWorker, FailWorker, Rebalance,
+// Autoscale), and Apply records and applies it — the admin plane and
+// the autoscale tick call it with the Recorder, replay and recovery
+// with none, so live and replayed ops cannot drift apart. The Recorder
+// appends the rest: inference submissions, read-only scrapes (as
+// no-op records, because reads consume engine steps too and replay
+// must consume them identically), and an acknowledgement record per
 // completed request, appended on the engine turn before the response
 // can reach the client.
 //
 // Three consumers read the log back:
 //
 //   - Recovery (Load + Rebuild): restore the latest snapshot — or the
-//     genesis state — and re-apply the control-plane mutations recorded
-//     after it, so a daemon bounce loses no registered model and no
+//     genesis state — and Apply the control ops recorded after it,
+//     so a daemon bounce loses no registered model and no
 //     acknowledged request.
 //   - Deterministic replay (ReplayEpoch, cmd/clockwork-replay): rebuild
 //     the genesis system and re-execute every recorded injection at its

@@ -51,10 +51,11 @@ func (o *Options) withDefaults() Options {
 }
 
 // Recorder appends the injection journal for one live epoch. The
-// record methods are engine-confined: they must run inside the injected
-// closure (or engine-side callback) performing the operation they
-// record, because the (step, virtual time) stamp is read off the engine
-// at the call. Status and Close are safe from any goroutine.
+// record methods, and Apply with a recorder, are engine-confined: they
+// must run inside the injected closure (or engine-side callback)
+// performing the operation they record, because the (step, virtual
+// time) stamp is read off the engine at the call. Status and Close are
+// safe from any goroutine.
 //
 // Appends never block the serving path on storage: a write error
 // latches the recorder into a failed state (Status().Failed) and
@@ -151,7 +152,11 @@ func (r *Recorder) syncLoop(every time.Duration) {
 		case <-r.stopSync:
 			return
 		case <-t.C:
-			_ = r.w.sync()
+			// A failed sync has latched the writer (Status reports
+			// it) and every later sync would fail the same way.
+			if r.w.sync() != nil {
+				return
+			}
 		}
 	}
 }
@@ -233,55 +238,16 @@ func (r *Recorder) Flush() {
 	}
 }
 
-// Register records a model registration (copies == 0 for a single
-// instance, > 0 for RegisterCopies).
-func (r *Recorder) Register(instance, zoo string, copies int) {
-	rec := Record{Type: recRegister, Instance: instance, Zoo: zoo, Copies: copies}
+// appendOp journals a control op — Apply's record step — flushed to
+// the kernel at once. An Autoscale op's window also becomes the
+// admission config a later snapshot carries forward into recovery.
+func (r *Recorder) appendOp(op Op) {
+	rec := op.record()
 	r.stamp(&rec)
 	_, _ = r.w.append(&rec, true)
-}
-
-// AddWorker, DrainWorker, FailWorker and Rebalance record the operator
-// control-plane mutations.
-func (r *Recorder) AddWorker() {
-	rec := Record{Type: recAddWorker}
-	r.stamp(&rec)
-	_, _ = r.w.append(&rec, true)
-}
-
-// DrainWorker records a worker drain.
-func (r *Recorder) DrainWorker(id int) {
-	rec := Record{Type: recDrainWorker, WorkerID: id}
-	r.stamp(&rec)
-	_, _ = r.w.append(&rec, true)
-}
-
-// FailWorker records a worker fail.
-func (r *Recorder) FailWorker(id int) {
-	rec := Record{Type: recFailWorker, WorkerID: id}
-	r.stamp(&rec)
-	_, _ = r.w.append(&rec, true)
-}
-
-// Rebalance records an operator-triggered rebalance pass.
-func (r *Recorder) Rebalance() {
-	rec := Record{Type: recRebalance}
-	r.stamp(&rec)
-	_, _ = r.w.append(&rec, true)
-}
-
-// Autoscale records one closed-loop decision that moved something:
-// the admission window now in force, addWorkers AddWorker calls,
-// drainWorker as the drained worker's ID (-1 for none), and whether a
-// rebalance pass ran. The decision is recorded, not the signals — a
-// replay re-applies it at the recorded step and instant without
-// re-deriving it, and a future snapshot's genesis carries the adapted
-// window forward into recovery.
-func (r *Recorder) Autoscale(window, addWorkers, drainWorker int, rebalance bool) {
-	rec := Record{Type: recAutoscale, Window: window, AddWorkers: addWorkers, WorkerID: drainWorker, Rebal: rebalance}
-	r.stamp(&rec)
-	_, _ = r.w.append(&rec, true)
-	r.base.MaxInFlight = window
+	if a, ok := op.(Autoscale); ok {
+		r.base.MaxInFlight = a.Window
+	}
 }
 
 // Noop records an injected closure with no engine-visible effect — a

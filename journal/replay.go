@@ -153,10 +153,6 @@ func ReplayEpochTraced(e *EpochData, flight *trace.Recorder) (*ReplayResult, err
 				return nil, fmt.Errorf("seq %d: %w", rec.Seq, err)
 			}
 			i = j
-		case recRegister, recAddWorker, recDrainWorker, recFailWorker, recRebalance, recAutoscale:
-			if err := rp.Apply(rec.Step, rec.VT, func() { rec.applyOp(sys) }); err != nil {
-				return nil, fmt.Errorf("seq %d: %w", rec.Seq, err)
-			}
 		case recNoop, recSnapshot:
 			// The closure read state and scheduled nothing — but it
 			// consumed an engine step, so consume one here too.
@@ -164,7 +160,14 @@ func ReplayEpochTraced(e *EpochData, flight *trace.Recorder) (*ReplayResult, err
 				return nil, fmt.Errorf("seq %d: %w", rec.Seq, err)
 			}
 		default:
-			return nil, fmt.Errorf("journal: replay of unknown record type %d (seq %d)", rec.Type, rec.Seq)
+			op := rec.op()
+			if op == nil {
+				return nil, fmt.Errorf("journal: replay of unknown record type %d (seq %d)", rec.Type, rec.Seq)
+			}
+			// An op that failed live fails identically here.
+			if err := rp.Apply(rec.Step, rec.VT, func() { _, _ = Apply(sys, nil, op) }); err != nil {
+				return nil, fmt.Errorf("seq %d: %w", rec.Seq, err)
+			}
 		}
 	}
 
@@ -185,44 +188,6 @@ func ReplayEpochTraced(e *EpochData, flight *trace.Recorder) (*ReplayResult, err
 	res.FinalVT = sys.Now()
 	res.Summary = sys.Summary()
 	return res, nil
-}
-
-// applyOp re-applies a control-plane record's System calls and reports
-// whether rec is one. An op that failed live (a duplicate name, an
-// unknown worker) fails identically here, and both outcomes leave the
-// same state, so errors are dropped. An autoscale record re-applies the
-// decision's engine-visible actuations; its window lives at the serve
-// layer (admission is outside the engine) and needs no replay.
-func (rec *Record) applyOp(sys *clockwork.System) bool {
-	switch rec.Type {
-	case recRegister:
-		if rec.Copies > 0 {
-			_, _ = sys.RegisterCopies(rec.Instance, rec.Zoo, rec.Copies)
-		} else {
-			_ = sys.RegisterModel(rec.Instance, rec.Zoo)
-		}
-	case recAddWorker:
-		sys.AddWorker()
-	case recDrainWorker:
-		_ = sys.DrainWorker(rec.WorkerID)
-	case recFailWorker:
-		_ = sys.FailWorker(rec.WorkerID)
-	case recRebalance:
-		sys.Rebalance()
-	case recAutoscale:
-		for k := 0; k < rec.AddWorkers; k++ {
-			sys.AddWorker()
-		}
-		if rec.WorkerID >= 0 {
-			_ = sys.DrainWorker(rec.WorkerID)
-		}
-		if rec.Rebal {
-			sys.Rebalance()
-		}
-	default:
-		return false
-	}
-	return true
 }
 
 // ---- crash recovery ----
@@ -304,11 +269,12 @@ func (e *EpochData) Rebuild() (*clockwork.System, *State, *RecoveryReport, error
 		if rec.Seq <= baseSeq {
 			continue
 		}
-		if rec.applyOp(sys) {
+		if op := rec.op(); op != nil {
+			_, _ = Apply(sys, nil, op) // an op that failed live fails identically here
 			rep.AppliedOps++
-		}
-		if rec.Type == recAutoscale {
-			lastWindow = rec.Window
+			if a, ok := op.(Autoscale); ok {
+				lastWindow = a.Window
+			}
 		}
 	}
 	for i := range e.Records {

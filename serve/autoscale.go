@@ -5,18 +5,19 @@ import (
 	"net/http"
 
 	"clockwork/internal/autoscale"
+	"clockwork/journal"
 )
 
 // This file drives the closed control loop from the serve layer. Each
 // control period Live.Every runs autoscaleTick under the stop-the-world
 // barrier (Live.Do), where autoscale.Step gathers one period's signals
-// at a single virtual instant, runs the pure controller and applies
-// worker ops and rebalance inside the engine; the tick resizes the
-// admission window, which lives at the serve layer. With
-// journaling on, the tick appends exactly one record: the decision
-// (recAutoscale) when anything moved, a no-op otherwise, so replay
-// consumes the tick's engine step one-for-one and recovery carries the
-// adapted window forward.
+// at a single virtual instant and runs the pure controller, and
+// journal.Apply records and applies the resulting op's worker actions
+// inside the engine; the tick resizes the admission window, which lives
+// at the serve layer. With journaling on, the tick appends exactly one
+// record: the decision (recAutoscale) when anything moved, a no-op
+// otherwise, so replay consumes the tick's engine step one-for-one and
+// recovery carries the adapted window forward.
 
 // AutoscaleConfig configures the closed-loop autoscaler (re-exported
 // so callers outside the module can build one; see
@@ -27,10 +28,11 @@ type AutoscaleConfig = autoscale.Config
 // the server was built without Options.Autoscale.
 var ErrNoAutoscaler = errors.New("autoscaling is not enabled (start with -autoscale)")
 
-// autoscaleTick runs engine-side once per control period: sense,
-// decide and act (autoscale.Step), apply the window, journal. Exactly one goroutine
-// (the Every ticker) triggers it, so the controller and the signal
-// drains keep their single-consumer discipline.
+// autoscaleTick runs engine-side once per control period: sense and
+// decide (autoscale.Step), then record and act (journal.Apply) and
+// apply the window. Exactly one goroutine (the Every ticker) triggers
+// it, so the controller and the signal drains keep their
+// single-consumer discipline.
 func (s *Server) autoscaleTick() {
 	// Drain the period accumulators even when paused, so a re-enable
 	// starts from a fresh period instead of a backlog of stale signal.
@@ -41,34 +43,26 @@ func (s *Server) autoscaleTick() {
 		return
 	}
 
+	// The ascX counters are lock-free status mirrors for /metrics and
+	// the admin plane — no engine call needed to observe the loop.
 	window := s.MaxInFlight()
-	a := autoscale.Step(s.sys, s.asc, shed, window)
-	if a.Window != window {
-		s.SetMaxInFlight(a.Window)
-	}
-	moved := a.Window != window || a.Added > 0 || a.Drained >= 0 || a.Rebalanced
-	if s.rec != nil {
-		if moved {
-			s.rec.Autoscale(a.Window, a.Added, a.Drained, a.Rebalanced)
-		} else {
-			s.rec.Noop()
-		}
-	}
-
-	// Lock-free status mirrors for /metrics and the admin plane — no
-	// engine call needed to observe the loop.
+	op, reason := autoscale.Step(s.sys, s.asc, shed, window)
 	s.ascTicks.Add(1)
-	if moved {
+	if op.Window != window || op.AddWorkers > 0 || op.Drain >= 0 || op.Rebalance {
+		_, _ = journal.Apply(s.sys, s.rec, op) // Step drains only an active worker: no error
+		s.SetMaxInFlight(op.Window)
 		s.ascMoves.Add(1)
+	} else {
+		s.recNoop()
 	}
-	s.ascAdded.Add(uint64(a.Added))
-	if a.Drained >= 0 {
+	s.ascAdded.Add(uint64(op.AddWorkers))
+	if op.Drain >= 0 {
 		s.ascDrained.Add(1)
 	}
-	s.ascWindow.Store(int64(a.Window))
-	if a.Reason != "" {
+	s.ascWindow.Store(int64(op.Window))
+	if reason != "" {
 		s.ascMu.Lock()
-		s.ascReason = a.Reason
+		s.ascReason = reason
 		s.ascMu.Unlock()
 	}
 }
@@ -124,17 +118,9 @@ func (s *Server) handleAutoscalerPost(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Window != nil {
 		cfg := s.asc.Config()
-		n := *req.Window
-		if n < cfg.MinWindow {
-			n = cfg.MinWindow
-		}
-		if n > cfg.MaxWindow {
-			n = cfg.MaxWindow
-		}
+		n := min(max(*req.Window, cfg.MinWindow), cfg.MaxWindow)
 		doErr := s.live.Do(func() {
-			if s.rec != nil {
-				s.rec.Autoscale(n, 0, -1, false)
-			}
+			_, _ = journal.Apply(s.sys, s.rec, journal.Autoscale{Window: n, Drain: -1})
 			s.SetMaxInFlight(n)
 			s.ascWindow.Store(int64(n))
 		})

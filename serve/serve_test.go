@@ -96,6 +96,14 @@ func TestServeTypedErrors(t *testing.T) {
 	if err := client.RegisterModel(ctx, "m2", "no-such-zoo"); !errors.Is(err, clockwork.ErrUnknownModel) {
 		t.Fatalf("bad zoo: got %v, want ErrUnknownModel", err)
 	}
+	// A negative copies count is refused before anything registers.
+	_, err = client.RegisterCopies(ctx, "neg", "resnet50_v1b", -2)
+	if !errors.Is(err, clockwork.ErrInvalidRequest) || !errors.As(err, &apiErr) || apiErr.Status != http.StatusBadRequest {
+		t.Fatalf("negative copies: got %v, want 400 ErrInvalidRequest", err)
+	}
+	if models, err := client.Models(ctx); err != nil || len(models) != 1 {
+		t.Fatalf("after refused registrations: models = %v, %v; want [m]", models, err)
+	}
 	_, err = client.Infer(ctx, clockwork.Request{Model: "m", SLO: -time.Second})
 	if !errors.Is(err, clockwork.ErrInvalidRequest) {
 		t.Fatalf("bad SLO: got %v, want ErrInvalidRequest", err)

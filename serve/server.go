@@ -197,8 +197,8 @@ func New(sys *clockwork.System, opts Options) *Server {
 	s.mux.HandleFunc("GET /v1/models", s.handleModels)
 	s.mux.HandleFunc("GET /v1/stats", s.handleStats)
 	s.mux.HandleFunc("POST /v1/admin/workers", s.handleAddWorker)
-	s.mux.HandleFunc("POST /v1/admin/workers/drain", s.handleWorkerOp("drain", sys.DrainWorker))
-	s.mux.HandleFunc("POST /v1/admin/workers/fail", s.handleWorkerOp("fail", sys.FailWorker))
+	s.mux.HandleFunc("POST /v1/admin/workers/drain", s.handleWorkerOp(func(id int) journal.Op { return journal.DrainWorker{ID: id} }))
+	s.mux.HandleFunc("POST /v1/admin/workers/fail", s.handleWorkerOp(func(id int) journal.Op { return journal.FailWorker{ID: id} }))
 	s.mux.HandleFunc("POST /v1/admin/rebalance", s.handleRebalance)
 	s.mux.HandleFunc("GET /v1/admin/shards", s.handleShards)
 	s.mux.HandleFunc("POST /v1/admin/snapshot", s.handleSnapshot)
@@ -551,36 +551,36 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	if !decodeJSON(w, r, &req) {
 		return
 	}
-	if req.Instance == "" || req.Zoo == "" {
+	if req.Instance == "" || req.Zoo == "" || req.Copies < 0 {
 		writeError(w, http.StatusBadRequest, "invalid_request",
-			errors.New("instance and zoo are required"))
+			errors.New("instance and zoo are required, and copies must be >= 0"))
 		return
 	}
-	var names []string
+	if eff, ok := s.apply(w, journal.Register{Instance: req.Instance, Zoo: req.Zoo, Copies: req.Copies}, nil); ok {
+		writeJSON(w, RegisterResponse{Instances: eff.Instances})
+	}
+}
+
+// apply runs a control op on the engine through journal.Apply —
+// recorded first when journaling, so a failed op fails identically on
+// replay — then, when it succeeded, then (if non-nil) in the same
+// barrier. It answers the error when the barrier or the op failed.
+func (s *Server) apply(w http.ResponseWriter, op journal.Op, then func()) (journal.Effect, bool) {
+	var eff journal.Effect
 	var err error
 	doErr := s.live.Do(func() {
-		if s.rec != nil {
-			// Recorded before the call: a registration that fails here
-			// (duplicate name) fails identically on recovery and replay,
-			// restoring the same registry either way.
-			s.rec.Register(req.Instance, req.Zoo, req.Copies)
-		}
-		if req.Copies > 0 {
-			names, err = s.sys.RegisterCopies(req.Instance, req.Zoo, req.Copies)
-		} else {
-			err = s.sys.RegisterModel(req.Instance, req.Zoo)
-			names = []string{req.Instance}
+		if eff, err = journal.Apply(s.sys, s.rec, op); err == nil && then != nil {
+			then()
 		}
 	})
 	if doErr != nil {
-		writeAPIError(w, doErr)
-		return
+		err = doErr
 	}
 	if err != nil {
 		writeAPIError(w, err)
-		return
+		return eff, false
 	}
-	writeJSON(w, RegisterResponse{Instances: names})
+	return eff, true
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
@@ -623,66 +623,30 @@ func (s *Server) snapshot() (StatsResponse, error) {
 }
 
 func (s *Server) handleAddWorker(w http.ResponseWriter, r *http.Request) {
-	var id int
-	doFn := func() {
-		if s.rec != nil {
-			s.rec.AddWorker()
-		}
-		id = s.sys.AddWorker()
+	if eff, ok := s.apply(w, journal.AddWorker{}, nil); ok {
+		writeJSON(w, WorkerResponse{ID: eff.Worker, State: "active"})
 	}
-	if doErr := s.live.Do(doFn); doErr != nil {
-		writeAPIError(w, doErr)
-		return
-	}
-	writeJSON(w, WorkerResponse{ID: id, State: "active"})
 }
 
-func (s *Server) handleWorkerOp(kind string, op func(int) error) http.HandlerFunc {
+// handleWorkerOp answers a drain or fail: op builds the control op for
+// the requested worker ID.
+func (s *Server) handleWorkerOp(op func(id int) journal.Op) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		var req WorkerRequest
 		if !decodeJSON(w, r, &req) {
 			return
 		}
-		var err error
 		var state clockwork.WorkerState
-		doErr := s.live.Do(func() {
-			if s.rec != nil {
-				switch kind {
-				case "drain":
-					s.rec.DrainWorker(req.ID)
-				case "fail":
-					s.rec.FailWorker(req.ID)
-				}
-			}
-			if err = op(req.ID); err == nil {
-				state, _ = s.sys.WorkerStateOf(req.ID)
-			}
-		})
-		if doErr != nil {
-			writeAPIError(w, doErr)
-			return
+		if _, ok := s.apply(w, op(req.ID), func() { state, _ = s.sys.WorkerStateOf(req.ID) }); ok {
+			writeJSON(w, WorkerResponse{ID: req.ID, State: state.String()})
 		}
-		if err != nil {
-			writeAPIError(w, err)
-			return
-		}
-		writeJSON(w, WorkerResponse{ID: req.ID, State: state.String()})
 	}
 }
 
 func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
-	var migrated int
-	doFn := func() {
-		if s.rec != nil {
-			s.rec.Rebalance()
-		}
-		migrated = s.sys.Rebalance()
+	if eff, ok := s.apply(w, journal.Rebalance{}, nil); ok {
+		writeJSON(w, RebalanceResponse{Migrated: eff.Migrations})
 	}
-	if doErr := s.live.Do(doFn); doErr != nil {
-		writeAPIError(w, doErr)
-		return
-	}
-	writeJSON(w, RebalanceResponse{Migrated: migrated})
 }
 
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {

@@ -54,6 +54,7 @@ func (r InferResponse) Result() clockwork.Result {
 // RegisterRequest is the POST /v1/models body. With Copies == 0 it
 // registers one instance named Instance; with Copies > 0 it registers
 // Copies instances named "<Instance>#0" … (the RegisterCopies pattern).
+// A negative Copies is refused with 400 invalid_request.
 type RegisterRequest struct {
 	// Instance is the serving name (or base name, with Copies > 0).
 	Instance string `json:"instance"`
