@@ -201,7 +201,7 @@ func (c *Controller) Config() Config { return c.cfg }
 // Evaluate consumes one period's signals and returns the actuation
 // plan. Pure except for the controller's own hysteresis state.
 func (c *Controller) Evaluate(s Signals) Decision {
-	d := Decision{Window: c.clampWindow(s.Window)}
+	d := Decision{Window: c.ClampWindow(s.Window)}
 
 	// ---- admission window (AIMD with asymmetric hysteresis) ----
 	//
@@ -223,7 +223,7 @@ func (c *Controller) Evaluate(s Signals) Decision {
 		// Shrink immediately: every period above the watermark is SLO
 		// damage already done.
 		c.lowStreak = 0
-		nw := c.clampWindow(int(float64(d.Window) * shrinkFactor))
+		nw := c.ClampWindow(int(float64(d.Window) * shrinkFactor))
 		if nw < d.Window {
 			d.Window = nw
 			d.Reason = fmt.Sprintf("shrink window: violation rate %.2f%%", 100*rate)
@@ -248,7 +248,7 @@ func (c *Controller) Evaluate(s Signals) Decision {
 				// half of AIMD runs in reverse here).
 				step = d.Window
 			}
-			nw := c.clampWindow(d.Window + step)
+			nw := c.ClampWindow(d.Window + step)
 			if nw > d.Window {
 				d.Window = nw
 				if s.Shed > 0 {
@@ -346,7 +346,13 @@ func (c *Controller) demandUtil(s Signals) float64 {
 	return float64(s.Demand) / capacity
 }
 
-func (c *Controller) clampWindow(w int) int {
+// ClampWindow bounds every window the loop runs with — at startup, an
+// operator's pin, each Evaluate — into [MinWindow, MaxWindow]. w <= 0
+// (unbounded) clamps to the ceiling: the loop needs a finite window.
+func (c *Controller) ClampWindow(w int) int {
+	if w <= 0 {
+		return c.cfg.MaxWindow
+	}
 	if w < c.cfg.MinWindow {
 		return c.cfg.MinWindow
 	}

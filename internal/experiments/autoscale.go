@@ -217,18 +217,7 @@ func runAutoscaleCell(cfg AutoscaleConfig, arrivals []time.Duration, picks []int
 	}
 	names := registerScaleModels(sys, cfg.Models)
 
-	window := spec.window
-	startWindow := window
-	if spec.closed {
-		window = cfg.MaxWindow
-		startWindow = window
-	}
-
-	// Client-side admission: the sim equivalent of the serve layer's
-	// window. seen counts every arrival, admitted the submitted subset.
-	var seen, admitted, finished int
-	var shed, shedPeriod uint64
-	inflight := 0
+	win := autoscale.NewWindow(spec.window, sys.FlightRecorder())
 
 	// GPU-seconds integral: worker-seconds accumulated at every
 	// membership change, folded with the GPU geometry at the end.
@@ -242,19 +231,19 @@ func runAutoscaleCell(cfg AutoscaleConfig, arrivals []time.Duration, picks []int
 		lastAt = now
 	}
 
+	// The cell runs while arrivals are left (they were scheduled first,
+	// so they precede a tick at the same instant) or admitted requests
+	// await their outcomes.
+	n := len(arrivals)
+	running := func() bool { return n > 0 && sys.Now() < arrivals[n-1] || win.InFlight() > 0 }
 	for i, at := range arrivals {
 		model := names[picks[i]]
 		sys.After(at, func() {
-			seen++
-			if window > 0 && inflight >= window {
-				shed++
-				shedPeriod++
+			if !win.Admit() {
 				return
 			}
-			inflight++
-			admitted++
 			if _, err := sys.SubmitRequest(clockwork.Request{Model: model, SLO: cfg.SLO},
-				func(clockwork.Result) { inflight--; finished++ }); err != nil {
+				func(clockwork.Result) { win.Release() }); err != nil {
 				panic("experiments: " + err.Error())
 			}
 		})
@@ -274,25 +263,26 @@ func runAutoscaleCell(cfg AutoscaleConfig, arrivals []time.Duration, picks []int
 			MaxWorkers:  cfg.MaxWorkers,
 			GrowSustain: 1, WorkerSustain: 1, Cooldown: 1,
 		})
+		win.SetLimit(ctl.ClampWindow(0))
 		var tick func()
 		tick = func() {
-			op, _ := autoscale.Step(sys, ctl, shedPeriod, window)
+			op, _ := autoscale.Step(sys, ctl, win.TakeShed(), win.Limit())
 			_, _ = journal.Apply(sys, nil, op) // Step drains only an active worker: no error
-			shedPeriod = 0
-			window = op.Window
+			win.SetLimit(op.Window)
 			if op.AddWorkers > 0 || op.Drain >= 0 {
 				account()
 				active = sys.ActiveWorkers()
 				peak = max(peak, active)
 			}
-			if seen < len(arrivals) || finished < admitted {
+			if running() {
 				sys.After(cfg.Period, tick)
 			}
 		}
 		sys.After(cfg.Period, tick)
 	}
+	startWindow := win.Limit()
 
-	for seen < len(arrivals) || finished < admitted {
+	for running() {
 		sys.RunFor(time.Second)
 	}
 	account()
@@ -303,10 +293,10 @@ func runAutoscaleCell(cfg AutoscaleConfig, arrivals []time.Duration, picks []int
 		StartWorkers: spec.workers,
 		PeakWorkers:  peak,
 		StartWindow:  startWindow,
-		FinalWindow:  window,
+		FinalWindow:  win.Limit(),
 		Arrivals:     uint64(len(arrivals)),
-		Shed:         shed,
-		Violations:   shed + sum.Failed + sum.SLOMisses,
+		Shed:         win.Shed(),
+		Violations:   win.Shed() + sum.Failed + sum.SLOMisses,
 		P99:          sum.P99,
 		GPUSeconds:   workerSec * float64(cfg.GPUsPerWorker),
 	}

@@ -138,11 +138,23 @@ func TestAutoscaleTracedBitIdentical(t *testing.T) {
 	plain := RunAutoscale(cfg).String()
 	tap := &recorderTap{}
 	cfg.FlightRecorder = tap.factory
-	traced := RunAutoscale(cfg).String()
-	if plain != traced {
+	res := RunAutoscale(cfg)
+	if traced := res.String(); plain != traced {
 		t.Errorf("autoscale sweep changed under rate-1.0 tracing\nuntraced:\n%s\ntraced:\n%s", plain, traced)
 	}
 	if tap.finalized() == 0 {
 		t.Fatal("no lifecycles recorded")
+	}
+	// Every refusal at a cell's admission window reaches its flight
+	// recorder, as the daemon's do.
+	var shed, recorded uint64
+	for _, cell := range res.Cells {
+		shed += cell.Shed
+	}
+	for _, r := range tap.recs {
+		recorded += r.Aggregate().Stats.Shed
+	}
+	if shed == 0 || recorded != shed {
+		t.Errorf("flight recorders counted %d sheds, cells shed %d (want equal and nonzero)", recorded, shed)
 	}
 }

@@ -36,7 +36,9 @@ var ErrNoAutoscaler = errors.New("autoscaling is not enabled (start with -autosc
 func (s *Server) autoscaleTick() {
 	// Drain the period accumulators even when paused, so a re-enable
 	// starts from a fresh period instead of a backlog of stale signal.
-	shed := s.shedPeriod.Swap(0)
+	s.mu.Lock()
+	shed, window := s.win.TakeShed(), s.win.Limit()
+	s.mu.Unlock()
 	if !s.ascEnabled.Load() {
 		s.sys.DrainRecentStats()
 		s.recNoop()
@@ -45,12 +47,10 @@ func (s *Server) autoscaleTick() {
 
 	// The ascX counters are lock-free status mirrors for /metrics and
 	// the admin plane — no engine call needed to observe the loop.
-	window := s.MaxInFlight()
 	op, reason := autoscale.Step(s.sys, s.asc, shed, window)
 	s.ascTicks.Add(1)
 	if op.Window != window || op.AddWorkers > 0 || op.Drain >= 0 || op.Rebalance {
 		_, _ = journal.Apply(s.sys, s.rec, op) // Step drains only an active worker: no error
-		s.SetMaxInFlight(op.Window)
 		s.ascMoves.Add(1)
 	} else {
 		s.recNoop()
@@ -59,12 +59,12 @@ func (s *Server) autoscaleTick() {
 	if op.Drain >= 0 {
 		s.ascDrained.Add(1)
 	}
-	s.ascWindow.Store(int64(op.Window))
+	s.mu.Lock()
+	s.win.SetLimit(op.Window)
 	if reason != "" {
-		s.ascMu.Lock()
 		s.ascReason = reason
-		s.ascMu.Unlock()
 	}
+	s.mu.Unlock()
 }
 
 // handleAutoscalerGet (GET /v1/admin/autoscaler) reports the loop's
@@ -79,12 +79,12 @@ func (s *Server) handleAutoscalerGet(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) autoscalerStatus() AutoscalerStatusResponse {
 	cfg := s.asc.Config()
-	s.ascMu.Lock()
-	reason := s.ascReason
-	s.ascMu.Unlock()
+	s.mu.Lock()
+	window, shed, reason := s.win.Limit(), s.win.Shed(), s.ascReason
+	s.mu.Unlock()
 	return AutoscalerStatusResponse{
 		Enabled:        s.ascEnabled.Load(),
-		Window:         int(s.ascWindow.Load()),
+		Window:         window,
 		MinWindow:      cfg.MinWindow,
 		MaxWindow:      cfg.MaxWindow,
 		MinWorkers:     cfg.MinWorkers,
@@ -94,7 +94,7 @@ func (s *Server) autoscalerStatus() AutoscalerStatusResponse {
 		Decisions:      s.ascMoves.Load(),
 		WorkersAdded:   s.ascAdded.Load(),
 		WorkersDrained: s.ascDrained.Load(),
-		ShedTotal:      s.shedTotal.Load(),
+		ShedTotal:      shed,
 		LastReason:     reason,
 	}
 }
@@ -117,12 +117,12 @@ func (s *Server) handleAutoscalerPost(w http.ResponseWriter, r *http.Request) {
 		s.ascEnabled.Store(*req.Enabled)
 	}
 	if req.Window != nil {
-		cfg := s.asc.Config()
-		n := min(max(*req.Window, cfg.MinWindow), cfg.MaxWindow)
+		n := s.asc.ClampWindow(*req.Window)
 		doErr := s.live.Do(func() {
 			_, _ = journal.Apply(s.sys, s.rec, journal.Autoscale{Window: n, Drain: -1})
-			s.SetMaxInFlight(n)
-			s.ascWindow.Store(int64(n))
+			s.mu.Lock()
+			s.win.SetLimit(n)
+			s.mu.Unlock()
 		})
 		if doErr != nil {
 			writeAPIError(w, doErr)

@@ -167,14 +167,12 @@ func TestStreamInjectAfterStopReleasesWindow(t *testing.T) {
 	// directly as well.
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		srv.mu.Lock()
-		n := srv.inflightN
-		srv.mu.Unlock()
+		n := serverInflight(srv)
 		if n == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("inflightN = %d after inject-after-stop, want 0", n)
+			t.Fatalf("in-flight = %d after inject-after-stop, want 0", n)
 		}
 		time.Sleep(10 * time.Millisecond)
 	}

@@ -9,9 +9,10 @@
 //     registration, the worker/shard admin plane, GET /metrics in
 //     Prometheus text format) over the single-threaded engine, through
 //     clockwork.Live. Both transports share one per-request state
-//     machine — admit into one bounded window (Options.MaxInFlight;
-//     beyond it HTTP answers 429, the stream a typed overloaded frame),
-//     inject onto the owning engine, exactly one outcome, release — and
+//     machine — admit into one bounded window (Options.MaxInFlight, an
+//     autoscale.Window under the server mutex; beyond it HTTP answers
+//     429, the stream a typed overloaded frame), inject onto the owning
+//     engine, exactly one outcome, release — and
 //     differ only in decoding a request and writing its outcome out.
 //     Every other engine-side call runs under the Live.Do barrier, and
 //     graceful Shutdown drains in-flight requests before stopping the

@@ -95,16 +95,19 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		gauge("clockwork_journal_failed", "1 when the journal has latched a write error and stopped recording.", failed)
 	}
 
-	counter("clockwork_admission_shed_total", "Requests refused at the admission window (429 / overloaded frames).", s.shedTotal.Load())
+	s.mu.Lock()
+	window, shed := s.win.Limit(), s.win.Shed()
+	s.mu.Unlock()
+	counter("clockwork_admission_shed_total", "Requests refused at the admission window (429 / overloaded frames).", shed)
 	if s.asc != nil {
-		// Autoscaler gauges come from the server's lock-free mirrors —
-		// same scrape, no extra engine call.
+		// Autoscaler gauges come from the server's lock-free mirrors and
+		// the window — same scrape, no extra engine call.
 		enabled := 0.0
 		if s.ascEnabled.Load() {
 			enabled = 1
 		}
 		gauge("clockwork_autoscaler_enabled", "1 while the closed-loop autoscaler is evaluating.", enabled)
-		gauge("clockwork_autoscaler_window", "Admission window currently in force.", float64(s.ascWindow.Load()))
+		gauge("clockwork_autoscaler_window", "Admission window currently in force.", float64(window))
 		counter("clockwork_autoscaler_ticks_total", "Control periods evaluated.", s.ascTicks.Load())
 		counter("clockwork_autoscaler_decisions_total", "Control periods whose decision moved anything.", s.ascMoves.Load())
 		counter("clockwork_autoscaler_workers_added_total", "Workers added by the closed loop.", s.ascAdded.Load())

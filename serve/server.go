@@ -114,19 +114,18 @@ type Server struct {
 	draining bool
 	hsrv     *http.Server
 
-	// inflightN counts infer requests admitted but not yet finished (see
-	// inflight.go), checked against maxInFlight (the backpressure window
-	// — 0 means unbounded). Both transports admit through the same
-	// window. drained is closed once the server is draining and the
-	// count is zero: Shutdown's drain waits on it. stopCtx is cancelled
-	// immediately before the driver stops, releasing any HTTP handler
-	// still waiting on its outcome (a drain that hit its deadline): once
-	// the clock halts, that outcome can never come.
-	inflightN   int
-	maxInFlight int
-	drained     chan struct{}
-	stopCtx     context.Context
-	stopCancel  context.CancelFunc
+	// win is the admission window (Options.MaxInFlight), guarded by mu:
+	// both transports admit infer requests through it, and it holds
+	// them until they finish (see inflight.go). drained is closed once
+	// the server is draining and the window is empty: Shutdown's drain
+	// waits on it. stopCtx is cancelled immediately before the driver
+	// stops, releasing any HTTP handler still waiting on its outcome (a
+	// drain that hit its deadline): once the clock halts, that outcome
+	// can never come.
+	win        autoscale.Window
+	drained    chan struct{}
+	stopCtx    context.Context
+	stopCancel context.CancelFunc
 
 	// Stream-transport state: open listeners (closed first on
 	// Shutdown, so no new connections arrive during the drain) and
@@ -137,21 +136,15 @@ type Server struct {
 	streamConns map[*streamConn]struct{}
 
 	// Closed-loop autoscaler state (asc nil when Options.Autoscale was
-	// not given). shedPeriod counts admission rejections since the last
-	// control tick (the tick swaps it to zero — the Shed signal);
-	// shedTotal is the lifetime count for /metrics. The asc* mirrors
-	// publish the loop's last decision lock-free so status reads never
-	// touch the engine.
+	// not given). The asc* mirrors publish the loop's activity so status
+	// reads never touch the engine: the counters lock-free, ascReason
+	// (the last decision's cause) under mu beside the window it set.
 	asc        *autoscale.Controller
 	ascEnabled atomic.Bool
-	shedPeriod atomic.Uint64
-	shedTotal  atomic.Uint64
-	ascWindow  atomic.Int64
 	ascTicks   atomic.Uint64
 	ascMoves   atomic.Uint64
 	ascAdded   atomic.Uint64
 	ascDrained atomic.Uint64
-	ascMu      sync.Mutex
 	ascReason  string
 }
 
@@ -183,7 +176,7 @@ func New(sys *clockwork.System, opts Options) *Server {
 		rec:         opts.Journal,
 		flight:      flight,
 		started:     time.Now(),
-		maxInFlight: opts.MaxInFlight,
+		win:         autoscale.NewWindow(opts.MaxInFlight, flight),
 		drained:     make(chan struct{}),
 		streamLns:   make(map[net.Listener]struct{}),
 		streamConns: make(map[*streamConn]struct{}),
@@ -212,14 +205,7 @@ func New(sys *clockwork.System, opts Options) *Server {
 	if opts.Autoscale != nil {
 		cfg := opts.Autoscale.WithDefaults()
 		s.asc = autoscale.New(cfg)
-		// The loop needs a finite window to move: unbounded starts at
-		// the ceiling, out-of-bounds starts clamped.
-		if s.maxInFlight <= 0 || s.maxInFlight > cfg.MaxWindow {
-			s.maxInFlight = cfg.MaxWindow
-		} else if s.maxInFlight < cfg.MinWindow {
-			s.maxInFlight = cfg.MinWindow
-		}
-		s.ascWindow.Store(int64(s.maxInFlight))
+		s.win.SetLimit(s.asc.ClampWindow(opts.MaxInFlight))
 		s.ascEnabled.Store(true)
 		s.live.Every(cfg.Period, s.autoscaleTick)
 	}
@@ -367,27 +353,20 @@ func (s *Server) isDraining() bool {
 
 // admit registers one in-flight infer, refusing with ErrDraining once
 // Shutdown has begun and with ErrOverloaded when the admission window
-// (Options.MaxInFlight) is full. The checks and the increment share
-// the mutex, so after Shutdown sets draining the in-flight count only
-// decreases. Every successful admit must be paired with one release.
+// (Options.MaxInFlight) is full — a shed, which the window counts for
+// the autoscaler and the flight recorder. The checks and the admit
+// share the mutex, so after Shutdown sets draining the in-flight count
+// only decreases. Every successful admit must be paired with one
+// release.
 func (s *Server) admit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.draining {
 		return ErrDraining
 	}
-	if s.maxInFlight > 0 && s.inflightN >= s.maxInFlight {
-		// A shed is the autoscaler's loudest signal: this request
-		// missed its SLO as surely as a late one (Signals.Shed). The
-		// flight recorder counts it too, as SLO-miss provenance — a
-		// shed request never reaches the engine, so this is the only
-		// place its loss can be attributed.
-		s.shedPeriod.Add(1)
-		s.shedTotal.Add(1)
-		s.flight.RecordShed()
+	if !s.win.Admit() {
 		return ErrOverloaded
 	}
-	s.inflightN++
 	return nil
 }
 
@@ -396,32 +375,22 @@ func (s *Server) admit() error {
 func (s *Server) MaxInFlight() int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.maxInFlight
-}
-
-// SetMaxInFlight re-derives the admission window at runtime. Requests
-// already admitted keep their slots: shrinking below the current
-// in-flight count admits nothing new until completions bring the count
-// back under the window — no admitted request is ever evicted.
-func (s *Server) SetMaxInFlight(n int) {
-	s.mu.Lock()
-	s.maxInFlight = n
-	s.mu.Unlock()
+	return s.win.Limit()
 }
 
 // release undoes one admit, once the request's outcome has been handed
 // to its transport (inflight.finish).
 func (s *Server) release() {
 	s.mu.Lock()
-	s.inflightN--
+	defer s.mu.Unlock()
+	s.win.Release()
 	s.wakeDrainLocked()
-	s.mu.Unlock()
 }
 
 // wakeDrainLocked closes drained once a draining server has no
 // admitted request left without its outcome. Caller holds s.mu.
 func (s *Server) wakeDrainLocked() {
-	if !s.draining || s.inflightN > 0 {
+	if !s.draining || s.win.InFlight() > 0 {
 		return
 	}
 	select {
@@ -436,7 +405,7 @@ func (s *Server) wakeDrainLocked() {
 // responses take the coalescing writer instead).
 func (s *Server) inflightLow() bool {
 	s.mu.Lock()
-	n := s.inflightN
+	n := s.win.InFlight()
 	s.mu.Unlock()
 	return n <= 2
 }

@@ -259,7 +259,7 @@ func TestStreamConnDrop(t *testing.T) {
 func serverInflight(s *Server) int {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.inflightN
+	return s.win.InFlight()
 }
 
 // TestStreamPartialBatchReleasesAdmission: a connection that dies

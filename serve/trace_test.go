@@ -3,11 +3,15 @@ package serve
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"io"
 	"net/http"
 	"net/http/httptest"
+	"regexp"
+	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -194,8 +198,18 @@ func scrapeMetrics(t *testing.T, url string) string {
 	return string(body)
 }
 
-func TestMetricsTraceSeriesAndLint(t *testing.T) {
-	_, client, url := newTracedTestServer(t, clockwork.Config{Workers: 1, GPUsPerWorker: 1}, 1000)
+// TestMetricsExposition scrapes a server with tracing and the
+// autoscaler on, after load that met its SLO, missed an impossible one
+// and was shed at the admission window: the families those paths feed
+// are present, the shed counter equals the 429s the clients saw, the
+// window gauge equals the window in force, and the body passes
+// lintMetrics.
+func TestMetricsExposition(t *testing.T) {
+	srv, client := newOptsServer(t, clockwork.Config{Workers: 1, GPUsPerWorker: 1}, Options{
+		Speed:     1000,
+		Trace:     &TraceConfig{Enabled: true, SampleRate: 1},
+		Autoscale: &AutoscaleConfig{MinWindow: 1, MaxWindow: 1},
+	})
 	ctx := context.Background()
 	if err := client.RegisterModel(ctx, "resnet", "resnet50_v1b"); err != nil {
 		t.Fatalf("RegisterModel: %v", err)
@@ -207,7 +221,33 @@ func TestMetricsTraceSeriesAndLint(t *testing.T) {
 		t.Fatalf("Infer: %v", err)
 	}
 
-	body := scrapeMetrics(t, url)
+	// Concurrent callers against a window of one: rounds until at least
+	// one is refused.
+	var refused atomic.Uint64
+	deadline := time.Now().Add(10 * time.Second)
+	for refused.Load() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("no request was shed at a window of 1")
+		}
+		var wg sync.WaitGroup
+		for c := 0; c < 8; c++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for i := 0; i < 5; i++ {
+					_, err := client.Infer(ctx, clockwork.Request{Model: "resnet", SLO: 500 * time.Millisecond})
+					if errors.Is(err, ErrOverloaded) {
+						refused.Add(1)
+					} else if err != nil {
+						t.Errorf("Infer: %v", err)
+					}
+				}
+			}()
+		}
+		wg.Wait()
+	}
+
+	body := scrapeMetrics(t, client.base)
 	for _, want := range []string{
 		`clockwork_stage_seconds{stage="exec",quantile="0.5"}`,
 		`clockwork_stage_seconds_count{stage="queue"}`,
@@ -215,42 +255,72 @@ func TestMetricsTraceSeriesAndLint(t *testing.T) {
 		"clockwork_slo_miss_provenance_total{cause=",
 		"clockwork_trace_enabled 1",
 		"clockwork_trace_sample_rate 1",
+		"clockwork_autoscaler_enabled 1",
+		"clockwork_autoscaler_ticks_total ",
 	} {
 		if !strings.Contains(body, want) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	if got := sampleValue(t, body, "clockwork_admission_shed_total"); got != float64(refused.Load()) {
+		t.Errorf("clockwork_admission_shed_total = %v, clients saw %d 429s", got, refused.Load())
+	}
+	if got := sampleValue(t, body, "clockwork_autoscaler_window"); got != float64(srv.MaxInFlight()) {
+		t.Errorf("clockwork_autoscaler_window = %v, window in force %d", got, srv.MaxInFlight())
+	}
 	lintMetrics(t, body)
 }
 
-// lintMetrics asserts the exposition-format hygiene the CI job also
-// checks: every clockwork_* family declares HELP and TYPE exactly once
-// before its samples, and no family is declared twice.
+// sampleValue returns the value of the unlabelled sample name in a
+// /metrics body.
+func sampleValue(t *testing.T, body, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(body, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("%s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("/metrics has no sample %s", name)
+	return 0
+}
+
+// seriesKey matches a sample line's series: a metric name and an
+// optional label set.
+var seriesKey = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})?$`)
+
+// lintMetrics asserts the exposition-format hygiene of a /metrics
+// body: every sample line parses, no series (name and labels) appears
+// twice, and every family — a summary's or histogram's _sum, _count
+// and _bucket samples belong to their base name — declares HELP and
+// TYPE exactly once.
 func lintMetrics(t *testing.T, body string) {
 	t.Helper()
 	helps := map[string]int{}
 	types := map[string]int{}
-	samples := map[string]bool{}
+	series := map[string]int{}
 	for _, line := range strings.Split(body, "\n") {
-		if line == "" {
-			continue
-		}
-		if strings.HasPrefix(line, "# HELP ") {
+		switch {
+		case line == "":
+		case strings.HasPrefix(line, "# HELP "):
 			helps[strings.Fields(line)[2]]++
-			continue
-		}
-		if strings.HasPrefix(line, "# TYPE ") {
+		case strings.HasPrefix(line, "# TYPE "):
 			types[strings.Fields(line)[2]]++
-			continue
+		case strings.HasPrefix(line, "#"):
+		default:
+			i := strings.LastIndexByte(line, ' ')
+			if i <= 0 || !seriesKey.MatchString(line[:i]) {
+				t.Errorf("unparseable sample line %q", line)
+				continue
+			}
+			series[line[:i]]++
 		}
-		name := line
-		if i := strings.IndexAny(line, "{ "); i >= 0 {
-			name = line[:i]
-		}
-		samples[name] = true
 	}
 	family := func(name string) string {
-		for _, suf := range []string{"_sum", "_count"} {
+		for _, suf := range []string{"_sum", "_count", "_bucket"} {
 			base := strings.TrimSuffix(name, suf)
 			if base != name && (helps[base] > 0 || types[base] > 0) {
 				return base
@@ -258,15 +328,27 @@ func lintMetrics(t *testing.T, body string) {
 		}
 		return name
 	}
-	for name := range samples {
-		fam := family(name)
-		if helps[fam] != 1 || types[fam] != 1 {
-			t.Errorf("family %s: HELP×%d TYPE×%d (want exactly 1 each)", fam, helps[fam], types[fam])
+	checked := map[string]bool{}
+	for key, n := range series {
+		if n > 1 {
+			t.Errorf("series %s appears %d times", key, n)
+		}
+		name, _, _ := strings.Cut(key, "{")
+		if fam := family(name); !checked[fam] {
+			checked[fam] = true
+			if helps[fam] != 1 || types[fam] != 1 {
+				t.Errorf("family %s: HELP×%d TYPE×%d (want exactly 1 each)", fam, helps[fam], types[fam])
+			}
 		}
 	}
 	for fam, n := range helps {
 		if n > 1 {
-			t.Errorf("family %s declared %d times", fam, n)
+			t.Errorf("family %s: HELP declared %d times", fam, n)
+		}
+	}
+	for fam, n := range types {
+		if n > 1 {
+			t.Errorf("family %s: TYPE declared %d times", fam, n)
 		}
 	}
 }

@@ -162,7 +162,7 @@ type JournalStatusResponse struct {
 
 // AutoscalerStatusResponse is the GET /v1/admin/autoscaler body (also
 // returned by POST): the closed loop's live state from the server's
-// lock-free mirrors.
+// status mirrors and admission window.
 type AutoscalerStatusResponse struct {
 	// Enabled reports whether the loop is evaluating (it can be paused
 	// via POST without tearing the ticker down).
@@ -191,7 +191,8 @@ type AutoscalerStatusResponse struct {
 // AutoscalerUpdateRequest is the POST /v1/admin/autoscaler body. Nil
 // fields are left unchanged: {"enabled":false} pauses the loop,
 // {"window":256} force-sets the window (clamped to the configured
-// bounds, journaled like an automatic decision).
+// bounds, where 0 or less means unbounded and pins MaxWindow; journaled
+// like an automatic decision).
 type AutoscalerUpdateRequest struct {
 	Enabled *bool `json:"enabled,omitempty"`
 	Window  *int  `json:"window,omitempty"`
