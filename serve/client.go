@@ -59,34 +59,18 @@ func (e *APIError) Unwrap() error { return codeToErr(e.Code) }
 
 // do issues one JSON round trip. out may be nil.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
+	var body []byte
 	if in != nil {
-		buf, err := json.Marshal(in)
-		if err != nil {
+		var err error
+		if body, err = json.Marshal(in); err != nil {
 			return err
 		}
-		body = bytes.NewReader(buf)
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
-	if err != nil {
-		return err
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", "application/json")
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.send(ctx, method, path, body)
 	if err != nil {
 		return err
 	}
 	defer resp.Body.Close()
-	if resp.StatusCode/100 != 2 {
-		var e errorResponse
-		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
-		if json.Unmarshal(msg, &e) != nil || e.Error == "" {
-			e = errorResponse{Error: strings.TrimSpace(string(msg)), Code: "internal"}
-		}
-		return &APIError{Status: resp.StatusCode, Code: e.Code, Message: e.Error}
-	}
 	if out == nil {
 		_, _ = io.Copy(io.Discard, resp.Body)
 		return nil
@@ -94,20 +78,74 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
+// send issues one request with body as its JSON payload (none when nil)
+// and returns the response if it is a 2xx; any other status becomes an
+// *APIError.
+func (c *Client) send(ctx context.Context, method, path string, body []byte) (*http.Response, error) {
+	var rd io.Reader
+	if body != nil {
+		rd = bytes.NewReader(body)
+	}
+	req, err := http.NewRequestWithContext(ctx, method, c.base+path, rd)
+	if err != nil {
+		return nil, err
+	}
+	if body != nil {
+		req.Header.Set("Content-Type", "application/json")
+	}
+	resp, err := c.hc.Do(req)
+	if err != nil {
+		return nil, err
+	}
+	if resp.StatusCode/100 != 2 {
+		defer resp.Body.Close()
+		var e errorResponse
+		msg, _ := io.ReadAll(io.LimitReader(resp.Body, 4096))
+		if json.Unmarshal(msg, &e) != nil || e.Error == "" {
+			e = errorResponse{Error: strings.TrimSpace(string(msg)), Code: "internal"}
+		}
+		return nil, &APIError{Status: resp.StatusCode, Code: e.Code, Message: e.Error}
+	}
+	return resp, nil
+}
+
 // Infer submits one inference and blocks until its outcome returns.
+// Both bodies go through the infer codec, with encoding/json for what it
+// declines. The request body gets a buffer of its own, not a pooled
+// one: net/http may still be reading it after Do returns.
 func (c *Client) Infer(ctx context.Context, req clockwork.Request) (clockwork.Result, error) {
-	var resp InferResponse
-	err := c.do(ctx, http.MethodPost, "/v1/infer", InferRequest{
+	in := InferRequest{
 		Model:        req.Model,
 		SLO:          req.SLO,
 		Priority:     req.Priority,
 		Tenant:       req.Tenant,
 		MaxBatchSize: req.MaxBatchSize,
-	}, &resp)
+	}
+	body, ok := appendInferRequest(make([]byte, 0, 128), &in)
+	if !ok {
+		body, _ = json.Marshal(in) // strings and integers always marshal
+	}
+	resp, err := c.send(ctx, http.MethodPost, "/v1/infer", body)
 	if err != nil {
 		return clockwork.Result{}, err
 	}
-	return resp.Result(), nil
+	buf := jsonBufPool.Get().(*bytes.Buffer)
+	defer jsonBufPool.Put(buf)
+	buf.Reset()
+	_, err = buf.ReadFrom(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		return clockwork.Result{}, err
+	}
+	out, ok := parseInferResponse(buf.Bytes())
+	if !ok {
+		slow := new(InferResponse) // escapes; out stays on the stack
+		if err := json.NewDecoder(buf).Decode(slow); err != nil {
+			return clockwork.Result{}, err
+		}
+		out = *slow
+	}
+	return out.Result(), nil
 }
 
 // RegisterModel registers one instance of a zoo catalogue model.

@@ -5,6 +5,7 @@ import (
 	"context"
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"regexp"
 	"testing"
@@ -94,4 +95,68 @@ func TestInferNonCanonicalBodies(t *testing.T) {
 			}
 		})
 	}
+}
+
+// FuzzInferJSON holds the infer codec to encoding/json, the reference
+// it must equal wherever it does not decline:
+//   - on arbitrary bytes, whatever either decoder accepts, json.Unmarshal
+//     accepts too and decodes to the identical struct, and what it
+//     declines leaves the zero value;
+//   - on arbitrary field values, each encoder declines or writes
+//     encoding/json's bytes exactly (json.Marshal for the client's
+//     request, Encoder.Encode for the server's response), and each
+//     decoder recovers the struct from encoding/json's bytes or declines.
+//
+// The committed corpus (testdata/fuzz/FuzzInferJSON) adds the bodies
+// and values encoding/json treats specially: case-folded keys, null,
+// exponents, overflow, duplicate keys, trailing bytes, <>&, non-ASCII
+// and escapes, negative durations and request IDs above MaxInt64.
+func FuzzInferJSON(f *testing.F) {
+	f.Add([]byte(`{"model":"m","slo_ns":1000000000}`), "m", "", "",
+		int64(1_000_000_000), int64(0), int64(0), uint64(1), uint8(0), true, false)
+	f.Add([]byte(`{"request_id":9,"model":"m","tenant":"t","success":false,"reason":"cancelled","reason_code":3,"latency_ns":-5,"batch":4,"cold_start":true}`+"\n"),
+		"m", "t", "cancelled", int64(-5), int64(-2), int64(4), uint64(math.MaxUint64), uint8(255), false, true)
+	f.Fuzz(func(t *testing.T, body []byte, model, tenant, reason string, n, prio, batch int64, id uint64, code uint8, success, cold bool) {
+		var reqWant InferRequest
+		if req, ok := parseInferRequest(body); ok {
+			if err := json.Unmarshal(body, &reqWant); err != nil || req != reqWant {
+				t.Fatalf("request decoder accepted %q as %+v; encoding/json: %+v, %v", body, req, reqWant, err)
+			}
+		} else if req != (InferRequest{}) {
+			t.Fatalf("request decoder declined %q with %+v, not the zero value", body, req)
+		}
+		var respWant InferResponse
+		if resp, ok := parseInferResponse(body); ok {
+			if err := json.Unmarshal(body, &respWant); err != nil || resp != respWant {
+				t.Fatalf("response decoder accepted %q as %+v; encoding/json: %+v, %v", body, resp, respWant, err)
+			}
+		} else if resp != (InferResponse{}) {
+			t.Fatalf("response decoder declined %q with %+v, not the zero value", body, resp)
+		}
+
+		req := InferRequest{Model: model, SLO: time.Duration(n), Priority: int(prio), Tenant: tenant, MaxBatchSize: int(batch)}
+		want, err := json.Marshal(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := appendInferRequest(nil, &req); ok && !bytes.Equal(got, want) {
+			t.Fatalf("request encoder wrote %q, json.Marshal %q", got, want)
+		}
+		if reqBack, ok := parseInferRequest(want); ok && reqBack != req {
+			t.Fatalf("request decoder read %q as %+v, want %+v", want, reqBack, req)
+		}
+
+		resp := InferResponse{RequestID: id, Model: model, Tenant: tenant, Success: success, Reason: reason,
+			ReasonCode: code, Latency: time.Duration(n), Batch: int(batch), ColdStart: cold}
+		var enc bytes.Buffer
+		if err := json.NewEncoder(&enc).Encode(resp); err != nil {
+			t.Fatal(err)
+		}
+		if got, ok := appendInferResponse(nil, &resp); ok && !bytes.Equal(got, enc.Bytes()) {
+			t.Fatalf("response encoder wrote %q, json.Encoder %q", got, enc.Bytes())
+		}
+		if respBack, ok := parseInferResponse(enc.Bytes()); ok && respBack != resp {
+			t.Fatalf("response decoder read %q as %+v, want %+v", enc.Bytes(), respBack, resp)
+		}
+	})
 }

@@ -451,7 +451,12 @@ func (c *inferCall) externalize(_ *inflight, res clockwork.Result, err error) {
 // one, wait for the outcome, encode. A refusal is just another outcome.
 func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	c := inferCallPool.Get().(*inferCall)
-	if !decodeJSONBuf(w, r, &c.req, &c.body) {
+	if !readBody(w, r, &c.body) {
+		c.free()
+		return
+	}
+	var ok bool
+	if c.req, ok = parseInferRequest(c.body); !ok && !unmarshalBody(w, c.body, &c.req) {
 		c.free()
 		return
 	}
@@ -511,6 +516,13 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 		Latency:    res.Latency,
 		Batch:      res.Batch,
 		ColdStart:  res.ColdStart,
+	}
+	// The response reuses the request's pooled buffer: Write copies it.
+	if b, ok := appendInferResponse(c.body[:0], &c.resp); ok {
+		c.body = b
+		w.Header().Set("Content-Type", "application/json")
+		_, _ = w.Write(b)
+		return
 	}
 	writeJSON(w, &c.resp)
 }
@@ -715,17 +727,17 @@ func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 const maxBodyBytes = 1 << 20
 
 // decodeJSON decodes a size-capped JSON body; on failure it writes the
-// 400 and reports false. Handlers off the hot path use it directly;
-// handleInfer goes through decodeJSONBuf with a pooled buffer.
+// 400 and reports false. Handlers off the hot path use it; handleInfer
+// reads into a pooled buffer and tries the infer codec first.
 func decodeJSON(w http.ResponseWriter, r *http.Request, v any) bool {
 	var body []byte
-	return decodeJSONBuf(w, r, v, &body)
+	return readBody(w, r, &body) && unmarshalBody(w, body, v)
 }
 
-// decodeJSONBuf reads the body into *buf (reusing its capacity — the
-// infer path hands a pooled slice, so steady-state decoding does not
-// reallocate) and unmarshals it.
-func decodeJSONBuf(w http.ResponseWriter, r *http.Request, v any, buf *[]byte) bool {
+// readBody reads the size-capped body into *buf, reusing its capacity —
+// the infer path hands a pooled slice, so steady-state reads do not
+// reallocate. On failure it writes the 400 and reports false.
+func readBody(w http.ResponseWriter, r *http.Request, buf *[]byte) bool {
 	b := (*buf)[:0]
 	rd := http.MaxBytesReader(w, r.Body, maxBodyBytes)
 	for {
@@ -744,7 +756,13 @@ func decodeJSONBuf(w http.ResponseWriter, r *http.Request, v any, buf *[]byte) b
 		}
 	}
 	*buf = b
-	if err := json.Unmarshal(b, v); err != nil {
+	return true
+}
+
+// unmarshalBody decodes body into v with encoding/json; on failure it
+// writes the 400 and reports false.
+func unmarshalBody(w http.ResponseWriter, body []byte, v any) bool {
+	if err := json.Unmarshal(body, v); err != nil {
 		writeError(w, http.StatusBadRequest, "bad_json", err)
 		return false
 	}
@@ -753,8 +771,9 @@ func decodeJSONBuf(w http.ResponseWriter, r *http.Request, v any, buf *[]byte) b
 
 // ---- response plumbing ----
 
-// jsonBufPool holds encode buffers so writeJSON marshals into reused
-// memory instead of allocating per response.
+// jsonBufPool holds buffers so writeJSON marshals, and Client.Infer
+// reads its response, into reused memory instead of allocating per
+// response.
 var jsonBufPool = sync.Pool{
 	New: func() any { return bytes.NewBuffer(make([]byte, 0, 512)) },
 }
