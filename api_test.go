@@ -69,9 +69,8 @@ type fifoScheduler struct {
 	models []*clockwork.ModelInfo // every model a request arrived for
 }
 
-func (s *fifoScheduler) Attach(c *clockwork.Controller)        { s.c = c }
-func (s *fifoScheduler) OnCancel(*clockwork.ControllerRequest) {}
-func (s *fifoScheduler) OnResult(res clockwork.ActionResult)   { s.pump() }
+func (s *fifoScheduler) Attach(c *clockwork.Controller)      { s.c = c }
+func (s *fifoScheduler) OnResult(res clockwork.ActionResult) { s.pump() }
 
 func (s *fifoScheduler) OnRequest(r *clockwork.ControllerRequest) {
 	if mi := r.ModelInfo(); !slices.Contains(s.models, mi) {
@@ -150,9 +149,8 @@ type workListScheduler struct {
 	maxSent int // most INFERs sent in one range over the work list
 }
 
-func (s *workListScheduler) Attach(c *clockwork.Controller)        { s.c = c }
-func (s *workListScheduler) OnCancel(*clockwork.ControllerRequest) {}
-func (s *workListScheduler) OnResult(clockwork.ActionResult)       { s.pending--; s.pump() }
+func (s *workListScheduler) Attach(c *clockwork.Controller)  { s.c = c }
+func (s *workListScheduler) OnResult(clockwork.ActionResult) { s.pending--; s.pump() }
 
 func (s *workListScheduler) OnRequest(r *clockwork.ControllerRequest) {
 	if mi := r.ModelInfo(); !slices.Contains(s.models, mi) {

@@ -38,10 +38,6 @@ func NewClipper() *Clipper {
 // Attach implements core.Scheduler.
 func (s *Clipper) Attach(c *core.Controller) { s.c = c }
 
-// OnCancel implements core.Scheduler (admission control is disabled for
-// baselines, so this never fires).
-func (s *Clipper) OnCancel(*core.Request) {}
-
 func (s *Clipper) modelState(name string) *clipperModel {
 	st, ok := s.state[name]
 	if !ok {

@@ -51,9 +51,6 @@ func NewINFaaS() *INFaaS {
 // Attach implements core.Scheduler.
 func (s *INFaaS) Attach(c *core.Controller) { s.c = c }
 
-// OnCancel implements core.Scheduler.
-func (s *INFaaS) OnCancel(*core.Request) {}
-
 // OnRequest implements core.Scheduler.
 func (s *INFaaS) OnRequest(r *core.Request) {
 	s.sloOf[r.Model] = r.SLO

@@ -85,9 +85,6 @@ type Scheduler interface {
 	// OnResult fires after the controller has updated its mirrors with
 	// a worker result.
 	OnResult(res action.Result)
-	// OnCancel fires after the controller cancelled a queued request
-	// whose SLO became unmeetable.
-	OnCancel(r *Request)
 }
 
 // Stats counts controller-side outcomes.
@@ -733,7 +730,6 @@ func (c *Controller) cancelRequest(mi *ModelInfo, r *Request) {
 		RequestID: r.ID, Model: r.Model, id: mi.id, Tenant: r.Tenant, Success: false,
 		Reason: ReasonCancelled, ColdStart: r.coldStart,
 	})
-	c.schd.OnCancel(r)
 }
 
 // timeoutRequest fails an in-flight request whose deadline passed before

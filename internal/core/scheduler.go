@@ -123,9 +123,6 @@ func (s *ClockworkScheduler) OnResult(res action.Result) {
 	s.scheduleGPU(g)
 }
 
-// OnCancel implements Scheduler: cancelled demand never helps; no-op.
-func (s *ClockworkScheduler) OnCancel(*Request) {}
-
 func (s *ClockworkScheduler) scheduleGPU(g *GPUMirror) {
 	s.scheduleInfers(g)
 	s.scheduleLoads(g)

@@ -17,7 +17,6 @@ type nopSched struct{}
 func (nopSched) Attach(*Controller)     {}
 func (nopSched) OnRequest(*Request)     {}
 func (nopSched) OnResult(action.Result) {}
-func (nopSched) OnCancel(*Request)      {}
 
 // loadNow makes mi resident on g: a LOAD sent and its success ingested.
 func loadNow(ctl *Controller, g *GPUMirror, mi *ModelInfo, now simclock.Time) {

@@ -207,6 +207,53 @@ func TestSyncLoopAndWriteFailure(t *testing.T) {
 	})
 }
 
+// TestFsyncFailureLatches covers the writer's other failure: the bytes
+// reach the kernel but the fsync fails. The failure latches exactly as
+// a failed write does, naming the fsync, and Apply keeps applying ops
+// without appending records. The ticker is an hour long so the test
+// forces the one sync itself, with no background tick racing it.
+func TestFsyncFailureLatches(t *testing.T) {
+	cfg := clockwork.Config{Workers: 1, GPUsPerWorker: 1, Seed: 1}
+	sys := newSystem(t, cfg)
+	r, err := Create(t.TempDir(), sys, cfg, Options{Fsync: FsyncInterval, FsyncEvery: time.Hour})
+	if err != nil {
+		t.Fatalf("Create: %v", err)
+	}
+	defer r.Close()
+
+	if _, err := Apply(sys, r, AddWorker{}); err != nil {
+		t.Fatalf("Apply: %v", err)
+	}
+	r.Flush()
+	if st := r.Status(); st.UnsyncedBytes == 0 || st.Failed {
+		t.Fatalf("status before the sync: %+v", st)
+	}
+
+	// Close the segment under the writer, so the flushed bytes can no
+	// longer be synced, then sync.
+	r.w.mu.Lock()
+	r.w.f.Close()
+	r.w.mu.Unlock()
+	if err := r.w.sync(); err == nil {
+		t.Fatal("sync of a closed segment succeeded")
+	}
+	st := r.Status()
+	if !st.Failed || !strings.Contains(st.Err, "fsync") {
+		t.Fatalf("a failed fsync did not latch: %+v", st)
+	}
+	for i := 0; i < 2; i++ {
+		if _, err := Apply(sys, r, AddWorker{}); err != nil {
+			t.Fatalf("Apply on a failed journal: %v", err)
+		}
+	}
+	if sys.Workers() != 4 {
+		t.Fatalf("ops on a failed journal were not applied: %d workers, want 4", sys.Workers())
+	}
+	if after := r.Status(); after.Records != st.Records || !after.Failed {
+		t.Fatalf("a failed journal kept appending: %d records, then %d", st.Records, after.Records)
+	}
+}
+
 func waitFor(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	deadline := time.Now().Add(5 * time.Second)
