@@ -8,7 +8,11 @@
 //   - Server: an HTTP/JSON front end (POST /v1/infer, model
 //     registration, the worker/shard admin plane, GET /metrics in
 //     Prometheus text format) over the single-threaded engine, through
-//     clockwork.Live. Both transports share one per-request state
+//     clockwork.Live. The two infer bodies go through a hand-written
+//     codec on pooled buffers at both ends; it handles only the
+//     canonical form (exact lower-case keys, ASCII strings without
+//     escapes, integers) and declines everything else to encoding/json,
+//     so the wire equals encoding/json's either way. Both transports share one per-request state
 //     machine — admit into one bounded window (Options.MaxInFlight, an
 //     autoscale.Window under the server mutex; beyond it HTTP answers
 //     429, the stream a typed overloaded frame), inject onto the owning
