@@ -108,15 +108,7 @@ type Worker struct {
 
 	inferStates map[uint64]*inferState
 	freeStates  []*inferState // recycled inferState nodes (engine-confined)
-	stats       Stats
 	failed      bool
-}
-
-// Stats counts worker-side action outcomes.
-type Stats struct {
-	LoadsOK, LoadsRejected     uint64
-	InfersOK, InfersRejected   uint64
-	UnloadsOK, UnloadsRejected uint64
 }
 
 // GPU bundles the per-device execution resources.
@@ -197,9 +189,6 @@ func (w *Worker) NumGPUs() int { return len(w.gpus) }
 // GPU returns device i for telemetry wiring.
 func (w *Worker) GPU(i int) *GPU { return w.gpus[i] }
 
-// Stats returns a copy of the outcome counters.
-func (w *Worker) Stats() Stats { return w.stats }
-
 // Fail marks the worker failed: subsequently delivered actions are
 // dropped on the floor, simulating a crashed worker process. Results of
 // work already in progress may still be emitted; the controller drops
@@ -251,20 +240,6 @@ func (w *Worker) emit(g *GPU, a *action.Action, st action.Status, start, end sim
 		Duration:           dur,
 		ExpectedDuration:   a.ExpectedDuration,
 		ExpectedCompletion: a.ExpectedCompletion,
-	}
-	switch {
-	case a.Type == action.Load && st.IsSuccess():
-		w.stats.LoadsOK++
-	case a.Type == action.Load:
-		w.stats.LoadsRejected++
-	case a.Type == action.Infer && st.IsSuccess():
-		w.stats.InfersOK++
-	case a.Type == action.Infer:
-		w.stats.InfersRejected++
-	case a.Type == action.Unload && st.IsSuccess():
-		w.stats.UnloadsOK++
-	case a.Type == action.Unload:
-		w.stats.UnloadsRejected++
 	}
 	if w.OnResult != nil {
 		w.OnResult(r)

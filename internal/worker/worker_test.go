@@ -74,10 +74,6 @@ func TestLoadThenInfer(t *testing.T) {
 	if infer.Start < load.End {
 		t.Fatalf("exec started at %v before load finished at %v", infer.Start, load.End)
 	}
-	st := w.Stats()
-	if st.LoadsOK != 1 || st.InfersOK != 1 {
-		t.Fatalf("stats: %+v", st)
-	}
 }
 
 func TestInferWithoutLoadRejected(t *testing.T) {
@@ -90,9 +86,6 @@ func TestInferWithoutLoadRejected(t *testing.T) {
 	// IO must have been released.
 	if w.GPU(0).IO.Used() != 0 {
 		t.Fatalf("leaked IO: %d bytes", w.GPU(0).IO.Used())
-	}
-	if w.Stats().InfersRejected != 1 {
-		t.Fatal("stats")
 	}
 }
 
@@ -232,9 +225,12 @@ func TestUnloadWhileExecutingRejected(t *testing.T) {
 	}
 	w.Submit(&action.Action{ID: 3, Type: action.Unload, ModelID: testModel})
 	eng.Run()
-	var unload *action.Result
+	var infer, unload *action.Result
 	for i := range *results {
-		if (*results)[i].ActionID == 3 {
+		switch (*results)[i].ActionID {
+		case 2:
+			infer = &(*results)[i]
+		case 3:
 			unload = &(*results)[i]
 		}
 	}
@@ -242,8 +238,8 @@ func TestUnloadWhileExecutingRejected(t *testing.T) {
 		t.Fatalf("unload result: %v", unload)
 	}
 	// The infer still completes.
-	if w.Stats().InfersOK != 1 {
-		t.Fatal("infer did not complete")
+	if infer == nil || !infer.Status.IsSuccess() {
+		t.Fatalf("infer did not complete: %v", infer)
 	}
 }
 
