@@ -160,48 +160,39 @@ func (s *System) AttachFlightRecorder(r *trace.Recorder) {
 // FlightRecorder returns the attached flight recorder, or nil.
 func (s *System) FlightRecorder() *trace.Recorder { return s.cluster.FlightRecorder() }
 
-// Summary condenses the run's client-observed metrics.
+// Summary condenses the run's metrics: the client-observed outcome
+// ledger (Metrics.Total, the same one ShardStats, ModelStats and
+// TenantStats slice) with its latency percentiles, plus Arrived.
 type Summary struct {
-	Requests  uint64
-	Succeeded uint64
-	Failed    uint64
-	// SLOMisses counts successful responses that exceeded their SLO.
-	SLOMisses uint64
-	// Cancelled counts requests rejected in advance by admission
-	// control; Rejected counts worker-side schedule misses.
-	Cancelled uint64
-	Rejected  uint64
+	// Outcomes counts responses as they reach the client; Requests is
+	// the number answered so far.
+	core.Outcomes
+	// Arrived counts requests received by the controllers, including
+	// those still in flight; Arrived − Requests is the number in flight.
+	Arrived uint64
 
 	P50, P99, P9999, Max time.Duration
 	// GoodputMean is within-SLO responses per second over the run.
 	GoodputMean float64
-	// ColdStarts counts requests whose model was not resident.
-	ColdStarts uint64
 }
 
 // Summary returns current aggregate metrics, summed across all
 // scheduler shards.
 func (s *System) Summary() Summary {
 	m := s.cluster.Metrics
-	st := s.cluster.Stats()
 	elapsed := s.Now().Seconds()
 	var goodput float64
 	if elapsed > 0 {
 		goodput = float64(m.Goodput.TotalCount()) / elapsed
 	}
 	return Summary{
-		Requests:    st.Requests,
-		Succeeded:   st.Succeeded,
-		Failed:      m.Total.Failed,
-		SLOMisses:   m.Total.SLOMisses,
-		Cancelled:   st.Cancelled,
-		Rejected:    st.Rejected,
+		Outcomes:    m.Total,
+		Arrived:     s.cluster.Stats().Requests,
 		P50:         m.LatencyAll.Percentile(50),
 		P99:         m.LatencyAll.Percentile(99),
 		P9999:       m.LatencyAll.Percentile(99.99),
 		Max:         m.LatencyAll.Max(),
 		GoodputMean: goodput,
-		ColdStarts:  st.ColdStart,
 	}
 }
 

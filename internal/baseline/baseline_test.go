@@ -78,7 +78,7 @@ func TestClipperNeverCancels(t *testing.T) {
 	if late != 10 {
 		t.Fatalf("expected all 10 to be served late, got %d", late)
 	}
-	if cl.Ctl.Stats().Cancelled != 0 {
+	if cl.Metrics.Total.Cancelled != 0 {
 		t.Fatal("baselines must not cancel in advance")
 	}
 }

@@ -242,14 +242,14 @@ func TestAllocRatchetSubmit(t *testing.T) {
 			for i := 0; i < 20; i++ {
 				p.op() // warm the pools, the models and the metrics tables
 			}
-			before := p.cl.Ctl.Stats()
+			before := p.cl.Metrics.Total
 			avg := testing.AllocsPerRun(500, p.op)
-			after := p.cl.Ctl.Stats()
+			after := p.cl.Metrics.Total
 			if avg > p.ceiling {
 				t.Fatalf("submit plus completion allocates %.2f objects per request, ratchet ceiling is %.2f", avg, p.ceiling)
 			}
 			if p.cl == cold {
-				if n, c := after.Requests-before.Requests, after.ColdStart-before.ColdStart; c != n {
+				if n, c := after.Requests-before.Requests, after.ColdStarts-before.ColdStarts; n == 0 || c != n {
 					t.Fatalf("%d of %d measured requests were cold starts, want all", c, n)
 				}
 			}

@@ -609,8 +609,9 @@ func (cl *Cluster) ModelNames() []string {
 // for callers that don't need the names.
 func (cl *Cluster) ModelCount() int { return len(cl.modelOrder) }
 
-// Stats sums controller-side outcome counters across all shards. With
-// Shards == 1 it equals Ctl.Stats().
+// Stats sums the controllers' arrival and action counters across all
+// shards. With Shards == 1 it equals Ctl.Stats(). Outcomes are in
+// Metrics.Total.
 func (cl *Cluster) Stats() Stats {
 	if len(cl.Ctls) == 1 {
 		return cl.Ctl.Stats()
@@ -619,12 +620,6 @@ func (cl *Cluster) Stats() Stats {
 	for _, ctl := range cl.Ctls {
 		st := ctl.Stats()
 		sum.Requests += st.Requests
-		sum.Succeeded += st.Succeeded
-		sum.Cancelled += st.Cancelled
-		sum.Rejected += st.Rejected
-		sum.ColdStart += st.ColdStart
-		sum.WorkerLost += st.WorkerLost
-		sum.Unregistered += st.Unregistered
 		sum.ActionsInfer += st.ActionsInfer
 		sum.ActionsLoad += st.ActionsLoad
 		sum.ActionsUnload += st.ActionsUnload

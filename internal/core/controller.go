@@ -87,17 +87,11 @@ type Scheduler interface {
 	OnResult(res action.Result)
 }
 
-// Stats counts controller-side outcomes.
+// Stats counts what only the controller sees: the requests it has
+// received, answered or not, and the actions it has sent. Each outcome
+// is counted once, where the client observes it (Metrics.Total).
 type Stats struct {
-	Requests  uint64 // total received
-	Succeeded uint64
-	Cancelled uint64 // rejected in advance by the controller (or client-cancelled)
-	Rejected  uint64 // action cancelled by a worker (misprediction)
-	ColdStart uint64 // requests whose model was not resident on arrival
-
-	// Control-plane outcomes.
-	WorkerLost   uint64 // in-flight requests lost to FailWorker
-	Unregistered uint64 // queued requests failed by UnregisterModel
+	Requests uint64 // total received, in-flight requests included
 
 	ActionsInfer  uint64
 	ActionsLoad   uint64
@@ -291,7 +285,7 @@ func (c *Controller) Now() simclock.Time { return c.eng.Now() }
 // Config returns the effective configuration.
 func (c *Controller) Config() Config { return c.cfg }
 
-// Stats returns a copy of the outcome counters.
+// Stats returns a copy of the arrival and action counters.
 func (c *Controller) Stats() Stats { return c.stats }
 
 // GPUs returns all GPU mirrors across workers, including those of
@@ -373,7 +367,6 @@ func (c *Controller) FailWorker(id int) error {
 				continue
 			}
 			r.state = stateDone
-			c.stats.WorkerLost++
 			c.respond(r, Result{
 				RequestID: r.ID, Model: r.Model, id: r.mi.id, Tenant: r.Tenant, Success: false,
 				Reason: ReasonWorkerFailed, ColdStart: r.coldStart,
@@ -523,7 +516,6 @@ func (c *Controller) UnregisterModel(name string) error {
 		}
 		mi.removeRequest(r)
 		r.state = stateDone
-		c.stats.Unregistered++
 		c.respond(r, Result{
 			RequestID: r.ID, Model: r.Model, id: mi.id, Tenant: r.Tenant, Success: false,
 			Reason: ReasonUnregistered, ColdStart: r.coldStart,
@@ -609,7 +601,6 @@ func (c *Controller) Submit(spec SubmitSpec, rsp Responder) *Request {
 	if !ok {
 		c.nextRequestID += c.cfg.IDStride
 		c.stats.Requests++
-		c.stats.Unregistered++
 		resp := Result{
 			RequestID: c.nextRequestID, Model: spec.Model, id: id, Tenant: spec.Tenant,
 			Success: false, Reason: ReasonUnregistered,
@@ -648,9 +639,6 @@ func (c *Controller) Submit(spec SubmitSpec, rsp Responder) *Request {
 		gen:         gen,
 	}
 	r.coldStart = len(mi.residentOn) == 0
-	if r.coldStart {
-		c.stats.ColdStart++
-	}
 	c.stats.Requests++
 
 	mi.enqueue(r)
@@ -725,7 +713,6 @@ func (c *Controller) cancelRequest(mi *ModelInfo, r *Request) {
 	c.noteQueueMaybeEmpty(mi)
 	c.reindexModel(mi)
 	r.state = stateDone
-	c.stats.Cancelled++
 	c.respond(r, Result{
 		RequestID: r.ID, Model: r.Model, id: mi.id, Tenant: r.Tenant, Success: false,
 		Reason: ReasonCancelled, ColdStart: r.coldStart,
@@ -739,7 +726,6 @@ func (c *Controller) timeoutRequest(r *Request) {
 		return
 	}
 	r.state = stateDone
-	c.stats.Rejected++
 	c.respond(r, Result{
 		RequestID: r.ID, Model: r.Model, id: r.mi.id, Tenant: r.Tenant, Success: false,
 		Reason: ReasonTimeout, ColdStart: r.coldStart,
@@ -999,7 +985,6 @@ func (c *Controller) handleInferResult(g *GPUMirror, res action.Result) *action.
 				continue // already timed out at its deadline
 			}
 			r.state = stateDone
-			c.stats.Succeeded++
 			c.respond(r, Result{
 				RequestID: r.ID, Model: r.Model, id: mi.id, Tenant: r.Tenant, Success: true,
 				Batch: res.Batch, ColdStart: r.coldStart,
@@ -1016,7 +1001,6 @@ func (c *Controller) handleInferResult(g *GPUMirror, res action.Result) *action.
 			continue
 		}
 		r.state = stateDone
-		c.stats.Rejected++
 		c.respond(r, Result{
 			RequestID: r.ID, Model: r.Model, id: mi.id, Tenant: r.Tenant, Success: false,
 			Reason: ReasonRejected, ColdStart: r.coldStart,

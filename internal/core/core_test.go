@@ -96,9 +96,9 @@ func TestUnmeetableSLOCancelledInAdvance(t *testing.T) {
 	if resp.Success || resp.Reason != ReasonCancelled {
 		t.Fatalf("want cancelled, got %v", resp)
 	}
-	st := cl.Ctl.Stats()
-	if st.Cancelled != 1 || st.ActionsInfer != 0 {
-		t.Fatalf("stats: %+v — no fruitless work should be scheduled", st)
+	st, tot := cl.Ctl.Stats(), cl.Metrics.Total
+	if tot.Cancelled != 1 || st.ActionsInfer != 0 {
+		t.Fatalf("stats: %+v, outcomes: %+v — no fruitless work should be scheduled", st, tot)
 	}
 }
 
@@ -168,9 +168,9 @@ func TestAllSuccessesMeetSLO(t *testing.T) {
 	}
 	// Under this modest load (500 r/s worth of capacity at batch 1),
 	// nearly everything should succeed.
-	st := cl.Ctl.Stats()
-	if st.Succeeded < 490 {
-		t.Fatalf("succeeded = %d/500 (stats %+v)", st.Succeeded, st)
+	tot := cl.Metrics.Total
+	if tot.Succeeded < 490 {
+		t.Fatalf("succeeded = %d/500 (outcomes %+v)", tot.Succeeded, tot)
 	}
 }
 
@@ -303,15 +303,15 @@ func TestStatsConservation(t *testing.T) {
 		cl.RunFor(5 * time.Millisecond)
 	}
 	cl.RunFor(time.Second)
-	st := cl.Ctl.Stats()
+	st, tot := cl.Ctl.Stats(), cl.Metrics.Total
 	if st.Requests != 100 {
 		t.Fatalf("requests = %d", st.Requests)
 	}
-	if st.Succeeded+st.Cancelled+st.Rejected != st.Requests {
-		t.Fatalf("outcomes don't sum: %+v", st)
+	if tot.Succeeded+tot.Cancelled+tot.Rejected+tot.TimedOut != st.Requests {
+		t.Fatalf("outcomes don't sum to arrivals: %+v vs %+v", tot, st)
 	}
-	if st.Cancelled < 10 {
-		t.Fatalf("cancelled = %d, want ≥10", st.Cancelled)
+	if tot.Cancelled < 10 {
+		t.Fatalf("cancelled = %d, want ≥10", tot.Cancelled)
 	}
 }
 

@@ -341,8 +341,8 @@ func interningChurn(t *testing.T, shards int, seed uint64) {
 		}
 	}
 	st := cl.Stats()
-	if st.ActionsLoad == 0 || st.ActionsUnload == 0 || st.Succeeded == 0 {
-		t.Fatalf("the churn must load, evict and serve: %+v", st)
+	if st.ActionsLoad == 0 || st.ActionsUnload == 0 || cl.Metrics.Total.Succeeded == 0 {
+		t.Fatalf("the churn must load, evict and serve: %+v, %+v", st, cl.Metrics.Total)
 	}
 	t.Logf("%d submissions, %d names seen, in transit %v, %d LOADs %d UNLOADs %d migrations",
 		len(outcomes), len(ids), transit, st.ActionsLoad, st.ActionsUnload, cl.Migrations())

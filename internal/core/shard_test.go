@@ -157,9 +157,10 @@ func TestMigrationLosslessProperty(t *testing.T) {
 	if st.Requests != uint64(submitted) {
 		t.Fatalf("stats.Requests = %d, want %d", st.Requests, submitted)
 	}
-	answered := st.Succeeded + st.Cancelled + st.Rejected + st.WorkerLost + st.Unregistered
+	tot := cl.Metrics.Total
+	answered := tot.Succeeded + tot.Cancelled + tot.Rejected + tot.TimedOut + tot.WorkerLost
 	if answered != uint64(submitted) {
-		t.Fatalf("outcome counters sum to %d, want %d (%+v)", answered, submitted, st)
+		t.Fatalf("outcome counters sum to %d, want %d (%+v)", answered, submitted, tot)
 	}
 	if cl.Migrations() == 0 {
 		t.Fatal("property test performed no migrations — not exercising the rebalance path")

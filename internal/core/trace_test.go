@@ -100,10 +100,10 @@ func TestClusterFlightRecorderFailureCapture(t *testing.T) {
 
 // TestFlightRecorderPureObserver locks the determinism contract:
 // attaching a recorder (at any rate) must not move a single event —
-// the controller's outcome counters and the engine step count match a
-// recorder-free run exactly.
+// the controller's arrival and action counters, the outcome ledger and
+// the engine step count match a recorder-free run exactly.
 func TestFlightRecorderPureObserver(t *testing.T) {
-	run := func(rec *trace.Recorder) (Stats, uint64) {
+	run := func(rec *trace.Recorder) (Stats, Outcomes, uint64) {
 		cl := NewCluster(ClusterConfig{Workers: 2, GPUsPerWorker: 2, Seed: 7})
 		if rec != nil {
 			cl.SetFlightRecorder(rec)
@@ -115,14 +115,14 @@ func TestFlightRecorderPureObserver(t *testing.T) {
 			}))
 		}
 		cl.RunFor(500 * time.Millisecond)
-		return cl.Stats(), cl.Eng.Steps()
+		return cl.Stats(), cl.Metrics.Total, cl.Eng.Steps()
 	}
-	base, baseSteps := run(nil)
+	base, baseTot, baseSteps := run(nil)
 	for _, rate := range []float64{0, 0.5, 1} {
-		got, steps := run(trace.New(trace.Options{SampleRate: rate, Enabled: true}))
-		if got != base || steps != baseSteps {
-			t.Fatalf("rate %v perturbed the run: stats %+v vs %+v, steps %d vs %d",
-				rate, got, base, steps, baseSteps)
+		got, tot, steps := run(trace.New(trace.Options{SampleRate: rate, Enabled: true}))
+		if got != base || tot != baseTot || steps != baseSteps {
+			t.Fatalf("rate %v perturbed the run: stats %+v vs %+v, outcomes %+v vs %+v, steps %d vs %d",
+				rate, got, base, tot, baseTot, steps, baseSteps)
 		}
 	}
 }

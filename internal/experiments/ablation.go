@@ -64,14 +64,14 @@ func ablationWorkload(label string, cl *core.Cluster, dur time.Duration) Ablatio
 		c.Start()
 	}
 	cl.RunUntil(stop.Add(time.Second))
-	st := cl.Ctl.Stats()
+	tot := cl.Metrics.Total
 	return AblationRow{
 		Label:     label,
 		Goodput:   float64(cl.Metrics.Goodput.TotalCount()) / dur.Seconds(),
 		P99:       cl.Metrics.LatencyAll.Percentile(99),
 		Max:       cl.Metrics.LatencyAll.Max(),
-		Rejected:  st.Rejected,
-		Cancelled: st.Cancelled,
+		Rejected:  tot.Rejected + tot.TimedOut,
+		Cancelled: tot.Cancelled,
 	}
 }
 
@@ -155,14 +155,14 @@ func RunAblationLoadPolicy(dur time.Duration, seed uint64) *AblationResult {
 			}
 			arrival()
 			cl.RunUntil(stop.Add(time.Second))
-			st := cl.Ctl.Stats()
+			tot := cl.Metrics.Total
 			return AblationRow{
 				Label:     label,
 				Goodput:   float64(cl.Metrics.Goodput.TotalCount()) / dur.Seconds(),
 				P99:       cl.Metrics.LatencyAll.Percentile(99),
 				Max:       cl.Metrics.LatencyAll.Max(),
-				Rejected:  st.Rejected,
-				Cancelled: st.Cancelled,
+				Rejected:  tot.Rejected + tot.TimedOut,
+				Cancelled: tot.Cancelled,
 			}
 		}),
 	}

@@ -133,7 +133,7 @@ func RunFig8(cfg Fig8Config) *Fig8Result {
 	m := cl.Metrics
 	res := &Fig8Result{
 		Config:      cfg,
-		Requests:    cl.Ctl.Stats().Requests,
+		Requests:    m.Total.Requests,
 		Throughput:  float64(m.Throughput.TotalCount()) / (float64(cfg.Minutes) * 60),
 		Goodput:     float64(m.Goodput.TotalCount()) / (float64(cfg.Minutes) * 60),
 		Failed:      m.Total.Failed,
@@ -145,7 +145,7 @@ func RunFig8(cfg Fig8Config) *Fig8Result {
 		res.MeanBatch = m.Batch.TotalSum() / float64(n)
 	}
 	if res.Requests > 0 {
-		res.ColdRequests = float64(cl.Ctl.Stats().ColdStart) / float64(res.Requests)
+		res.ColdRequests = float64(m.Total.ColdStarts) / float64(res.Requests)
 	}
 	for i := 0; i < cfg.Minutes; i++ {
 		row := Fig8Minute{

@@ -172,7 +172,7 @@ func TestReplayerDrivesCluster(t *testing.T) {
 	if st.Requests != rp.Sent() {
 		t.Fatalf("controller saw %d, replayer sent %d", st.Requests, rp.Sent())
 	}
-	if st.Succeeded == 0 {
+	if cl.Metrics.Total.Succeeded == 0 {
 		t.Fatal("nothing succeeded")
 	}
 }

@@ -55,12 +55,12 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	gauge := func(name, help string, v float64) {
 		fmt.Fprintf(&b, "# HELP %s %s\n# TYPE %s gauge\n%s %g\n", name, help, name, name, v)
 	}
-	counter("clockwork_requests_total", "Client requests that reached the controller, including those still in flight.", st.Requests)
+	counter("clockwork_requests_total", "Client requests that reached the controller, including those still in flight.", st.Arrived)
 	counter("clockwork_succeeded_total", "Requests that executed and returned.", st.Succeeded)
 	counter("clockwork_failed_total", "Requests with a failure outcome.", st.Failed)
 	counter("clockwork_slo_misses_total", "Successful responses that exceeded their SLO.", st.SLOMisses)
-	counter("clockwork_cancelled_total", "Requests rejected in advance by admission control.", st.Cancelled)
-	counter("clockwork_rejected_total", "Worker-side schedule misses.", st.Rejected)
+	counter("clockwork_cancelled_total", "Requests rejected in advance by admission control, cancelled while queued, or failed by unregistration.", st.Cancelled)
+	counter("clockwork_rejected_total", "Worker-side schedule misses, including requests timed out in flight.", st.Rejected+st.TimedOut)
 	counter("clockwork_cold_starts_total", "Requests whose model was not GPU-resident on arrival.", st.ColdStarts)
 	gauge("clockwork_goodput_mean", "Within-SLO responses per virtual second over the run.", st.GoodputMean)
 	gauge("clockwork_workers", "Workers ever added (drained and failed keep their IDs).", float64(st.Workers))
@@ -114,18 +114,14 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		counter("clockwork_autoscaler_workers_drained_total", "Workers drained by the closed loop.", s.ascDrained.Load())
 	}
 
-	// The summary's count is its observations: one per request with a
-	// final outcome, which the shard bins count too.
-	var completed uint64
-	for _, sb := range shards {
-		completed += sb.Requests
-	}
 	fmt.Fprintf(&b, "# HELP clockwork_latency_seconds Client-observed latency of requests with a final outcome (virtual clock).\n")
 	fmt.Fprintf(&b, "# TYPE clockwork_latency_seconds summary\n")
 	for i, q := range latencyQuantiles {
 		fmt.Fprintf(&b, "clockwork_latency_seconds{quantile=%q} %g\n", q.label, quants[i])
 	}
-	fmt.Fprintf(&b, "clockwork_latency_seconds_count %d\n", completed)
+	// The summary's count is its observations: one per request with a
+	// final outcome.
+	fmt.Fprintf(&b, "clockwork_latency_seconds_count %d\n", st.Requests)
 
 	fmt.Fprintf(&b, "# HELP clockwork_shard_requests_total Requests with a final outcome, attributed to the shard owning the model at completion.\n")
 	fmt.Fprintf(&b, "# TYPE clockwork_shard_requests_total counter\n")
