@@ -67,16 +67,29 @@ func TestAutoscalerDecisionsReplayDeterministically(t *testing.T) {
 	}
 
 	// Doomed traffic: a 1ms SLO no model can meet, so every period
-	// completes with a 100% violation rate.
+	// that completes requests completes them as violations. It flows
+	// until the poll below has seen the window shrink: once it stops,
+	// idle periods regrow the window (GrowSustain 1) to its start
+	// within a few wall milliseconds at this speed, faster than a poll
+	// is sure to look.
+	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	for i := 0; i < 48; i++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			_, _ = client.Infer(ctx, clockwork.Request{Model: "m", SLO: time.Millisecond})
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				_, _ = client.Infer(ctx, clockwork.Request{Model: "m", SLO: time.Millisecond})
+			}
 		}()
 	}
-	wg.Wait()
+	stopTraffic := sync.OnceFunc(func() { close(stop); wg.Wait() })
+	defer stopTraffic()
 
 	// The loop runs on wall ticks; wait until the admin plane reports
 	// it actually moved (window shrank below its start, ≥ 1 decision).
@@ -107,6 +120,7 @@ func TestAutoscalerDecisionsReplayDeterministically(t *testing.T) {
 		}
 		time.Sleep(20 * time.Millisecond)
 	}
+	stopTraffic()
 
 	// One operator override through the admin plane: journaled as an
 	// autoscale record via the same injection path as loop decisions.
@@ -133,6 +147,20 @@ func TestAutoscalerDecisionsReplayDeterministically(t *testing.T) {
 	ep, err := journal.Load(dir)
 	if err != nil {
 		t.Fatalf("Load: %v", err)
+	}
+	// The window moves only through autoscale records, the only ones
+	// that carry a Window. A loop shrink is a record that lowers it to
+	// anything but the operator's 24: growth never lowers it, and
+	// halving never lands on 24 under a MaxWindow of 32.
+	shrunk, window := false, 32
+	for i := range ep.Records {
+		if w := ep.Records[i].Window; w > 0 {
+			shrunk = shrunk || (w < window && w != 24)
+			window = w
+		}
+	}
+	if !shrunk {
+		t.Fatalf("no shrink decision was journaled (final autoscaler: %+v)", final)
 	}
 	res, err := journal.ReplayEpoch(ep)
 	if err != nil {
