@@ -8,6 +8,7 @@ package clockwork_test
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"slices"
 	"strings"
 	"testing"
@@ -647,10 +648,28 @@ func TestControlPlaneDeterminism(t *testing.T) {
 	}
 }
 
+// shardTotal adds up every shard's outcome ledger field by field.
+func shardTotal(t *testing.T, sys *clockwork.System) clockwork.ShardStats {
+	t.Helper()
+	var sum clockwork.ShardStats
+	sv := reflect.ValueOf(&sum).Elem()
+	for i := 0; i < sys.ShardCount(); i++ {
+		st, err := sys.ShardStats(i)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for f, bv := 0, reflect.ValueOf(st); f < sv.NumField(); f++ {
+			sv.Field(f).SetUint(sv.Field(f).Uint() + bv.Field(f).Uint())
+		}
+	}
+	return sum
+}
+
 // TestShardedPublicAPI round-trips the sharded control plane through
 // the public surface alone: construction with Shards, ownership
-// lookup, per-shard stats, manual migration and rebalancing, and the
-// geometry validation error.
+// lookup, per-shard stats, manual migration and rebalancing, an
+// unregistration with requests in flight, and the geometry validation
+// error.
 func TestShardedPublicAPI(t *testing.T) {
 	sys := mustSys(t, clockwork.Config{Workers: 4, GPUsPerWorker: 1, Shards: 2, Seed: 1})
 	if sys.ShardCount() != 2 {
@@ -677,17 +696,10 @@ func TestShardedPublicAPI(t *testing.T) {
 	if succeeded == 0 {
 		t.Fatal("no request succeeded on the sharded system")
 	}
+	// Every arrival is answered once, in Summary as in the shard bins.
 	sum := sys.Summary()
-	var binned uint64
-	for i := 0; i < sys.ShardCount(); i++ {
-		st, err := sys.ShardStats(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		binned += st.Requests
-	}
-	if binned != sum.Requests {
-		t.Fatalf("shard bins sum to %d, Summary.Requests = %d", binned, sum.Requests)
+	if bins := shardTotal(t, sys); bins != sum.Outcomes || sum.Requests != sum.Arrived {
+		t.Fatalf("shard bins %+v, Summary %+v, Arrived = %d", bins, sum.Outcomes, sum.Arrived)
 	}
 	if _, err := sys.ShardStats(7); !errors.Is(err, clockwork.ErrNoSuchShard) {
 		t.Fatalf("want ErrNoSuchShard, got %v", err)
@@ -713,6 +725,36 @@ func TestShardedPublicAPI(t *testing.T) {
 	sys.RunFor(2 * time.Second)
 	if !ok2 {
 		t.Fatal("migrated model stopped serving")
+	}
+
+	// Unregistering a model cancels its queued requests and the one on
+	// the wire, in Summary as in the shard bins. With every worker
+	// drained, new requests queue at their controller.
+	before := sys.Summary()
+	for id := 0; id < 4; id++ {
+		if err := sys.DrainWorker(id); err != nil {
+			t.Fatal(err)
+		}
+	}
+	victim := names[1]
+	for i := 0; i < 3; i++ {
+		sys.SubmitRequest(clockwork.Request{Model: victim, SLO: 10 * time.Second}, nil)
+	}
+	sys.RunFor(10 * time.Millisecond)
+	if s := sys.Summary(); s.Arrived-s.Requests != 3 {
+		t.Fatalf("3 requests queued, Arrived − Requests = %d", s.Arrived-s.Requests)
+	}
+	sys.SubmitRequest(clockwork.Request{Model: victim, SLO: 10 * time.Second}, nil) // on the wire
+	if err := sys.UnregisterModel(victim); err != nil {
+		t.Fatal(err)
+	}
+	sys.RunFor(time.Second)
+	sum = sys.Summary()
+	if bins := shardTotal(t, sys); bins != sum.Outcomes || sum.Requests != sum.Arrived {
+		t.Fatalf("after unregister: shard bins %+v, Summary %+v, Arrived = %d", bins, sum.Outcomes, sum.Arrived)
+	}
+	if sum.Cancelled-before.Cancelled != 4 || sum.Requests-before.Requests != 4 {
+		t.Fatalf("want 4 more cancelled of 4 more answered: before %+v, after %+v", before.Outcomes, sum.Outcomes)
 	}
 
 	// Geometry validation: more shards than workers is a construction
@@ -809,8 +851,8 @@ func TestShardedSummaryMatchesUnshardedWorkload(t *testing.T) {
 	}
 	for _, shards := range []int{1, 2} {
 		s := run(shards)
-		if s.Requests != 60 {
-			t.Fatalf("shards=%d: %d of 60 requests accounted", shards, s.Requests)
+		if s.Arrived != 60 || s.Requests != 60 {
+			t.Fatalf("shards=%d: %d of 60 requests arrived, %d answered", shards, s.Arrived, s.Requests)
 		}
 		if s.Succeeded+s.Failed != 60 {
 			t.Fatalf("shards=%d: outcomes %d+%d don't cover 60", shards, s.Succeeded, s.Failed)

@@ -2,7 +2,6 @@ package clockwork
 
 import (
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -226,94 +225,41 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 	}
 }
 
-// sumShards adds up every shard's outcome ledger field by field.
-func sumShards(t *testing.T, sys *System) ShardStats {
-	t.Helper()
-	var sum ShardStats
-	sv := reflect.ValueOf(&sum).Elem()
-	for i := 0; i < sys.ShardCount(); i++ {
-		st, err := sys.ShardStats(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for f, bv := 0, reflect.ValueOf(st); f < sv.NumField(); f++ {
-			sv.Field(f).SetUint(sv.Field(f).Uint() + bv.Field(f).Uint())
-		}
-	}
-	return sum
-}
-
 // TestSummaryIsTheLedger: Summary counts an outcome when its response
 // lands at the client, in the same instant as the shard bins and the
-// latency histogram, never a response hop earlier; it counts
-// unregistrations as cancellations, as the shard bins do; and
-// Arrived − Requests is the number of requests the controllers hold.
+// latency histogram, never a response hop earlier; and Arrived −
+// Requests is the number of requests the controller holds.
+// TestShardedPublicAPI checks the same ledger across shards and an
+// unregistration.
 func TestSummaryIsTheLedger(t *testing.T) {
-	t.Run("response hop", func(t *testing.T) {
-		sys := newSys(t, Config{Workers: 1, GPUsPerWorker: 1, ExactTiming: true, Seed: 1})
-		if err := sys.RegisterModel("m", "resnet50_v1b"); err != nil {
-			t.Fatal(err)
-		}
-		answered := uint64(0)
-		if _, err := sys.SubmitRequest(Request{Model: "m", SLO: time.Second}, func(Result) { answered++ }); err != nil {
-			t.Fatal(err)
-		}
-		sys.RunFor(time.Millisecond) // at the controller, far short of the cold start
-		for steps := 0; answered == 0 || steps < 1000; steps++ {
-			s := sys.Summary()
-			n, bins, hist := s.Succeeded+s.Failed, sumShards(t, sys).Requests, sys.cluster.Metrics.LatencyAll.Count()
-			if n != bins || n != hist {
-				t.Fatalf("at %v: Summary counts %d outcomes, shard bins %d, latency histogram %d", sys.Now(), n, bins, hist)
-			}
-			if s.Requests != answered || s.Arrived-s.Requests != 1-answered {
-				t.Fatalf("at %v: Arrived %d, Requests %d, with %d of 1 answered", sys.Now(), s.Arrived, s.Requests, answered)
-			}
-			if steps > 100_000 {
-				t.Fatal("no response within 100ms")
-			}
-			sys.RunFor(time.Microsecond)
-		}
-		if s := sys.Summary(); s.Succeeded != 1 || s.Arrived != 1 {
-			t.Fatalf("after the response: %+v", s)
-		}
-	})
-
-	t.Run("unregister", func(t *testing.T) {
-		sys := newSys(t, Config{Workers: 2, GPUsPerWorker: 1, Shards: 2, Seed: 1})
-		names, err := sys.RegisterCopies("m", "resnet50_v1b", 4)
+	sys := newSys(t, Config{Workers: 1, GPUsPerWorker: 1, ExactTiming: true, Seed: 1})
+	if err := sys.RegisterModel("m", "resnet50_v1b"); err != nil {
+		t.Fatal(err)
+	}
+	answered := uint64(0)
+	if _, err := sys.SubmitRequest(Request{Model: "m", SLO: time.Second}, func(Result) { answered++ }); err != nil {
+		t.Fatal(err)
+	}
+	sys.RunFor(time.Millisecond) // at the controller, far short of the cold start
+	for steps := 0; answered == 0 || steps < 1000; steps++ {
+		s := sys.Summary()
+		bins, err := sys.ShardStats(0)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, n := range names {
-			sys.SubmitRequest(Request{Model: n, SLO: time.Second}, nil)
+		n, hist := s.Succeeded+s.Failed, sys.cluster.Metrics.LatencyAll.Count()
+		if n != bins.Requests || n != hist {
+			t.Fatalf("at %v: Summary counts %d outcomes, shard bins %d, latency histogram %d", sys.Now(), n, bins.Requests, hist)
 		}
-		sys.RunFor(time.Second)
-		// With every worker drained, new requests queue at their
-		// controller with nowhere to go.
-		for id := 0; id < 2; id++ {
-			if err := sys.DrainWorker(id); err != nil {
-				t.Fatal(err)
-			}
+		if s.Requests != answered || s.Arrived-s.Requests != 1-answered {
+			t.Fatalf("at %v: Arrived %d, Requests %d, with %d of 1 answered", sys.Now(), s.Arrived, s.Requests, answered)
 		}
-		victim := names[0]
-		for i := 0; i < 3; i++ {
-			sys.SubmitRequest(Request{Model: victim, SLO: 10 * time.Second}, nil)
+		if steps > 100_000 {
+			t.Fatal("no response within 100ms")
 		}
-		sys.RunFor(10 * time.Millisecond)
-		if s := sys.Summary(); s.Arrived-s.Requests != 3 {
-			t.Fatalf("3 requests queued, Arrived − Requests = %d", s.Arrived-s.Requests)
-		}
-		sys.SubmitRequest(Request{Model: victim, SLO: 10 * time.Second}, nil) // on the wire
-		if err := sys.UnregisterModel(victim); err != nil {
-			t.Fatal(err)
-		}
-		sys.RunFor(time.Second)
-		s := sys.Summary()
-		if s.Outcomes != sumShards(t, sys) {
-			t.Fatalf("Summary %+v, shard bins %+v", s.Outcomes, sumShards(t, sys))
-		}
-		if s.Cancelled != 4 || s.Succeeded != uint64(len(names)) || s.Requests != s.Arrived {
-			t.Fatalf("want 4 unregistered, %d served, none in flight: %+v", len(names), s)
-		}
-	})
+		sys.RunFor(time.Microsecond)
+	}
+	if s := sys.Summary(); s.Succeeded != 1 || s.Arrived != 1 {
+		t.Fatalf("after the response: %+v", s)
+	}
 }

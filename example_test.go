@@ -82,7 +82,7 @@ func ExampleNew_sharded() {
 		st, _ := sys.ShardStats(i)
 		binned += st.Requests
 	}
-	fmt.Printf("requests=%d binned=%d\n", sys.Summary().Requests, binned)
+	fmt.Printf("requests=%d binned=%d\n", sys.Summary().Arrived, binned)
 	// Output:
 	// resnet#0 -> shard 1
 	// resnet#1 -> shard 0

@@ -84,7 +84,9 @@ func TestAutoscalerDecisionsReplayDeterministically(t *testing.T) {
 					return
 				default:
 				}
-				_, _ = client.Infer(ctx, clockwork.Request{Model: "m", SLO: time.Millisecond})
+				if _, err := client.Infer(ctx, clockwork.Request{Model: "m", SLO: time.Millisecond}); err != nil {
+					time.Sleep(time.Millisecond) // shed: back off, not spin
+				}
 			}
 		}()
 	}
