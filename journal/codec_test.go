@@ -2,6 +2,7 @@ package journal
 
 import (
 	"bytes"
+	"encoding/hex"
 	"errors"
 	"reflect"
 	"testing"
@@ -72,6 +73,37 @@ func TestRecordRoundTrip(t *testing.T) {
 		}
 		if !reflect.DeepEqual(got, want) {
 			t.Errorf("type %d: round trip mismatch:\n got  %+v\n want %+v", want.Type, got, want)
+		}
+	}
+}
+
+// sampleRecordHex is each sampleRecords entry's payload as an earlier
+// build encoded it. A change that moves one changes the journal's
+// bytes: old journals no longer decode, or decode to other records.
+var sampleRecordHex = []string{
+	"0100000001030202000009636c6f636b776f726b630000000000000000000000406f408001d209b00902067265736e65740c7265736e657435305f76316200000764656e736523310b64656e73656e6574313631010205696e666572080280897a8092f401046c6f6164020180c8d007030001022a80a8bbd47e",
+	"020107809bee02010b067265736e657480cab5ee01030461636d6510",
+	"03021380d1ca080b05010080b6dc050801",
+	"03031480dac4090c060003010000",
+	"04041580e3be0a0564656e73650b64656e73656e657431363104",
+	"05051680ecb80b",
+	"06061780f5b20c02",
+	"07071880feac0d01",
+	"0808198087a70e",
+	"09091a8090a10f",
+	"0a0a1b80999b10",
+	"0b0b1c80a2951160010101",
+	"0b0c1d80ab8f1210000400",
+}
+
+func TestRecordBytesPinned(t *testing.T) {
+	recs := sampleRecords()
+	if len(recs) != len(sampleRecordHex) {
+		t.Fatalf("%d sample records, %d pinned encodings", len(recs), len(sampleRecordHex))
+	}
+	for i := range recs {
+		if got := hex.EncodeToString(appendRecord(nil, &recs[i])); got != sampleRecordHex[i] {
+			t.Errorf("record %d (type %d) encodes to\n %s\nwant\n %s", i, recs[i].Type, got, sampleRecordHex[i])
 		}
 	}
 }

@@ -604,6 +604,93 @@ func TestAdminJournalPlane(t *testing.T) {
 	}
 }
 
+// wireKeys returns a JSON object's top-level keys in order, with each
+// key's raw value.
+func wireKeys(t *testing.T, body []byte) ([]string, map[string]json.RawMessage) {
+	t.Helper()
+	dec := json.NewDecoder(bytes.NewReader(body))
+	if tok, err := dec.Token(); err != nil || tok != json.Delim('{') {
+		t.Fatalf("not a JSON object: %s", body)
+	}
+	var keys []string
+	vals := map[string]json.RawMessage{}
+	for dec.More() {
+		tok, err := dec.Token()
+		if err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		var v json.RawMessage
+		if err := dec.Decode(&v); err != nil {
+			t.Fatalf("%s: %v", body, err)
+		}
+		keys = append(keys, tok.(string))
+		vals[tok.(string)] = v
+	}
+	return keys, vals
+}
+
+// TestAdminJournalWireKeys pins the GET /v1/admin/journal and POST
+// /v1/admin/snapshot bodies key by key, in order, as an earlier build
+// served them: before and after the first snapshot, with a snapshot
+// that pruned segments so its omitempty key shows.
+func TestAdminJournalWireKeys(t *testing.T) {
+	js := startJournaled(t, t.TempDir(), clockwork.Config{Workers: 1, GPUsPerWorker: 1},
+		journal.Options{MaxSegmentBytes: 2048, Retain: journal.RetainToSnapshot})
+	get := func() []byte {
+		t.Helper()
+		resp, err := http.Get(js.ts.URL + "/v1/admin/journal")
+		if err != nil {
+			t.Fatalf("GET journal: %v", err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET journal: status %d: %s", resp.StatusCode, body)
+		}
+		return body
+	}
+	check := func(what string, body []byte, want []string) map[string]json.RawMessage {
+		t.Helper()
+		keys, vals := wireKeys(t, body)
+		if strings.Join(keys, ",") != strings.Join(want, ",") {
+			t.Fatalf("%s keys\n got  %v\n want %v", what, keys, want)
+		}
+		return vals
+	}
+	head := []string{"dir", "epoch", "segments", "bytes", "records", "infers", "acks",
+		"fsync", "unsynced_bytes", "fsync_lag_ns", "snapshots"}
+
+	vals := check("journal before a snapshot", get(), append(head[:len(head):len(head)], "last_snapshot_age_ns"))
+	if string(vals["fsync"]) != `"never"` || string(vals["last_snapshot_age_ns"]) != "-1" {
+		t.Fatalf("fsync = %s, last_snapshot_age_ns = %s; want \"never\" and -1",
+			vals["fsync"], vals["last_snapshot_age_ns"])
+	}
+
+	ctx := context.Background()
+	if err := js.client.RegisterModel(ctx, "resnet", "resnet50_v1b"); err != nil {
+		t.Fatalf("RegisterModel: %v", err)
+	}
+	for i := 0; i < 80; i++ {
+		if _, err := js.client.Infer(ctx, clockwork.Request{Model: "resnet", SLO: 500 * time.Millisecond}); err != nil {
+			t.Fatalf("Infer: %v", err)
+		}
+	}
+	resp, err := http.Post(js.ts.URL+"/v1/admin/snapshot", "application/json", nil)
+	if err != nil {
+		t.Fatalf("POST snapshot: %v", err)
+	}
+	body, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("POST snapshot: status %d: %s", resp.StatusCode, body)
+	}
+	check("snapshot", body, []string{"path", "seq", "step", "virtual_time_ns", "bytes",
+		"models", "workers", "pruned_segments"})
+
+	check("journal after a snapshot", get(), append(head[:len(head):len(head)],
+		"last_snapshot_path", "last_snapshot_seq", "last_snapshot_age_ns"))
+}
+
 // TestCreateRejectsMultiEngine: journaling is a single-engine property.
 func TestCreateRejectsMultiEngine(t *testing.T) {
 	sys, err := clockwork.New(clockwork.Config{Workers: 2, Shards: 2, EnginePerShard: true})
