@@ -49,11 +49,12 @@ type ClusterConfig struct {
 	// cross-shard injection hook, and whole-cluster mutations
 	// (registration, migration, rebalancing) require every engine to be
 	// paused (live mode: a Live.Do barrier). Simulation entry points
-	// (RunFor/RunUntil) and Trace capture need the single-engine
-	// control plane and are rejected. Bit-exact reproducibility is a
-	// single-engine property: with EnginePerShard the cross-shard event
-	// interleaving is wall-clock dependent, exactly like injection
-	// timing in live mode.
+	// (RunFor/RunUntil) need the single-engine control plane and are
+	// rejected; the flight recorder works in either mode (see
+	// SetFlightRecorder). Bit-exact reproducibility is a single-engine
+	// property: with EnginePerShard the cross-shard event interleaving
+	// is wall-clock dependent, exactly like injection timing in live
+	// mode.
 	EnginePerShard bool
 
 	// RebalanceInterval is the cross-shard rebalancer's period (default

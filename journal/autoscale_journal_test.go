@@ -156,9 +156,9 @@ func TestAutoscalerDecisionsReplayDeterministically(t *testing.T) {
 	// halving never lands on 24 under a MaxWindow of 32.
 	shrunk, window := false, 32
 	for i := range ep.Records {
-		if w := ep.Records[i].Window; w > 0 {
-			shrunk = shrunk || (w < window && w != 24)
-			window = w
+		if a, ok := ep.Records[i].Op.(journal.Autoscale); ok && a.Window > 0 {
+			shrunk = shrunk || (a.Window < window && a.Window != 24)
+			window = a.Window
 		}
 	}
 	if !shrunk {

@@ -50,17 +50,17 @@ func sampleRecords() []Record {
 		{Type: recAck, Seq: 3, Step: 20, VT: 10 * time.Millisecond, Corr: 12, RequestID: 6,
 			Success: false, Reason: 3, Latency: -1},
 		{Type: recRegister, Seq: 4, Step: 21, VT: 11 * time.Millisecond,
-			Instance: "dense", Zoo: "densenet161", Copies: 4},
-		{Type: recAddWorker, Seq: 5, Step: 22, VT: 12 * time.Millisecond},
-		{Type: recDrainWorker, Seq: 6, Step: 23, VT: 13 * time.Millisecond, WorkerID: 2},
-		{Type: recFailWorker, Seq: 7, Step: 24, VT: 14 * time.Millisecond, WorkerID: 1},
-		{Type: recRebalance, Seq: 8, Step: 25, VT: 15 * time.Millisecond},
-		{Type: recNoop, Seq: 9, Step: 26, VT: 16 * time.Millisecond},
+			Op: Register{Instance: "dense", Zoo: "densenet161", Copies: 4}},
+		{Type: recAddWorker, Seq: 5, Step: 22, VT: 12 * time.Millisecond, Op: AddWorker{}},
+		{Type: recDrainWorker, Seq: 6, Step: 23, VT: 13 * time.Millisecond, Op: DrainWorker{ID: 2}},
+		{Type: recFailWorker, Seq: 7, Step: 24, VT: 14 * time.Millisecond, Op: FailWorker{ID: 1}},
+		{Type: recRebalance, Seq: 8, Step: 25, VT: 15 * time.Millisecond, Op: Rebalance{}},
+		{Type: recRead, Seq: 9, Step: 26, VT: 16 * time.Millisecond, Op: Read{}},
 		{Type: recSnapshot, Seq: 10, Step: 27, VT: 17 * time.Millisecond},
 		{Type: recAutoscale, Seq: 11, Step: 28, VT: 18 * time.Millisecond,
-			Window: 48, AddWorkers: 1, WorkerID: -1, Rebal: true},
+			Op: Autoscale{Window: 48, AddWorkers: 1, Drain: -1, Rebalance: true}},
 		{Type: recAutoscale, Seq: 12, Step: 29, VT: 19 * time.Millisecond,
-			Window: 8, WorkerID: 2},
+			Op: Autoscale{Window: 8, Drain: 2}},
 	}
 }
 
@@ -194,7 +194,7 @@ func TestCorruptFrame(t *testing.T) {
 }
 
 func TestDecodeRejectsTrailingBytes(t *testing.T) {
-	rec := sampleRecords()[9] // recNoop: empty body
+	rec := sampleRecords()[9] // recRead: empty body
 	payload := appendRecord(nil, &rec)
 	payload = append(payload, 0xAB)
 	var got Record

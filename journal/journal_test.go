@@ -78,7 +78,7 @@ func (js *jserver) shutdown(t *testing.T) {
 }
 
 // postSnapshot drives POST /v1/admin/snapshot and decodes the reply.
-func (js *jserver) postSnapshot(t *testing.T) serve.SnapshotResponse {
+func (js *jserver) postSnapshot(t *testing.T) journal.SnapshotInfo {
 	t.Helper()
 	resp, err := http.Post(js.ts.URL+"/v1/admin/snapshot", "application/json", nil)
 	if err != nil {
@@ -89,7 +89,7 @@ func (js *jserver) postSnapshot(t *testing.T) serve.SnapshotResponse {
 	if resp.StatusCode != http.StatusOK {
 		t.Fatalf("POST snapshot: status %d: %s", resp.StatusCode, body)
 	}
-	var sr serve.SnapshotResponse
+	var sr journal.SnapshotInfo
 	if err := json.Unmarshal(body, &sr); err != nil {
 		t.Fatalf("snapshot response: %v", err)
 	}
@@ -565,7 +565,7 @@ func TestAdminJournalPlane(t *testing.T) {
 	if err != nil {
 		t.Fatalf("GET journal: %v", err)
 	}
-	var st serve.JournalStatusResponse
+	var st journal.Status
 	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
 		t.Fatalf("decode journal status: %v", err)
 	}
@@ -581,7 +581,7 @@ func TestAdminJournalPlane(t *testing.T) {
 	if st.LastSnapshotSeq == 0 || st.LastSnapshotAge < 0 {
 		t.Fatalf("snapshot status: %+v", st)
 	}
-	if st.Failed || st.Fsync != "never" {
+	if st.Failed || st.Fsync != journal.FsyncNever {
 		t.Fatalf("journal health: %+v", st)
 	}
 
@@ -689,6 +689,29 @@ func TestAdminJournalWireKeys(t *testing.T) {
 
 	check("journal after a snapshot", get(), append(head[:len(head):len(head)],
 		"last_snapshot_path", "last_snapshot_seq", "last_snapshot_age_ns"))
+
+	// Every field set, the omitempty ones included, encodes to the
+	// bytes an earlier build served, and the status decodes back.
+	st := journal.Status{Dir: "d", Epoch: 1, Segments: 2, Bytes: 3, Records: 4, Infers: 5, Acks: 6,
+		Fsync: journal.FsyncAlways, UnsyncedBytes: 7, FsyncLag: 8, Snapshots: 9,
+		LastSnapshotPath: "p", LastSnapshotSeq: 10, LastSnapshotAge: 11, Failed: true, Err: "e"}
+	for _, c := range []struct {
+		v    any
+		want string
+	}{
+		{st, `{"dir":"d","epoch":1,"segments":2,"bytes":3,"records":4,"infers":5,"acks":6,"fsync":"always","unsynced_bytes":7,"fsync_lag_ns":8,"snapshots":9,"last_snapshot_path":"p","last_snapshot_seq":10,"last_snapshot_age_ns":11,"failed":true,"error":"e"}`},
+		{journal.SnapshotInfo{Path: "p", Seq: 1, Step: 2, VT: 3, Bytes: 4, Models: 5, Workers: 6, PrunedSegments: 7},
+			`{"path":"p","seq":1,"step":2,"virtual_time_ns":3,"bytes":4,"models":5,"workers":6,"pruned_segments":7}`},
+	} {
+		got, err := json.Marshal(c.v)
+		if err != nil || string(got) != c.want {
+			t.Fatalf("%T encodes to %s (%v), want %s", c.v, got, err, c.want)
+		}
+	}
+	var back journal.Status
+	if b, _ := json.Marshal(st); json.Unmarshal(b, &back) != nil || back != st {
+		t.Fatalf("status round trip: %+v, want %+v", back, st)
+	}
 }
 
 // TestCreateRejectsMultiEngine: journaling is a single-engine property.

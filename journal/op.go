@@ -2,11 +2,12 @@ package journal
 
 import "clockwork"
 
-// Op is one control-plane mutation: Register, AddWorker, DrainWorker,
-// FailWorker, Rebalance or Autoscale. Only this package can add one:
-// each op needs a journal record and a case in Apply.
+// Op is one engine entry the journal records: a control-plane mutation
+// (Register, AddWorker, DrainWorker, FailWorker, Rebalance, Autoscale)
+// or a Read. Only this package can add one: each op needs a record
+// type, an encoding and a case in Apply.
 type Op interface {
-	record() Record
+	recType() byte
 }
 
 // Register registers a catalogue model: one instance named Instance
@@ -40,35 +41,19 @@ type Autoscale struct {
 	Rebalance  bool
 }
 
-func (o Register) record() Record {
-	return Record{Type: recRegister, Instance: o.Instance, Zoo: o.Zoo, Copies: o.Copies}
-}
-func (AddWorker) record() Record     { return Record{Type: recAddWorker} }
-func (o DrainWorker) record() Record { return Record{Type: recDrainWorker, WorkerID: o.ID} }
-func (o FailWorker) record() Record  { return Record{Type: recFailWorker, WorkerID: o.ID} }
-func (Rebalance) record() Record     { return Record{Type: recRebalance} }
-func (o Autoscale) record() Record {
-	return Record{Type: recAutoscale, Window: o.Window, AddWorkers: o.AddWorkers, WorkerID: o.Drain, Rebal: o.Rebalance}
-}
+// Read is an engine entry that only reads: a stats, metrics, model
+// list or trace scrape, or an autoscale tick that moved nothing. Apply
+// changes nothing, but the entry consumed an engine step, so it is
+// recorded and replay consumes one too.
+type Read struct{}
 
-// op decodes a control-plane record; nil for any other record type.
-func (r *Record) op() Op {
-	switch r.Type {
-	case recRegister:
-		return Register{Instance: r.Instance, Zoo: r.Zoo, Copies: r.Copies}
-	case recAddWorker:
-		return AddWorker{}
-	case recDrainWorker:
-		return DrainWorker{ID: r.WorkerID}
-	case recFailWorker:
-		return FailWorker{ID: r.WorkerID}
-	case recRebalance:
-		return Rebalance{}
-	case recAutoscale:
-		return Autoscale{Window: r.Window, AddWorkers: r.AddWorkers, Drain: r.WorkerID, Rebalance: r.Rebal}
-	}
-	return nil
-}
+func (Register) recType() byte    { return recRegister }
+func (AddWorker) recType() byte   { return recAddWorker }
+func (DrainWorker) recType() byte { return recDrainWorker }
+func (FailWorker) recType() byte  { return recFailWorker }
+func (Rebalance) recType() byte   { return recRebalance }
+func (Autoscale) recType() byte   { return recAutoscale }
+func (Read) recType() byte        { return recRead }
 
 // Effect is what Apply did: the instances a Register created, the ID
 // of the worker an AddWorker added, and the models a rebalance pass
@@ -80,9 +65,11 @@ type Effect struct {
 }
 
 // Apply records op to rec when rec is non-nil, then applies it to sys:
-// the one place a control op becomes System calls. Recording first
-// journals a failing op too (a duplicate name, a drained worker), and
-// replay fails it identically. Engine-confined: the record is stamped
+// the one place a control op becomes System calls, and the one way an
+// engine entry other than an inference or a snapshot is recorded.
+// Recording first journals a failing op too (a duplicate name, a
+// drained worker), and replay fails it identically. A Read is only
+// recorded. Engine-confined: the record is stamped
 // with the engine's step and instant, so in live mode call it inside
 // Live.Do.
 func Apply(sys *clockwork.System, rec *Recorder, op Op) (e Effect, err error) {

@@ -32,6 +32,7 @@ func controlOps() []Op {
 		Autoscale{Window: 8, Drain: 4, Rebalance: true},
 		Autoscale{Window: 8, Drain: 4},
 		Autoscale{Window: 32, Drain: -1},
+		Read{},
 	}
 }
 
@@ -117,7 +118,7 @@ func TestApplyDirectAndRecordedAgree(t *testing.T) {
 	}
 	var decoded []Op
 	for i := range ep.Records {
-		if op := ep.Records[i].op(); op != nil {
+		if op := ep.Records[i].Op; op != nil {
 			decoded = append(decoded, op)
 		}
 	}

@@ -45,19 +45,17 @@ const (
 	// engine turn the completion callback ran — before the response
 	// could reach the client.
 	recAck byte = 3
-	// recRegister is a model registration (Copies == 0: RegisterModel;
-	// Copies > 0: RegisterCopies).
-	recRegister byte = 4
-	// recAddWorker / recDrainWorker / recFailWorker / recRebalance are
-	// the operator control-plane mutations.
+	// recRegister … recRebalance, recRead and recAutoscale each carry
+	// one Op (see op.go): a Register, the operator's worker and
+	// rebalance mutations, and a Read — an engine entry with no
+	// engine-visible effect, which still consumed an engine step, so
+	// replay must consume one identically.
+	recRegister    byte = 4
 	recAddWorker   byte = 5
 	recDrainWorker byte = 6
 	recFailWorker  byte = 7
 	recRebalance   byte = 8
-	// recNoop marks an injected closure with no engine-visible effect —
-	// a stats/metrics/model-list scrape. It still consumed an engine
-	// step, so replay must consume one identically.
-	recNoop byte = 9
+	recRead        byte = 9
 	// recSnapshot marks that a snapshot file (named for this record's
 	// seq) was durably written before this record was appended.
 	recSnapshot byte = 10
@@ -66,7 +64,7 @@ const (
 	// drain target, a rebalance pass. The decision — not the signals it
 	// was derived from — is what replay re-applies, so a recorded run
 	// reproduces bit-for-bit however the wall clock paced the control
-	// loop. A tick that moved nothing records recNoop instead (the
+	// loop. A tick that moved nothing records recRead instead (the
 	// evaluation still consumed an engine step).
 	recAutoscale byte = 11
 )
@@ -91,6 +89,7 @@ var (
 
 // Record is the decoded form of one journal entry. It is a tagged
 // union: Type selects which of the per-type field groups is meaningful.
+// A record that carries an Op has the Op's own record type.
 type Record struct {
 	Type byte
 	Seq  uint64
@@ -114,19 +113,8 @@ type Record struct {
 	Batch     int
 	ColdStart bool
 
-	// recRegister
-	Instance string
-	Zoo      string
-	Copies   int
-
-	// recDrainWorker / recFailWorker; recAutoscale reuses it as the
-	// drain target (-1 = no drain in that decision).
-	WorkerID int
-
-	// recAutoscale
-	Window     int
-	AddWorkers int
-	Rebal      bool
+	// recRegister … recAutoscale
+	Op Op
 
 	// recGenesis
 	State *State
@@ -180,21 +168,34 @@ func appendRecord(b []byte, r *Record) []byte {
 		b = appendVarint(b, int64(r.Latency))
 		b = appendVarint(b, int64(r.Batch))
 		b = appendBool(b, r.ColdStart)
-	case recRegister:
-		b = appendString(b, r.Instance)
-		b = appendString(b, r.Zoo)
-		b = appendUvarint(b, uint64(r.Copies))
-	case recDrainWorker, recFailWorker:
-		b = appendUvarint(b, uint64(r.WorkerID))
-	case recAutoscale:
-		b = appendVarint(b, int64(r.Window))
-		b = appendUvarint(b, uint64(r.AddWorkers))
-		b = appendVarint(b, int64(r.WorkerID))
-		b = appendBool(b, r.Rebal)
-	case recAddWorker, recRebalance, recNoop, recSnapshot:
+	case recSnapshot:
 		// no body
 	default:
-		panic(fmt.Sprintf("journal: encode of unknown record type %d", r.Type))
+		b = appendOp(b, r.Op)
+	}
+	return b
+}
+
+// appendOp encodes an op record's body.
+func appendOp(b []byte, op Op) []byte {
+	switch o := op.(type) {
+	case Register:
+		b = appendString(b, o.Instance)
+		b = appendString(b, o.Zoo)
+		b = appendUvarint(b, uint64(o.Copies))
+	case DrainWorker:
+		b = appendUvarint(b, uint64(o.ID))
+	case FailWorker:
+		b = appendUvarint(b, uint64(o.ID))
+	case Autoscale:
+		b = appendVarint(b, int64(o.Window))
+		b = appendUvarint(b, uint64(o.AddWorkers))
+		b = appendVarint(b, int64(o.Drain))
+		b = appendBool(b, o.Rebalance)
+	case AddWorker, Rebalance, Read:
+		// no body
+	default:
+		panic(fmt.Sprintf("journal: encode of unknown op %T", op))
 	}
 	return b
 }
@@ -304,17 +305,20 @@ func decodeRecord(payload []byte, r *Record) error {
 		r.Batch = int(c.varint())
 		r.ColdStart = c.bool()
 	case recRegister:
-		r.Instance = c.str()
-		r.Zoo = c.str()
-		r.Copies = int(c.uvarint())
-	case recDrainWorker, recFailWorker:
-		r.WorkerID = int(c.uvarint())
+		r.Op = Register{Instance: c.str(), Zoo: c.str(), Copies: int(c.uvarint())}
+	case recAddWorker:
+		r.Op = AddWorker{}
+	case recDrainWorker:
+		r.Op = DrainWorker{ID: int(c.uvarint())}
+	case recFailWorker:
+		r.Op = FailWorker{ID: int(c.uvarint())}
+	case recRebalance:
+		r.Op = Rebalance{}
+	case recRead:
+		r.Op = Read{}
 	case recAutoscale:
-		r.Window = int(c.varint())
-		r.AddWorkers = int(c.uvarint())
-		r.WorkerID = int(c.varint())
-		r.Rebal = c.bool()
-	case recAddWorker, recRebalance, recNoop, recSnapshot:
+		r.Op = Autoscale{Window: int(c.varint()), AddWorkers: int(c.uvarint()), Drain: int(c.varint()), Rebalance: c.bool()}
+	case recSnapshot:
 		// no body
 	default:
 		return fmt.Errorf("%w: unknown record type %d", ErrCorruptFrame, r.Type)

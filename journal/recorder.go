@@ -238,40 +238,46 @@ func (r *Recorder) Flush() {
 	}
 }
 
-// appendOp journals a control op — Apply's record step — flushed to
-// the kernel at once. An Autoscale op's window also becomes the
-// admission config a later snapshot carries forward into recovery.
+// appendOp journals an op — Apply's record step. A control op is
+// flushed to the kernel at once, and an Autoscale op's window also
+// becomes the admission config a later snapshot carries forward into
+// recovery. A Read buffers like an inference record until the next
+// barrier: reads consume engine steps too, and without their records
+// the replay's step alignment would drift.
 func (r *Recorder) appendOp(op Op) {
-	rec := op.record()
+	rec := Record{Type: op.recType(), Op: op}
 	r.stamp(&rec)
-	_, _ = r.w.append(&rec, true)
-	if a, ok := op.(Autoscale); ok {
-		r.base.MaxInFlight = a.Window
+	switch o := op.(type) {
+	case Read:
+		_, _ = r.w.append(&rec, false)
+		r.dirty.Store(true)
+		return
+	case Autoscale:
+		r.base.MaxInFlight = o.Window
 	}
+	_, _ = r.w.append(&rec, true)
 }
 
-// Noop records an injected closure with no engine-visible effect — a
-// stats or metrics scrape. Reads consume engine steps too; without
-// their records the replay's step alignment would drift.
-func (r *Recorder) Noop() {
-	rec := Record{Type: recNoop}
-	r.stamp(&rec)
-	_, _ = r.w.append(&rec, false)
-	r.dirty.Store(true)
-}
+// Noop records a read, like Apply(sys, r, Read{}).
+//
+// Deprecated: record reads with Apply.
+func (r *Recorder) Noop() { r.appendOp(Read{}) }
 
-// SnapshotInfo describes one taken snapshot.
+// SnapshotInfo describes one taken snapshot; it is also the POST
+// /v1/admin/snapshot body.
 type SnapshotInfo struct {
-	Path  string
-	Seq   uint64
-	Step  uint64
-	VT    time.Duration
-	Bytes int64
+	Path string `json:"path"`
+	// Seq is the journal sequence the snapshot covers up to (its marker
+	// record); Step and VT stamp the capture's engine position.
+	Seq   uint64        `json:"seq"`
+	Step  uint64        `json:"step"`
+	VT    time.Duration `json:"virtual_time_ns"`
+	Bytes int64         `json:"bytes"`
 	// Models and Workers count what the snapshot captured.
-	Models  int
-	Workers int
+	Models  int `json:"models"`
+	Workers int `json:"workers"`
 	// PrunedSegments counts segments removed under RetainToSnapshot.
-	PrunedSegments int
+	PrunedSegments int `json:"pruned_segments,omitempty"`
 }
 
 // Snapshot captures the current control-plane state, writes it durably
@@ -327,32 +333,33 @@ func (r *Recorder) Snapshot() (SnapshotInfo, error) {
 
 // Status is a point-in-time view of the journal, safe from any
 // goroutine (the admin plane and /metrics read it without touching the
-// engine).
+// engine). It is also the GET /v1/admin/journal body.
 type Status struct {
-	Dir   string
-	Epoch int
+	Dir   string `json:"dir"`
+	Epoch int    `json:"epoch"`
 
-	Segments int
-	Bytes    int64
-	Records  uint64
-	Infers   uint64
-	Acks     uint64
+	Segments int    `json:"segments"`
+	Bytes    int64  `json:"bytes"`
+	Records  uint64 `json:"records"`
+	Infers   uint64 `json:"infers"`
+	Acks     uint64 `json:"acks"`
 
-	Fsync         FsyncPolicy
-	UnsyncedBytes int64
-	// FsyncLag is the time since the last completed fsync (0 when
-	// nothing is pending).
-	FsyncLag time.Duration
+	Fsync FsyncPolicy `json:"fsync"`
+	// UnsyncedBytes and FsyncLag report machine-crash exposure: bytes
+	// in the kernel but not yet on stable storage, and for how long
+	// (FsyncLag is 0 when nothing is pending).
+	UnsyncedBytes int64         `json:"unsynced_bytes"`
+	FsyncLag      time.Duration `json:"fsync_lag_ns"`
 
-	Snapshots        uint64
-	LastSnapshotPath string
-	LastSnapshotSeq  uint64
+	Snapshots        uint64 `json:"snapshots"`
+	LastSnapshotPath string `json:"last_snapshot_path,omitempty"`
+	LastSnapshotSeq  uint64 `json:"last_snapshot_seq,omitempty"`
 	// LastSnapshotAge is the wall-clock time since the last snapshot
 	// (negative when none has been taken).
-	LastSnapshotAge time.Duration
+	LastSnapshotAge time.Duration `json:"last_snapshot_age_ns"`
 
-	Failed bool
-	Err    string
+	Failed bool   `json:"failed,omitempty"`
+	Err    string `json:"error,omitempty"`
 }
 
 // Status returns current journal gauges.

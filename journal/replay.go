@@ -153,18 +153,11 @@ func ReplayEpochTraced(e *EpochData, flight *trace.Recorder) (*ReplayResult, err
 				return nil, fmt.Errorf("seq %d: %w", rec.Seq, err)
 			}
 			i = j
-		case recNoop, recSnapshot:
-			// The closure read state and scheduled nothing — but it
-			// consumed an engine step, so consume one here too.
-			if err := rp.Apply(rec.Step, rec.VT, func() {}); err != nil {
-				return nil, fmt.Errorf("seq %d: %w", rec.Seq, err)
-			}
 		default:
-			op := rec.op()
-			if op == nil {
-				return nil, fmt.Errorf("journal: replay of unknown record type %d (seq %d)", rec.Type, rec.Seq)
-			}
-			// An op that failed live fails identically here.
+			// An op that failed live fails identically here. A Read, or
+			// a snapshot marker (no Op), applies nothing, but its
+			// closure consumed an engine step, so this consumes one too.
+			op := rec.Op
 			if err := rp.Apply(rec.Step, rec.VT, func() { _, _ = Apply(sys, nil, op) }); err != nil {
 				return nil, fmt.Errorf("seq %d: %w", rec.Seq, err)
 			}
@@ -269,7 +262,10 @@ func (e *EpochData) Rebuild() (*clockwork.System, *State, *RecoveryReport, error
 		if rec.Seq <= baseSeq {
 			continue
 		}
-		if op := rec.op(); op != nil {
+		switch op := rec.Op.(type) {
+		case nil, Read:
+			// Only mutations move the rebuilt state.
+		default:
 			_, _ = Apply(sys, nil, op) // an op that failed live fails identically here
 			rep.AppliedOps++
 			if a, ok := op.(Autoscale); ok {

@@ -38,6 +38,15 @@ func (p FsyncPolicy) String() string {
 	}
 }
 
+// MarshalText encodes p as its String form.
+func (p FsyncPolicy) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
+// UnmarshalText parses what MarshalText wrote.
+func (p *FsyncPolicy) UnmarshalText(b []byte) (err error) {
+	*p, err = ParseFsyncPolicy(string(b))
+	return err
+}
+
 // ParseFsyncPolicy parses the -journal-fsync flag values.
 func ParseFsyncPolicy(s string) (FsyncPolicy, error) {
 	switch s {

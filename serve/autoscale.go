@@ -15,9 +15,9 @@ import (
 // journal.Apply records and applies the resulting op's worker actions
 // inside the engine; the tick resizes the admission window, which lives
 // at the serve layer. With journaling on, the tick appends exactly one
-// record: the decision (recAutoscale) when anything moved, a no-op
-// otherwise, so replay consumes the tick's engine step one-for-one and
-// recovery carries the adapted window forward.
+// record: the decision (journal.Autoscale) when anything moved, a
+// journal.Read otherwise, so replay consumes the tick's engine step
+// one-for-one and recovery carries the adapted window forward.
 
 // AutoscaleConfig configures the closed-loop autoscaler (re-exported
 // so callers outside the module can build one; see
@@ -41,7 +41,7 @@ func (s *Server) autoscaleTick() {
 	s.mu.Unlock()
 	if !s.ascEnabled.Load() {
 		s.sys.DrainRecentStats()
-		s.recNoop()
+		_, _ = journal.Apply(s.sys, s.rec, journal.Read{})
 		return
 	}
 
@@ -49,12 +49,12 @@ func (s *Server) autoscaleTick() {
 	// the admin plane — no engine call needed to observe the loop.
 	op, reason := autoscale.Step(s.sys, s.asc, shed, window)
 	s.ascTicks.Add(1)
+	var entry journal.Op = journal.Read{} // a tick that moved nothing only read
 	if op.Window != window || op.AddWorkers > 0 || op.Drain >= 0 || op.Rebalance {
-		_, _ = journal.Apply(s.sys, s.rec, op) // Step drains only an active worker: no error
+		entry = op
 		s.ascMoves.Add(1)
-	} else {
-		s.recNoop()
 	}
+	_, _ = journal.Apply(s.sys, s.rec, entry) // Step drains only an active worker: no error
 	s.ascAdded.Add(uint64(op.AddWorkers))
 	if op.Drain >= 0 {
 		s.ascDrained.Add(1)
@@ -118,14 +118,11 @@ func (s *Server) handleAutoscalerPost(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Window != nil {
 		n := s.asc.ClampWindow(*req.Window)
-		doErr := s.live.Do(func() {
-			_, _ = journal.Apply(s.sys, s.rec, journal.Autoscale{Window: n, Drain: -1})
+		if _, ok := s.apply(w, journal.Autoscale{Window: n, Drain: -1}, func() {
 			s.mu.Lock()
 			s.win.SetLimit(n)
 			s.mu.Unlock()
-		})
-		if doErr != nil {
-			writeAPIError(w, doErr)
+		}); !ok {
 			return
 		}
 	}

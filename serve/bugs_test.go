@@ -237,3 +237,34 @@ func TestServeMultiEngine(t *testing.T) {
 		t.Fatalf("Stats = %+v", st)
 	}
 }
+
+// TestSequentialClientNeverShed: at a window of one, a client that
+// sends its next request only after the previous answer must never be
+// shed, over either transport. The slot has to be free by the time
+// the answer can reach the client; an answer that overtakes its own
+// release makes the next request a 429 (or an overloaded frame).
+func TestSequentialClientNeverShed(t *testing.T) {
+	srv, client, sc := newTestStreamServer(t, clockwork.Config{Workers: 1, GPUsPerWorker: 1},
+		Options{Speed: 2000, MaxInFlight: 1})
+	ctx := context.Background()
+	if err := client.RegisterModel(ctx, "m", "resnet50_v1b"); err != nil {
+		t.Fatalf("RegisterModel: %v", err)
+	}
+	req := clockwork.Request{Model: "m", SLO: time.Minute}
+	for _, tr := range []struct {
+		name  string
+		infer func(context.Context, clockwork.Request) (clockwork.Result, error)
+	}{{"http", client.Infer}, {"stream", sc.Infer}} {
+		for i := 0; i < 300; i++ {
+			if _, err := tr.infer(ctx, req); err != nil {
+				t.Fatalf("%s request %d: %v", tr.name, i, err)
+			}
+		}
+	}
+	srv.mu.Lock()
+	shed := srv.win.Shed()
+	srv.mu.Unlock()
+	if shed != 0 {
+		t.Fatalf("window shed %d requests from a sequential client", shed)
+	}
+}

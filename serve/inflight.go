@@ -11,24 +11,27 @@ import (
 // inflight record; from there the lifecycle is one code path whichever
 // transport decoded it:
 //
-//	admit → injectOn (journal Infer, SubmitRequestSink) → finish → release
+//	admit → injectOn (journal Infer, SubmitRequestSink) → finish
 //
 // finish runs exactly once per record, for whichever outcome comes: the
 // engine's result (OnResult), a typed refusal from the submit call, or
 // an abort (the driver stopped before the injection ran, or a stream
-// reader died before injecting). It journals the ack, hands the outcome
-// to the record's transport — the externalize step, the one place
-// besides decoding where the transports differ — and releases the
-// admission slot. The slot is therefore held until the outcome exists,
-// not until a handler returns or a connection closes, so the in-flight
-// window means what it says even when the client is gone.
+// reader died before injecting). It journals the ack, releases the
+// admission slot, and hands the outcome to the record's transport — the
+// externalize step, the one place besides decoding where the
+// transports differ. The slot is therefore held until the outcome
+// exists, not until a handler returns or a connection closes, so the
+// in-flight window means what it says even when the client is gone; and
+// it is free before the client can see the answer, so a client that
+// waits for each answer is never shed at a window of one. Shutdown's
+// drain waits for the hand-over itself (Server.unanswered).
 
 // externalizer is the transport end of a record: where its outcome
 // leaves the server. The HTTP handler's inferCall and the stream
 // transport's streamConn implement it.
 type externalizer interface {
 	// externalize hands over the outcome — res when err is nil, else the
-	// refusal — on the engine turn (or the aborting goroutine), before
+	// refusal — on the engine turn (or the aborting goroutine), after
 	// the admission slot is released.
 	externalize(it *inflight, res clockwork.Result, err error)
 }
@@ -66,10 +69,17 @@ func (it *inflight) finish(res clockwork.Result, err error) {
 	if err == nil && s.rec != nil {
 		s.rec.Ack(it.jcorr, res)
 	}
+	s.mu.Lock()
+	s.win.Release()
+	s.mu.Unlock()
 	it.out.externalize(it, res, err)
 	*it = inflight{}
 	inflightPool.Put(it)
-	s.release()
+	if s.unanswered.Add(-1) == 0 {
+		s.mu.Lock()
+		s.wakeDrainLocked()
+		s.mu.Unlock()
+	}
 }
 
 // ownerShard picks the engine shard to inject a submission on: the

@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"clockwork"
+	"clockwork/journal"
 	"clockwork/trace"
 )
 
@@ -27,8 +28,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		quants = make([]float64, len(latencyQuantiles))
 		agg    trace.Aggregate
 	)
-	doErr := s.live.Do(func() {
-		s.recNoop()
+	_, ok := s.apply(w, journal.Read{}, func() {
 		s.fillStats(&st)
 		for i := 0; i < s.sys.ShardCount(); i++ {
 			if sb, err := s.sys.ShardStats(i); err == nil {
@@ -43,8 +43,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		// counters all reflect one virtual instant.
 		agg = s.flight.Aggregate()
 	})
-	if doErr != nil {
-		writeAPIError(w, doErr)
+	if !ok {
 		return
 	}
 

@@ -58,19 +58,8 @@ type Options struct {
 }
 
 // TraceConfig configures the flight recorder serve attaches to the
-// system.
-type TraceConfig struct {
-	// Enabled starts recording immediately (otherwise the recorder
-	// stays dormant until enabled through the admin plane).
-	Enabled bool
-	// SampleRate is the head-based sampling probability in [0, 1];
-	// negative means the default (trace.DefaultSampleRate). SLO
-	// violations are always retained regardless of the rate.
-	SampleRate float64
-	// RingSize bounds the per-shard retention rings (0 = the trace
-	// package default).
-	RingSize int
-}
+// system: the trace package's own options.
+type TraceConfig = trace.Options
 
 // Server is the HTTP/JSON front end of a live System: it bridges
 // concurrent connections onto the single-threaded engine through the
@@ -101,8 +90,10 @@ type Server struct {
 	mux  *http.ServeMux
 	// rec is the injection journal (nil when journaling is off). Every
 	// injected closure that reaches the engine appends exactly one
-	// record batch through it — mutations as typed records, reads as
-	// no-ops — so a replay can re-consume engine steps one-for-one.
+	// record batch through it — inferences through the batch, snapshots
+	// through Recorder.Snapshot, everything else as a journal.Op through
+	// journal.Apply, reads as journal.Read — so a replay can re-consume
+	// engine steps one-for-one.
 	rec *journal.Recorder
 	// flight is the always-attached flight recorder (see Options.Trace);
 	// never nil after New.
@@ -116,13 +107,15 @@ type Server struct {
 
 	// win is the admission window (Options.MaxInFlight), guarded by mu:
 	// both transports admit infer requests through it, and it holds
-	// them until they finish (see inflight.go). drained is closed once
-	// the server is draining and the window is empty: Shutdown's drain
-	// waits on it. stopCtx is cancelled immediately before the driver
+	// them until their outcome exists (see inflight.go). unanswered
+	// counts admitted requests whose outcome has not yet reached its
+	// transport; drained is closed once the server is draining and
+	// unanswered is zero: Shutdown's drain waits on it. stopCtx is cancelled immediately before the driver
 	// stops, releasing any HTTP handler still waiting on its outcome (a
 	// drain that hit its deadline): once the clock halts, that outcome
 	// can never come.
 	win        autoscale.Window
+	unanswered atomic.Int64
 	drained    chan struct{}
 	stopCtx    context.Context
 	stopCancel context.CancelFunc
@@ -161,10 +154,8 @@ func New(sys *clockwork.System, opts Options) *Server {
 	flight := sys.FlightRecorder()
 	if flight == nil {
 		topts := trace.Options{SampleRate: -1}
-		if tc := opts.Trace; tc != nil {
-			topts.Enabled = tc.Enabled
-			topts.SampleRate = tc.SampleRate
-			topts.RingSize = tc.RingSize
+		if opts.Trace != nil {
+			topts = *opts.Trace
 		}
 		flight = trace.New(topts)
 		sys.AttachFlightRecorder(flight)
@@ -229,15 +220,6 @@ func New(sys *clockwork.System, opts Options) *Server {
 		}
 	}
 	return s
-}
-
-// recNoop journals an injected read closure (stats, metrics, model
-// lists): no engine-visible effect, but one engine step that replay
-// must consume identically. Engine-side, like every record call.
-func (s *Server) recNoop() {
-	if s.rec != nil {
-		s.rec.Noop()
-	}
 }
 
 // Live returns the wall-clock driver, for callers that mix direct
@@ -355,9 +337,8 @@ func (s *Server) isDraining() bool {
 // Shutdown has begun and with ErrOverloaded when the admission window
 // (Options.MaxInFlight) is full — a shed, which the window counts for
 // the autoscaler and the flight recorder. The checks and the admit
-// share the mutex, so after Shutdown sets draining the in-flight count
-// only decreases. Every successful admit must be paired with one
-// release.
+// share the mutex, so after Shutdown sets draining the unanswered count
+// only decreases. Every successful admit is undone by one finish.
 func (s *Server) admit() error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -367,6 +348,7 @@ func (s *Server) admit() error {
 	if !s.win.Admit() {
 		return ErrOverloaded
 	}
+	s.unanswered.Add(1)
 	return nil
 }
 
@@ -378,19 +360,11 @@ func (s *Server) MaxInFlight() int {
 	return s.win.Limit()
 }
 
-// release undoes one admit, once the request's outcome has been handed
-// to its transport (inflight.finish).
-func (s *Server) release() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.win.Release()
-	s.wakeDrainLocked()
-}
-
 // wakeDrainLocked closes drained once a draining server has no
-// admitted request left without its outcome. Caller holds s.mu.
+// admitted request left whose outcome has not reached its transport.
+// Caller holds s.mu.
 func (s *Server) wakeDrainLocked() {
-	if !s.draining || s.win.InFlight() > 0 {
+	if !s.draining || s.unanswered.Load() > 0 {
 		return
 	}
 	select {
@@ -403,12 +377,7 @@ func (s *Server) wakeDrainLocked() {
 // inflightLow reports whether the server is near-idle — the gate for
 // the stream transport's inline-write latency fast path (under burst,
 // responses take the coalescing writer instead).
-func (s *Server) inflightLow() bool {
-	s.mu.Lock()
-	n := s.win.InFlight()
-	s.mu.Unlock()
-	return n <= 2
-}
+func (s *Server) inflightLow() bool { return s.unanswered.Load() <= 2 }
 
 // ---- handlers ----
 
@@ -542,10 +511,12 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// apply runs a control op on the engine through journal.Apply —
-// recorded first when journaling, so a failed op fails identically on
-// replay — then, when it succeeded, then (if non-nil) in the same
-// barrier. It answers the error when the barrier or the op failed.
+// apply is the engine entry of every request but an infer or a
+// snapshot: it runs op — a control op, or journal.Read for a read — on
+// the engine through journal.Apply, recorded first when journaling so
+// a failed op fails identically on replay, then, when it succeeded,
+// then (if non-nil) in the same barrier. It answers the error when the
+// barrier or the op failed.
 func (s *Server) apply(w http.ResponseWriter, op journal.Op, then func()) (journal.Effect, bool) {
 	var eff journal.Effect
 	var err error
@@ -566,20 +537,18 @@ func (s *Server) apply(w http.ResponseWriter, op journal.Op, then func()) (journ
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	var models []string
-	if doErr := s.live.Do(func() { s.recNoop(); models = s.sys.Models() }); doErr != nil {
-		writeAPIError(w, doErr)
-		return
+	if _, ok := s.apply(w, journal.Read{}, func() { models = s.sys.Models() }); ok {
+		writeJSON(w, ModelsResponse{Models: models})
 	}
-	writeJSON(w, ModelsResponse{Models: models})
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
-	st, doErr := s.snapshot()
-	if doErr != nil {
-		writeAPIError(w, doErr)
-		return
+	var st StatsResponse
+	if _, ok := s.apply(w, journal.Read{}, func() { s.fillStats(&st) }); ok {
+		st.Uptime = time.Since(s.started)
+		st.Speed = s.live.Speed()
+		writeJSON(w, st)
 	}
-	writeJSON(w, st)
 }
 
 // fillStats populates st's engine-side fields. It must run
@@ -591,16 +560,6 @@ func (s *Server) fillStats(st *StatsResponse) {
 	st.Workers = s.sys.Workers()
 	st.Shards = s.sys.ShardCount()
 	st.Models = s.sys.ModelCount()
-}
-
-// snapshot reads a consistent serving-plane summary on the engine
-// goroutine.
-func (s *Server) snapshot() (StatsResponse, error) {
-	var st StatsResponse
-	err := s.live.Do(func() { s.recNoop(); s.fillStats(&st) })
-	st.Uptime = time.Since(s.started)
-	st.Speed = s.live.Speed()
-	return st, err
 }
 
 func (s *Server) handleAddWorker(w http.ResponseWriter, r *http.Request) {
@@ -632,8 +591,7 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	var resp ShardStatsResponse
-	doErr := s.live.Do(func() {
-		s.recNoop()
+	_, ok := s.apply(w, journal.Read{}, func() {
 		n := s.sys.ShardCount()
 		resp.Shards = make([]ShardStatsEntry, 0, n)
 		for i := 0; i < n; i++ {
@@ -645,11 +603,9 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 		}
 		resp.Migrations = s.sys.Migrations()
 	})
-	if doErr != nil {
-		writeAPIError(w, doErr)
-		return
+	if ok {
+		writeJSON(w, resp)
 	}
-	writeJSON(w, resp)
 }
 
 // handleSnapshot (POST /v1/admin/snapshot) takes an on-demand
@@ -671,16 +627,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "snapshot_failed", serr)
 		return
 	}
-	writeJSON(w, SnapshotResponse{
-		Path:           info.Path,
-		Seq:            info.Seq,
-		Step:           info.Step,
-		VirtualTime:    info.VT,
-		Bytes:          info.Bytes,
-		Models:         info.Models,
-		Workers:        info.Workers,
-		PrunedSegments: info.PrunedSegments,
-	})
+	writeJSON(w, info)
 }
 
 // handleJournal (GET /v1/admin/journal) reports journal health from the
@@ -691,25 +638,7 @@ func (s *Server) handleJournal(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "no_journal", errors.New("journaling is not enabled (start with -journal)"))
 		return
 	}
-	st := s.rec.Status()
-	writeJSON(w, JournalStatusResponse{
-		Dir:              st.Dir,
-		Epoch:            st.Epoch,
-		Segments:         st.Segments,
-		Bytes:            st.Bytes,
-		Records:          st.Records,
-		Infers:           st.Infers,
-		Acks:             st.Acks,
-		Fsync:            st.Fsync.String(),
-		UnsyncedBytes:    st.UnsyncedBytes,
-		FsyncLag:         st.FsyncLag,
-		Snapshots:        st.Snapshots,
-		LastSnapshotPath: st.LastSnapshotPath,
-		LastSnapshotSeq:  st.LastSnapshotSeq,
-		LastSnapshotAge:  st.LastSnapshotAge,
-		Failed:           st.Failed,
-		Error:            st.Err,
-	})
+	writeJSON(w, s.rec.Status())
 }
 
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {

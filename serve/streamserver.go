@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"clockwork"
+	"clockwork/journal"
 	"clockwork/serve/stream"
 )
 
@@ -142,7 +143,7 @@ func (s *Server) streamFrame(sc *streamConn, dec *stream.Decoder, typ uint8, p [
 		// A refused injection (driver stopped) must still answer the
 		// frame, or the client's correlation waits forever.
 		s.live.InjectOrAbortOn(0, func() {
-			s.recNoop()
+			_, _ = journal.Apply(s.sys, s.rec, journal.Read{})
 			m := outFramePool.Get().(*outFrame)
 			m.typ = stream.TypeModelList
 			m.corr = corr

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"net/http"
 
+	"clockwork/journal"
 	"clockwork/trace"
 )
 
@@ -39,13 +40,10 @@ type TraceStatusResponse struct {
 // align virtual timestamps with external logs.
 func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	var snap *trace.Snapshot
-	doErr := s.live.Do(func() {
-		s.recNoop()
+	if _, ok := s.apply(w, journal.Read{}, func() {
 		snap = s.flight.Snapshot()
 		snap.VirtualNow = s.sys.Now()
-	})
-	if doErr != nil {
-		writeAPIError(w, doErr)
+	}); !ok {
 		return
 	}
 	if wall, virtual, ok := s.live.WallOrigin(); ok {
@@ -84,13 +82,11 @@ func (s *Server) handleTracePost(w http.ResponseWriter, r *http.Request) {
 	// The per-shard counters are engine-side state; read them under the
 	// same consistent entry the dump uses.
 	var st trace.Stats
-	if doErr := s.live.Do(func() { s.recNoop(); st = s.flight.Aggregate().Stats }); doErr != nil {
-		writeAPIError(w, doErr)
-		return
+	if _, ok := s.apply(w, journal.Read{}, func() { st = s.flight.Aggregate().Stats }); ok {
+		writeJSON(w, TraceStatusResponse{
+			Enabled:    s.flight.Enabled(),
+			SampleRate: s.flight.SampleRate(),
+			Stats:      st,
+		})
 	}
-	writeJSON(w, TraceStatusResponse{
-		Enabled:    s.flight.Enabled(),
-		SampleRate: s.flight.SampleRate(),
-		Stats:      st,
-	})
 }

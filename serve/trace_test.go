@@ -46,6 +46,8 @@ type perfettoDump struct {
 	TraceEvents []struct {
 		Name  string         `json:"name"`
 		Phase string         `json:"ph"`
+		TS    float64        `json:"ts"`
+		Dur   float64        `json:"dur"`
 		PID   int            `json:"pid"`
 		TID   uint64         `json:"tid"`
 		Args  map[string]any `json:"args"`
@@ -111,6 +113,36 @@ func TestTraceEndpointExportsLifecycle(t *testing.T) {
 	}
 	if violations == 0 {
 		t.Fatal("the tight-SLO request should have emitted a violation instant")
+	}
+	// Every stage span nests in a request span on its pid/tid track,
+	// within 1 µs for the float round trip.
+	for _, st := range dump.TraceEvents {
+		if st.Args["kind"] != "stage" {
+			continue
+		}
+		nested := false
+		for _, rq := range dump.TraceEvents {
+			nested = nested || rq.Args["kind"] == "request" && rq.PID == st.PID && rq.TID == st.TID &&
+				rq.TS <= st.TS+1 && st.TS+st.Dur <= rq.TS+rq.Dur+1
+		}
+		if !nested {
+			t.Fatalf("stage span %q [%g, +%g] on %d/%d nests in no request span", st.Name, st.TS, st.Dur, st.PID, st.TID)
+		}
+	}
+	// The impossible-SLO request's own span carries the violation and
+	// its cause.
+	tight := 0
+	for _, ev := range dump.TraceEvents {
+		if ev.Args["kind"] != "request" || ev.Args["slo_ms"] != 1e-6 {
+			continue
+		}
+		tight++
+		if cause, _ := ev.Args["cause"].(string); ev.Args["violation"] != true || cause == "" || cause == "none" {
+			t.Fatalf("tight-SLO request span: violation=%v cause=%q", ev.Args["violation"], ev.Args["cause"])
+		}
+	}
+	if tight != 1 {
+		t.Fatalf("found %d tight-SLO request spans, want 1", tight)
 	}
 	if dump.OtherData["clockwork"] != "flight-recorder" {
 		t.Fatalf("otherData missing recorder tag: %v", dump.OtherData)

@@ -119,47 +119,6 @@ type StatsResponse struct {
 	Models     int           `json:"models"`
 }
 
-// SnapshotResponse is the POST /v1/admin/snapshot body: where the
-// snapshot landed and what it captured.
-type SnapshotResponse struct {
-	Path string `json:"path"`
-	// Seq is the journal sequence the snapshot covers up to (its marker
-	// record); Step and VirtualTime stamp the capture's engine position.
-	Seq         uint64        `json:"seq"`
-	Step        uint64        `json:"step"`
-	VirtualTime time.Duration `json:"virtual_time_ns"`
-	Bytes       int64         `json:"bytes"`
-	Models      int           `json:"models"`
-	Workers     int           `json:"workers"`
-	// PrunedSegments counts segments deleted under -journal-retain
-	// snapshot (0 under the default retain-all).
-	PrunedSegments int `json:"pruned_segments,omitempty"`
-}
-
-// JournalStatusResponse is the GET /v1/admin/journal body — the same
-// gauges /metrics exposes, as JSON.
-type JournalStatusResponse struct {
-	Dir      string `json:"dir"`
-	Epoch    int    `json:"epoch"`
-	Segments int    `json:"segments"`
-	Bytes    int64  `json:"bytes"`
-	Records  uint64 `json:"records"`
-	Infers   uint64 `json:"infers"`
-	Acks     uint64 `json:"acks"`
-	Fsync    string `json:"fsync"`
-	// UnsyncedBytes and FsyncLag report machine-crash exposure: bytes
-	// in the kernel but not yet on stable storage, and for how long.
-	UnsyncedBytes    int64         `json:"unsynced_bytes"`
-	FsyncLag         time.Duration `json:"fsync_lag_ns"`
-	Snapshots        uint64        `json:"snapshots"`
-	LastSnapshotPath string        `json:"last_snapshot_path,omitempty"`
-	LastSnapshotSeq  uint64        `json:"last_snapshot_seq,omitempty"`
-	// LastSnapshotAge is negative before the first snapshot.
-	LastSnapshotAge time.Duration `json:"last_snapshot_age_ns"`
-	Failed          bool          `json:"failed,omitempty"`
-	Error           string        `json:"error,omitempty"`
-}
-
 // AutoscalerStatusResponse is the GET /v1/admin/autoscaler body (also
 // returned by POST): the closed loop's live state from the server's
 // status mirrors and admission window.
