@@ -110,10 +110,10 @@ type Server struct {
 	// them until their outcome exists (see inflight.go). unanswered
 	// counts admitted requests whose outcome has not yet reached its
 	// transport; drained is closed once the server is draining and
-	// unanswered is zero: Shutdown's drain waits on it. stopCtx is cancelled immediately before the driver
-	// stops, releasing any HTTP handler still waiting on its outcome (a
-	// drain that hit its deadline): once the clock halts, that outcome
-	// can never come.
+	// unanswered is zero: Shutdown's drain waits on it. stopCtx is
+	// cancelled immediately before the driver stops, releasing any HTTP
+	// handler still waiting on its outcome (a drain that hit its
+	// deadline): once the clock halts, that outcome can never come.
 	win        autoscale.Window
 	unanswered atomic.Int64
 	drained    chan struct{}
@@ -280,7 +280,7 @@ func (s *Server) Shutdown(ctx context.Context) error {
 			err = ctx.Err()
 		}
 	}
-	// The in-flight count is zero (or the deadline expired): every
+	// The unanswered count is zero (or the deadline expired): every
 	// outcome has been queued on its connection's writer. Finish the
 	// stream connections now — each writer flushes its queue and closes
 	// the socket — so no completed response is lost to the shutdown.
