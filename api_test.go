@@ -103,8 +103,14 @@ func (s *fifoScheduler) pump() {
 	}
 }
 
+// externalPolicyRuns names each run's policy apart: the registry is
+// process-wide, so a second run (-count) must not re-register a name.
+var externalPolicyRuns int
+
 func TestRegisterExternalPolicy(t *testing.T) {
-	err := clockwork.RegisterPolicy("test-fifo", clockwork.PolicySpec{
+	externalPolicyRuns++
+	name := clockwork.Policy(fmt.Sprintf("test-fifo-%d", externalPolicyRuns))
+	err := clockwork.RegisterPolicy(name, clockwork.PolicySpec{
 		New:                     func() clockwork.Scheduler { return &fifoScheduler{} },
 		DisableAdmissionControl: true,
 		Description:             "test-only naive FIFO scheduler",
@@ -112,13 +118,13 @@ func TestRegisterExternalPolicy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := clockwork.RegisterPolicy("test-fifo", clockwork.PolicySpec{
+	if err := clockwork.RegisterPolicy(name, clockwork.PolicySpec{
 		New: func() clockwork.Scheduler { return &fifoScheduler{} },
 	}); !errors.Is(err, clockwork.ErrDuplicatePolicy) {
 		t.Fatalf("want ErrDuplicatePolicy, got %v", err)
 	}
 
-	sys := mustSys(t, clockwork.Config{Policy: "test-fifo", ExactTiming: true})
+	sys := mustSys(t, clockwork.Config{Policy: name, ExactTiming: true})
 	if err := sys.RegisterModel("m", "resnet50_v1b"); err != nil {
 		t.Fatal(err)
 	}

@@ -22,23 +22,13 @@ type Config struct {
 	// §8 names as the scaling bottleneck). Each shard schedules a
 	// disjoint slice of the workers and a disjoint subset of the
 	// models; a periodic rebalancer migrates models between shards when
-	// demand skews. Requires Workers >= Shards. See ARCHITECTURE.md.
+	// demand skews. Every shard runs on the system's one event engine,
+	// so a sharded run is as reproducible as an unsharded one. Requires
+	// Workers >= Shards. See ARCHITECTURE.md.
 	Shards int
 	// RebalanceInterval is the cross-shard rebalancer's virtual-time
 	// period (default 1s; meaningful only with Shards > 1).
 	RebalanceInterval time.Duration
-	// EnginePerShard gives every scheduler shard its own event engine
-	// and, in live mode, its own pacing goroutine — an N-shard control
-	// plane can then use N cores. The shards' virtual clocks stay within
-	// a bounded skew window of each other (see StartLive); cross-shard
-	// interactions travel through synchronised handoffs and
-	// whole-cluster operations run under a stop-the-world barrier
-	// (Live.Do). Simulation entry points (RunFor/RunUntil) are
-	// unavailable: an EnginePerShard system must be driven live via
-	// StartLive. Bit-exact reproducibility is a single-engine property —
-	// with EnginePerShard the cross-shard interleaving is wall-clock
-	// dependent, exactly like injection timing in live mode.
-	EnginePerShard bool
 	// Policy selects the scheduler by registry name (default
 	// PolicyClockwork). See RegisterPolicy and Policies.
 	Policy Policy
@@ -84,7 +74,6 @@ func New(cfg Config) (*System, error) {
 		GPUsPerWorker:     cfg.GPUsPerWorker,
 		Shards:            cfg.Shards,
 		RebalanceInterval: cfg.RebalanceInterval,
-		EnginePerShard:    cfg.EnginePerShard,
 		Seed:              cfg.Seed,
 		PageCacheBytes:    cfg.PageCacheBytes,
 		NoNoise:           cfg.ExactTiming,
@@ -103,9 +92,7 @@ func New(cfg Config) (*System, error) {
 }
 
 // RunFor advances virtual time by d, executing everything due in that
-// span. Panics with Config.EnginePerShard: a multi-engine system has no
-// single deterministic clock to step — drive it live via StartLive.
-// Panics, too, while a Live paces the system: the engine has one owner.
+// span. Panics while a Live paces the system: the engine has one owner.
 func (s *System) RunFor(d time.Duration) {
 	s.checkSimulable()
 	s.cluster.RunFor(d)
@@ -126,17 +113,15 @@ func (s *System) checkSimulable() {
 	}
 }
 
-// Now returns the elapsed virtual time. With Config.EnginePerShard this
-// is shard 0's clock (the shards stay within the skew bound of each
-// other); while a live driver is pacing, read it from inside Live.Do or
-// an engine-side callback, not from an arbitrary goroutine.
+// Now returns the elapsed virtual time. While a live driver is pacing,
+// read it from inside Live.Do or an engine-side callback, not from an
+// arbitrary goroutine.
 func (s *System) Now() time.Duration { return s.cluster.Eng.Now().Duration() }
 
 // After schedules fn at now+d on the virtual clock — the hook workload
-// generators use to pace themselves. With Config.EnginePerShard it
-// schedules on shard 0's engine and must run on that engine's goroutine
-// (inside Live.Do, or a callback already on shard 0). It panics on a
-// nil fn.
+// generators use to pace themselves. While a live driver is pacing,
+// call it from inside Live.Do or an engine-side callback. It panics on
+// a nil fn.
 func (s *System) After(d time.Duration, fn func()) {
 	if fn == nil {
 		panic("clockwork: After with nil fn")

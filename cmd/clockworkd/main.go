@@ -14,7 +14,6 @@
 //	clockworkd -addr 127.0.0.1:8400 -stream-addr 127.0.0.1:8401 \
 //	    -workers 8 -shards 4 -speed 100 -preload resnet50_v1b:8,densenet161:4
 //	clockworkd -addr :8400 -stream-addr :8401 -max-inflight 1024
-//	clockworkd -addr :8400 -workers 8 -shards 4 -multicore
 //	clockworkd -addr :8400 -journal /var/lib/clockwork/journal \
 //	    -snapshot-interval 30s -preload resnet50_v1b:4
 //
@@ -23,19 +22,15 @@
 // cluster a hundredfold faster, for load tests that don't want to wait.
 // -max-inflight bounds the admission window shared by both transports:
 // beyond it HTTP answers 429 (Retry-After) and the stream answers typed
-// overloaded error frames. -multicore runs each scheduler shard on its
-// own engine and goroutine, synchronised within a bounded virtual-clock
-// skew derived from the network latency and -speed, so an N-shard
-// daemon can use N cores.
+// overloaded error frames.
 //
 // -autoscale closes the control loop: a periodic engine-side policy
 // re-derives the admission window from observed SLO headroom (shrink
 // on violations, grow on sustained p99 headroom, with hysteresis) and
 // — when -autoscale-max-workers raises the ceiling — adds or drains
 // workers against sustained demand. Status and manual overrides live
-// at GET/POST /v1/admin/autoscaler. The loop composes with -journal
-// (decisions are recorded and replayed) and with -multicore (each
-// tick runs under the stop-the-world barrier).
+// at GET/POST /v1/admin/autoscaler. The loop composes with -journal:
+// decisions are recorded and replayed.
 //
 // -trace attaches the flight recorder from boot: every sampled
 // request's lifecycle (admission → scheduling decision → load → exec →
@@ -59,8 +54,7 @@
 // daemon recovers: latest snapshot, plus the recorded mutations after
 // it — no registered model and no acknowledged request is lost. The
 // recovered run opens a new journal epoch; cmd/clockwork-replay can
-// re-execute any recorded epoch deterministically. Journaling is
-// single-engine: -journal with -multicore is a boot error. The geometry
+// re-execute any recorded epoch deterministically. The geometry
 // flags (-workers, -shards, …) and -preload are ignored on recovery —
 // the journal's state wins.
 package main
@@ -94,7 +88,6 @@ func main() {
 		workers      = flag.Int("workers", 1, "worker machines")
 		gpus         = flag.Int("gpus", 1, "GPUs per worker")
 		shards       = flag.Int("shards", 1, "control-plane scheduler shards")
-		multicore    = flag.Bool("multicore", false, "one engine+goroutine per shard (bounded-skew sync; needs -shards > 1 to matter)")
 		policy       = flag.String("policy", string(clockwork.PolicyClockwork), "serving policy (see -list-policies)")
 		listPolicies = flag.Bool("list-policies", false, "print registered policies and exit")
 		speed        = flag.Float64("speed", 1.0, "virtual-vs-wall clock multiplier")
@@ -128,9 +121,6 @@ func main() {
 		}
 		return
 	}
-	if *journalDir != "" && *multicore {
-		log.Fatalf("clockworkd: -journal requires a single engine; it cannot be combined with -multicore (bit-exact replay is a single-engine property)")
-	}
 	fsyncPolicy, err := journal.ParseFsyncPolicy(*journalFsync)
 	if err != nil {
 		log.Fatalf("clockworkd: %v", err)
@@ -145,12 +135,11 @@ func main() {
 	}
 
 	cfg := clockwork.Config{
-		Workers:        *workers,
-		GPUsPerWorker:  *gpus,
-		Shards:         *shards,
-		EnginePerShard: *multicore,
-		Policy:         clockwork.Policy(*policy),
-		Seed:           *seed,
+		Workers:       *workers,
+		GPUsPerWorker: *gpus,
+		Shards:        *shards,
+		Policy:        clockwork.Policy(*policy),
+		Seed:          *seed,
 	}
 	jopts := journal.Options{
 		Fsync:           fsyncPolicy,
@@ -268,8 +257,8 @@ func main() {
 		log.Printf("clockworkd: autoscaler on (period=%v window=[%d,%d] workers=[%d,%d])",
 			rcfg.Period, rcfg.MinWindow, rcfg.MaxWindow, rcfg.MinWorkers, rcfg.MaxWorkers)
 	}
-	log.Printf("clockworkd: listening on %s (workers=%d gpus=%d shards=%d multicore=%v policy=%s speed=%gx models=%d max-inflight=%d)",
-		ln.Addr(), cfg.Workers, cfg.GPUsPerWorker, cfg.Shards, *multicore, string(cfg.Policy), srv.Live().Speed(), len(names), *maxInFlight)
+	log.Printf("clockworkd: listening on %s (workers=%d gpus=%d shards=%d policy=%s speed=%gx models=%d max-inflight=%d)",
+		ln.Addr(), cfg.Workers, cfg.GPUsPerWorker, cfg.Shards, string(cfg.Policy), srv.Live().Speed(), len(names), *maxInFlight)
 
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()

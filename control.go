@@ -79,8 +79,7 @@ func (s *System) DrainRecentStats() RecentStats {
 type ShardDemand = core.ShardDemand
 
 // DemandSnapshot returns every shard's demand/capacity pair, indexed
-// by shard. Engine-side read; with EnginePerShard it must run under a
-// Live.Do barrier (it touches every shard's controller).
+// by shard. Engine-side read.
 func (s *System) DemandSnapshot() []ShardDemand {
 	return s.cluster.DemandSnapshot()
 }
@@ -94,17 +93,6 @@ func (s *System) ShardCount() int { return s.cluster.ShardCount() }
 // ShardOf reports which shard currently owns model — its consistent
 // initial placement, or wherever the rebalancer moved it since.
 func (s *System) ShardOf(model string) (int, bool) { return s.cluster.ShardOf(model) }
-
-// OwnerShard resolves model's owning shard from the lock-free routing
-// hint — safe from any goroutine, even while live engines are running
-// (unlike ShardOf, which reads the engine-side registry and needs the
-// engine quiescent). The hint may be one migration stale; a submission
-// routed to a stale shard is forwarded to the real owner, costing one
-// extra network hop, never correctness. ok is false for unregistered
-// models.
-func (s *System) OwnerShard(model string) (int, bool) {
-	return s.cluster.OwnerShardHint(model)
-}
 
 // Migrations returns the number of cross-shard model migrations so far
 // (periodic rebalancer plus manual MigrateModel calls). Always 0 with

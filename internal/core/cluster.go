@@ -41,22 +41,6 @@ type ClusterConfig struct {
 	// zero GPUs.
 	Shards int
 
-	// EnginePerShard gives every shard its own event engine — and, in
-	// live mode, its own pacing goroutine — so an N-shard control plane
-	// can use N cores. Each shard's controller, workers and client link
-	// live on that shard's engine; cross-shard interactions (submission
-	// forwarding after a migration) travel through the cluster's
-	// cross-shard injection hook, and whole-cluster mutations
-	// (registration, migration, rebalancing) require every engine to be
-	// paused (live mode: a Live.Do barrier). Simulation entry points
-	// (RunFor/RunUntil) need the single-engine control plane and are
-	// rejected; the flight recorder works in either mode (see
-	// SetFlightRecorder). Bit-exact reproducibility is a single-engine
-	// property: with EnginePerShard the cross-shard event interleaving
-	// is wall-clock dependent, exactly like injection timing in live
-	// mode.
-	EnginePerShard bool
-
 	// RebalanceInterval is the cross-shard rebalancer's period (default
 	// 1s of virtual time; only armed when Shards > 1). See rebalance.go
 	// for the skew trigger and the per-pass migration cap.
@@ -123,8 +107,7 @@ var ClusterOf func(system any) *Cluster
 // ownership and a periodic rebalancer migrating models between shards
 // when demand skews (see rebalance.go).
 type Cluster struct {
-	// Eng is the event engine — the only engine with one scheduling
-	// domain (the default), shard 0's engine with EnginePerShard.
+	// Eng is the event engine every shard, worker and link runs on.
 	Eng *simclock.Engine
 	// Ctl is shard 0's controller — the entire control plane when
 	// Shards == 1, kept as the compatibility handle for experiment
@@ -139,26 +122,9 @@ type Cluster struct {
 	cfg ClusterConfig
 	src *rng.Source
 
-	// engines holds one engine per scheduling domain: length 1 without
-	// EnginePerShard, one per shard with it. clientLinks mirrors it —
-	// each engine gets its own client-side duplex so submissions enter
-	// and responses leave on the engine that owns them.
-	engines     []*simclock.Engine
-	clientLinks []*network.Duplex
-
-	// route is the lock-free model→shard routing hint for goroutines
-	// outside any engine (live admission routing), which may not read
-	// models. It tracks each model's owner but may be momentarily stale
-	// across a migration; a submission landing on a stale shard is
-	// forwarded to the real owner through crossInject, so staleness
-	// costs one extra network hop, never correctness.
-	route sync.Map
-
-	// crossInject delivers r onto another shard's engine at virtual
-	// instant at (EnginePerShard only; the live layer installs it
-	// before any engine runs). It reports false when the driver has
-	// stopped.
-	crossInject func(shard int, at simclock.Time, r simclock.Runner) bool
+	// client is the client-side duplex: submissions enter and responses
+	// leave over it, whichever shard owns the model.
+	client *network.Duplex
 
 	// ---- shard bookkeeping (cluster-global; controllers only know
 	// their own slice) ----
@@ -196,100 +162,37 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	if err := cfg.validateShards(); err != nil {
 		panic("core: " + err.Error())
 	}
-	nEng := 1
-	if cfg.EnginePerShard {
-		nEng = cfg.Shards
-	}
-	engines := make([]*simclock.Engine, nEng)
-	for i := range engines {
-		engines[i] = simclock.NewEngine()
-	}
-
+	eng := simclock.NewEngine()
 	cl := &Cluster{
-		Eng:     engines[0],
+		Eng:     eng,
 		cfg:     cfg,
 		src:     rng.NewSource(cfg.Seed),
-		engines: engines,
 		Metrics: newMetrics(cfg.MetricsInterval),
 		models:  newModelTable(),
 		host:    new(worker.Models),
-	}
-	if nEng > 1 {
-		cl.Metrics.setConcurrent()
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		ccfg := cfg.Controller
 		ccfg.IDStart = uint64(i)
 		ccfg.IDStride = uint64(cfg.Shards)
-		ctl := NewController(cl.engFor(i), ccfg, cl.newScheduler())
+		ctl := NewController(eng, ccfg, cl.newScheduler())
 		ctl.tab, ctl.shard = cl.models, i
 		cl.Ctls = append(cl.Ctls, ctl)
 	}
 	cl.Ctl = cl.Ctls[0]
-	for _, eng := range engines {
-		link := network.NewDuplex(eng)
-		link.AtoB.Latency = cfg.NetLatency
-		link.BtoA.Latency = cfg.NetLatency
-		link.AtoB.BytesPerSecond = 0 // unconstrained
-		link.BtoA.BytesPerSecond = 0
-		cl.clientLinks = append(cl.clientLinks, link)
-	}
+	cl.client = network.NewDuplex(eng)
+	cl.client.AtoB.Latency = cfg.NetLatency
+	cl.client.BtoA.Latency = cfg.NetLatency
+	cl.client.AtoB.BytesPerSecond = 0 // unconstrained
+	cl.client.BtoA.BytesPerSecond = 0
 
 	for i := 0; i < cfg.Workers; i++ {
 		cl.addWorker()
 	}
-	// With one engine per shard there is no shared engine to carry the
-	// periodic rebalance timer; the live layer drives RebalanceOnce from
-	// the wall clock under a stop-the-world barrier instead.
-	if cfg.Shards > 1 && !cfg.EnginePerShard {
+	if cfg.Shards > 1 {
 		cl.armRebalancer()
 	}
 	return cl
-}
-
-// engFor returns the engine hosting shard — the shared engine without
-// EnginePerShard, the shard's own otherwise.
-func (cl *Cluster) engFor(shard int) *simclock.Engine {
-	if len(cl.engines) == 1 {
-		return cl.engines[0]
-	}
-	return cl.engines[shard]
-}
-
-// linkIdx maps a shard to its client-link index (0 without
-// EnginePerShard: all shards share one duplex).
-func (cl *Cluster) linkIdx(shard int) int {
-	if len(cl.clientLinks) == 1 {
-		return 0
-	}
-	return shard
-}
-
-func (cl *Cluster) multiEngine() bool { return len(cl.engines) > 1 }
-
-// EnginePerShard reports whether the cluster runs one engine per shard.
-func (cl *Cluster) EnginePerShard() bool { return cl.multiEngine() }
-
-// Engines returns the cluster's engines in shard order (length 1
-// without EnginePerShard). The live layer paces them.
-func (cl *Cluster) Engines() []*simclock.Engine { return cl.engines }
-
-// SetCrossShardInject installs the cross-shard delivery hook
-// (EnginePerShard mode). Must be called before any engine runs.
-func (cl *Cluster) SetCrossShardInject(fn func(shard int, at simclock.Time, r simclock.Runner) bool) {
-	cl.crossInject = fn
-}
-
-// OwnerShardHint resolves model's owning shard from the lock-free
-// routing hint — safe from any goroutine, possibly one migration stale
-// (submissions forwarded cross-shard absorb the staleness). ok is false
-// for unregistered models.
-func (cl *Cluster) OwnerShardHint(model string) (int, bool) {
-	s, ok := cl.route.Load(model)
-	if !ok {
-		return 0, false
-	}
-	return s.(int), true
 }
 
 func (c ClusterConfig) validateShards() error {
@@ -305,9 +208,7 @@ func (c ClusterConfig) validateShards() error {
 // before any engine runs (the recorder binds its per-shard state
 // here). A nil recorder detaches. Tracing is a pure observer — it
 // never schedules events, reads RNG streams, or mints IDs — so
-// attaching one leaves every schedule bit-identical, and unlike the
-// old decision-stream capture it works under EnginePerShard (each
-// shard's recorder is confined to that shard's engine goroutine).
+// attaching one leaves every schedule bit-identical.
 func (cl *Cluster) SetFlightRecorder(r *trace.Recorder) {
 	if r != nil {
 		r.Bind(len(cl.Ctls))
@@ -379,8 +280,8 @@ func (cl *Cluster) addWorker() int {
 	// pre-load all models into host RAM — shard ownership partitions
 	// scheduling, not host memory, which is what makes model migration a
 	// pure control-plane operation): the host set is shared.
-	w := worker.New(cl.engFor(shard), cl.src, wcfg, cl.host)
-	link := network.NewDuplex(cl.engFor(shard))
+	w := worker.New(cl.Eng, cl.src, wcfg, cl.host)
+	link := network.NewDuplex(cl.Eng)
 	link.AtoB.Latency = cl.cfg.NetLatency
 	link.BtoA.Latency = cl.cfg.NetLatency
 
@@ -542,8 +443,7 @@ type ShardDemand struct {
 }
 
 // DemandSnapshot returns every shard's demand/capacity pair, indexed
-// by shard. Engine-side read: with EnginePerShard it touches every
-// shard's controller, so it must run under a Live.Do barrier.
+// by shard. Engine-side read.
 func (cl *Cluster) DemandSnapshot() []ShardDemand {
 	out := make([]ShardDemand, len(cl.Ctls))
 	for i, ctl := range cl.Ctls {
@@ -587,7 +487,6 @@ func (cl *Cluster) UnregisterModel(name string) error {
 	if err := mi.owner.UnregisterModel(name); err != nil {
 		return err
 	}
-	cl.route.Delete(name)
 	for i, n := range cl.modelOrder {
 		if n == name {
 			cl.modelOrder = append(cl.modelOrder[:i], cl.modelOrder[i+1:]...)
@@ -671,7 +570,6 @@ func (cl *Cluster) RegisterModel(name string, zoo *modelzoo.Model) error {
 	if err := cl.Ctls[shard].RegisterModel(name, zoo); err != nil {
 		return err
 	}
-	cl.route.Store(name, shard)
 	cl.modelOrder = append(cl.modelOrder, name)
 	cl.host.Register(cl.models.lookup(name).id, zoo)
 	return nil
@@ -909,31 +807,23 @@ func (h *Handle) OnResult(res Result) {
 	}
 }
 
-// Submit issues one client request entered on shard local: the input
-// travels that shard's client link, the submission timestamp reads that
-// shard's clock, and sink (may be nil) receives the outcome once it is
-// back at the client, where latency is measured and recorded. It is the
-// one submission path — a *Handle is a sink, ResultFunc adapts a
-// closure, and nothing is allocated per request on the way down.
+// Submit issues one client request: the input travels the client link,
+// and sink (may be nil) receives the outcome once it is back at the
+// client, where latency is measured and recorded. It is the one
+// submission path — a *Handle is a sink, ResultFunc adapts a closure,
+// and nothing is allocated per request on the way down.
 //
 // The model must be registered at submission time (ErrUnknownModel
-// otherwise); the owning shard is resolved when the request arrives at
-// the control plane, so a model migrated mid-transit lands on its new
-// shard, and one unregistered mid-transit fails the request rather than
-// corrupting controller state. On a single-engine cluster local is only
-// range-checked: every shard lives on one engine, and the request
-// enters at the model's owner. With EnginePerShard the caller must be
-// on local's engine goroutine (route with OwnerShardHint); if local
-// does not own the model (a hint made stale by a migration), the
-// request is forwarded once over the shard interconnect at the
-// cross-shard network latency.
-func (cl *Cluster) Submit(local int, spec SubmitSpec, sink ResultSink) error {
-	mi, err := cl.checkSpec(local, &spec)
+// otherwise); the owning shard is resolved again when the request
+// arrives at the control plane, so a model migrated mid-transit lands
+// on its new shard, and one unregistered mid-transit fails the request
+// rather than corrupting controller state. shard is only range-checked:
+// every shard lives on the one engine, and the request enters at the
+// model's owner.
+func (cl *Cluster) Submit(shard int, spec SubmitSpec, sink ResultSink) error {
+	mi, err := cl.checkSpec(shard, &spec)
 	if err != nil {
 		return err
-	}
-	if !cl.multiEngine() {
-		local = mi.owner.shard
 	}
 	inputBytes := mi.zoo.InputBytes()
 	if cl.cfg.ZeroLengthInputs {
@@ -941,8 +831,8 @@ func (cl *Cluster) Submit(local int, spec SubmitSpec, sink ResultSink) error {
 	}
 	s := submissionPool.Get().(*submission)
 	s.cl, s.spec, s.zoo, s.sink = cl, spec, mi.zoo, sink
-	s.local, s.sentAt = local, cl.engFor(local).Now()
-	cl.clientLinks[cl.linkIdx(local)].AtoB.SendRun(inputBytes, s)
+	s.local, s.sentAt = mi.owner.shard, cl.Eng.Now()
+	cl.client.AtoB.SendRun(inputBytes, s)
 	return nil
 }
 
@@ -972,9 +862,9 @@ func (cl *Cluster) checkSpec(local int, spec *SubmitSpec) (*ModelInfo, error) {
 
 // submission carries one request across its client-side network hops.
 // It is the hops' preallocated event receiver (simclock.Runner): one
-// struct serves the client→controller delivery, the cross-shard
-// forward, and the response→client completion, so the per-request
-// serving path schedules all of them without per-event closures. It is
+// struct serves the client→controller delivery and the response→client
+// completion, so the per-request serving path schedules both without
+// per-event closures. It is
 // also the controller-side Responder, so the outcome comes back without
 // a per-request func value. Submissions recycle through submissionPool
 // at the end of complete(), the last instant anything references them.
@@ -982,7 +872,7 @@ type submission struct {
 	cl     *Cluster
 	spec   SubmitSpec
 	zoo    *modelzoo.Model
-	local  int // shard whose engine currently hosts this submission
+	local  int // shard that owned the model when last resolved
 	sentAt simclock.Time
 	sink   ResultSink
 
@@ -1007,30 +897,11 @@ func (s *submission) Run() {
 }
 
 // deliver runs at the controller side of the client link: resolve the
-// owner (it may have changed while the input was on the wire), forward
-// across shards if the owner lives on another engine, then submit.
+// owner (it may have changed while the input was on the wire), then
+// submit.
 func (s *submission) deliver() {
 	cl := s.cl
 	owner := cl.ownerOf(s.spec.id, s.local)
-	if owner != s.local && cl.multiEngine() {
-		// The owner lives on another engine: one hop over the shard
-		// interconnect. The delivery instant is stamped on the sending
-		// shard's clock; the destination clamps it forward if its own
-		// clock is already past it (skew-bounded by the driver).
-		if ci := cl.crossInject; ci != nil {
-			at := cl.engFor(s.local).Now().Add(cl.cfg.NetLatency)
-			prev := s.local
-			s.local = owner
-			if ci(owner, at, s) {
-				return
-			}
-			// Driver stopped mid-forward: answer on the local shard,
-			// where the model is unregistered — a deterministic failure
-			// rather than a cross-engine race.
-			s.local = prev
-		}
-		owner = s.local
-	}
 	// A Cancel issued while the request was on the wire is applied
 	// inside the controller's submission, before the scheduler can
 	// dispatch — the in-transit cancel is authoritative. Only a Handle
@@ -1058,13 +929,12 @@ func (s *submission) deliver() {
 }
 
 // Respond implements core.Responder: it receives the controller's
-// terminal outcome and sends it back over the owning shard's client
-// link.
+// terminal outcome and sends it back over the client link.
 func (s *submission) Respond(res Result) {
 	cl := s.cl
-	// The responding controller is the model's current owner; follow it
-	// (after a barrier-time migration the response must leave on the
-	// adopting shard's link and engine).
+	// The responding controller is the model's current owner; follow it,
+	// so the completion finalizes the trace on the adopting shard's
+	// recorder after a migration.
 	s.local = cl.ownerOf(res.id, s.local)
 	outBytes := s.zoo.OutputBytes()
 	if !res.Success {
@@ -1072,14 +942,14 @@ func (s *submission) Respond(res Result) {
 	}
 	s.res = res
 	s.phase = subComplete
-	cl.clientLinks[cl.linkIdx(s.local)].BtoA.SendRun(outBytes, s)
+	cl.client.BtoA.SendRun(outBytes, s)
 }
 
 // complete runs at the client side of the response hop: stamp the
 // latency, record metrics, hand the result to the sink.
 func (s *submission) complete() {
 	cl := s.cl
-	now := cl.engFor(s.local).Now()
+	now := cl.Eng.Now()
 	res := s.res
 	res.Latency = now.Sub(s.sentAt)
 	// Attribute the response to the shard that owned the model at
@@ -1087,9 +957,9 @@ func (s *submission) complete() {
 	shard := cl.ownerOf(res.id, s.local)
 	cl.Metrics.record(now, shard, res, s.spec.SLO)
 	// Finalize the flight-recorder trace with the client-observed
-	// outcome. The recorder shard is s.local — the engine this
-	// completion runs on, which is where the trace's building state
-	// lives (Move keeps it there across queued-request migrations).
+	// outcome. The recorder shard is s.local, where the trace's
+	// building state lives (Move keeps it there across queued-request
+	// migrations).
 	cl.flight.Shard(s.local).Completed(trace.Outcome{
 		ID: res.RequestID, Model: s.spec.Model, Tenant: s.spec.Tenant,
 		Success: res.Success, Reason: uint8(res.Reason), ReasonStr: res.Reason.String(),
@@ -1104,23 +974,8 @@ func (s *submission) complete() {
 	}
 }
 
-// RunFor advances the cluster by d. Panics with EnginePerShard: a
-// multi-engine cluster is live-only (its engines advance together only
-// under the wall-clock driver's skew protocol).
-func (cl *Cluster) RunFor(d time.Duration) {
-	cl.checkSimulable()
-	cl.Eng.RunFor(d)
-}
+// RunFor advances the cluster by d.
+func (cl *Cluster) RunFor(d time.Duration) { cl.Eng.RunFor(d) }
 
-// RunUntil advances the cluster to instant t. Panics with
-// EnginePerShard (see RunFor).
-func (cl *Cluster) RunUntil(t simclock.Time) {
-	cl.checkSimulable()
-	cl.Eng.RunUntil(t)
-}
-
-func (cl *Cluster) checkSimulable() {
-	if cl.multiEngine() {
-		panic("core: RunFor/RunUntil on an EnginePerShard cluster; drive it live (StartLive)")
-	}
-}
+// RunUntil advances the cluster to instant t.
+func (cl *Cluster) RunUntil(t simclock.Time) { cl.Eng.RunUntil(t) }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"sync"
 	"time"
 
 	"clockwork/internal/action"
@@ -14,15 +13,6 @@ import (
 // everything the paper's evaluation figures plot.
 type Metrics struct {
 	interval time.Duration
-
-	// concurrent switches the write paths (record, the device busy
-	// callbacks) onto mu. The single-engine control plane leaves it off
-	// — everything runs on one goroutine and the hot path pays nothing;
-	// a multi-engine cluster (one engine per shard) sets it at
-	// construction. Reads are only consistent when no engine is running
-	// — in live multi-engine mode, under a Live.Do barrier.
-	concurrent bool
-	mu         sync.Mutex
 
 	// LatencyAll covers every request including failures (the paper's
 	// CDFs include rejected requests); LatencyGood covers only
@@ -72,8 +62,7 @@ type Metrics struct {
 
 	// recent* accumulate one control period's outcomes for the
 	// closed-loop autoscaler: a single engine-confined consumer drains
-	// and resets them each period via DrainRecent. Guarded by the same
-	// lock()/unlock() gate as every other write path.
+	// and resets them each period via DrainRecent.
 	recent        Outcomes
 	recentLatency *telemetry.Histogram
 	recentMinSLO  time.Duration
@@ -189,12 +178,8 @@ func newMetrics(interval time.Duration) *Metrics {
 
 // DrainRecent returns the outcomes accumulated since the previous
 // drain and resets the period accumulators. Engine-side: call it from
-// one consumer only, on the engine goroutine (in live multi-engine
-// mode, under a Live.Do barrier — the same consistency rule every
-// cross-shard read follows).
+// one consumer only, on the engine goroutine.
 func (m *Metrics) DrainRecent() RecentStats {
-	m.lock()
-	defer m.unlock()
 	st := RecentStats{
 		Completed:  m.recent.Requests,
 		Violations: m.recent.Failed + m.recent.SLOMisses,
@@ -210,21 +195,6 @@ func (m *Metrics) DrainRecent() RecentStats {
 // Interval returns the bucket width shared by all series.
 func (m *Metrics) Interval() time.Duration { return m.interval }
 
-// setConcurrent arms the write-path mutex; call before any engine runs.
-func (m *Metrics) setConcurrent() { m.concurrent = true }
-
-func (m *Metrics) lock() {
-	if m.concurrent {
-		m.mu.Lock()
-	}
-}
-
-func (m *Metrics) unlock() {
-	if m.concurrent {
-		m.mu.Unlock()
-	}
-}
-
 func (m *Metrics) attachGPUs(w *worker.Worker) {
 	for i := 0; i < w.NumGPUs(); i++ {
 		g := w.GPU(i)
@@ -233,18 +203,14 @@ func (m *Metrics) attachGPUs(w *worker.Worker) {
 			if prevDev != nil {
 				prevDev(from, to)
 			}
-			m.lock()
 			m.GPUUtil.AddBusy(from, to)
-			m.unlock()
 		}
 		prevH2D := g.H2D.OnBusy
 		g.H2D.OnBusy = func(from, to simclock.Time) {
 			if prevH2D != nil {
 				prevH2D(from, to)
 			}
-			m.lock()
 			m.PCIUtil.AddBusy(from, to)
-			m.unlock()
 		}
 		m.NumGPUs++
 	}
@@ -283,8 +249,6 @@ func (m *Metrics) ShardStats(i int) Outcomes {
 // record ingests one client-observed result, attributed to the
 // scheduler shard owning the model at completion.
 func (m *Metrics) record(now simclock.Time, shard int, res Result, slo time.Duration) {
-	m.lock()
-	defer m.unlock()
 	idx := m.bucket(now)
 	lat := telemetry.NewSample(res.Latency) // bucketed once for five histograms
 	m.LatencyAll.ObserveSample(lat)

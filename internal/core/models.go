@@ -16,9 +16,7 @@ type ModelID = action.ModelID
 //
 // One table serves a whole cluster (every shard's controller shares it,
 // so an ID means the same instance on any shard); a controller built on
-// its own gets a private one. With one engine per shard the engines read
-// it concurrently and it is written only under the all-engines barrier
-// that registration and migration already require.
+// its own gets a private one.
 type modelTable struct {
 	ids map[string]ModelID
 	// live holds, by ID, the name's current registration — the ModelInfo

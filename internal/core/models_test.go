@@ -123,7 +123,7 @@ func TestMigrateBackFindsLearnedWindow(t *testing.T) {
 // after every step holds the model table to the reference
 // the test keeps: a name's ID never changes and is never shared, a live
 // entry is exactly a registered name on the shard that owns it,
-// ModelNames is registration order, host RAM and the routing hint agree,
+// ModelNames is registration order, host RAM agrees,
 // and every page cache (mirror and worker) is internally consistent.
 // Every submission gets exactly one outcome, and the three in-transit
 // rules hold: a model migrated while its request is on the wire is
@@ -241,15 +241,14 @@ func interningChurn(t *testing.T, shards int, seed uint64) {
 			}
 			mi := tab.live[id]
 			shard, ok := cl.ShardOf(name)
-			hint, hinted := cl.OwnerShardHint(name)
 			if !registered(name) {
-				if mi != nil || ok || hinted || cl.host.Get(id) != nil {
-					t.Fatalf("step %d: unregistered %s still live (entry %v, shard %v, hint %v)", step, name, mi != nil, ok, hinted)
+				if mi != nil || ok || cl.host.Get(id) != nil {
+					t.Fatalf("step %d: unregistered %s still live (entry %v, shard %v)", step, name, mi != nil, ok)
 				}
 				continue
 			}
-			if mi == nil || mi.name != name || mi.id != id || mi.owner != cl.Ctls[shard] || !ok || hint != shard || !hinted {
-				t.Fatalf("step %d: %s (ID %d): entry %+v, shard %d/%v, hint %d/%v", step, name, id, mi, shard, ok, hint, hinted)
+			if mi == nil || mi.name != name || mi.id != id || mi.owner != cl.Ctls[shard] || !ok {
+				t.Fatalf("step %d: %s (ID %d): entry %+v, shard %d/%v", step, name, id, mi, shard, ok)
 			}
 			if cl.host.Get(id) != mi.zoo {
 				t.Fatalf("step %d: host RAM holds another model than %s's registration", step, name)

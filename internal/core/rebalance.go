@@ -115,11 +115,9 @@ func (cl *Cluster) MigrateModel(name string, toShard int) error {
 	// adoption installs the new one before it runs any scheduler
 	// callback, so anything resolving the owner from inside it (cancels,
 	// responses) sees the new shard.
-	cl.route.Store(name, toShard)
 	cl.migrations++
 	// Building flight-recorder traces follow their queued requests to
-	// the adopting shard's recorder (migration already holds the
-	// all-engines barrier this cross-shard write needs).
+	// the adopting shard's recorder.
 	if cl.flight != nil && len(reqs) > 0 {
 		ids := make([]uint64, len(reqs))
 		for i, r := range reqs {

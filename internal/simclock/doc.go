@@ -6,6 +6,6 @@
 // seed) produces byte-identical results. Measured latencies can never be
 // polluted by Go GC pauses or host scheduling, which is exactly the
 // hazard the reproduction notes call out for a Go port of Clockwork.
-// Driver is the one place wall time enters: it paces engines against
+// Driver is the one place wall time enters: it paces an engine against
 // the wall clock so the same system can serve live traffic.
 package simclock

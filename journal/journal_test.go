@@ -714,17 +714,6 @@ func TestAdminJournalWireKeys(t *testing.T) {
 	}
 }
 
-// TestCreateRejectsMultiEngine: journaling is a single-engine property.
-func TestCreateRejectsMultiEngine(t *testing.T) {
-	sys, err := clockwork.New(clockwork.Config{Workers: 2, Shards: 2, EnginePerShard: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := journal.Create(t.TempDir(), sys, clockwork.Config{Workers: 2, Shards: 2, EnginePerShard: true}, journal.Options{}); err == nil {
-		t.Fatal("Create accepted a multi-engine system")
-	}
-}
-
 // replayableCorrs / ackedCorrs pull correlation IDs out of a loaded
 // epoch's record list.
 func replayableCorrs(ep *journal.EpochData) []uint64 {

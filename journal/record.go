@@ -96,7 +96,9 @@ type Record struct {
 	Step uint64
 	VT   time.Duration
 
-	// recInfer
+	// recInfer. Shard is the submission's shard argument: always
+	// written as 0 (it is range-checked and otherwise ignored), and kept
+	// so every journal keeps its layout.
 	Shard    int
 	Corr     uint64
 	Model    string

@@ -87,13 +87,8 @@ type Recorder struct {
 // past the latest otherwise) and writes its genesis record: the full
 // current control-plane state of sys. Call it after preloading models
 // and before StartLive — or with recovery's rebuilt system, whose
-// restored registry then becomes the new epoch's genesis. The system
-// must be single-engine (journaling and replay are single-engine
-// features, the same boundary RunFor enforces).
+// restored registry then becomes the new epoch's genesis.
 func Create(dir string, sys *clockwork.System, cfg clockwork.Config, opts Options) (*Recorder, error) {
-	if cfg.EnginePerShard {
-		return nil, fmt.Errorf("journal: EnginePerShard systems cannot be journaled (bit-exact replay is a single-engine property)")
-	}
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, err
 	}
@@ -178,9 +173,9 @@ func (r *Recorder) stamp(rec *Record) {
 // are dropped). The record is buffered — call Commit before the
 // injected closure returns so a coalesced batch reaches the kernel in
 // one write.
-func (r *Recorder) Infer(shard int, model string, slo time.Duration, priority int, tenant string, maxBatch int) uint64 {
+func (r *Recorder) Infer(model string, slo time.Duration, priority int, tenant string, maxBatch int) uint64 {
 	rec := Record{
-		Type: recInfer, Shard: shard, Corr: r.nextCorr,
+		Type: recInfer, Corr: r.nextCorr,
 		Model: model, SLO: slo, Priority: priority, Tenant: tenant, MaxBatch: maxBatch,
 	}
 	r.stamp(&rec)

@@ -60,9 +60,6 @@ func BuildSystem(st *State) (*clockwork.System, error) {
 	if st == nil {
 		return nil, fmt.Errorf("journal: nil state")
 	}
-	if st.Config.EnginePerShard {
-		return nil, fmt.Errorf("journal: state claims EnginePerShard; journaling is single-engine")
-	}
 	sys, err := clockwork.New(st.Config)
 	if err != nil {
 		return nil, err

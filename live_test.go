@@ -3,6 +3,7 @@ package clockwork_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -132,7 +133,9 @@ func TestLiveOnResult(t *testing.T) {
 }
 
 // TestLiveDoAfterStop: Do against a stopped driver reports
-// ErrLiveStopped instead of deadlocking.
+// ErrLiveStopped instead of deadlocking, Inject reports refusal instead
+// of silently dropping the function, and InjectOrAbort runs the abort
+// hook.
 func TestLiveDoAfterStop(t *testing.T) {
 	sys, err := clockwork.New(clockwork.Config{})
 	if err != nil {
@@ -142,6 +145,14 @@ func TestLiveDoAfterStop(t *testing.T) {
 	live.Stop()
 	if doErr := live.Do(func() {}); !errors.Is(doErr, clockwork.ErrLiveStopped) {
 		t.Fatalf("Do after Stop: %v, want ErrLiveStopped", doErr)
+	}
+	if live.Inject(func() { t.Error("fn ran after Stop") }) {
+		t.Fatal("Inject reported accepted after Stop")
+	}
+	aborted := false
+	live.InjectOrAbort(func() { t.Error("fn ran after Stop") }, func() { aborted = true })
+	if !aborted {
+		t.Fatal("InjectOrAbort after Stop did not run the abort hook")
 	}
 	live.Stop() // idempotent
 }
@@ -314,4 +325,139 @@ func TestRunForWhileLivePanics(t *testing.T) {
 	}
 	live.Stop()
 	sys.RunFor(time.Second)
+}
+
+// TestLiveRebalance concentrates every model on shard 0, drives
+// sustained load at them, and expects the rebalancer — an engine timer,
+// paced like every other event — to migrate models back toward the
+// idle shard while the system is live.
+func TestLiveRebalance(t *testing.T) {
+	sys, err := clockwork.New(clockwork.Config{Workers: 2, Shards: 2, ExactTiming: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	names, err := sys.RegisterCopies("m", "resnet50_v1b", 6)
+	if err != nil {
+		t.Fatal(err)
+	}
+	live := sys.StartLive(20)
+	defer live.Stop()
+
+	// Pile every model onto shard 0 so demand skews maximally.
+	var manual uint64
+	if err := live.Do(func() {
+		for _, name := range names {
+			if merr := sys.MigrateModel(name, 0); merr != nil {
+				t.Errorf("MigrateModel(%s, 0): %v", name, merr)
+			}
+		}
+		manual = sys.Migrations()
+	}); err != nil {
+		t.Fatal(err)
+	}
+
+	// 60s is generous headroom for the race detector on a loaded 1-core
+	// machine; unloaded, migration happens within the first few ticks.
+	deadline := time.Now().Add(60 * time.Second)
+	for time.Now().Before(deadline) {
+		migrated := uint64(0)
+		if err := live.Do(func() { migrated = sys.Migrations() }); err != nil {
+			t.Fatalf("Do: %v", err)
+		}
+		if migrated > manual {
+			return // the rebalancer moved a model off the hot shard
+		}
+		// Keep shard 0's queues deep: demand is summed over queued work.
+		live.Inject(func() {
+			for _, name := range names {
+				for k := 0; k < 20; k++ {
+					_ = sys.SubmitRequestSink(0, clockwork.Request{Model: name, SLO: 30 * time.Second}, nil)
+				}
+			}
+		})
+		time.Sleep(25 * time.Millisecond)
+	}
+	t.Fatal("rebalancer never migrated a model on the live system")
+}
+
+// batchCaller is one closed-loop caller's sink: it counts a batch's
+// outstanding answers down and signals when the last one is in.
+type batchCaller struct {
+	left     atomic.Int32
+	done     chan struct{}
+	answered *atomic.Uint64
+}
+
+func (c *batchCaller) OnResult(clockwork.Result) {
+	c.answered.Add(1)
+	if c.left.Add(-1) == 0 {
+		c.done <- struct{}{}
+	}
+}
+
+// TestShardedLiveKeepsSLO serves a sharded control plane live at a
+// high speed multiplier under pipelined load — 16 callers, each
+// injecting 32 submissions per turn and waiting for all 32 answers, as
+// clockwork-loadgen -transport stream -batch 32 drives the daemon — and
+// then holds it to the paper's promise: no success is reported past its
+// SLO, and every request that arrived got exactly one outcome.
+func TestShardedLiveKeepsSLO(t *testing.T) {
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			sys, err := clockwork.New(clockwork.Config{Workers: 4, Shards: shards})
+			if err != nil {
+				t.Fatal(err)
+			}
+			models, err := sys.RegisterCopies("resnet50_v1b", "resnet50_v1b", 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			live := sys.StartLive(500)
+			defer live.Stop()
+
+			const callers, batch = 16, 32
+			var answered atomic.Uint64
+			deadline := time.Now().Add(1500 * time.Millisecond)
+			var wg sync.WaitGroup
+			for c := 0; c < callers; c++ {
+				wg.Add(1)
+				go func(c int) {
+					defer wg.Done()
+					bc := &batchCaller{done: make(chan struct{}, 1), answered: &answered}
+					for turn := 0; time.Now().Before(deadline); turn++ {
+						req := clockwork.Request{Model: models[(c+turn)%len(models)], SLO: 500 * time.Millisecond}
+						bc.left.Store(batch)
+						if !live.Inject(func() {
+							for i := 0; i < batch; i++ {
+								if err := sys.SubmitRequestSink(0, req, bc); err != nil {
+									t.Errorf("SubmitRequestSink: %v", err)
+									bc.OnResult(clockwork.Result{})
+								}
+							}
+						}) {
+							t.Error("Inject refused while live")
+							return
+						}
+						<-bc.done
+					}
+				}(c)
+			}
+			wg.Wait() // drained: every caller has every answer
+
+			var sum clockwork.Summary
+			if err := live.Do(func() { sum = sys.Summary() }); err != nil {
+				t.Fatal(err)
+			}
+			if sum.Requests < callers*batch {
+				t.Fatalf("only %d requests served", sum.Requests)
+			}
+			if sum.SLOMisses != 0 {
+				t.Errorf("%d of %d successes reported past their SLO", sum.SLOMisses, sum.Succeeded)
+			}
+			if sum.Requests != sum.Arrived || sum.Requests != answered.Load() {
+				t.Errorf("%d outcomes for %d arrivals, %d answers seen by the callers: want all equal",
+					sum.Requests, sum.Arrived, answered.Load())
+			}
+		})
+	}
 }

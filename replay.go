@@ -25,8 +25,7 @@ import (
 // with Live pacing the system, call it only from inside an injected
 // closure or an engine-side callback (like Now, it is an engine-side
 // read). Together with Now it is the stamp the injection journal
-// records per entry. With Config.EnginePerShard it reads shard 0's
-// engine; journaling is a single-engine feature.
+// records per entry.
 func (s *System) EngineSteps() uint64 { return s.cluster.Eng.Steps() }
 
 // ZooOf returns the catalogue name a registered instance was created
@@ -57,24 +56,17 @@ func (s *System) ImportModelProfile(name string, entries []ProfileEntry) error {
 	return s.cluster.ImportProfile(name, entries)
 }
 
-// Replay drives a single-engine System one recorded injection at a
-// time. It is the execution half of deterministic record/replay: the
-// journal package decodes what to apply, Replay controls where in the
-// event stream it lands. The System must not be live (no StartLive) —
+// Replay drives a System one recorded injection at a time. It is the
+// execution half of deterministic record/replay: the journal package
+// decodes what to apply, Replay controls where in the event stream it
+// lands. The System must not be live (no StartLive) —
 // Replay owns the engine the way RunFor does.
 type Replay struct {
 	sys *System
 }
 
-// Replay returns the step-granular replay driver. It panics on an
-// EnginePerShard system: bit-exact replay is a single-engine property,
-// the same boundary RunFor enforces.
-func (s *System) Replay() *Replay {
-	if s.cluster.EnginePerShard() {
-		panic("clockwork: Replay on an EnginePerShard system; journaling and replay are single-engine features")
-	}
-	return &Replay{sys: s}
-}
+// Replay returns the step-granular replay driver.
+func (s *System) Replay() *Replay { return &Replay{sys: s} }
 
 // Steps returns the number of engine events executed so far.
 func (r *Replay) Steps() uint64 { return r.sys.cluster.Eng.Steps() }

@@ -147,21 +147,14 @@ func (h Handle) Cancel() bool {
 // goroutine — in live mode keep it short and non-blocking, and hand
 // heavy work to another goroutine; prefer Handle.Wait when a goroutine
 // just needs to block until completion. Unknown models and malformed
-// specs are typed errors (ErrUnknownModel, ErrInvalidRequest). On a Config.EnginePerShard system the caller must
-// be on the model's owning shard's engine goroutine (Live.InjectOn with
-// the shard from OwnerShard); from any other shard, use
-// SubmitRequestSink.
+// specs are typed errors (ErrUnknownModel, ErrInvalidRequest).
 func (s *System) SubmitRequest(req Request, onDone func(Result)) (Handle, error) {
-	shard := 0
-	if s.cluster.EnginePerShard() {
-		shard, _ = s.cluster.OwnerShardHint(req.Model)
-	}
 	var sink ResultSink
 	if onDone != nil {
 		sink = core.ResultFunc(onDone)
 	}
 	h := core.NewHandle(sink)
-	if err := s.cluster.Submit(shard, req, h); err != nil {
+	if err := s.cluster.Submit(0, req, h); err != nil {
 		return Handle{}, err
 	}
 	return Handle{h: h, gen: h.Gen()}, nil
@@ -175,13 +168,12 @@ type ResultSink = core.ResultSink
 
 // SubmitRequestSink is the fire-and-forget submission path: no Handle is
 // minted (nothing to Wait on, nothing to Release), and the outcome is
-// delivered to sink's OnResult exactly once. shard is the shard whose
-// engine the caller is on: with Config.EnginePerShard the caller must be
-// on that engine goroutine, and a shard that does not own the model
-// forwards the request to its owner, costing one extra hop; on a
-// single-engine system the shard is range-checked and otherwise ignored.
-// Out-of-range shards are ErrNoSuchShard. This is the serving path for callers that keep per-request state in pools of
-// their own: nothing is allocated per request on the way down.
+// delivered to sink's OnResult exactly once. shard is range-checked
+// (out-of-range shards are ErrNoSuchShard) and otherwise ignored: every
+// shard runs on the one engine, and the request enters at the model's
+// owner. This is the serving path for callers that keep per-request
+// state in pools of their own: nothing is allocated per request on the
+// way down.
 func (s *System) SubmitRequestSink(shard int, req Request, sink ResultSink) error {
 	return s.cluster.Submit(shard, req, sink)
 }

@@ -4,10 +4,8 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
-	"fmt"
 	"math"
 	"net/http/httptest"
-	"sync"
 	"testing"
 	"time"
 
@@ -175,66 +173,6 @@ func TestStreamInjectAfterStopReleasesWindow(t *testing.T) {
 			t.Fatalf("in-flight = %d after inject-after-stop, want 0", n)
 		}
 		time.Sleep(10 * time.Millisecond)
-	}
-}
-
-// TestServeMultiEngine runs both front doors against an EnginePerShard
-// system: submissions are injected on the owning shard's engine, the
-// stream transport partitions coalesced batches by shard, and
-// whole-cluster reads (stats) still work through the barrier.
-func TestServeMultiEngine(t *testing.T) {
-	_, client, sc := newTestStreamServer(t,
-		clockwork.Config{Workers: 2, Shards: 2, EnginePerShard: true, ExactTiming: true},
-		Options{Speed: 1000})
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	const models = 4
-	for i := 0; i < models; i++ {
-		if err := client.RegisterModel(ctx, fmt.Sprintf("m%d", i), "resnet50_v1b"); err != nil {
-			t.Fatalf("RegisterModel: %v", err)
-		}
-	}
-
-	// HTTP path.
-	res, err := client.Infer(ctx, clockwork.Request{Model: "m0", SLO: time.Second})
-	if err != nil || !res.Success {
-		t.Fatalf("HTTP infer on multi-engine system: %+v, %v", res, err)
-	}
-
-	// Stream path, concurrent across models so coalesced batches mix
-	// shards.
-	const n = 48
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	results := make([]clockwork.Result, n)
-	for i := 0; i < n; i++ {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			results[i], errs[i] = sc.Infer(ctx, clockwork.Request{
-				Model: fmt.Sprintf("m%d", i%models), SLO: time.Second})
-		}(i)
-	}
-	wg.Wait()
-	succeeded := 0
-	for i := 0; i < n; i++ {
-		if errs[i] != nil {
-			t.Fatalf("stream infer %d: %v", i, errs[i])
-		}
-		if results[i].Success {
-			succeeded++
-		}
-	}
-	if succeeded == 0 {
-		t.Fatal("no stream infer succeeded on the multi-engine system")
-	}
-
-	st, err := client.Stats(ctx)
-	if err != nil {
-		t.Fatalf("Stats: %v", err)
-	}
-	if st.Shards != 2 || st.Requests < n {
-		t.Fatalf("Stats = %+v", st)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 // inflight record; from there the lifecycle is one code path whichever
 // transport decoded it:
 //
-//	admit → injectOn (journal Infer, SubmitRequestSink) → finish
+//	admit → inject (journal Infer, SubmitRequestSink) → finish
 //
 // finish runs exactly once per record, for whichever outcome comes: the
 // engine's result (OnResult), a typed refusal from the submit call, or
@@ -43,17 +43,15 @@ type inflight struct {
 	out   externalizer
 	corr  uint64 // client correlation ID (the stream frame's; 0 over HTTP)
 	jcorr uint64 // journal correlation (0 when not recording)
-	shard int
 	req   clockwork.Request
 }
 
 var inflightPool = sync.Pool{New: func() any { return new(inflight) }}
 
-// newInflight records an admitted request, bound for the engine shard
-// owning its model.
+// newInflight records an admitted request.
 func (s *Server) newInflight(out externalizer, corr uint64, req clockwork.Request) *inflight {
 	it := inflightPool.Get().(*inflight)
-	*it = inflight{s: s, out: out, corr: corr, shard: s.ownerShard(req.Model), req: req}
+	*it = inflight{s: s, out: out, corr: corr, req: req}
 	return it
 }
 
@@ -82,21 +80,7 @@ func (it *inflight) finish(res clockwork.Result, err error) {
 	}
 }
 
-// ownerShard picks the engine shard to inject a submission on: the
-// model's owner per the lock-free routing hint when the system runs one
-// engine per shard, shard 0 otherwise. An unregistered model maps to
-// shard 0, whose controller answers ErrUnknownModel.
-func (s *Server) ownerShard(model string) int {
-	if !s.live.MultiEngine() {
-		return 0
-	}
-	if shard, ok := s.sys.OwnerShard(model); ok {
-		return shard
-	}
-	return 0
-}
-
-// batch is one engine turn's worth of records on one shard: an HTTP
+// batch is one engine turn's worth of records: an HTTP
 // request is a batch of one, a stream reader's coalesced frames up to
 // maxStreamBatch. Pooled with its injection hooks prebuilt, so an
 // injection allocates nothing; ownership passes to the injected turn,
@@ -110,16 +94,16 @@ var batchPool = sync.Pool{New: func() any { return &batch{its: make([]*inflight,
 
 func getBatch() *batch { return batchPool.Get().(*batch) }
 
-// injectOn hands b to shard's engine as one injected turn: however many
+// inject hands b to the engine as one injected turn: however many
 // records it carries, the engine wakes once and the driver pays one
 // turn. Exactly one of run and abort fires, even across a racing Stop,
 // so every record reaches finish.
-func (s *Server) injectOn(shard int, b *batch) {
+func (s *Server) inject(b *batch) {
 	if b.runF == nil { // a new batch: build the hooks it keeps for life
 		b.runF = b.run
 		b.abortF = func() { b.fail(clockwork.ErrLiveStopped) }
 	}
-	s.live.InjectOrAbortOn(shard, b.runF, b.abortF)
+	s.live.InjectOrAbort(b.runF, b.abortF)
 }
 
 // run is the engine turn. Each request gets one journal record, all
@@ -130,9 +114,9 @@ func (b *batch) run() {
 	s := b.its[0].s
 	for _, it := range b.its {
 		if s.rec != nil {
-			it.jcorr = s.rec.Infer(it.shard, it.req.Model, it.req.SLO, it.req.Priority, it.req.Tenant, it.req.MaxBatchSize)
+			it.jcorr = s.rec.Infer(it.req.Model, it.req.SLO, it.req.Priority, it.req.Tenant, it.req.MaxBatchSize)
 		}
-		if err := s.sys.SubmitRequestSink(it.shard, it.req, it); err != nil {
+		if err := s.sys.SubmitRequestSink(0, it.req, it); err != nil {
 			it.finish(clockwork.Result{}, err)
 		}
 	}

@@ -34,10 +34,8 @@ type Options struct {
 	// Journal, if non-nil, records every externally-sourced injection
 	// (submissions, registrations, worker ops, and read scrapes as
 	// no-op records) plus an acknowledgement per completed request, for
-	// crash recovery and deterministic replay. Single-engine systems
-	// only — New panics on an EnginePerShard system with a journal, the
-	// same boundary RunFor enforces. The server owns the recorder's
-	// lifecycle: Shutdown closes it.
+	// crash recovery and deterministic replay. The server owns the
+	// recorder's lifecycle: Shutdown closes it.
 	Journal *journal.Recorder
 	// Autoscale, if non-nil, closes the control loop: a periodic
 	// engine-side policy (internal/autoscale) re-derives MaxInFlight
@@ -147,7 +145,7 @@ type Server struct {
 // virtual clock (RunFor etc.) while the server lives; register models
 // either before New or through the /v1/models endpoint.
 func New(sys *clockwork.System, opts Options) *Server {
-	// The flight recorder must be attached before the engines start
+	// The flight recorder must be attached before the engine starts
 	// pacing (attachment writes per-controller fields no lock guards);
 	// attaching even when tracing is off lets the admin plane enable it
 	// at runtime. A recorder the caller attached earlier is kept.
@@ -171,9 +169,6 @@ func New(sys *clockwork.System, opts Options) *Server {
 		drained:     make(chan struct{}),
 		streamLns:   make(map[net.Listener]struct{}),
 		streamConns: make(map[*streamConn]struct{}),
-	}
-	if s.rec != nil && s.live.MultiEngine() {
-		panic("serve: Options.Journal requires a single-engine system (journaling and replay are single-engine features)")
 	}
 	s.stopCtx, s.stopCancel = context.WithCancel(context.Background())
 	s.mux.HandleFunc("POST /v1/infer", s.handleInfer)
@@ -448,7 +443,7 @@ func (s *Server) handleInfer(w http.ResponseWriter, r *http.Request) {
 	})
 	b := getBatch()
 	b.its = append(b.its, it)
-	s.injectOn(it.shard, b)
+	s.inject(b)
 	// Wait for the outcome, the client disconnecting, or the server
 	// giving up its drain (stopCtx) — the last so no handler is left
 	// waiting on a clock that stopped ticking. An abandoned request still

@@ -106,7 +106,7 @@ func (s *Server) serveStreamConn(c net.Conn) {
 			}
 		}
 		if len(b.its) > 0 {
-			s.injectByShard(b)
+			s.inject(b)
 			b = getBatch()
 		}
 	}
@@ -142,7 +142,7 @@ func (s *Server) streamFrame(sc *streamConn, dec *stream.Decoder, typ uint8, p [
 		}
 		// A refused injection (driver stopped) must still answer the
 		// frame, or the client's correlation waits forever.
-		s.live.InjectOrAbortOn(0, func() {
+		s.live.InjectOrAbort(func() {
 			_, _ = journal.Apply(s.sys, s.rec, journal.Read{})
 			m := outFramePool.Get().(*outFrame)
 			m.typ = stream.TypeModelList
@@ -155,32 +155,6 @@ func (s *Server) streamFrame(sc *streamConn, dec *stream.Decoder, typ uint8, p [
 		return true
 	default:
 		return false
-	}
-}
-
-// injectByShard injects a coalesced batch, one engine turn per owner
-// shard, so each turn wakes only its own engine. The records are split
-// in place, in frame order; when they all share one shard — always on a
-// single-engine system — that is one injection and no copying.
-func (s *Server) injectByShard(b *batch) {
-	for b != nil {
-		shard := b.its[0].shard
-		var rest *batch
-		n := 0
-		for _, it := range b.its {
-			if it.shard == shard {
-				b.its[n] = it
-				n++
-				continue
-			}
-			if rest == nil {
-				rest = getBatch()
-			}
-			rest.its = append(rest.its, it)
-		}
-		b.its = b.its[:n]
-		s.injectOn(shard, b)
-		b = rest
 	}
 }
 

@@ -6,8 +6,7 @@ package serve
 // off and moves the sample rate at runtime. The controls are atomics on
 // the recorder — no engine call — while the dump snapshots the rings
 // under the same single-virtual-instant engine entry every other
-// consistent read uses (Live.Do; a stop-the-world barrier on a
-// multi-engine system).
+// consistent read uses (Live.Do).
 
 import (
 	"errors"

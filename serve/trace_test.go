@@ -401,14 +401,14 @@ func lintMetrics(t *testing.T, body string) {
 	}
 }
 
-// TestMetricsScrapeDuringLoadMulticore races /metrics and trace-dump
-// scrapes against inference load on both transports with one engine
-// per shard — the satellite-2 audit: every scrape must observe a
-// single virtual instant (the stop-the-world barrier) without
-// tripping the race detector or deadlocking.
-func TestMetricsScrapeDuringLoadMulticore(t *testing.T) {
+// TestMetricsScrapeDuringLoad races /metrics and trace-dump scrapes
+// against inference load on both transports on a two-shard system:
+// every scrape must observe a single virtual instant (the
+// stop-the-world barrier) without tripping the race detector or
+// deadlocking.
+func TestMetricsScrapeDuringLoad(t *testing.T) {
 	_, client, sc := newTestStreamServer(t,
-		clockwork.Config{Workers: 2, GPUsPerWorker: 1, Shards: 2, EnginePerShard: true},
+		clockwork.Config{Workers: 2, GPUsPerWorker: 1, Shards: 2},
 		Options{Speed: 2000, Trace: &TraceConfig{Enabled: true, SampleRate: 1}})
 	ctx := context.Background()
 	if err := client.RegisterModel(ctx, "resnet", "resnet50_v1b"); err != nil {

@@ -155,8 +155,8 @@ func (r *Recorder) RecordShed() {
 
 // Move transfers the in-flight building state of the given request IDs
 // from one shard's recorder to another's, following a model migration.
-// Must run with both engines stopped (the migration itself already
-// requires that barrier).
+// Must run with the engine stopped (the migration itself already
+// requires that).
 func (r *Recorder) Move(from, to int, ids []uint64) {
 	if r == nil || from == to {
 		return
@@ -518,8 +518,8 @@ type Aggregate struct {
 	Stats      Stats
 }
 
-// Aggregate merges every shard's aggregate layer. Must run with all
-// engines stopped (Live.Do in live mode; quiescence in simulation).
+// Aggregate merges every shard's aggregate layer. Must run with the
+// engine stopped (Live.Do in live mode; quiescence in simulation).
 func (r *Recorder) Aggregate() Aggregate {
 	a := Aggregate{Stage: make(map[Stage]*telemetry.Histogram), PredErr: telemetry.NewHistogram()}
 	for _, st := range Stages {
@@ -567,9 +567,9 @@ func sortProvenance(prov map[provKey]uint64) []ProvenanceCount {
 // and aggregates, plus the wall↔virtual correlation metadata the caller
 // stamps in (the recorder itself never reads wall clocks).
 type Snapshot struct {
-	// VirtualNow is the engine instant of the snapshot (shard 0's clock
-	// in multi-engine mode); WallOrigin/Speed correlate virtual offsets
-	// with wall time: wall = WallOrigin + (virtual-VirtualOrigin)/Speed.
+	// VirtualNow is the engine instant of the snapshot; WallOrigin/Speed
+	// correlate virtual offsets with wall time:
+	// wall = WallOrigin + (virtual-VirtualOrigin)/Speed.
 	VirtualNow    time.Duration `json:"virtual_now"`
 	WallOrigin    time.Time     `json:"wall_origin,omitempty"`
 	VirtualOrigin time.Duration `json:"virtual_origin,omitempty"`
@@ -588,8 +588,8 @@ type Snapshot struct {
 	Stats      Stats             `json:"stats"`
 }
 
-// Snapshot copies the retained traces and aggregates. Must run with all
-// engines stopped, like Aggregate.
+// Snapshot copies the retained traces and aggregates. Must run with the
+// engine stopped, like Aggregate.
 func (r *Recorder) Snapshot() *Snapshot {
 	snap := &Snapshot{Enabled: r.enabled.Load(), SampleRate: r.SampleRate()}
 	seen := make(map[uint64]bool)

@@ -10,7 +10,7 @@
 //   - Deterministic sampling. The keep/drop decision is a pure function
 //     of (request ID, sample rate) — a splitmix64 hash of the ID against
 //     a rate threshold — so the same requests are sampled across
-//     -multicore runs and journal replays, and toggling tracing can
+//     live runs and journal replays, and toggling tracing can
 //     never perturb scheduling (hooks only append to recorder state;
 //     they never schedule events, read RNG streams, or mint IDs).
 //   - Violation retention. The last N SLO-violating traces are always
