@@ -28,9 +28,10 @@ type Driver struct {
 	originMu  sync.Mutex
 	originSet bool
 
-	mu      sync.Mutex // guards pending and closed, never held during Step
+	mu      sync.Mutex // guards pending, barrier and closed, never held during Step
 	pending []pendingInjection
 	spare   []pendingInjection // drained buffer, swapped back by takePending
+	barrier bool               // a Barrier waits for the pacer's next turn
 	closed  bool
 	wake    chan struct{}
 
@@ -40,15 +41,12 @@ type Driver struct {
 	inflight   []*guarded
 	freeGuards []*guarded
 
-	// barMu admits one Barrier at a time, so the rendezvous channels
-	// below are reused by every call instead of allocated per call.
-	// arrived (cap 1) carries the pacer's one report per barrier — true
-	// when parked in the rendezvous, false when it stopped first — and a
-	// stopping pacer must never block sending it. release is Barrier's
-	// go-ahead to the parked pacer.
-	barMu   sync.Mutex
-	arrived chan bool
-	release chan struct{}
+	// barMu admits one Barrier at a time, so park is reused by every
+	// call instead of allocated per call. It is unbuffered: the pacer
+	// sends true once parked between steps, then waits to receive the
+	// Barrier's go-ahead; close sends false to a barrier it turns away.
+	barMu sync.Mutex
+	park  chan bool
 }
 
 // ErrStopped reports that a driver stopped before it could run the
@@ -69,11 +67,10 @@ func NewDriver(eng *Engine, speed float64) *Driver {
 		speed = 1.0
 	}
 	return &Driver{
-		speed:   speed,
-		eng:     eng,
-		wake:    make(chan struct{}, 1),
-		arrived: make(chan bool, 1),
-		release: make(chan struct{}, 1),
+		speed: speed,
+		eng:   eng,
+		wake:  make(chan struct{}, 1),
+		park:  make(chan bool),
 	}
 }
 
@@ -119,59 +116,59 @@ func (d *Driver) Inject(r Runner, ab Aborter) bool {
 	}
 	d.pending = append(d.pending, pendingInjection{r: r, ab: ab})
 	d.mu.Unlock()
+	d.poke()
+	return true
+}
+
+// Barrier pauses the engine between two steps and runs fn exclusively
+// — the stop-the-world primitive for whole-cluster mutations (model
+// migration, registration, consistent metric snapshots). The pacer
+// parks at the top of its next turn while fn runs on the caller's
+// goroutine, so fn may touch engine state. The pause is no event: it
+// takes no step and draws no sequence number. Returns ErrStopped
+// (without running fn) if the driver stops first. Calling Barrier from
+// inside an event callback deadlocks.
+func (d *Driver) Barrier(fn func()) error {
+	d.barMu.Lock()
+	defer d.barMu.Unlock()
+	d.mu.Lock()
+	if d.closed {
+		d.mu.Unlock()
+		return ErrStopped
+	}
+	d.barrier = true
+	d.mu.Unlock()
+	d.poke()
+	if !<-d.park {
+		return ErrStopped
+	}
+	fn()
+	d.park <- true
+	return nil
+}
+
+// poke wakes a pacer sleeping until its next due event.
+func (d *Driver) poke() {
 	select {
 	case d.wake <- struct{}{}:
 	default:
 	}
-	return true
 }
 
-// Barrier pauses the engine at a rendezvous and runs fn exclusively —
-// the stop-the-world primitive for whole-cluster mutations (model
-// migration, registration, consistent metric snapshots). fn runs on the
-// caller's goroutine while the pacer is blocked inside its rendezvous
-// event, so fn may touch engine state; the pause is exactly one engine
-// step at one virtual instant. Returns ErrStopped (without running fn)
-// if the driver stops first. Calling Barrier from inside an event
-// callback deadlocks.
-//
-// The rendezvous is an injection carrying an abort hook, so a pacer
-// that stops before reaching it reports that exactly once instead.
-func (d *Driver) Barrier(fn func()) error {
-	d.barMu.Lock()
-	defer d.barMu.Unlock()
-	rv := (*rendezvous)(d)
-	d.Inject(rv, rv)
-	if !<-d.arrived {
-		return ErrStopped
-	}
-	fn()
-	d.release <- struct{}{}
-	return nil
-}
-
-// rendezvous is the Driver seen as its Barrier's engine event.
-type rendezvous Driver
-
-func (rv *rendezvous) Run() {
-	rv.arrived <- true
-	<-rv.release
-}
-
-func (rv *rendezvous) Abort() { rv.arrived <- false }
-
-// takePending transfers the staged injections, preserving inject order.
-// The two staging buffers ping-pong: the drained one returned here is
-// handed back as the next append target, so steady-state injection does
-// not grow or reallocate either slice. Only Run's goroutine consumes
-// the returned slice, and it finishes before calling takePending again.
-func (d *Driver) takePending() []pendingInjection {
+// takePending transfers the staged injections in inject order and
+// claims a waiting barrier. The two staging buffers ping-pong: the
+// drained one returned here is handed back as the next append target,
+// so steady-state injection does not grow or reallocate either slice.
+// Only Run's goroutine consumes the returned slice, and it finishes
+// before calling takePending again.
+func (d *Driver) takePending() (pend []pendingInjection, barrier bool) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	pend := d.pending
+	pend = d.pending
 	d.pending = d.spare[:0]
 	d.spare = pend
-	return pend
+	barrier, d.barrier = d.barrier, false
+	return pend, barrier
 }
 
 // guarded is the engine event of a transferred injection that carries
@@ -215,16 +212,20 @@ func (g *guarded) Run() {
 	r.Run()
 }
 
-// close refuses further injections and aborts every accepted one that
-// promised an outcome and has not run: those on the engine heap (whose
-// events stay behind as no-ops) and those still staged. Injections
-// without an abort hook are dropped, or left on the heap unexecuted.
+// close refuses further injections and barriers (turning away one not
+// yet claimed) and aborts every accepted injection that promised an
+// outcome and has not run: those on the engine heap (whose events stay
+// behind as no-ops) and those still staged. Injections without an
+// abort hook are dropped, or left on the heap unexecuted.
 func (d *Driver) close() {
 	d.mu.Lock()
 	d.closed = true
-	dropped := d.pending
-	d.pending = nil
+	dropped, turnAway := d.pending, d.barrier
+	d.pending, d.barrier = nil, false
 	d.mu.Unlock()
+	if turnAway {
+		d.park <- false
+	}
 	for _, g := range d.inflight {
 		ab := g.ab
 		g.r, g.ab = nil, nil
@@ -239,9 +240,9 @@ func (d *Driver) close() {
 }
 
 // Run paces the engine on the calling goroutine until stop is closed —
-// idle-advance, transfer, sleep until due, step — then refuses further
-// injections and aborts the guarded ones that have not run. The origin
-// is the engine's clock at entry. Run must be called at most once.
+// idle-advance, pause for a barrier, transfer, sleep until due, step —
+// then closes the driver (see close). The origin is the engine's clock
+// at entry. Run must be called at most once.
 func (d *Driver) Run(stop <-chan struct{}) {
 	eng := d.eng
 	d.originMu.Lock()
@@ -267,9 +268,13 @@ func (d *Driver) Run(stop <-chan struct{}) {
 		// period is "overdue" and executes unpaced, voiding the speed
 		// contract.)
 		if wv := d.wallVirtual(); eng.NextEventAt() > wv && wv > eng.Now() {
-			eng.RunUntil(wv)
+			_ = eng.AdvanceTo(wv)
 		}
-		pend := d.takePending()
+		pend, barrier := d.takePending()
+		if barrier { // park between steps while the barrier's fn runs
+			d.park <- true
+			<-d.park
+		}
 		for i := range pend {
 			r := pend[i].r
 			if pend[i].ab != nil {

@@ -234,8 +234,8 @@ func TestMultiInjectAfterStop(t *testing.T) {
 	}
 }
 
-// TestMultiBarrier: Barrier runs fn while the pacer is blocked at its
-// rendezvous, and returns ErrStopped after the driver stops.
+// TestMultiBarrier: Barrier runs fn while the pacer is parked between
+// steps, and returns ErrStopped after the driver stops.
 func TestMultiBarrier(t *testing.T) {
 	d, e, stop := startDriver(t, 2000, nil)
 	// Keep the engine busy with self-rescheduling work so the barrier
@@ -259,15 +259,50 @@ func TestMultiBarrier(t *testing.T) {
 	}
 }
 
-// TestBarrierAllocatesNothing: the rendezvous is driver-owned, so a
-// barrier costs no allocation in steady state (Live.Do rides on it, and
-// the live round-trip ratchet has no room for a per-call rendezvous).
+// TestBarrierAllocatesNothing: the pause's channels are driver-owned,
+// so a barrier costs no allocation in steady state (Live.Do rides on
+// it, and the live round-trip ratchet has no room for a per-call one).
 func TestBarrierAllocatesNothing(t *testing.T) {
 	d, _, stop := startDriver(t, 1000, nil)
 	defer stop()
 	fn := func() {}
 	if avg := testing.AllocsPerRun(200, func() { _ = d.Barrier(fn) }); avg >= 1 {
 		t.Errorf("Barrier allocates %.1f objects per call, want 0", avg)
+	}
+}
+
+// TestBarrierTakesNoStep: a barrier is a pause between steps, not an
+// event. Against a backlog of overdue events at distinct instants, fn
+// sees exactly the steps the backlog has run and the next backlog
+// event still due — the barrier neither counted a step nor queued
+// anything ahead of it.
+func TestBarrierTakesNoStep(t *testing.T) {
+	var stepped atomic.Int64
+	d, e, stop := startDriver(t, 1000, func(e *Engine) {
+		for k := 1; k <= 1000; k++ {
+			e.ScheduleRun(Time(k), Func(func() {
+				time.Sleep(time.Millisecond)
+				stepped.Add(1)
+			}))
+		}
+	})
+	defer stop()
+	waitFor(t, 10*time.Second, "the backlog to start", func() bool { return stepped.Load() >= 2 })
+	for round := 0; round < 5; round++ {
+		var steps, ran int64
+		var next Time
+		if err := d.Barrier(func() {
+			steps, next, ran = int64(e.Steps()), e.NextEventAt(), stepped.Load()
+		}); err != nil {
+			t.Fatalf("round %d: Barrier = %v", round, err)
+		}
+		if ran >= 1000 {
+			t.Fatalf("round %d: the backlog drained before the barrier", round)
+		}
+		if steps != ran || next != Time(ran+1) {
+			t.Fatalf("round %d: inside fn Steps()=%d NextEventAt()=%v; the backlog left %d steps and its event at %v due",
+				round, steps, next, ran, Time(ran+1))
+		}
 	}
 }
 
@@ -342,8 +377,8 @@ func TestInjectAbortExactlyOnceAcrossStop(t *testing.T) {
 	check("after draining the engine")
 }
 
-// TestBarrierStopWithBacklogDoesNotHang: a barrier whose rendezvous
-// event is queued behind a backlog when the driver stops returns
+// TestBarrierStopWithBacklogDoesNotHang: a barrier waiting for the
+// pacer's next turn while a backlog runs when the driver stops returns
 // (ErrStopped, or nil if the pacer got there first), and Run returns.
 func TestBarrierStopWithBacklogDoesNotHang(t *testing.T) {
 	var b backlog
@@ -359,6 +394,6 @@ func TestBarrierStopWithBacklogDoesNotHang(t *testing.T) {
 			t.Fatalf("Barrier = %v, want nil or ErrStopped", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Barrier hung across a stop with its rendezvous behind a backlog")
+		t.Fatal("Barrier hung across a stop with a backlog running")
 	}
 }

@@ -291,6 +291,16 @@ func (e *Engine) RunUntil(t Time) {
 	}
 }
 
+// AdvanceTo moves the clock to t without taking a step. It refuses to
+// move backwards or past a live event due before t.
+func (e *Engine) AdvanceTo(t Time) error {
+	if next := e.NextEventAt(); t < e.now || next < t {
+		return fmt.Errorf("simclock: cannot advance from %v to %v with the next event due at %v", e.now, t, next)
+	}
+	e.now = t
+	return nil
+}
+
 // RunFor advances the clock by d, processing every event due in that span.
 func (e *Engine) RunFor(d time.Duration) {
 	e.RunUntil(e.now.Add(d))

@@ -138,6 +138,35 @@ func TestRunUntilEmptyQueueStillAdvances(t *testing.T) {
 	}
 }
 
+// TestAdvanceToTakesNoStep: AdvanceTo moves the clock up to the next
+// live event without running it or anything else, and refuses to pass
+// it or to move backwards.
+func TestAdvanceToTakesNoStep(t *testing.T) {
+	e := NewEngine()
+	fired := false
+	e.ScheduleRun(Time(10), Func(func() { fired = true }))
+	for _, to := range []Time{5, 10} {
+		if err := e.AdvanceTo(to); err != nil {
+			t.Fatalf("AdvanceTo(%v): %v", to, err)
+		}
+		if e.Now() != to || e.Steps() != 0 || fired || e.NextEventAt() != 10 {
+			t.Fatalf("after AdvanceTo(%v): now=%v steps=%d fired=%v next=%v", to, e.Now(), e.Steps(), fired, e.NextEventAt())
+		}
+	}
+	if err := e.AdvanceTo(11); err == nil {
+		t.Fatal("AdvanceTo passed a pending event")
+	}
+	if err := e.AdvanceTo(9); err == nil {
+		t.Fatal("AdvanceTo moved the clock backwards")
+	}
+	if e.Now() != 10 || fired {
+		t.Fatalf("a refused AdvanceTo moved the engine: now=%v fired=%v", e.Now(), fired)
+	}
+	if !e.Step() || !fired || e.Now() != 10 {
+		t.Fatalf("the event did not run at its instant after the advance: now=%v", e.Now())
+	}
+}
+
 func TestStopHaltsRun(t *testing.T) {
 	e := NewEngine()
 	count := 0

@@ -39,7 +39,8 @@ func sampleState() *State {
 	}
 }
 
-// sampleRecords covers every record type with non-default field values.
+// sampleRecords covers every record type this build writes, with
+// non-default field values.
 func sampleRecords() []Record {
 	return []Record{
 		{Type: recGenesis, Seq: 0, Step: 0, VT: 0, State: sampleState()},
@@ -55,7 +56,6 @@ func sampleRecords() []Record {
 		{Type: recDrainWorker, Seq: 6, Step: 23, VT: 13 * time.Millisecond, Op: DrainWorker{ID: 2}},
 		{Type: recFailWorker, Seq: 7, Step: 24, VT: 14 * time.Millisecond, Op: FailWorker{ID: 1}},
 		{Type: recRebalance, Seq: 8, Step: 25, VT: 15 * time.Millisecond, Op: Rebalance{}},
-		{Type: recRead, Seq: 9, Step: 26, VT: 16 * time.Millisecond, Op: Read{}},
 		{Type: recSnapshot, Seq: 10, Step: 27, VT: 17 * time.Millisecond},
 		{Type: recAutoscale, Seq: 11, Step: 28, VT: 18 * time.Millisecond,
 			Op: Autoscale{Window: 48, AddWorkers: 1, Drain: -1, Rebalance: true}},
@@ -80,8 +80,12 @@ func TestRecordRoundTrip(t *testing.T) {
 // sampleRecordHex is each sampleRecords entry's payload as an earlier
 // build encoded it. A change that moves one changes the journal's
 // bytes: old journals no longer decode, or decode to other records.
+// The genesis row carries state version 2 (byte 5): the layout is
+// version 1's, and the version names the epoch's replay rule — its
+// barriers ran between engine steps, so its op and snapshot records
+// take no step on replay.
 var sampleRecordHex = []string{
-	"0100000001030202000009636c6f636b776f726b630000000000000000000000406f408001d209b00902067265736e65740c7265736e657435305f76316200000764656e736523310b64656e73656e6574313631010205696e666572080280897a8092f401046c6f6164020180c8d007030001022a80a8bbd47e",
+	"0100000002030202000009636c6f636b776f726b630000000000000000000000406f408001d209b00902067265736e65740c7265736e657435305f76316200000764656e736523310b64656e73656e6574313631010205696e666572080280897a8092f401046c6f6164020180c8d007030001022a80a8bbd47e",
 	"020107809bee02010b067265736e657480cab5ee01030461636d6510",
 	"03021380d1ca080b05010080b6dc050801",
 	"03031480dac4090c060003010000",
@@ -90,10 +94,17 @@ var sampleRecordHex = []string{
 	"06061780f5b20c02",
 	"07071880feac0d01",
 	"0808198087a70e",
-	"09091a8090a10f",
 	"0a0a1b80999b10",
 	"0b0b1c80a2951160010101",
 	"0b0c1d80ab8f1210000400",
+}
+
+// legacyRecordHex are payloads version-1 epochs hold and this build
+// still reads but no longer writes: the genesis row at state version 1,
+// and a type-9 read record.
+var legacyRecordHex = []string{
+	"0100000001030202000009636c6f636b776f726b630000000000000000000000406f408001d209b00902067265736e65740c7265736e657435305f76316200000764656e736523310b64656e73656e6574313631010205696e666572080280897a8092f401046c6f6164020180c8d007030001022a80a8bbd47e",
+	"09091a8090a10f",
 }
 
 func TestRecordBytesPinned(t *testing.T) {
@@ -104,6 +115,62 @@ func TestRecordBytesPinned(t *testing.T) {
 	for i := range recs {
 		if got := hex.EncodeToString(appendRecord(nil, &recs[i])); got != sampleRecordHex[i] {
 			t.Errorf("record %d (type %d) encodes to\n %s\nwant\n %s", i, recs[i].Type, got, sampleRecordHex[i])
+		}
+	}
+
+	// Decode-only rows: each must still decode to what it meant.
+	legacyState := *recs[0].State
+	legacyState.legacy = true
+	legacyGenesis := recs[0]
+	legacyGenesis.State = &legacyState
+	for i, want := range []Record{
+		legacyGenesis,
+		{Type: recRead, Seq: 9, Step: 26, VT: 16 * time.Millisecond},
+	} {
+		payload, err := hex.DecodeString(legacyRecordHex[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var got Record
+		if err := decodeRecord(payload, &got); err != nil {
+			t.Fatalf("legacy row %d: decode: %v", i, err)
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Errorf("legacy row %d decodes to\n %+v\nwant\n %+v", i, got, want)
+		}
+	}
+}
+
+// TestLegacyReplayRule: in a version-1 epoch every read, op or
+// snapshot-marker record consumed one engine step, so its replay
+// consumes one for each; a version-2 epoch's records take none.
+func TestLegacyReplayRule(t *testing.T) {
+	for _, legacy := range []bool{true, false} {
+		st := &State{Config: clockwork.Config{Workers: 1, GPUsPerWorker: 1, Seed: 1}, legacy: legacy}
+		e := &EpochData{Genesis: st, Records: []Record{{Type: recGenesis, State: st}}}
+		for i := uint64(1); i <= 3; i++ {
+			r := Record{Type: recRead, Seq: i, VT: time.Duration(i) * time.Millisecond}
+			switch i {
+			case 2:
+				r.Type, r.Op = recAddWorker, AddWorker{}
+			case 3:
+				r.Type = recSnapshot
+			}
+			if legacy {
+				r.Step = i // each record's own step
+			}
+			e.Records = append(e.Records, r)
+		}
+		res, err := ReplayEpoch(e)
+		if err != nil {
+			t.Fatalf("legacy=%v: ReplayEpoch: %v", legacy, err)
+		}
+		want := uint64(0)
+		if legacy {
+			want = 3
+		}
+		if res.FinalStep != want || res.FinalVT != 3*time.Millisecond {
+			t.Fatalf("legacy=%v: replay ended at step %d, %v; want step %d, 3ms", legacy, res.FinalStep, res.FinalVT, want)
 		}
 	}
 }
@@ -194,7 +261,7 @@ func TestCorruptFrame(t *testing.T) {
 }
 
 func TestDecodeRejectsTrailingBytes(t *testing.T) {
-	rec := sampleRecords()[9] // recRead: empty body
+	rec := sampleRecords()[9] // recSnapshot: empty body
 	payload := appendRecord(nil, &rec)
 	payload = append(payload, 0xAB)
 	var got Record

@@ -9,26 +9,26 @@
 // single-engine live system is a pure function of (seed, the sequence
 // of injected operations, each operation's virtual instant and engine
 // step position). The journal captures exactly that triple for every
-// injection the serve layer performs. Every engine entry but an
-// inference or a snapshot is an Op value: a control-plane mutation
-// (Register, AddWorker, DrainWorker, FailWorker, Rebalance, Autoscale)
-// or a Read — a read-only scrape, recorded because reads consume
-// engine steps too and replay must consume them identically. Apply
-// records and applies it: the serve layer calls it with the Recorder,
-// replay and recovery with none, so live and replayed ops cannot drift
-// apart. A decoded Record carries its Op in Record.Op, so each op is
-// declared once, as the value Apply takes. The Recorder appends the
-// rest: inference submissions, snapshot markers, and an
-// acknowledgement record per completed request, appended on the engine
-// turn before the response can reach the client.
+// entry the serve layer makes that can move the engine: an inference is
+// an engine event, stamped with its step; anything else runs under
+// Live.Do, a pause between steps, stamped with the steps run before it.
+// A control-plane mutation (Register, AddWorker, DrainWorker,
+// FailWorker, Rebalance, Autoscale) is an Op value; Apply records and
+// applies it: the serve layer calls it with the Recorder, replay and
+// recovery with none, so live and replayed ops cannot drift apart. A
+// decoded Record carries its Op in Record.Op, so each op is declared
+// once, as the value Apply takes. A read takes no step and is not
+// recorded. The Recorder appends the rest: inference submissions,
+// snapshot markers, and an acknowledgement record per completed
+// request, appended on the engine turn before the response can reach
+// the client.
 //
 // Three consumers read the log back:
 //
 //   - Recovery (Load + Rebuild): restore the latest snapshot — or the
-//     genesis state — and Apply the control ops recorded after it
-//     (reads are skipped),
-//     so a daemon bounce loses no registered model and no
-//     acknowledged request.
+//     genesis state — and Apply the control ops recorded after it, so
+//     a daemon bounce loses no registered model and no acknowledged
+//     request.
 //   - Deterministic replay (ReplayEpoch, cmd/clockwork-replay): rebuild
 //     the genesis system and re-execute every recorded injection at its
 //     recorded step and instant through the simulator. The replayed

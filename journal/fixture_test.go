@@ -17,7 +17,8 @@ type committedEpoch struct {
 	acks uint64
 	// types counts the epoch's records by wire type byte: 1 genesis,
 	// 2 infer, 3 ack, 4 register, 5 add worker, 6 drain, 7 fail,
-	// 8 rebalance, 9 read, 10 snapshot marker, 11 autoscale.
+	// 8 rebalance, 9 read (version 1 only), 10 snapshot marker,
+	// 11 autoscale.
 	types map[byte]int
 	// What Rebuild restores: the registry, each worker's state, the
 	// carried admission window, and how many control ops it re-applied
@@ -79,7 +80,8 @@ var committedEpochs = []committedEpoch{
 	//
 	// then SIGTERM. Every infer used a 500 ms SLO. Each of the seven
 	// reads is one read record; two of them follow the snapshot, which
-	// recovery starts from, and are not counted as applied ops.
+	// recovery starts from, and are not counted as applied ops. admin
+	// and reads are version-1 epochs: every barrier took an engine step.
 	{
 		dir:    "testdata/epochs/reads",
 		hash:   "781f05e6b09b762c5b87550b63b9dc11df8edd9981c1b06383e8d14b01ef0442",
@@ -88,6 +90,49 @@ var committedEpochs = []committedEpoch{
 		models: []string{"a", "b#0", "b#1"},
 		workers: []clockwork.WorkerState{
 			clockwork.WorkerDraining, clockwork.WorkerActive, clockwork.WorkerActive,
+		},
+		window:       16,
+		appliedOps:   3,
+		usedSnapshot: true,
+	},
+	// between is a version-2 epoch: its barriers ran between engine
+	// steps and took none, and its reads left no record. It was written
+	// by clockworkd (-workers 2 -gpus 1 -speed 1 -journal DIR
+	// -journal-fsync never -trace -trace-sample 1 -stream-addr ADDR
+	// -autoscale -autoscale-period 1000h) driven over HTTP and one
+	// stream connection:
+	//
+	//	POST /v1/models {"instance":"a","zoo":"resnet50_v1b"}
+	//	POST /v1/models {"instance":"b","zoo":"resnet18_v1","copies":2}
+	//
+	// then fifteen rounds, each a stream batch (a, b#0, b#1, a) and a
+	// POST /v1/infer {"model":"a"} sent together, then 1 ms later, with
+	// those requests in flight, one of, in order:
+	//
+	//	GET /v1/stats, GET /metrics, GET /v1/models,
+	//	a stream Models frame, GET /v1/admin/shards,
+	//	GET /v1/admin/trace, POST /v1/admin/trace {},
+	//	POST /v1/models {"instance":"c","zoo":"resnet18_v1"}
+	//	POST /v1/admin/workers               (worker 2)
+	//	POST /v1/admin/workers/drain {"id":0}
+	//	POST /v1/admin/snapshot
+	//	POST /v1/admin/workers/fail {"id":1}
+	//	POST /v1/admin/rebalance
+	//	POST /v1/admin/autoscaler {"enabled":false,"window":16}
+	//	GET /v1/stats
+	//
+	// then SIGTERM. Every infer used a 500 ms SLO. Each op and the
+	// snapshot marker sent during the rounds landed with that round's
+	// five requests in flight; the three ops after the snapshot are the
+	// ones recovery re-applies.
+	{
+		dir:    "testdata/epochs/between",
+		hash:   "4da11deb27009950f7df016a63e53d609784dc5ffd735486a5925a2074d05e4e",
+		acks:   75,
+		types:  map[byte]int{1: 1, 2: 75, 3: 75, 4: 3, 5: 1, 6: 1, 7: 1, 8: 1, 10: 1, 11: 1},
+		models: []string{"a", "b#0", "b#1", "c"},
+		workers: []clockwork.WorkerState{
+			clockwork.WorkerDraining, clockwork.WorkerFailed, clockwork.WorkerActive,
 		},
 		window:       16,
 		appliedOps:   3,

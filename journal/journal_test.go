@@ -198,7 +198,8 @@ func TestRecordReplayHTTP(t *testing.T) {
 
 // TestRecordReplayStream drives the binary stream transport — batched
 // submission included, so several recInfer records share one engine
-// step — and checks the replay regroups and matches.
+// step, and Models frames answered while batches are in flight — and
+// checks the replay regroups and matches.
 func TestRecordReplayStream(t *testing.T) {
 	dir := t.TempDir()
 	cfg := clockwork.Config{Workers: 2, GPUsPerWorker: 1, Seed: 11}
@@ -244,12 +245,23 @@ func TestRecordReplayStream(t *testing.T) {
 		for i := range reqs {
 			reqs[i] = clockwork.Request{Model: "resnet", SLO: 500 * time.Millisecond}
 		}
-		outs, err := sc.SubmitBatch(ctx, reqs)
-		if err != nil {
-			t.Fatalf("SubmitBatch: %v", err)
+		type batchOut struct {
+			n   int
+			err error
 		}
-		if len(outs) != len(reqs) {
-			t.Fatalf("SubmitBatch returned %d outcomes, want %d", len(outs), len(reqs))
+		done := make(chan batchOut, 1)
+		go func() {
+			outs, err := sc.SubmitBatch(ctx, reqs)
+			done <- batchOut{len(outs), err}
+		}()
+		// A read on the engine mid-load takes no step and no record.
+		for i := 0; i < 3; i++ {
+			if _, err := sc.Models(ctx); err != nil {
+				t.Fatalf("stream Models mid-load: %v", err)
+			}
+		}
+		if out := <-done; out.err != nil || out.n != len(reqs) {
+			t.Fatalf("SubmitBatch: %d outcomes, %v; want %d", out.n, out.err, len(reqs))
 		}
 		for i := 0; i < 4; i++ {
 			if _, err := sc.Infer(ctx, clockwork.Request{Model: "resnet", SLO: 500 * time.Millisecond}); err != nil {

@@ -2,10 +2,10 @@ package journal
 
 import "clockwork"
 
-// Op is one engine entry the journal records: a control-plane mutation
-// (Register, AddWorker, DrainWorker, FailWorker, Rebalance, Autoscale)
-// or a Read. Only this package can add one: each op needs a record
-// type, an encoding and a case in Apply.
+// Op is one control-plane mutation the journal records: Register,
+// AddWorker, DrainWorker, FailWorker, Rebalance or Autoscale. Only this
+// package can add one: each op needs a record type, an encoding and a
+// case in Apply.
 type Op interface {
 	recType() byte
 }
@@ -41,19 +41,12 @@ type Autoscale struct {
 	Rebalance  bool
 }
 
-// Read is an engine entry that only reads: a stats, metrics, model
-// list or trace scrape, or an autoscale tick that moved nothing. Apply
-// changes nothing, but the entry consumed an engine step, so it is
-// recorded and replay consumes one too.
-type Read struct{}
-
 func (Register) recType() byte    { return recRegister }
 func (AddWorker) recType() byte   { return recAddWorker }
 func (DrainWorker) recType() byte { return recDrainWorker }
 func (FailWorker) recType() byte  { return recFailWorker }
 func (Rebalance) recType() byte   { return recRebalance }
 func (Autoscale) recType() byte   { return recAutoscale }
-func (Read) recType() byte        { return recRead }
 
 // Effect is what Apply did: the instances a Register created, the ID
 // of the worker an AddWorker added, and the models a rebalance pass
@@ -65,13 +58,12 @@ type Effect struct {
 }
 
 // Apply records op to rec when rec is non-nil, then applies it to sys:
-// the one place a control op becomes System calls, and the one way an
-// engine entry other than an inference or a snapshot is recorded.
+// the one place a control op becomes System calls, and the one way a
+// mutation other than an inference or a snapshot is recorded.
 // Recording first journals a failing op too (a duplicate name, a
-// drained worker), and replay fails it identically. A Read is only
-// recorded. Engine-confined: the record is stamped
-// with the engine's step and instant, so in live mode call it inside
-// Live.Do.
+// drained worker), and replay fails it identically. Engine-confined:
+// the record is stamped with the engine's step count and instant, so
+// in live mode call it inside Live.Do, which runs it between steps.
 func Apply(sys *clockwork.System, rec *Recorder, op Op) (e Effect, err error) {
 	if rec != nil {
 		rec.appendOp(op)

@@ -32,7 +32,6 @@ func controlOps() []Op {
 		Autoscale{Window: 8, Drain: 4, Rebalance: true},
 		Autoscale{Window: 8, Drain: 4},
 		Autoscale{Window: 32, Drain: -1},
-		Read{},
 	}
 }
 

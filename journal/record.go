@@ -45,17 +45,17 @@ const (
 	// engine turn the completion callback ran — before the response
 	// could reach the client.
 	recAck byte = 3
-	// recRegister … recRebalance, recRead and recAutoscale each carry
-	// one Op (see op.go): a Register, the operator's worker and
-	// rebalance mutations, and a Read — an engine entry with no
-	// engine-visible effect, which still consumed an engine step, so
-	// replay must consume one identically.
+	// recRegister … recRebalance and recAutoscale each carry one Op
+	// (see op.go): a Register, and the operator's worker and rebalance
+	// mutations.
 	recRegister    byte = 4
 	recAddWorker   byte = 5
 	recDrainWorker byte = 6
 	recFailWorker  byte = 7
 	recRebalance   byte = 8
-	recRead        byte = 9
+	// recRead is a read-only barrier of a version-1 epoch, journaled
+	// because it took a step. It has no Op, and no build writes it now.
+	recRead byte = 9
 	// recSnapshot marks that a snapshot file (named for this record's
 	// seq) was durably written before this record was appended.
 	recSnapshot byte = 10
@@ -64,8 +64,7 @@ const (
 	// drain target, a rebalance pass. The decision — not the signals it
 	// was derived from — is what replay re-applies, so a recorded run
 	// reproduces bit-for-bit however the wall clock paced the control
-	// loop. A tick that moved nothing records recRead instead (the
-	// evaluation still consumed an engine step).
+	// loop. A tick that moved nothing records nothing.
 	recAutoscale byte = 11
 )
 
@@ -170,7 +169,7 @@ func appendRecord(b []byte, r *Record) []byte {
 		b = appendVarint(b, int64(r.Latency))
 		b = appendVarint(b, int64(r.Batch))
 		b = appendBool(b, r.ColdStart)
-	case recSnapshot:
+	case recSnapshot, recRead:
 		// no body
 	default:
 		b = appendOp(b, r.Op)
@@ -194,7 +193,7 @@ func appendOp(b []byte, op Op) []byte {
 		b = appendUvarint(b, uint64(o.AddWorkers))
 		b = appendVarint(b, int64(o.Drain))
 		b = appendBool(b, o.Rebalance)
-	case AddWorker, Rebalance, Read:
+	case AddWorker, Rebalance:
 		// no body
 	default:
 		panic(fmt.Sprintf("journal: encode of unknown op %T", op))
@@ -316,11 +315,9 @@ func decodeRecord(payload []byte, r *Record) error {
 		r.Op = FailWorker{ID: int(c.uvarint())}
 	case recRebalance:
 		r.Op = Rebalance{}
-	case recRead:
-		r.Op = Read{}
 	case recAutoscale:
 		r.Op = Autoscale{Window: int(c.varint()), AddWorkers: int(c.uvarint()), Drain: int(c.varint()), Rebalance: c.bool()}
-	case recSnapshot:
+	case recSnapshot, recRead:
 		// no body
 	default:
 		return fmt.Errorf("%w: unknown record type %d", ErrCorruptFrame, r.Type)
@@ -360,8 +357,9 @@ func readFrame(data []byte, off int) (payload []byte, next int, err error) {
 
 // ---- state (genesis / snapshot payload body) ----
 
-// stateVersion guards the state encoding; bump on layout change.
-const stateVersion = 1
+// stateVersion guards the state encoding; bump on layout change. Version
+// 2 keeps version 1's layout: its epochs' barriers took no engine step.
+const stateVersion = 2
 
 // ModelState is one registered instance in a snapshot.
 type ModelState struct {
@@ -398,6 +396,8 @@ type State struct {
 	// epoch).
 	Step uint64
 	VT   time.Duration
+
+	legacy bool // decoded from version 1, whose barriers took a step
 }
 
 // Worker lifecycle encoding in State.Workers.
@@ -452,13 +452,14 @@ func appendState(b []byte, st *State) []byte {
 }
 
 func decodeState(c *cursor) (*State, error) {
-	if v := c.u8(); v != stateVersion {
+	v := c.u8()
+	if v != stateVersion && v != 1 {
 		if c.bad {
 			return nil, fmt.Errorf("%w: truncated state", ErrCorruptFrame)
 		}
 		return nil, fmt.Errorf("%w: unknown state version %d", ErrCorruptFrame, v)
 	}
-	st := &State{}
+	st := &State{legacy: v == 1}
 	st.Config.Workers = int(c.uvarint())
 	st.Config.GPUsPerWorker = int(c.uvarint())
 	st.Config.Shards = int(c.uvarint())

@@ -233,30 +233,23 @@ func (r *Recorder) Flush() {
 	}
 }
 
-// appendOp journals an op — Apply's record step. A control op is
-// flushed to the kernel at once, and an Autoscale op's window also
-// becomes the admission config a later snapshot carries forward into
-// recovery. A Read buffers like an inference record until the next
-// barrier: reads consume engine steps too, and without their records
-// the replay's step alignment would drift.
+// appendOp journals an op — Apply's record step. The op is flushed to
+// the kernel at once, and an Autoscale op's window also becomes the
+// admission config a later snapshot carries forward into recovery.
 func (r *Recorder) appendOp(op Op) {
 	rec := Record{Type: op.recType(), Op: op}
 	r.stamp(&rec)
-	switch o := op.(type) {
-	case Read:
-		_, _ = r.w.append(&rec, false)
-		r.dirty.Store(true)
-		return
-	case Autoscale:
+	if o, ok := op.(Autoscale); ok {
 		r.base.MaxInFlight = o.Window
 	}
 	_, _ = r.w.append(&rec, true)
 }
 
-// Noop records a read, like Apply(sys, r, Read{}).
+// Noop records nothing: a read under Live.Do takes no engine step, so
+// replay has nothing to consume for it.
 //
-// Deprecated: record reads with Apply.
-func (r *Recorder) Noop() { r.appendOp(Read{}) }
+// Deprecated: reads need no record; drop the call.
+func (r *Recorder) Noop() {}
 
 // SnapshotInfo describes one taken snapshot; it is also the POST
 // /v1/admin/snapshot body.

@@ -72,7 +72,9 @@ type ReplayResult struct {
 
 // ReplayEpoch re-executes a recorded epoch through the simulator:
 // rebuild the genesis system, then apply every recorded injection at
-// its recorded engine step and virtual instant. Returns an error on
+// its recorded engine step and virtual instant — an op or snapshot
+// marker between steps, unless the epoch is version 1, whose barriers
+// took steps. Returns an error on
 // divergence (an injection landing at the wrong step or instant) — a
 // journal/config mismatch, not a soft failure. Requires the genesis
 // chain (unavailable after RetainToSnapshot pruning).
@@ -100,6 +102,10 @@ func ReplayEpochTraced(e *EpochData, flight *trace.Recorder) (*ReplayResult, err
 		sys.AttachFlightRecorder(flight)
 	}
 	rp := sys.Replay()
+	barrier := rp.Do
+	if e.Genesis.legacy {
+		barrier = rp.Apply // version 1: each barrier took a step
+	}
 
 	res := &ReplayResult{}
 	recHash := sha256.New()
@@ -154,11 +160,10 @@ func ReplayEpochTraced(e *EpochData, flight *trace.Recorder) (*ReplayResult, err
 			}
 			i = j
 		default:
-			// An op that failed live fails identically here. A Read, or
-			// a snapshot marker (no Op), applies nothing, but its
-			// closure consumed an engine step, so this consumes one too.
+			// An op that failed live fails identically here. A snapshot
+			// marker, or a version-1 read (no Op), applies nothing.
 			op := rec.Op
-			if err := rp.Apply(rec.Step, rec.VT, func() { _, _ = Apply(sys, nil, op) }); err != nil {
+			if err := barrier(rec.Step, rec.VT, func() { _, _ = Apply(sys, nil, op) }); err != nil {
 				return nil, fmt.Errorf("seq %d: %w", rec.Seq, err)
 			}
 		}
@@ -262,10 +267,7 @@ func (e *EpochData) Rebuild() (*clockwork.System, *State, *RecoveryReport, error
 		if rec.Seq <= baseSeq {
 			continue
 		}
-		switch op := rec.Op.(type) {
-		case nil, Read:
-			// Only mutations move the rebuilt state.
-		default:
+		if op := rec.Op; op != nil { // only mutations move the rebuilt state
 			_, _ = Apply(sys, nil, op) // an op that failed live fails identically here
 			rep.AppliedOps++
 			if a, ok := op.(Autoscale); ok {

@@ -116,8 +116,8 @@ func (l *Live) InjectOrAbort(fn, abort func()) {
 // Every runs fn periodically, every d of virtual time, until the
 // driver stops — the hook periodic policies (the closed-loop
 // autoscaler) ride on. Each tick is a Do: fn runs at a single virtual
-// instant with the engine quiescent, and because Do blocks, an engine
-// that has fallen behind drops ticks instead of queueing them. The
+// instant between engine steps, and because Do blocks, an engine that
+// has fallen behind drops ticks instead of queueing them. The
 // cadence is paced from the wall clock scaled by the driver's speed —
 // like every live injection, the exact virtual instants are
 // wall-dependent; deterministic replay of the decisions is the
@@ -145,14 +145,14 @@ func (l *Live) Every(d time.Duration, fn func()) {
 }
 
 // Do runs fn and blocks until it has completed — the synchronous
-// companion to Inject, used for submissions and consistent metric
-// snapshots. It is a stop-the-world barrier: the pacer parks inside one
-// event at the engine's current instant, fn runs on the caller's
-// goroutine with the engine quiescent (and may touch any shard's state
-// — this is how whole-cluster mutations like registration and migration
-// stay race-free), then the pacer resumes. That is exactly one engine
-// step at one virtual instant, so engine-side reads inside fn (Now,
-// EngineSteps) are the stamp of that step. It returns
+// companion to Inject, used for control-plane calls and consistent
+// metric snapshots. It is a stop-the-world barrier: the pacer parks
+// between two steps at the engine's current instant, fn runs on the
+// caller's goroutine with the engine paused (and may touch any shard's
+// state — this is how whole-cluster mutations like registration and
+// migration stay race-free), then the pacer resumes. The pause takes
+// no engine step, so Now and EngineSteps inside fn stamp the position
+// between steps where fn ran (see Replay.Do). It returns
 // ErrLiveStopped, without running fn, if the driver stopped first.
 // Calling Do from inside an engine-side callback deadlocks; use plain
 // function calls there (the caller is already on the engine goroutine).

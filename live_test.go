@@ -184,10 +184,11 @@ func TestSimWaitStillWorks(t *testing.T) {
 	<-done
 }
 
-// TestLiveDoRacingStopWithBacklog: Do is a barrier whose rendezvous can
-// sit on the engine heap behind overdue events when Stop lands. Do must
-// still return (nil if it got there first, ErrLiveStopped otherwise)
-// and Stop must return — the rendezvous is aborted, not stranded.
+// TestLiveDoRacingStopWithBacklog: Do is a barrier that can still be
+// waiting for the pacer's next turn, behind an overdue event that is
+// running, when Stop lands. Do must still return (nil if it got there
+// first, ErrLiveStopped otherwise) and Stop must return — the waiting
+// barrier is turned away, not stranded.
 func TestLiveDoRacingStopWithBacklog(t *testing.T) {
 	sys, err := clockwork.New(clockwork.Config{})
 	if err != nil {
@@ -203,8 +204,8 @@ func TestLiveDoRacingStopWithBacklog(t *testing.T) {
 	live := sys.StartLive(1000)
 	got := make(chan error, 1)
 	go func() { got <- live.Do(func() {}) }()
-	// Two more backlog events guarantee a pacer turn, so the rendezvous
-	// has left the staging buffer for the engine heap.
+	// Two more backlog events guarantee a pacer turn has passed since
+	// Do was called, with the backlog still running.
 	for from := stepped.Load(); stepped.Load() < from+2; {
 		time.Sleep(time.Millisecond)
 	}
@@ -216,7 +217,7 @@ func TestLiveDoRacingStopWithBacklog(t *testing.T) {
 			t.Errorf("Do = %v, want nil or ErrLiveStopped", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Do hung across a Stop that found its rendezvous behind a backlog")
+		t.Fatal("Do hung across a Stop with a backlog running")
 	}
 	select {
 	case <-stopped:

@@ -14,12 +14,11 @@ import (
 // through the simulator. The determinism argument: a single-engine
 // System is a pure function of (seed, the sequence of injected
 // closures, each closure's virtual instant and step position). The live
-// recorder captures exactly that triple; Replay.Apply restores it —
-// running internal events up to the recorded position, re-entering the
-// closure ahead of same-instant ties, and verifying the engine landed
-// where the recording says it did, so divergence is detected rather
-// than silently accumulated. See ARCHITECTURE.md, "Durability &
-// replay".
+// recorder captures exactly that triple; Replay.Apply (an injection)
+// and Replay.Do (a barrier) restore it — running internal events up to
+// the recorded position and verifying the engine landed where the
+// recording says it did, so divergence is detected rather than
+// silently accumulated. See ARCHITECTURE.md, "Durability & replay".
 
 // EngineSteps returns the number of engine events executed so far —
 // with Live pacing the system, call it only from inside an injected
@@ -88,35 +87,32 @@ func (r *Replay) StepTo(step uint64) error {
 	return nil
 }
 
-// Apply re-executes one recorded injection: internal events run up to
-// step-1, fn enters the engine at virtual instant at — ahead of
-// same-instant queued events, exactly where the live driver's transfer
-// placed it — and executes as step number step. A landing mismatch
-// (wrong step count or instant) is a detected divergence, not a silent
-// drift. It panics on a nil fn.
+// Apply re-executes one recorded injection: as a Do at step-1 and
+// instant at, fn enters the engine ahead of same-instant queued events
+// — exactly where the live driver's transfer placed it — and executes
+// as step number step.
 func (r *Replay) Apply(step uint64, at time.Duration, fn func()) error {
-	if fn == nil {
-		panic("clockwork: replay Apply with nil fn")
-	}
 	if step == 0 {
 		return fmt.Errorf("clockwork: replay record stamped at step 0 (stamps count the injection's own step)")
 	}
-	if err := r.StepTo(step - 1); err != nil {
+	eng := r.sys.cluster.Eng
+	return r.Do(step-1, at, func() {
+		eng.ScheduleFront(eng.Now(), simclock.Func(fn))
+		eng.Step()
+	})
+}
+
+// Do re-executes one recorded Live.Do, where the pacer paused between
+// steps: internal events run until exactly step have run, the clock
+// moves to at without a step, and fn runs. An instant behind the clock,
+// or past an event due first, is a detected divergence.
+func (r *Replay) Do(step uint64, at time.Duration, fn func()) error {
+	if err := r.StepTo(step); err != nil {
 		return err
 	}
-	eng := r.sys.cluster.Eng
-	if now := eng.Now().Duration(); now > at {
-		return fmt.Errorf("clockwork: replay clock %v already past recorded instant %v at step %d", now, at, step)
+	if err := r.sys.cluster.Eng.AdvanceTo(simclock.Time(at)); err != nil {
+		return fmt.Errorf("clockwork: replay divergence after step %d: %w", step, err)
 	}
-	eng.ScheduleFront(simclock.Time(at), simclock.Func(fn))
-	if !eng.Step() {
-		return fmt.Errorf("clockwork: replay engine refused the injected step %d", step)
-	}
-	if got := eng.Steps(); got != step {
-		return fmt.Errorf("clockwork: replay divergence: injection landed at step %d, recorded %d", got, step)
-	}
-	if now := eng.Now().Duration(); now != at {
-		return fmt.Errorf("clockwork: replay divergence at step %d: clock %v, recorded %v", step, now, at)
-	}
+	fn()
 	return nil
 }

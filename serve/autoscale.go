@@ -10,14 +10,15 @@ import (
 
 // This file drives the closed control loop from the serve layer. Each
 // control period Live.Every runs autoscaleTick under the stop-the-world
-// barrier (Live.Do), where autoscale.Step gathers one period's signals
-// at a single virtual instant and runs the pure controller, and
-// journal.Apply records and applies the resulting op's worker actions
-// inside the engine; the tick resizes the admission window, which lives
-// at the serve layer. With journaling on, the tick appends exactly one
-// record: the decision (journal.Autoscale) when anything moved, a
-// journal.Read otherwise, so replay consumes the tick's engine step
-// one-for-one and recovery carries the adapted window forward.
+// barrier (Live.Do), which pauses the engine between steps and takes
+// none: autoscale.Step gathers one period's signals at a single virtual
+// instant and runs the pure controller, and when the decision moved
+// anything journal.Apply records it (journal.Autoscale) and applies its
+// worker actions; the tick resizes the admission window, which lives
+// at the serve layer. A tick that moved nothing records nothing — it
+// took no engine step, and replay re-applies recorded decisions
+// without re-running Step — so an idle journaled daemon writes no
+// records, while recovery still carries the adapted window forward.
 
 // AutoscaleConfig configures the closed-loop autoscaler (re-exported
 // so callers outside the module can build one; see
@@ -41,7 +42,6 @@ func (s *Server) autoscaleTick() {
 	s.mu.Unlock()
 	if !s.ascEnabled.Load() {
 		s.sys.DrainRecentStats()
-		_, _ = journal.Apply(s.sys, s.rec, journal.Read{})
 		return
 	}
 
@@ -49,12 +49,10 @@ func (s *Server) autoscaleTick() {
 	// the admin plane — no engine call needed to observe the loop.
 	op, reason := autoscale.Step(s.sys, s.asc, shed, window)
 	s.ascTicks.Add(1)
-	var entry journal.Op = journal.Read{} // a tick that moved nothing only read
 	if op.Window != window || op.AddWorkers > 0 || op.Drain >= 0 || op.Rebalance {
-		entry = op
+		_, _ = journal.Apply(s.sys, s.rec, op) // Step drains only an active worker: no error
 		s.ascMoves.Add(1)
 	}
-	_, _ = journal.Apply(s.sys, s.rec, entry) // Step drains only an active worker: no error
 	s.ascAdded.Add(uint64(op.AddWorkers))
 	if op.Drain >= 0 {
 		s.ascDrained.Add(1)

@@ -18,11 +18,11 @@
 //     429, the stream a typed overloaded frame), inject onto the owning
 //     engine, exactly one outcome, release — and
 //     differ only in decoding a request and writing its outcome out.
-//     Every other engine entry is one funnel: a journal.Op — a control
-//     op, or journal.Read for a read — run through journal.Apply under
-//     the Live.Do barrier (Server.apply), which also journals it; a
-//     snapshot is the one exception (Recorder.Snapshot). Graceful
-//     Shutdown drains in-flight requests before stopping the clock.
+//     Every other engine entry runs under Live.Do, a pause between
+//     engine steps: a control op as a journal.Op through journal.Apply
+//     (Server.apply), which also journals it, a snapshot through
+//     Recorder.Snapshot, and a read — which records nothing — plainly.
+//     Graceful Shutdown drains in-flight requests before stopping.
 //   - The stream transport (Server.ServeStream + StreamClient, wire
 //     codec in serve/stream): the fast path — length-prefixed binary
 //     frames over TCP, many in-flight requests multiplexed per

@@ -7,7 +7,6 @@ import (
 	"time"
 
 	"clockwork"
-	"clockwork/journal"
 	"clockwork/trace"
 )
 
@@ -28,7 +27,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		quants = make([]float64, len(latencyQuantiles))
 		agg    trace.Aggregate
 	)
-	_, ok := s.apply(w, journal.Read{}, func() {
+	ok := s.do(w, func() {
 		s.fillStats(&st)
 		for i := 0; i < s.sys.ShardCount(); i++ {
 			if sb, err := s.sys.ShardStats(i); err == nil {

@@ -87,11 +87,11 @@ type Server struct {
 	live *clockwork.Live
 	mux  *http.ServeMux
 	// rec is the injection journal (nil when journaling is off). Every
-	// injected closure that reaches the engine appends exactly one
-	// record batch through it — inferences through the batch, snapshots
-	// through Recorder.Snapshot, everything else as a journal.Op through
-	// journal.Apply, reads as journal.Read — so a replay can re-consume
-	// engine steps one-for-one.
+	// entry that can move the engine appends one record batch through
+	// it — inferences through the batch, snapshots through
+	// Recorder.Snapshot, control ops through journal.Apply — so a
+	// replay can re-run each at its engine position. Reads record
+	// nothing.
 	rec *journal.Recorder
 	// flight is the always-attached flight recorder (see Options.Trace);
 	// never nil after New.
@@ -506,40 +506,44 @@ func (s *Server) handleRegister(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// apply is the engine entry of every request but an infer or a
-// snapshot: it runs op — a control op, or journal.Read for a read — on
-// the engine through journal.Apply, recorded first when journaling so
-// a failed op fails identically on replay, then, when it succeeded,
-// then (if non-nil) in the same barrier. It answers the error when the
-// barrier or the op failed.
-func (s *Server) apply(w http.ResponseWriter, op journal.Op, then func()) (journal.Effect, bool) {
-	var eff journal.Effect
+// do runs fn under Live.Do and answers the error when the driver has
+// stopped. A read is just this: it takes no step and records nothing.
+func (s *Server) do(w http.ResponseWriter, fn func()) bool {
+	err := s.live.Do(fn)
+	if err != nil {
+		writeAPIError(w, err)
+	}
+	return err == nil
+}
+
+// apply is the engine entry of every control op: it runs op through
+// journal.Apply under do, recorded first when journaling so a failed
+// op fails identically on replay, then, when it succeeded, then (if
+// non-nil) in the same barrier. It answers the error when the barrier
+// or the op failed.
+func (s *Server) apply(w http.ResponseWriter, op journal.Op, then func()) (eff journal.Effect, ok bool) {
 	var err error
-	doErr := s.live.Do(func() {
+	ok = s.do(w, func() {
 		if eff, err = journal.Apply(s.sys, s.rec, op); err == nil && then != nil {
 			then()
 		}
 	})
-	if doErr != nil {
-		err = doErr
-	}
-	if err != nil {
+	if ok && err != nil {
 		writeAPIError(w, err)
-		return eff, false
 	}
-	return eff, true
+	return eff, ok && err == nil
 }
 
 func (s *Server) handleModels(w http.ResponseWriter, r *http.Request) {
 	var models []string
-	if _, ok := s.apply(w, journal.Read{}, func() { models = s.sys.Models() }); ok {
+	if s.do(w, func() { models = s.sys.Models() }) {
 		writeJSON(w, ModelsResponse{Models: models})
 	}
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	var st StatsResponse
-	if _, ok := s.apply(w, journal.Read{}, func() { s.fillStats(&st) }); ok {
+	if s.do(w, func() { s.fillStats(&st) }) {
 		st.Uptime = time.Since(s.started)
 		st.Speed = s.live.Speed()
 		writeJSON(w, st)
@@ -586,7 +590,7 @@ func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
 
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	var resp ShardStatsResponse
-	_, ok := s.apply(w, journal.Read{}, func() {
+	ok := s.do(w, func() {
 		n := s.sys.ShardCount()
 		resp.Shards = make([]ShardStatsEntry, 0, n)
 		for i := 0; i < n; i++ {
@@ -613,9 +617,7 @@ func (s *Server) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	}
 	var info journal.SnapshotInfo
 	var serr error
-	doErr := s.live.Do(func() { info, serr = s.rec.Snapshot() })
-	if doErr != nil {
-		writeAPIError(w, doErr)
+	if !s.do(w, func() { info, serr = s.rec.Snapshot() }) {
 		return
 	}
 	if serr != nil {

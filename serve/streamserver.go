@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"clockwork"
-	"clockwork/journal"
 	"clockwork/serve/stream"
 )
 
@@ -114,7 +113,7 @@ func (s *Server) serveStreamConn(c net.Conn) {
 
 // streamFrame handles one decoded frame on the reader goroutine:
 // infers are admitted into the pending batch (or refused with an error
-// frame), control frames are answered via their own injections. A
+// frame), a Models frame is answered from a read under Live.Do. A
 // false return drops the connection (protocol violation).
 func (s *Server) streamFrame(sc *streamConn, dec *stream.Decoder, typ uint8, p []byte, b *batch) bool {
 	switch typ {
@@ -140,18 +139,16 @@ func (s *Server) streamFrame(sc *streamConn, dec *stream.Decoder, typ uint8, p [
 		if err != nil {
 			return false
 		}
-		// A refused injection (driver stopped) must still answer the
-		// frame, or the client's correlation waits forever.
-		s.live.InjectOrAbort(func() {
-			_, _ = journal.Apply(s.sys, s.rec, journal.Read{})
-			m := outFramePool.Get().(*outFrame)
-			m.typ = stream.TypeModelList
-			m.corr = corr
-			m.models = append(m.models[:0], s.sys.Models()...)
-			sc.send(m)
-		}, func() {
-			sc.sendError(corr, errToWire(clockwork.ErrLiveStopped), clockwork.ErrLiveStopped.Error())
-		})
+		// A read under the barrier, like GET /v1/models. A stopped
+		// driver must still answer the frame, or the client's
+		// correlation waits forever.
+		m := outFramePool.Get().(*outFrame)
+		m.typ, m.corr = stream.TypeModelList, corr
+		if err := s.live.Do(func() { m.models = append(m.models[:0], s.sys.Models()...) }); err != nil {
+			sc.sendError(corr, errToWire(err), err.Error())
+			return true
+		}
+		sc.send(m)
 		return true
 	default:
 		return false

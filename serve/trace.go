@@ -12,7 +12,6 @@ import (
 	"errors"
 	"net/http"
 
-	"clockwork/journal"
 	"clockwork/trace"
 )
 
@@ -39,10 +38,10 @@ type TraceStatusResponse struct {
 // align virtual timestamps with external logs.
 func (s *Server) handleTraceGet(w http.ResponseWriter, r *http.Request) {
 	var snap *trace.Snapshot
-	if _, ok := s.apply(w, journal.Read{}, func() {
+	if !s.do(w, func() {
 		snap = s.flight.Snapshot()
 		snap.VirtualNow = s.sys.Now()
-	}); !ok {
+	}) {
 		return
 	}
 	if wall, virtual, ok := s.live.WallOrigin(); ok {
@@ -81,7 +80,7 @@ func (s *Server) handleTracePost(w http.ResponseWriter, r *http.Request) {
 	// The per-shard counters are engine-side state; read them under the
 	// same consistent entry the dump uses.
 	var st trace.Stats
-	if _, ok := s.apply(w, journal.Read{}, func() { st = s.flight.Aggregate().Stats }); ok {
+	if s.do(w, func() { st = s.flight.Aggregate().Stats }) {
 		writeJSON(w, TraceStatusResponse{
 			Enabled:    s.flight.Enabled(),
 			SampleRate: s.flight.SampleRate(),
