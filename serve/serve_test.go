@@ -221,9 +221,10 @@ func TestMetricsLatencyCountsCompletions(t *testing.T) {
 // TestServeGracefulDrain checks the shutdown contract: in-flight
 // requests complete, new requests are refused, and the driver stops.
 func TestServeGracefulDrain(t *testing.T) {
-	// Real-time speed so requests are slow enough (milliseconds of
-	// wall time) for the drain to overlap them.
-	srv, client := newTestServer(t, clockwork.Config{}, 1)
+	// A twentieth of real time: the first request's cold start (~12 ms
+	// virtual) holds all eight in flight for a quarter second of wall
+	// time, long enough to see every one admitted before the drain.
+	srv, client := newTestServer(t, clockwork.Config{}, 0.05)
 	ctx := context.Background()
 	if err := client.RegisterModel(ctx, "m", "resnet50_v1b"); err != nil {
 		t.Fatalf("RegisterModel: %v", err)
@@ -240,8 +241,7 @@ func TestServeGracefulDrain(t *testing.T) {
 			results[i], errs[i] = client.Infer(ctx, clockwork.Request{Model: "m", SLO: 2 * time.Second})
 		}(i)
 	}
-	// Give the submissions a moment to get in flight, then drain.
-	time.Sleep(20 * time.Millisecond)
+	waitInflight(t, srv, n)
 	shCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shCtx); err != nil {

@@ -243,6 +243,18 @@ func NewDecoder(r io.Reader) *Decoder {
 // readable now belong to the same scheduling quantum.
 func (d *Decoder) Buffered() int { return d.r.Buffered() }
 
+// FrameReady reports whether a whole frame is already buffered, so
+// that Next returns it without touching the connection. It peeks the
+// length header and never reads.
+func (d *Decoder) FrameReady() bool {
+	if d.r.Buffered() < headerSize {
+		return false
+	}
+	hdr, _ := d.r.Peek(headerSize)
+	n := binary.LittleEndian.Uint32(hdr[:4])
+	return n <= MaxFrameSize && d.r.Buffered() >= headerSize+int(n)
+}
+
 // Next reads one frame and returns its type and payload. The payload
 // slice is owned by the decoder and valid only until the next call.
 // io.EOF at a frame boundary surfaces as io.EOF; a partial frame is

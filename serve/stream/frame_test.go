@@ -231,3 +231,71 @@ func TestDecoderRejectsMalformed(t *testing.T) {
 		t.Fatalf("huge model count: %v, want ErrMalformedFrame", err)
 	}
 }
+
+// chunkReader hands out one scripted chunk per Read and counts Reads.
+type chunkReader struct {
+	chunks [][]byte
+	reads  int
+}
+
+func (r *chunkReader) Read(p []byte) (int, error) {
+	r.reads++
+	if len(r.chunks) == 0 {
+		return 0, io.EOF
+	}
+	n := copy(p, r.chunks[0])
+	r.chunks = r.chunks[1:]
+	return n, nil
+}
+
+// TestFrameReady: true exactly when a whole frame is buffered, and the
+// check itself never reads the connection.
+func TestFrameReady(t *testing.T) {
+	var buf bytes.Buffer
+	enc := NewEncoder(&buf)
+	for corr := uint64(1); corr <= 2; corr++ {
+		if err := enc.Infer(&InferFrame{Corr: corr, Model: "resnet50_v1b"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := enc.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	two := buf.Bytes()
+	first := headerSize + int(binary.LittleEndian.Uint32(two))
+	for _, tc := range []struct {
+		name  string
+		chunk int // bytes of the two frames the one Read delivers
+		ready bool
+	}{
+		{"partial header", first + headerSize - 1, false},
+		{"partial payload", len(two) - 1, false},
+		{"whole frame", len(two), true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := &chunkReader{chunks: [][]byte{two[:tc.chunk]}}
+			dec := NewDecoder(r)
+			if dec.FrameReady() {
+				t.Fatal("FrameReady before anything was read")
+			}
+			if _, _, err := dec.Next(); err != nil {
+				t.Fatalf("first frame: %v", err)
+			}
+			reads := r.reads
+			if got := dec.FrameReady(); got != tc.ready {
+				t.Fatalf("FrameReady = %v with %d of %d bytes of the second frame buffered", got, tc.chunk-first, len(two)-first)
+			}
+			if r.reads != reads {
+				t.Fatal("FrameReady read the connection")
+			}
+			if tc.ready {
+				if _, _, err := dec.Next(); err != nil || r.reads != reads {
+					t.Fatalf("second frame: %v after %d more reads", err, r.reads-reads)
+				}
+				if dec.FrameReady() {
+					t.Fatal("FrameReady with nothing buffered")
+				}
+			}
+		})
+	}
+}

@@ -262,6 +262,19 @@ func serverInflight(s *Server) int {
 	return s.win.InFlight()
 }
 
+// waitInflight polls until the admission window holds n requests, so a
+// test that drains knows every one of them was admitted first.
+func waitInflight(t *testing.T, s *Server, n int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for serverInflight(s) != n {
+		if time.Now().After(deadline) {
+			t.Fatalf("admission window holds %d requests, want %d", serverInflight(s), n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
 // TestStreamPartialBatchReleasesAdmission: a connection that dies
 // mid-coalesce — valid infer frames followed by a truncated one in the
 // same segment — must release the admission slots of the never-injected
@@ -345,7 +358,8 @@ func appendVarint(b []byte, v int64) []byte {
 // flight lets them complete and flushes their responses before the
 // sockets close.
 func TestStreamGracefulDrain(t *testing.T) {
-	srv, client, sc := newTestStreamServer(t, clockwork.Config{}, Options{Speed: 1})
+	// Slow enough to hold all eight in flight; see TestServeGracefulDrain.
+	srv, client, sc := newTestStreamServer(t, clockwork.Config{}, Options{Speed: 0.05})
 	ctx := context.Background()
 	if err := client.RegisterModel(ctx, "m", "resnet50_v1b"); err != nil {
 		t.Fatalf("RegisterModel: %v", err)
@@ -361,7 +375,7 @@ func TestStreamGracefulDrain(t *testing.T) {
 			results[i], errs[i] = sc.Infer(ctx, clockwork.Request{Model: "m", SLO: 2 * time.Second})
 		}(i)
 	}
-	time.Sleep(20 * time.Millisecond)
+	waitInflight(t, srv, n)
 	shCtx, cancel := context.WithTimeout(ctx, 10*time.Second)
 	defer cancel()
 	if err := srv.Shutdown(shCtx); err != nil {

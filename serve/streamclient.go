@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -33,10 +34,21 @@ type StreamOptions struct {
 // and SubmitBatch pipelines a whole batch through one write.
 //
 // There is no dedicated reader goroutine: waiters elect one of
-// themselves to read the socket and dispatch responses (the token
-// passes when the elected reader's own call completes). A sequential
-// caller therefore reads its own response directly — no goroutine
-// handoff on the critical path.
+// themselves to read the socket and dispatch responses. The elected
+// reader dispatches every whole frame one read brought in, and the
+// token passes when its own call completes. A sequential caller
+// therefore reads its own response directly — no goroutine handoff on
+// the critical path.
+//
+// Nor is there a writer goroutine: writes are group-committed. Callers
+// encode into a per-connection buffer, and one of them at a time
+// writes everything buffered in a single write; a caller whose frames
+// that flusher will carry returns without a syscall. A caller that
+// would flush while callers woken by the last read have not yet run
+// yields once first, so the requests one read's responses provoke
+// share one write.
+// A failed write fails the connection: every pending call gets
+// ErrStreamClosed.
 type StreamClient struct {
 	conns []*clientStream
 	next  atomic.Uint64
@@ -89,7 +101,7 @@ func (c *StreamClient) Infer(ctx context.Context, req clockwork.Request) (clockw
 	if err != nil {
 		return clockwork.Result{}, err
 	}
-	if err := cs.writeInfer(corr, &req); err != nil {
+	if err := cs.writeInfers([]uint64{corr}, []clockwork.Request{req}); err != nil {
 		cs.abandon(corr)
 		return clockwork.Result{}, err
 	}
@@ -105,7 +117,9 @@ type BatchOutcome struct {
 // SubmitBatch pipelines a batch of requests through one connection in
 // one coalesced write and waits for all their outcomes. Outcomes are
 // positional: out[i] answers reqs[i]. The call-level error is nil
-// unless the transport itself failed before any request was written.
+// unless no request was sent: the connection was already closed, or a
+// frame would not encode. A write that fails later reaches each
+// outcome as ErrStreamClosed.
 func (c *StreamClient) SubmitBatch(ctx context.Context, reqs []clockwork.Request) ([]BatchOutcome, error) {
 	if len(reqs) == 0 {
 		return nil, nil
@@ -123,29 +137,11 @@ func (c *StreamClient) SubmitBatch(ctx context.Context, reqs []clockwork.Request
 		}
 		calls[i], corrs[i] = call, corr
 	}
-	cs.wmu.Lock()
-	var werr error
-	for i, req := range reqs {
-		if werr = cs.enc.Infer(&stream.InferFrame{
-			Corr:     corrs[i],
-			SLO:      int64(req.SLO),
-			Priority: int64(req.Priority),
-			MaxBatch: int64(req.MaxBatchSize),
-			Model:    req.Model,
-			Tenant:   req.Tenant,
-		}); werr != nil {
-			break
-		}
-	}
-	if werr == nil {
-		werr = cs.enc.Flush()
-	}
-	cs.wmu.Unlock()
-	if werr != nil {
+	if err := cs.writeInfers(corrs, reqs); err != nil {
 		for _, corr := range corrs {
 			cs.abandon(corr)
 		}
-		return nil, fmt.Errorf("%w: %v", ErrStreamClosed, werr)
+		return nil, err
 	}
 	out := make([]BatchOutcome, len(reqs))
 	for i := range calls {
@@ -161,15 +157,9 @@ func (c *StreamClient) Models(ctx context.Context) ([]string, error) {
 	if err != nil {
 		return nil, err
 	}
-	cs.wmu.Lock()
-	werr := cs.enc.Models(corr)
-	if werr == nil {
-		werr = cs.enc.Flush()
-	}
-	cs.wmu.Unlock()
-	if werr != nil {
+	if err := cs.send(func(enc *stream.Encoder) error { return enc.Models(corr) }); err != nil {
 		cs.abandon(corr)
-		return nil, fmt.Errorf("%w: %v", ErrStreamClosed, werr)
+		return nil, err
 	}
 	if _, err := cs.await(ctx, call, corr); err != nil {
 		return nil, err
@@ -185,9 +175,9 @@ func (c *StreamClient) Models(ctx context.Context) ([]string, error) {
 
 // streamCall is one in-flight correlated exchange. The done channel
 // has capacity 1 and is signalled by send (not close), so pooled calls
-// can be reused once their waiter has drained the signal. A call
-// abandoned mid-delivery is NOT pooled — the dispatching reader may
-// still be writing to it.
+// can be reused once their waiter has drained the signal. A waiter
+// that abandons a call a reader has already claimed drains the delivery
+// before pooling it.
 type streamCall struct {
 	done    chan struct{}
 	model   string
@@ -203,9 +193,23 @@ var callPool = sync.Pool{
 }
 
 type clientStream struct {
-	c   net.Conn
-	enc *stream.Encoder
-	wmu sync.Mutex // serialises encode+flush
+	c net.Conn
+
+	// Group commit. Callers encode under wmu into out; one flusher at a
+	// time swaps out for spare and writes it outside the lock, looping
+	// until out is empty, so a caller that finds flushing set returns
+	// without a syscall.
+	wmu      sync.Mutex
+	enc      *stream.Encoder // writes into out
+	out      commitBuf
+	spare    []byte
+	flushing bool
+
+	// uncollected counts outcomes delivered to calls whose waiters have
+	// not yet taken them: the callers one read just woke. A caller that
+	// would flush while it is above zero yields once, so their frames
+	// can join one Write. Only a hint: no delivery depends on it.
+	uncollected atomic.Int64
 
 	// readSem is the reader-election token (capacity 1): whoever can
 	// send into it owns the decoder and the socket's read side until
@@ -219,14 +223,23 @@ type clientStream struct {
 	dead    error // set once the conn fails; start refuses thereafter
 }
 
+// commitBuf is the buffer callers encode into; its Write appends.
+type commitBuf struct{ b []byte }
+
+func (w *commitBuf) Write(p []byte) (int, error) {
+	w.b = append(w.b, p...)
+	return len(p), nil
+}
+
 func newClientStream(c net.Conn) *clientStream {
-	return &clientStream{
+	cs := &clientStream{
 		c:       c,
-		enc:     stream.NewEncoder(c),
 		readSem: make(chan struct{}, 1),
 		dec:     stream.NewDecoder(c),
 		pending: make(map[uint64]*streamCall),
 	}
+	cs.enc = stream.NewEncoder(&cs.out)
+	return cs
 }
 
 // start registers a new correlated call.
@@ -249,31 +262,79 @@ func (cs *clientStream) start(model, tenant string) (*streamCall, uint64, error)
 	return call, corr, nil
 }
 
-func (cs *clientStream) writeInfer(corr uint64, req *clockwork.Request) error {
-	cs.wmu.Lock()
-	err := cs.enc.Infer(&stream.InferFrame{
-		Corr:     corr,
-		SLO:      int64(req.SLO),
-		Priority: int64(req.Priority),
-		MaxBatch: int64(req.MaxBatchSize),
-		Model:    req.Model,
-		Tenant:   req.Tenant,
+// writeInfers encodes one infer frame per request, in order, and
+// commits them together.
+func (cs *clientStream) writeInfers(corrs []uint64, reqs []clockwork.Request) error {
+	return cs.send(func(enc *stream.Encoder) error {
+		for i := range reqs {
+			if err := enc.Infer(&stream.InferFrame{
+				Corr:     corrs[i],
+				SLO:      int64(reqs[i].SLO),
+				Priority: int64(reqs[i].Priority),
+				MaxBatch: int64(reqs[i].MaxBatchSize),
+				Model:    reqs[i].Model,
+				Tenant:   reqs[i].Tenant,
+			}); err != nil {
+				return err
+			}
+		}
+		return nil
 	})
-	if err == nil {
-		err = cs.enc.Flush()
-	}
-	cs.wmu.Unlock()
+}
+
+// send encodes under wmu into the connection's commit buffer and
+// commits. An encode error (an oversized frame) takes back every frame
+// encode wrote and commits nothing. A failed write is not returned: it
+// fails the connection, which answers every pending call, the caller's
+// own included, with ErrStreamClosed.
+func (cs *clientStream) send(encode func(*stream.Encoder) error) error {
+	cs.wmu.Lock()
+	mark := len(cs.out.b)
+	err := encode(cs.enc)
+	_ = cs.enc.Flush() // into cs.out, whose Write cannot fail
 	if err != nil {
+		cs.out.b = cs.out.b[:mark]
+		cs.wmu.Unlock()
 		return fmt.Errorf("%w: %v", ErrStreamClosed, err)
 	}
+	if !cs.flushing && cs.uncollected.Load() > 0 {
+		// The reader has just woken callers that have not run yet. Let
+		// them encode their next frames first: the last of them to run
+		// finds the count at zero and writes for all.
+		cs.wmu.Unlock()
+		runtime.Gosched()
+		cs.wmu.Lock()
+	}
+	if cs.flushing || len(cs.out.b) == 0 {
+		cs.wmu.Unlock() // a flusher's Write carries (or carried) these frames
+		return nil
+	}
+	cs.flushing = true
+	for len(cs.out.b) > 0 {
+		buf := cs.out.b
+		cs.out.b = cs.spare
+		cs.wmu.Unlock()
+		_, err := cs.c.Write(buf)
+		cs.wmu.Lock()
+		cs.spare = buf[:0]
+		if err != nil {
+			cs.out.b = cs.out.b[:0]
+			cs.flushing = false
+			cs.wmu.Unlock()
+			cs.fail(err)
+			return nil
+		}
+	}
+	cs.flushing = false
+	cs.wmu.Unlock()
 	return nil
 }
 
 // await blocks for the call's outcome, serving as the connection's
 // reader whenever the token is free: it reads frames and dispatches
 // them (to itself or to other waiters) until its own outcome lands.
-// On success the call returns to the pool; on ctx cancellation it is
-// deregistered (and pooled only if no reader had claimed it).
+// The call returns to the pool once its outcome is collected, except a
+// Models call, whose list the caller still reads.
 func (cs *clientStream) await(ctx context.Context, call *streamCall, corr uint64) (clockwork.Result, error) {
 	if done := ctx.Done(); done != nil {
 		stop := context.AfterFunc(ctx, func() {
@@ -287,13 +348,14 @@ func (cs *clientStream) await(ctx context.Context, call *streamCall, corr uint64
 	for {
 		select {
 		case <-call.done:
-			res, err := call.res, call.err
-			if !call.hasList {
-				callPool.Put(call)
-			}
-			return res, err
+			return cs.collect(call)
 		case <-ctx.Done():
-			cs.abandon(corr)
+			if !cs.abandon(corr) {
+				// A reader (or fail) already claimed the call; its
+				// delivery is a few instructions away.
+				<-call.done
+				cs.collect(call)
+			}
 			return clockwork.Result{}, ctx.Err()
 		case cs.readSem <- struct{}{}:
 			// Elected reader. The outcome may have landed between the
@@ -302,14 +364,16 @@ func (cs *clientStream) await(ctx context.Context, call *streamCall, corr uint64
 			select {
 			case <-call.done:
 				<-cs.readSem
-				res, err := call.res, call.err
-				if !call.hasList {
-					callPool.Put(call)
-				}
-				return res, err
+				return cs.collect(call)
 			default:
 			}
+			// One read that may block, then every whole frame it
+			// brought in: the token passes with nothing dispatchable
+			// left behind.
 			err := cs.readFrame()
+			for err == nil && cs.dec.FrameReady() {
+				err = cs.readFrame()
+			}
 			<-cs.readSem
 			if err != nil {
 				var ne net.Error
@@ -325,10 +389,25 @@ func (cs *clientStream) await(ctx context.Context, call *streamCall, corr uint64
 	}
 }
 
-// abandon deregisters corr after a write failure or ctx cancellation.
-// If a reader already claimed the call, it is left to the garbage
-// collector — pooling it would race the delivery.
-func (cs *clientStream) abandon(corr uint64) {
+// deliver hands call its outcome; collect is the waiter's side.
+func (cs *clientStream) deliver(call *streamCall) {
+	cs.uncollected.Add(1)
+	call.done <- struct{}{}
+}
+
+func (cs *clientStream) collect(call *streamCall) (clockwork.Result, error) {
+	cs.uncollected.Add(-1)
+	res, err := call.res, call.err
+	if !call.hasList {
+		callPool.Put(call)
+	}
+	return res, err
+}
+
+// abandon deregisters corr after an encode failure or ctx
+// cancellation and pools its call. It reports false when a reader or fail has
+// already claimed the call and so owes it a delivery.
+func (cs *clientStream) abandon(corr uint64) bool {
 	cs.pmu.Lock()
 	call, ok := cs.pending[corr]
 	if ok {
@@ -336,13 +415,9 @@ func (cs *clientStream) abandon(corr uint64) {
 	}
 	cs.pmu.Unlock()
 	if ok {
-		// Drain a delivery that slipped in between claim and now.
-		select {
-		case <-call.done:
-		default:
-		}
 		callPool.Put(call)
 	}
+	return ok
 }
 
 // take claims the call registered under corr, if any.
@@ -383,7 +458,7 @@ func (cs *clientStream) readFrame() error {
 				Batch:     int(f.Batch),
 				ColdStart: f.ColdStart,
 			}
-			call.done <- struct{}{}
+			cs.deliver(call)
 		}
 		return nil
 	case stream.TypeError:
@@ -394,7 +469,7 @@ func (cs *clientStream) readFrame() error {
 		if call := cs.take(f.Corr); call != nil {
 			status, code := wireToCode(f.Code)
 			call.err = &APIError{Status: status, Code: code, Message: f.Message}
-			call.done <- struct{}{}
+			cs.deliver(call)
 		}
 		return nil
 	case stream.TypeModelList:
@@ -405,7 +480,7 @@ func (cs *clientStream) readFrame() error {
 		if call := cs.take(f.Corr); call != nil {
 			call.models = append([]string(nil), f.Models...)
 			call.hasList = true
-			call.done <- struct{}{}
+			cs.deliver(call)
 		}
 		return nil
 	default:
@@ -425,7 +500,7 @@ func (cs *clientStream) fail(cause error) {
 	cs.pmu.Unlock()
 	for _, call := range pending {
 		call.err = fmt.Errorf("%w: %v", ErrStreamClosed, cause)
-		call.done <- struct{}{}
+		cs.deliver(call)
 	}
 	cs.c.Close()
 }
