@@ -2,7 +2,9 @@ package simclock
 
 import (
 	"errors"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -11,11 +13,13 @@ import (
 // only one that ever touches the engine, so engine users still never
 // need locks. External goroutines get work onto the engine with Inject.
 //
-// Injections are staged in a side buffer and transferred onto the
-// engine between steps: Inject never blocks on event execution — which
-// makes it safe to call even from inside an event callback (the
-// injected Runner runs on a later loop turn at the then-current
-// instant).
+// The pacer works in turns: it reads the wall clock once, transfers
+// the staged injections, then steps every event due by that instant
+// back to back. Injections are staged in a side buffer: Inject never
+// blocks on event execution — which makes it safe to call even from
+// inside an event callback (the injected Runner runs on a later turn at
+// the then-current instant) — and it raises an attention flag that ends
+// the current turn after its next step, as a Barrier does.
 type Driver struct {
 	speed float64
 	eng   *Engine
@@ -34,6 +38,16 @@ type Driver struct {
 	barrier bool               // a Barrier waits for the pacer's next turn
 	closed  bool
 	wake    chan struct{}
+	// attn is raised under mu by Inject and Barrier and cleared by
+	// takePending: staged work the pacer must look at before its next
+	// step.
+	attn atomic.Bool
+	// turns counts the pacer's turns. Only Run's goroutine writes it;
+	// tests read it after Run has returned.
+	turns uint64
+	// busyUntil holds short waits off the CPU: a slow yield sets it
+	// busyHold ahead. Only Run's goroutine touches it.
+	busyUntil time.Time
 
 	// inflight lists the transferred injections that carry an abort
 	// hook and have not run yet; close aborts them. Like freeGuards it
@@ -83,9 +97,9 @@ func (d *Driver) Origin() (wall time.Time, virtual Time, ok bool) {
 	return d.start, d.virtualStart, d.originSet
 }
 
-// wallVirtual maps the current wall instant to virtual time.
-func (d *Driver) wallVirtual() Time {
-	return d.virtualStart.Add(time.Duration(float64(time.Since(d.start)) * d.speed))
+// virtualAt maps a wall instant to virtual time.
+func (d *Driver) virtualAt(wall time.Time) Time {
+	return d.virtualStart.Add(time.Duration(float64(wall.Sub(d.start)) * d.speed))
 }
 
 // wallAt maps a virtual instant back to the wall instant it is due.
@@ -115,6 +129,7 @@ func (d *Driver) Inject(r Runner, ab Aborter) bool {
 		return false
 	}
 	d.pending = append(d.pending, pendingInjection{r: r, ab: ab})
+	d.attn.Store(true)
 	d.mu.Unlock()
 	d.poke()
 	return true
@@ -123,7 +138,8 @@ func (d *Driver) Inject(r Runner, ab Aborter) bool {
 // Barrier pauses the engine between two steps and runs fn exclusively
 // — the stop-the-world primitive for whole-cluster mutations (model
 // migration, registration, consistent metric snapshots). The pacer
-// parks at the top of its next turn while fn runs on the caller's
+// ends its turn after the step in progress and parks at the top of the
+// next one while fn runs on the caller's
 // goroutine, so fn may touch engine state. The pause is no event: it
 // takes no step and draws no sequence number. Returns ErrStopped
 // (without running fn) if the driver stops first. Calling Barrier from
@@ -137,6 +153,7 @@ func (d *Driver) Barrier(fn func()) error {
 		return ErrStopped
 	}
 	d.barrier = true
+	d.attn.Store(true)
 	d.mu.Unlock()
 	d.poke()
 	if !<-d.park {
@@ -147,7 +164,7 @@ func (d *Driver) Barrier(fn func()) error {
 	return nil
 }
 
-// poke wakes a pacer sleeping until its next due event.
+// poke wakes a pacer parked until its next due event.
 func (d *Driver) poke() {
 	select {
 	case d.wake <- struct{}{}:
@@ -168,6 +185,7 @@ func (d *Driver) takePending() (pend []pendingInjection, barrier bool) {
 	d.pending = d.spare[:0]
 	d.spare = pend
 	barrier, d.barrier = d.barrier, false
+	d.attn.Store(false)
 	return pend, barrier
 }
 
@@ -239,10 +257,37 @@ func (d *Driver) close() {
 	}
 }
 
-// Run paces the engine on the calling goroutine until stop is closed —
-// idle-advance, pause for a barrier, transfer, sleep until due, step —
-// then closes the driver (see close). The origin is the engine's clock
-// at entry. Run must be called at most once.
+// spinWindow, busyYield and busyHold shape the wait for an event due
+// within microseconds. A timer armed on an idle process fires through the
+// runtime's idle path, 1.1–1.3 ms late at one closed-loop caller
+// (bench/README.md), so a wait shorter than spinWindow is spent
+// on-CPU, yielding and re-reading the clock, for as long as each yield
+// comes back within busyYield. Measured on live_stream (2 vCPUs), every
+// wait the pacer made was under 20 µs, almost all under 10 µs, and a
+// yield that found nothing else to run came back in ~0.5 µs. A yield
+// ten times slower means other goroutines ran, so the Ps are busy and
+// will run the timer promptly: the pacer parks for the rest rather than
+// take CPU the serving goroutines need (yielding regardless cost
+// live_http goodput and set-up time; EXPERIMENTS.md, "A precise
+// pacer"). The slow yield itself is a cost, since it queued the pacer
+// behind every runnable goroutine where a fired timer would have run it
+// next: on live_http, whose two cores are saturated, over half the
+// waits saw a slow yield, and without the hold goodput fell 9.4% (0 of
+// 10 pairs). So after a slow yield the pacer parks every short wait
+// for busyHold, then tries the CPU again.
+const (
+	spinWindow = 50 * time.Microsecond
+	busyYield  = 5 * time.Microsecond
+	busyHold   = time.Millisecond
+)
+
+// Run paces the engine on the calling goroutine until stop is closed,
+// then closes the driver (see close). Each turn reads the wall clock
+// once, idle-advances, pauses for a barrier, transfers the staged
+// injections, and steps every event due by that instant, checking only
+// stop and the attention flag between steps; with nothing due it waits
+// (see wait). The origin is the engine's clock at entry. Run must be
+// called at most once.
 func (d *Driver) Run(stop <-chan struct{}) {
 	eng := d.eng
 	d.originMu.Lock()
@@ -251,15 +296,20 @@ func (d *Driver) Run(stop <-chan struct{}) {
 	d.originSet = true
 	d.originMu.Unlock()
 	defer d.close()
+	timer := time.NewTimer(time.Hour)
+	timer.Stop()
 	for {
 		// A dense workload keeps events perpetually overdue, so the loop
-		// may never reach a blocking select — poll stop here so shutdown
-		// is prompt regardless of load.
+		// may never reach a blocking select — poll stop here and between
+		// steps so shutdown is prompt regardless of load.
 		select {
 		case <-stop:
 			return
 		default:
 		}
+		d.turns++
+		now := time.Now()
+		wv := d.virtualAt(now)
 		// Keep the virtual clock tracking the wall clock across idle
 		// gaps: when nothing is due before the wall-implied instant,
 		// advance the clock to it, so injections land at the instant a
@@ -267,7 +317,7 @@ func (d *Driver) Run(stop <-chan struct{}) {
 		// froze the engine. (Without this, work injected after an idle
 		// period is "overdue" and executes unpaced, voiding the speed
 		// contract.)
-		if wv := d.wallVirtual(); eng.NextEventAt() > wv && wv > eng.Now() {
+		if eng.NextEventAt() > wv && wv > eng.Now() {
 			_ = eng.AdvanceTo(wv)
 		}
 		pend, barrier := d.takePending()
@@ -284,7 +334,20 @@ func (d *Driver) Run(stop <-chan struct{}) {
 			pend[i] = pendingInjection{} // buffer is recycled; drop refs
 		}
 		next := eng.NextEventAt()
-
+		if next <= wv {
+			for {
+				eng.Step()
+				if d.attn.Load() || eng.NextEventAt() > wv {
+					break
+				}
+				select {
+				case <-stop:
+					return
+				default:
+				}
+			}
+			continue
+		}
 		if next == MaxTime {
 			// Nothing due, nothing queued: sleep until injected work
 			// arrives.
@@ -295,19 +358,47 @@ func (d *Driver) Run(stop <-chan struct{}) {
 				continue
 			}
 		}
+		if !d.wait(stop, timer, now, d.wallAt(next)) {
+			return
+		}
+	}
+}
 
-		if delay := time.Until(d.wallAt(next)); delay > 0 {
-			timer := time.NewTimer(delay)
-			select {
-			case <-stop:
-				timer.Stop()
-				return
-			case <-d.wake:
-				timer.Stop()
-				continue
-			case <-timer.C:
+// wait returns once the wall clock reaches due or staged work needs the
+// pacer, reporting false if stop closed first. Short waits yield on-CPU
+// while the process is otherwise idle (see spinWindow); the rest park
+// on timer, the one Run re-arms for every park.
+func (d *Driver) wait(stop <-chan struct{}, timer *time.Timer, now, due time.Time) bool {
+	delay := due.Sub(now)
+	if delay < spinWindow && now.After(d.busyUntil) {
+		for delay > 0 && !d.attn.Load() {
+			runtime.Gosched()
+			t := time.Now()
+			busy := t.Sub(now) >= busyYield
+			now, delay = t, due.Sub(t)
+			if busy {
+				d.busyUntil = t.Add(busyHold)
+				break
 			}
 		}
-		eng.Step()
+		if delay <= 0 || d.attn.Load() {
+			return true
+		}
 	}
+	timer.Reset(delay)
+	select {
+	case <-stop:
+		return false
+	case <-d.wake:
+		if !timer.Stop() {
+			// It fired meanwhile. Drain it; a send that lands after this
+			// only costs the next park a spurious, harmless wake.
+			select {
+			case <-timer.C:
+			default:
+			}
+		}
+	case <-timer.C:
+	}
+	return true
 }

@@ -397,3 +397,83 @@ func TestBarrierStopWithBacklogDoesNotHang(t *testing.T) {
 		t.Fatal("Barrier hung across a stop with a backlog running")
 	}
 }
+
+// TestTurnStepsTheBacklog: a turn steps every event due by its one
+// clock read, so a backlog of 1,000 overdue events at distinct instants
+// runs in a handful of turns rather than one turn per event.
+func TestTurnStepsTheBacklog(t *testing.T) {
+	var fired atomic.Int64
+	d, _, stop := startDriver(t, 1000, func(e *Engine) {
+		for k := 1; k <= 1000; k++ {
+			e.ScheduleRun(Time(k), Func(func() { fired.Add(1) }))
+		}
+	})
+	waitFor(t, 10*time.Second, "the backlog to run", func() bool { return fired.Load() == 1000 })
+	stop() // Run has returned: its turn count is safe to read
+	if d.turns > 10 {
+		t.Fatalf("a backlog of 1000 due events took %d turns, want a handful", d.turns)
+	}
+}
+
+// TestInjectMidTurnRunsNext: an injection staged while a turn runs ends
+// the turn after the step in progress, so it runs at the engine's
+// instant ahead of the rest of the turn's backlog.
+func TestInjectMidTurnRunsNext(t *testing.T) {
+	const mid = 10
+	var order []int // engine goroutine only; read after stop
+	reached, injected, finished := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	d, _, stop := startDriver(t, 1000, func(e *Engine) {
+		for k := 1; k <= 100; k++ {
+			e.ScheduleRun(Time(k), Func(func() {
+				order = append(order, k)
+				switch k {
+				case mid:
+					close(reached)
+					<-injected
+				case 100:
+					close(finished)
+				}
+			}))
+		}
+	})
+	<-reached
+	inject(d, func() { order = append(order, 0) })
+	close(injected)
+	<-finished
+	stop()
+	if len(order) <= mid || order[mid] != 0 {
+		t.Fatalf("steps ran in order %v…; want the injection (0) right after backlog event %d", order[:min(len(order), mid+3)], mid)
+	}
+}
+
+// TestAllocRatchetPacerWait: parking for an event due beyond the yield
+// window re-arms the driver's one timer, so a park allocates nothing.
+func TestAllocRatchetPacerWait(t *testing.T) {
+	const gap = time.Millisecond // > spinWindow at speed 1: every wait parks
+	tk := &ticker{gap: gap, fired: make(chan struct{}, 1)}
+	_, _, stop := startDriver(t, 1, func(e *Engine) {
+		tk.e = e
+		e.ScheduleRun(e.Now().Add(gap), tk)
+	})
+	defer stop()
+	<-tk.fired // the pacer is running and the tick is steady
+	if avg := testing.AllocsPerRun(100, func() { <-tk.fired }); avg >= 1 {
+		t.Errorf("a %v park allocates %.1f objects, want 0", gap, avg)
+	}
+}
+
+// ticker is an event that re-arms itself one gap later and signals each
+// firing, allocating nothing.
+type ticker struct {
+	e     *Engine
+	gap   time.Duration
+	fired chan struct{}
+}
+
+func (tk *ticker) Run() {
+	tk.e.ScheduleRun(tk.e.Now().Add(tk.gap), tk)
+	select {
+	case tk.fired <- struct{}{}:
+	default:
+	}
+}

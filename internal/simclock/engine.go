@@ -68,9 +68,9 @@ func (t *Timer) When() Time {
 }
 
 // Runner is the event body: a receiver whose Run method executes when
-// the event fires. The serving hot path schedules eight to nine events
-// per request (bench's simclock.events_per_req: 8.3 under load, 8.8
-// idle); giving recurring events (cancel timers, network hops) a
+// the event fires. The serving hot path schedules seven to eight events
+// per request (bench's simclock.events_per_req: 7.1 under load, 7.6
+// at light load); giving recurring events (cancel timers, network hops) a
 // permanent receiver instead of a fresh closure removes their per-event
 // allocations.
 type Runner interface {

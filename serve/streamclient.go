@@ -38,7 +38,8 @@ type StreamOptions struct {
 // reader dispatches every whole frame one read brought in, and the
 // token passes when its own call completes. A sequential caller
 // therefore reads its own response directly — no goroutine handoff on
-// the critical path.
+// the critical path. A caller whose ctx ends leaves at once; only the
+// reader's own ctx interrupts the socket read.
 //
 // Nor is there a writer goroutine: writes are group-committed. Callers
 // encode into a per-connection buffer, and one of them at a time
@@ -336,36 +337,32 @@ func (cs *clientStream) send(encode func(*stream.Encoder) error) error {
 // The call returns to the pool once its outcome is collected, except a
 // Models call, whose list the caller still reads.
 func (cs *clientStream) await(ctx context.Context, call *streamCall, corr uint64) (clockwork.Result, error) {
-	if done := ctx.Done(); done != nil {
-		stop := context.AfterFunc(ctx, func() {
-			// Abort whoever is blocked reading (possibly this goroutine)
-			// so the cancelled waiter can leave; readers treat the
-			// timeout as a retry signal, not a connection failure.
-			_ = cs.c.SetReadDeadline(time.Now())
-		})
-		defer stop()
-	}
 	for {
 		select {
 		case <-call.done:
 			return cs.collect(call)
 		case <-ctx.Done():
-			if !cs.abandon(corr) {
-				// A reader (or fail) already claimed the call; its
-				// delivery is a few instructions away.
-				<-call.done
-				cs.collect(call)
-			}
-			return clockwork.Result{}, ctx.Err()
+			return cs.cancel(ctx, call, corr)
 		case cs.readSem <- struct{}{}:
-			// Elected reader. The outcome may have landed between the
-			// last check and the election — look again before blocking
-			// on the socket.
+			// Elected reader. The outcome may have landed, or the ctx
+			// ended, between the last check and the election — look
+			// again before blocking on the socket.
 			select {
 			case <-call.done:
 				<-cs.readSem
 				return cs.collect(call)
+			case <-ctx.Done():
+				<-cs.readSem
+				return cs.cancel(ctx, call, corr)
 			default:
+			}
+			// Only the token holder can be stuck on the socket, so only
+			// it arms the poke: its ctx ending aborts the read, and it
+			// treats the timeout as a retry signal, not a connection
+			// failure. Other waiters leave through their own ctx case.
+			var stop func() bool
+			if ctx.Done() != nil {
+				stop = context.AfterFunc(ctx, func() { _ = cs.c.SetReadDeadline(time.Now()) })
 			}
 			// One read that may block, then every whole frame it
 			// brought in: the token passes with nothing dispatchable
@@ -374,12 +371,15 @@ func (cs *clientStream) await(ctx context.Context, call *streamCall, corr uint64
 			for err == nil && cs.dec.FrameReady() {
 				err = cs.readFrame()
 			}
+			if stop != nil {
+				stop()
+			}
 			<-cs.readSem
 			if err != nil {
 				var ne net.Error
 				if errors.As(err, &ne) && ne.Timeout() {
-					// A waiter's ctx fired a read-deadline poke; clear it
-					// and re-loop (our own ctx case handles our exit).
+					// A poke (ours, or one that fired as an earlier
+					// reader let go): clear it and re-loop.
 					_ = cs.c.SetReadDeadline(time.Time{})
 					continue
 				}
@@ -387,6 +387,17 @@ func (cs *clientStream) await(ctx context.Context, call *streamCall, corr uint64
 			}
 		}
 	}
+}
+
+// cancel is await's exit for an ended ctx.
+func (cs *clientStream) cancel(ctx context.Context, call *streamCall, corr uint64) (clockwork.Result, error) {
+	if !cs.abandon(corr) {
+		// A reader (or fail) already claimed the call; its delivery is
+		// a few instructions away.
+		<-call.done
+		cs.collect(call)
+	}
+	return clockwork.Result{}, ctx.Err()
 }
 
 // deliver hands call its outcome; collect is the waiter's side.

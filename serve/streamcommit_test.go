@@ -303,3 +303,82 @@ func TestStreamClientWritesCoalesce(t *testing.T) {
 		t.Fatalf("client writes per request %.3f, want ≤ 0.8: the callers one read wakes no longer share a write", perReq)
 	}
 }
+
+// deadlineConn is a scripted client-side conn that counts read-deadline
+// pokes (a deadline set) and clears, and announces each Read on reading.
+type deadlineConn struct {
+	net.Conn
+	reading       chan struct{}
+	pokes, clears atomic.Int32
+}
+
+func (c *deadlineConn) Read(p []byte) (int, error) {
+	select {
+	case c.reading <- struct{}{}:
+	default:
+	}
+	return c.Conn.Read(p)
+}
+
+func (c *deadlineConn) SetReadDeadline(t time.Time) error {
+	if t.IsZero() {
+		c.clears.Add(1)
+	} else {
+		c.pokes.Add(1)
+	}
+	return c.Conn.SetReadDeadline(t)
+}
+
+// TestStreamClientCancelPokesOnlyTheReader: a cancelled waiter that
+// does not hold the read token leaves without touching the socket; a
+// cancelled token holder pokes its own blocked read once, clears the
+// deadline it set, and leaves.
+func TestStreamClientCancelPokesOnlyTheReader(t *testing.T) {
+	client, server := net.Pipe()
+	defer server.Close()
+	conn := &deadlineConn{Conn: client, reading: make(chan struct{}, 1)}
+	cs := newClientStream(conn)
+	defer cs.c.Close()
+	await := func(ctx context.Context) <-chan error {
+		call, corr, err := cs.start("m", "")
+		if err != nil {
+			t.Fatalf("start: %v", err)
+		}
+		done := make(chan error, 1)
+		go func() {
+			_, err := cs.await(ctx, call, corr)
+			done <- err
+		}()
+		return done
+	}
+	leave := func(who string, done <-chan error) {
+		t.Helper()
+		select {
+		case err := <-done:
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("cancelled %s returned %v, want context.Canceled", who, err)
+			}
+		case <-time.After(5 * time.Second):
+			t.Fatalf("cancelled %s never returned", who)
+		}
+	}
+
+	readerCtx, cancelReader := context.WithCancel(context.Background())
+	defer cancelReader()
+	reader := await(readerCtx)
+	<-conn.reading // the first waiter holds the token, blocked in Read
+
+	waiterCtx, cancelWaiter := context.WithCancel(context.Background())
+	waiter := await(waiterCtx)
+	cancelWaiter()
+	leave("waiter", waiter)
+	if p, c := conn.pokes.Load(), conn.clears.Load(); p != 0 || c != 0 {
+		t.Fatalf("cancelling a waiter without the token made %d pokes and %d clears, want none", p, c)
+	}
+
+	cancelReader()
+	leave("reader", reader)
+	if p, c := conn.pokes.Load(), conn.clears.Load(); p != 1 || c != 1 {
+		t.Fatalf("cancelling the reader made %d pokes and %d clears, want one of each", p, c)
+	}
+}
