@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"net"
 	"runtime"
 	"sync"
@@ -16,10 +17,10 @@ import (
 
 // StreamOptions configures a StreamClient.
 type StreamOptions struct {
-	// Conns is how many TCP connections to multiplex requests over
-	// (round-robin). One connection already carries any number of
-	// in-flight requests; more connections spread the encode/decode
-	// work across server reader goroutines. Default 1.
+	// Conns is how many TCP connections to multiplex requests over.
+	// One connection already carries any number of in-flight requests;
+	// more connections spread the encode/decode work across server
+	// reader goroutines. Default 1.
 	Conns int
 	// DialTimeout bounds each dial (default 5s).
 	DialTimeout time.Duration
@@ -31,7 +32,8 @@ type StreamOptions struct {
 // identically), spoken over the binary stream transport instead of
 // HTTP/JSON. Many goroutines may call Infer concurrently; requests are
 // multiplexed over the configured connections and correlated by ID,
-// and SubmitBatch pipelines a whole batch through one write.
+// and SubmitBatch pipelines a whole batch through one write. Each call
+// goes to the live connection with the fewest calls in flight.
 //
 // There is no dedicated reader goroutine: waiters elect one of
 // themselves to read the socket and dispatch responses. The elected
@@ -89,8 +91,24 @@ func (c *StreamClient) Close() error {
 	return nil
 }
 
+// pick returns the live connection with the fewest registered calls;
+// ties rotate, so a sequential caller alternates connections. A reader
+// takes the calls it dispatches off its connection at once, so the
+// callers one read wakes find that connection least loaded and their
+// next requests share its next write. Only when every connection has
+// failed does pick return a dead one, whose start refuses the call.
 func (c *StreamClient) pick() *clientStream {
-	return c.conns[c.next.Add(1)%uint64(len(c.conns))]
+	n := uint64(len(c.conns))
+	first := c.next.Add(1)
+	best := c.conns[first%n]
+	least := int64(math.MaxInt64)
+	for i := uint64(0); i < n; i++ {
+		cs := c.conns[(first+i)%n]
+		if l := cs.calls.Load(); l < least && !cs.failed.Load() {
+			best, least = cs, l
+		}
+	}
+	return best
 }
 
 // Infer submits one inference over the stream and blocks until its
@@ -212,6 +230,11 @@ type clientStream struct {
 	// can join one Write. Only a hint: no delivery depends on it.
 	uncollected atomic.Int64
 
+	// calls mirrors len(pending) for pick, which reads it without
+	// pmu; failed is set once the conn fails.
+	calls  atomic.Int64
+	failed atomic.Bool
+
 	// readSem is the reader-election token (capacity 1): whoever can
 	// send into it owns the decoder and the socket's read side until
 	// they release it. dec is only touched by the token holder.
@@ -259,6 +282,7 @@ func (cs *clientStream) start(model, tenant string) (*streamCall, uint64, error)
 	cs.corr++
 	corr := cs.corr
 	cs.pending[corr] = call
+	cs.calls.Add(1)
 	cs.pmu.Unlock()
 	return call, corr, nil
 }
@@ -419,16 +443,11 @@ func (cs *clientStream) collect(call *streamCall) (clockwork.Result, error) {
 // cancellation and pools its call. It reports false when a reader or fail has
 // already claimed the call and so owes it a delivery.
 func (cs *clientStream) abandon(corr uint64) bool {
-	cs.pmu.Lock()
-	call, ok := cs.pending[corr]
-	if ok {
-		delete(cs.pending, corr)
-	}
-	cs.pmu.Unlock()
-	if ok {
+	call := cs.take(corr)
+	if call != nil {
 		callPool.Put(call)
 	}
-	return ok
+	return call != nil
 }
 
 // take claims the call registered under corr, if any.
@@ -437,11 +456,9 @@ func (cs *clientStream) take(corr uint64) *streamCall {
 	call, ok := cs.pending[corr]
 	if ok {
 		delete(cs.pending, corr)
+		cs.calls.Add(-1)
 	}
 	cs.pmu.Unlock()
-	if !ok {
-		return nil
-	}
 	return call
 }
 
@@ -505,9 +522,11 @@ func (cs *clientStream) fail(cause error) {
 	cs.pmu.Lock()
 	if cs.dead == nil {
 		cs.dead = cause
+		cs.failed.Store(true)
 	}
 	pending := cs.pending
 	cs.pending = make(map[uint64]*streamCall)
+	cs.calls.Add(-int64(len(pending)))
 	cs.pmu.Unlock()
 	for _, call := range pending {
 		call.err = fmt.Errorf("%w: %v", ErrStreamClosed, cause)

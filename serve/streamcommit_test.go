@@ -261,11 +261,12 @@ func (c countedConn) Write(p []byte) (int, error) {
 	return c.Conn.Write(p)
 }
 
-// TestStreamClientWritesCoalesce: 16 closed-loop callers on two
-// connections. The callers one read wakes share a write, so the client
-// makes well under one write per request (one each without the group
-// commit).
-func TestStreamClientWritesCoalesce(t *testing.T) {
+// loadTwoConns drives n requests from 16 closed-loop callers over a
+// StreamClient of two counted connections. It returns the client, whose
+// per-connection corr counters say how many calls each carried, and
+// the number of Writes the client made.
+func loadTwoConns(t *testing.T, n uint64) (*StreamClient, uint64) {
+	t.Helper()
 	srv, client, _ := newTestStreamServer(t,
 		clockwork.Config{Workers: 2, GPUsPerWorker: 2}, Options{Speed: 2000})
 	ctx := context.Background()
@@ -281,9 +282,8 @@ func TestStreamClientWritesCoalesce(t *testing.T) {
 		}
 		sc.conns = append(sc.conns, newClientStream(countedConn{Conn: nc, writes: &writes}))
 	}
-	defer sc.Close()
+	t.Cleanup(func() { sc.Close() })
 
-	const n = 20_000
 	rep, err := RunLoad(ctx, LoadConfig{
 		Transport:   sc,
 		SLO:         time.Second,
@@ -297,10 +297,21 @@ func TestStreamClientWritesCoalesce(t *testing.T) {
 	if rep.Sent != n || rep.Errors != 0 || rep.Duplicates != 0 {
 		t.Fatalf("load: sent %d, errors %d, duplicates %d", rep.Sent, rep.Errors, rep.Duplicates)
 	}
-	perReq := float64(writes.Load()) / float64(rep.Sent)
+	return sc, writes.Load()
+}
+
+// TestStreamClientWritesCoalesce: 16 closed-loop callers on two
+// connections. The callers one read wakes send their next requests on
+// that connection and share one write, so the client makes well under
+// one write per request (one each without the group commit, ~0.5 when
+// round-robin split each read's callers across both connections).
+func TestStreamClientWritesCoalesce(t *testing.T) {
+	const n = 20_000
+	_, writes := loadTwoConns(t, n)
+	perReq := float64(writes) / n
 	t.Logf("client writes per request at 16 callers on 2 connections: %.3f", perReq)
-	if !raceEnabled && perReq > 0.8 {
-		t.Fatalf("client writes per request %.3f, want ≤ 0.8: the callers one read wakes no longer share a write", perReq)
+	if !raceEnabled && perReq > 0.4 {
+		t.Fatalf("client writes per request %.3f, want ≤ 0.4: the callers one read wakes no longer share a write", perReq)
 	}
 }
 
