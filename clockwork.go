@@ -21,14 +21,10 @@ type Config struct {
 	// shards (default 1 — the paper's centralized controller, which its
 	// §8 names as the scaling bottleneck). Each shard schedules a
 	// disjoint slice of the workers and a disjoint subset of the
-	// models; a periodic rebalancer migrates models between shards when
-	// demand skews. Every shard runs on the system's one event engine,
+	// models. Every shard runs on the system's one event engine,
 	// so a sharded run is as reproducible as an unsharded one. Requires
 	// Workers >= Shards. See ARCHITECTURE.md.
 	Shards int
-	// RebalanceInterval is the cross-shard rebalancer's virtual-time
-	// period (default 1s; meaningful only with Shards > 1).
-	RebalanceInterval time.Duration
 	// Policy selects the scheduler by registry name (default
 	// PolicyClockwork). See RegisterPolicy and Policies.
 	Policy Policy
@@ -70,15 +66,14 @@ func init() {
 // registered policy (it does not panic).
 func New(cfg Config) (*System, error) {
 	ccfg := core.ClusterConfig{
-		Workers:           cfg.Workers,
-		GPUsPerWorker:     cfg.GPUsPerWorker,
-		Shards:            cfg.Shards,
-		RebalanceInterval: cfg.RebalanceInterval,
-		Seed:              cfg.Seed,
-		PageCacheBytes:    cfg.PageCacheBytes,
-		NoNoise:           cfg.ExactTiming,
-		MetricsInterval:   cfg.MetricsInterval,
-		ZeroLengthInputs:  cfg.ZeroLengthInputs,
+		Workers:          cfg.Workers,
+		GPUsPerWorker:    cfg.GPUsPerWorker,
+		Shards:           cfg.Shards,
+		Seed:             cfg.Seed,
+		PageCacheBytes:   cfg.PageCacheBytes,
+		NoNoise:          cfg.ExactTiming,
+		MetricsInterval:  cfg.MetricsInterval,
+		ZeroLengthInputs: cfg.ZeroLengthInputs,
 		Controller: core.Config{
 			Lookahead:     cfg.Lookahead,
 			ProfileWindow: cfg.ProfileWindow,

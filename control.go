@@ -90,34 +90,15 @@ func (s *System) DemandSnapshot() []ShardDemand {
 // Config.Shards partitioned the control plane).
 func (s *System) ShardCount() int { return s.cluster.ShardCount() }
 
-// ShardOf reports which shard currently owns model — its consistent
-// initial placement, or wherever the rebalancer moved it since.
+// ShardOf reports which shard owns model — a hash of its name.
 func (s *System) ShardOf(model string) (int, bool) { return s.cluster.ShardOf(model) }
-
-// Migrations returns the number of cross-shard model migrations so far
-// (periodic rebalancer plus manual MigrateModel calls). Always 0 with
-// one shard.
-func (s *System) Migrations() uint64 { return s.cluster.Migrations() }
-
-// MigrateModel moves a model (and its queued requests, losslessly) to
-// the given shard — the manual override of the periodic rebalancer. A
-// model with in-flight actions returns ErrModelBusy; run the clock and
-// retry.
-func (s *System) MigrateModel(model string, shard int) error {
-	return s.cluster.MigrateModel(model, shard)
-}
-
-// Rebalance runs one cross-shard rebalance pass immediately (in
-// addition to the periodic ones) and returns the number of models
-// migrated. A no-op with one shard.
-func (s *System) Rebalance() int { return s.cluster.RebalanceOnce() }
 
 // ShardStats is one shard's slice of the client-observed outcome
 // counters.
 type ShardStats = core.Outcomes
 
 // ShardStats returns shard i's outcome counters (responses are
-// attributed to the shard owning the model at completion).
+// attributed to the shard owning the model).
 func (s *System) ShardStats(i int) (ShardStats, error) {
 	if i < 0 || i >= s.cluster.ShardCount() {
 		return ShardStats{}, fmt.Errorf("%w: %d (have %d)", ErrNoSuchShard, i, s.cluster.ShardCount())

@@ -50,13 +50,9 @@
 // The paper names its centralized controller as the scaling bottleneck
 // (§8). Config{Shards: N} partitions the control plane into N
 // scheduler shards, each owning a disjoint slice of the workers and a
-// disjoint subset of the models (consistent hash of the name), with a
-// periodic rebalancer migrating models — queued requests included,
-// losslessly — between shards when demand skews. Shards defaults to 1,
-// which is bit-identical to the unsharded system; at 16 shards and 16k
-// models the per-request scheduler cost drops ≈9× (EXPERIMENTS.md,
-// "scale"). ShardOf, ShardStats, MigrateModel and Rebalance expose the
-// shard control plane.
+// disjoint subset of the models (a hash of the name). Shards defaults
+// to 1, which is bit-identical to the unsharded system. ShardOf and
+// ShardStats expose the shard control plane.
 //
 // # Runtime control plane
 //

@@ -43,9 +43,8 @@ func ExampleSystem_SubmitRequest() {
 }
 
 // ExampleNew_sharded partitions the control plane into two scheduler
-// shards and shows the shard control plane: consistent ownership,
-// manual migration, and per-shard accounting that always sums to the
-// whole.
+// shards and shows the shard control plane: ownership by a hash of
+// the name, and per-shard accounting that always sums to the whole.
 func ExampleNew_sharded() {
 	sys, err := clockwork.New(clockwork.Config{
 		Workers:       4,
@@ -69,14 +68,6 @@ func ExampleNew_sharded() {
 		sys.RunFor(200 * time.Millisecond)
 	}
 
-	// Move one model by hand (the periodic rebalancer does this
-	// automatically when per-shard demand skews).
-	if err := sys.MigrateModel("resnet#0", 0); err != nil {
-		panic(err)
-	}
-	shard, _ := sys.ShardOf("resnet#0")
-	fmt.Printf("resnet#0 migrated to shard %d (migrations=%d)\n", shard, sys.Migrations())
-
 	var binned uint64
 	for i := 0; i < sys.ShardCount(); i++ {
 		st, _ := sys.ShardStats(i)
@@ -88,7 +79,6 @@ func ExampleNew_sharded() {
 	// resnet#1 -> shard 0
 	// resnet#2 -> shard 1
 	// resnet#3 -> shard 0
-	// resnet#0 migrated to shard 0 (migrations=1)
 	// requests=16 binned=16
 }
 

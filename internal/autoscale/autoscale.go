@@ -2,7 +2,7 @@
 // turns the signals the system already exposes (violation rate, p99
 // headroom, admission sheds, per-shard demand) into the decisions the
 // control plane already knows how to actuate (resize the admission
-// window, add or drain workers, rebalance shards). The controller is a
+// window, add or drain workers). The controller is a
 // pure state machine — Evaluate consumes one control period's signals
 // and returns one Decision, with no clock reads and no randomness — so
 // a decision made inside an injected closure is deterministic at its
@@ -170,9 +170,6 @@ type Decision struct {
 	// deterministic). At most one of the two is set.
 	AddWorkers  int
 	DrainWorker bool
-	// Rebalance asks for one cross-shard rebalance pass, set whenever
-	// worker membership changed.
-	Rebalance bool
 	// Reason is a short human-readable cause ("shrink: violations
 	// 3.1%", "add worker: demand 91%"), surfaced by the admin plane.
 	Reason string
@@ -294,7 +291,6 @@ func (c *Controller) Evaluate(s Signals) Decision {
 		c.highStreak++
 		if c.highStreak >= c.cfg.WorkerSustain {
 			d.AddWorkers = 1
-			d.Rebalance = true
 			d.Reason = appendReason(d.Reason, fmt.Sprintf("add worker: demand %.0f%% of capacity over %d periods", 100*util, c.highStreak))
 			c.highStreak = 0
 			c.cooldown = c.cfg.Cooldown
@@ -306,7 +302,6 @@ func (c *Controller) Evaluate(s Signals) Decision {
 		c.idleStreak++
 		if c.idleStreak >= c.cfg.WorkerSustain {
 			d.DrainWorker = true
-			d.Rebalance = true
 			d.Reason = appendReason(d.Reason, fmt.Sprintf("drain worker: demand %.0f%% of capacity over %d periods", 100*util, c.idleStreak))
 			c.idleStreak = 0
 			c.cooldown = c.cfg.Cooldown

@@ -100,8 +100,8 @@ func TestWorkerScalingSustainAndCooldown(t *testing.T) {
 		t.Fatalf("first hot period must not add (sustain=2): %+v", d)
 	}
 	d := c.Evaluate(hot)
-	if d.AddWorkers != 1 || !d.Rebalance {
-		t.Fatalf("second hot period must add one worker and rebalance: %+v", d)
+	if d.AddWorkers != 1 {
+		t.Fatalf("second hot period must add one worker: %+v", d)
 	}
 	// Cooldown: the next two hot periods must not act.
 	for i := 0; i < 2; i++ {
@@ -124,8 +124,8 @@ func TestWorkerDrainOnSustainedIdle(t *testing.T) {
 	}
 	c.Evaluate(idle)
 	d := c.Evaluate(idle)
-	if !d.DrainWorker || !d.Rebalance {
-		t.Fatalf("sustained idle must drain one worker and rebalance: %+v", d)
+	if !d.DrainWorker {
+		t.Fatalf("sustained idle must drain one worker: %+v", d)
 	}
 	// At the floor, never drain below MinWorkers.
 	c2 := New(Config{MinWorkers: 2, MaxWorkers: 8, WorkerSustain: 1, Period: time.Second})

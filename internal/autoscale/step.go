@@ -44,6 +44,5 @@ func Step(sys *clockwork.System, c *Controller, shed uint64, window int) (journa
 			}
 		}
 	}
-	op.Rebalance = d.Rebalance && (op.AddWorkers > 0 || op.Drain >= 0)
 	return op, d.Reason
 }

@@ -35,16 +35,10 @@ type ClusterConfig struct {
 	// Shards partitions the control plane into this many scheduler
 	// shards (default 1 — the paper's centralized controller). Each
 	// shard runs its own controller and scheduler over a disjoint slice
-	// of the cluster's workers (and therefore GPUs) and a disjoint
-	// subset of models, all on the shared event engine; see shard.go
-	// and rebalance.go. Requires Workers >= Shards so no shard owns
-	// zero GPUs.
+	// of the cluster's workers (and therefore GPUs) and a fixed subset
+	// of models, all on the shared event engine. Requires Workers >=
+	// Shards so no shard owns zero GPUs.
 	Shards int
-
-	// RebalanceInterval is the cross-shard rebalancer's period (default
-	// 1s of virtual time; only armed when Shards > 1). See rebalance.go
-	// for the skew trigger and the per-pass migration cap.
-	RebalanceInterval time.Duration
 
 	// Controller configuration and scheduler factory. A nil
 	// NewScheduler selects the paper's ClockworkScheduler;
@@ -81,9 +75,6 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 	if c.Shards <= 0 {
 		c.Shards = 1
 	}
-	if c.RebalanceInterval <= 0 {
-		c.RebalanceInterval = time.Second
-	}
 	if c.MetricsInterval <= 0 {
 		c.MetricsInterval = time.Minute
 	}
@@ -104,8 +95,7 @@ var ClusterOf func(system any) *Cluster
 // Shards == N the control plane is partitioned: Ctls holds one
 // controller per shard, each owning a disjoint slice of workers and a
 // disjoint subset of models, with submissions routed by model
-// ownership and a periodic rebalancer migrating models between shards
-// when demand skews (see rebalance.go).
+// ownership.
 type Cluster struct {
 	// Eng is the event engine every shard, worker and link runs on.
 	Eng *simclock.Engine
@@ -142,8 +132,6 @@ type Cluster struct {
 	// workerShard maps global worker ID → owning shard (assignment is
 	// id mod Shards, so runtime scale-out stripes deterministically).
 	workerShard []int
-
-	migrations uint64
 
 	// flight is the attached flight recorder (nil = none). Per-shard
 	// hooks live on each controller; the cluster holds the whole-
@@ -188,9 +176,6 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 
 	for i := 0; i < cfg.Workers; i++ {
 		cl.addWorker()
-	}
-	if cfg.Shards > 1 {
-		cl.armRebalancer()
 	}
 	return cl
 }
@@ -539,10 +524,6 @@ func (cl *Cluster) ShardOf(model string) (int, bool) {
 	}
 	return mi.owner.shard, true
 }
-
-// Migrations returns the number of cross-shard model migrations
-// performed so far (rebalancer plus manual MigrateModel calls).
-func (cl *Cluster) Migrations() uint64 { return cl.migrations }
 
 // ModelStats returns the per-model metrics slice for name. ok is false
 // when the model is unknown and has never produced a response.

@@ -38,19 +38,13 @@
 // ClusterConfig.Shards > 1 partitions the control plane into N
 // controllers on the one event engine. Each shard owns a disjoint
 // slice of workers (global worker ID mod N) — and therefore of GPUs —
-// and a disjoint subset of models (consistent FNV hash of the name,
-// mutated only by migration). Cross-shard state lives exclusively in
-// the Cluster: the model→shard and worker→shard maps and the shared
-// client-observed Metrics. A periodic rebalancer (rebalance.go)
-// migrates models — queued requests included, losslessly — from hot
-// shards to cold ones when demand skews; shard.go holds the
-// extract/adopt primitives that make the move atomic on the virtual
-// clock.
+// and a disjoint subset of models (FNV hash of the name). Cross-shard
+// state lives exclusively in the Cluster: the model→shard and
+// worker→shard maps and the shared client-observed Metrics.
 //
 // Shards == 1 is bit-identical to the pre-shard centralized
 // controller (goldens in internal/experiments enforce this), and
 // determinism survives N > 1: shards share the deterministic engine,
 // IDs stride so they never collide, worker RNG streams derive from
-// worker IDs (not shard membership), and every rebalance decision
-// breaks ties by shard index and model registration sequence.
+// worker IDs (not shard membership).
 package core

@@ -80,55 +80,17 @@ func TestReregisterOtherZooModelRestartsProfile(t *testing.T) {
 	}
 }
 
-// TestMigrateBackFindsLearnedWindow pins what AdoptModel's comment now
-// says: profile windows stay with the shard that learned them, so a
-// model migrating A → B starts from its seeds on B, and migrating back
-// finds A's window again.
-func TestMigrateBackFindsLearnedWindow(t *testing.T) {
-	cl := NewCluster(ClusterConfig{
-		Workers: 2, GPUsPerWorker: 1, Shards: 2, Seed: 5,
-		NewScheduler:      func() Scheduler { return NewClockworkScheduler() },
-		RebalanceInterval: time.Hour, // migrations are the test's own
-	})
-	zoo := modelzoo.ResNet50()
-	if err := cl.RegisterModel("m", zoo); err != nil {
-		t.Fatal(err)
-	}
-	a, _ := cl.ShardOf("m")
-	learned := fillExecWindow(t, cl, "m")
-	if learned == zoo.ExecLatency(1) {
-		t.Fatal("noise left the learned estimate on the seed; the test would be vacuous")
-	}
-	estimate := func() time.Duration {
-		mi := cl.models.lookup("m")
-		return mi.owner.EstimateExec(mi, 1)
-	}
-	if err := cl.MigrateModel("m", 1-a); err != nil {
-		t.Fatal(err)
-	}
-	if got := estimate(); got != zoo.ExecLatency(1) {
-		t.Fatalf("on the shard that never served it: estimate %v, want the seed %v", got, zoo.ExecLatency(1))
-	}
-	if err := cl.MigrateModel("m", a); err != nil {
-		t.Fatal(err)
-	}
-	if got := estimate(); got != learned {
-		t.Fatalf("back on the shard that learned it: estimate %v, want %v", got, learned)
-	}
-}
-
 // TestModelInterningChurn drives a seeded mix of register, unregister,
-// re-register (sometimes as another catalogue model), migrate and
-// submit — most control-plane steps with a request on the wire — and
+// re-register (sometimes as another catalogue model) and submit — most control-plane steps with a request on the wire — and
 // after every step holds the model table to the reference
 // the test keeps: a name's ID never changes and is never shared, a live
 // entry is exactly a registered name on the shard that owns it,
 // ModelNames is registration order, host RAM agrees,
 // and every page cache (mirror and worker) is internally consistent.
-// Every submission gets exactly one outcome, and the three in-transit
-// rules hold: a model migrated while its request is on the wire is
-// served by the new shard, one unregistered fails ReasonUnregistered,
-// one unregistered and re-registered is served by the new registration.
+// Every submission gets exactly one outcome, and the two in-transit
+// rules hold: a model unregistered while its request is on the wire
+// fails it ReasonUnregistered, one unregistered and re-registered
+// serves it by the new registration.
 func TestModelInterningChurn(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		for seed := uint64(1); seed <= 3; seed++ {
@@ -147,8 +109,7 @@ func interningChurn(t *testing.T, shards int, seed uint64) {
 		NewScheduler: func() Scheduler { return NewClockworkScheduler() },
 		// Six ResNet50s per GPU: the two dozen names do not all fit, so
 		// re-used IDs meet page-cache slots that held them before.
-		PageCacheBytes:    6 * 7 * 16 * 1024 * 1024,
-		RebalanceInterval: 40 * time.Millisecond,
+		PageCacheBytes: 6 * 7 * 16 * 1024 * 1024,
 	})
 	zoos := []*modelzoo.Model{modelzoo.ResNet50(), modelzoo.MustByName("resnet18_v2"), modelzoo.MustByName("resnet101_v2")}
 	pool := make([]string, 24)
@@ -313,16 +274,6 @@ func interningChurn(t *testing.T, shards int, seed uint64) {
 				transit["re-registered"]++
 				landed(h, name, false, shard)
 			}
-		case op == 9 && shards > 1: // migrated with a request on the wire
-			name := pickRegistered()
-			from, _ := cl.ShardOf(name)
-			h := submit(name)
-			if err := cl.MigrateModel(name, 1-from); err == nil {
-				transit["migrated"]++
-				landed(h, name, false, 1-from)
-			} else if !errors.Is(err, ErrModelBusy) {
-				t.Fatalf("migrate %s: %v", name, err)
-			}
 		}
 		check(step)
 		cl.RunFor(time.Duration(r.Intn(3000)) * time.Microsecond)
@@ -334,8 +285,8 @@ func interningChurn(t *testing.T, shards int, seed uint64) {
 			t.Fatalf("submission %d got %d outcomes", i, n)
 		}
 	}
-	for _, rule := range []string{"unregistered", "re-registered", "migrated"} {
-		if transit[rule] == 0 && (rule != "migrated" || shards > 1) {
+	for _, rule := range []string{"unregistered", "re-registered"} {
+		if transit[rule] == 0 {
 			t.Fatalf("no request was on the wire while its model was %s: %v", rule, transit)
 		}
 	}
@@ -343,6 +294,6 @@ func interningChurn(t *testing.T, shards int, seed uint64) {
 	if st.ActionsLoad == 0 || st.ActionsUnload == 0 || cl.Metrics.Total.Succeeded == 0 {
 		t.Fatalf("the churn must load, evict and serve: %+v, %+v", st, cl.Metrics.Total)
 	}
-	t.Logf("%d submissions, %d names seen, in transit %v, %d LOADs %d UNLOADs %d migrations",
-		len(outcomes), len(ids), transit, st.ActionsLoad, st.ActionsUnload, cl.Migrations())
+	t.Logf("%d submissions, %d names seen, in transit %v, %d LOADs %d UNLOADs",
+		len(outcomes), len(ids), transit, st.ActionsLoad, st.ActionsUnload)
 }

@@ -126,41 +126,3 @@ func TestFlightRecorderPureObserver(t *testing.T) {
 		}
 	}
 }
-
-func TestFlightRecorderFollowsMigration(t *testing.T) {
-	cl := NewCluster(ClusterConfig{
-		Workers: 2, GPUsPerWorker: 1, Shards: 2, NoNoise: true,
-		NewScheduler: func() Scheduler { return NewClockworkScheduler() },
-	})
-	rec := trace.New(trace.Options{SampleRate: 1, Enabled: true})
-	cl.SetFlightRecorder(rec)
-	if err := cl.RegisterModel("m", modelzoo.ResNet50()); err != nil {
-		t.Fatal(err)
-	}
-	from, _ := cl.ShardOf("m")
-	to := 1 - from
-
-	// Drain the owning shard's only worker so the request parks in the
-	// queue with no in-flight action (a migratable state), then migrate
-	// the model mid-queue.
-	if err := cl.DrainWorker(from); err != nil {
-		t.Fatal(err)
-	}
-	submitFn(cl, "m", 250*time.Millisecond, nil)
-	cl.RunFor(5 * time.Millisecond) // request admitted and queued
-	if err := cl.MigrateModel("m", to); err != nil {
-		t.Fatal(err)
-	}
-	cl.RunFor(300 * time.Millisecond)
-
-	snap := rec.Snapshot()
-	if len(snap.Requests) != 1 {
-		t.Fatalf("want 1 trace after migration, got %d", len(snap.Requests))
-	}
-	if snap.Requests[0].Shard != to {
-		t.Fatalf("trace should finalize on adopting shard %d: %+v", to, snap.Requests[0])
-	}
-	if snap.Stats.Building != 0 {
-		t.Fatalf("building traces leaked across migration: %+v", snap.Stats)
-	}
-}

@@ -95,19 +95,18 @@ func TestGoldenFig8PreShardBitIdentical(t *testing.T) {
 // fixed config: shard-count sweep over an identical replayed workload.
 // Sharding the control plane is pure partitioning — any drift in shard
 // routing, ID assignment or rebalance cadence shows up here first.
-const goldenScale = "5ce88e55f70e91b2c16abfd46ffb441250681fd7c59a40bc0b87a52ec0b38c39"
+const goldenScale = "ea6a300d48671a338b42523cb325d04c579ead87c24f22977d14ae7a2b90fb3e"
 
 func TestGoldenScaleShardSweepBitIdentical(t *testing.T) {
 	t.Parallel()
 	out := RunScale(ScaleConfig{
-		Shards:            []int{1, 2, 4},
-		Models:            128,
-		Requests:          8_000,
-		Rate:              3_000,
-		Workers:           8,
-		GPUsPerWorker:     2,
-		Seed:              7,
-		RebalanceInterval: 500 * time.Millisecond,
+		Shards:        []int{1, 2, 4},
+		Models:        128,
+		Requests:      8_000,
+		Rate:          3_000,
+		Workers:       8,
+		GPUsPerWorker: 2,
+		Seed:          7,
 	}).String()
 	if got := sha(out); got != goldenScale {
 		t.Fatalf("scale output diverged from the golden\n got %s\nwant %s\noutput:\n%s", got, goldenScale, out)

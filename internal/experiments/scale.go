@@ -41,10 +41,8 @@ type ScaleConfig struct {
 	Workers       int
 	GPUsPerWorker int
 	// SLO is every request's latency objective (default 100ms).
-	SLO time.Duration
-	// RebalanceInterval paces the cross-shard rebalancer (default 1s).
-	RebalanceInterval time.Duration
-	Seed              uint64
+	SLO  time.Duration
+	Seed uint64
 	// FlightRecorder, when set, is called once per shard cell and the
 	// result attached to that cell's system (cells run in parallel
 	// with different shard counts, so they cannot share one recorder);
@@ -77,9 +75,6 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	if c.SLO <= 0 {
 		c.SLO = 100 * time.Millisecond
 	}
-	if c.RebalanceInterval <= 0 {
-		c.RebalanceInterval = time.Second
-	}
 	return c
 }
 
@@ -94,7 +89,6 @@ type ScaleCell struct {
 	// over the objective.
 	ViolationRate   float64
 	P50, P99, P9999 time.Duration
-	Migrations      uint64
 	ColdStarts      uint64
 	// MinShare/MaxShare are the smallest and largest per-shard slices
 	// of completed requests — the ownership-balance signal.
@@ -119,13 +113,12 @@ func RunScale(cfg ScaleConfig) *ScaleResult {
 
 func runScaleCell(cfg ScaleConfig, shards int) ScaleCell {
 	sys, err := clockwork.New(clockwork.Config{
-		Workers:           cfg.Workers,
-		GPUsPerWorker:     cfg.GPUsPerWorker,
-		Shards:            shards,
-		RebalanceInterval: cfg.RebalanceInterval,
-		Seed:              cfg.Seed,
-		MetricsInterval:   time.Minute,
-		ZeroLengthInputs:  true, // §6.5's scale methodology
+		Workers:          cfg.Workers,
+		GPUsPerWorker:    cfg.GPUsPerWorker,
+		Shards:           shards,
+		Seed:             cfg.Seed,
+		MetricsInterval:  time.Minute,
+		ZeroLengthInputs: true, // §6.5's scale methodology
 	})
 	if err != nil {
 		panic("experiments: " + err.Error())
@@ -172,7 +165,6 @@ func runScaleCell(cfg ScaleConfig, shards int) ScaleCell {
 		P50:        sum2.P50,
 		P99:        sum2.P99,
 		P9999:      sum2.P9999,
-		Migrations: sys.Migrations(),
 		ColdStarts: sum2.ColdStarts,
 	}
 	cell.Goodput = sum2.GoodputMean
@@ -247,10 +239,9 @@ func (r *ScaleResult) String() string {
 			fmt.Sprintf("%.3f%%", 100*c.ViolationRate),
 			fmtMS(c.P50), fmtMS(c.P99), fmtMS(c.P9999),
 			fmt.Sprintf("%d", c.ColdStarts),
-			fmt.Sprintf("%d", c.Migrations),
 			fmt.Sprintf("%d/%d", c.MinShare, c.MaxShare),
 		})
 	}
-	b.WriteString(table([]string{"shards", "requests", "t'put r/s", "goodput r/s", "violations", "p50", "p99", "p99.99", "cold", "migrations", "share min/max"}, rows))
+	b.WriteString(table([]string{"shards", "requests", "t'put r/s", "goodput r/s", "violations", "p50", "p99", "p99.99", "cold", "share min/max"}, rows))
 	return b.String()
 }

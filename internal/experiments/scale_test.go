@@ -3,7 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-	"time"
 )
 
 // TestScaleShardComparison runs a scaled-down control-plane scale
@@ -15,14 +14,13 @@ import (
 func TestScaleShardComparison(t *testing.T) {
 	t.Parallel()
 	cfg := ScaleConfig{
-		Shards:            []int{1, 4},
-		Models:            256,
-		Requests:          12_000,
-		Rate:              3_000,
-		Workers:           8,
-		GPUsPerWorker:     2,
-		Seed:              1,
-		RebalanceInterval: 500 * time.Millisecond,
+		Shards:        []int{1, 4},
+		Models:        256,
+		Requests:      12_000,
+		Rate:          3_000,
+		Workers:       8,
+		GPUsPerWorker: 2,
+		Seed:          1,
 	}
 	r := RunScale(cfg)
 	if len(r.Cells) != 2 {

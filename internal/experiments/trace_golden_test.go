@@ -110,15 +110,14 @@ func TestGoldenScaleTracedBitIdentical(t *testing.T) {
 	t.Parallel()
 	tap := &recorderTap{}
 	out := RunScale(ScaleConfig{
-		Shards:            []int{1, 2, 4},
-		Models:            128,
-		Requests:          8_000,
-		Rate:              3_000,
-		Workers:           8,
-		GPUsPerWorker:     2,
-		Seed:              7,
-		RebalanceInterval: 500 * time.Millisecond,
-		FlightRecorder:    tap.factory,
+		Shards:         []int{1, 2, 4},
+		Models:         128,
+		Requests:       8_000,
+		Rate:           3_000,
+		Workers:        8,
+		GPUsPerWorker:  2,
+		Seed:           7,
+		FlightRecorder: tap.factory,
 	}).String()
 	if got := sha(out); got != goldenScale {
 		t.Errorf("scale sweep with rate-1.0 tracing diverged from the golden — the recorder is not a pure observer\n got %s\nwant %s", got, goldenScale)

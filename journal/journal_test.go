@@ -140,9 +140,6 @@ func driveMixedTraffic(t *testing.T, js *jserver, n int) {
 	if err := js.client.DrainWorker(ctx, id); err != nil {
 		t.Fatalf("DrainWorker: %v", err)
 	}
-	if _, err := js.client.Rebalance(ctx); err != nil {
-		t.Fatalf("Rebalance: %v", err)
-	}
 	if _, err := js.client.Stats(ctx); err != nil {
 		t.Fatalf("Stats: %v", err)
 	}

@@ -3,7 +3,8 @@ package journal
 import "clockwork"
 
 // Op is one control-plane mutation the journal records: Register,
-// AddWorker, DrainWorker, FailWorker, Rebalance or Autoscale. Only this
+// AddWorker, DrainWorker, FailWorker or Autoscale (Rebalance survives
+// only so that older journals decode; it applies as nothing). Only this
 // package can add one: each op needs a record type, an encoding and a
 // case in Apply.
 type Op interface {
@@ -27,13 +28,16 @@ type DrainWorker struct{ ID int }
 // FailWorker fails worker ID.
 type FailWorker struct{ ID int }
 
-// Rebalance runs one rebalance pass.
+// Rebalance is the record of a cross-shard rebalance pass, written by
+// builds that had a rebalancer. It decodes, and applies as a no-op.
 type Rebalance struct{}
 
 // Autoscale is one closed-loop decision that moved something: the
-// admission window now in force, workers to add, the worker to drain
-// (-1 for none) and whether to rebalance. Apply applies the worker
-// actions; the caller owns the admission gate Window sets.
+// admission window now in force, workers to add and the worker to drain
+// (-1 for none). Apply applies the worker actions; the caller owns the
+// admission gate Window sets. Rebalance is the rebalance bit older
+// builds set; it is carried for the record layout and applies as
+// nothing.
 type Autoscale struct {
 	Window     int
 	AddWorkers int
@@ -48,13 +52,11 @@ func (FailWorker) recType() byte  { return recFailWorker }
 func (Rebalance) recType() byte   { return recRebalance }
 func (Autoscale) recType() byte   { return recAutoscale }
 
-// Effect is what Apply did: the instances a Register created, the ID
-// of the worker an AddWorker added, and the models a rebalance pass
-// migrated.
+// Effect is what Apply did: the instances a Register created and the
+// ID of the worker an AddWorker added.
 type Effect struct {
-	Instances  []string
-	Worker     int
-	Migrations int
+	Instances []string
+	Worker    int
 }
 
 // Apply records op to rec when rec is non-nil, then applies it to sys:
@@ -81,17 +83,12 @@ func Apply(sys *clockwork.System, rec *Recorder, op Op) (e Effect, err error) {
 		err = sys.DrainWorker(o.ID)
 	case FailWorker:
 		err = sys.FailWorker(o.ID)
-	case Rebalance:
-		e.Migrations = sys.Rebalance()
 	case Autoscale:
 		for range o.AddWorkers {
 			sys.AddWorker()
 		}
 		if o.Drain >= 0 {
 			err = sys.DrainWorker(o.Drain)
-		}
-		if o.Rebalance {
-			e.Migrations = sys.Rebalance()
 		}
 	}
 	return e, err

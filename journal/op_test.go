@@ -1,8 +1,10 @@
 package journal
 
 import (
+	"encoding/hex"
 	"fmt"
 	"runtime"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -262,5 +264,83 @@ func waitFor(t *testing.T, what string, cond func() bool) {
 			t.Fatalf("timed out waiting for %s", what)
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestRebalanceRecordsApplyAsNothing: journals written while the
+// control plane had a rebalancer hold type-8 Rebalance records and
+// Autoscale records with the rebalance bit set. Both still decode from
+// their pinned bytes, and both replay as what the same epoch without
+// the rebalance does: a Rebalance as nothing, an Autoscale as its
+// window and worker actions alone.
+func TestRebalanceRecordsApplyAsNothing(t *testing.T) {
+	for i, want := range map[int]Op{
+		8:  Rebalance{},
+		10: Autoscale{Window: 48, AddWorkers: 1, Drain: -1, Rebalance: true},
+	} {
+		payload, err := hex.DecodeString(sampleRecordHex[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		var r Record
+		if err := decodeRecord(payload, &r); err != nil {
+			t.Fatalf("pinned row %d: decode: %v", i, err)
+		}
+		if r.Op != want {
+			t.Fatalf("pinned row %d decodes to %#v, want %#v", i, r.Op, want)
+		}
+	}
+
+	// One epoch with the rebalance records, one without: both replay,
+	// to the same end, and leave systems that serve the same traffic
+	// identically.
+	cfg := clockwork.Config{Workers: 2, GPUsPerWorker: 1, Shards: 2, Seed: 3}
+	epoch := func(rebalance bool) *EpochData {
+		ops := []Op{
+			Register{Instance: "m", Zoo: "resnet50_v1b", Copies: 6},
+			Autoscale{Window: 16, AddWorkers: 1, Drain: -1, Rebalance: rebalance},
+			Autoscale{Window: 8, Drain: 0, Rebalance: rebalance},
+		}
+		if rebalance {
+			ops = slices.Insert(ops, 1, Op(Rebalance{}))
+		}
+		st := &State{Config: cfg}
+		e := &EpochData{Genesis: st, Records: []Record{{Type: recGenesis, State: st}}}
+		for i, op := range ops {
+			e.Records = append(e.Records, Record{Type: op.recType(), Seq: uint64(i + 1), VT: time.Millisecond, Op: op})
+		}
+		return e
+	}
+	var systems []*clockwork.System
+	for _, rebalance := range []bool{true, false} {
+		e := epoch(rebalance)
+		res, err := ReplayEpoch(e)
+		if err != nil {
+			t.Fatalf("rebalance=%v: ReplayEpoch: %v", rebalance, err)
+		}
+		if res.FinalStep != 0 || res.FinalVT != time.Millisecond {
+			t.Fatalf("rebalance=%v: replay ended at step %d, %v", rebalance, res.FinalStep, res.FinalVT)
+		}
+		sys, err := BuildSystem(e.Genesis)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range e.Records[1:] {
+			if _, err := Apply(sys, nil, r.Op); err != nil {
+				t.Fatalf("rebalance=%v: Apply(%#v): %v", rebalance, r.Op, err)
+			}
+		}
+		for k := 0; k < 48; k++ {
+			if _, err := sys.SubmitRequest(clockwork.Request{Model: fmt.Sprintf("m#%d", k%6), SLO: 100 * time.Millisecond}, nil); err != nil {
+				t.Fatal(err)
+			}
+			sys.RunFor(time.Millisecond)
+		}
+		sys.RunFor(time.Second)
+		systems = append(systems, sys)
+	}
+	requireSameState(t, "after the ops and traffic", systems[0], systems[1])
+	if systems[0].Summary().Succeeded == 0 {
+		t.Fatalf("the traffic served nothing: %+v", systems[0].Summary())
 	}
 }

@@ -69,16 +69,6 @@ func BuildSystem(st *State) (*clockwork.System, error) {
 			return nil, fmt.Errorf("journal: restore %q: %w", m.Instance, err)
 		}
 	}
-	// Placements next: profile import routes through the owning shard,
-	// and migration itself is only legal while the model has no queued
-	// work — true here by construction.
-	for _, m := range st.Models {
-		if cur, _ := sys.ShardOf(m.Instance); cur != m.Shard {
-			if err := sys.MigrateModel(m.Instance, m.Shard); err != nil {
-				return nil, fmt.Errorf("journal: restore placement of %q: %w", m.Instance, err)
-			}
-		}
-	}
 	for _, m := range st.Models {
 		if len(m.Profile) == 0 {
 			continue

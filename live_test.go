@@ -328,59 +328,6 @@ func TestRunForWhileLivePanics(t *testing.T) {
 	sys.RunFor(time.Second)
 }
 
-// TestLiveRebalance concentrates every model on shard 0, drives
-// sustained load at them, and expects the rebalancer — an engine timer,
-// paced like every other event — to migrate models back toward the
-// idle shard while the system is live.
-func TestLiveRebalance(t *testing.T) {
-	sys, err := clockwork.New(clockwork.Config{Workers: 2, Shards: 2, ExactTiming: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	names, err := sys.RegisterCopies("m", "resnet50_v1b", 6)
-	if err != nil {
-		t.Fatal(err)
-	}
-	live := sys.StartLive(20)
-	defer live.Stop()
-
-	// Pile every model onto shard 0 so demand skews maximally.
-	var manual uint64
-	if err := live.Do(func() {
-		for _, name := range names {
-			if merr := sys.MigrateModel(name, 0); merr != nil {
-				t.Errorf("MigrateModel(%s, 0): %v", name, merr)
-			}
-		}
-		manual = sys.Migrations()
-	}); err != nil {
-		t.Fatal(err)
-	}
-
-	// 60s is generous headroom for the race detector on a loaded 1-core
-	// machine; unloaded, migration happens within the first few ticks.
-	deadline := time.Now().Add(60 * time.Second)
-	for time.Now().Before(deadline) {
-		migrated := uint64(0)
-		if err := live.Do(func() { migrated = sys.Migrations() }); err != nil {
-			t.Fatalf("Do: %v", err)
-		}
-		if migrated > manual {
-			return // the rebalancer moved a model off the hot shard
-		}
-		// Keep shard 0's queues deep: demand is summed over queued work.
-		live.Inject(func() {
-			for _, name := range names {
-				for k := 0; k < 20; k++ {
-					_ = sys.SubmitRequestSink(0, clockwork.Request{Model: name, SLO: 30 * time.Second}, nil)
-				}
-			}
-		})
-		time.Sleep(25 * time.Millisecond)
-	}
-	t.Fatal("rebalancer never migrated a model on the live system")
-}
-
 // batchCaller is one closed-loop caller's sink: it counts a batch's
 // outstanding answers down and signals when the last one is in.
 type batchCaller struct {

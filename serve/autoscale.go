@@ -49,7 +49,7 @@ func (s *Server) autoscaleTick() {
 	// the admin plane — no engine call needed to observe the loop.
 	op, reason := autoscale.Step(s.sys, s.asc, shed, window)
 	s.ascTicks.Add(1)
-	if op.Window != window || op.AddWorkers > 0 || op.Drain >= 0 || op.Rebalance {
+	if op.Window != window || op.AddWorkers > 0 || op.Drain >= 0 {
 		_, _ = journal.Apply(s.sys, s.rec, op) // Step drains only an active worker: no error
 		s.ascMoves.Add(1)
 	}

@@ -195,16 +195,7 @@ func (c *Client) FailWorker(ctx context.Context, id int) error {
 	return c.do(ctx, http.MethodPost, "/v1/admin/workers/fail", WorkerRequest{ID: id}, nil)
 }
 
-// Rebalance runs one cross-shard rebalance pass and returns the number
-// of models migrated.
-func (c *Client) Rebalance(ctx context.Context) (int, error) {
-	var resp RebalanceResponse
-	err := c.do(ctx, http.MethodPost, "/v1/admin/rebalance", nil, &resp)
-	return resp.Migrated, err
-}
-
-// ShardStats returns per-shard outcome counters and the migration
-// count.
+// ShardStats returns per-shard outcome counters.
 func (c *Client) ShardStats(ctx context.Context) (ShardStatsResponse, error) {
 	var resp ShardStatsResponse
 	err := c.do(ctx, http.MethodGet, "/v1/admin/shards", nil, &resp)

@@ -142,9 +142,6 @@ func TestServeAdminPlane(t *testing.T) {
 	if len(sh.Shards) != 2 {
 		t.Fatalf("ShardStats = %+v; want 2 shards", sh)
 	}
-	if _, err := client.Rebalance(ctx); err != nil {
-		t.Fatalf("Rebalance: %v", err)
-	}
 }
 
 func TestServeMetricsEndpoint(t *testing.T) {

@@ -74,7 +74,6 @@ type TraceConfig = trace.Options
 //	POST /v1/admin/workers        add a worker
 //	POST /v1/admin/workers/drain  drain a worker
 //	POST /v1/admin/workers/fail   fail a worker
-//	POST /v1/admin/rebalance      run one rebalance pass
 //	GET  /v1/admin/shards         per-shard outcome counters
 //	GET  /v1/admin/autoscaler     closed-loop autoscaler status
 //	POST /v1/admin/autoscaler     pause/resume the loop, force the window
@@ -178,7 +177,6 @@ func New(sys *clockwork.System, opts Options) *Server {
 	s.mux.HandleFunc("POST /v1/admin/workers", s.handleAddWorker)
 	s.mux.HandleFunc("POST /v1/admin/workers/drain", s.handleWorkerOp(func(id int) journal.Op { return journal.DrainWorker{ID: id} }))
 	s.mux.HandleFunc("POST /v1/admin/workers/fail", s.handleWorkerOp(func(id int) journal.Op { return journal.FailWorker{ID: id} }))
-	s.mux.HandleFunc("POST /v1/admin/rebalance", s.handleRebalance)
 	s.mux.HandleFunc("GET /v1/admin/shards", s.handleShards)
 	s.mux.HandleFunc("POST /v1/admin/snapshot", s.handleSnapshot)
 	s.mux.HandleFunc("GET /v1/admin/journal", s.handleJournal)
@@ -582,12 +580,6 @@ func (s *Server) handleWorkerOp(op func(id int) journal.Op) http.HandlerFunc {
 	}
 }
 
-func (s *Server) handleRebalance(w http.ResponseWriter, r *http.Request) {
-	if eff, ok := s.apply(w, journal.Rebalance{}, nil); ok {
-		writeJSON(w, RebalanceResponse{Migrated: eff.Migrations})
-	}
-}
-
 func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 	var resp ShardStatsResponse
 	ok := s.do(w, func() {
@@ -600,7 +592,6 @@ func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
 			}
 			resp.Shards = append(resp.Shards, ShardStatsEntry{Shard: i, ShardStats: st})
 		}
-		resp.Migrations = s.sys.Migrations()
 	})
 	if ok {
 		writeJSON(w, resp)

@@ -87,11 +87,6 @@ type WorkerResponse struct {
 	State string `json:"state,omitempty"`
 }
 
-// RebalanceResponse reports one manual rebalance pass.
-type RebalanceResponse struct {
-	Migrated int `json:"migrated"`
-}
-
 // ShardStatsEntry is one shard's outcome counters.
 type ShardStatsEntry struct {
 	Shard int `json:"shard"`
@@ -100,8 +95,7 @@ type ShardStatsEntry struct {
 
 // ShardStatsResponse is the GET /v1/admin/shards body.
 type ShardStatsResponse struct {
-	Shards     []ShardStatsEntry `json:"shards"`
-	Migrations uint64            `json:"migrations"`
+	Shards []ShardStatsEntry `json:"shards"`
 }
 
 // StatsResponse is the GET /v1/stats body: the system Summary plus

@@ -153,24 +153,6 @@ func (r *Recorder) RecordShed() {
 	}
 }
 
-// Move transfers the in-flight building state of the given request IDs
-// from one shard's recorder to another's, following a model migration.
-// Must run with the engine stopped (the migration itself already
-// requires that).
-func (r *Recorder) Move(from, to int, ids []uint64) {
-	if r == nil || from == to {
-		return
-	}
-	src, dst := r.shards[from], r.shards[to]
-	for _, id := range ids {
-		if t, ok := src.building[id]; ok {
-			delete(src.building, id)
-			t.Shard = to
-			dst.building[id] = t
-		}
-	}
-}
-
 // ---- per-shard engine-confined state ----
 
 // ShardRecorder is one scheduler shard's slice of the flight recorder.
@@ -183,7 +165,7 @@ type ShardRecorder struct {
 
 	// building holds traces of requests still in flight, keyed by
 	// request ID. Entries are created at admission and removed at
-	// client-side completion (or migrated by Move).
+	// client-side completion.
 	building map[uint64]*RequestTrace
 
 	// completed retains sampled finalized traces; violations retains

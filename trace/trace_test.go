@@ -176,23 +176,6 @@ func TestSynthesizedTrace(t *testing.T) {
 	}
 }
 
-func TestMoveFollowsMigration(t *testing.T) {
-	r := New(Options{SampleRate: 1, Enabled: true})
-	r.Bind(2)
-	s0, s1 := r.Shard(0), r.Shard(1)
-	s0.Admitted(3, "m", "", msd(100), 0, false, 1, msd(10))
-	r.Move(0, 1, []uint64{3})
-	if s0.Building() != 0 || s1.Building() != 1 {
-		t.Fatalf("building after move: shard0=%d shard1=%d", s0.Building(), s1.Building())
-	}
-	s1.Responded(3, msd(20))
-	s1.Completed(Outcome{ID: 3, Model: "m", Success: false, Reason: ReasonCancelled, ReasonStr: "cancelled", SLO: msd(100), Latency: msd(12)}, msd(21))
-	snap := r.Snapshot()
-	if len(snap.Requests) != 1 || snap.Requests[0].Shard != 1 {
-		t.Fatalf("moved trace must finalize on shard 1: %+v", snap.Requests)
-	}
-}
-
 func TestRingWrap(t *testing.T) {
 	rg := newRing[int](3)
 	for i := 1; i <= 5; i++ {
