@@ -654,31 +654,27 @@ func TestControlPlaneDeterminism(t *testing.T) {
 	}
 }
 
-// shardTotal adds up every shard's outcome ledger field by field.
-func shardTotal(t *testing.T, sys *clockwork.System) clockwork.ShardStats {
-	t.Helper()
-	var sum clockwork.ShardStats
+// modelTotal adds up the named models' outcome ledgers field by field.
+func modelTotal(sys *clockwork.System, names []string) clockwork.TenantStats {
+	var sum clockwork.TenantStats
 	sv := reflect.ValueOf(&sum).Elem()
-	for i := 0; i < sys.ShardCount(); i++ {
-		st, err := sys.ShardStats(i)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for f, bv := 0, reflect.ValueOf(st); f < sv.NumField(); f++ {
+	for _, n := range names {
+		st, _ := sys.ModelStats(n)
+		for f, bv := 0, reflect.ValueOf(st.Outcomes); f < sv.NumField(); f++ {
 			sv.Field(f).SetUint(sv.Field(f).Uint() + bv.Field(f).Uint())
 		}
 	}
 	return sum
 }
 
-// TestShardedPublicAPI round-trips the sharded control plane through
-// the public surface alone: construction with Shards, ownership
-// lookup, per-shard stats, an unregistration with requests in flight,
-// and the geometry validation error.
+// TestShardedPublicAPI round-trips placement groups through the public
+// surface alone: construction with Shards, the per-group demand
+// snapshot, per-model stats that sum to the Summary, an unregistration
+// with requests in flight, and the geometry validation error.
 func TestShardedPublicAPI(t *testing.T) {
 	sys := mustSys(t, clockwork.Config{Workers: 4, GPUsPerWorker: 1, Shards: 2, Seed: 1})
-	if sys.ShardCount() != 2 {
-		t.Fatalf("ShardCount = %d", sys.ShardCount())
+	if n := len(sys.DemandSnapshot()); n != 2 {
+		t.Fatalf("DemandSnapshot has %d groups, want 2", n)
 	}
 	names, err := sys.RegisterCopies("resnet", "resnet50_v1b", 8)
 	if err != nil {
@@ -701,22 +697,15 @@ func TestShardedPublicAPI(t *testing.T) {
 	if succeeded == 0 {
 		t.Fatal("no request succeeded on the sharded system")
 	}
-	// Every arrival is answered once, in Summary as in the shard bins.
+	// Every arrival is answered once, in Summary as in the model ledgers.
 	sum := sys.Summary()
-	if bins := shardTotal(t, sys); bins != sum.Outcomes || sum.Requests != sum.Arrived {
-		t.Fatalf("shard bins %+v, Summary %+v, Arrived = %d", bins, sum.Outcomes, sum.Arrived)
-	}
-	if _, err := sys.ShardStats(7); !errors.Is(err, clockwork.ErrNoSuchShard) {
-		t.Fatalf("want ErrNoSuchShard, got %v", err)
-	}
-
-	if _, ok := sys.ShardOf(names[0]); !ok {
-		t.Fatal("ShardOf unknown for a registered model")
+	if models := modelTotal(sys, names); models != sum.Outcomes || sum.Requests != sum.Arrived {
+		t.Fatalf("model ledgers %+v, Summary %+v, Arrived = %d", models, sum.Outcomes, sum.Arrived)
 	}
 
 	// Unregistering a model cancels its queued requests and the one on
-	// the wire, in Summary as in the shard bins. With every worker
-	// drained, new requests queue at their controller.
+	// the wire, in Summary as in the model ledgers. With every worker
+	// drained, new requests queue at the controller.
 	before := sys.Summary()
 	for id := 0; id < 4; id++ {
 		if err := sys.DrainWorker(id); err != nil {
@@ -737,31 +726,31 @@ func TestShardedPublicAPI(t *testing.T) {
 	}
 	sys.RunFor(time.Second)
 	sum = sys.Summary()
-	if bins := shardTotal(t, sys); bins != sum.Outcomes || sum.Requests != sum.Arrived {
-		t.Fatalf("after unregister: shard bins %+v, Summary %+v, Arrived = %d", bins, sum.Outcomes, sum.Arrived)
+	if models := modelTotal(sys, names); models != sum.Outcomes || sum.Requests != sum.Arrived {
+		t.Fatalf("after unregister: model ledgers %+v, Summary %+v, Arrived = %d", models, sum.Outcomes, sum.Arrived)
 	}
 	if sum.Cancelled-before.Cancelled != 4 || sum.Requests-before.Requests != 4 {
 		t.Fatalf("want 4 more cancelled of 4 more answered: before %+v, after %+v", before.Outcomes, sum.Outcomes)
 	}
 
-	// Geometry validation: more shards than workers is a construction
+	// Geometry validation: more groups than workers is a construction
 	// error, not a panic.
 	if _, err := clockwork.New(clockwork.Config{Workers: 1, Shards: 4}); err == nil {
 		t.Fatal("want error for Shards > Workers")
 	}
 }
 
-// TestSubmitShardIgnoredOnOneEngine: on a single-engine system the shard
-// SubmitRequestSink takes is range-checked and otherwise ignored, so a
-// request entered on a shard that does not own its model is accounted
-// exactly like one from SubmitRequest. A model unregistered while its
-// request is on the wire shows the difference: the controller the
-// request lands on answers it, minting the ID and taking the shard bin.
+// TestSubmitShardIgnoredOnOneEngine: the shard SubmitRequestSink takes
+// is ignored — there is one controller — so a request entered with any
+// shard, in range of the placement groups or not, is accounted exactly
+// like one from SubmitRequest. A model unregistered while its request is
+// on the wire is the sharpest probe: the controller answers it, minting
+// the ID.
 func TestSubmitShardIgnoredOnOneEngine(t *testing.T) {
 	type outcome struct {
-		id     uint64
-		reason clockwork.Reason
-		bins   [2]uint64
+		id       uint64
+		reason   clockwork.Reason
+		answered uint64
 	}
 	run := func(submit func(sys *clockwork.System, req clockwork.Request, done func(clockwork.Result)) error) outcome {
 		sys := mustSys(t, clockwork.Config{Workers: 2, GPUsPerWorker: 1, Shards: 2, Seed: 1})
@@ -769,20 +758,12 @@ func TestSubmitShardIgnoredOnOneEngine(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// Traffic first, so both controllers have minted IDs.
+		// Traffic first, so the controller has minted IDs.
 		for _, n := range names {
 			sys.SubmitRequest(clockwork.Request{Model: n, SLO: time.Second}, nil)
 		}
 		sys.RunFor(time.Second)
-		victim := ""
-		for _, n := range names {
-			if s, _ := sys.ShardOf(n); s == 0 {
-				victim = n
-			}
-		}
-		if victim == "" {
-			t.Fatal("no model owned by shard 0")
-		}
+		victim := names[0]
 		var got outcome
 		if err := submit(sys, clockwork.Request{Model: victim, SLO: time.Second}, func(r clockwork.Result) {
 			got.id, got.reason = r.RequestID, r.Reason
@@ -793,10 +774,7 @@ func TestSubmitShardIgnoredOnOneEngine(t *testing.T) {
 			t.Fatal(err)
 		}
 		sys.RunFor(time.Second)
-		for i := range got.bins {
-			st, _ := sys.ShardStats(i)
-			got.bins[i] = st.Requests
-		}
+		got.answered = sys.Summary().Requests
 		return got
 	}
 	want := run(func(sys *clockwork.System, req clockwork.Request, done func(clockwork.Result)) error {
@@ -806,7 +784,7 @@ func TestSubmitShardIgnoredOnOneEngine(t *testing.T) {
 	if want.id == 0 || want.reason != clockwork.ReasonUnregistered {
 		t.Fatalf("SubmitRequest: %+v, want an unregistered outcome", want)
 	}
-	for shard := 0; shard < 2; shard++ {
+	for _, shard := range []int{0, 1, 7} {
 		got := run(func(sys *clockwork.System, req clockwork.Request, done func(clockwork.Result)) error {
 			return sys.SubmitRequestSink(shard, req, sinkFunc(done))
 		})
@@ -817,9 +795,9 @@ func TestSubmitShardIgnoredOnOneEngine(t *testing.T) {
 }
 
 // TestShardedSummaryMatchesUnshardedWorkload: the same deterministic
-// workload must complete fully on 1 and 2 shards; outcome totals may
-// differ (different scheduling domains) but both must account for
-// every request exactly once.
+// workload must complete fully with 1 and 2 placement groups; outcome
+// totals may differ (different LOAD placement) but both must account
+// for every request exactly once.
 func TestShardedSummaryMatchesUnshardedWorkload(t *testing.T) {
 	run := func(shards int) clockwork.Summary {
 		sys := mustSys(t, clockwork.Config{Workers: 2, GPUsPerWorker: 1, Shards: shards, Seed: 9})

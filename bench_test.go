@@ -14,7 +14,7 @@ import (
 
 	"clockwork"
 
-	"clockwork/experiments"
+	"clockwork/internal/experiments"
 	"clockwork/internal/modelzoo"
 	"clockwork/internal/runner"
 )

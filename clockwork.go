@@ -17,13 +17,13 @@ type Config struct {
 	Workers int
 	// GPUsPerWorker is the number of GPUs per worker (default 1).
 	GPUsPerWorker int
-	// Shards partitions the control plane into this many scheduler
-	// shards (default 1 — the paper's centralized controller, which its
-	// §8 names as the scaling bottleneck). Each shard schedules a
-	// disjoint slice of the workers and a disjoint subset of the
-	// models. Every shard runs on the system's one event engine,
-	// so a sharded run is as reproducible as an unsharded one. Requires
-	// Workers >= Shards. See ARCHITECTURE.md.
+	// Shards is the number of placement groups (default 1 — the
+	// paper's centralized controller, free to load any model on any
+	// GPU). With N groups, a worker's GPUs join group (worker ID mod N)
+	// and each model is loaded only onto GPUs of group (a hash of its
+	// name mod N), so each group's GPUs keep a stable slice of the
+	// models resident. One controller schedules every group. Requires
+	// Workers >= Shards. See ARCHITECTURE.md, "Placement groups".
 	Shards int
 	// Policy selects the scheduler by registry name (default
 	// PolicyClockwork). See RegisterPolicy and Policies.
@@ -128,7 +128,7 @@ func (s *System) After(d time.Duration, fn func()) {
 // AttachFlightRecorder wires the per-request flight recorder r into the
 // control plane: every subsequent request's lifecycle (admission,
 // scheduling decision, load, execution, response) is recorded into r's
-// per-shard ring buffers. Attach before the system runs (RunFor /
+// ring buffers. Attach before the system runs (RunFor /
 // StartLive); the recorder is a pure observer — it never schedules
 // events or consumes randomness, so runs with and without it are
 // bit-identical. Attaching nil detaches. See the clockwork/trace
@@ -141,13 +141,13 @@ func (s *System) AttachFlightRecorder(r *trace.Recorder) {
 func (s *System) FlightRecorder() *trace.Recorder { return s.cluster.FlightRecorder() }
 
 // Summary condenses the run's metrics: the client-observed outcome
-// ledger (Metrics.Total, the same one ShardStats, ModelStats and
-// TenantStats slice) with its latency percentiles, plus Arrived.
+// ledger (Metrics.Total, the same one ModelStats and TenantStats
+// slice) with its latency percentiles, plus Arrived.
 type Summary struct {
 	// Outcomes counts responses as they reach the client; Requests is
 	// the number answered so far.
 	core.Outcomes
-	// Arrived counts requests received by the controllers, including
+	// Arrived counts requests received by the controller, including
 	// those still in flight; Arrived − Requests is the number in flight.
 	Arrived uint64
 
@@ -156,8 +156,7 @@ type Summary struct {
 	GoodputMean float64
 }
 
-// Summary returns current aggregate metrics, summed across all
-// scheduler shards.
+// Summary returns current aggregate metrics.
 func (s *System) Summary() Summary {
 	m := s.cluster.Metrics
 	elapsed := s.Now().Seconds()

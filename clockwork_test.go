@@ -226,11 +226,11 @@ func TestDeterminismAcrossRuns(t *testing.T) {
 }
 
 // TestSummaryIsTheLedger: Summary counts an outcome when its response
-// lands at the client, in the same instant as the shard bins and the
-// latency histogram, never a response hop earlier; and Arrived −
+// lands at the client, in the same instant as the model's ledger and
+// the latency histogram, never a response hop earlier; and Arrived −
 // Requests is the number of requests the controller holds.
-// TestShardedPublicAPI checks the same ledger across shards and an
-// unregistration.
+// TestShardedPublicAPI checks the same ledger with placement groups and
+// an unregistration.
 func TestSummaryIsTheLedger(t *testing.T) {
 	sys := newSys(t, Config{Workers: 1, GPUsPerWorker: 1, ExactTiming: true, Seed: 1})
 	if err := sys.RegisterModel("m", "resnet50_v1b"); err != nil {
@@ -243,13 +243,10 @@ func TestSummaryIsTheLedger(t *testing.T) {
 	sys.RunFor(time.Millisecond) // at the controller, far short of the cold start
 	for steps := 0; answered == 0 || steps < 1000; steps++ {
 		s := sys.Summary()
-		bins, err := sys.ShardStats(0)
-		if err != nil {
-			t.Fatal(err)
-		}
+		bins, _ := sys.ModelStats("m")
 		n, hist := s.Succeeded+s.Failed, sys.cluster.Metrics.LatencyAll.Count()
 		if n != bins.Requests || n != hist {
-			t.Fatalf("at %v: Summary counts %d outcomes, shard bins %d, latency histogram %d", sys.Now(), n, bins.Requests, hist)
+			t.Fatalf("at %v: Summary counts %d outcomes, the model's ledger %d, latency histogram %d", sys.Now(), n, bins.Requests, hist)
 		}
 		if s.Requests != answered || s.Arrived-s.Requests != 1-answered {
 			t.Fatalf("at %v: Arrived %d, Requests %d, with %d of 1 answered", sys.Now(), s.Arrived, s.Requests, answered)

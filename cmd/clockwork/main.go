@@ -1,6 +1,6 @@
 // Command clockwork regenerates the paper's tables and figures on the
-// simulated cluster and prints their data, driving the public
-// experiment catalogue (clockwork/experiments). Independent experiments
+// simulated cluster and prints their data, driving the experiment
+// catalogue (clockwork/internal/experiments). Independent experiments
 // and sweep cells fan out across cores; output is printed in a fixed
 // order regardless of completion order, so a run's output is identical
 // to a serial one.
@@ -24,7 +24,7 @@ import (
 	"strings"
 	"time"
 
-	"clockwork/experiments"
+	"clockwork/internal/experiments"
 )
 
 func main() {
@@ -41,7 +41,7 @@ func main() {
 		rate      = flag.Float64("rate", 0, "total rate for fig7/scale (0 = default)")
 		rateScale = flag.Float64("ratescale", 0, "MAF trace rate multiplier (0 = default)")
 		requests  = flag.Int("requests", 0, "total submissions per scale cell (0 = default)")
-		shards    = flag.String("shards", "", "comma-separated shard counts for scale (empty = 1,4,16)")
+		shards    = flag.String("shards", "", "comma-separated placement-group counts (Config.Shards) for scale (empty = 1,4,16)")
 	)
 	flag.Parse()
 	if *exp == "" {
@@ -70,7 +70,7 @@ func main() {
 	fmt.Print(out)
 }
 
-// parseShards turns "1,4,16" into shard-count cells; malformed entries
+// parseShards turns "1,4,16" into placement-group cells; malformed entries
 // are fatal rather than silently dropped.
 func parseShards(s string) []int {
 	if s == "" {

@@ -1,7 +1,7 @@
 // Command clockworkd is the live serving daemon: it wires a clockwork
 // System to the wall clock and serves the HTTP/JSON API from package
 // serve — inference on POST /v1/infer, model registration, the
-// worker/shard admin plane, and Prometheus metrics on GET /metrics —
+// worker admin plane, and Prometheus metrics on GET /metrics —
 // plus, with -stream-addr, the binary stream transport (length-prefixed
 // frames over TCP with connection multiplexing and batched submission),
 // the fast path that cuts per-request overhead several-fold.
@@ -16,6 +16,12 @@
 //	clockworkd -addr :8400 -stream-addr :8401 -max-inflight 1024
 //	clockworkd -addr :8400 -journal /var/lib/clockwork/journal \
 //	    -snapshot-interval 30s -preload resnet50_v1b:4
+//
+// -shards N splits the GPUs into N placement groups: a worker's GPUs
+// join group (worker ID mod N), and each model is loaded only onto GPUs
+// of group (a hash of its name mod N). One controller schedules them
+// all; the groups only confine LOAD placement, which keeps each group's
+// page caches on a stable slice of the models.
 //
 // The -speed flag scales virtual time against wall time: 1 serves in
 // real time on the paper's simulated hardware; 100 runs the simulated
@@ -34,7 +40,7 @@
 //
 // -trace attaches the flight recorder from boot: every sampled
 // request's lifecycle (admission → scheduling decision → load → exec →
-// response) is retained in per-shard ring buffers and exported as
+// response) is retained in ring buffers and exported as
 // Perfetto-loadable JSON at GET /v1/admin/trace; SLO violations are
 // always retained regardless of -trace-sample. Tracing is a pure
 // observer (outcomes are bit-identical at any rate) and can also be
@@ -87,7 +93,7 @@ func main() {
 		maxInFlight  = flag.Int("max-inflight", 0, "admission window: max unanswered requests across transports (0 = unbounded)")
 		workers      = flag.Int("workers", 1, "worker machines")
 		gpus         = flag.Int("gpus", 1, "GPUs per worker")
-		shards       = flag.Int("shards", 1, "control-plane scheduler shards")
+		shards       = flag.Int("shards", 1, "placement groups: each model loads only onto the GPUs of its group")
 		policy       = flag.String("policy", string(clockwork.PolicyClockwork), "serving policy (see -list-policies)")
 		listPolicies = flag.Bool("list-policies", false, "print registered policies and exit")
 		speed        = flag.Float64("speed", 1.0, "virtual-vs-wall clock multiplier")

@@ -1,7 +1,6 @@
 package clockwork
 
 import (
-	"fmt"
 	"time"
 
 	"clockwork/internal/core"
@@ -17,7 +16,7 @@ import (
 // AddWorker adds one worker machine (with the system's standard GPU
 // geometry) at runtime and returns its ID. The worker starts with every
 // registered model pre-loaded in host RAM (§5.1) and is schedulable
-// immediately; the load-priority policy migrates hot models onto it as
+// immediately; the load-priority policy loads hot models onto it as
 // demand warrants.
 func (s *System) AddWorker() int { return s.cluster.AddWorker() }
 
@@ -45,14 +44,13 @@ const (
 	WorkerFailed   = core.WorkerFailed
 )
 
-// WorkerStateOf returns the lifecycle state of worker id, routed to the
-// shard that owns the worker.
+// WorkerStateOf returns the lifecycle state of worker id.
 func (s *System) WorkerStateOf(id int) (WorkerState, error) {
 	return s.cluster.WorkerStateOf(id)
 }
 
-// Workers returns the number of workers ever added, across all shards;
-// drained and failed workers keep their IDs.
+// Workers returns the number of workers ever added; drained and failed
+// workers keep their IDs.
 func (s *System) Workers() int { return s.cluster.WorkerCount() }
 
 // ActiveWorkers counts workers currently in WorkerActive state — the
@@ -74,36 +72,14 @@ func (s *System) DrainRecentStats() RecentStats {
 	return s.cluster.Metrics.DrainRecent()
 }
 
-// ShardDemand is one shard's outstanding demand against its enabled
-// GPU capacity.
-type ShardDemand = core.ShardDemand
+// GroupDemand is one placement group's outstanding demand against its
+// enabled GPU capacity.
+type GroupDemand = core.GroupDemand
 
-// DemandSnapshot returns every shard's demand/capacity pair, indexed
-// by shard. Engine-side read.
-func (s *System) DemandSnapshot() []ShardDemand {
-	return s.cluster.DemandSnapshot()
-}
-
-// ---- sharded control plane ----
-
-// ShardCount returns the number of scheduler shards (1 unless
-// Config.Shards partitioned the control plane).
-func (s *System) ShardCount() int { return s.cluster.ShardCount() }
-
-// ShardOf reports which shard owns model — a hash of its name.
-func (s *System) ShardOf(model string) (int, bool) { return s.cluster.ShardOf(model) }
-
-// ShardStats is one shard's slice of the client-observed outcome
-// counters.
-type ShardStats = core.Outcomes
-
-// ShardStats returns shard i's outcome counters (responses are
-// attributed to the shard owning the model).
-func (s *System) ShardStats(i int) (ShardStats, error) {
-	if i < 0 || i >= s.cluster.ShardCount() {
-		return ShardStats{}, fmt.Errorf("%w: %d (have %d)", ErrNoSuchShard, i, s.cluster.ShardCount())
-	}
-	return s.cluster.Metrics.ShardStats(i), nil
+// DemandSnapshot returns every placement group's demand/capacity pair,
+// indexed by group. Engine-side read.
+func (s *System) DemandSnapshot() []GroupDemand {
+	return s.cluster.Ctl.DemandSnapshot()
 }
 
 // InjectDisturbance stalls one GPU's execution engine for d — the §4.3

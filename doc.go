@@ -45,14 +45,15 @@
 // RegisterPolicy without touching New. Unknown policy names make New
 // return an error that lists everything registered.
 //
-// # Sharded control plane
+// # Placement groups
 //
-// The paper names its centralized controller as the scaling bottleneck
-// (§8). Config{Shards: N} partitions the control plane into N
-// scheduler shards, each owning a disjoint slice of the workers and a
-// disjoint subset of the models (a hash of the name). Shards defaults
-// to 1, which is bit-identical to the unsharded system. ShardOf and
-// ShardStats expose the shard control plane.
+// Config{Shards: N} splits the GPUs into N placement groups: a worker's
+// GPUs join group (worker ID mod N), and each model is loaded only onto
+// GPUs of group (a hash of its name mod N). The one controller still
+// schedules everything; the groups only confine LOAD placement, so each
+// group's page caches keep a stable slice of the models and cold starts
+// fall. Shards defaults to 1, the paper's controller. DemandSnapshot
+// reports each group's queued demand against its GPUs.
 //
 // # Runtime control plane
 //
@@ -62,7 +63,6 @@
 // UnregisterModel retires a model. ModelStats and TenantStats expose
 // per-model and per-tenant goodput/latency/cold-start counters, and
 // InjectDisturbance reproduces the paper's §4.3 external slowdowns.
-// Every control-plane call routes to the shard owning the target.
 //
 // # Live serving
 //

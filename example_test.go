@@ -42,9 +42,10 @@ func ExampleSystem_SubmitRequest() {
 	// done=true reason=""
 }
 
-// ExampleNew_sharded partitions the control plane into two scheduler
-// shards and shows the shard control plane: ownership by a hash of
-// the name, and per-shard accounting that always sums to the whole.
+// ExampleNew_sharded splits the GPUs into two placement groups: a
+// worker's GPUs join group (worker ID mod 2), and each model is loaded
+// only onto GPUs of the group its name hashes to. DemandSnapshot
+// reports each group's schedulable GPUs and queued demand.
 func ExampleNew_sharded() {
 	sys, err := clockwork.New(clockwork.Config{
 		Workers:       4,
@@ -56,9 +57,8 @@ func ExampleNew_sharded() {
 		panic(err)
 	}
 	names, _ := sys.RegisterCopies("resnet", "resnet50_v1b", 4)
-	for _, n := range names {
-		shard, _ := sys.ShardOf(n)
-		fmt.Printf("%s -> shard %d\n", n, shard)
+	for i, g := range sys.DemandSnapshot() {
+		fmt.Printf("group %d: %d GPUs\n", i, g.SchedulableGPUs)
 	}
 
 	for round := 0; round < 4; round++ {
@@ -67,23 +67,16 @@ func ExampleNew_sharded() {
 		}
 		sys.RunFor(200 * time.Millisecond)
 	}
-
-	var binned uint64
-	for i := 0; i < sys.ShardCount(); i++ {
-		st, _ := sys.ShardStats(i)
-		binned += st.Requests
-	}
-	fmt.Printf("requests=%d binned=%d\n", sys.Summary().Arrived, binned)
+	sum := sys.Summary()
+	fmt.Printf("requests=%d answered=%d\n", sum.Arrived, sum.Requests)
 	// Output:
-	// resnet#0 -> shard 1
-	// resnet#1 -> shard 0
-	// resnet#2 -> shard 1
-	// resnet#3 -> shard 0
-	// requests=16 binned=16
+	// group 0: 2 GPUs
+	// group 1: 2 GPUs
+	// requests=16 answered=16
 }
 
-// ExampleNew_shardsValidation: shard geometry is validated at
-// construction — every shard needs at least one worker.
+// ExampleNew_shardsValidation: placement-group geometry is validated at
+// construction — every group needs at least one worker.
 func ExampleNew_shardsValidation() {
 	_, err := clockwork.New(clockwork.Config{Workers: 1, Shards: 4})
 	fmt.Println(err != nil, errors.Is(err, clockwork.ErrUnknownPolicy))

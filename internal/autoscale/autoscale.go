@@ -1,6 +1,6 @@
 // Package autoscale is the closed-loop policy of the serving plane: it
 // turns the signals the system already exposes (violation rate, p99
-// headroom, admission sheds, per-shard demand) into the decisions the
+// headroom, admission sheds, queued demand) into the decisions the
 // control plane already knows how to actuate (resize the admission
 // window, add or drain workers). The controller is a
 // pure state machine — Evaluate consumes one control period's signals
@@ -86,7 +86,7 @@ const (
 	// observed SLO: the scheduler proactively cancels work it cannot
 	// serve by its deadline, so outstanding demand saturates near
 	// SLO×GPUs no matter how overloaded the system is — a period-long
-	// horizon would never see the high watermark. A shard set whose
+	// horizon would never see the high watermark. A system whose
 	// demand exceeds demandHigh×GPUs×horizon is overcommitted, one
 	// under demandLow×GPUs×horizon is idle.
 	demandHigh = 0.75
@@ -145,9 +145,9 @@ type Signals struct {
 	P99 time.Duration
 	SLO time.Duration
 
-	// Demand is the outstanding Appendix-B demand summed across shards
-	// (GPU-time of queued work); SchedulableGPUs counts enabled GPU
-	// mirrors across shards.
+	// Demand is the outstanding Appendix-B demand summed across
+	// placement groups (GPU-time of queued work); SchedulableGPUs
+	// counts enabled GPU mirrors.
 	Demand          time.Duration
 	SchedulableGPUs int
 

@@ -15,7 +15,6 @@
 // BestEffortWorkers: true.
 //
 // Both register themselves in the policy registry (names "clipper" and
-// "infaas") from init, so clockwork.New(Config{Policy: ...}) — and any
-// shard of a partitioned control plane — can run them without this
-// package being imported explicitly anywhere else.
+// "infaas") from init, so clockwork.New(Config{Policy: ...}) can run
+// them without this package being imported explicitly anywhere else.
 package baseline

@@ -121,15 +121,16 @@ func TestLoadSelectionWorkFlatInLoad(t *testing.T) {
 		if steps%7 != 0 {
 			continue
 		}
-		c.flushLoadSigns()
+		grp := &c.groups[0]
+		c.flushLoadSigns(grp)
 		for _, g := range c.gpus {
 			evals := c.priorityEvals
 			s.bestLoad(g, c.Now())
-			if n := c.priorityEvals - evals; n > uint64(len(c.posSet)) {
-				t.Fatalf("t=%v: bestLoad on w%d.g%d evaluated %d priorities with %d models in the positive set", c.Now(), g.WorkerID, g.GPU, n, len(c.posSet))
+			if n := c.priorityEvals - evals; n > uint64(len(grp.posSet)) {
+				t.Fatalf("t=%v: bestLoad on w%d.g%d evaluated %d priorities with %d models in the positive set", c.Now(), g.WorkerID, g.GPU, n, len(grp.posSet))
 			}
 			calls++
-			positive += len(c.posSet)
+			positive += len(grp.posSet)
 		}
 	}
 	if positive == 0 {

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"hash/fnv"
 	"sync"
 	"time"
 
@@ -17,8 +16,8 @@ import (
 	"clockwork/trace"
 )
 
-// ClusterConfig assembles a whole serving system: workers, controller
-// shards, network, and client-side metrics.
+// ClusterConfig assembles a whole serving system: workers, the
+// controller, network, and client-side metrics.
 type ClusterConfig struct {
 	Workers       int
 	GPUsPerWorker int
@@ -32,18 +31,16 @@ type ClusterConfig struct {
 
 	Seed uint64
 
-	// Shards partitions the control plane into this many scheduler
-	// shards (default 1 — the paper's centralized controller). Each
-	// shard runs its own controller and scheduler over a disjoint slice
-	// of the cluster's workers (and therefore GPUs) and a fixed subset
-	// of models, all on the shared event engine. Requires Workers >=
-	// Shards so no shard owns zero GPUs.
+	// Shards is the number of placement groups (default 1 — the
+	// paper's controller, which may load any model on any GPU). With N,
+	// a worker's GPUs join group (worker ID mod N) and a model is loaded
+	// only onto GPUs of group (FNV-1a of its name mod N); see group.go.
+	// Requires Workers >= Shards so no group starts without GPUs.
 	Shards int
 
 	// Controller configuration and scheduler factory. A nil
 	// NewScheduler selects the paper's ClockworkScheduler;
-	// NewClusterWithPolicy resolves it by registry name instead. The
-	// factory runs once per shard, so every shard owns its scheduler.
+	// NewClusterWithPolicy resolves it by registry name instead.
 	Controller   Config
 	NewScheduler func() Scheduler
 
@@ -90,22 +87,13 @@ func (c ClusterConfig) withDefaults() ClusterConfig {
 var ClusterOf func(system any) *Cluster
 
 // Cluster is a fully wired Clockwork deployment on a single event
-// engine. With ClusterConfig.Shards == 1 (the default) it is the
-// paper's system: one centralized controller owning every GPU. With
-// Shards == N the control plane is partitioned: Ctls holds one
-// controller per shard, each owning a disjoint slice of workers and a
-// disjoint subset of models, with submissions routed by model
-// ownership.
+// engine: the paper's system, one centralized controller owning every
+// GPU, with ClusterConfig.Shards placement groups.
 type Cluster struct {
-	// Eng is the event engine every shard, worker and link runs on.
+	// Eng is the event engine the controller, workers and links run on.
 	Eng *simclock.Engine
-	// Ctl is shard 0's controller — the entire control plane when
-	// Shards == 1, kept as the compatibility handle for experiment
-	// harnesses that read raw controller telemetry. Sharded callers
-	// iterate Ctls or use the cluster-level aggregates (Stats,
-	// ShardCount, ShardOf).
+	// Ctl is the controller.
 	Ctl     *Controller
-	Ctls    []*Controller
 	Workers []*worker.Worker
 	Metrics *Metrics
 
@@ -113,36 +101,26 @@ type Cluster struct {
 	src *rng.Source
 
 	// client is the client-side duplex: submissions enter and responses
-	// leave over it, whichever shard owns the model.
+	// leave over it.
 	client *network.Duplex
 
-	// ---- shard bookkeeping (cluster-global; controllers only know
-	// their own slice) ----
-
-	// models is the cluster-wide model table every shard's controller
-	// shares (models.go): a name's ID, and through its live registration
-	// its catalogue entry and owning shard — the initial owner is a
-	// consistent hash of the name, changed only by migration. host is
+	// models is the controller's model table (models.go): a name's ID,
+	// and through its live registration its catalogue entry. host is
 	// the same set as every worker's host RAM sees it, and modelOrder
-	// preserves cluster-global registration order for ModelNames.
+	// preserves registration order for ModelNames.
 	models     *modelTable
 	host       *worker.Models
 	modelOrder []string
 
-	// workerShard maps global worker ID → owning shard (assignment is
-	// id mod Shards, so runtime scale-out stripes deterministically).
-	workerShard []int
-
-	// flight is the attached flight recorder (nil = none). Per-shard
-	// hooks live on each controller; the cluster holds the whole-
-	// recorder handle for routing-layer events (client send instants,
-	// completions, migrations). See package clockwork/trace.
+	// flight is the attached flight recorder (nil = none), shared by the
+	// controller's hooks and the client-side ones here (send instants,
+	// completions). See package clockwork/trace.
 	flight *trace.Recorder
 }
 
 // NewCluster builds a deployment. Register models with RegisterModel (or
 // RegisterCopies), then drive load via Submit and run the engine.
-// Invalid shard geometry (more shards than workers) panics: it is a
+// Invalid group geometry (more groups than workers) panics: it is a
 // construction-time programming error. NewClusterWithPolicy returns it
 // as an error instead.
 func NewCluster(cfg ClusterConfig) *Cluster {
@@ -159,15 +137,9 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		models:  newModelTable(),
 		host:    new(worker.Models),
 	}
-	for i := 0; i < cfg.Shards; i++ {
-		ccfg := cfg.Controller
-		ccfg.IDStart = uint64(i)
-		ccfg.IDStride = uint64(cfg.Shards)
-		ctl := NewController(eng, ccfg, cl.newScheduler())
-		ctl.tab, ctl.shard = cl.models, i
-		cl.Ctls = append(cl.Ctls, ctl)
-	}
-	cl.Ctl = cl.Ctls[0]
+	cl.Ctl = NewController(eng, cfg.Controller, cl.newScheduler())
+	cl.Ctl.tab = cl.models
+	cl.Ctl.setGroups(cfg.Shards)
 	cl.client = network.NewDuplex(eng)
 	cl.client.AtoB.Latency = cfg.NetLatency
 	cl.client.BtoA.Latency = cfg.NetLatency
@@ -182,33 +154,27 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 
 func (c ClusterConfig) validateShards() error {
 	if c.Shards > c.Workers {
-		return fmt.Errorf("%d shards need at least as many workers (have %d)", c.Shards, c.Workers)
+		return fmt.Errorf("%d placement groups need at least as many workers (have %d)", c.Shards, c.Workers)
 	}
 	return nil
 }
 
-// SetFlightRecorder attaches a flight recorder to the cluster: every
-// controller gets its shard's engine-confined recorder, and the
-// routing layer reports client-side lifecycle events. Must be called
-// before any engine runs (the recorder binds its per-shard state
-// here). A nil recorder detaches. Tracing is a pure observer — it
-// never schedules events, reads RNG streams, or mints IDs — so
-// attaching one leaves every schedule bit-identical.
+// SetFlightRecorder attaches a flight recorder to the cluster: the
+// controller reports its lifecycle events to it, and the client side
+// its own. Must be called before the engine runs. A nil recorder
+// detaches. Tracing is a pure observer — it never schedules events,
+// reads RNG streams, or mints IDs — so attaching one leaves every
+// schedule bit-identical.
 func (cl *Cluster) SetFlightRecorder(r *trace.Recorder) {
-	if r != nil {
-		r.Bind(len(cl.Ctls))
-	}
 	cl.flight = r
-	for i, ctl := range cl.Ctls {
-		ctl.flight = r.Shard(i)
-	}
+	cl.Ctl.flight = r
 }
 
 // FlightRecorder returns the attached recorder (nil when detached).
 func (cl *Cluster) FlightRecorder() *trace.Recorder { return cl.flight }
 
-// newScheduler mints one shard's scheduler: the factory when set, the
-// paper's scheduler by default.
+// newScheduler mints the controller's scheduler: the factory when set,
+// the paper's scheduler by default.
 func (cl *Cluster) newScheduler() Scheduler {
 	if cl.cfg.NewScheduler != nil {
 		return cl.cfg.NewScheduler()
@@ -216,40 +182,13 @@ func (cl *Cluster) newScheduler() Scheduler {
 	return NewClockworkScheduler()
 }
 
-// shardForName is the consistent initial model→shard assignment: an
-// FNV-1a hash of the instance name mod Shards, so placement is a pure
-// function of (name, shard count) — independent of registration order
-// and stable across runs.
-func (cl *Cluster) shardForName(name string) int {
-	if len(cl.Ctls) == 1 {
-		return 0
-	}
-	h := fnv.New64a()
-	_, _ = h.Write([]byte(name))
-	return int(h.Sum64() % uint64(len(cl.Ctls)))
-}
-
-// ownerOf resolves the shard that currently owns model id. The fallback
-// covers names no longer registered: the controller it selects answers
-// with ReasonUnregistered, so any shard is semantically correct — using
-// the submission-time owner keeps the accounting deterministic.
-func (cl *Cluster) ownerOf(id ModelID, fallback int) int {
-	if mi := cl.models.live[id]; mi != nil {
-		return mi.owner.shard
-	}
-	return fallback
-}
-
 // addWorker constructs one worker with the cluster's geometry, wires its
-// network link and its owning shard's controller mirrors, and returns
-// its global ID. Worker RNG streams derive from the worker ID — not the
-// shard — so a given worker behaves identically whatever the shard
-// count, and a worker added at runtime gets the same noise stream it
-// would have had at startup.
+// network link and its controller mirrors, and returns its ID. Worker
+// RNG streams derive from the worker ID, so a given worker behaves
+// identically whatever the group count, and a worker added at runtime
+// gets the same noise stream it would have had at startup.
 func (cl *Cluster) addWorker() int {
 	id := len(cl.Workers)
-	shard := id % len(cl.Ctls)
-	ctl := cl.Ctls[shard]
 	noise := gpu.DefaultNoise
 	if cl.cfg.NoNoise {
 		noise = gpu.NoNoise
@@ -262,19 +201,17 @@ func (cl *Cluster) addWorker() int {
 		BestEffort:     cl.cfg.WorkerBestEffort,
 	}.Resolved()
 	// The worker comes up with every registered model (§5.1: workers
-	// pre-load all models into host RAM — shard ownership partitions
-	// scheduling, not host memory, which is what makes model migration a
-	// pure control-plane operation): the host set is shared.
+	// pre-load all models into host RAM — placement groups partition
+	// GPU memory, not host memory): the host set is shared.
 	w := worker.New(cl.Eng, cl.src, wcfg, cl.host)
 	link := network.NewDuplex(cl.Eng)
 	link.AtoB.Latency = cl.cfg.NetLatency
 	link.BtoA.Latency = cl.cfg.NetLatency
 
-	wl := &workerLink{cl: cl, ctl: ctl, w: w, li: link}
-	ctl.AddWorker(id, wcfg.GPUs, wcfg.PageCacheBytes, wl.sendAction)
+	wl := &workerLink{cl: cl, w: w, li: link}
+	cl.Ctl.AddWorker(id, wcfg.GPUs, wcfg.PageCacheBytes, wl.sendAction)
 	w.OnResult = wl.sendResult
 	cl.Workers = append(cl.Workers, w)
-	cl.workerShard = append(cl.workerShard, shard)
 	cl.Metrics.attachGPUs(w)
 	return id
 }
@@ -285,10 +222,9 @@ func (cl *Cluster) addWorker() int {
 // on the same engine goroutine, so plain per-worker free lists suffice
 // (no locks, no sync.Pool).
 type workerLink struct {
-	cl  *Cluster
-	ctl *Controller
-	w   *worker.Worker
-	li  *network.Duplex
+	cl *Cluster
+	w  *worker.Worker
+	li *network.Duplex
 
 	freeA []*actionHop
 	freeR []*resultHop
@@ -318,7 +254,7 @@ func (h *resultHop) Run() {
 	wl, r := h.wl, h.r
 	h.r = action.Result{}
 	wl.freeR = append(wl.freeR, h)
-	wl.ctl.HandleResult(r)
+	wl.cl.Ctl.HandleResult(r)
 }
 
 // sendAction is the controller-side submit hook wired by addWorker.
@@ -360,49 +296,31 @@ func (cl *Cluster) Config() ClusterConfig { return cl.cfg }
 // ---- runtime control plane ----
 
 // AddWorker adds one worker (with the cluster's standard geometry) at
-// runtime and returns its ID. The new worker joins shard (id mod
-// Shards), starts with every registered model in host RAM and becomes
-// schedulable immediately.
+// runtime and returns its ID. The new worker's GPUs join placement group
+// (id mod Shards); it starts with every registered model in host RAM and
+// becomes schedulable immediately.
 func (cl *Cluster) AddWorker() int { return cl.addWorker() }
 
 // DrainWorker stops scheduling new actions on worker id; in-flight
-// actions finish and their results are honoured. Routed to the owning
-// shard.
-func (cl *Cluster) DrainWorker(id int) error {
-	ctl, err := cl.ownerOfWorker(id)
-	if err != nil {
-		return err
-	}
-	return ctl.DrainWorker(id)
-}
+// actions finish and their results are honoured.
+func (cl *Cluster) DrainWorker(id int) error { return cl.Ctl.DrainWorker(id) }
 
 // FailWorker abruptly fails worker id: scheduling stops, in-flight work
 // is lost (its requests fail with ReasonWorkerFailed) and late results
-// from the worker are dropped. Routed to the owning shard.
+// from the worker are dropped.
 func (cl *Cluster) FailWorker(id int) error {
-	ctl, err := cl.ownerOfWorker(id)
-	if err != nil {
-		return err
-	}
-	if err := ctl.FailWorker(id); err != nil {
+	if err := cl.Ctl.FailWorker(id); err != nil {
 		return err
 	}
 	cl.Workers[id].Fail()
 	return nil
 }
 
-// WorkerStateOf returns the lifecycle state of worker id, routed to the
-// owning shard.
-func (cl *Cluster) WorkerStateOf(id int) (WorkerState, error) {
-	ctl, err := cl.ownerOfWorker(id)
-	if err != nil {
-		return WorkerActive, err
-	}
-	return ctl.WorkerStateOf(id)
-}
+// WorkerStateOf returns the lifecycle state of worker id.
+func (cl *Cluster) WorkerStateOf(id int) (WorkerState, error) { return cl.Ctl.WorkerStateOf(id) }
 
-// WorkerCount returns the number of workers ever added, cluster-wide;
-// drained and failed workers keep their IDs.
+// WorkerCount returns the number of workers ever added; drained and
+// failed workers keep their IDs.
 func (cl *Cluster) WorkerCount() int { return len(cl.Workers) }
 
 // ActiveWorkers counts workers currently in WorkerActive state —
@@ -411,38 +329,12 @@ func (cl *Cluster) WorkerCount() int { return len(cl.Workers) }
 func (cl *Cluster) ActiveWorkers() int {
 	n := 0
 	for id := range cl.Workers {
-		st, err := cl.Ctls[cl.workerShard[id]].WorkerStateOf(id)
+		st, err := cl.Ctl.WorkerStateOf(id)
 		if err == nil && st == WorkerActive {
 			n++
 		}
 	}
 	return n
-}
-
-// ShardDemand is one shard's slice of the demand/capacity signal the
-// closed-loop autoscaler consumes: outstanding Appendix-B demand
-// (GPU-time of queued work) against enabled GPU mirrors.
-type ShardDemand struct {
-	Demand          time.Duration
-	SchedulableGPUs int
-}
-
-// DemandSnapshot returns every shard's demand/capacity pair, indexed
-// by shard. Engine-side read.
-func (cl *Cluster) DemandSnapshot() []ShardDemand {
-	out := make([]ShardDemand, len(cl.Ctls))
-	for i, ctl := range cl.Ctls {
-		out[i] = ShardDemand{Demand: ctl.TotalDemand(), SchedulableGPUs: ctl.SchedulableGPUs()}
-	}
-	return out
-}
-
-// ownerOfWorker resolves the controller owning global worker id.
-func (cl *Cluster) ownerOfWorker(id int) (*Controller, error) {
-	if id < 0 || id >= len(cl.Workers) {
-		return nil, fmt.Errorf("%w: %d (have %d)", ErrNoSuchWorker, id, len(cl.Workers))
-	}
-	return cl.Ctls[cl.workerShard[id]], nil
 }
 
 // InjectDisturbance stalls a GPU's execution engine for d — the §4.3
@@ -469,7 +361,7 @@ func (cl *Cluster) UnregisterModel(name string) error {
 	if mi == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownModel, name)
 	}
-	if err := mi.owner.UnregisterModel(name); err != nil {
+	if err := cl.Ctl.UnregisterModel(name); err != nil {
 		return err
 	}
 	for i, n := range cl.modelOrder {
@@ -494,36 +386,9 @@ func (cl *Cluster) ModelNames() []string {
 // for callers that don't need the names.
 func (cl *Cluster) ModelCount() int { return len(cl.modelOrder) }
 
-// Stats sums the controllers' arrival and action counters across all
-// shards. With Shards == 1 it equals Ctl.Stats(). Outcomes are in
-// Metrics.Total.
-func (cl *Cluster) Stats() Stats {
-	if len(cl.Ctls) == 1 {
-		return cl.Ctl.Stats()
-	}
-	var sum Stats
-	for _, ctl := range cl.Ctls {
-		st := ctl.Stats()
-		sum.Requests += st.Requests
-		sum.ActionsInfer += st.ActionsInfer
-		sum.ActionsLoad += st.ActionsLoad
-		sum.ActionsUnload += st.ActionsUnload
-		sum.LoadFailures += st.LoadFailures
-	}
-	return sum
-}
-
-// ShardCount returns the number of scheduler shards.
-func (cl *Cluster) ShardCount() int { return len(cl.Ctls) }
-
-// ShardOf returns the shard currently owning model.
-func (cl *Cluster) ShardOf(model string) (int, bool) {
-	mi := cl.models.lookup(model)
-	if mi == nil {
-		return 0, false
-	}
-	return mi.owner.shard, true
-}
+// Stats returns the controller's arrival and action counters. Outcomes
+// are in Metrics.Total.
+func (cl *Cluster) Stats() Stats { return cl.Ctl.Stats() }
 
 // ModelStats returns the per-model metrics slice for name. ok is false
 // when the model is unknown and has never produced a response.
@@ -543,12 +408,11 @@ func (cl *Cluster) TenantStats(tenant string) (Outcomes, bool) {
 
 // ---- registration ----
 
-// RegisterModel announces one model instance to its owning shard's
-// controller and to every worker (workers pre-load all models into host
-// RAM, §5.1, regardless of shard ownership).
+// RegisterModel announces one model instance to the controller and to
+// every worker (workers pre-load all models into host RAM, §5.1,
+// whatever GPUs the model's placement group holds).
 func (cl *Cluster) RegisterModel(name string, zoo *modelzoo.Model) error {
-	shard := cl.shardForName(name)
-	if err := cl.Ctls[shard].RegisterModel(name, zoo); err != nil {
+	if err := cl.Ctl.RegisterModel(name, zoo); err != nil {
 		return err
 	}
 	cl.modelOrder = append(cl.modelOrder, name)
@@ -621,7 +485,6 @@ type Handle struct {
 	// object may be recycled the instant its response fires, so every
 	// use goes through CancelRequestGen.
 	cl            *Cluster
-	model         ModelID
 	req           *Request
 	reqGen        uint64
 	cancelPending bool
@@ -668,7 +531,7 @@ func (h *Handle) Release() {
 		return
 	}
 	h.id, h.next = 0, nil
-	h.cl, h.model = nil, 0
+	h.cl = nil
 	h.req, h.reqGen = nil, 0
 	h.cancelPending, h.done = false, false
 	h.res = Result{}
@@ -728,9 +591,7 @@ func (h *Handle) Wait(ctx context.Context) (Result, error) {
 }
 
 // Cancel requests cancellation and reports whether it took effect. A
-// still-queued request is cancelled immediately — routed to the shard
-// that currently owns the model, so cancellation follows the request
-// across migrations. A request still in transit to the controller is
+// still-queued request is cancelled immediately. A request still in transit to the controller is
 // cancelled deterministically on arrival, before the scheduler can
 // dispatch it. Only a request already handed to a worker cannot be
 // clawed back (§4.2 — workers are never second-guessed mid-action):
@@ -746,7 +607,7 @@ func (h *Handle) Cancel() bool {
 		h.mu.Unlock()
 		return true
 	}
-	req, gen, model := h.req, h.reqGen, h.model
+	req, gen := h.req, h.reqGen
 	cl := h.cl
 	h.mu.Unlock()
 	// CancelRequestGen mutates controller state: like every engine-side
@@ -755,7 +616,7 @@ func (h *Handle) Cancel() bool {
 	// cancellation path schedules the response event that will re-enter
 	// the completion callback. The generation check makes a cancel that
 	// raced the response (and the request's recycling) a no-op.
-	return cl.Ctls[cl.ownerOf(model, 0)].CancelRequestGen(req, gen)
+	return cl.Ctl.CancelRequestGen(req, gen)
 }
 
 // OnResult implements ResultSink: settle the handle, publish the
@@ -795,14 +656,12 @@ func (h *Handle) OnResult(res Result) {
 // and nothing is allocated per request on the way down.
 //
 // The model must be registered at submission time (ErrUnknownModel
-// otherwise); the owning shard is resolved again when the request
-// arrives at the control plane, so a model migrated mid-transit lands
-// on its new shard, and one unregistered mid-transit fails the request
-// rather than corrupting controller state. shard is only range-checked:
-// every shard lives on the one engine, and the request enters at the
-// model's owner.
+// otherwise); it is resolved again when the request arrives at the
+// controller, so one unregistered mid-transit fails the request rather
+// than corrupting controller state. shard is ignored: it names no
+// controller since there is only one.
 func (cl *Cluster) Submit(shard int, spec SubmitSpec, sink ResultSink) error {
-	mi, err := cl.checkSpec(shard, &spec)
+	mi, err := cl.checkSpec(&spec)
 	if err != nil {
 		return err
 	}
@@ -812,7 +671,7 @@ func (cl *Cluster) Submit(shard int, spec SubmitSpec, sink ResultSink) error {
 	}
 	s := submissionPool.Get().(*submission)
 	s.cl, s.spec, s.zoo, s.sink = cl, spec, mi.zoo, sink
-	s.local, s.sentAt = mi.owner.shard, cl.Eng.Now()
+	s.group, s.sentAt = mi.group, cl.Eng.Now()
 	cl.client.AtoB.SendRun(inputBytes, s)
 	return nil
 }
@@ -820,7 +679,7 @@ func (cl *Cluster) Submit(shard int, spec SubmitSpec, sink ResultSink) error {
 // checkSpec validates a submission before any resource is acquired and
 // resolves its model — the one time the request's name is looked up. The
 // ID goes into the spec; each later hop reads the table by it.
-func (cl *Cluster) checkSpec(local int, spec *SubmitSpec) (*ModelInfo, error) {
+func (cl *Cluster) checkSpec(spec *SubmitSpec) (*ModelInfo, error) {
 	if spec.Model == "" {
 		return nil, fmt.Errorf("%w: empty model name", ErrInvalidRequest)
 	}
@@ -829,9 +688,6 @@ func (cl *Cluster) checkSpec(local int, spec *SubmitSpec) (*ModelInfo, error) {
 	}
 	if spec.MaxBatchSize < 0 {
 		return nil, fmt.Errorf("%w: negative batch cap %d", ErrInvalidRequest, spec.MaxBatchSize)
-	}
-	if local < 0 || local >= len(cl.Ctls) {
-		return nil, fmt.Errorf("%w: %d (have %d)", ErrNoSuchShard, local, len(cl.Ctls))
 	}
 	mi := cl.models.lookup(spec.Model)
 	if mi == nil {
@@ -853,7 +709,7 @@ type submission struct {
 	cl     *Cluster
 	spec   SubmitSpec
 	zoo    *modelzoo.Model
-	local  int // shard that owned the model when last resolved
+	group  int // the model's placement group, for the trace
 	sentAt simclock.Time
 	sink   ResultSink
 
@@ -877,12 +733,9 @@ func (s *submission) Run() {
 	}
 }
 
-// deliver runs at the controller side of the client link: resolve the
-// owner (it may have changed while the input was on the wire), then
-// submit.
+// deliver runs at the controller side of the client link: submit.
 func (s *submission) deliver() {
 	cl := s.cl
-	owner := cl.ownerOf(s.spec.id, s.local)
 	// A Cancel issued while the request was on the wire is applied
 	// inside the controller's submission, before the scheduler can
 	// dispatch — the in-transit cancel is authoritative. Only a Handle
@@ -893,19 +746,17 @@ func (s *submission) deliver() {
 		s.spec.preCancelled = h.cancelPending
 		h.mu.Unlock()
 	}
-	s.local = owner
-	ctl := cl.Ctls[owner]
-	req := ctl.Submit(s.spec, s)
+	req := cl.Ctl.Submit(s.spec, s)
 	if req != nil {
 		if h != nil {
 			h.mu.Lock()
-			h.id, h.cl, h.model = req.ID, cl, s.spec.id
+			h.id, h.cl = req.ID, cl
 			h.req, h.reqGen = req, req.Gen()
 			h.mu.Unlock()
 		}
 		// The controller-side Admitted hook already created the trace;
 		// stamp the client-side send instant it cannot know.
-		cl.flight.Shard(owner).Arrived(req.ID, s.sentAt.Duration())
+		cl.flight.Arrived(req.ID, s.sentAt.Duration())
 	}
 }
 
@@ -913,10 +764,6 @@ func (s *submission) deliver() {
 // terminal outcome and sends it back over the client link.
 func (s *submission) Respond(res Result) {
 	cl := s.cl
-	// The responding controller is the model's current owner; follow it,
-	// so the completion finalizes the trace on the adopting shard's
-	// recorder after a migration.
-	s.local = cl.ownerOf(res.id, s.local)
 	outBytes := s.zoo.OutputBytes()
 	if !res.Success {
 		outBytes = 0
@@ -933,15 +780,10 @@ func (s *submission) complete() {
 	now := cl.Eng.Now()
 	res := s.res
 	res.Latency = now.Sub(s.sentAt)
-	// Attribute the response to the shard that owned the model at
-	// completion (it may have migrated since submission).
-	shard := cl.ownerOf(res.id, s.local)
-	cl.Metrics.record(now, shard, res, s.spec.SLO)
+	cl.Metrics.record(now, res, s.spec.SLO)
 	// Finalize the flight-recorder trace with the client-observed
-	// outcome. The recorder shard is s.local, where the trace's
-	// building state lives (Move keeps it there across queued-request
-	// migrations).
-	cl.flight.Shard(s.local).Completed(trace.Outcome{
+	// outcome.
+	cl.flight.Completed(s.group, trace.Outcome{
 		ID: res.RequestID, Model: s.spec.Model, Tenant: s.spec.Tenant,
 		Success: res.Success, Reason: uint8(res.Reason), ReasonStr: res.Reason.String(),
 		Batch: res.Batch, ColdStart: res.ColdStart,

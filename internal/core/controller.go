@@ -29,13 +29,6 @@ type Config struct {
 	// they treat the SLO as a soft goal and execute requests even after
 	// their deadlines have passed.
 	DisableAdmissionControl bool
-	// IDStart and IDStride partition the request/action ID spaces across
-	// scheduler shards: shard i of N runs with IDStart=i, IDStride=N, so
-	// every controller mints IDs from a disjoint arithmetic progression
-	// and responses/traces stay globally unambiguous. The zero values
-	// (start 0, stride 1) reproduce the unsharded sequence 1, 2, 3, …
-	IDStart  uint64
-	IDStride uint64
 }
 
 // Defaults from the paper.
@@ -56,9 +49,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.ProfileWindow <= 0 {
 		c.ProfileWindow = predictor.DefaultWindow
-	}
-	if c.IDStride == 0 {
-		c.IDStride = 1
 	}
 	return c
 }
@@ -105,48 +95,28 @@ type Controller struct {
 	cfg  Config
 	schd Scheduler
 
-	// workers holds this controller's workers in the order they were
-	// added; workerByID addresses them by their cluster-global ID (a
-	// sharded control plane gives each controller a non-contiguous slice
-	// of the global worker ID space, so the other shards' IDs are nil).
+	// workers holds the workers in the order they were added;
+	// workerByID addresses them by ID.
 	workers    []*workerHandle
 	workerByID []*workerHandle
 	gpus       []*GPUMirror
+	// groups are the placement groups (group.go); every GPU and every
+	// model belongs to one.
+	groups []placementGroup
 	// tab interns model names to dense IDs and holds each name's live
-	// registration (models.go) — shared with the sibling shards when the
-	// controller is part of a cluster, whose index among them is shard.
-	tab   *modelTable
-	shard int
-	// modelList holds this controller's registered models in
-	// registration order — the deterministic iteration order of the
-	// control plane.
+	// registration (models.go), shared with the cluster layer.
+	tab *modelTable
+	// modelList holds the registered models in registration order — the
+	// deterministic iteration order of the control plane.
 	modelList []*ModelInfo
 	nextSeq   uint64
 
-	// active counts the models with queued requests, the set Appendix
-	// B's demand tracking works over. wakesLapsed is set when the count
-	// rises from zero: while it was zero no LOAD wake was armed, and the
-	// scheduler's next OnRequest re-arms them.
-	active      int
-	wakesLapsed bool
-
-	// deadlineIdx orders active models by earliest queued deadline (see
-	// index.go), maintained only once a scheduler opts in via
-	// enableDeadlineIndex.
-	deadlineIdx   modelTreap
+	// deadlineIdxOn says whether the groups keep their deadline indexes
+	// (index.go), which only a scheduler that opts in pays for.
 	deadlineIdxOn bool
 
-	// The load candidates (index.go): coldIdx orders the active models
-	// with positive demand and no replica anywhere by demand, posSet
-	// holds those with replicas whose exact load priority was positive
-	// when last settled; dirtyGPUs lists the mirrors whose ℓ_g has since
-	// moved past the level their withWork models were cleared to, so
-	// that those models are due another look. reindexModel is their
-	// only writer. priorityEvals counts exact loadPriority evaluations,
-	// for the work ratchet in the tests.
-	coldIdx       modelTreap
-	posSet        []*ModelInfo
-	dirtyGPUs     []*GPUMirror
+	// priorityEvals counts exact loadPriority evaluations, for the work
+	// ratchet in the tests.
 	priorityEvals uint64
 
 	// testOnInfer, when non-nil, observes every dispatched INFER with
@@ -175,12 +145,12 @@ type Controller struct {
 	InferCompletion *predictor.ErrorTracker
 	LoadCompletion  *predictor.ErrorTracker
 
-	// flight is this shard's slice of the attached flight recorder
-	// (nil = none; every hook is nil-safe). Set by the cluster layer
-	// before any engine runs. Hooks are pure observers: they only
-	// append to recorder state, never schedule events or mint IDs, so
-	// an attached recorder leaves the schedule bit-identical.
-	flight *trace.ShardRecorder
+	// flight is the attached flight recorder (nil = none; every hook is
+	// nil-safe). Set by the cluster layer before any engine runs. Hooks
+	// are pure observers: they only append to recorder state, never
+	// schedule events or mint IDs, so an attached recorder leaves the
+	// schedule bit-identical.
+	flight *trace.Recorder
 
 	stats Stats
 }
@@ -228,7 +198,7 @@ func (c *Controller) acquireAction() *action.Action {
 
 // releaseAction recycles an INFER action whose result has been fully
 // ingested, keeping the RequestIDs backing for the next dispatch. The
-// flight recorder copies ID slices it retains (trace.ShardRecorder
+// flight recorder copies ID slices it retains (trace.Recorder
 // .ExecDone), so reusing the backing cannot corrupt retained spans.
 func (c *Controller) releaseAction(a *action.Action) {
 	ids := a.RequestIDs[:0]
@@ -269,8 +239,7 @@ func NewController(eng *simclock.Engine, cfg Config, schd Scheduler) *Controller
 		InferCompletion: predictor.NewErrorTracker(),
 		LoadCompletion:  predictor.NewErrorTracker(),
 	}
-	c.nextRequestID = c.cfg.IDStart
-	c.nextActionID = c.cfg.IDStart
+	c.setGroups(1)
 	c.profile = predictor.NewProfile(c.cfg.ProfileWindow, modelzoo.BatchSizes)
 	schd.Attach(c)
 	return c
@@ -296,19 +265,21 @@ func (c *Controller) GPUs() []*GPUMirror { return c.gpus }
 // cluster layer calls this during setup — and at runtime for control-
 // plane scale-out — exchanging page-cache geometry like the startup
 // handshake of §5.3 (pages are the paper's memory.DefaultPageSize).
-// Worker IDs are cluster-global and need not be contiguous within one
-// controller (a sharded control plane stripes the global ID space
-// across shards), but must be unique and ascending.
+// Worker IDs need not be contiguous, but must be unique and ascending;
+// the worker's GPUs join placement group (id mod groups).
 func (c *Controller) AddWorker(id, gpuCount int, pageCacheBytes int64,
 	submit func(a *action.Action, payloadBytes int64)) {
 	if n := len(c.workers); n > 0 && c.workers[n-1].id >= id {
 		panic(fmt.Sprintf("core: workers must be added in ascending ID order (got %d after %d)", id, c.workers[n-1].id))
 	}
 	wh := &workerHandle{id: id, submit: submit}
+	group := id % len(c.groups)
 	for i := 0; i < gpuCount; i++ {
 		m := newGPUMirror(id, i, pageCacheBytes)
+		m.group = group
 		wh.gpus = append(wh.gpus, m)
 		c.gpus = append(c.gpus, m)
+		c.groups[group].gpus = append(c.groups[group].gpus, m)
 	}
 	c.workers = append(c.workers, wh)
 	// IDs ascend, so id lies past every slot the table has.
@@ -383,16 +354,15 @@ func (c *Controller) FailWorker(id int) error {
 	return nil
 }
 
-// worker validates a (cluster-global) worker ID against this controller.
+// worker validates a worker ID.
 func (c *Controller) worker(id int) (*workerHandle, error) {
 	if id < 0 || id >= len(c.workerByID) || c.workerByID[id] == nil {
-		return nil, fmt.Errorf("%w: %d (shard has %d workers)", ErrNoSuchWorker, id, len(c.workers))
+		return nil, fmt.Errorf("%w: %d (have %d)", ErrNoSuchWorker, id, len(c.workers))
 	}
 	return c.workerByID[id], nil
 }
 
-// mirror returns the mirror of (workerID, gpu); both must belong to this
-// controller.
+// mirror returns the mirror of (workerID, gpu); both must exist.
 func (c *Controller) mirror(workerID, gpu int) *GPUMirror {
 	return c.workerByID[workerID].gpus[gpu]
 }
@@ -454,10 +424,11 @@ func (c *Controller) WorkerStateOf(id int) (WorkerState, error) {
 }
 
 // RegisterModel announces a model instance, seeding its action profiles
-// from offline profiling data (§5.1). Duplicate names are an error.
+// from offline profiling data (§5.1), in its placement group. Duplicate
+// names are an error.
 //
-// The name keeps the ID (and this controller the profile block) of any
-// earlier registration: measurements learned for the same catalogue
+// The name keeps the ID (and the profile block) of any earlier
+// registration: measurements learned for the same catalogue
 // model carry over, while seeds that differ — the name now stands for
 // another model — discard them (predictor.Estimator.Seed).
 func (c *Controller) RegisterModel(name string, zoo *modelzoo.Model) error {
@@ -471,7 +442,7 @@ func (c *Controller) RegisterModel(name string, zoo *modelzoo.Model) error {
 	if c.tab.live[id] != nil {
 		return fmt.Errorf("%w: %q", ErrDuplicateModel, name)
 	}
-	mi := &ModelInfo{name: name, id: id, zoo: zoo, owner: c, seq: c.nextSeq}
+	mi := &ModelInfo{name: name, id: id, zoo: zoo, owner: c, seq: c.nextSeq, group: groupOf(name, len(c.groups))}
 	c.nextSeq++
 	c.tab.live[id] = mi
 	c.modelList = append(c.modelList, mi)
@@ -482,8 +453,7 @@ func (c *Controller) RegisterModel(name string, zoo *modelzoo.Model) error {
 	return nil
 }
 
-// unlist drops mi from this controller's registry (unregistration, or
-// extraction for a migration); its name keeps its ID.
+// unlist drops mi from the registry; its name keeps its ID.
 func (c *Controller) unlist(mi *ModelInfo) {
 	c.tab.live[mi.id] = nil
 	for i, m := range c.modelList {
@@ -529,7 +499,7 @@ func (c *Controller) UnregisterModel(name string) error {
 
 	// Evict every replica (deterministic GPU order; disabled mirrors
 	// were already detached and their workers keep stale weights).
-	for _, g := range c.gpus {
+	for _, g := range c.groups[mi.group].gpus {
 		if !g.disabled && mi.residentOnGPU(g) {
 			c.SendUnload(g, mi)
 		}
@@ -540,28 +510,22 @@ func (c *Controller) UnregisterModel(name string) error {
 	return nil
 }
 
-// Model returns this controller's registry entry for name. It resolves
-// the name; code that already holds a request, an action result or an ID
-// reads the entry off that instead (Request.ModelInfo, ModelByID).
+// Model returns the registry entry for name. It resolves the name; code
+// that already holds a request, an action result or an ID reads the
+// entry off that instead (Request.ModelInfo, ModelByID).
 func (c *Controller) Model(name string) (*ModelInfo, bool) {
-	return c.owned(c.tab.lookup(name))
+	mi := c.tab.lookup(name)
+	return mi, mi != nil
 }
 
-// ModelByID returns this controller's registry entry for id — how a
-// scheduler walking GPUMirror.Pages gets from a cache key to its model.
+// ModelByID returns the registry entry for id — how a scheduler walking
+// GPUMirror.Pages gets from a cache key to its model.
 func (c *Controller) ModelByID(id ModelID) (*ModelInfo, bool) {
 	if id <= 0 || int(id) >= len(c.tab.live) {
 		return nil, false
 	}
-	return c.owned(c.tab.live[id])
-}
-
-// owned narrows a live registration to one this controller owns.
-func (c *Controller) owned(mi *ModelInfo) (*ModelInfo, bool) {
-	if mi == nil || mi.owner != c {
-		return nil, false
-	}
-	return mi, true
+	mi := c.tab.live[id]
+	return mi, mi != nil
 }
 
 // ModelCount returns the number of registered instances.
@@ -591,15 +555,14 @@ func (c *Controller) Submit(spec SubmitSpec, rsp Responder) *Request {
 	now := c.eng.Now()
 	// The cluster's submission edge resolved the name already; the ID it
 	// left in the spec is read against the table as it is now, so a model
-	// unregistered, re-registered or migrated while the request was on
-	// the wire is seen as exactly that.
+	// unregistered or re-registered while the request was on the wire is seen as exactly that.
 	id := spec.id
 	if id == 0 {
 		id = c.tab.resolve(spec.Model)
 	}
-	mi, ok := c.owned(c.tab.live[id])
-	if !ok {
-		c.nextRequestID += c.cfg.IDStride
+	mi := c.tab.live[id]
+	if mi == nil {
+		c.nextRequestID++
 		c.stats.Requests++
 		resp := Result{
 			RequestID: c.nextRequestID, Model: spec.Model, id: id, Tenant: spec.Tenant,
@@ -610,7 +573,7 @@ func (c *Controller) Submit(spec SubmitSpec, rsp Responder) *Request {
 		}
 		return nil
 	}
-	c.nextRequestID += c.cfg.IDStride
+	c.nextRequestID++
 	margin := c.cfg.ResponseMargin
 	if margin <= 0 {
 		margin = time.Millisecond
@@ -647,7 +610,7 @@ func (c *Controller) Submit(spec SubmitSpec, rsp Responder) *Request {
 		c.activate(mi)
 	}
 	c.reindexModel(mi)
-	c.flight.Admitted(r.ID, r.Model, r.Tenant, r.SLO, r.Priority, r.coldStart, len(mi.queue), now.Duration())
+	c.flight.Admitted(r.ID, r.Model, r.Tenant, mi.group, r.SLO, r.Priority, r.coldStart, len(mi.queue), now.Duration())
 
 	// A client cancel that raced the request's network transit wins
 	// deterministically: the request is answered before the scheduler
@@ -733,12 +696,13 @@ func (c *Controller) timeoutRequest(r *Request) {
 }
 
 // activate counts mi, whose queue has just gone from empty to not, as
-// active, and gives the GPUs holding it work for it.
+// active in its group, and gives the GPUs holding it work for it.
 func (c *Controller) activate(mi *ModelInfo) {
-	if c.active == 0 {
-		c.wakesLapsed = true
+	grp := &c.groups[mi.group]
+	if grp.active == 0 {
+		grp.wakesLapsed = true
 	}
-	c.active++
+	grp.active++
 	for _, g := range mi.residentOn {
 		g.addWork(mi)
 	}
@@ -748,7 +712,7 @@ func (c *Controller) activate(mi *ModelInfo) {
 // mi's queue, which held some: if none are left mi is no longer active.
 func (c *Controller) noteQueueMaybeEmpty(mi *ModelInfo) {
 	if len(mi.queue) == 0 {
-		c.active--
+		c.groups[mi.group].active--
 		for _, g := range mi.residentOn {
 			g.dropWork(mi)
 		}
@@ -799,7 +763,7 @@ func (c *Controller) SendInfer(g *GPUMirror, mi *ModelInfo, batch int, reqs []*R
 	}
 	c.noteQueueMaybeEmpty(mi)
 
-	c.nextActionID += c.cfg.IDStride
+	c.nextActionID++
 	startAt := simclock.Max(earliest, c.eng.Now())
 	completion := startAt.Add(est)
 	a := c.acquireAction()
@@ -849,7 +813,7 @@ func (c *Controller) SendLoad(g *GPUMirror, mi *ModelInfo, earliest, latest simc
 	if est <= 0 {
 		panic("core: zero load estimate for " + mi.name)
 	}
-	c.nextActionID += c.cfg.IDStride
+	c.nextActionID++
 	// The executor frees at transferEnd; the weights are *usable* for
 	// INFER window math a network-allowance later, so windows opened at
 	// the ETA never race the transfer's completion.
@@ -883,7 +847,7 @@ func (c *Controller) SendUnload(g *GPUMirror, mi *ModelInfo) *action.Action {
 	}
 	g.outstanding(mi.id).loading = 0
 	mi.dropReplica(g)
-	c.nextActionID += c.cfg.IDStride
+	c.nextActionID++
 	a := &action.Action{
 		ID:       c.nextActionID,
 		Type:     action.Unload,
@@ -943,7 +907,7 @@ func (c *Controller) handleLoadResult(g *GPUMirror, res action.Result) {
 		c.profile.Observe(mi.id, predictor.Key{Op: predictor.Load}, res.Duration)
 		c.LoadDuration.Record(res.ExpectedDuration, res.Duration)
 		c.LoadCompletion.Record(absTimeError(res.ExpectedCompletion, res.End))
-		c.flight.LoadDone(res.Model, res.WorkerID, res.GPU, res.Start.Duration(), res.End.Duration(), true)
+		c.flight.LoadDone(res.Model, mi.group, res.WorkerID, res.GPU, res.Start.Duration(), res.End.Duration(), true)
 		// The model's readiness instant just dropped from the LOAD's
 		// padded ETA to "now"; re-key its strategies.
 		c.reindexModel(mi)
@@ -951,7 +915,7 @@ func (c *Controller) handleLoadResult(g *GPUMirror, res action.Result) {
 	}
 	// Rejected LOAD: roll the mirror back.
 	c.stats.LoadFailures++
-	c.flight.LoadDone(res.Model, res.WorkerID, res.GPU, res.Start.Duration(), res.End.Duration(), false)
+	c.flight.LoadDone(res.Model, mi.group, res.WorkerID, res.GPU, res.Start.Duration(), res.End.Duration(), false)
 	if g.Pages.Free(mi.id) == nil { // errors only when already gone
 		mi.dropReplica(g)
 	}
@@ -975,7 +939,7 @@ func (c *Controller) handleInferResult(g *GPUMirror, res action.Result) *action.
 		c.profile.Observe(mi.id, predictor.Key{Op: predictor.Exec, Batch: res.Batch}, res.Duration)
 		c.InferDuration.Record(res.ExpectedDuration, res.Duration)
 		c.InferCompletion.Record(absTimeError(res.ExpectedCompletion, res.End))
-		c.flight.ExecDone(res.RequestIDs, res.ActionID, res.Model, res.WorkerID, res.GPU,
+		c.flight.ExecDone(res.RequestIDs, res.ActionID, res.Model, mi.group, res.WorkerID, res.GPU,
 			res.Batch, res.Start.Duration(), res.End.Duration())
 		// The observation may have moved this model's execution
 		// estimates, which re-keys its strategies everywhere.

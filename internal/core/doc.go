@@ -1,6 +1,7 @@
 // Package core implements Clockwork's control plane: the centralized
 // controller of the paper (§4.5, §5.3), its scheduler (Appendix B),
-// and the sharded extension that partitions both for scale. All
+// and the placement groups that confine each model's LOADs to a slice
+// of the GPUs. All
 // performance-relevant choices — admission, batching, placement, cache
 // management — are made here; workers execute exactly what they are
 // told.
@@ -13,11 +14,10 @@
 //  1. Submit. Cluster.Submit, the one submission path, validates the
 //     spec, resolves the model's name to its ID, and puts the input on
 //     the client network link.
-//  2. Shard. On arrival the owning Controller mints a request ID
-//     (from the shard's disjoint ID progression), derives the
-//     internal deadline from the SLO, enqueues the request on its
+//  2. Admit. On arrival the Controller mints a request ID, derives
+//     the internal deadline from the SLO, enqueues the request on its
 //     model's queue, arms admission control's last-chance timer, and
-//     hands it to the shard's Scheduler.
+//     hands it to the Scheduler.
 //  3. Schedule. The scheduler keeps every GPU executor supplied with
 //     at most Lookahead of predicted work: INFER strategies picked
 //     from per-GPU strategy heaps, LOADs by Appendix B demand
@@ -28,23 +28,19 @@
 //     batch's requests.
 //  5. Respond. The response crosses the client link back; the cluster
 //     stamps the client-observed latency on the Result, counts it in
-//     Metrics (one Outcomes ledger each globally, per shard, per
-//     model and per tenant) and hands it to the submission's
+//     Metrics (one Outcomes ledger each globally, per model and per
+//     tenant) and hands it to the submission's
 //     ResultSink: a pooled serving-path sink, a Handle, or a
 //     ResultFunc.
 //
-// # Sharding
+// # Placement groups
 //
-// ClusterConfig.Shards > 1 partitions the control plane into N
-// controllers on the one event engine. Each shard owns a disjoint
-// slice of workers (global worker ID mod N) — and therefore of GPUs —
-// and a disjoint subset of models (FNV hash of the name). Cross-shard
-// state lives exclusively in the Cluster: the model→shard and
-// worker→shard maps and the shared client-observed Metrics.
-//
-// Shards == 1 is bit-identical to the pre-shard centralized
-// controller (goldens in internal/experiments enforce this), and
-// determinism survives N > 1: shards share the deterministic engine,
-// IDs stride so they never collide, worker RNG streams derive from
-// worker IDs (not shard membership).
+// ClusterConfig.Shards = N splits the one controller's GPUs into N
+// placement groups — a worker's GPUs join group (worker ID mod N) — and
+// puts each model in group (FNV-1a of its name mod N). A model is only
+// ever loaded onto GPUs of its group (group.go), so each group's page
+// caches hold a stable slice of the models. N = 1 is the paper's
+// controller, bit-identical to it (goldens in internal/experiments
+// enforce this). Worker RNG streams derive from worker IDs, so a worker
+// behaves the same whatever N is.
 package core

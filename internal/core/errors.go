@@ -25,6 +25,4 @@ var (
 	// ErrInvalidRequest: the submission spec is malformed (empty model
 	// name, non-positive SLO, negative batch cap, …).
 	ErrInvalidRequest = errors.New("invalid request")
-	// ErrNoSuchShard: the shard index is out of range for the cluster.
-	ErrNoSuchShard = errors.New("no such shard")
 )

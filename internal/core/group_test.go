@@ -7,11 +7,13 @@ import (
 	"testing"
 	"time"
 
+	"clockwork/internal/action"
 	"clockwork/internal/modelzoo"
 )
 
-// newShardedCluster builds a Shards=N cluster with one ResNet50 copy
-// per model name, using exact timing so tests are schedule-stable.
+// newShardedCluster builds a cluster with Shards=N placement groups and
+// one ResNet50 copy per model name, using exact timing so tests are
+// schedule-stable.
 func newShardedCluster(t *testing.T, shards, workers, models int) (*Cluster, []string) {
 	t.Helper()
 	cl := NewCluster(ClusterConfig{
@@ -32,24 +34,69 @@ func newShardedCluster(t *testing.T, shards, workers, models int) (*Cluster, []s
 	return cl, names
 }
 
-// TestShardedClusterServes covers the tentpole end to end: a Shards=4
-// cluster must answer every request exactly once, mint globally unique
-// request IDs across shards, spread model ownership, and attribute
-// per-shard metrics bins that sum to the totals.
+// TestPlacementGroups is the placement rule end to end, at one, two and
+// four groups under a Zipf load whose cold tail cycles through small
+// page caches: every LOAD lands on a GPU of the model's group — the
+// group a hash of its name gives it, the GPU's the group of its worker
+// — and every group serves requests.
+func TestPlacementGroups(t *testing.T) {
+	for _, groups := range []int{1, 2, 4} {
+		t.Run(fmt.Sprintf("groups-%d", groups), func(t *testing.T) {
+			t.Parallel()
+			cl := NewCluster(ClusterConfig{
+				Workers: 8, GPUsPerWorker: 2, Shards: groups, Seed: 3,
+				// Two ResNet50s per GPU: the 64 models do not fit, so LOADs
+				// and evictions continue throughout.
+				PageCacheBytes: 2 * 7 * 16 * 1024 * 1024,
+			})
+			c := cl.Ctl
+			loads := 0
+			for _, wh := range c.workers {
+				wh, submit := wh, wh.submit
+				wh.submit = func(a *action.Action, payload int64) {
+					if a.Type == action.Load {
+						loads++
+						if want := groupOf(a.Model, groups); wh.id%groups != want {
+							t.Fatalf("LOAD of %s (group %d) sent to worker %d (group %d)", a.Model, want, wh.id, wh.id%groups)
+						}
+					}
+					submit(a, payload)
+				}
+			}
+			names, _ := cl.RegisterCopies("m", modelzoo.ResNet50(), 64)
+			zipfWorkload(cl, 3, names, 0.9, 2000, 0, 3*time.Second)
+			cl.RunFor(4 * time.Second)
+			served := make([]uint64, groups)
+			for _, name := range names {
+				st, _ := cl.ModelStats(name)
+				served[groupOf(name, groups)] += st.Succeeded
+			}
+			for i, n := range served {
+				if n == 0 {
+					t.Fatalf("group %d served nothing: %v", i, served)
+				}
+			}
+			if st := cl.Stats(); loads == 0 || st.ActionsUnload == 0 {
+				t.Fatalf("%d LOADs, %d UNLOADs: the placement rule was never exercised", loads, st.ActionsUnload)
+			}
+			t.Logf("%d LOADs, served per group %v", loads, served)
+		})
+	}
+}
+
+// TestShardedClusterServes: with four placement groups every request is
+// answered exactly once with a unique request ID, and the models spread
+// over the groups.
 func TestShardedClusterServes(t *testing.T) {
 	const shards, workers, models, perModel = 4, 8, 16, 6
 	cl, names := newShardedCluster(t, shards, workers, models)
 
 	owned := make(map[int]int)
 	for _, n := range names {
-		s, ok := cl.ShardOf(n)
-		if !ok {
-			t.Fatalf("ShardOf(%q) unknown", n)
-		}
-		owned[s]++
+		owned[cl.models.lookup(n).group]++
 	}
 	if len(owned) < 2 {
-		t.Fatalf("consistent hashing put all %d models on one shard: %v", models, owned)
+		t.Fatalf("the name hash put all %d models in one group: %v", models, owned)
 	}
 
 	responses := 0
@@ -76,29 +123,23 @@ func TestShardedClusterServes(t *testing.T) {
 			t.Fatal("handle not done after drain")
 		}
 		if h.ID() == 0 {
-			t.Fatal("request never reached a controller")
+			t.Fatal("request never reached the controller")
 		}
 		if ids[h.ID()] {
-			t.Fatalf("duplicate request ID %d across shards", h.ID())
+			t.Fatalf("duplicate request ID %d", h.ID())
 		}
 		ids[h.ID()] = true
 	}
-
-	st := cl.Stats()
-	if st.Requests != uint64(total) {
-		t.Fatalf("aggregated stats.Requests = %d, want %d", st.Requests, total)
+	if st := cl.Stats(); st.Requests != uint64(total) {
+		t.Fatalf("stats.Requests = %d, want %d", st.Requests, total)
 	}
-	var binSum uint64
-	for i := 0; i < cl.ShardCount(); i++ {
-		binSum += cl.Metrics.ShardStats(i).Requests
-	}
-	if binSum != uint64(total) {
-		t.Fatalf("per-shard bins sum to %d, want %d", binSum, total)
+	if got := cl.Metrics.Total.Requests; got != uint64(total) {
+		t.Fatalf("Metrics.Total.Requests = %d, want %d", got, total)
 	}
 }
 
 // TestShardedDeterminism: equal seeds must give byte-identical outcome
-// streams on a sharded cluster.
+// streams with placement groups.
 func TestShardedDeterminism(t *testing.T) {
 	run := func() string {
 		cl := NewCluster(ClusterConfig{
@@ -115,17 +156,17 @@ func TestShardedDeterminism(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// Skew the load: all demand lands on the models one shard owns,
+		// Skew the load: all demand lands on the models of one group,
 		// with queues deep enough that its GPUs evict and reload.
-		target, _ := cl.ShardOf(names[0])
+		target := cl.models.lookup(names[0]).group
 		var hot []string
 		for _, n := range names {
-			if s, _ := cl.ShardOf(n); s == target {
+			if cl.models.lookup(n).group == target {
 				hot = append(hot, n)
 			}
 		}
 		if len(hot) < 2 {
-			t.Fatalf("hash placed %d models on shard %d; need ≥2", len(hot), target)
+			t.Fatalf("hash placed %d models in group %d; need ≥2", len(hot), target)
 		}
 		var log string
 		for round := 0; round < 20; round++ {
@@ -143,12 +184,12 @@ func TestShardedDeterminism(t *testing.T) {
 	log2 := run()
 	t.Logf("%d outcome lines", strings.Count(log1, "\n"))
 	if log1 != log2 {
-		t.Fatal("sharded outcome streams diverged across equal-seed runs")
+		t.Fatal("outcome streams diverged across equal-seed runs")
 	}
 }
 
-// TestShardGeometryValidation: more shards than workers (a shard with
-// zero GPUs could never serve its models) is a construction-time error.
+// TestShardGeometryValidation: more groups than workers (a group with
+// no GPUs could never load its models) is a construction-time error.
 func TestShardGeometryValidation(t *testing.T) {
 	if _, err := NewClusterWithPolicy("", ClusterConfig{Workers: 2, Shards: 4}); err == nil {
 		t.Fatal("want error for Shards > Workers")
@@ -156,11 +197,10 @@ func TestShardGeometryValidation(t *testing.T) {
 }
 
 // TestShardedControlPlaneRouting: worker lifecycle and model retirement
-// must route to the owning shard on a sharded cluster.
+// with placement groups.
 func TestShardedControlPlaneRouting(t *testing.T) {
 	cl, names := newShardedCluster(t, 2, 4, 4)
 
-	// Workers stripe across shards by id mod Shards.
 	if err := cl.DrainWorker(1); err != nil {
 		t.Fatal(err)
 	}
@@ -177,12 +217,12 @@ func TestShardedControlPlaneRouting(t *testing.T) {
 		t.Fatalf("want ErrNoSuchWorker, got %v", err)
 	}
 
-	// Unregister routes to the owner and scrubs cluster bookkeeping.
+	// Unregister scrubs the cluster bookkeeping.
 	if err := cl.UnregisterModel(names[0]); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cl.ShardOf(names[0]); ok {
-		t.Fatal("unregistered model still owned")
+	if cl.models.lookup(names[0]) != nil {
+		t.Fatal("unregistered model still registered")
 	}
 	if err := submitFn(cl, names[0], time.Second, nil); !errors.Is(err, ErrUnknownModel) {
 		t.Fatalf("want ErrUnknownModel after unregister, got %v", err)

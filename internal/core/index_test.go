@@ -193,8 +193,8 @@ func zipfWorkload(cl *Cluster, seed uint64, names []string, exp, rate float64, f
 // neither. It returns the number of skips audited.
 func auditSkips(t *testing.T, cl *Cluster) *int {
 	n := new(int)
-	for _, ctl := range cl.Ctls {
-		ctl, s := ctl, ctl.schd.(*ClockworkScheduler)
+	{
+		ctl, s := cl.Ctl, cl.Ctl.schd.(*ClockworkScheduler)
 		s.testOnSkip = func(g *GPUMirror) {
 			*n++
 			wake := func() simclock.Timer {
@@ -220,8 +220,8 @@ func auditSkips(t *testing.T, cl *Cluster) *int {
 }
 
 // runCompared steps cl's engine to `until`, calling between (when
-// non-nil) after every step and comparing every shard's selections on
-// every `every`-th.
+// non-nil) after every step and comparing the selections on every
+// `every`-th.
 func runCompared(t *testing.T, cl *Cluster, until time.Duration, every int, between func()) (n compareTally) {
 	t.Helper()
 	stop := simclock.Time(until)
@@ -236,23 +236,22 @@ func runCompared(t *testing.T, cl *Cluster, until time.Duration, every int, betw
 		}
 		compared++
 		now := cl.Eng.Now()
-		for _, ctl := range cl.Ctls {
-			s := ctl.schd.(*ClockworkScheduler)
-			if compareControllerState(t, ctl, now) {
-				n.positive++
+		ctl := cl.Ctl
+		s := ctl.schd.(*ClockworkScheduler)
+		if compareControllerState(t, ctl, now) {
+			n.positive++
+		}
+		for _, g := range ctl.GPUs() {
+			if g.disabled {
+				continue // schedulers never select for a detached mirror
 			}
-			for _, g := range ctl.GPUs() {
-				if g.disabled {
-					continue // schedulers never select for a detached mirror
-				}
-				switch walked, load := compareSelections(t, s, g, now); {
-				case !walked:
-					n.gated++
-				case load == nil:
-					n.walkedNil++
-				default:
-					n.picked++
-				}
+			switch walked, load := compareSelections(t, s, g, now); {
+			case !walked:
+				n.gated++
+			case load == nil:
+				n.walkedNil++
+			default:
+				n.picked++
 			}
 		}
 	}
@@ -292,10 +291,10 @@ func compareControllerState(t *testing.T, c *Controller, now simclock.Time) (pos
 	// The replica lists are the mirrors' residency, seen from the other
 	// side (on enabled mirrors; a detached mirror keeps stale pages), and
 	// the work lists are the resident models with queued requests.
-	active, work := 0, make(map[*GPUMirror]int)
+	active, work := make([]int, len(c.groups)), make(map[*GPUMirror]int)
 	for _, mi := range c.modelList {
 		if len(mi.queue) > 0 {
-			active++
+			active[mi.group]++
 		}
 		for _, g := range c.GPUs() {
 			inWork := int(mi.id) < len(g.actions) && g.actions[mi.id].work != 0
@@ -304,6 +303,9 @@ func compareControllerState(t *testing.T, c *Controller, now simclock.Time) (pos
 				if g.withWork[g.actions[mi.id].work-1] != mi {
 					t.Fatalf("t=%v: %s's withWork slot on w%d.g%d holds another model", now, mi.name, g.WorkerID, g.GPU)
 				}
+			}
+			if mi.residentOnGPU(g) && g.group != mi.group {
+				t.Fatalf("t=%v: %s of group %d resident on w%d.g%d of group %d", now, mi.name, mi.group, g.WorkerID, g.GPU, g.group)
 			}
 			if inWork != (mi.residentOnGPU(g) && len(mi.queue) > 0) {
 				t.Fatalf("t=%v: %s in withWork of w%d.g%d = %v with %d queued, resident=%v",
@@ -321,8 +323,10 @@ func compareControllerState(t *testing.T, c *Controller, now simclock.Time) (pos
 			}
 		}
 	}
-	if c.active != active {
-		t.Fatalf("t=%v: active count %d, %d models have queued requests", now, c.active, active)
+	for i := range c.groups {
+		if c.groups[i].active != active[i] {
+			t.Fatalf("t=%v: group %d's active count %d, %d of its models have queued requests", now, i, c.groups[i].active, active[i])
+		}
 	}
 	for _, g := range c.GPUs() {
 		if len(g.withWork) != work[g] {
@@ -357,30 +361,37 @@ func compareControllerState(t *testing.T, c *Controller, now simclock.Time) (pos
 			t.Fatalf("t=%v: %s carries load sign %d with no GPU dirty, exact sign is %d", now, mi.name, mi.loadSign, exactSign(mi))
 		}
 	}
-	c.flushLoadSigns()
-	cold, pos := 0, 0
+	cold, pos := make([]int, len(c.groups)), make([]int, len(c.groups))
+	for i := range c.groups {
+		c.flushLoadSigns(&c.groups[i])
+	}
 	for _, mi := range c.modelList {
+		grp := &c.groups[mi.group]
 		sign := exactSign(mi)
 		if mi.loadSign != sign {
 			t.Fatalf("t=%v: %s carries load sign %d after a flush, exact sign is %d", now, mi.name, mi.loadSign, sign)
 		}
 		inCold := mi.coldNode != nil && mi.coldNode.key == -int64(mi.demand)
-		inPos := mi.posAt > 0 && mi.posAt <= len(c.posSet) && c.posSet[mi.posAt-1] == mi
+		inPos := mi.posAt > 0 && mi.posAt <= len(grp.posSet) && grp.posSet[mi.posAt-1] == mi
 		if inCold != (sign == signCold) || inPos != (sign == signPositive) {
 			t.Fatalf("t=%v: %s with sign %d: in the cold index %v, in the positive set %v", now, mi.name, sign, inCold, inPos)
 		}
 		switch sign {
 		case signCold:
-			cold++
+			cold[mi.group]++
 		case signPositive:
-			pos++
+			pos[mi.group]++
+			positive = true
 		}
 	}
-	if len(c.dirtyGPUs) != 0 || c.coldIdx.Len() != cold || len(c.posSet) != pos {
-		t.Fatalf("t=%v: after a flush the sets hold cold=%d positive=%d with %d GPUs dirty, recount %d / %d",
-			now, c.coldIdx.Len(), len(c.posSet), len(c.dirtyGPUs), cold, pos)
+	for i := range c.groups {
+		grp := &c.groups[i]
+		if len(grp.dirtyGPUs) != 0 || grp.coldIdx.Len() != cold[i] || len(grp.posSet) != pos[i] {
+			t.Fatalf("t=%v: after a flush group %d's sets hold cold=%d positive=%d with %d GPUs dirty, recount %d / %d",
+				now, i, grp.coldIdx.Len(), len(grp.posSet), len(grp.dirtyGPUs), cold[i], pos[i])
+		}
 	}
-	return pos > 0
+	return positive
 }
 
 // compareSelections checks one GPU's three selections against the
@@ -397,7 +408,8 @@ func compareSelections(t *testing.T, s *ClockworkScheduler, g *GPUMirror, now si
 			now, name(mi1), b1, e1, rs1, name(mi2), b2, e2, rs2)
 	}
 
-	walked = s.c.coldIdx.Len() > 0 || len(s.c.posSet) > 0 // flushed by the caller
+	grp := &s.c.groups[g.group]
+	walked = grp.coldIdx.Len() > 0 || len(grp.posSet) > 0 // flushed by the caller
 	l1 := s.bestLoad(g, now)
 	l2 := s.bestLoadLinear(g, now)
 	if l1 != l2 {
@@ -448,7 +460,7 @@ func TestOldestFirstIndexMatchesLinear(t *testing.T) {
 				steps++
 				if late && steps == 500 {
 					// Mid-run, with models active and queues non-empty.
-					if cl.Ctl.active == 0 {
+					if cl.Ctl.groups[0].active == 0 {
 						t.Fatal("no active model at the switch; the late build would be vacuous")
 					}
 					s.LoadSelection = LoadOldestFirst
@@ -458,7 +470,7 @@ func TestOldestFirstIndexMatchesLinear(t *testing.T) {
 				}
 				now := cl.Eng.Now()
 				for _, g := range cl.Ctl.GPUs() {
-					o1 := s.bestLoadOldest(g, now)
+					o1 := s.bestLoadOldest(g, &cl.Ctl.groups[0], now)
 					if o2 := s.bestLoadOldestLinear(g, now); o1 != o2 {
 						t.Fatalf("t=%v: indexed oldest %v vs linear %v", now, name(o1), name(o2))
 					}
@@ -466,9 +478,9 @@ func TestOldestFirstIndexMatchesLinear(t *testing.T) {
 						hits++
 					}
 				}
-				if cl.Ctl.deadlineIdx.Len() != cl.Ctl.active {
+				if grp := &cl.Ctl.groups[0]; grp.deadlineIdx.Len() != grp.active {
 					t.Fatalf("t=%v: deadline index holds %d models, %d are active",
-						now, cl.Ctl.deadlineIdx.Len(), cl.Ctl.active)
+						now, grp.deadlineIdx.Len(), grp.active)
 				}
 			}
 			if hits == 0 {

@@ -55,11 +55,6 @@ type Metrics struct {
 	perModel  []*modelOutcomes
 	perTenant map[string]*Outcomes
 
-	// perShard bins outcomes by the scheduler shard that owned the
-	// model at completion — the balance signal the sharded control
-	// plane exposes (grown lazily to the highest shard index seen).
-	perShard []Outcomes
-
 	// recent* accumulate one control period's outcomes for the
 	// closed-loop autoscaler: a single engine-confined consumer drains
 	// and resets them each period via DrainRecent.
@@ -80,8 +75,8 @@ type RecentStats struct {
 }
 
 // Outcomes counts client-observed outcomes. The metrics keep one
-// ledger globally (Metrics.Total) and one per shard, per model and per
-// tenant, all fed by the same add.
+// ledger globally (Metrics.Total) and one per model and per tenant,
+// all fed by the same add.
 type Outcomes struct {
 	Requests  uint64
 	Succeeded uint64
@@ -237,18 +232,8 @@ func (m *Metrics) coldSet(idx int) *coldSet {
 	return &m.coldModelSets[idx]
 }
 
-// ShardStats returns shard i's outcomes (zero for shards that have not
-// completed any response yet).
-func (m *Metrics) ShardStats(i int) Outcomes {
-	if i < 0 || i >= len(m.perShard) {
-		return Outcomes{}
-	}
-	return m.perShard[i]
-}
-
-// record ingests one client-observed result, attributed to the
-// scheduler shard owning the model at completion.
-func (m *Metrics) record(now simclock.Time, shard int, res Result, slo time.Duration) {
+// record ingests one client-observed result.
+func (m *Metrics) record(now simclock.Time, res Result, slo time.Duration) {
 	idx := m.bucket(now)
 	lat := telemetry.NewSample(res.Latency) // bucketed once for five histograms
 	m.LatencyAll.ObserveSample(lat)
@@ -261,10 +246,6 @@ func (m *Metrics) record(now simclock.Time, shard int, res Result, slo time.Dura
 
 	m.Total.add(res, slo)
 	m.recent.add(res, slo)
-	for len(m.perShard) <= shard {
-		m.perShard = append(m.perShard, Outcomes{})
-	}
-	m.perShard[shard].add(res, slo)
 	m.perModel = action.Grow(m.perModel, res.id)
 	mo := m.perModel[res.id]
 	if mo == nil {

@@ -20,6 +20,9 @@ type GPUMirror struct {
 	WorkerID int
 	GPU      int
 
+	// group is the placement group the GPU belongs to (group.go).
+	group int
+
 	// Pages mirrors the worker's PageCache (same deterministic type).
 	Pages *memory.PageCache
 
@@ -51,7 +54,7 @@ type GPUMirror struct {
 	// (index.go): loadCeil is at most the lowest ℓ_g level any model in
 	// withWork was cleared to, so while ℓ_g ≤ loadCeil none of their
 	// p_m ≤ 0 verdicts can have changed on this GPU's account; loadDirty
-	// is set while this mirror sits on the controller's dirtyGPUs list
+	// is set while this mirror sits on its group's dirtyGPUs list
 	// waiting for those models to be looked at again.
 	loadCeil  time.Duration
 	loadDirty bool
@@ -199,9 +202,11 @@ type ModelInfo struct {
 	// every per-GPU, per-worker and per-profile table is indexed by.
 	id  ModelID
 	zoo *modelzoo.Model
-	// owner is the controller this entry is registered with (rebound on
-	// migration adoption); PopBatch draws batch slices from its pool.
+	// owner is the controller this entry is registered with; PopBatch
+	// draws batch slices from its pool.
 	owner *Controller
+	// group is the placement group the model is loaded in (group.go).
+	group int
 
 	// queue holds queued requests ordered by (priority desc, arrival):
 	// with the default priority 0 everywhere this is plain FIFO
@@ -238,14 +243,14 @@ type ModelInfo struct {
 	// can retract it exactly before applying the new share.
 	loadShare time.Duration
 	sharedOn  []*GPUMirror
-	// loadSign says which of the controller's load-candidate sets this
+	// loadSign says which of its group's load-candidate sets this
 	// model is in — the cold index or the positive set; written only by
 	// Controller.settleLoadSign. While it is signNone on an active
 	// replicated model, clearedTo[i] is the ℓ level of residentOn[i] up
 	// to which p_m ≤ 0 is proven (see Controller.clearLoad).
 	loadSign  loadSign
 	clearedTo []time.Duration
-	// posAt is this model's position in the controller's positive set
+	// posAt is this model's position in its group's positive set
 	// plus one (zero: not in it); coldNode and deadlineNode are its
 	// handles in the cold and deadline indexes.
 	posAt        int

@@ -7,21 +7,19 @@ type ModelID = action.ModelID
 
 // modelTable interns model instance names: names at the edges, IDs
 // inside. A name gets its ID the first time it is registered and keeps
-// it for the table's lifetime — through unregistration, re-registration
-// and migration — so an ID held by a request on the wire, a page-cache
+// it for the table's lifetime — through unregistration and
+// re-registration — so an ID held by a request on the wire, a page-cache
 // slot, a profile block or a metrics row can never come to mean a
 // different name. ids is the only map keyed by a model's name in the
 // serving path; a request's name goes through it once, at submission,
 // and everything downstream indexes slices by the ID.
 //
-// One table serves a whole cluster (every shard's controller shares it,
-// so an ID means the same instance on any shard); a controller built on
-// its own gets a private one.
+// One table serves a whole cluster (the controller and the cluster
+// layer share it); a controller built on its own gets a private one.
 type modelTable struct {
 	ids map[string]ModelID
-	// live holds, by ID, the name's current registration — the ModelInfo
-	// on whichever controller owns it now — or nil while the name is not
-	// registered. live[0] stays nil: ID 0 means "not resolved".
+	// live holds, by ID, the name's current registration, or nil while
+	// the name is not registered. live[0] stays nil: ID 0 means "not resolved".
 	live []*ModelInfo
 
 	// onResolve, when non-nil, observes every by-name resolution; tests

@@ -84,7 +84,8 @@ func TestReregisterOtherZooModelRestartsProfile(t *testing.T) {
 // re-register (sometimes as another catalogue model) and submit — most control-plane steps with a request on the wire — and
 // after every step holds the model table to the reference
 // the test keeps: a name's ID never changes and is never shared, a live
-// entry is exactly a registered name on the shard that owns it,
+// entry is exactly a registered name, in the placement group its name
+// hashes to,
 // ModelNames is registration order, host RAM agrees,
 // and every page cache (mirror and worker) is internally consistent.
 // Every submission gets exactly one outcome, and the two in-transit
@@ -166,9 +167,8 @@ func interningChurn(t *testing.T, shards int, seed uint64) {
 	// landed runs the clock until a submission made this instant has
 	// reached the control plane (and a rejection has come back), then
 	// holds it to its in-transit rule: rejected as unregistered, or
-	// admitted — still queued, or answered otherwise — by shard's
-	// controller, whose ID space the request ID then comes from.
-	landed := func(h *Handle, name string, unregistered bool, shard int) {
+	// admitted — still queued, or answered otherwise.
+	landed := func(h *Handle, name string, unregistered bool) {
 		t.Helper()
 		cl.RunFor(3 * cl.cfg.NetLatency)
 		resp, done := h.Outcome()
@@ -179,10 +179,10 @@ func interningChurn(t *testing.T, shards int, seed uint64) {
 			return
 		}
 		if done && resp.Reason == ReasonUnregistered {
-			t.Fatalf("%s: request rejected as unregistered, want it admitted by shard %d", name, shard)
+			t.Fatalf("%s: request rejected as unregistered, want it admitted", name)
 		}
-		if id := h.ID(); id == 0 || int(id%uint64(shards)) != shard {
-			t.Fatalf("%s: request ID %d is not from shard %d", name, id, shard)
+		if h.ID() == 0 {
+			t.Fatalf("%s: request never reached the controller", name)
 		}
 	}
 
@@ -201,15 +201,14 @@ func interningChurn(t *testing.T, shards int, seed uint64) {
 				t.Fatalf("step %d: %s has ID %d, was %d", step, name, tab.ids[name], id)
 			}
 			mi := tab.live[id]
-			shard, ok := cl.ShardOf(name)
 			if !registered(name) {
-				if mi != nil || ok || cl.host.Get(id) != nil {
-					t.Fatalf("step %d: unregistered %s still live (entry %v, shard %v)", step, name, mi != nil, ok)
+				if mi != nil || cl.host.Get(id) != nil {
+					t.Fatalf("step %d: unregistered %s still live (entry %v)", step, name, mi != nil)
 				}
 				continue
 			}
-			if mi == nil || mi.name != name || mi.id != id || mi.owner != cl.Ctls[shard] || !ok {
-				t.Fatalf("step %d: %s (ID %d): entry %+v, shard %d/%v", step, name, id, mi, shard, ok)
+			if mi == nil || mi.name != name || mi.id != id || mi.owner != cl.Ctl || mi.group != groupOf(name, shards) {
+				t.Fatalf("step %d: %s (ID %d): entry %+v", step, name, id, mi)
 			}
 			if cl.host.Get(id) != mi.zoo {
 				t.Fatalf("step %d: host RAM holds another model than %s's registration", step, name)
@@ -220,17 +219,15 @@ func interningChurn(t *testing.T, shards int, seed uint64) {
 			owned++
 		}
 		listed := 0
-		for _, ctl := range cl.Ctls {
-			for _, mi := range ctl.modelList {
-				if tab.live[mi.id] != mi || mi.owner != ctl {
-					t.Fatalf("step %d: shard %d lists %s, which is not its live entry", step, ctl.shard, mi.name)
-				}
-				listed++
+		for _, mi := range cl.Ctl.modelList {
+			if tab.live[mi.id] != mi {
+				t.Fatalf("step %d: the controller lists %s, which is not its live entry", step, mi.name)
 			}
-			for _, g := range ctl.GPUs() {
-				if err := g.Pages.CheckInvariants(); err != nil {
-					t.Fatalf("step %d: mirror w%d.g%d: %v", step, g.WorkerID, g.GPU, err)
-				}
+			listed++
+		}
+		for _, g := range cl.Ctl.GPUs() {
+			if err := g.Pages.CheckInvariants(); err != nil {
+				t.Fatalf("step %d: mirror w%d.g%d: %v", step, g.WorkerID, g.GPU, err)
 			}
 		}
 		if owned != len(order) || listed != len(order) || cl.host.Count() != len(order) {
@@ -264,15 +261,14 @@ func interningChurn(t *testing.T, shards int, seed uint64) {
 			name := pickRegistered()
 			if h := submit(name); unregister(name) {
 				transit["unregistered"]++
-				landed(h, name, true, -1)
+				landed(h, name, true)
 			}
 		case op == 8: // unregistered and re-registered with a request on the wire
 			name := pickRegistered()
 			if h := submit(name); unregister(name) {
 				register(name)
-				shard, _ := cl.ShardOf(name)
 				transit["re-registered"]++
-				landed(h, name, false, shard)
+				landed(h, name, false)
 			}
 		}
 		check(step)

@@ -74,7 +74,7 @@ func (s *ClockworkScheduler) bestLoadLinear(g *GPUMirror, now simclock.Time) *Mo
 	var best *ModelInfo
 	var bestP time.Duration
 	for _, mi := range s.c.modelList {
-		if mi.QueuedCount() == 0 || mi.demand <= 0 {
+		if mi.group != g.group || mi.QueuedCount() == 0 || mi.demand <= 0 {
 			continue
 		}
 		if _, resident := g.Resident(mi); resident {
@@ -97,7 +97,7 @@ func (s *ClockworkScheduler) bestLoadOldestLinear(g *GPUMirror, now simclock.Tim
 	var best *ModelInfo
 	bestDeadline := simclock.MaxTime
 	for _, mi := range s.c.modelList {
-		if _, resident := g.Resident(mi); mi.QueuedCount() == 0 || resident {
+		if _, resident := g.Resident(mi); mi.group != g.group || mi.QueuedCount() == 0 || resident {
 			continue
 		}
 		eta := simclock.Max(now, g.LoadFreeAt).Add(s.c.EstimateLoad(mi))

@@ -16,11 +16,11 @@ func sumOutcomes(a *Outcomes, b Outcomes) {
 	}
 }
 
-// TestOutcomeLedgersAgree drives a 2-shard cluster through every failure
-// reason, with a tenant on every request, and checks that the four
-// ledgers count the same outcomes: the global total equals the sum over
-// shards, over models and over tenants, and every outcome was observed
-// once by the latency histogram.
+// TestOutcomeLedgersAgree drives a two-group cluster through every
+// failure reason, with a tenant on every request, and checks that the
+// three ledgers count the same outcomes: the global total equals the
+// sum over models and over tenants, and every outcome was observed once
+// by the latency histogram.
 func TestOutcomeLedgersAgree(t *testing.T) {
 	cl := testCluster(t, ClusterConfig{Workers: 2, GPUsPerWorker: 1, Shards: 2})
 	names, err := cl.RegisterCopies("m", modelzoo.ResNet50(), 4)
@@ -83,10 +83,7 @@ func TestOutcomeLedgersAgree(t *testing.T) {
 	if got := m.LatencyAll.Count(); got != total.Requests {
 		t.Fatalf("LatencyAll.Count() = %d, Total.Requests = %d", got, total.Requests)
 	}
-	var shards, models, byTenant Outcomes
-	for i := 0; i < cl.ShardCount(); i++ {
-		sumOutcomes(&shards, m.ShardStats(i))
-	}
+	var models, byTenant Outcomes
 	for _, mo := range m.perModel {
 		if mo != nil {
 			sumOutcomes(&models, mo.Outcomes)
@@ -98,7 +95,7 @@ func TestOutcomeLedgersAgree(t *testing.T) {
 	for _, c := range []struct {
 		name string
 		sum  Outcomes
-	}{{"shards", shards}, {"models", models}, {"tenants", byTenant}} {
+	}{{"models", models}, {"tenants", byTenant}} {
 		if c.sum != total {
 			t.Errorf("sum over %s = %+v, Total = %+v", c.name, c.sum, total)
 		}

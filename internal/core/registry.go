@@ -99,7 +99,7 @@ func ResolvePolicy(name string) (PolicySpec, error) {
 }
 
 // NewClusterWithPolicy builds a cluster running the named policy: the
-// registry supplies the scheduler factory (one instance per shard) and
+// registry supplies the scheduler factory and
 // flips the policy's cluster-level switches on cfg. An empty name
 // selects the paper's scheduler.
 func NewClusterWithPolicy(policy string, cfg ClusterConfig) (*Cluster, error) {

@@ -130,16 +130,14 @@ type Request struct {
 	responder Responder
 
 	// ---- scheduler-internal state ----
-	// mi is the registry entry whose queue holds (or held) the request;
-	// adoption after a migration re-points it along with ctl.
+	// mi is the registry entry whose queue holds (or held) the request.
 	mi        *ModelInfo
 	state     requestState
 	deadline  simclock.Time
 	coldStart bool
 	execEst   time.Duration // batch-1 estimate at arrival (demand accounting)
-	// ctl is the controller currently owning the request (retargeted on
-	// migration); cancelTmr is the armed admission/deadline timer. Both
-	// serve Run below.
+	// ctl is the controller holding the request; cancelTmr is the armed
+	// admission/deadline timer. Both serve Run below.
 	ctl       *Controller
 	cancelTmr simclock.Timer
 	// gen guards recycling (mirroring simclock.Timer's generation

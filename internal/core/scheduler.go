@@ -76,22 +76,25 @@ func (s *ClockworkScheduler) Attach(c *Controller) {
 }
 
 // OnRequest implements Scheduler: new demand may enable an INFER on any
-// GPU holding the model, or justify a LOAD anywhere. Each GPU holding
-// the model gets a full pass; another gets a LOAD pass (scheduleLoads,
-// then armWake) only where that can act — it is enabled, its LOAD
-// executor is below the lookahead and loadsPossible — or, on the first
-// request after the active set was empty (no LOAD wake was armed), on
-// every enabled GPU. DESIGN.md has why a skipped pass is a no-op. The
-// passes run in controller GPU order, not replica-list order, so the
-// dispatch for a multi-resident model does not depend on the order its
-// LOADs were issued in.
+// GPU holding the model, or justify a LOAD anywhere in its placement
+// group. Each GPU holding the model gets a full pass; another GPU of the
+// group gets a LOAD pass (scheduleLoads, then armWake) only where that
+// can act — it is enabled, its LOAD executor is below the lookahead and
+// loadsPossible — or, on the first request after the group's active set
+// was empty (no LOAD wake was armed), on every enabled GPU of the group.
+// DESIGN.md has why a skipped pass is a no-op. The passes run in the
+// group's GPU order, not replica-list order, so the dispatch for a
+// multi-resident model does not depend on the order its LOADs were
+// issued in. GPUs of other groups cannot load the model, and a request
+// changes nothing they could load.
 func (s *ClockworkScheduler) OnRequest(r *Request) {
 	c, mi := s.c, r.mi
-	lapsed := c.wakesLapsed
-	c.wakesLapsed = false
+	grp := &c.groups[mi.group]
+	lapsed := grp.wakesLapsed
+	grp.wakesLapsed = false
 	x := c.eng.Now().Add(c.cfg.Lookahead) // LOAD executors draining before x are below the lookahead
-	possible := s.loadsPossible()         // only a pass can change it
-	for _, g := range c.gpus {
+	possible := s.loadsPossible(grp)      // only a pass can change it
+	for _, g := range grp.gpus {
 		switch {
 		case mi.residentOnGPU(g):
 			s.scheduleGPU(g)
@@ -105,15 +108,15 @@ func (s *ClockworkScheduler) OnRequest(r *Request) {
 			continue
 		}
 		s.visits++
-		possible = s.loadsPossible()
+		possible = s.loadsPossible(grp)
 	}
 }
 
 // loadsPossible reports whether bestLoad could select anything on some
-// GPU: a model is active and, under the priority policy, the
-// nothing-to-load gate is open.
-func (s *ClockworkScheduler) loadsPossible() bool {
-	return s.c.active > 0 && (s.LoadSelection == LoadOldestFirst || s.c.anythingToLoad())
+// GPU of grp: a model of the group is active and, under the priority
+// policy, the group's nothing-to-load gate is open.
+func (s *ClockworkScheduler) loadsPossible(grp *placementGroup) bool {
+	return grp.active > 0 && (s.LoadSelection == LoadOldestFirst || s.c.anythingToLoad(grp))
 }
 
 // OnResult implements Scheduler: a result frees mirror capacity
@@ -216,11 +219,11 @@ func (s *ClockworkScheduler) scheduleLoads(g *GPUMirror) {
 	}
 }
 
-// bestLoad returns the non-resident model with the highest positive load
-// priority whose LOAD would still be useful, or nil. Equal priorities go
+// bestLoad returns the model of g's placement group, not resident on g,
+// with the highest positive load priority, or nil. Equal priorities go
 // to the higher demand, then to the earlier registration.
 //
-// Flushed, the controller's load candidates (index.go) are exactly the
+// Flushed, the group's load candidates (index.go) are exactly its
 // active models with p_m > 0. The cold treap's first model is the best
 // cold one (p_m = d_m, resident nowhere); each positive model not on g
 // has its p_m evaluated, unless p_m ≤ d_m cannot win. In the steady
@@ -228,19 +231,20 @@ func (s *ClockworkScheduler) scheduleLoads(g *GPUMirror) {
 // the flush alone.
 func (s *ClockworkScheduler) bestLoad(g *GPUMirror, now simclock.Time) *ModelInfo {
 	c := s.c
-	if c.active == 0 {
+	grp := &c.groups[g.group]
+	if grp.active == 0 {
 		return nil
 	}
 	if s.LoadSelection == LoadOldestFirst {
-		return s.bestLoadOldest(g, now)
+		return s.bestLoadOldest(g, grp, now)
 	}
-	c.flushLoadSigns()
-	best := c.coldIdx.First()
+	c.flushLoadSigns(grp)
+	best := grp.coldIdx.First()
 	var bestP time.Duration
 	if best != nil {
 		bestP = best.demand
 	}
-	for _, mi := range c.posSet {
+	for _, mi := range grp.posSet {
 		if (best != nil && mi.demand < bestP) || mi.residentOnGPU(g) {
 			continue
 		}
@@ -252,17 +256,17 @@ func (s *ClockworkScheduler) bestLoad(g *GPUMirror, now simclock.Time) *ModelInf
 	return best
 }
 
-// bestLoadOldest is the ablation load policy: load the not-yet-resident
-// model whose oldest queued request has the earliest deadline, ignoring
-// demand volume and existing replicas. It ascends the deadline-ordered
-// index, so the first model passing the residency and usefulness filters
-// is the answer. Attach enables the index; a scheduler whose
-// LoadSelection was switched to LoadOldestFirst after Attach gets it
-// built here, on first use.
-func (s *ClockworkScheduler) bestLoadOldest(g *GPUMirror, now simclock.Time) *ModelInfo {
+// bestLoadOldest is the ablation load policy: load the model of g's
+// group (grp), not yet resident on g, whose oldest queued request has
+// the earliest deadline, ignoring demand volume and existing replicas.
+// It ascends the group's deadline-ordered index, so the first model
+// passing the residency and usefulness filters is the answer. Attach
+// enables the index; a scheduler whose LoadSelection was switched to
+// LoadOldestFirst after Attach gets it built here, on first use.
+func (s *ClockworkScheduler) bestLoadOldest(g *GPUMirror, grp *placementGroup, now simclock.Time) *ModelInfo {
 	s.c.enableDeadlineIndex()
 	var best *ModelInfo
-	s.c.deadlineIdx.Scan(func(mi *ModelInfo) bool {
+	grp.deadlineIdx.Scan(func(mi *ModelInfo) bool {
 		if mi.residentOnGPU(g) {
 			return true
 		}
@@ -324,7 +328,7 @@ func (s *ClockworkScheduler) armWake(g *GPUMirror) {
 	if len(g.withWork) > 0 && g.OutstandingExecWork(now) >= lookahead {
 		wake = simclock.Min(wake, g.ExecFreeAt.Add(-lookahead))
 	}
-	if s.c.active > 0 && g.OutstandingLoadWork(now) >= lookahead {
+	if s.c.groups[g.group].active > 0 && g.OutstandingLoadWork(now) >= lookahead {
 		wake = simclock.Min(wake, g.LoadFreeAt.Add(-lookahead))
 	}
 	if wake == simclock.MaxTime {

@@ -10,11 +10,9 @@ import (
 // This file is the control-plane state export/import surface the
 // durable journal rides (see the top-level journal package). A snapshot
 // must capture what cannot be re-derived from the model catalogue: the
-// measured profile windows (the §5.3 rolling estimators) and each
-// model's current shard. Everything travels through the same registry
-// the migration machinery (ExtractModel/AdoptModel) uses, so a restored
-// controller is indistinguishable from one that learned the profile
-// live.
+// measured profile windows (the §5.3 rolling estimators). They travel
+// through the controller's own registry, so a restored controller is
+// indistinguishable from one that learned the profile live.
 
 // ProfileEntry is one action key's measured window for a model:
 // Op "exec" with a batch size, or Op "load" (Batch 0) — predictor.Op's
@@ -64,22 +62,22 @@ func (c *Controller) ImportProfile(model string, entries []ProfileEntry) {
 	}
 }
 
-// ExportProfile routes the export to model's owning shard.
+// ExportProfile is Controller.ExportProfile, with ErrUnknownModel for
+// names not registered.
 func (cl *Cluster) ExportProfile(model string) ([]ProfileEntry, error) {
-	mi := cl.models.lookup(model)
-	if mi == nil {
+	if cl.models.lookup(model) == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, model)
 	}
-	return mi.owner.ExportProfile(model), nil
+	return cl.Ctl.ExportProfile(model), nil
 }
 
-// ImportProfile routes the import to model's owning shard.
+// ImportProfile is Controller.ImportProfile, with ErrUnknownModel for
+// names not registered.
 func (cl *Cluster) ImportProfile(model string, entries []ProfileEntry) error {
-	mi := cl.models.lookup(model)
-	if mi == nil {
+	if cl.models.lookup(model) == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownModel, model)
 	}
-	mi.owner.ImportProfile(model, entries)
+	cl.Ctl.ImportProfile(model, entries)
 	return nil
 }
 

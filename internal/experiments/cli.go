@@ -22,9 +22,9 @@ type CLIFlags struct {
 	Rate      float64 // total rate for fig7/scale
 	RateScale float64 // MAF trace rate multiplier
 
-	// Scale-scenario knobs (the 1/4/16-shard comparison).
+	// Scale-scenario knobs (the 1/4/16 placement-group comparison).
 	Requests int   // total submissions per cell
-	Shards   []int // shard counts to compare
+	Shards   []int // placement-group counts to compare
 }
 
 // CLIExperiments lists the catalogue names Render accepts, in render

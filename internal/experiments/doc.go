@@ -2,7 +2,7 @@
 // paper's evaluation (§6) on the simulated substrate, plus the
 // repo-grown scenarios that go beyond the paper: the §6.5
 // tighter-SLOs table ("sloscale") and the control-plane scale
-// comparison ("scale", ≥1M requests over 1/4/16 scheduler shards).
+// comparison ("scale", ≥1M requests over 1/4/16 placement groups).
 //
 // Each experiment has a Config with paper-faithful defaults plus
 // Scale/Duration knobs (the full-size runs replay hours of trace;
@@ -11,6 +11,6 @@
 // whose String() prints the same rows/series the paper reports.
 // Every experiment is a pure function of its config: equal configs
 // give byte-identical output, enforced by golden-hash tests
-// (golden_test.go) that also pin Shards=1 to the pre-shard control
-// plane's exact behaviour.
+// (golden_test.go) that also pin one placement group to the single
+// controller's exact behaviour from before sharding existed.
 package experiments

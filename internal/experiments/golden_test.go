@@ -15,13 +15,11 @@ import (
 )
 
 // Golden output hashes for fig2b/fig5/fig8 at fixed test-scale
-// configs, captured on the pre-shard control plane (PR 2's single
-// centralized controller). A Shards=1 system must reproduce these
-// byte-for-byte: the sharded control plane degenerates to exactly the
-// old code path when unsharded (one controller, IDStart 0 / IDStride
-// 1, no rebalancer armed), and these hashes prove it — any divergence
-// in scheduling order, ID assignment, RNG stream consumption or
-// output formatting trips them.
+// configs, captured on the single centralized controller from before
+// the control plane ever had shards. A Shards=1 system — one placement
+// group — must reproduce these byte-for-byte, and these hashes prove
+// it: any divergence in scheduling order, ID assignment, RNG stream
+// consumption or output formatting trips them.
 //
 // Regenerating (only after an INTENDED behaviour change — never to
 // paper over an unexplained diff): print the three String() outputs
@@ -91,11 +89,11 @@ func TestGoldenFig8PreShardBitIdentical(t *testing.T) {
 	}
 }
 
-// goldenScale pins the PR-3 control-plane scale scenario at a small
-// fixed config: shard-count sweep over an identical replayed workload.
-// Sharding the control plane is pure partitioning — any drift in shard
-// routing, ID assignment or rebalance cadence shows up here first.
-const goldenScale = "ea6a300d48671a338b42523cb325d04c579ead87c24f22977d14ae7a2b90fb3e"
+// goldenScale pins the control-plane scale scenario at a small fixed
+// config: a placement-group sweep over an identical replayed workload.
+// Any drift in the placement rule — which GPUs may load a model — shows
+// up here first.
+const goldenScale = "700c5560f3cc57bdbf8ceb2c6b83684de336c33ffe4f6517bd012bf32110c4de"
 
 func TestGoldenScaleShardSweepBitIdentical(t *testing.T) {
 	t.Parallel()

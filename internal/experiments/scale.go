@@ -16,13 +16,14 @@ import (
 
 // ScaleConfig parameterises the control-plane scale scenario: one
 // Zipf-skewed open-loop workload driven at ≥16k model instances and
-// ≥1M requests, replayed identically over different shard counts so
-// the rows isolate what partitioning the control plane changes —
-// client-observed throughput, the SLO-violation rate, and how evenly
-// ownership spreads. The workload streams are cluster-independent, so
-// every cell sees the same arrival instants and model choices.
+// ≥1M requests, replayed identically over different placement-group
+// counts (Config.Shards) so the rows isolate what LOAD placement
+// changes — client-observed throughput, the SLO-violation rate and the
+// cold starts. The workload streams are cluster-independent, so every
+// cell sees the same arrival instants and model choices.
 type ScaleConfig struct {
-	// Shards lists the cells to compare (default 1, 4, 16).
+	// Shards lists the placement-group counts to compare (default 1,
+	// 4, 16).
 	Shards []int
 	// Models is the instance count (default 16384 — zoo varieties
 	// cycled with #copy suffixes).
@@ -37,15 +38,15 @@ type ScaleConfig struct {
 	// (default 0.9, MAF-like: a hot head with a long cold tail).
 	ZipfExp float64
 	// Workers and GPUsPerWorker fix the substrate (default 32×2; the
-	// worker count must be ≥ the largest shard cell).
+	// worker count must be ≥ the largest group count).
 	Workers       int
 	GPUsPerWorker int
 	// SLO is every request's latency objective (default 100ms).
 	SLO  time.Duration
 	Seed uint64
-	// FlightRecorder, when set, is called once per shard cell and the
-	// result attached to that cell's system (cells run in parallel
-	// with different shard counts, so they cannot share one recorder);
+	// FlightRecorder, when set, is called once per cell and the result
+	// attached to that cell's system (cells run in parallel, so they
+	// cannot share one recorder);
 	// a pure observer (see Fig5Config).
 	FlightRecorder func() *trace.Recorder
 }
@@ -78,7 +79,7 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	return c
 }
 
-// ScaleCell is one shard count's row.
+// ScaleCell is one placement-group count's row.
 type ScaleCell struct {
 	Shards     int
 	Requests   uint64
@@ -90,18 +91,15 @@ type ScaleCell struct {
 	ViolationRate   float64
 	P50, P99, P9999 time.Duration
 	ColdStarts      uint64
-	// MinShare/MaxShare are the smallest and largest per-shard slices
-	// of completed requests — the ownership-balance signal.
-	MinShare, MaxShare uint64
 }
 
-// ScaleResult is the shard-count comparison.
+// ScaleResult is the placement-group comparison.
 type ScaleResult struct {
 	Config ScaleConfig
 	Cells  []ScaleCell
 }
 
-// RunScale runs the scenario: one independent simulation per shard
+// RunScale runs the scenario: one independent simulation per group
 // count, fanned out across cores, each replaying the identical
 // workload.
 func RunScale(cfg ScaleConfig) *ScaleResult {
@@ -174,15 +172,6 @@ func runScaleCell(cfg ScaleConfig, shards int) ScaleCell {
 	if sum2.Requests > 0 {
 		cell.ViolationRate = float64(sum2.Failed+sum2.SLOMisses) / float64(sum2.Requests)
 	}
-	for i := 0; i < sys.ShardCount(); i++ {
-		st, _ := sys.ShardStats(i)
-		if i == 0 || st.Requests < cell.MinShare {
-			cell.MinShare = st.Requests
-		}
-		if st.Requests > cell.MaxShare {
-			cell.MaxShare = st.Requests
-		}
-	}
 	return cell
 }
 
@@ -239,9 +228,8 @@ func (r *ScaleResult) String() string {
 			fmt.Sprintf("%.3f%%", 100*c.ViolationRate),
 			fmtMS(c.P50), fmtMS(c.P99), fmtMS(c.P9999),
 			fmt.Sprintf("%d", c.ColdStarts),
-			fmt.Sprintf("%d/%d", c.MinShare, c.MaxShare),
 		})
 	}
-	b.WriteString(table([]string{"shards", "requests", "t'put r/s", "goodput r/s", "violations", "p50", "p99", "p99.99", "cold", "share min/max"}, rows))
+	b.WriteString(table([]string{"shards", "requests", "t'put r/s", "goodput r/s", "violations", "p50", "p99", "p99.99", "cold"}, rows))
 	return b.String()
 }

@@ -9,31 +9,32 @@ import (
 	"clockwork/internal/rng"
 )
 
-// BenchmarkShardedSchedulerThroughput is the BenchmarkSchedulerPass-
-// style measurement behind the scale scenario's headline: per-request
-// control-plane cost at 16,384 models on a 32×2-GPU cluster, as a
-// function of shard count. Each iteration submits one Zipf-drawn
-// request and the engine is paced so queues stay realistic; the
-// dominant cost at one shard is the scheduler walking all 64 GPU
-// mirrors (and their load-priority descents) per event, which sharding
-// divides by N. EXPERIMENTS.md records the measured ratios.
+// BenchmarkPlacementSchedulerThroughput measures the whole simulated
+// system's wall-clock cost per request — submission, the client hops,
+// the controller's scheduling passes, the workers and the result hops —
+// at 16,384 models on a 32×2-GPU cluster, for 1, 4 and 16 placement
+// groups. Each iteration submits one Zipf-drawn request and the engine
+// is paced so queues stay realistic. The group count moves the cost
+// through the LOAD passes alone: with N groups a request's OnRequest
+// visits the 64/N GPUs of its model's group, and bestLoad consults that
+// group's candidates. EXPERIMENTS.md records the measured figures.
 //
 // Run with:
 //
-//	go test ./internal/experiments -run xxx -bench ShardedSchedulerThroughput -benchtime 20000x
-func BenchmarkShardedSchedulerThroughput(b *testing.B) {
-	for _, shards := range []int{1, 4, 16} {
-		b.Run(fmt.Sprintf("shards-%d", shards), func(b *testing.B) {
-			benchShardedSubmit(b, shards, 16384, 32, 2)
+//	go test ./internal/experiments -run xxx -bench PlacementSchedulerThroughput -benchtime 20000x
+func BenchmarkPlacementSchedulerThroughput(b *testing.B) {
+	for _, groups := range []int{1, 4, 16} {
+		b.Run(fmt.Sprintf("groups-%d", groups), func(b *testing.B) {
+			benchPlacementSubmit(b, groups, 16384, 32, 2)
 		})
 	}
 }
 
-func benchShardedSubmit(b *testing.B, shards, models, workers, gpus int) {
+func benchPlacementSubmit(b *testing.B, groups, models, workers, gpus int) {
 	sys, err := clockwork.New(clockwork.Config{
 		Workers:          workers,
 		GPUsPerWorker:    gpus,
-		Shards:           shards,
+		Shards:           groups,
 		Seed:             1,
 		ExactTiming:      true,
 		ZeroLengthInputs: true,

@@ -8,9 +8,10 @@ import (
 // TestScaleShardComparison runs a scaled-down control-plane scale
 // scenario (the CLI defaults are 1M requests / 16k models; see
 // EXPERIMENTS.md for full-size numbers) and checks the cells are
-// comparable: every cell completes the identical request budget, the
-// sharded cells spread completions across shards, and service quality
-// does not collapse when the control plane is partitioned.
+// comparable: every cell completes the identical request budget, and
+// service quality does not collapse when LOADs are confined to
+// placement groups. (Every group completing work is
+// core.TestPlacementGroups' to check.)
 func TestScaleShardComparison(t *testing.T) {
 	t.Parallel()
 	cfg := ScaleConfig{
@@ -35,15 +36,10 @@ func TestScaleShardComparison(t *testing.T) {
 			t.Fatalf("shards=%d completed %d of %d requests", c.Shards, c.Requests, cfg.Requests)
 		}
 	}
-	// Partitioning must not wreck service quality: the sharded cell's
-	// violation rate may differ (fewer GPUs per scheduling domain) but
-	// not collapse.
+	// Placement must not wreck service quality: the four-group cell's
+	// violation rate may differ (fewer GPUs per model) but not collapse.
 	if four.ViolationRate > one.ViolationRate+0.15 {
-		t.Fatalf("sharding degraded violations %.3f -> %.3f", one.ViolationRate, four.ViolationRate)
-	}
-	// Completions spread across all four shards.
-	if four.MinShare == 0 {
-		t.Fatal("a shard completed zero requests")
+		t.Fatalf("placement groups degraded violations %.3f -> %.3f", one.ViolationRate, four.ViolationRate)
 	}
 	if !strings.Contains(r.String(), "Control-plane scale") {
 		t.Fatal("missing header")

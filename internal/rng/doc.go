@@ -8,7 +8,6 @@
 //
 // Stream names are chosen to be invariant over deployment shape:
 // worker streams embed the worker ID ("w3.g1.exec"), never the
-// scheduler shard that happens to own the worker, which is why a
-// sharded control plane replays the same hardware behaviour as an
-// unsharded one.
+// placement group the worker's GPUs belong to, which is why any group
+// count replays the same hardware behaviour as one group.
 package rng

@@ -136,8 +136,8 @@ func (d *Driver) Inject(r Runner, ab Aborter) bool {
 }
 
 // Barrier pauses the engine between two steps and runs fn exclusively
-// — the stop-the-world primitive for whole-cluster mutations (model
-// migration, registration, consistent metric snapshots). The pacer
+// — the stop-the-world primitive for whole-cluster mutations (worker
+// changes, registration, consistent metric snapshots). The pacer
 // ends its turn after the step in progress and parks at the top of the
 // next one while fn runs on the caller's
 // goroutine, so fn may touch engine state. The pause is no event: it

@@ -8,6 +8,5 @@
 //
 // In the request lifecycle workers are the data plane: they never make
 // policy. Model weights for every registered model sit in host RAM
-// (§5.1), which is also what lets a sharded control plane migrate a
-// model between scheduler shards without touching workers.
+// (§5.1), whatever GPUs the model's placement group holds.
 package worker

@@ -13,7 +13,7 @@
 // an engine event, stamped with its step; anything else runs under
 // Live.Do, a pause between steps, stamped with the steps run before it.
 // A control-plane mutation (Register, AddWorker, DrainWorker,
-// FailWorker, Rebalance, Autoscale) is an Op value; Apply records and
+// FailWorker, Autoscale) is an Op value; Apply records and
 // applies it: the serve layer calls it with the Recorder, replay and
 // recovery with none, so live and replayed ops cannot drift apart. A
 // decoded Record carries its Op in Record.Op, so each op is declared
@@ -47,4 +47,14 @@
 // never tears a frame; the configurable fsync policy only governs
 // machine-crash durability, and the reader truncates a torn tail back
 // to the last whole frame either way.
+//
+// Records of the sharded control plane this package outlived still
+// decode: a type-8 Rebalance record and an Autoscale record with its
+// rebalance bit set apply as nothing, and the shard slots of inference
+// and model-state records are written as 0 and ignored on read. But an epoch that
+// such a build recorded with -shards > 1 no longer replays to MATCH:
+// its genesis now rebuilds one controller with placement groups, which
+// numbers requests and places models differently from the N
+// controllers that served it. The committed fixtures were all recorded
+// at -shards 1 and still match.
 package journal

@@ -72,15 +72,8 @@ func requireSameState(t *testing.T, stage string, a, b *clockwork.System) {
 			t.Fatalf("%s: worker %d is %v (%v) vs %v (%v)", stage, id, as, aerr, bs, berr)
 		}
 	}
-	if a.ShardCount() != b.ShardCount() {
-		t.Fatalf("%s: %d vs %d shards", stage, a.ShardCount(), b.ShardCount())
-	}
-	for _, m := range a.Models() {
-		as, _ := a.ShardOf(m)
-		bs, _ := b.ShardOf(m)
-		if as != bs {
-			t.Fatalf("%s: %s owned by shard %d vs %d", stage, m, as, bs)
-		}
+	if ad, bd := a.DemandSnapshot(), b.DemandSnapshot(); !slices.Equal(ad, bd) {
+		t.Fatalf("%s: placement groups' demand %v vs %v", stage, ad, bd)
 	}
 	if as, bs := a.Summary(), b.Summary(); as != bs {
 		t.Fatalf("%s: summaries differ:\n %+v\n %+v", stage, as, bs)

@@ -96,8 +96,8 @@ type Record struct {
 	VT   time.Duration
 
 	// recInfer. Shard is the submission's shard argument: always
-	// written as 0 (it is range-checked and otherwise ignored), and kept
-	// so every journal keeps its layout.
+	// written as 0 (submission ignores it), and kept so every journal
+	// keeps its layout.
 	Shard    int
 	Corr     uint64
 	Model    string
@@ -367,7 +367,9 @@ type ModelState struct {
 	// created from (re-registration re-derives weights and seeds).
 	Instance string
 	Zoo      string
-	// Shard is the owning scheduler shard at capture time.
+	// Shard is a retired slot: builds with a sharded control plane
+	// recorded the owning shard here. It is written as 0 and ignored on
+	// rebuild (a model's placement group is a hash of its name).
 	Shard int
 	// Profile carries the measured estimator windows (may be empty).
 	Profile []clockwork.ProfileEntry

@@ -7,7 +7,7 @@ import (
 )
 
 // captureInto refreshes the live portions of st — the model registry
-// with placements and learned profiles, and worker lifecycle states —
+// with learned profiles, and worker lifecycle states —
 // from sys. Engine-side: with a live driver pacing, call it only from
 // inside an injected closure (Recorder.Snapshot does). The static
 // portions (Config, Speed, MaxInFlight, Prior*) are the caller's.
@@ -19,15 +19,11 @@ func captureInto(sys *clockwork.System, st *State) error {
 		if !ok {
 			return fmt.Errorf("journal: model %q has no catalogue name (custom models cannot be journaled)", name)
 		}
-		shard, ok := sys.ShardOf(name)
-		if !ok {
-			return fmt.Errorf("journal: model %q has no owning shard", name)
-		}
 		prof, err := sys.ExportModelProfile(name)
 		if err != nil {
 			return err
 		}
-		st.Models = append(st.Models, ModelState{Instance: name, Zoo: zoo, Shard: shard, Profile: prof})
+		st.Models = append(st.Models, ModelState{Instance: name, Zoo: zoo, Profile: prof})
 	}
 	n := sys.Workers()
 	st.Workers = st.Workers[:0]
@@ -52,7 +48,7 @@ func captureInto(sys *clockwork.System, st *State) error {
 
 // BuildSystem constructs a System whose control plane matches st: the
 // recorded configuration, the registry re-registered in recorded order
-// with recorded placements and profile windows, and workers restored to
+// with recorded profile windows, and workers restored to
 // their lifecycle states. The procedure is deterministic — recovery and
 // deterministic replay both run it, which is what makes a recovered
 // epoch's genesis a valid replay base.

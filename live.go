@@ -98,8 +98,8 @@ func (l *Live) Inject(fn func()) bool {
 	return l.drv.Inject(simclock.Func(fn), nil)
 }
 
-// InjectOn is Inject; shard is ignored, since every shard runs on the
-// one engine.
+// InjectOn is Inject; shard is ignored, since one controller on one
+// engine serves every placement group.
 //
 // Deprecated: use Inject.
 func (l *Live) InjectOn(shard int, fn func()) bool { return l.Inject(fn) }
@@ -148,9 +148,9 @@ func (l *Live) Every(d time.Duration, fn func()) {
 // companion to Inject, used for control-plane calls and consistent
 // metric snapshots. It is a stop-the-world barrier: the pacer parks
 // between two steps at the engine's current instant, fn runs on the
-// caller's goroutine with the engine paused (and may touch any shard's
+// caller's goroutine with the engine paused (and may touch any engine
 // state — this is how whole-cluster mutations like registration and
-// migration stay race-free), then the pacer resumes. The pause takes
+// worker changes stay race-free), then the pacer resumes. The pause takes
 // no engine step, so Now and EngineSteps inside fn stamp the position
 // between steps where fn ran (see Replay.Do). It returns
 // ErrLiveStopped, without running fn, if the driver stopped first.

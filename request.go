@@ -44,7 +44,6 @@ var (
 	ErrNoSuchWorker   = core.ErrNoSuchWorker
 	ErrWorkerDown     = core.ErrWorkerDown
 	ErrInvalidRequest = core.ErrInvalidRequest
-	ErrNoSuchShard    = core.ErrNoSuchShard
 )
 
 // Request describes one inference submission. Model and SLO are
@@ -63,8 +62,8 @@ var ErrHandleReleased = errors.New("clockwork: handle released")
 // Handle tracks one submitted request from the client side. In
 // simulation mode, inspect or cancel between Run calls. In live mode
 // (see System.StartLive), Done, Outcome, ID and Wait are safe from any
-// goroutine; Cancel must run engine-side (inside Live.Do, or a closure
-// injected onto the owning shard).
+// goroutine; Cancel must run engine-side (inside Live.Do, or an
+// injected closure).
 //
 // Handle is a small value: copy it freely, there is no per-handle
 // allocation. The underlying slot recycles through a pool when Release
@@ -168,10 +167,8 @@ type ResultSink = core.ResultSink
 
 // SubmitRequestSink is the fire-and-forget submission path: no Handle is
 // minted (nothing to Wait on, nothing to Release), and the outcome is
-// delivered to sink's OnResult exactly once. shard is range-checked
-// (out-of-range shards are ErrNoSuchShard) and otherwise ignored: every
-// shard runs on the one engine, and the request enters at the model's
-// owner. This is the serving path for callers that keep per-request
+// delivered to sink's OnResult exactly once. shard is ignored: one
+// controller serves every placement group. This is the serving path for callers that keep per-request
 // state in pools of their own: nothing is allocated per request on the
 // way down.
 func (s *System) SubmitRequestSink(shard int, req Request, sink ResultSink) error {

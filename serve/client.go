@@ -195,13 +195,6 @@ func (c *Client) FailWorker(ctx context.Context, id int) error {
 	return c.do(ctx, http.MethodPost, "/v1/admin/workers/fail", WorkerRequest{ID: id}, nil)
 }
 
-// ShardStats returns per-shard outcome counters.
-func (c *Client) ShardStats(ctx context.Context) (ShardStatsResponse, error) {
-	var resp ShardStatsResponse
-	err := c.do(ctx, http.MethodGet, "/v1/admin/shards", nil, &resp)
-	return resp, err
-}
-
 // Health probes /healthz; nil means the server is up and not draining.
 func (c *Client) Health(ctx context.Context) error {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, c.base+"/healthz", nil)

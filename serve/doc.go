@@ -6,7 +6,7 @@
 // Four pieces, front to back:
 //
 //   - Server: an HTTP/JSON front end (POST /v1/infer, model
-//     registration, the worker/shard admin plane, GET /metrics in
+//     registration, the worker admin plane, GET /metrics in
 //     Prometheus text format) over the single-threaded engine, through
 //     clockwork.Live. The two infer bodies go through a hand-written
 //     codec on pooled buffers at both ends; it handles only the

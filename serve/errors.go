@@ -45,7 +45,6 @@ var wireCodes = []wireCode{
 	{"no_such_worker", http.StatusNotFound, stream.CodeNoSuchWorker, clockwork.ErrNoSuchWorker},
 	{"worker_down", http.StatusConflict, stream.CodeWorkerDown, clockwork.ErrWorkerDown},
 	{"model_busy", http.StatusConflict, stream.CodeModelBusy, clockwork.ErrModelBusy},
-	{"no_such_shard", http.StatusNotFound, stream.CodeNoSuchShard, clockwork.ErrNoSuchShard},
 	{"overloaded", http.StatusTooManyRequests, stream.CodeOverloaded, ErrOverloaded},
 	{"draining", http.StatusServiceUnavailable, stream.CodeDraining, ErrDraining},
 	{"stopped", http.StatusServiceUnavailable, stream.CodeStopped, clockwork.ErrLiveStopped},

@@ -6,7 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"clockwork"
 	"clockwork/trace"
 )
 
@@ -23,17 +22,11 @@ var latencyQuantiles = []struct {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	var (
 		st     StatsResponse
-		shards []clockwork.ShardStats
 		quants = make([]float64, len(latencyQuantiles))
 		agg    trace.Aggregate
 	)
 	ok := s.do(w, func() {
 		s.fillStats(&st)
-		for i := 0; i < s.sys.ShardCount(); i++ {
-			if sb, err := s.sys.ShardStats(i); err == nil {
-				shards = append(shards, sb)
-			}
-		}
 		for i, q := range latencyQuantiles {
 			quants[i] = s.sys.LatencyPercentile(q.p).Seconds()
 		}
@@ -62,7 +55,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	counter("clockwork_cold_starts_total", "Requests whose model was not GPU-resident on arrival.", st.ColdStarts)
 	gauge("clockwork_goodput_mean", "Within-SLO responses per virtual second over the run.", st.GoodputMean)
 	gauge("clockwork_workers", "Workers ever added (drained and failed keep their IDs).", float64(st.Workers))
-	gauge("clockwork_shards", "Scheduler shards.", float64(st.Shards))
+	gauge("clockwork_shards", "Placement groups.", float64(st.Shards))
 	gauge("clockwork_models", "Registered model instances.", float64(st.Models))
 	gauge("clockwork_virtual_time_seconds", "Engine virtual clock.", st.VirtualNow.Seconds())
 	gauge("clockwork_uptime_seconds", "Daemon wall-clock age.", time.Since(s.started).Seconds())
@@ -120,17 +113,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	// The summary's count is its observations: one per request with a
 	// final outcome.
 	fmt.Fprintf(&b, "clockwork_latency_seconds_count %d\n", st.Requests)
-
-	fmt.Fprintf(&b, "# HELP clockwork_shard_requests_total Requests with a final outcome, attributed to the shard owning the model at completion.\n")
-	fmt.Fprintf(&b, "# TYPE clockwork_shard_requests_total counter\n")
-	for i, sb := range shards {
-		fmt.Fprintf(&b, "clockwork_shard_requests_total{shard=\"%d\"} %d\n", i, sb.Requests)
-	}
-	fmt.Fprintf(&b, "# HELP clockwork_shard_within_slo_total Within-SLO successes per shard.\n")
-	fmt.Fprintf(&b, "# TYPE clockwork_shard_within_slo_total counter\n")
-	for i, sb := range shards {
-		fmt.Fprintf(&b, "clockwork_shard_within_slo_total{shard=\"%d\"} %d\n", i, sb.WithinSLO)
-	}
 
 	s.writeTraceMetrics(&b, agg)
 

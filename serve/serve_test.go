@@ -135,12 +135,12 @@ func TestServeAdminPlane(t *testing.T) {
 	if _, err := client.RegisterCopies(ctx, "res", "resnet50_v1b", 4); err != nil {
 		t.Fatalf("RegisterCopies: %v", err)
 	}
-	sh, err := client.ShardStats(ctx)
+	st, err := client.Stats(ctx)
 	if err != nil {
-		t.Fatalf("ShardStats: %v", err)
+		t.Fatalf("Stats: %v", err)
 	}
-	if len(sh.Shards) != 2 {
-		t.Fatalf("ShardStats = %+v; want 2 shards", sh)
+	if st.Shards != 2 {
+		t.Fatalf("Stats.Shards = %d; want 2 placement groups", st.Shards)
 	}
 }
 
@@ -207,7 +207,7 @@ func TestMetricsLatencyCountsCompletions(t *testing.T) {
 	for _, want := range []string{
 		"clockwork_requests_total 8\n",
 		"clockwork_latency_seconds_count 0\n",
-		`clockwork_shard_requests_total{shard="0"} 0` + "\n",
+		"clockwork_shards 1\n",
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q; got:\n%s", want, text)

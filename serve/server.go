@@ -74,7 +74,6 @@ type TraceConfig = trace.Options
 //	POST /v1/admin/workers        add a worker
 //	POST /v1/admin/workers/drain  drain a worker
 //	POST /v1/admin/workers/fail   fail a worker
-//	GET  /v1/admin/shards         per-shard outcome counters
 //	GET  /v1/admin/autoscaler     closed-loop autoscaler status
 //	POST /v1/admin/autoscaler     pause/resume the loop, force the window
 //	GET  /v1/admin/trace          flight-recorder dump (Perfetto JSON)
@@ -177,7 +176,6 @@ func New(sys *clockwork.System, opts Options) *Server {
 	s.mux.HandleFunc("POST /v1/admin/workers", s.handleAddWorker)
 	s.mux.HandleFunc("POST /v1/admin/workers/drain", s.handleWorkerOp(func(id int) journal.Op { return journal.DrainWorker{ID: id} }))
 	s.mux.HandleFunc("POST /v1/admin/workers/fail", s.handleWorkerOp(func(id int) journal.Op { return journal.FailWorker{ID: id} }))
-	s.mux.HandleFunc("GET /v1/admin/shards", s.handleShards)
 	s.mux.HandleFunc("POST /v1/admin/snapshot", s.handleSnapshot)
 	s.mux.HandleFunc("GET /v1/admin/journal", s.handleJournal)
 	s.mux.HandleFunc("GET /v1/admin/autoscaler", s.handleAutoscalerGet)
@@ -555,7 +553,7 @@ func (s *Server) fillStats(st *StatsResponse) {
 	st.Summary = s.sys.Summary()
 	st.VirtualNow = s.sys.Now()
 	st.Workers = s.sys.Workers()
-	st.Shards = s.sys.ShardCount()
+	st.Shards = len(s.sys.DemandSnapshot()) // one entry per placement group
 	st.Models = s.sys.ModelCount()
 }
 
@@ -577,24 +575,6 @@ func (s *Server) handleWorkerOp(op func(id int) journal.Op) http.HandlerFunc {
 		if _, ok := s.apply(w, op(req.ID), func() { state, _ = s.sys.WorkerStateOf(req.ID) }); ok {
 			writeJSON(w, WorkerResponse{ID: req.ID, State: state.String()})
 		}
-	}
-}
-
-func (s *Server) handleShards(w http.ResponseWriter, r *http.Request) {
-	var resp ShardStatsResponse
-	ok := s.do(w, func() {
-		n := s.sys.ShardCount()
-		resp.Shards = make([]ShardStatsEntry, 0, n)
-		for i := 0; i < n; i++ {
-			st, err := s.sys.ShardStats(i)
-			if err != nil {
-				continue
-			}
-			resp.Shards = append(resp.Shards, ShardStatsEntry{Shard: i, ShardStats: st})
-		}
-	})
-	if ok {
-		writeJSON(w, resp)
 	}
 }
 

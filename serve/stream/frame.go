@@ -34,7 +34,7 @@ const (
 	CodeNoSuchWorker   uint8 = 4
 	CodeWorkerDown     uint8 = 5
 	CodeModelBusy      uint8 = 6
-	CodeNoSuchShard    uint8 = 7
+	// 7 was "no such shard"; it is retired, not reused.
 	// CodeOverloaded: the server's in-flight admission window is full;
 	// retry after backing off (the binary-wire form of HTTP 429).
 	CodeOverloaded uint8 = 8

@@ -77,7 +77,7 @@ func (s *Server) handleTracePost(w http.ResponseWriter, r *http.Request) {
 	if req.Enabled != nil {
 		s.flight.SetEnabled(*req.Enabled)
 	}
-	// The per-shard counters are engine-side state; read them under the
+	// The recorder's counters are engine-side state; read them under the
 	// same consistent entry the dump uses.
 	var st trace.Stats
 	if s.do(w, func() { st = s.flight.Aggregate().Stats }) {

@@ -87,17 +87,6 @@ type WorkerResponse struct {
 	State string `json:"state,omitempty"`
 }
 
-// ShardStatsEntry is one shard's outcome counters.
-type ShardStatsEntry struct {
-	Shard int `json:"shard"`
-	clockwork.ShardStats
-}
-
-// ShardStatsResponse is the GET /v1/admin/shards body.
-type ShardStatsResponse struct {
-	Shards []ShardStatsEntry `json:"shards"`
-}
-
 // StatsResponse is the GET /v1/stats body: the system Summary plus
 // serving-plane facts.
 type StatsResponse struct {
@@ -109,8 +98,9 @@ type StatsResponse struct {
 	Uptime     time.Duration `json:"uptime_ns"`
 	Speed      float64       `json:"speed"`
 	Workers    int           `json:"workers"`
-	Shards     int           `json:"shards"`
-	Models     int           `json:"models"`
+	// Shards is the placement-group count (Config.Shards).
+	Shards int `json:"shards"`
+	Models int `json:"models"`
 }
 
 // AutoscalerStatusResponse is the GET /v1/admin/autoscaler body (also

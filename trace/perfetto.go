@@ -13,7 +13,8 @@ import (
 //
 //   - pid 1 holds the GPU executor tracks, one thread per (worker, GPU),
 //     with INFER and LOAD complete ("X") spans.
-//   - pid 1000+shard holds shard's request tracks, one thread per
+//   - pid 1000+shard holds the request tracks of placement group
+//     shard (the traces' "shard" key), one thread per
 //     retained request, with the request's end-to-end span and its
 //     nested stage spans (admit/queue/load/exec/deliver).
 //   - SLO violations additionally emit an instant ("i") event named

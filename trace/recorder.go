@@ -21,13 +21,13 @@ type Options struct {
 	// immediately and only the admission-shed counter advances; the
 	// admin plane can enable recording at runtime.
 	Enabled bool
-	// RingSize bounds the per-shard completed-trace ring (and the exec
-	// and load span rings). Default 2048.
+	// RingSize bounds the completed-trace ring (and the exec and load
+	// span rings). Default 2048.
 	RingSize int
 }
 
-// violationRingSize bounds the always-retained per-shard ring of
-// SLO-violating traces.
+// violationRingSize bounds the always-retained ring of SLO-violating
+// traces.
 const violationRingSize = 256
 
 func (o Options) withDefaults() Options {
@@ -50,11 +50,13 @@ const DefaultSampleRate = 0.01
 // sampled, with no hash comparison (so rate 1.0 is exact, not 1-2⁻⁶⁴).
 const sampleAll = ^uint64(0)
 
-// Recorder is the cluster-wide flight recorder: one ShardRecorder per
-// scheduler shard (engine-confined, lock-free) plus the cross-shard
-// controls (enabled flag, sample rate, shed counter) as atomics so the
-// admin plane can flip them from any goroutine without touching engine
-// state.
+// Recorder is the cluster-wide flight recorder: engine-confined,
+// lock-free trace state, plus the controls (enabled flag, sample rate,
+// shed counter) as atomics so the admin plane can flip them from any
+// goroutine without touching engine state. The hook methods (Admitted
+// … Completed) must run on the engine goroutine; none of them allocate
+// engine events, so attaching a recorder never perturbs the schedule.
+// All hook methods are nil-safe.
 type Recorder struct {
 	opts Options
 
@@ -70,41 +72,52 @@ type Recorder struct {
 	// layer reports them here (off-engine, hence atomic).
 	shed atomic.Uint64
 
-	shards []*ShardRecorder
+	// building holds traces of requests still in flight, keyed by
+	// request ID. Entries are created at admission and removed at
+	// client-side completion.
+	building map[uint64]*RequestTrace
+
+	// completed retains sampled finalized traces; violations retains
+	// every SLO-violating trace regardless of sampling.
+	completed  ring[*RequestTrace]
+	violations ring[*RequestTrace]
+	execs      ring[ExecSpan]
+	loads      ring[LoadSpan]
+
+	// lastLoad remembers each model's most recent completed weight
+	// transfer, for attributing cold-start load spans to requests.
+	lastLoad map[string]LoadSpan
+
+	// free recycles finalized traces that no ring retained — at low
+	// sample rates that is nearly every request, making the recorder's
+	// steady-state allocation cost ~zero instead of one RequestTrace
+	// per request. Safe because Snapshot copies traces by value:
+	// nothing outside the recorder ever holds one of these pointers.
+	free []*RequestTrace
+
+	agg aggLayer
 }
 
-// New returns a Recorder with the given options. Bind (or the cluster
-// attach path, which calls it) fixes the shard count before use.
+// New returns a Recorder with the given options.
 func New(o Options) *Recorder {
-	r := &Recorder{opts: o.withDefaults()}
-	r.SetSampleRate(r.opts.SampleRate)
-	r.enabled.Store(r.opts.Enabled)
+	o = o.withDefaults()
+	r := &Recorder{
+		opts:       o,
+		building:   make(map[uint64]*RequestTrace),
+		completed:  newRing[*RequestTrace](o.RingSize),
+		violations: newRing[*RequestTrace](violationRingSize),
+		execs:      newRing[ExecSpan](o.RingSize),
+		loads:      newRing[LoadSpan](o.RingSize),
+		lastLoad:   make(map[string]LoadSpan),
+	}
+	for i := range r.agg.stage {
+		r.agg.stage[i] = telemetry.NewHistogram()
+	}
+	r.agg.predErr = telemetry.NewHistogram()
+	r.agg.prov = make(map[provKey]uint64)
+	r.SetSampleRate(o.SampleRate)
+	r.enabled.Store(o.Enabled)
 	return r
-}
-
-// Bind sizes the recorder to n scheduler shards. It is called by the
-// cluster attach path before any engine runs; calling it twice with a
-// different n panics (the recorder's rings are per-shard state).
-func (r *Recorder) Bind(n int) {
-	if r.shards != nil {
-		if len(r.shards) != n {
-			panic("trace: Recorder bound twice with different shard counts")
-		}
-		return
-	}
-	r.shards = make([]*ShardRecorder, n)
-	for i := range r.shards {
-		r.shards[i] = newShardRecorder(r, i)
-	}
-}
-
-// Shard returns shard i's recorder (nil-safe on a nil Recorder, so
-// unattached call sites cost one branch).
-func (r *Recorder) Shard(i int) *ShardRecorder {
-	if r == nil {
-		return nil
-	}
-	return r.shards[i]
 }
 
 // SetEnabled flips recording on or off. Safe from any goroutine:
@@ -153,45 +166,11 @@ func (r *Recorder) RecordShed() {
 	}
 }
 
-// ---- per-shard engine-confined state ----
+// ---- engine-confined hooks ----
 
-// ShardRecorder is one scheduler shard's slice of the flight recorder.
-// All methods except those documented otherwise must run on the shard's
-// engine goroutine; none of them allocate engine events, so attaching a
-// recorder never perturbs the schedule. All hook methods are nil-safe.
-type ShardRecorder struct {
-	rec   *Recorder
-	shard int
-
-	// building holds traces of requests still in flight, keyed by
-	// request ID. Entries are created at admission and removed at
-	// client-side completion.
-	building map[uint64]*RequestTrace
-
-	// completed retains sampled finalized traces; violations retains
-	// every SLO-violating trace regardless of sampling.
-	completed  ring[*RequestTrace]
-	violations ring[*RequestTrace]
-	execs      ring[ExecSpan]
-	loads      ring[LoadSpan]
-
-	// lastLoad remembers each model's most recent completed weight
-	// transfer, for attributing cold-start load spans to requests.
-	lastLoad map[string]LoadSpan
-
-	// free recycles finalized traces that no ring retained — at low
-	// sample rates that is nearly every request, making the recorder's
-	// steady-state allocation cost ~zero instead of one RequestTrace
-	// per request. Safe because Snapshot copies traces by value:
-	// nothing outside the shard ever holds one of these pointers.
-	free []*RequestTrace
-
-	agg shardAgg
-}
-
-// shardAgg is the per-shard aggregate layer, merged at scrape time
-// under a stopped-world view.
-type shardAgg struct {
+// aggLayer is the aggregate layer, read at scrape time under a
+// stopped-world view.
+type aggLayer struct {
 	stage   [numStages]*telemetry.Histogram
 	predErr *telemetry.Histogram
 	prov    map[provKey]uint64
@@ -209,51 +188,32 @@ type provKey struct {
 	tenant string
 }
 
-func newShardRecorder(r *Recorder, shard int) *ShardRecorder {
-	s := &ShardRecorder{
-		rec:        r,
-		shard:      shard,
-		building:   make(map[uint64]*RequestTrace),
-		completed:  newRing[*RequestTrace](r.opts.RingSize),
-		violations: newRing[*RequestTrace](violationRingSize),
-		execs:      newRing[ExecSpan](r.opts.RingSize),
-		loads:      newRing[LoadSpan](r.opts.RingSize),
-		lastLoad:   make(map[string]LoadSpan),
-	}
-	for i := range s.agg.stage {
-		s.agg.stage[i] = telemetry.NewHistogram()
-	}
-	s.agg.predErr = telemetry.NewHistogram()
-	s.agg.prov = make(map[provKey]uint64)
-	return s
-}
+func (r *Recorder) on() bool { return r != nil && r.enabled.Load() }
 
-func (s *ShardRecorder) on() bool { return s != nil && s.rec.enabled.Load() }
-
-// Admitted records a request's controller-side admission: identity, SLO
-// class, cold-start flag, and queue position. Creates the building
-// entry every later hook enriches.
-func (s *ShardRecorder) Admitted(id uint64, model, tenant string, slo time.Duration, priority int, cold bool, queueDepth int, now time.Duration) {
-	if !s.on() {
+// Admitted records a request's controller-side admission: identity, the
+// model's placement group, SLO class, cold-start flag, and queue
+// position. Creates the building entry every later hook enriches.
+func (r *Recorder) Admitted(id uint64, model, tenant string, group int, slo time.Duration, priority int, cold bool, queueDepth int, now time.Duration) {
+	if !r.on() {
 		return
 	}
-	s.agg.started++
-	t := s.newTrace()
+	r.agg.started++
+	t := r.newTrace()
 	*t = RequestTrace{
-		ID: id, Model: model, Tenant: tenant, Shard: s.shard,
+		ID: id, Model: model, Tenant: tenant, Shard: group,
 		SLO: slo, Priority: priority,
-		Sampled:   s.rec.sampled(id),
+		Sampled:   r.sampled(id),
 		ColdStart: cold, QueueDepth: queueDepth,
 		AdmittedAt: now,
 	}
-	s.building[id] = t
+	r.building[id] = t
 }
 
 // newTrace pops a recycled trace or allocates a fresh one.
-func (s *ShardRecorder) newTrace() *RequestTrace {
-	if n := len(s.free); n > 0 {
-		t := s.free[n-1]
-		s.free = s.free[:n-1]
+func (r *Recorder) newTrace() *RequestTrace {
+	if n := len(r.free); n > 0 {
+		t := r.free[n-1]
+		r.free = r.free[:n-1]
 		return t
 	}
 	return new(RequestTrace)
@@ -262,11 +222,11 @@ func (s *ShardRecorder) newTrace() *RequestTrace {
 // Arrived stamps the client-side send instant (the request's first
 // lifecycle event, known to the routing layer rather than the
 // controller).
-func (s *ShardRecorder) Arrived(id uint64, sentAt time.Duration) {
-	if !s.on() {
+func (r *Recorder) Arrived(id uint64, sentAt time.Duration) {
+	if !r.on() {
 		return
 	}
-	if t, ok := s.building[id]; ok {
+	if t, ok := r.building[id]; ok {
 		t.ClientSend = sentAt
 	}
 }
@@ -274,12 +234,12 @@ func (s *ShardRecorder) Arrived(id uint64, sentAt time.Duration) {
 // Scheduled records the scheduler's dispatch decision for every request
 // in an INFER action: target worker/GPU, batch size, predicted window
 // start and predicted execution duration.
-func (s *ShardRecorder) Scheduled(ids []uint64, actionID uint64, worker, gpu, batch int, predStart, predExec, now time.Duration) {
-	if !s.on() {
+func (r *Recorder) Scheduled(ids []uint64, actionID uint64, worker, gpu, batch int, predStart, predExec, now time.Duration) {
+	if !r.on() {
 		return
 	}
 	for _, id := range ids {
-		t, ok := s.building[id]
+		t, ok := r.building[id]
 		if !ok {
 			continue
 		}
@@ -292,19 +252,19 @@ func (s *ShardRecorder) Scheduled(ids []uint64, actionID uint64, worker, gpu, ba
 
 // ExecDone records a successful INFER's measured on-GPU execution span
 // for its requests, and appends the span to the per-GPU track ring.
-func (s *ShardRecorder) ExecDone(ids []uint64, actionID uint64, model string, worker, gpu, batch int, start, end time.Duration) {
-	if !s.on() {
+func (r *Recorder) ExecDone(ids []uint64, actionID uint64, model string, group, worker, gpu, batch int, start, end time.Duration) {
+	if !r.on() {
 		return
 	}
 	for _, id := range ids {
-		if t, ok := s.building[id]; ok {
+		if t, ok := r.building[id]; ok {
 			t.ExecStart, t.ExecEnd = start, end
 		}
 	}
 	// Copy the ID list: the caller's slice is the action's backing
 	// array, which the controller recycles for the next dispatch.
-	s.execs.push(ExecSpan{
-		ActionID: actionID, Model: model, Shard: s.shard,
+	r.execs.push(ExecSpan{
+		ActionID: actionID, Model: model, Shard: group,
 		Worker: worker, GPU: gpu, Batch: batch,
 		Start: start, End: end, Requests: append([]uint64(nil), ids...),
 	})
@@ -312,23 +272,23 @@ func (s *ShardRecorder) ExecDone(ids []uint64, actionID uint64, model string, wo
 
 // LoadDone records a completed LOAD action's weight transfer. Finalize
 // attributes it to cold-start requests that queued across it.
-func (s *ShardRecorder) LoadDone(model string, worker, gpu int, start, end time.Duration, ok bool) {
-	if !s.on() {
+func (r *Recorder) LoadDone(model string, group, worker, gpu int, start, end time.Duration, ok bool) {
+	if !r.on() {
 		return
 	}
-	span := LoadSpan{Model: model, Shard: s.shard, Worker: worker, GPU: gpu, Start: start, End: end, OK: ok}
-	s.loads.push(span)
+	span := LoadSpan{Model: model, Shard: group, Worker: worker, GPU: gpu, Start: start, End: end, OK: ok}
+	r.loads.push(span)
 	if ok {
-		s.lastLoad[model] = span
+		r.lastLoad[model] = span
 	}
 }
 
 // Responded stamps the controller-side response instant.
-func (s *ShardRecorder) Responded(id uint64, now time.Duration) {
-	if !s.on() {
+func (r *Recorder) Responded(id uint64, now time.Duration) {
+	if !r.on() {
 		return
 	}
-	if t, ok := s.building[id]; ok {
+	if t, ok := r.building[id]; ok {
 		t.RespondedAt = now
 	}
 }
@@ -354,21 +314,22 @@ type Outcome struct {
 // feeds the aggregate layer, and retains the trace per the sampling
 // and violation-retention rules. A request admitted while the recorder
 // was off (or never admitted at all, e.g. unregistered models) gets a
-// synthesized minimal trace so provenance still counts it.
-func (s *ShardRecorder) Completed(o Outcome, now time.Duration) {
-	if !s.on() {
+// synthesized minimal trace so provenance still counts it; group is the
+// model's placement group, for that trace.
+func (r *Recorder) Completed(group int, o Outcome, now time.Duration) {
+	if !r.on() {
 		return
 	}
-	t, ok := s.building[o.ID]
+	t, ok := r.building[o.ID]
 	if ok {
-		delete(s.building, o.ID)
+		delete(r.building, o.ID)
 	} else {
-		t = s.newTrace()
+		t = r.newTrace()
 		*t = RequestTrace{
-			ID: o.ID, Model: o.Model, Tenant: o.Tenant, Shard: s.shard,
-			SLO: o.SLO, Sampled: s.rec.sampled(o.ID), Synthesized: true,
+			ID: o.ID, Model: o.Model, Tenant: o.Tenant, Shard: group,
+			SLO: o.SLO, Sampled: r.sampled(o.ID), Synthesized: true,
 		}
-		s.agg.synthesized++
+		r.agg.synthesized++
 	}
 	t.Success, t.Reason, t.ReasonStr = o.Success, o.Reason, o.ReasonStr
 	t.ColdStart = t.ColdStart || o.ColdStart
@@ -381,17 +342,17 @@ func (s *ShardRecorder) Completed(o Outcome, now time.Duration) {
 	// Attribute the cold-start load span: the model's most recent
 	// completed transfer, if it overlapped this request's queue wait.
 	if t.ColdStart && t.AdmittedAt > 0 {
-		if span, ok := s.lastLoad[t.Model]; ok && span.End >= t.AdmittedAt && (t.ExecStart == 0 || span.Start < t.ExecStart) {
+		if span, ok := r.lastLoad[t.Model]; ok && span.End >= t.AdmittedAt && (t.ExecStart == 0 || span.Start < t.ExecStart) {
 			t.LoadStart, t.LoadEnd = span.Start, span.End
 		}
 	}
 	t.Cause = t.attributeCause()
 
 	// Aggregate layer — full population, not just sampled traces.
-	s.agg.finalized++
+	r.agg.finalized++
 	for _, st := range Stages {
 		if d, ok := t.StageDur(st); ok {
-			s.agg.stage[st].Observe(d)
+			r.agg.stage[st].Observe(d)
 		}
 	}
 	if t.PredExec > 0 && t.ExecEnd > t.ExecStart {
@@ -399,11 +360,11 @@ func (s *ShardRecorder) Completed(o Outcome, now time.Duration) {
 		if err < 0 {
 			err = -err
 		}
-		s.agg.predErr.Observe(err)
+		r.agg.predErr.Observe(err)
 	}
 	if t.Violation {
-		s.agg.violations++
-		s.agg.prov[provKey{t.Cause, t.Model, t.Tenant}]++
+		r.agg.violations++
+		r.agg.prov[provKey{t.Cause, t.Model, t.Tenant}]++
 	}
 
 	// Retention — or recycling, when no ring keeps the trace (the
@@ -411,24 +372,24 @@ func (s *ShardRecorder) Completed(o Outcome, now time.Duration) {
 	// the in-flight population: it only grows when a request admitted
 	// with a fresh allocation finalizes unretained.
 	if t.Sampled {
-		s.agg.sampledKept++
+		r.agg.sampledKept++
 	}
 	switch {
 	case t.Violation && t.Sampled:
-		s.violations.push(t)
-		s.completed.push(t)
+		r.violations.push(t)
+		r.completed.push(t)
 	case t.Violation:
-		s.violations.push(t)
+		r.violations.push(t)
 	case t.Sampled:
-		s.completed.push(t)
+		r.completed.push(t)
 	default:
-		s.free = append(s.free, t)
+		r.free = append(r.free, t)
 	}
 }
 
 // Building returns the number of in-flight building entries (tests and
 // leak checks; engine-side read).
-func (s *ShardRecorder) Building() int { return len(s.building) }
+func (r *Recorder) Building() int { return len(r.building) }
 
 // ---- bounded rings ----
 
@@ -500,31 +461,25 @@ type Aggregate struct {
 	Stats      Stats
 }
 
-// Aggregate merges every shard's aggregate layer. Must run with the
-// engine stopped (Live.Do in live mode; quiescence in simulation).
+// Aggregate copies the aggregate layer. Must run with the engine
+// stopped (Live.Do in live mode; quiescence in simulation).
 func (r *Recorder) Aggregate() Aggregate {
 	a := Aggregate{Stage: make(map[Stage]*telemetry.Histogram), PredErr: telemetry.NewHistogram()}
 	for _, st := range Stages {
 		a.Stage[st] = telemetry.NewHistogram()
+		a.Stage[st].Merge(r.agg.stage[st])
 	}
-	prov := make(map[provKey]uint64)
-	for _, s := range r.shards {
-		for _, st := range Stages {
-			a.Stage[st].Merge(s.agg.stage[st])
-		}
-		a.PredErr.Merge(s.agg.predErr)
-		for k, v := range s.agg.prov {
-			prov[k] += v
-		}
-		a.Stats.Started += s.agg.started
-		a.Stats.Finalized += s.agg.finalized
-		a.Stats.SampledKept += s.agg.sampledKept
-		a.Stats.Violations += s.agg.violations
-		a.Stats.Synthesized += s.agg.synthesized
-		a.Stats.Building += uint64(len(s.building))
+	a.PredErr.Merge(r.agg.predErr)
+	a.Stats = Stats{
+		Started:     r.agg.started,
+		Finalized:   r.agg.finalized,
+		SampledKept: r.agg.sampledKept,
+		Violations:  r.agg.violations,
+		Synthesized: r.agg.synthesized,
+		Building:    uint64(len(r.building)),
+		Shed:        r.shed.Load(),
 	}
-	a.Stats.Shed = r.shed.Load()
-	a.Provenance = sortProvenance(prov)
+	a.Provenance = sortProvenance(r.agg.prov)
 	return a
 }
 
@@ -575,22 +530,14 @@ type Snapshot struct {
 func (r *Recorder) Snapshot() *Snapshot {
 	snap := &Snapshot{Enabled: r.enabled.Load(), SampleRate: r.SampleRate()}
 	seen := make(map[uint64]bool)
-	for _, s := range r.shards {
-		for _, t := range s.completed.items() {
-			if !seen[t.ID] {
-				seen[t.ID] = true
-				snap.Requests = append(snap.Requests, *t)
-			}
+	for _, t := range append(r.completed.items(), r.violations.items()...) {
+		if !seen[t.ID] {
+			seen[t.ID] = true
+			snap.Requests = append(snap.Requests, *t)
 		}
-		for _, t := range s.violations.items() {
-			if !seen[t.ID] {
-				seen[t.ID] = true
-				snap.Requests = append(snap.Requests, *t)
-			}
-		}
-		snap.Execs = append(snap.Execs, s.execs.items()...)
-		snap.Loads = append(snap.Loads, s.loads.items()...)
 	}
+	snap.Execs = append(snap.Execs, r.execs.items()...)
+	snap.Loads = append(snap.Loads, r.loads.items()...)
 	sort.Slice(snap.Requests, func(i, j int) bool {
 		a, b := &snap.Requests[i], &snap.Requests[j]
 		if a.AdmittedAt != b.AdmittedAt {

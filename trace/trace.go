@@ -2,8 +2,8 @@
 // engine-side span recorder that captures every sampled request's full
 // lifecycle with virtual timestamps — admitted, scheduled (chosen GPU,
 // batch, predicted execution), cold-start load, execution start/end
-// (predicted vs actual), network hops, final outcome — into per-shard
-// bounded ring buffers.
+// (predicted vs actual), network hops, final outcome — into bounded
+// ring buffers.
 //
 // Three properties make it a *flight recorder* rather than a logger:
 //
@@ -23,7 +23,7 @@
 // The recorder is attached before any engine runs (System.
 // AttachFlightRecorder) and read only under a stopped-world view (a
 // Live.Do barrier in live mode, quiescence in simulation), which is
-// what lets the per-shard state go lock-free on the engine hot path.
+// what lets its state go lock-free on the engine hot path.
 package trace
 
 import (
@@ -146,7 +146,8 @@ type RequestTrace struct {
 	ID     uint64 `json:"id"`
 	Model  string `json:"model"`
 	Tenant string `json:"tenant,omitempty"`
-	Shard  int    `json:"shard"`
+	// Shard is the model's placement group (0 with one group).
+	Shard int `json:"shard"`
 
 	SLO      time.Duration `json:"slo"`
 	Priority int           `json:"priority,omitempty"`
@@ -320,7 +321,7 @@ type LoadSpan struct {
 
 // splitmix64 is the sampling hash: a full-period mixer over the request
 // ID. Chosen for determinism and statelessness — the decision for a
-// given (ID, rate) is identical in every shard layout, live run, and
+// given (ID, rate) is identical in every group layout, live run, and
 // replay.
 func splitmix64(x uint64) uint64 {
 	x += 0x9e3779b97f4a7c15

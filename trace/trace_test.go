@@ -9,22 +9,21 @@ import (
 
 func msd(n int) time.Duration { return time.Duration(n) * time.Millisecond }
 
-// record runs one request's full lifecycle through shard s.
-func record(s *ShardRecorder, id uint64, o Outcome, cold bool) {
-	s.Admitted(id, o.Model, o.Tenant, o.SLO, 0, cold, 1, msd(10))
+// record runs one request's full lifecycle through s.
+func record(s *Recorder, id uint64, o Outcome, cold bool) {
+	s.Admitted(id, o.Model, o.Tenant, 0, o.SLO, 0, cold, 1, msd(10))
 	s.Arrived(id, msd(9))
 	if o.Success {
 		s.Scheduled([]uint64{id}, id+1000, 0, 0, o.Batch, msd(12), msd(3), msd(11))
-		s.ExecDone([]uint64{id}, id+1000, o.Model, 0, 0, o.Batch, msd(12), msd(15))
+		s.ExecDone([]uint64{id}, id+1000, o.Model, 0, 0, 0, o.Batch, msd(12), msd(15))
 	}
 	done := msd(9) + o.Latency
 	s.Responded(id, done-time.Millisecond)
-	s.Completed(o, done)
+	s.Completed(0, o, done)
 }
 
 func TestSamplingDeterministic(t *testing.T) {
 	r := New(Options{SampleRate: 0.25, Enabled: true})
-	r.Bind(1)
 	first := make(map[uint64]bool)
 	n := 0
 	for id := uint64(1); id <= 4000; id++ {
@@ -59,8 +58,7 @@ func TestSamplingDeterministic(t *testing.T) {
 
 func TestLifecycleStagesAndCause(t *testing.T) {
 	r := New(Options{SampleRate: 1, Enabled: true})
-	r.Bind(1)
-	s := r.Shard(0)
+	s := r
 	record(s, 7, Outcome{ID: 7, Model: "m", Tenant: "a", Success: true, Batch: 2, SLO: msd(100), Latency: msd(9)}, false)
 
 	snap := r.Snapshot()
@@ -96,8 +94,7 @@ func TestLifecycleStagesAndCause(t *testing.T) {
 
 func TestViolationRetainedAtRateZero(t *testing.T) {
 	r := New(Options{SampleRate: 0, Enabled: true})
-	r.Bind(1)
-	s := r.Shard(0)
+	s := r
 	// A success inside SLO at rate 0: dropped entirely.
 	record(s, 1, Outcome{ID: 1, Model: "m", Success: true, Batch: 1, SLO: msd(100), Latency: msd(9)}, false)
 	// A cancel: retained in the violation ring regardless of rate.
@@ -141,15 +138,14 @@ func TestCauseAttribution(t *testing.T) {
 
 func TestColdStartLoadAttribution(t *testing.T) {
 	r := New(Options{SampleRate: 1, Enabled: true})
-	r.Bind(1)
-	s := r.Shard(0)
-	s.Admitted(5, "m", "", msd(100), 0, true, 1, msd(10))
+	s := r
+	s.Admitted(5, "m", "", 0, msd(100), 0, true, 1, msd(10))
 	s.Arrived(5, msd(9))
-	s.LoadDone("m", 0, 0, msd(11), msd(19), true)
+	s.LoadDone("m", 0, 0, 0, msd(11), msd(19), true)
 	s.Scheduled([]uint64{5}, 1005, 0, 0, 1, msd(20), msd(3), msd(12))
-	s.ExecDone([]uint64{5}, 1005, "m", 0, 0, 1, msd(20), msd(23))
+	s.ExecDone([]uint64{5}, 1005, "m", 0, 0, 0, 1, msd(20), msd(23))
 	s.Responded(5, msd(24))
-	s.Completed(Outcome{ID: 5, Model: "m", Success: true, Batch: 1, ColdStart: true, SLO: msd(100), Latency: msd(16)}, msd(25))
+	s.Completed(0, Outcome{ID: 5, Model: "m", Success: true, Batch: 1, ColdStart: true, SLO: msd(100), Latency: msd(16)}, msd(25))
 	snap := r.Snapshot()
 	tr := snap.Requests[0]
 	if tr.LoadStart != msd(11) || tr.LoadEnd != msd(19) {
@@ -162,10 +158,9 @@ func TestColdStartLoadAttribution(t *testing.T) {
 
 func TestSynthesizedTrace(t *testing.T) {
 	r := New(Options{SampleRate: 1, Enabled: true})
-	r.Bind(1)
-	s := r.Shard(0)
+	s := r
 	// Completion with no admission (e.g. unregistered model).
-	s.Completed(Outcome{ID: 9, Model: "ghost", Success: false, Reason: ReasonUnregistered,
+	s.Completed(0, Outcome{ID: 9, Model: "ghost", Success: false, Reason: ReasonUnregistered,
 		ReasonStr: "unregistered", SLO: msd(50), Latency: msd(1)}, msd(2))
 	snap := r.Snapshot()
 	if len(snap.Requests) != 1 || !snap.Requests[0].Synthesized {
@@ -200,27 +195,21 @@ func TestRingWrap(t *testing.T) {
 
 func TestDisabledRecorderIsInert(t *testing.T) {
 	r := New(Options{SampleRate: 1})
-	r.Bind(1)
-	s := r.Shard(0)
+	s := r
 	record(s, 1, Outcome{ID: 1, Model: "m", Success: true, Batch: 1, SLO: msd(10), Latency: msd(1)}, false)
 	if snap := r.Snapshot(); len(snap.Requests) != 0 || snap.Stats.Finalized != 0 {
 		t.Fatalf("disabled recorder recorded: %+v", snap)
 	}
-	// Nil shard recorders (recorder never attached) must be callable.
-	var nilShard *ShardRecorder
-	nilShard.Admitted(1, "m", "", msd(10), 0, false, 1, 0)
-	nilShard.Completed(Outcome{ID: 1}, 0)
+	// A nil recorder (none attached) must be callable.
 	var nilRec *Recorder
+	nilRec.Admitted(1, "m", "", 0, msd(10), 0, false, 1, 0)
+	nilRec.Completed(0, Outcome{ID: 1}, 0)
 	nilRec.RecordShed()
-	if nilRec.Shard(0) != nil {
-		t.Fatalf("nil recorder must hand out nil shards")
-	}
 }
 
 func TestPerfettoExport(t *testing.T) {
 	r := New(Options{SampleRate: 1, Enabled: true})
-	r.Bind(1)
-	s := r.Shard(0)
+	s := r
 	record(s, 1, Outcome{ID: 1, Model: "m", Tenant: "t", Success: true, Batch: 2, SLO: msd(100), Latency: msd(9)}, false)
 	record(s, 2, Outcome{ID: 2, Model: "m", Success: false, Reason: ReasonTimeout, ReasonStr: "timeout", SLO: msd(5), Latency: msd(5)}, false)
 	snap := r.Snapshot()
@@ -285,10 +274,9 @@ func TestPerfettoExport(t *testing.T) {
 
 func TestAggregateProvenanceAndPredErr(t *testing.T) {
 	r := New(Options{SampleRate: 1, Enabled: true})
-	r.Bind(2)
-	record(r.Shard(0), 1, Outcome{ID: 1, Model: "a", Tenant: "t1", Success: false, Reason: ReasonCancelled, ReasonStr: "cancelled", SLO: msd(10), Latency: msd(10)}, false)
-	record(r.Shard(1), 2, Outcome{ID: 2, Model: "b", Tenant: "t2", Success: false, Reason: ReasonWorkerFailed, ReasonStr: "worker-failed", SLO: msd(10), Latency: msd(4)}, false)
-	record(r.Shard(0), 3, Outcome{ID: 3, Model: "a", Tenant: "t1", Success: true, Batch: 1, SLO: msd(100), Latency: msd(9)}, false)
+	record(r, 1, Outcome{ID: 1, Model: "a", Tenant: "t1", Success: false, Reason: ReasonCancelled, ReasonStr: "cancelled", SLO: msd(10), Latency: msd(10)}, false)
+	record(r, 2, Outcome{ID: 2, Model: "b", Tenant: "t2", Success: false, Reason: ReasonWorkerFailed, ReasonStr: "worker-failed", SLO: msd(10), Latency: msd(4)}, false)
+	record(r, 3, Outcome{ID: 3, Model: "a", Tenant: "t1", Success: true, Batch: 1, SLO: msd(100), Latency: msd(9)}, false)
 	agg := r.Aggregate()
 	if agg.Stats.Finalized != 3 || agg.Stats.Violations != 2 {
 		t.Fatalf("stats: %+v", agg.Stats)
