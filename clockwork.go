@@ -22,7 +22,9 @@ type Config struct {
 	// GPU). With N groups, a worker's GPUs join group (worker ID mod N)
 	// and each model is loaded only onto GPUs of group (a hash of its
 	// name mod N), so each group's GPUs keep a stable slice of the
-	// models resident. One controller schedules every group. Requires
+	// models resident; while every worker of a group is drained or
+	// failed, its models load anywhere. One controller schedules every
+	// group. Requires
 	// Workers >= Shards. See ARCHITECTURE.md, "Placement groups".
 	Shards int
 	// Policy selects the scheduler by registry name (default

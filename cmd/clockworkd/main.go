@@ -21,7 +21,8 @@
 // join group (worker ID mod N), and each model is loaded only onto GPUs
 // of group (a hash of its name mod N). One controller schedules them
 // all; the groups only confine LOAD placement, which keeps each group's
-// page caches on a stable slice of the models.
+// page caches on a stable slice of the models. While every worker of a
+// group is drained or failed, its models load onto any GPU.
 //
 // The -speed flag scales virtual time against wall time: 1 serves in
 // real time on the paper's simulated hardware; 100 runs the simulated

@@ -52,7 +52,9 @@
 // GPUs of group (a hash of its name mod N). The one controller still
 // schedules everything; the groups only confine LOAD placement, so each
 // group's page caches keep a stable slice of the models and cold starts
-// fall. Shards defaults to 1, the paper's controller. DemandSnapshot
+// fall. A group whose workers are all drained or failed has its models
+// loaded onto any GPU until it has one again. Shards defaults to 1, the
+// paper's controller. DemandSnapshot
 // reports each group's queued demand against its GPUs.
 //
 // # Runtime control plane

@@ -50,11 +50,12 @@ func (s *Clipper) modelState(name string) *clipperModel {
 // place statically assigns a model to a GPU round-robin on first use,
 // re-placing it when its GPU has been drained or failed. Returns nil
 // when no schedulable GPU remains.
-func (s *Clipper) place(model string) *core.GPUMirror {
+func (s *Clipper) place(mi *core.ModelInfo) *core.GPUMirror {
+	model := mi.Name()
 	if g, ok := s.placement[model]; ok && !g.Disabled() {
 		return g
 	}
-	gpus := enabledGPUs(s.c)
+	gpus := enabledGPUs(s.c, mi)
 	if len(gpus) == 0 {
 		return nil
 	}
@@ -69,7 +70,7 @@ func (s *Clipper) OnRequest(r *core.Request) {
 	mi := r.ModelInfo()
 	st := s.modelState(r.Model)
 	st.lastSLO = r.SLO
-	g := s.place(r.Model)
+	g := s.place(mi)
 	if g == nil {
 		return
 	}
@@ -102,7 +103,7 @@ func (s *Clipper) OnResult(res action.Result) {
 			}
 		}
 	}
-	g := s.place(res.Model)
+	g := s.place(mi)
 	if g == nil {
 		return
 	}

@@ -100,7 +100,7 @@ func (s *INFaaS) replicasOf(mi *core.ModelInfo) []*core.GPUMirror {
 		}
 		delete(s.placement, mi.Name())
 	}
-	gpus := enabledGPUs(s.c)
+	gpus := enabledGPUs(s.c, mi)
 	if len(gpus) == 0 {
 		return nil
 	}
@@ -121,7 +121,7 @@ func (s *INFaaS) maybeScale(mi *core.ModelInfo) {
 	if last, ok := s.lastScale[mi.Name()]; ok && now.Sub(last) < infaasScaleCooldown {
 		return
 	}
-	gpus := s.c.GPUs()
+	gpus := s.c.PlacementGPUs(mi)
 	if len(s.placement[mi.Name()]) >= len(gpus) {
 		return
 	}

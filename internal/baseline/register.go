@@ -20,9 +20,10 @@ func init() {
 }
 
 // enabledGPUs returns the schedulable (non-drained, non-failed) GPU
-// mirrors, preserving controller order.
-func enabledGPUs(c *core.Controller) []*core.GPUMirror {
-	all := c.GPUs()
+// mirrors mi may be placed on (its placement group's, see
+// core.Controller.PlacementGPUs), preserving controller order.
+func enabledGPUs(c *core.Controller, mi *core.ModelInfo) []*core.GPUMirror {
+	all := c.PlacementGPUs(mi)
 	for i, g := range all {
 		if g.Disabled() {
 			// Rare path: copy-on-filter only once a GPU is disabled.

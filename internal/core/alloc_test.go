@@ -121,16 +121,15 @@ func TestLoadSelectionWorkFlatInLoad(t *testing.T) {
 		if steps%7 != 0 {
 			continue
 		}
-		grp := &c.groups[0]
-		c.flushLoadSigns(grp)
+		c.flushLoadSigns()
 		for _, g := range c.gpus {
 			evals := c.priorityEvals
 			s.bestLoad(g, c.Now())
-			if n := c.priorityEvals - evals; n > uint64(len(grp.posSet)) {
-				t.Fatalf("t=%v: bestLoad on w%d.g%d evaluated %d priorities with %d models in the positive set", c.Now(), g.WorkerID, g.GPU, n, len(grp.posSet))
+			if n := c.priorityEvals - evals; n > uint64(len(c.posSet)) {
+				t.Fatalf("t=%v: bestLoad on w%d.g%d evaluated %d priorities with %d models in the positive set", c.Now(), g.WorkerID, g.GPU, n, len(c.posSet))
 			}
 			calls++
-			positive += len(grp.posSet)
+			positive += len(c.posSet)
 		}
 	}
 	if positive == 0 {
@@ -294,7 +293,7 @@ func TestModelNameResolvedOncePerRequest(t *testing.T) {
 		}
 	}
 	resolved := 0
-	cl.models.onResolve = func() { resolved++ }
+	cl.Ctl.tab.onResolve = func() { resolved++ }
 
 	stream := rng.NewSource(1).Stream("resolve-ratchet")
 	zipf := stream.Zipf(0.9, len(names))

@@ -104,11 +104,9 @@ type Cluster struct {
 	// leave over it.
 	client *network.Duplex
 
-	// models is the controller's model table (models.go): a name's ID,
-	// and through its live registration its catalogue entry. host is
-	// the same set as every worker's host RAM sees it, and modelOrder
-	// preserves registration order for ModelNames.
-	models     *modelTable
+	// host is the model set as every worker's host RAM sees it, and
+	// modelOrder preserves registration order for ModelNames. The
+	// controller's model table (Ctl.tab) resolves names.
 	host       *worker.Models
 	modelOrder []string
 
@@ -134,11 +132,9 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 		cfg:     cfg,
 		src:     rng.NewSource(cfg.Seed),
 		Metrics: newMetrics(cfg.MetricsInterval),
-		models:  newModelTable(),
 		host:    new(worker.Models),
 	}
 	cl.Ctl = NewController(eng, cfg.Controller, cl.newScheduler())
-	cl.Ctl.tab = cl.models
 	cl.Ctl.setGroups(cfg.Shards)
 	cl.client = network.NewDuplex(eng)
 	cl.client.AtoB.Latency = cfg.NetLatency
@@ -276,7 +272,7 @@ func (wl *workerLink) sendAction(a *action.Action, payloadBytes int64) {
 func (wl *workerLink) sendResult(r action.Result) {
 	var bytes int64
 	if r.Type == action.Infer && r.Status.IsSuccess() {
-		if mi := wl.cl.models.live[r.ModelID]; mi != nil {
+		if mi := wl.cl.Ctl.tab.live[r.ModelID]; mi != nil {
 			bytes = int64(len(r.RequestIDs)) * mi.zoo.OutputBytes()
 		}
 	}
@@ -357,7 +353,7 @@ func (cl *Cluster) InjectDisturbance(workerID, gpuID int, d time.Duration) error
 // fail with ReasonUnregistered; replicas are unloaded. Models with
 // in-flight actions return ErrModelBusy.
 func (cl *Cluster) UnregisterModel(name string) error {
-	mi := cl.models.lookup(name)
+	mi := cl.Ctl.tab.lookup(name)
 	if mi == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownModel, name)
 	}
@@ -393,9 +389,9 @@ func (cl *Cluster) Stats() Stats { return cl.Ctl.Stats() }
 // ModelStats returns the per-model metrics slice for name. ok is false
 // when the model is unknown and has never produced a response.
 func (cl *Cluster) ModelStats(name string) (ModelStats, bool) {
-	id := cl.models.resolve(name)
+	id := cl.Ctl.tab.resolve(name)
 	st, ok := cl.Metrics.modelStats(id, cl.Eng.Now().Duration())
-	if !ok && cl.models.live[id] == nil {
+	if !ok && cl.Ctl.tab.live[id] == nil {
 		return ModelStats{}, false
 	}
 	return st, true
@@ -416,7 +412,7 @@ func (cl *Cluster) RegisterModel(name string, zoo *modelzoo.Model) error {
 		return err
 	}
 	cl.modelOrder = append(cl.modelOrder, name)
-	cl.host.Register(cl.models.lookup(name).id, zoo)
+	cl.host.Register(cl.Ctl.tab.lookup(name).id, zoo)
 	return nil
 }
 
@@ -689,7 +685,7 @@ func (cl *Cluster) checkSpec(spec *SubmitSpec) (*ModelInfo, error) {
 	if spec.MaxBatchSize < 0 {
 		return nil, fmt.Errorf("%w: negative batch cap %d", ErrInvalidRequest, spec.MaxBatchSize)
 	}
-	mi := cl.models.lookup(spec.Model)
+	mi := cl.Ctl.tab.lookup(spec.Model)
 	if mi == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, spec.Model)
 	}

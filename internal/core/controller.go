@@ -101,8 +101,25 @@ type Controller struct {
 	workerByID []*workerHandle
 	gpus       []*GPUMirror
 	// groups are the placement groups (group.go); every GPU and every
-	// model belongs to one.
-	groups []placementGroup
+	// model belongs to one. stranded counts the groups with no enabled
+	// GPU.
+	groups   []placementGroup
+	stranded int
+
+	// The load candidates (index.go): coldIdx orders the active models
+	// with positive demand and no replica anywhere by demand, posSet
+	// holds those with replicas whose exact load priority was positive
+	// when last settled; dirtyGPUs lists the mirrors whose ℓ_g has since
+	// moved past the level their withWork models were cleared to, so
+	// that those models are due another look. reindexModel is their
+	// only writer.
+	coldIdx   modelTreap
+	posSet    []*ModelInfo
+	dirtyGPUs []*GPUMirror
+
+	// deadlineIdx orders active models by earliest queued deadline,
+	// maintained only once a scheduler opts in via enableDeadlineIndex.
+	deadlineIdx modelTreap
 	// tab interns model names to dense IDs and holds each name's live
 	// registration (models.go), shared with the cluster layer.
 	tab *modelTable
@@ -111,8 +128,8 @@ type Controller struct {
 	modelList []*ModelInfo
 	nextSeq   uint64
 
-	// deadlineIdxOn says whether the groups keep their deadline indexes
-	// (index.go), which only a scheduler that opts in pays for.
+	// deadlineIdxOn says whether deadlineIdx is kept (index.go), which
+	// only a scheduler that opts in pays for.
 	deadlineIdxOn bool
 
 	// priorityEvals counts exact loadPriority evaluations, for the work
@@ -274,12 +291,17 @@ func (c *Controller) AddWorker(id, gpuCount int, pageCacheBytes int64,
 	}
 	wh := &workerHandle{id: id, submit: submit}
 	group := id % len(c.groups)
+	grp := &c.groups[group]
+	if grp.enabled == 0 && gpuCount > 0 {
+		c.stranded--
+	}
 	for i := 0; i < gpuCount; i++ {
 		m := newGPUMirror(id, i, pageCacheBytes)
 		m.group = group
 		wh.gpus = append(wh.gpus, m)
 		c.gpus = append(c.gpus, m)
-		c.groups[group].gpus = append(c.groups[group].gpus, m)
+		grp.gpus = append(grp.gpus, m)
+		grp.enabled++
 	}
 	c.workers = append(c.workers, wh)
 	// IDs ascend, so id lies past every slot the table has.
@@ -373,6 +395,11 @@ func (c *Controller) mirror(workerID, gpu int) *GPUMirror {
 // identically across runs.
 func (c *Controller) detachWorker(wh *workerHandle) {
 	for _, g := range wh.gpus {
+		if grp := &c.groups[g.group]; !g.disabled { // a drained worker may fail later
+			if grp.enabled--; grp.enabled == 0 {
+				c.stranded++
+			}
+		}
 		g.disabled = true
 		for _, mi := range c.modelList {
 			if mi.dropReplica(g) {
@@ -464,6 +491,25 @@ func (c *Controller) unlist(mi *ModelInfo) {
 	}
 }
 
+// modelBusy reports whether mi has an in-flight action whose result
+// will still be honoured — a LOAD or INFER on a non-failed worker
+// (draining workers keep their promises; failed workers' in-flight
+// requests were already answered and their results are dropped). It
+// walks every GPU: a policy other than the Clockwork scheduler may place
+// a model outside its group, and a stranded group's models are loaded
+// outside it (group.go).
+func (c *Controller) modelBusy(mi *ModelInfo) bool {
+	for _, g := range c.gpus {
+		if c.workerByID[g.WorkerID].failed {
+			continue
+		}
+		if g.IsLoading(mi) || g.InFlight(mi) > 0 {
+			return true
+		}
+	}
+	return false
+}
+
 // UnregisterModel removes a model instance: its queued requests fail
 // with ReasonUnregistered, its replicas are unloaded, and subsequent
 // submissions return ErrUnknownModel. A model with in-flight actions
@@ -497,9 +543,10 @@ func (c *Controller) UnregisterModel(name string) error {
 		c.noteQueueMaybeEmpty(mi)
 	}
 
-	// Evict every replica (deterministic GPU order; disabled mirrors
-	// were already detached and their workers keep stale weights).
-	for _, g := range c.groups[mi.group].gpus {
+	// Evict every replica, wherever it is (deterministic GPU order;
+	// disabled mirrors were already detached and their workers keep
+	// stale weights).
+	for _, g := range c.gpus {
 		if !g.disabled && mi.residentOnGPU(g) {
 			c.SendUnload(g, mi)
 		}
@@ -598,7 +645,6 @@ func (c *Controller) Submit(spec SubmitSpec, rsp Responder) *Request {
 		state:       stateQueued,
 		deadline:    now.Add(spec.SLO - margin),
 		execEst:     c.EstimateExec(mi, 1),
-		ctl:         c,
 		gen:         gen,
 	}
 	r.coldStart = len(mi.residentOn) == 0
@@ -641,7 +687,7 @@ func (c *Controller) Submit(spec SubmitSpec, rsp Responder) *Request {
 // completed or is in flight — in-flight work cannot be clawed back,
 // §4.2).
 func (c *Controller) CancelRequest(r *Request) bool {
-	if r == nil || r.state != stateQueued || r.ctl != c {
+	if r == nil || r.state != stateQueued {
 		return false
 	}
 	c.cancelRequest(r.mi, r)

@@ -37,9 +37,10 @@
 //
 // ClusterConfig.Shards = N splits the one controller's GPUs into N
 // placement groups — a worker's GPUs join group (worker ID mod N) — and
-// puts each model in group (FNV-1a of its name mod N). A model is only
-// ever loaded onto GPUs of its group (group.go), so each group's page
-// caches hold a stable slice of the models. N = 1 is the paper's
+// puts each model in group (FNV-1a of its name mod N). A model is
+// loaded onto GPUs of its group only (group.go), unless every GPU of the
+// group is drained or failed, so each group's page caches hold a stable
+// slice of the models. N = 1 is the paper's
 // controller, bit-identical to it (goldens in internal/experiments
 // enforce this). Worker RNG streams derive from worker IDs, so a worker
 // behaves the same whatever N is.

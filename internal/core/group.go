@@ -8,18 +8,26 @@ import (
 // This file holds the placement groups. ClusterConfig.Shards = N splits
 // the controller's GPUs into N groups — a worker's GPUs join group
 // (worker ID mod N) — and gives every model a group: FNV-1a of its name
-// mod N. A model is loaded only onto GPUs of its own group, so it is
-// only ever resident there, and each group's GPUs serve a stable slice
-// of the models: their page caches hold fewer models, and hold them
-// longer. INFER, eviction and admission need no rule of their own,
-// because they only ever act where a model is resident.
+// mod N. The Clockwork scheduler loads a model only onto GPUs of its own
+// group, so each group's GPUs serve a stable slice of the models: their
+// page caches hold fewer models, and hold them longer. One group is the
+// paper's centralized controller exactly.
 //
-// Each group keeps the LOAD-side state the scheduler consults per GPU
-// (index.go): its count of active models and its load candidates. One
-// group is the paper's centralized controller exactly.
+// A group whose GPUs are all drained or failed is stranded: its models
+// may then be loaded onto any GPU, so a dead group never strands the
+// demand for them. Replicas so placed stay where they are once the group
+// has a GPU again, until eviction takes them. INFER, eviction, admission
+// and unregistration therefore act on every GPU a model is resident on,
+// in its group or not.
+//
+// The load candidates themselves live in one controller-wide index
+// (index.go); a group keeps the counts that let the scheduler skip its
+// GPUs when nothing in the group could load.
 type placementGroup struct {
-	// gpus lists the group's mirrors in the order they were added.
-	gpus []*GPUMirror
+	// gpus lists the group's mirrors in the order they were added;
+	// enabled counts those neither drained nor failed.
+	gpus    []*GPUMirror
+	enabled int
 
 	// active counts the group's models with queued requests, the set
 	// Appendix B's demand tracking works over. wakesLapsed is set when
@@ -29,20 +37,9 @@ type placementGroup struct {
 	active      int
 	wakesLapsed bool
 
-	// The load candidates (index.go): coldIdx orders the active models
-	// with positive demand and no replica anywhere by demand, posSet
-	// holds those with replicas whose exact load priority was positive
-	// when last settled; dirtyGPUs lists the mirrors whose ℓ_g has since
-	// moved past the level their withWork models were cleared to, so
-	// that those models are due another look. reindexModel is their
-	// only writer.
-	coldIdx   modelTreap
-	posSet    []*ModelInfo
-	dirtyGPUs []*GPUMirror
-
-	// deadlineIdx orders active models by earliest queued deadline,
-	// maintained only once a scheduler opts in via enableDeadlineIndex.
-	deadlineIdx modelTreap
+	// cold and pos count the group's models in the controller's cold
+	// index and positive set (settleLoadSign keeps them).
+	cold, pos int
 }
 
 // groupOf returns the placement group of the model named name among n:
@@ -61,22 +58,44 @@ func groupOf(name string, n int) int {
 // calls it before adding any worker or model.
 func (c *Controller) setGroups(n int) {
 	c.groups = make([]placementGroup, n)
+	c.stranded = n
 }
 
-// modelBusy reports whether mi has an in-flight action whose result
-// will still be honoured — a LOAD or INFER on a non-failed worker
-// (draining workers keep their promises; failed workers' in-flight
-// requests were already answered and their results are dropped).
-func (c *Controller) modelBusy(mi *ModelInfo) bool {
-	for _, g := range c.groups[mi.group].gpus {
-		if c.workerByID[g.WorkerID].failed {
-			continue
-		}
-		if g.IsLoading(mi) || g.InFlight(mi) > 0 {
-			return true
+// loadable reports whether the Clockwork scheduler may load mi onto g:
+// g is in mi's group, or mi's group is stranded.
+func (c *Controller) loadable(mi *ModelInfo, g *GPUMirror) bool {
+	return mi.group == g.group || c.groups[mi.group].enabled == 0
+}
+
+// candidateCounts sums the active, cold and positive model counts over
+// the groups whose models a GPU of group may load: group itself and
+// every stranded group.
+func (c *Controller) candidateCounts(group int) (active, cold, pos int) {
+	grp := &c.groups[group]
+	active, cold, pos = grp.active, grp.cold, grp.pos
+	if c.stranded == 0 {
+		return
+	}
+	for i := range c.groups {
+		if o := &c.groups[i]; i != group && o.enabled == 0 {
+			active += o.active
+			cold += o.cold
+			pos += o.pos
 		}
 	}
-	return false
+	return
+}
+
+// PlacementGPUs returns the GPUs mi may be loaded onto: those of its
+// placement group or, while the group is stranded, every GPU. Drained
+// and failed GPUs are included (check Disabled before scheduling onto
+// one). With one group it is GPUs. Policies that place models
+// themselves pick from it to keep the groups' rule.
+func (c *Controller) PlacementGPUs(mi *ModelInfo) []*GPUMirror {
+	if grp := &c.groups[mi.group]; grp.enabled > 0 {
+		return grp.gpus
+	}
+	return c.gpus
 }
 
 // GroupDemand is one placement group's slice of the demand/capacity

@@ -93,7 +93,7 @@ func TestShardedClusterServes(t *testing.T) {
 
 	owned := make(map[int]int)
 	for _, n := range names {
-		owned[cl.models.lookup(n).group]++
+		owned[cl.Ctl.tab.lookup(n).group]++
 	}
 	if len(owned) < 2 {
 		t.Fatalf("the name hash put all %d models in one group: %v", models, owned)
@@ -158,10 +158,10 @@ func TestShardedDeterminism(t *testing.T) {
 		}
 		// Skew the load: all demand lands on the models of one group,
 		// with queues deep enough that its GPUs evict and reload.
-		target := cl.models.lookup(names[0]).group
+		target := cl.Ctl.tab.lookup(names[0]).group
 		var hot []string
 		for _, n := range names {
-			if cl.models.lookup(n).group == target {
+			if cl.Ctl.tab.lookup(n).group == target {
 				hot = append(hot, n)
 			}
 		}
@@ -188,8 +188,9 @@ func TestShardedDeterminism(t *testing.T) {
 	}
 }
 
-// TestShardGeometryValidation: more groups than workers (a group with
-// no GPUs could never load its models) is a construction-time error.
+// TestShardGeometryValidation: more groups than workers (a group that
+// starts with no GPU, stranded from the first request) is a
+// construction-time error.
 func TestShardGeometryValidation(t *testing.T) {
 	if _, err := NewClusterWithPolicy("", ClusterConfig{Workers: 2, Shards: 4}); err == nil {
 		t.Fatal("want error for Shards > Workers")
@@ -221,7 +222,7 @@ func TestShardedControlPlaneRouting(t *testing.T) {
 	if err := cl.UnregisterModel(names[0]); err != nil {
 		t.Fatal(err)
 	}
-	if cl.models.lookup(names[0]) != nil {
+	if cl.Ctl.tab.lookup(names[0]) != nil {
 		t.Fatal("unregistered model still registered")
 	}
 	if err := submitFn(cl, names[0], time.Second, nil); !errors.Is(err, ErrUnknownModel) {
@@ -233,5 +234,105 @@ func TestShardedControlPlaneRouting(t *testing.T) {
 	cl.RunFor(2 * time.Second)
 	if !okResp {
 		t.Fatal("surviving model failed to serve after control-plane churn")
+	}
+}
+
+// TestStrandedGroupKeepsServing: a placement group whose GPUs are all
+// drained or failed strands nothing. Its models are loaded onto the
+// other groups' GPUs and keep serving; once the group has a GPU again,
+// new LOADs of its models land in it. Throughout, a LOAD goes outside
+// the model's group only while that group has no enabled GPU.
+func TestStrandedGroupKeepsServing(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		workers int
+		strand  func(cl *Cluster) error // takes every worker of group 1 out
+	}{
+		{"drain", 4, func(cl *Cluster) error { return errors.Join(cl.DrainWorker(1), cl.DrainWorker(3)) }},
+		{"fail", 2, func(cl *Cluster) error { return cl.FailWorker(1) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			t.Parallel()
+			const groups = 2
+			cl := NewCluster(ClusterConfig{
+				Workers: tc.workers, GPUsPerWorker: 1, Shards: groups, Seed: 5,
+				// Four ResNet50s per GPU: LOADs and evictions continue
+				// throughout.
+				PageCacheBytes: 4 * 7 * 16 * 1024 * 1024,
+			})
+			c := cl.Ctl
+			var loads [groups][groups]int // by model group, then GPU group
+			watch := func(wh *workerHandle) {
+				submit := wh.submit
+				wh.submit = func(a *action.Action, payload int64) {
+					if a.Type == action.Load {
+						mi, _ := c.ModelByID(a.ModelID)
+						if mi.group != wh.id%groups && c.groups[mi.group].enabled > 0 {
+							t.Fatalf("t=%v: LOAD of %s (group %d) sent to worker %d while its group has %d GPUs",
+								c.Now(), a.Model, mi.group, wh.id, c.groups[mi.group].enabled)
+						}
+						loads[mi.group][wh.id%groups]++
+					}
+					submit(a, payload)
+				}
+			}
+			for _, wh := range c.workers {
+				watch(wh)
+			}
+			names, _ := cl.RegisterCopies("m", modelzoo.ResNet50(), 16)
+
+			// phase submits 600 requests round-robin over the models for
+			// 3 s and returns each group's successes and requests.
+			phase := func() (ok, sent [groups]int) {
+				for i := 0; i < 600; i++ {
+					grp := groupOf(names[i%len(names)], groups)
+					sent[grp]++
+					submitFn(cl, names[i%len(names)], 200*time.Millisecond, func(r Result) {
+						if r.Success {
+							ok[grp]++
+						}
+					})
+					cl.RunFor(5 * time.Millisecond)
+				}
+				cl.RunFor(time.Second)
+				return ok, sent
+			}
+			if err := tc.strand(cl); err != nil {
+				t.Fatal(err)
+			}
+			ok, sent := phase()
+			for g := range ok {
+				if ok[g] < sent[g]*3/4 {
+					t.Fatalf("stranded: group %d served %d of %d requests", g, ok[g], sent[g])
+				}
+			}
+			t.Logf("stranded: served %v of %v", ok, sent)
+			outside := 0
+			for _, name := range names {
+				outside += c.tab.lookup(name).outside
+			}
+			if outside == 0 {
+				t.Fatal("no replica outside its group: the stranded group's models were never placed")
+			}
+
+			// Two more workers give each group one (worker IDs 2, 3 or 4, 5).
+			before := len(c.workers)
+			cl.AddWorker()
+			cl.AddWorker()
+			for _, wh := range c.workers[before:] {
+				watch(wh)
+			}
+			home := loads[1][1]
+			ok, sent = phase()
+			for g := range ok {
+				if ok[g] < sent[g]*3/4 {
+					t.Fatalf("recovered: group %d served %d of %d requests", g, ok[g], sent[g])
+				}
+			}
+			if loads[1][1] == home {
+				t.Fatalf("no LOAD of group 1's models in group 1 after recovery (LOADs by model and GPU group: %v)", loads)
+			}
+			t.Logf("%d replicas outside their group while stranded; served %v of %v after recovery; LOADs by model and GPU group %v", outside, ok, sent, loads)
+		})
 	}
 }

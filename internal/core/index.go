@@ -90,11 +90,10 @@ func (c *Controller) reindexModel(mi *ModelInfo) {
 
 	// Deadline index (ablation load policy only).
 	if c.deadlineIdxOn {
-		grp := &c.groups[mi.group]
 		if active {
-			grp.deadlineIdx.update(mi, &mi.deadlineNode, int64(mi.MinDeadline()))
+			c.deadlineIdx.update(mi, &mi.deadlineNode, int64(mi.MinDeadline()))
 		} else {
-			grp.deadlineIdx.remove(&mi.deadlineNode)
+			c.deadlineIdx.remove(&mi.deadlineNode)
 		}
 	}
 
@@ -179,9 +178,10 @@ const (
 )
 
 // settleLoadSign recomputes mi's sign on the current state (active says
-// whether mi has queued requests) and moves mi into the matching set of
-// its group: the cold index, keyed by demand so that its first model is the one of
+// whether mi has queued requests) and moves mi into the matching set:
+// the cold index, keyed by demand so that its first model is the one of
 // highest demand and then lowest registration seq, or the positive set.
+// Its group's counts follow.
 // A replicated model found at p_m ≤ 0 also records how long that verdict
 // keeps: see clearLoad.
 func (c *Controller) settleLoadSign(mi *ModelInfo, active bool) {
@@ -195,24 +195,38 @@ func (c *Controller) settleLoadSign(mi *ModelInfo, active bool) {
 			c.clearLoad(mi, p)
 		}
 	}
-	grp := &c.groups[mi.group]
 	if sign == signCold {
-		grp.coldIdx.update(mi, &mi.coldNode, -int64(mi.demand))
+		c.coldIdx.update(mi, &mi.coldNode, -int64(mi.demand))
 	} else {
-		grp.coldIdx.remove(&mi.coldNode)
+		c.coldIdx.remove(&mi.coldNode)
 	}
 	if sign == signPositive && mi.posAt == 0 {
-		grp.posSet = append(grp.posSet, mi)
-		mi.posAt = len(grp.posSet)
+		c.posSet = append(c.posSet, mi)
+		mi.posAt = len(c.posSet)
 	} else if sign != signPositive && mi.posAt != 0 {
-		last := len(grp.posSet) - 1
-		moved := grp.posSet[last]
-		grp.posSet[mi.posAt-1], moved.posAt = moved, mi.posAt
-		grp.posSet[last] = nil
-		grp.posSet = grp.posSet[:last]
+		last := len(c.posSet) - 1
+		moved := c.posSet[last]
+		c.posSet[mi.posAt-1], moved.posAt = moved, mi.posAt
+		c.posSet[last] = nil
+		c.posSet = c.posSet[:last]
 		mi.posAt = 0
 	}
-	mi.loadSign = sign
+	if sign != mi.loadSign {
+		grp := &c.groups[mi.group]
+		switch mi.loadSign {
+		case signCold:
+			grp.cold--
+		case signPositive:
+			grp.pos--
+		}
+		switch sign {
+		case signCold:
+			grp.cold++
+		case signPositive:
+			grp.pos++
+		}
+		mi.loadSign = sign
+	}
 }
 
 // clearLoad records for how long mi's just-computed p_m = p ≤ 0 keeps.
@@ -267,40 +281,41 @@ func (mi *ModelInfo) stillCleared(g *GPUMirror) (level time.Duration, ok bool) {
 
 // noteLoadMoved is called for each GPU whose ℓ_g a reindex moved. The
 // models sharing g need another look if ℓ_g rose past the lowest level
-// one of them was cleared to, or — ℓ_g may have fallen — if some
-// replicated model of g's group is in the positive set and might no
-// longer belong there. O(1); the dirty list is bounded by the group's
-// GPU count.
+// one of them was cleared to, or — ℓ_g may have fallen — if a model
+// resident on g might be in the positive set and no longer belong
+// there: one of g's group, or one of another group placed on g while
+// its group was stranded. O(1); the dirty list is bounded by the GPU
+// count.
 func (c *Controller) noteLoadMoved(g *GPUMirror) {
-	grp := &c.groups[g.group]
-	if !g.loadDirty && (g.allocDemand > g.loadCeil || len(grp.posSet) > 0) {
+	if !g.loadDirty && (g.allocDemand > g.loadCeil || c.groups[g.group].pos > 0 || g.foreign > 0) {
 		g.loadDirty = true
-		grp.dirtyGPUs = append(grp.dirtyGPUs, g)
+		c.dirtyGPUs = append(c.dirtyGPUs, g)
 	}
 }
 
 // anythingToLoad is the nothing-to-load gate: it reports whether any
-// active model of grp has a positive load priority right now. A cold
-// active model answers yes without arithmetic (and without flushing);
-// otherwise the dirty GPUs are flushed first, so a no means every
-// active model is either freshly evaluated ≤ 0 or cleared ≤ 0 up to
-// levels its GPUs are still under.
-func (c *Controller) anythingToLoad(grp *placementGroup) bool {
-	if grp.coldIdx.Len() > 0 {
+// active model a GPU of group may load (candidateCounts) has a positive
+// load priority right now. A cold active model answers yes without
+// arithmetic (and without flushing); otherwise the dirty GPUs are
+// flushed first, so a no means every such active model is either
+// freshly evaluated ≤ 0 or cleared ≤ 0 up to levels its GPUs are still
+// under.
+func (c *Controller) anythingToLoad(group int) bool {
+	if _, cold, _ := c.candidateCounts(group); cold > 0 {
 		return true
 	}
-	c.flushLoadSigns(grp)
-	return len(grp.posSet) > 0
+	c.flushLoadSigns()
+	_, _, pos := c.candidateCounts(group)
+	return pos > 0
 }
 
-// flushLoadSigns looks again at the active models resident on each of
-// grp's dirty GPUs — exactly its withWork set — and rebuilds the GPU's
-// ceiling from them: a model whose clearance still stands costs a
-// comparison per replica, the others are re-settled with the exact
-// arithmetic. Set and ceiling updates commute, so the slice order does
-// not matter.
-func (c *Controller) flushLoadSigns(grp *placementGroup) {
-	for _, g := range grp.dirtyGPUs {
+// flushLoadSigns looks again at the active models resident on each
+// dirty GPU — exactly its withWork set — and rebuilds the GPU's ceiling
+// from them: a model whose clearance still stands costs a comparison
+// per replica, the others are re-settled with the exact arithmetic. Set
+// and ceiling updates commute, so the slice order does not matter.
+func (c *Controller) flushLoadSigns() {
+	for _, g := range c.dirtyGPUs {
 		g.loadDirty = false
 		g.loadCeil = math.MaxInt64
 		for _, mi := range g.withWork {
@@ -311,7 +326,7 @@ func (c *Controller) flushLoadSigns(grp *placementGroup) {
 			}
 		}
 	}
-	grp.dirtyGPUs = grp.dirtyGPUs[:0]
+	c.dirtyGPUs = c.dirtyGPUs[:0]
 }
 
 // inferCandidate picks mi's best feasible (batch, earliest, requiredStart)
@@ -364,7 +379,7 @@ func (c *Controller) enableDeadlineIndex() {
 	c.deadlineIdxOn = true
 	for _, mi := range c.modelList {
 		if len(mi.queue) > 0 {
-			c.groups[mi.group].deadlineIdx.update(mi, &mi.deadlineNode, int64(mi.MinDeadline()))
+			c.deadlineIdx.update(mi, &mi.deadlineNode, int64(mi.MinDeadline()))
 		}
 	}
 }

@@ -162,6 +162,53 @@ func TestIndexedSelectionMatchesLinear(t *testing.T) {
 			}
 		})
 	}
+	for seed := uint64(1); seed <= 2; seed++ {
+		seed := seed
+		t.Run(fmt.Sprintf("stranded/seed-%d", seed), func(t *testing.T) {
+			t.Parallel()
+			// Group 1 (workers 1 and 3) loses both workers and its models
+			// are loaded onto group 0's GPUs; two added workers (4 and 5)
+			// give each group a GPU more, and group 1's models go back
+			// to loading in their own group while replicas outside it
+			// remain.
+			cl := NewCluster(ClusterConfig{
+				Workers: 4, GPUsPerWorker: 2, Shards: 2, Seed: seed,
+				PageCacheBytes: 14 * 7 * 16 * 1024 * 1024,
+			})
+			skipped := auditSkips(t, cl)
+			names, _ := cl.RegisterCopies("m", modelzoo.ResNet50(), 128)
+			zipfWorkload(cl, seed, names, 0.9, 2000, 0, 1500*time.Millisecond)
+			type step struct {
+				at simclock.Time
+				do func() bool
+			}
+			ms := func(n int) simclock.Time { return simclock.Time(time.Duration(n) * time.Millisecond) }
+			churn := []step{
+				{ms(300), func() bool { return cl.DrainWorker(1) == nil }},
+				{ms(450), func() bool { return cl.FailWorker(3) == nil }},
+				{ms(900), func() bool { cl.AddWorker(); cl.AddWorker(); return true }},
+			}
+			done, outside := 0, 0
+			n := runCompared(t, cl, 1800*time.Millisecond, 11, func() {
+				for i := range churn {
+					if st := &churn[i]; st.do != nil && cl.Eng.Now() >= st.at && st.do() {
+						st.do = nil
+						done++
+					}
+				}
+				for _, g := range cl.Ctl.gpus {
+					outside = max(outside, g.foreign)
+				}
+			})
+			if done != len(churn) {
+				t.Fatalf("only %d of %d churn steps ran", done, len(churn))
+			}
+			if outside == 0 || n.picked == 0 || *skipped == 0 {
+				t.Fatalf("the run must place models outside their group, select loads and skip passes: %d outside, %d skips, %+v", outside, *skipped, n)
+			}
+			t.Logf("up to %d models outside their group on one GPU, %d skips, %+v", outside, *skipped, n)
+		})
+	}
 }
 
 // zipfWorkload drives an open-loop Poisson workload over names with
@@ -292,6 +339,7 @@ func compareControllerState(t *testing.T, c *Controller, now simclock.Time) (pos
 	// side (on enabled mirrors; a detached mirror keeps stale pages), and
 	// the work lists are the resident models with queued requests.
 	active, work := make([]int, len(c.groups)), make(map[*GPUMirror]int)
+	outside, foreign := make(map[*ModelInfo]int), make(map[*GPUMirror]int)
 	for _, mi := range c.modelList {
 		if len(mi.queue) > 0 {
 			active[mi.group]++
@@ -305,7 +353,8 @@ func compareControllerState(t *testing.T, c *Controller, now simclock.Time) (pos
 				}
 			}
 			if mi.residentOnGPU(g) && g.group != mi.group {
-				t.Fatalf("t=%v: %s of group %d resident on w%d.g%d of group %d", now, mi.name, mi.group, g.WorkerID, g.GPU, g.group)
+				outside[mi]++
+				foreign[g]++
 			}
 			if inWork != (mi.residentOnGPU(g) && len(mi.queue) > 0) {
 				t.Fatalf("t=%v: %s in withWork of w%d.g%d = %v with %d queued, resident=%v",
@@ -323,9 +372,33 @@ func compareControllerState(t *testing.T, c *Controller, now simclock.Time) (pos
 			}
 		}
 	}
+	enabled := make([]int, len(c.groups))
+	for _, g := range c.GPUs() {
+		if !g.disabled {
+			enabled[g.group]++
+		}
+		if g.foreign != foreign[g] {
+			t.Fatalf("t=%v: w%d.g%d counts %d models of other groups, holds %d", now, g.WorkerID, g.GPU, g.foreign, foreign[g])
+		}
+	}
+	stranded := 0
 	for i := range c.groups {
 		if c.groups[i].active != active[i] {
 			t.Fatalf("t=%v: group %d's active count %d, %d of its models have queued requests", now, i, c.groups[i].active, active[i])
+		}
+		if c.groups[i].enabled != enabled[i] {
+			t.Fatalf("t=%v: group %d counts %d enabled GPUs, has %d", now, i, c.groups[i].enabled, enabled[i])
+		}
+		if enabled[i] == 0 {
+			stranded++
+		}
+	}
+	if c.stranded != stranded {
+		t.Fatalf("t=%v: %d groups counted stranded, %d are", now, c.stranded, stranded)
+	}
+	for _, mi := range c.modelList {
+		if mi.outside != outside[mi] {
+			t.Fatalf("t=%v: %s counts %d replicas outside group %d, has %d", now, mi.name, mi.outside, mi.group, outside[mi])
 		}
 	}
 	for _, g := range c.GPUs() {
@@ -362,17 +435,14 @@ func compareControllerState(t *testing.T, c *Controller, now simclock.Time) (pos
 		}
 	}
 	cold, pos := make([]int, len(c.groups)), make([]int, len(c.groups))
-	for i := range c.groups {
-		c.flushLoadSigns(&c.groups[i])
-	}
+	c.flushLoadSigns()
 	for _, mi := range c.modelList {
-		grp := &c.groups[mi.group]
 		sign := exactSign(mi)
 		if mi.loadSign != sign {
 			t.Fatalf("t=%v: %s carries load sign %d after a flush, exact sign is %d", now, mi.name, mi.loadSign, sign)
 		}
 		inCold := mi.coldNode != nil && mi.coldNode.key == -int64(mi.demand)
-		inPos := mi.posAt > 0 && mi.posAt <= len(grp.posSet) && grp.posSet[mi.posAt-1] == mi
+		inPos := mi.posAt > 0 && mi.posAt <= len(c.posSet) && c.posSet[mi.posAt-1] == mi
 		if inCold != (sign == signCold) || inPos != (sign == signPositive) {
 			t.Fatalf("t=%v: %s with sign %d: in the cold index %v, in the positive set %v", now, mi.name, sign, inCold, inPos)
 		}
@@ -384,11 +454,17 @@ func compareControllerState(t *testing.T, c *Controller, now simclock.Time) (pos
 			positive = true
 		}
 	}
+	nCold, nPos := 0, 0
 	for i := range c.groups {
-		grp := &c.groups[i]
-		if len(grp.dirtyGPUs) != 0 || grp.coldIdx.Len() != cold[i] || len(grp.posSet) != pos[i] {
-			t.Fatalf("t=%v: after a flush group %d's sets hold cold=%d positive=%d with %d GPUs dirty, recount %d / %d",
-				now, i, grp.coldIdx.Len(), len(grp.posSet), len(grp.dirtyGPUs), cold[i], pos[i])
+		nCold, nPos = nCold+cold[i], nPos+pos[i]
+	}
+	if len(c.dirtyGPUs) != 0 || c.coldIdx.Len() != nCold || len(c.posSet) != nPos {
+		t.Fatalf("t=%v: after a flush the sets hold cold=%d positive=%d with %d GPUs dirty, recount %d / %d",
+			now, c.coldIdx.Len(), len(c.posSet), len(c.dirtyGPUs), nCold, nPos)
+	}
+	for i := range c.groups {
+		if grp := &c.groups[i]; grp.cold != cold[i] || grp.pos != pos[i] {
+			t.Fatalf("t=%v: group %d counts cold=%d positive=%d, recount %d / %d", now, i, grp.cold, grp.pos, cold[i], pos[i])
 		}
 	}
 	return positive
@@ -408,8 +484,8 @@ func compareSelections(t *testing.T, s *ClockworkScheduler, g *GPUMirror, now si
 			now, name(mi1), b1, e1, rs1, name(mi2), b2, e2, rs2)
 	}
 
-	grp := &s.c.groups[g.group]
-	walked = grp.coldIdx.Len() > 0 || len(grp.posSet) > 0 // flushed by the caller
+	_, cold, pos := s.c.candidateCounts(g.group)
+	walked = cold > 0 || pos > 0 // flushed by the caller
 	l1 := s.bestLoad(g, now)
 	l2 := s.bestLoadLinear(g, now)
 	if l1 != l2 {
@@ -470,7 +546,7 @@ func TestOldestFirstIndexMatchesLinear(t *testing.T) {
 				}
 				now := cl.Eng.Now()
 				for _, g := range cl.Ctl.GPUs() {
-					o1 := s.bestLoadOldest(g, &cl.Ctl.groups[0], now)
+					o1 := s.bestLoadOldest(g, now)
 					if o2 := s.bestLoadOldestLinear(g, now); o1 != o2 {
 						t.Fatalf("t=%v: indexed oldest %v vs linear %v", now, name(o1), name(o2))
 					}
@@ -478,9 +554,9 @@ func TestOldestFirstIndexMatchesLinear(t *testing.T) {
 						hits++
 					}
 				}
-				if grp := &cl.Ctl.groups[0]; grp.deadlineIdx.Len() != grp.active {
+				if c := cl.Ctl; c.deadlineIdx.Len() != c.groups[0].active {
 					t.Fatalf("t=%v: deadline index holds %d models, %d are active",
-						now, grp.deadlineIdx.Len(), grp.active)
+						now, c.deadlineIdx.Len(), c.groups[0].active)
 				}
 			}
 			if hits == 0 {

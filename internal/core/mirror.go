@@ -20,8 +20,10 @@ type GPUMirror struct {
 	WorkerID int
 	GPU      int
 
-	// group is the placement group the GPU belongs to (group.go).
-	group int
+	// group is the placement group the GPU belongs to (group.go);
+	// foreign counts the models of other groups resident on it.
+	group   int
+	foreign int
 
 	// Pages mirrors the worker's PageCache (same deterministic type).
 	Pages *memory.PageCache
@@ -54,7 +56,7 @@ type GPUMirror struct {
 	// (index.go): loadCeil is at most the lowest ℓ_g level any model in
 	// withWork was cleared to, so while ℓ_g ≤ loadCeil none of their
 	// p_m ≤ 0 verdicts can have changed on this GPU's account; loadDirty
-	// is set while this mirror sits on its group's dirtyGPUs list
+	// is set while this mirror sits on the controller's dirtyGPUs list
 	// waiting for those models to be looked at again.
 	loadCeil  time.Duration
 	loadDirty bool
@@ -202,11 +204,15 @@ type ModelInfo struct {
 	// every per-GPU, per-worker and per-profile table is indexed by.
 	id  ModelID
 	zoo *modelzoo.Model
-	// owner is the controller this entry is registered with; PopBatch
-	// draws batch slices from its pool.
+	// owner is the controller this entry is registered with: PopBatch
+	// draws batch slices from its pool, and a queued request's timer
+	// (Request.Run) reaches the controller through it.
 	owner *Controller
-	// group is the placement group the model is loaded in (group.go).
-	group int
+	// group is the placement group the model is loaded in (group.go);
+	// outside counts its replicas on GPUs of other groups, placed there
+	// while its group was stranded.
+	group   int
+	outside int
 
 	// queue holds queued requests ordered by (priority desc, arrival):
 	// with the default priority 0 everywhere this is plain FIFO
@@ -243,14 +249,14 @@ type ModelInfo struct {
 	// can retract it exactly before applying the new share.
 	loadShare time.Duration
 	sharedOn  []*GPUMirror
-	// loadSign says which of its group's load-candidate sets this
+	// loadSign says which of the controller's load-candidate sets this
 	// model is in — the cold index or the positive set; written only by
 	// Controller.settleLoadSign. While it is signNone on an active
 	// replicated model, clearedTo[i] is the ℓ level of residentOn[i] up
 	// to which p_m ≤ 0 is proven (see Controller.clearLoad).
 	loadSign  loadSign
 	clearedTo []time.Duration
-	// posAt is this model's position in its group's positive set
+	// posAt is this model's position in the controller's positive set
 	// plus one (zero: not in it); coldNode and deadlineNode are its
 	// handles in the cold and deadline indexes.
 	posAt        int
@@ -302,6 +308,10 @@ func (mi *ModelInfo) addReplica(g *GPUMirror) {
 	}
 	if !mi.residentOnGPU(g) {
 		mi.residentOn = append(mi.residentOn, g)
+		if g.group != mi.group {
+			mi.outside++
+			g.foreign++
+		}
 	}
 	if len(mi.queue) > 0 {
 		g.addWork(mi)
@@ -314,6 +324,10 @@ func (mi *ModelInfo) dropReplica(g *GPUMirror) bool {
 	g.dropWork(mi)
 	for i, r := range mi.residentOn {
 		if r == g {
+			if g.group != mi.group {
+				mi.outside--
+				g.foreign--
+			}
 			n := copy(mi.residentOn[i:], mi.residentOn[i+1:])
 			mi.residentOn[i+n] = nil
 			mi.residentOn = mi.residentOn[:i+n]

@@ -22,7 +22,7 @@ func fillExecWindow(t *testing.T, cl *Cluster, name string) time.Duration {
 		}
 		cl.RunFor(60 * time.Millisecond)
 	}
-	mi := cl.models.lookup(name)
+	mi := cl.Ctl.tab.lookup(name)
 	w := mi.owner.profile.ExportKey(mi.id, predictor.Key{Op: predictor.Exec, Batch: 1})
 	if len(w) != predictor.DefaultWindow {
 		t.Fatalf("%s: batch-1 window holds %d measurements, want it full", name, len(w))
@@ -54,7 +54,7 @@ func TestReregisterOtherZooModelRestartsProfile(t *testing.T) {
 		if err := cl.RegisterModel("m", zoo); err != nil {
 			t.Fatal(err)
 		}
-		return cl.models.lookup("m")
+		return cl.Ctl.tab.lookup("m")
 	}
 
 	mi := reregister(small)
@@ -129,7 +129,7 @@ func interningChurn(t *testing.T, shards int, seed uint64) {
 			t.Fatalf("register %s: %v", name, err)
 		}
 		order = append(order, name)
-		id := cl.models.lookup(name).id
+		id := cl.Ctl.tab.lookup(name).id
 		if old, seen := ids[name]; seen && old != id {
 			t.Fatalf("%s re-registered under ID %d, had %d", name, id, old)
 		}
@@ -191,7 +191,7 @@ func interningChurn(t *testing.T, shards int, seed uint64) {
 		if got := cl.ModelNames(); !slices.Equal(got, order) {
 			t.Fatalf("step %d: ModelNames %v, want %v", step, got, order)
 		}
-		tab := cl.models
+		tab := cl.Ctl.tab
 		if len(tab.ids) != len(ids) || len(tab.live) != len(ids)+1 || tab.live[0] != nil {
 			t.Fatalf("step %d: table holds %d names and %d slots for %d names seen", step, len(tab.ids), len(tab.live), len(ids))
 		}

@@ -74,7 +74,7 @@ func (s *ClockworkScheduler) bestLoadLinear(g *GPUMirror, now simclock.Time) *Mo
 	var best *ModelInfo
 	var bestP time.Duration
 	for _, mi := range s.c.modelList {
-		if mi.group != g.group || mi.QueuedCount() == 0 || mi.demand <= 0 {
+		if !loadableLinear(s.c, mi, g) || mi.QueuedCount() == 0 || mi.demand <= 0 {
 			continue
 		}
 		if _, resident := g.Resident(mi); resident {
@@ -92,12 +92,26 @@ func (s *ClockworkScheduler) bestLoadLinear(g *GPUMirror, now simclock.Time) *Mo
 	return best
 }
 
+// loadableLinear is Controller.loadable recomputed from the mirrors: g
+// is in mi's group, or no GPU of mi's group is enabled.
+func loadableLinear(c *Controller, mi *ModelInfo, g *GPUMirror) bool {
+	if mi.group == g.group {
+		return true
+	}
+	for _, h := range c.gpus {
+		if h.group == mi.group && !h.disabled {
+			return false
+		}
+	}
+	return true
+}
+
 // bestLoadOldestLinear is the seed's scan for the ablation policy.
 func (s *ClockworkScheduler) bestLoadOldestLinear(g *GPUMirror, now simclock.Time) *ModelInfo {
 	var best *ModelInfo
 	bestDeadline := simclock.MaxTime
 	for _, mi := range s.c.modelList {
-		if _, resident := g.Resident(mi); mi.group != g.group || mi.QueuedCount() == 0 || resident {
+		if _, resident := g.Resident(mi); !loadableLinear(s.c, mi, g) || mi.QueuedCount() == 0 || resident {
 			continue
 		}
 		eta := simclock.Max(now, g.LoadFreeAt).Add(s.c.EstimateLoad(mi))

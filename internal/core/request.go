@@ -136,9 +136,7 @@ type Request struct {
 	deadline  simclock.Time
 	coldStart bool
 	execEst   time.Duration // batch-1 estimate at arrival (demand accounting)
-	// ctl is the controller holding the request; cancelTmr is the armed
-	// admission/deadline timer. Both serve Run below.
-	ctl       *Controller
+	// cancelTmr is the armed admission/deadline timer (see Run).
 	cancelTmr simclock.Timer
 	// gen guards recycling (mirroring simclock.Timer's generation
 	// guard): releaseRequest bumps it, so a stale external reference —
@@ -168,10 +166,10 @@ func (r *Request) Gen() uint64 { return r.gen }
 // request itself — so the per-request hot path arms timers without
 // allocating a closure per arm.
 func (r *Request) Run() {
-	c := r.ctl
-	if c == nil {
+	if r.mi == nil {
 		return
 	}
+	c := r.mi.owner
 	switch r.state {
 	case stateQueued:
 		c.cancelRequest(r.mi, r)

@@ -87,17 +87,28 @@ func (s *ClockworkScheduler) Attach(c *Controller) {
 // multi-resident model does not depend on the order its LOADs were
 // issued in. GPUs of other groups cannot load the model, and a request
 // changes nothing they could load.
+//
+// Two cases walk every GPU instead (group.go): a model of a stranded
+// group may be loaded anywhere, so every enabled GPU gets a LOAD pass;
+// and a model with replicas outside its group has those GPUs' passes
+// run in the same controller order.
 func (s *ClockworkScheduler) OnRequest(r *Request) {
 	c, mi := s.c, r.mi
 	grp := &c.groups[mi.group]
-	lapsed := grp.wakesLapsed
+	lapsed := grp.wakesLapsed || grp.enabled == 0
 	grp.wakesLapsed = false
+	gpus := grp.gpus
+	if grp.enabled == 0 || mi.outside > 0 {
+		gpus = c.gpus
+	}
 	x := c.eng.Now().Add(c.cfg.Lookahead) // LOAD executors draining before x are below the lookahead
-	possible := s.loadsPossible(grp)      // only a pass can change it
-	for _, g := range grp.gpus {
+	possible := s.loadsPossible(mi.group) // only a pass can change it
+	for _, g := range gpus {
 		switch {
 		case mi.residentOnGPU(g):
 			s.scheduleGPU(g)
+		case !c.loadable(mi, g):
+			continue // another group's GPU, walked for mi's replicas outside its group
 		case !g.disabled && (lapsed || (possible && g.LoadFreeAt < x)):
 			s.scheduleLoads(g)
 			s.armWake(g)
@@ -108,15 +119,18 @@ func (s *ClockworkScheduler) OnRequest(r *Request) {
 			continue
 		}
 		s.visits++
-		possible = s.loadsPossible(grp)
+		possible = s.loadsPossible(mi.group)
 	}
 }
 
 // loadsPossible reports whether bestLoad could select anything on some
-// GPU of grp: a model of the group is active and, under the priority
-// policy, the group's nothing-to-load gate is open.
-func (s *ClockworkScheduler) loadsPossible(grp *placementGroup) bool {
-	return grp.active > 0 && (s.LoadSelection == LoadOldestFirst || s.c.anythingToLoad(grp))
+// GPU of group: a model it may load is active and, under the priority
+// policy, the nothing-to-load gate is open.
+func (s *ClockworkScheduler) loadsPossible(group int) bool {
+	if active, _, _ := s.c.candidateCounts(group); active == 0 {
+		return false
+	}
+	return s.LoadSelection == LoadOldestFirst || s.c.anythingToLoad(group)
 }
 
 // OnResult implements Scheduler: a result frees mirror capacity
@@ -219,33 +233,39 @@ func (s *ClockworkScheduler) scheduleLoads(g *GPUMirror) {
 	}
 }
 
-// bestLoad returns the model of g's placement group, not resident on g,
-// with the highest positive load priority, or nil. Equal priorities go
-// to the higher demand, then to the earlier registration.
+// bestLoad returns the model g may load (Controller.loadable), not
+// resident on g, with the highest positive load priority, or nil. Equal
+// priorities go to the higher demand, then to the earlier registration.
 //
-// Flushed, the group's load candidates (index.go) are exactly its
-// active models with p_m > 0. The cold treap's first model is the best
-// cold one (p_m = d_m, resident nowhere); each positive model not on g
-// has its p_m evaluated, unless p_m ≤ d_m cannot win. In the steady
-// state of a loaded cluster both sets are empty and the answer costs
-// the flush alone.
+// Flushed, the load candidates (index.go) are exactly the active models
+// with p_m > 0. The first loadable model of the cold treap is the best
+// cold one (p_m = d_m, resident nowhere); each loadable positive model
+// not on g has its p_m evaluated, unless p_m ≤ d_m cannot win. The
+// group's counts skip either walk when it cannot find anything; in the
+// steady state of a loaded cluster both sets are empty and the answer
+// costs the flush alone.
 func (s *ClockworkScheduler) bestLoad(g *GPUMirror, now simclock.Time) *ModelInfo {
 	c := s.c
-	grp := &c.groups[g.group]
-	if grp.active == 0 {
+	if active, _, _ := c.candidateCounts(g.group); active == 0 {
 		return nil
 	}
 	if s.LoadSelection == LoadOldestFirst {
-		return s.bestLoadOldest(g, grp, now)
+		return s.bestLoadOldest(g, now)
 	}
-	c.flushLoadSigns(grp)
-	best := grp.coldIdx.First()
+	c.flushLoadSigns()
+	_, cold, pos := c.candidateCounts(g.group)
+	var best *ModelInfo
 	var bestP time.Duration
-	if best != nil {
-		bestP = best.demand
+	if cold > 0 {
+		if best = c.firstLoadable(c.coldIdx.root, g); best != nil {
+			bestP = best.demand
+		}
 	}
-	for _, mi := range grp.posSet {
-		if (best != nil && mi.demand < bestP) || mi.residentOnGPU(g) {
+	if pos == 0 {
+		return best
+	}
+	for _, mi := range c.posSet {
+		if (best != nil && mi.demand < bestP) || !c.loadable(mi, g) || mi.residentOnGPU(g) {
 			continue
 		}
 		if p := c.loadPriority(mi); best == nil || p > bestP ||
@@ -256,18 +276,32 @@ func (s *ClockworkScheduler) bestLoad(g *GPUMirror, now simclock.Time) *ModelInf
 	return best
 }
 
-// bestLoadOldest is the ablation load policy: load the model of g's
-// group (grp), not yet resident on g, whose oldest queued request has
-// the earliest deadline, ignoring demand volume and existing replicas.
-// It ascends the group's deadline-ordered index, so the first model
-// passing the residency and usefulness filters is the answer. Attach
-// enables the index; a scheduler whose LoadSelection was switched to
+// firstLoadable returns the first model in the subtree at n, in index
+// order, that g may load, or nil.
+func (c *Controller) firstLoadable(n *treapNode, g *GPUMirror) *ModelInfo {
+	for ; n != nil; n = n.r {
+		if mi := c.firstLoadable(n.l, g); mi != nil {
+			return mi
+		}
+		if c.loadable(n.mi, g) {
+			return n.mi
+		}
+	}
+	return nil
+}
+
+// bestLoadOldest is the ablation load policy: load the model g may load,
+// not yet resident on g, whose oldest queued request has the earliest
+// deadline, ignoring demand volume and existing replicas. It ascends
+// the deadline-ordered index, so the first model passing the placement,
+// residency and usefulness filters is the answer. Attach enables the
+// index; a scheduler whose LoadSelection was switched to
 // LoadOldestFirst after Attach gets it built here, on first use.
-func (s *ClockworkScheduler) bestLoadOldest(g *GPUMirror, grp *placementGroup, now simclock.Time) *ModelInfo {
+func (s *ClockworkScheduler) bestLoadOldest(g *GPUMirror, now simclock.Time) *ModelInfo {
 	s.c.enableDeadlineIndex()
 	var best *ModelInfo
-	grp.deadlineIdx.Scan(func(mi *ModelInfo) bool {
-		if mi.residentOnGPU(g) {
+	s.c.deadlineIdx.Scan(func(mi *ModelInfo) bool {
+		if !s.c.loadable(mi, g) || mi.residentOnGPU(g) {
 			return true
 		}
 		eta := simclock.Max(now, g.LoadFreeAt).Add(s.c.EstimateLoad(mi))
@@ -328,7 +362,7 @@ func (s *ClockworkScheduler) armWake(g *GPUMirror) {
 	if len(g.withWork) > 0 && g.OutstandingExecWork(now) >= lookahead {
 		wake = simclock.Min(wake, g.ExecFreeAt.Add(-lookahead))
 	}
-	if s.c.groups[g.group].active > 0 && g.OutstandingLoadWork(now) >= lookahead {
+	if active, _, _ := s.c.candidateCounts(g.group); active > 0 && g.OutstandingLoadWork(now) >= lookahead {
 		wake = simclock.Min(wake, g.LoadFreeAt.Add(-lookahead))
 	}
 	if wake == simclock.MaxTime {

@@ -94,11 +94,11 @@ func spreadState(nModels int) (*ClockworkScheduler, *GPUMirror, *ModelInfo, simc
 	s.Attach(ctl)
 	g := ctl.GPUs()[0]
 	other, _ := ctl.Model("bench-m5") // on GPUs 5 and 6
-	if ctl.groups[0].coldIdx.Len() != 0 || !other.residentOnGPU(ctl.GPUs()[5]) || other.residentOnGPU(g) {
+	if ctl.coldIdx.Len() != 0 || !other.residentOnGPU(ctl.GPUs()[5]) || other.residentOnGPU(g) {
 		panic("spreadState: not the state it documents")
 	}
-	if ctl.flushLoadSigns(&ctl.groups[0]); len(ctl.groups[0].posSet) != 0 {
-		panic(fmt.Sprintf("spreadState: %d of %d models have a positive priority; shrink the state", len(ctl.groups[0].posSet), nModels))
+	if ctl.flushLoadSigns(); len(ctl.posSet) != 0 {
+		panic(fmt.Sprintf("spreadState: %d of %d models have a positive priority; shrink the state", len(ctl.posSet), nModels))
 	}
 	return s, g, other, eng.Now()
 }

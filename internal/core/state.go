@@ -65,7 +65,7 @@ func (c *Controller) ImportProfile(model string, entries []ProfileEntry) {
 // ExportProfile is Controller.ExportProfile, with ErrUnknownModel for
 // names not registered.
 func (cl *Cluster) ExportProfile(model string) ([]ProfileEntry, error) {
-	if cl.models.lookup(model) == nil {
+	if cl.Ctl.tab.lookup(model) == nil {
 		return nil, fmt.Errorf("%w: %q", ErrUnknownModel, model)
 	}
 	return cl.Ctl.ExportProfile(model), nil
@@ -74,7 +74,7 @@ func (cl *Cluster) ExportProfile(model string) ([]ProfileEntry, error) {
 // ImportProfile is Controller.ImportProfile, with ErrUnknownModel for
 // names not registered.
 func (cl *Cluster) ImportProfile(model string, entries []ProfileEntry) error {
-	if cl.models.lookup(model) == nil {
+	if cl.Ctl.tab.lookup(model) == nil {
 		return fmt.Errorf("%w: %q", ErrUnknownModel, model)
 	}
 	cl.Ctl.ImportProfile(model, entries)
@@ -85,7 +85,7 @@ func (cl *Cluster) ImportProfile(model string, entries []ProfileEntry) error {
 // what a snapshot stores so recovery can re-register the instance from
 // the embedded catalogue. ok is false for unknown instances.
 func (cl *Cluster) ZooNameOf(instance string) (string, bool) {
-	mi := cl.models.lookup(instance)
+	mi := cl.Ctl.tab.lookup(instance)
 	if mi == nil {
 		return "", false
 	}

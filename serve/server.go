@@ -84,6 +84,9 @@ type Server struct {
 	sys  *clockwork.System
 	live *clockwork.Live
 	mux  *http.ServeMux
+	// groups is the system's placement-group count (Config.Shards),
+	// read once in New.
+	groups int
 	// rec is the injection journal (nil when journaling is off). Every
 	// entry that can move the engine appends one record batch through
 	// it — inferences through the batch, snapshots through
@@ -156,8 +159,12 @@ func New(sys *clockwork.System, opts Options) *Server {
 		flight = trace.New(topts)
 		sys.AttachFlightRecorder(flight)
 	}
+	// The placement-group count is fixed at construction; read it while
+	// the caller still owns the engine.
+	groups := len(sys.DemandSnapshot())
 	s := &Server{
 		sys:         sys,
+		groups:      groups,
 		live:        sys.StartLive(opts.Speed),
 		mux:         http.NewServeMux(),
 		rec:         opts.Journal,
@@ -553,7 +560,7 @@ func (s *Server) fillStats(st *StatsResponse) {
 	st.Summary = s.sys.Summary()
 	st.VirtualNow = s.sys.Now()
 	st.Workers = s.sys.Workers()
-	st.Shards = len(s.sys.DemandSnapshot()) // one entry per placement group
+	st.Shards = s.groups
 	st.Models = s.sys.ModelCount()
 }
 
