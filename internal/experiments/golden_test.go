@@ -49,6 +49,20 @@ const (
 	goldenSLOScale      = "69e9ba015882c56f203b2894b143bf6e1d9829025cb47234f53749d2f6932156"
 )
 
+// goldenAblations pins `clockwork -exp ablations -dur 2s -seed 42`: the
+// lookahead, predictor-window, LOAD-policy and paging sweeps, whose
+// closed- and open-loop clients no other golden drives.
+const goldenAblations = "44133b3d635640e0dd66cfe0d316b20f763321ba1dd1c84d5a60e69c515c0347"
+
+func TestGoldenAblationsBitIdentical(t *testing.T) {
+	t.Parallel()
+	out, err := Render("ablations", CLIFlags{Dur: 2 * time.Second, Seed: 42})
+	if err != nil {
+		t.Fatal(err)
+	}
+	checkGolden(t, "ablations", goldenAblations, out)
+}
+
 // checkGolden fails t when out does not hash to want.
 func checkGolden(t *testing.T, what, want, out string) {
 	t.Helper()
