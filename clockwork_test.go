@@ -177,33 +177,6 @@ func TestZooAccessors(t *testing.T) {
 	}
 }
 
-func TestRegisterCustomModel(t *testing.T) {
-	sys := newSys(t, Config{ExactTiming: true})
-	g := &Graph{
-		Name:  "my-custom-net",
-		Input: TensorShape{C: 3, H: 64, W: 64},
-		Layers: []ModelLayer{
-			Conv2D{OutChannels: 32, Kernel: 3},
-			Activation{},
-			GlobalPool{},
-			Dense{Out: 10},
-		},
-	}
-	if err := sys.RegisterCustomModel(g); err != nil {
-		t.Fatal(err)
-	}
-	ok := false
-	sys.SubmitRequest(Request{Model: "my-custom-net", SLO: 100 * time.Millisecond}, func(r Result) { ok = r.Success })
-	sys.RunFor(time.Second)
-	if !ok {
-		t.Fatal("custom model failed to serve")
-	}
-	// Invalid graphs are rejected with an error, not a panic.
-	if err := sys.RegisterCustomModel(&Graph{Name: "bad"}); err == nil {
-		t.Fatal("expected error for invalid graph")
-	}
-}
-
 func TestDeterminismAcrossRuns(t *testing.T) {
 	run := func() (uint64, time.Duration) {
 		sys := newSys(t, Config{Seed: 99})

@@ -17,7 +17,7 @@ func captureInto(sys *clockwork.System, st *State) error {
 	for _, name := range models {
 		zoo, ok := sys.ZooOf(name)
 		if !ok {
-			return fmt.Errorf("journal: model %q has no catalogue name (custom models cannot be journaled)", name)
+			return fmt.Errorf("journal: model %q is not registered", name)
 		}
 		prof, err := sys.ExportModelProfile(name)
 		if err != nil {

@@ -29,10 +29,8 @@ func (s *System) EngineSteps() uint64 { return s.cluster.Eng.Steps() }
 
 // ZooOf returns the catalogue name a registered instance was created
 // from — what a control-plane snapshot stores so recovery can
-// re-register the instance. ok is false for unknown instances and for
-// custom-compiled models (whose catalogue name does not resolve; they
-// cannot be restored from a snapshot and are rejected at journal
-// attach).
+// re-register the instance. Every instance enters through the
+// catalogue, so ok is false only for an unknown instance.
 func (s *System) ZooOf(instance string) (string, bool) {
 	return s.cluster.ZooNameOf(instance)
 }

@@ -3,7 +3,6 @@ package clockwork
 import (
 	"fmt"
 
-	"clockwork/internal/modelir"
 	"clockwork/internal/modelzoo"
 )
 
@@ -17,40 +16,6 @@ func (s *System) RegisterModel(instanceName, zooModel string) error {
 		return fmt.Errorf("%w: no zoo model %q", ErrUnknownModel, zooModel)
 	}
 	return s.cluster.RegisterModel(instanceName, m)
-}
-
-// Graph re-exports the model-definition IR so callers can describe
-// custom architectures (the role ONNX plays in the paper, §5.1) and
-// serve them alongside catalogue models.
-type Graph = modelir.Graph
-
-// Layer constructors for custom Graphs.
-type (
-	// Conv2D is a 2D convolution with "same" padding.
-	Conv2D = modelir.Conv2D
-	// Pool2D is spatial pooling.
-	Pool2D = modelir.Pool2D
-	// Dense is a fully connected layer.
-	Dense = modelir.Dense
-	// Activation is an elementwise nonlinearity.
-	Activation = modelir.Activation
-	// GlobalPool collapses spatial dimensions.
-	GlobalPool = modelir.GlobalPool
-	// TensorShape is a (channels, height, width) shape.
-	TensorShape = modelir.Shape
-	// ModelLayer is the operator interface custom layers implement.
-	ModelLayer = modelir.Layer
-)
-
-// RegisterCustomModel compiles a user-defined graph (§5.1: weights blob,
-// per-batch kernels, memory metadata, profiling seed — all derived from
-// the abstract definition) and registers it under the graph's name.
-func (s *System) RegisterCustomModel(g *Graph) error {
-	m, err := modelir.Compile(g, modelir.DefaultCalibration)
-	if err != nil {
-		return err
-	}
-	return s.cluster.RegisterModel(m.Name, m)
 }
 
 // RegisterCopies registers n instances of zooModel named "<base>#i" and
