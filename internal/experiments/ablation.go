@@ -142,18 +142,9 @@ func RunAblationLoadPolicy(dur time.Duration, seed uint64) *AblationResult {
 			// Zipf-skewed open-loop load across 32 models at 600 r/s.
 			stream := src.Stream("ablation.load")
 			zipf := stream.Zipf(1.3, len(names))
-			var arrival func()
-			arrival = func() {
-				gap := time.Duration(stream.Exp(1.0/600) * float64(time.Second))
-				cl.Eng.ScheduleRun(cl.Eng.Now().Add(gap), simclock.Func(func() {
-					if cl.Eng.Now() >= stop {
-						return
-					}
-					cl.Submit(0, core.SubmitSpec{Model: names[zipf.Draw()], SLO: slo}, nil)
-					arrival()
-				}))
-			}
-			arrival()
+			workload.OpenLoop(cl.Eng, stream, 600, stop, func() {
+				cl.Submit(0, core.SubmitSpec{Model: names[zipf.Draw()], SLO: slo}, nil)
+			})
 			cl.RunUntil(stop.Add(time.Second))
 			tot := cl.Metrics.Total
 			return AblationRow{

@@ -10,6 +10,7 @@ import (
 	"clockwork/internal/rng"
 	"clockwork/internal/simclock"
 	"clockwork/internal/telemetry"
+	"clockwork/internal/workload"
 )
 
 // Fig6Config parameterises the single-worker scale-up experiment (§6.2):
@@ -149,36 +150,18 @@ func RunFig6(cfg Fig6Config) *Fig6Result {
 	}
 
 	// Minor workload: Poisson at MinorRate for the whole experiment.
-	var minorArrival func()
-	minorArrival = func() {
-		gap := time.Duration(minorStream.Exp(1.0/cfg.MinorRate) * float64(time.Second))
-		cl.Eng.ScheduleRun(cl.Eng.Now().Add(gap), simclock.Func(func() {
-			if cl.Eng.Now() >= end {
-				return
-			}
-			submit(minorName, true)
-			minorArrival()
-		}))
-	}
-	minorArrival()
+	workload.OpenLoop(cl.Eng, minorStream, cfg.MinorRate, end, func() { submit(minorName, true) })
 
 	// Major workload: aggregate Poisson at MajorRate, each arrival
 	// uniformly targeting one of the currently active models.
 	active := 0
-	var majorArrival func()
-	majorArrival = func() {
-		gap := time.Duration(majorStream.Exp(1.0/cfg.MajorRate) * float64(time.Second))
-		cl.Eng.ScheduleRun(cl.Eng.Now().Add(gap), simclock.Func(func() {
-			if cl.Eng.Now() >= end {
-				return
-			}
+	cl.Eng.ScheduleRun(start, simclock.Func(func() {
+		workload.OpenLoop(cl.Eng, majorStream, cfg.MajorRate, end, func() {
 			if active > 0 {
 				submit(majorNames[majorStream.Intn(active)], false)
 			}
-			majorArrival()
-		}))
-	}
-	cl.Eng.ScheduleRun(start, simclock.Func(majorArrival))
+		})
+	}))
 	// Activation chain: one more Major model per period.
 	var activate func()
 	activate = func() {

@@ -9,6 +9,7 @@ import (
 	"clockwork/internal/modelzoo"
 	"clockwork/internal/rng"
 	"clockwork/internal/simclock"
+	"clockwork/internal/workload"
 )
 
 // SLOMultipliers are the paper's sweep points (×1.5 every epoch, from
@@ -78,45 +79,24 @@ func RunFig7(cfg Fig7Config) *Fig7Result {
 	type epochCounters struct{ sent, ok uint64 }
 	counters := make([]epochCounters, len(cfg.Multipliers))
 
-	// One Poisson arrival chain per model; the SLO and target counter
-	// change as epochs advance.
-	epochOf := func(t simclock.Time) int {
-		e := int(int64(t) / int64(cfg.Epoch))
-		if e >= len(cfg.Multipliers) {
-			return -1
-		}
-		return e
-	}
+	// One Poisson arrival process per model, stopped when the last
+	// epoch ends; the SLO and target counter change as epochs advance.
 	sloOf := func(e int) time.Duration {
 		return time.Duration(float64(base) * cfg.Multipliers[e])
 	}
 	endAt := simclock.Time(time.Duration(len(cfg.Multipliers)) * cfg.Epoch)
 
-	for i, name := range names {
-		stream := src.Stream(fmt.Sprintf("fig7.%d", i))
-		model := name
-		var arrival func()
-		arrival = func() {
-			gap := time.Duration(stream.Exp(1.0/perModel) * float64(time.Second))
-			cl.Eng.ScheduleRun(cl.Eng.Now().Add(gap), simclock.Func(func() {
-				now := cl.Eng.Now()
-				if now >= endAt {
-					return
+	for i, model := range names {
+		workload.OpenLoop(cl.Eng, src.Stream(fmt.Sprintf("fig7.%d", i)), perModel, endAt, func() {
+			e := int(int64(cl.Eng.Now()) / int64(cfg.Epoch))
+			slo := sloOf(e)
+			counters[e].sent++
+			cl.Submit(0, core.SubmitSpec{Model: model, SLO: slo}, core.ResultFunc(func(r core.Result) {
+				if r.Success && r.Latency <= slo {
+					counters[e].ok++
 				}
-				e := epochOf(now)
-				if e >= 0 {
-					slo := sloOf(e)
-					counters[e].sent++
-					cl.Submit(0, core.SubmitSpec{Model: model, SLO: slo}, core.ResultFunc(func(r core.Result) {
-						if r.Success && r.Latency <= slo {
-							counters[e].ok++
-						}
-					}))
-				}
-				arrival()
 			}))
-		}
-		arrival()
+		})
 	}
 	cl.RunUntil(endAt.Add(time.Second))
 
@@ -227,30 +207,17 @@ func RunFig7Isolation(cfg Fig7IsoConfig) *Fig7IsoResult {
 	}
 
 	// LS: open-loop Poisson per model, SLO following the sweep.
-	for i, name := range lsNames {
-		stream := src.Stream(fmt.Sprintf("fig7iso.ls.%d", i))
-		model := name
-		var arrival func()
-		arrival = func() {
-			gap := time.Duration(stream.Exp(1.0/cfg.LSRate) * float64(time.Second))
-			cl.Eng.ScheduleRun(cl.Eng.Now().Add(gap), simclock.Func(func() {
-				now := cl.Eng.Now()
-				if now >= endAt {
-					return
+	for i, model := range lsNames {
+		workload.OpenLoop(cl.Eng, src.Stream(fmt.Sprintf("fig7iso.ls.%d", i)), cfg.LSRate, endAt, func() {
+			e := epochOf(cl.Eng.Now())
+			slo := sloOf(e)
+			epochs[e].lsSent++
+			cl.Submit(0, core.SubmitSpec{Model: model, SLO: slo}, core.ResultFunc(func(r core.Result) {
+				if r.Success && r.Latency <= slo {
+					epochs[e].lsOK++
 				}
-				if e := epochOf(now); e >= 0 {
-					slo := sloOf(e)
-					epochs[e].lsSent++
-					cl.Submit(0, core.SubmitSpec{Model: model, SLO: slo}, core.ResultFunc(func(r core.Result) {
-						if r.Success && r.Latency <= slo {
-							epochs[e].lsOK++
-						}
-					}))
-				}
-				arrival()
 			}))
-		}
-		arrival()
+		})
 	}
 
 	// BC: closed-loop clients with an effectively unbounded SLO.

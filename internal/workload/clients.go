@@ -60,59 +60,38 @@ func (c *ClosedLoopClient) Sent() uint64 { return c.sent }
 // Succeeded returns the number of responses within SLO.
 func (c *ClosedLoopClient) Succeeded() uint64 { return c.succeeded }
 
-// OpenLoopClient submits requests with Poisson (exponential inter-
-// arrival) timing at a configurable rate, independent of responses
-// (§6.3 uses one per model).
-type OpenLoopClient struct {
-	cl     *core.Cluster
-	model  string
-	slo    time.Duration
-	rate   float64 // requests/second
-	stream *rng.Stream
-	stopAt simclock.Time
-
-	sent      uint64
-	succeeded uint64
-}
-
-// NewOpenLoop returns an open-loop Poisson client.
-func NewOpenLoop(cl *core.Cluster, stream *rng.Stream, model string, slo time.Duration, rate float64) *OpenLoopClient {
+// OpenLoop drives one Poisson arrival process on eng (§6.3):
+// exponential gaps of mean 1/rate seconds drawn from stream, the first
+// counted from now. Each arrival before stop calls arrive and only then
+// draws the next gap, so an arrive that draws from the same stream (a
+// model choice, say) keeps its place in the stream's sequence. The
+// first arrival at or after stop ends the process.
+func OpenLoop(eng *simclock.Engine, stream *rng.Stream, rate float64, stop simclock.Time, arrive func()) {
 	if rate <= 0 {
 		panic("workload: non-positive rate")
 	}
-	return &OpenLoopClient{cl: cl, model: model, slo: slo, rate: rate, stream: stream, stopAt: simclock.MaxTime}
+	l := &openLoop{eng: eng, stream: stream, mean: 1.0 / rate, stop: stop, arrive: arrive}
+	l.next()
 }
 
-// StopAt bounds the submission window. Must be called before Start.
-func (c *OpenLoopClient) StopAt(t simclock.Time) { c.stopAt = t }
-
-// Start schedules the first arrival.
-func (c *OpenLoopClient) Start() { c.scheduleNext() }
-
-func (c *OpenLoopClient) scheduleNext() {
-	gap := time.Duration(c.stream.Exp(1.0/c.rate) * float64(time.Second))
-	c.cl.Eng.ScheduleRun(c.cl.Eng.Now().Add(gap), (*openLoopArrival)(c))
+// openLoop is one Poisson process, and its own arrival event.
+type openLoop struct {
+	eng    *simclock.Engine
+	stream *rng.Stream
+	mean   float64 // seconds between arrivals
+	stop   simclock.Time
+	arrive func()
 }
 
-// openLoopArrival is the client seen as its arrival event's Runner.
-type openLoopArrival OpenLoopClient
+func (l *openLoop) next() {
+	gap := time.Duration(l.stream.Exp(l.mean) * float64(time.Second))
+	l.eng.ScheduleRun(l.eng.Now().Add(gap), l)
+}
 
-func (a *openLoopArrival) Run() {
-	c := (*OpenLoopClient)(a)
-	if c.cl.Eng.Now() >= c.stopAt {
+func (l *openLoop) Run() {
+	if l.eng.Now() >= l.stop {
 		return
 	}
-	c.sent++
-	c.cl.Submit(0, core.SubmitSpec{Model: c.model, SLO: c.slo}, core.ResultFunc(func(r core.Result) {
-		if r.Success && r.Latency <= c.slo {
-			c.succeeded++
-		}
-	}))
-	c.scheduleNext()
+	l.arrive()
+	l.next()
 }
-
-// Sent returns the number of requests issued.
-func (c *OpenLoopClient) Sent() uint64 { return c.sent }
-
-// Succeeded returns the number of responses within SLO.
-func (c *OpenLoopClient) Succeeded() uint64 { return c.succeeded }

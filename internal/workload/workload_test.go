@@ -49,17 +49,24 @@ func TestClosedLoopPanicsOnBadConcurrency(t *testing.T) {
 func TestOpenLoopRate(t *testing.T) {
 	cl := newCluster()
 	cl.RegisterModel("m", modelzoo.ResNet50())
-	c := NewOpenLoop(cl, rng.NewStream(1), "m", 100*time.Millisecond, 200)
-	c.StopAt(simclock.Time(10 * time.Second))
-	c.Start()
+	const slo = 100 * time.Millisecond
+	var sent, succeeded int
+	OpenLoop(cl.Eng, rng.NewStream(1), 200, simclock.Time(10*time.Second), func() {
+		sent++
+		cl.Submit(0, core.SubmitSpec{Model: "m", SLO: slo}, core.ResultFunc(func(r core.Result) {
+			if r.Success && r.Latency <= slo {
+				succeeded++
+			}
+		}))
+	})
 	cl.RunFor(11 * time.Second)
 
-	rate := float64(c.Sent()) / 10
+	rate := float64(sent) / 10
 	if math.Abs(rate-200) > 20 {
 		t.Fatalf("open-loop rate = %.0f r/s, want ≈200", rate)
 	}
-	if c.Succeeded() < c.Sent()*95/100 {
-		t.Fatalf("only %d/%d within SLO", c.Succeeded(), c.Sent())
+	if succeeded < sent*95/100 {
+		t.Fatalf("only %d/%d within SLO", succeeded, sent)
 	}
 }
 
@@ -69,7 +76,7 @@ func TestOpenLoopPanicsOnBadRate(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewOpenLoop(newCluster(), rng.NewStream(1), "m", time.Second, 0)
+	OpenLoop(newCluster().Eng, rng.NewStream(1), 0, simclock.MaxTime, func() {})
 }
 
 func TestMAFTraceShape(t *testing.T) {
