@@ -94,11 +94,15 @@ func Render(name string, f CLIFlags) (string, error) {
 			RateScale: f.RateScale,
 		})), nil
 	case "scale":
-		return fmt.Sprintln(RunScale(ScaleConfig{
+		cfg := ScaleConfig{
 			Seed: f.Seed, Workers: f.Workers, GPUsPerWorker: f.GPUs,
 			Models: f.Models, Requests: f.Requests, Rate: f.Rate,
 			Shards: f.Shards,
-		})), nil
+		}.withDefaults()
+		if err := cfg.check(); err != nil {
+			return "", err
+		}
+		return fmt.Sprintln(RunScale(cfg)), nil
 	case "autoscale":
 		outs := runner.Map([]string{"diurnal", "flash"}, func(fam string) string {
 			return fmt.Sprintln(RunAutoscale(AutoscaleConfig{

@@ -79,6 +79,17 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	return c
 }
 
+// check rejects, before any cell starts, a group count the substrate
+// cannot hold: the cluster refuses more placement groups than workers.
+func (c ScaleConfig) check() error {
+	for _, n := range c.Shards {
+		if n > c.Workers {
+			return fmt.Errorf("%d placement groups need at least as many workers (have %d)", n, c.Workers)
+		}
+	}
+	return nil
+}
+
 // ScaleCell is one placement-group count's row.
 type ScaleCell struct {
 	Shards     int
