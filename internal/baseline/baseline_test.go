@@ -16,7 +16,7 @@ func submitFn(cl *core.Cluster, model string, slo time.Duration, fn func(core.Re
 	if fn != nil {
 		sink = core.ResultFunc(fn)
 	}
-	cl.Submit(0, core.SubmitSpec{Model: model, SLO: slo}, sink)
+	cl.Submit(core.SubmitSpec{Model: model, SLO: slo}, sink)
 }
 
 func clipperCluster() *core.Cluster {

@@ -209,7 +209,7 @@ func TestAllocRatchetSubmit(t *testing.T) {
 	sink := &countingSink{}
 	fn := ResultFunc(func(Result) { sink.n++ })
 	submit := func(cl *Cluster, model string, s ResultSink, run time.Duration) {
-		if err := cl.Submit(0, SubmitSpec{Model: model, SLO: 100 * time.Millisecond}, s); err != nil {
+		if err := cl.Submit(SubmitSpec{Model: model, SLO: 100 * time.Millisecond}, s); err != nil {
 			t.Fatal(err)
 		}
 		cl.RunFor(run)
@@ -316,7 +316,7 @@ func TestModelNameResolvedOncePerRequest(t *testing.T) {
 		gap := func() time.Duration { return time.Duration(stream.Exp(1/ph.rate) * float64(time.Second)) }
 		for at := gap(); at < ph.dur; at += gap() {
 			run(base + at)
-			if err := cl.Submit(0, SubmitSpec{Model: names[zipf.Draw()], SLO: 100 * time.Millisecond}, sink); err != nil {
+			if err := cl.Submit(SubmitSpec{Model: names[zipf.Draw()], SLO: 100 * time.Millisecond}, sink); err != nil {
 				t.Fatal(err)
 			}
 			sent++

@@ -654,9 +654,8 @@ func (h *Handle) OnResult(res Result) {
 // The model must be registered at submission time (ErrUnknownModel
 // otherwise); it is resolved again when the request arrives at the
 // controller, so one unregistered mid-transit fails the request rather
-// than corrupting controller state. shard is ignored: it names no
-// controller since there is only one.
-func (cl *Cluster) Submit(shard int, spec SubmitSpec, sink ResultSink) error {
+// than corrupting controller state.
+func (cl *Cluster) Submit(spec SubmitSpec, sink ResultSink) error {
 	mi, err := cl.checkSpec(&spec)
 	if err != nil {
 		return err

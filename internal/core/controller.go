@@ -20,10 +20,6 @@ type Config struct {
 	// ProfileWindow is the rolling measurement window per action key
 	// (§5.3: the past 10 actions).
 	ProfileWindow int
-	// ResponseMargin is subtracted from each request's SLO to form its
-	// internal deadline, covering the result's return path (output
-	// transfer + network). Zero selects min(1ms, SLO/20) per request.
-	ResponseMargin time.Duration
 	// DisableAdmissionControl turns off Clockwork's cancel-in-advance
 	// behaviour. Baseline schedulers (Clipper/INFaaS style) set this:
 	// they treat the SLO as a soft goal and execute requests even after
@@ -267,9 +263,6 @@ func (c *Controller) Engine() *simclock.Engine { return c.eng }
 
 // Now returns the current instant.
 func (c *Controller) Now() simclock.Time { return c.eng.Now() }
-
-// Config returns the effective configuration.
-func (c *Controller) Config() Config { return c.cfg }
 
 // Stats returns a copy of the arrival and action counters.
 func (c *Controller) Stats() Stats { return c.stats }
@@ -621,12 +614,11 @@ func (c *Controller) Submit(spec SubmitSpec, rsp Responder) *Request {
 		return nil
 	}
 	c.nextRequestID++
-	margin := c.cfg.ResponseMargin
-	if margin <= 0 {
-		margin = time.Millisecond
-		if m := spec.SLO / 20; m < margin {
-			margin = m
-		}
+	// The response margin covers the result's return path (output
+	// transfer and network): min(1ms, SLO/20).
+	margin := time.Millisecond
+	if m := spec.SLO / 20; m < margin {
+		margin = m
 	}
 	r := c.acquireRequest()
 	gen := r.gen

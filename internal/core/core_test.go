@@ -23,7 +23,7 @@ func submitFn(cl *Cluster, model string, slo time.Duration, fn func(Result)) err
 	if fn != nil {
 		sink = ResultFunc(fn)
 	}
-	return cl.Submit(0, SubmitSpec{Model: model, SLO: slo}, sink)
+	return cl.Submit(SubmitSpec{Model: model, SLO: slo}, sink)
 }
 
 func TestSingleRequestColdStart(t *testing.T) {

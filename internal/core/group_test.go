@@ -105,7 +105,7 @@ func TestShardedClusterServes(t *testing.T) {
 	for round := 0; round < perModel; round++ {
 		for _, n := range names {
 			h := NewHandle(ResultFunc(func(Result) { responses++ }))
-			if err := cl.Submit(0, SubmitSpec{Model: n, SLO: 250 * time.Millisecond}, h); err != nil {
+			if err := cl.Submit(SubmitSpec{Model: n, SLO: 250 * time.Millisecond}, h); err != nil {
 				t.Fatal(err)
 			}
 			handles = append(handles, h)

@@ -159,7 +159,7 @@ func interningChurn(t *testing.T, shards int, seed uint64) {
 				t.Errorf("submission %d for %s answered as %s", i, name, resp.Model)
 			}
 		}))
-		if err := cl.Submit(0, SubmitSpec{Model: name, SLO: 100 * time.Millisecond}, h); err != nil {
+		if err := cl.Submit(SubmitSpec{Model: name, SLO: 100 * time.Millisecond}, h); err != nil {
 			t.Fatalf("submit %s: %v", name, err)
 		}
 		return h

@@ -101,33 +101,6 @@ func TestResponseMarginDefaultScalesWithSLO(t *testing.T) {
 	}
 }
 
-func TestExplicitResponseMargin(t *testing.T) {
-	cl := NewCluster(ClusterConfig{
-		Workers: 1, GPUsPerWorker: 1, NoNoise: true,
-		Controller: Config{ResponseMargin: 5 * time.Millisecond},
-	})
-	cl.RegisterModel("m", modelzoo.ResNet50())
-	submitFn(cl, "m", 100*time.Millisecond, nil)
-	cl.RunFor(100 * time.Millisecond)
-	// With a 5ms margin, an 8ms SLO leaves a 3ms budget — marginally
-	// above the 2.77ms execution but below exec + transport, so the
-	// request must fail (cancelled in advance, or rejected when the
-	// action misses its now-unmeetable window).
-	var resp Result
-	submitFn(cl, "m", 8*time.Millisecond, func(r Result) { resp = r })
-	cl.RunFor(100 * time.Millisecond)
-	if resp.Success {
-		t.Fatalf("want failure under fat margin, got %+v", resp)
-	}
-	// And the margin must not break a comfortably feasible SLO.
-	ok := false
-	submitFn(cl, "m", 50*time.Millisecond, func(r Result) { ok = r.Success })
-	cl.RunFor(100 * time.Millisecond)
-	if !ok {
-		t.Fatal("50ms SLO should succeed with a 5ms margin")
-	}
-}
-
 func TestControllerAddWorkerOutOfOrderPanics(t *testing.T) {
 	// Worker IDs are cluster-global and may be non-contiguous within one
 	// controller (shard striping), but must still arrive ascending and

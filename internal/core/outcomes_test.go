@@ -33,7 +33,7 @@ func TestOutcomeLedgersAgree(t *testing.T) {
 	n := 0
 	submit := func(model string, slo time.Duration) {
 		n++
-		if err := cl.Submit(0, SubmitSpec{Model: model, SLO: slo, Tenant: tenants[n%len(tenants)]}, sink); err != nil {
+		if err := cl.Submit(SubmitSpec{Model: model, SLO: slo, Tenant: tenants[n%len(tenants)]}, sink); err != nil {
 			t.Fatal(err)
 		}
 	}

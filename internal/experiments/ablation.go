@@ -143,7 +143,7 @@ func RunAblationLoadPolicy(dur time.Duration, seed uint64) *AblationResult {
 			stream := src.Stream("ablation.load")
 			zipf := stream.Zipf(1.3, len(names))
 			workload.OpenLoop(cl.Eng, stream, 600, stop, func() {
-				cl.Submit(0, core.SubmitSpec{Model: names[zipf.Draw()], SLO: slo}, nil)
+				cl.Submit(core.SubmitSpec{Model: names[zipf.Draw()], SLO: slo}, nil)
 			})
 			cl.RunUntil(stop.Add(time.Second))
 			tot := cl.Metrics.Total

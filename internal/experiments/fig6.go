@@ -122,7 +122,7 @@ func RunFig6(cfg Fig6Config) *Fig6Result {
 	var violated uint64
 
 	submit := func(model string, minor bool) {
-		cl.Submit(0, core.SubmitSpec{Model: model, SLO: cfg.SLO}, core.ResultFunc(func(r core.Result) {
+		cl.Submit(core.SubmitSpec{Model: model, SLO: cfg.SLO}, core.ResultFunc(func(r core.Result) {
 			now := cl.Eng.Now()
 			idx := int(int64(now) / int64(time.Minute))
 			if r.Latency > maxLatency {

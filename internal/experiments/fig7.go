@@ -91,7 +91,7 @@ func RunFig7(cfg Fig7Config) *Fig7Result {
 			e := int(int64(cl.Eng.Now()) / int64(cfg.Epoch))
 			slo := sloOf(e)
 			counters[e].sent++
-			cl.Submit(0, core.SubmitSpec{Model: model, SLO: slo}, core.ResultFunc(func(r core.Result) {
+			cl.Submit(core.SubmitSpec{Model: model, SLO: slo}, core.ResultFunc(func(r core.Result) {
 				if r.Success && r.Latency <= slo {
 					counters[e].ok++
 				}
@@ -212,7 +212,7 @@ func RunFig7Isolation(cfg Fig7IsoConfig) *Fig7IsoResult {
 			e := epochOf(cl.Eng.Now())
 			slo := sloOf(e)
 			epochs[e].lsSent++
-			cl.Submit(0, core.SubmitSpec{Model: model, SLO: slo}, core.ResultFunc(func(r core.Result) {
+			cl.Submit(core.SubmitSpec{Model: model, SLO: slo}, core.ResultFunc(func(r core.Result) {
 				if r.Success && r.Latency <= slo {
 					epochs[e].lsOK++
 				}
@@ -230,7 +230,7 @@ func RunFig7Isolation(cfg Fig7IsoConfig) *Fig7IsoResult {
 			if cl.Eng.Now() >= endAt {
 				return
 			}
-			cl.Submit(0, core.SubmitSpec{Model: model, SLO: bcSLO}, core.ResultFunc(func(r core.Result) {
+			cl.Submit(core.SubmitSpec{Model: model, SLO: bcSLO}, core.ResultFunc(func(r core.Result) {
 				if r.Success {
 					// The response left the controller one client-link
 					// latency ago: the link has no bandwidth cap and no

@@ -186,15 +186,3 @@ func (u *Utilization) TotalBusy() time.Duration {
 	}
 	return t
 }
-
-// Counter is a simple monotonic counter.
-type Counter struct{ n uint64 }
-
-// Incr adds one.
-func (c *Counter) Incr() { c.n++ }
-
-// Add adds delta.
-func (c *Counter) Add(delta uint64) { c.n += delta }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }

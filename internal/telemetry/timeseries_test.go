@@ -129,15 +129,6 @@ func TestUtilizationPanicsOnBadInterval(t *testing.T) {
 	NewUtilization(-time.Second)
 }
 
-func TestCounter(t *testing.T) {
-	var c Counter
-	c.Incr()
-	c.Add(4)
-	if c.Value() != 5 {
-		t.Fatalf("counter=%d", c.Value())
-	}
-}
-
 // Property: total busy time is conserved regardless of how a span crosses
 // bucket boundaries.
 func TestUtilizationConservationProperty(t *testing.T) {

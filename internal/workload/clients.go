@@ -46,7 +46,7 @@ func (c *ClosedLoopClient) submit() {
 		return
 	}
 	c.sent++
-	c.cl.Submit(0, core.SubmitSpec{Model: c.model, SLO: c.slo}, core.ResultFunc(func(r core.Result) {
+	c.cl.Submit(core.SubmitSpec{Model: c.model, SLO: c.slo}, core.ResultFunc(func(r core.Result) {
 		if r.Success && r.Latency <= c.slo {
 			c.succeeded++
 		}

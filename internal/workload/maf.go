@@ -267,7 +267,7 @@ func (rp *Replayer) scheduleMinuteBody(m int) {
 			at := time.Duration(rp.stream.Float64() * float64(time.Minute))
 			rp.cl.Eng.ScheduleRun(rp.cl.Eng.Now().Add(at), simclock.Func(func() {
 				rp.sent++
-				rp.cl.Submit(0, core.SubmitSpec{Model: model, SLO: rp.slo}, nil)
+				rp.cl.Submit(core.SubmitSpec{Model: model, SLO: rp.slo}, nil)
 			}))
 		}
 	}

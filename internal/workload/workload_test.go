@@ -53,7 +53,7 @@ func TestOpenLoopRate(t *testing.T) {
 	var sent, succeeded int
 	OpenLoop(cl.Eng, rng.NewStream(1), 200, simclock.Time(10*time.Second), func() {
 		sent++
-		cl.Submit(0, core.SubmitSpec{Model: "m", SLO: slo}, core.ResultFunc(func(r core.Result) {
+		cl.Submit(core.SubmitSpec{Model: "m", SLO: slo}, core.ResultFunc(func(r core.Result) {
 			if r.Success && r.Latency <= slo {
 				succeeded++
 			}

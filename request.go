@@ -153,7 +153,7 @@ func (s *System) SubmitRequest(req Request, onDone func(Result)) (Handle, error)
 		sink = core.ResultFunc(onDone)
 	}
 	h := core.NewHandle(sink)
-	if err := s.cluster.Submit(0, req, h); err != nil {
+	if err := s.cluster.Submit(req, h); err != nil {
 		return Handle{}, err
 	}
 	return Handle{h: h, gen: h.Gen()}, nil
@@ -172,5 +172,5 @@ type ResultSink = core.ResultSink
 // state in pools of their own: nothing is allocated per request on the
 // way down.
 func (s *System) SubmitRequestSink(shard int, req Request, sink ResultSink) error {
-	return s.cluster.Submit(shard, req, sink)
+	return s.cluster.Submit(req, sink)
 }
