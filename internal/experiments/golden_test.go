@@ -50,8 +50,8 @@ const (
 )
 
 // goldenAblations pins `clockwork -exp ablations -dur 2s -seed 42`: the
-// lookahead, predictor-window, LOAD-policy and paging sweeps, whose
-// closed- and open-loop clients no other golden drives.
+// lookahead, predictor-window, LOAD-policy and paging sweeps, which no
+// other golden runs.
 const goldenAblations = "44133b3d635640e0dd66cfe0d316b20f763321ba1dd1c84d5a60e69c515c0347"
 
 func TestGoldenAblationsBitIdentical(t *testing.T) {

@@ -32,10 +32,11 @@ type Options struct {
 	// the engine's admission control has to cancel. 0 means unbounded.
 	MaxInFlight int
 	// Journal, if non-nil, records every externally-sourced injection
-	// (submissions, registrations, worker ops, and read scrapes as
-	// no-op records) plus an acknowledgement per completed request, for
-	// crash recovery and deterministic replay. The server owns the
-	// recorder's lifecycle: Shutdown closes it.
+	// (submissions, registrations and worker ops) plus an
+	// acknowledgement per completed request, for crash recovery and
+	// deterministic replay. Reads (stats, metrics and admin scrapes)
+	// record nothing. The server owns the recorder's lifecycle:
+	// Shutdown closes it.
 	Journal *journal.Recorder
 	// Autoscale, if non-nil, closes the control loop: a periodic
 	// engine-side policy (internal/autoscale) re-derives MaxInFlight

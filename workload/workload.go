@@ -35,7 +35,7 @@ func SynthesizeMAF(seed uint64, cfg MAFConfig) *Trace {
 }
 
 // Arrivals draws open-loop inter-arrival gaps from the same seeded
-// exponential distribution the §6.3 open-loop clients use, exposed
+// exponential distribution the §6.3 open-loop arrivals use, exposed
 // publicly so wall-clock load generators (cmd/clockwork-loadgen) pace
 // arrivals with the paper's Poisson process. Equal (seed, rate) pairs
 // give identical gap sequences. Not safe for concurrent use; give each
@@ -47,7 +47,7 @@ type Arrivals struct {
 
 // NewPoissonArrivals returns a Poisson arrival process at ratePerSec
 // requests per second. It panics on a non-positive rate, mirroring the
-// internal open-loop client.
+// internal open-loop driver.
 func NewPoissonArrivals(seed uint64, ratePerSec float64) *Arrivals {
 	if ratePerSec <= 0 {
 		panic("workload: non-positive rate")
