@@ -34,7 +34,7 @@ type Options struct {
 	// Journal, if non-nil, records every externally-sourced injection
 	// (submissions, registrations and worker ops) plus an
 	// acknowledgement per completed request, for crash recovery and
-	// deterministic replay. Reads (stats, metrics and admin scrapes)
+	// deterministic replay. Reads (stats, metrics and admin GETs)
 	// record nothing. The server owns the recorder's lifecycle:
 	// Shutdown closes it.
 	Journal *journal.Recorder
