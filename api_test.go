@@ -1,6 +1,6 @@
 package clockwork_test
 
-// Public-API round-trip coverage: every registered policy served
+// Public-API round-trip coverage: every policy served
 // through clockwork.System only, per-request options, the runtime
 // control plane, and a determinism test for mid-run reconfiguration.
 // Deliberately imports nothing from clockwork/internal.
@@ -9,7 +9,6 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
-	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -26,16 +25,15 @@ func mustSys(t *testing.T, cfg clockwork.Config) *clockwork.System {
 	return sys
 }
 
-// TestEveryRegisteredPolicyServes round-trips one request through every
-// policy in the registry — the paper's scheduler, its ablation variant,
-// both baselines, and anything registered by other tests.
+// TestEveryRegisteredPolicyServes round-trips one request through each
+// of the four policies: the paper's scheduler, its ablation variant and
+// both baselines.
 func TestEveryRegisteredPolicyServes(t *testing.T) {
 	policies := clockwork.Policies()
-	if len(policies) < 4 {
-		t.Fatalf("registry too small: %v", policies)
+	if len(policies) != 4 {
+		t.Fatalf("want the four policies, got %v", policies)
 	}
 	for _, p := range policies {
-		p := p
 		t.Run(string(p), func(t *testing.T) {
 			sys := mustSys(t, clockwork.Config{Policy: p, ExactTiming: true, Seed: 1})
 			if err := sys.RegisterModel("m", "resnet50_v1b"); err != nil {
@@ -54,192 +52,7 @@ func TestEveryRegisteredPolicyServes(t *testing.T) {
 			if got.Tenant != "t0" || got.Model != "m" {
 				t.Fatalf("result lost request labels: %+v", got)
 			}
-			if _, ok := clockwork.PolicyDescription(p); !ok {
-				t.Fatalf("policy %s has no registry entry", p)
-			}
 		})
-	}
-}
-
-// fifoScheduler is a deliberately naive external policy: one
-// outstanding batch-1 INFER at a time on GPU 0, loading on demand. It
-// exists to prove third-party schedulers can be written and registered
-// against the public surface alone.
-type fifoScheduler struct {
-	c      *clockwork.Controller
-	models []*clockwork.ModelInfo // every model a request arrived for
-}
-
-func (s *fifoScheduler) Attach(c *clockwork.Controller)      { s.c = c }
-func (s *fifoScheduler) OnResult(res clockwork.ActionResult) { s.pump() }
-
-func (s *fifoScheduler) OnRequest(r *clockwork.ControllerRequest) {
-	if mi := r.ModelInfo(); !slices.Contains(s.models, mi) {
-		s.models = append(s.models, mi)
-	}
-	s.pump()
-}
-
-func (s *fifoScheduler) pump() {
-	g := s.c.GPUs()[0]
-	for _, mi := range s.models {
-		if mi.QueuedCount() == 0 {
-			continue
-		}
-		readyAt, resident := g.Resident(mi)
-		if !resident {
-			s.c.SendLoad(g, mi, s.c.Now(), clockwork.MaxVirtualTime)
-			continue
-		}
-		if g.InFlight(mi) > 0 {
-			continue
-		}
-		earliest := s.c.Now()
-		if readyAt > earliest {
-			earliest = readyAt
-		}
-		reqs := mi.PopBatch(1)
-		s.c.SendInfer(g, mi, 1, reqs, earliest, clockwork.MaxVirtualTime)
-	}
-}
-
-// externalPolicyRuns names each run's policy apart: the registry is
-// process-wide, so a second run (-count) must not re-register a name.
-var externalPolicyRuns int
-
-func TestRegisterExternalPolicy(t *testing.T) {
-	externalPolicyRuns++
-	name := clockwork.Policy(fmt.Sprintf("test-fifo-%d", externalPolicyRuns))
-	err := clockwork.RegisterPolicy(name, clockwork.PolicySpec{
-		New:                     func() clockwork.Scheduler { return &fifoScheduler{} },
-		DisableAdmissionControl: true,
-		Description:             "test-only naive FIFO scheduler",
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := clockwork.RegisterPolicy(name, clockwork.PolicySpec{
-		New: func() clockwork.Scheduler { return &fifoScheduler{} },
-	}); !errors.Is(err, clockwork.ErrDuplicatePolicy) {
-		t.Fatalf("want ErrDuplicatePolicy, got %v", err)
-	}
-
-	sys := mustSys(t, clockwork.Config{Policy: name, ExactTiming: true})
-	if err := sys.RegisterModel("m", "resnet50_v1b"); err != nil {
-		t.Fatal(err)
-	}
-	served := 0
-	for i := 0; i < 5; i++ {
-		if _, err := sys.SubmitRequest(clockwork.Request{Model: "m", SLO: time.Second}, func(r clockwork.Result) {
-			if r.Success {
-				served++
-			}
-		}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	sys.RunFor(2 * time.Second)
-	if served != 5 {
-		t.Fatalf("external policy served %d/5", served)
-	}
-}
-
-// workListScheduler dispatches only when none of its actions is
-// outstanding, and then sends one batch-1 INFER per model on GPU 0's work
-// list from inside the range over it. Each INFER empties its model's
-// queue and so takes the model off the live list mid-range.
-type workListScheduler struct {
-	c       *clockwork.Controller
-	models  []*clockwork.ModelInfo
-	work    []*clockwork.ModelInfo
-	pending int // actions sent whose results have not come back
-	maxSent int // most INFERs sent in one range over the work list
-}
-
-func (s *workListScheduler) Attach(c *clockwork.Controller)  { s.c = c }
-func (s *workListScheduler) OnResult(clockwork.ActionResult) { s.pending--; s.pump() }
-
-func (s *workListScheduler) OnRequest(r *clockwork.ControllerRequest) {
-	if mi := r.ModelInfo(); !slices.Contains(s.models, mi) {
-		s.models = append(s.models, mi)
-	}
-	s.pump()
-}
-
-func (s *workListScheduler) pump() {
-	if s.pending > 0 {
-		return
-	}
-	g := s.c.GPUs()[0]
-	for _, mi := range s.models {
-		if _, resident := g.Resident(mi); !resident && mi.QueuedCount() > 0 {
-			s.c.SendLoad(g, mi, s.c.Now(), clockwork.MaxVirtualTime)
-			s.pending++
-		}
-	}
-	if s.pending > 0 {
-		return
-	}
-	sent := 0
-	s.work = g.ModelsWithWork(s.work)
-	for _, mi := range s.work {
-		s.c.SendInfer(g, mi, 1, mi.PopBatch(1), s.c.Now(), clockwork.MaxVirtualTime)
-		s.pending++
-		sent++
-	}
-	s.maxSent = max(s.maxSent, sent)
-}
-
-// lastWorkList is the workListScheduler the "test-worklist" policy made
-// last.
-var lastWorkList *workListScheduler
-
-// TestModelsWithWorkSafeToSendWhileRanging serves same-instant bursts
-// through workListScheduler: the INFERs it sends while ranging over
-// ModelsWithWork must not make it skip a model or meet an emptied slot.
-func TestModelsWithWorkSafeToSendWhileRanging(t *testing.T) {
-	// Registered once per process (-count > 1 reruns find it there).
-	err := clockwork.RegisterPolicy("test-worklist", clockwork.PolicySpec{
-		New: func() clockwork.Scheduler {
-			lastWorkList = &workListScheduler{}
-			return lastWorkList
-		},
-		DisableAdmissionControl: true,
-		Description:             "test-only scheduler sending while ranging over a GPU's work list",
-	})
-	if err != nil && !errors.Is(err, clockwork.ErrDuplicatePolicy) {
-		t.Fatal(err)
-	}
-	sys := mustSys(t, clockwork.Config{Policy: "test-worklist", ExactTiming: true})
-	s := lastWorkList
-	models := []string{"a", "b", "c", "d"}
-	for _, m := range models {
-		if err := sys.RegisterModel(m, "resnet50_v1b"); err != nil {
-			t.Fatal(err)
-		}
-	}
-	submitted, served := 0, 0
-	burst := func() {
-		for _, m := range models {
-			submitted++
-			if _, err := sys.SubmitRequest(clockwork.Request{Model: m, SLO: time.Second}, func(r clockwork.Result) {
-				if r.Success {
-					served++
-				}
-			}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		sys.RunFor(500 * time.Millisecond)
-	}
-	for i := 0; i < 3; i++ {
-		burst()
-	}
-	if served != submitted {
-		t.Fatalf("served %d of %d", served, submitted)
-	}
-	if s.maxSent < 3 {
-		t.Fatalf("at most %d INFERs sent in one range; the test needs several models leaving the list mid-range", s.maxSent)
 	}
 }
 

@@ -4,7 +4,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	_ "clockwork/internal/baseline" // registers the clipper/infaas policies
 	"clockwork/internal/core"
 	"clockwork/internal/simclock"
 	"clockwork/trace"
@@ -27,8 +26,8 @@ type Config struct {
 	// group. Requires
 	// Workers >= Shards. See ARCHITECTURE.md, "Placement groups".
 	Shards int
-	// Policy selects the scheduler by registry name (default
-	// PolicyClockwork). See RegisterPolicy and Policies.
+	// Policy selects one of the four serving policies (default
+	// PolicyClockwork); Policies lists them.
 	Policy Policy
 	// Seed makes runs reproducible; equal seeds give identical runs.
 	Seed uint64
@@ -63,9 +62,9 @@ func init() {
 	core.ClusterOf = func(s any) *core.Cluster { return s.(*System).cluster }
 }
 
-// New constructs a serving system. The configured policy is resolved
-// through the registry; an unknown name returns an error listing every
-// registered policy (it does not panic).
+// New constructs a serving system. An unknown policy name or a
+// placement-group count above the worker count returns an error (it
+// does not panic); the unknown-policy error lists the four policies.
 func New(cfg Config) (*System, error) {
 	ccfg := core.ClusterConfig{
 		Workers:          cfg.Workers,
@@ -81,11 +80,13 @@ func New(cfg Config) (*System, error) {
 			ProfileWindow: cfg.ProfileWindow,
 		},
 	}
-	cl, err := core.NewClusterWithPolicy(string(cfg.Policy), ccfg)
-	if err != nil {
+	if err := cfg.Policy.configure(&ccfg); err != nil {
 		return nil, err
 	}
-	return &System{cluster: cl}, nil
+	if err := ccfg.Validate(); err != nil {
+		return nil, err
+	}
+	return &System{cluster: core.NewCluster(ccfg)}, nil
 }
 
 // RunFor advances virtual time by d, executing everything due in that

@@ -2,9 +2,15 @@ package clockwork
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 	"time"
+
+	"clockwork/internal/action"
+	"clockwork/internal/core"
+	"clockwork/internal/modelzoo"
+	"clockwork/internal/simclock"
 )
 
 func newSys(t *testing.T, cfg Config) *System {
@@ -119,8 +125,8 @@ func TestPublicAPIUnknownPolicyError(t *testing.T) {
 		t.Fatalf("want ErrUnknownPolicy, got %v", err)
 	}
 	// The error must name the alternatives.
-	for _, p := range []string{"clockwork", "clipper", "infaas"} {
-		if !strings.Contains(err.Error(), p) {
+	for _, p := range Policies() {
+		if !strings.Contains(err.Error(), string(p)) {
 			t.Fatalf("error %q does not list policy %q", err, p)
 		}
 	}
@@ -231,5 +237,92 @@ func TestSummaryIsTheLedger(t *testing.T) {
 	}
 	if s := sys.Summary(); s.Succeeded != 1 || s.Arrived != 1 {
 		t.Fatalf("after the response: %+v", s)
+	}
+}
+
+// workListScheduler dispatches only when none of its actions is
+// outstanding, and then sends one batch-1 INFER per model on GPU 0's work
+// list from inside the range over it. Each INFER empties its model's
+// queue and so takes the model off the live list mid-range.
+type workListScheduler struct {
+	c       *core.Controller
+	models  []*core.ModelInfo
+	work    []*core.ModelInfo
+	pending int // actions sent whose results have not come back
+	maxSent int // most INFERs sent in one range over the work list
+}
+
+func (s *workListScheduler) Attach(c *core.Controller) { s.c = c }
+func (s *workListScheduler) OnResult(action.Result)    { s.pending--; s.pump() }
+
+func (s *workListScheduler) OnRequest(r *core.Request) {
+	if mi := r.ModelInfo(); !slices.Contains(s.models, mi) {
+		s.models = append(s.models, mi)
+	}
+	s.pump()
+}
+
+func (s *workListScheduler) pump() {
+	if s.pending > 0 {
+		return
+	}
+	g := s.c.GPUs()[0]
+	for _, mi := range s.models {
+		if _, resident := g.Resident(mi); !resident && mi.QueuedCount() > 0 {
+			s.c.SendLoad(g, mi, s.c.Now(), simclock.MaxTime)
+			s.pending++
+		}
+	}
+	if s.pending > 0 {
+		return
+	}
+	sent := 0
+	s.work = g.ModelsWithWork(s.work)
+	for _, mi := range s.work {
+		s.c.SendInfer(g, mi, 1, mi.PopBatch(1), s.c.Now(), simclock.MaxTime)
+		s.pending++
+		sent++
+	}
+	s.maxSent = max(s.maxSent, sent)
+}
+
+// TestModelsWithWorkSafeToSendWhileRanging serves same-instant bursts
+// through workListScheduler: the INFERs it sends while ranging over
+// ModelsWithWork must not make it skip a model or meet an emptied slot.
+func TestModelsWithWorkSafeToSendWhileRanging(t *testing.T) {
+	s := &workListScheduler{}
+	cl := core.NewCluster(core.ClusterConfig{
+		NoNoise:      true,
+		Controller:   core.Config{DisableAdmissionControl: true},
+		NewScheduler: func() core.Scheduler { return s },
+	})
+	models := []string{"a", "b", "c", "d"}
+	for _, m := range models {
+		if err := cl.RegisterModel(m, modelzoo.ResNet50()); err != nil {
+			t.Fatal(err)
+		}
+	}
+	submitted, served := 0, 0
+	burst := func() {
+		for _, m := range models {
+			submitted++
+			if err := cl.Submit(core.SubmitSpec{Model: m, SLO: time.Second}, core.ResultFunc(func(r core.Result) {
+				if r.Success {
+					served++
+				}
+			})); err != nil {
+				t.Fatal(err)
+			}
+		}
+		cl.RunFor(500 * time.Millisecond)
+	}
+	for i := 0; i < 3; i++ {
+		burst()
+	}
+	if served != submitted {
+		t.Fatalf("served %d of %d", served, submitted)
+	}
+	if s.maxSent < 3 {
+		t.Fatalf("at most %d INFERs sent in one range; the test needs several models leaving the list mid-range", s.maxSent)
 	}
 }

@@ -96,7 +96,7 @@ func main() {
 		gpus         = flag.Int("gpus", 1, "GPUs per worker")
 		shards       = flag.Int("shards", 1, "placement groups: each model loads only onto the GPUs of its group")
 		policy       = flag.String("policy", string(clockwork.PolicyClockwork), "serving policy (see -list-policies)")
-		listPolicies = flag.Bool("list-policies", false, "print registered policies and exit")
+		listPolicies = flag.Bool("list-policies", false, "print the four serving policies and exit")
 		speed        = flag.Float64("speed", 1.0, "virtual-vs-wall clock multiplier")
 		seed         = flag.Uint64("seed", 42, "engine RNG seed")
 		preload      = flag.String("preload", "", "models to register at startup: zoo[:copies] comma-separated (e.g. resnet50_v1b:4)")

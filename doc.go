@@ -38,12 +38,14 @@
 //
 // # Policies
 //
-// Serving policies are resolved by name through a registry. The paper's
-// scheduler ("clockwork"), its ablation variant
+// Config.Policy selects one of the four policies the paper evaluates:
+// its scheduler ("clockwork"), that scheduler with naive LOAD selection
 // ("clockwork-oldest-load"), and the two §6.1 baselines ("clipper",
-// "infaas") self-register; external schedulers plug in with
-// RegisterPolicy without touching New. Unknown policy names make New
-// return an error that lists everything registered.
+// "infaas"). They differ only in which scheduler decides, whether
+// admission control runs and whether workers execute best-effort, and
+// Policies lists them. The set is closed, so a journaled system always
+// replays under the policy it was recorded with. An unknown name makes
+// New return ErrUnknownPolicy, with the four names in the message.
 //
 // # Placement groups
 //

@@ -184,3 +184,24 @@ func evictFor(c *core.Controller, g *core.GPUMirror, mi *core.ModelInfo) bool {
 	}
 	return true
 }
+
+// enabledGPUs returns the schedulable (non-drained, non-failed) GPU
+// mirrors mi may be placed on (its placement group's, see
+// core.Controller.PlacementGPUs), preserving controller order.
+func enabledGPUs(c *core.Controller, mi *core.ModelInfo) []*core.GPUMirror {
+	all := c.PlacementGPUs(mi)
+	for i, g := range all {
+		if g.Disabled() {
+			// Rare path: copy-on-filter only once a GPU is disabled.
+			live := make([]*core.GPUMirror, 0, len(all)-1)
+			live = append(live, all[:i]...)
+			for _, g2 := range all[i+1:] {
+				if !g2.Disabled() {
+					live = append(live, g2)
+				}
+			}
+			return live
+		}
+	}
+	return all
+}

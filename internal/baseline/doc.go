@@ -11,10 +11,9 @@
 //
 // The Clipper baseline additionally executes kernels concurrently
 // (thread-pool per model container), inheriting the hardware scheduler's
-// latency variability (Fig 2b) — its policy registers with
-// BestEffortWorkers: true.
+// latency variability (Fig 2b): its policy also sets
+// core.ClusterConfig.WorkerBestEffort.
 //
-// Both register themselves in the policy registry (names "clipper" and
-// "infaas") from init, so clockwork.New(Config{Policy: ...}) can run
-// them without this package being imported explicitly anywhere else.
+// The root package's policy table (policy.go) builds them for the
+// policies "clipper" and "infaas", with admission control off.
 package baseline

@@ -17,14 +17,23 @@ import (
 // refused as busy. Every request is answered, and once the model is
 // gone no enabled GPU holds it.
 func TestBaselinesKeepPlacementGroups(t *testing.T) {
-	for _, policy := range []string{"infaas", "clipper"} {
-		t.Run(policy, func(t *testing.T) {
-			cl, err := core.NewClusterWithPolicy(policy, core.ClusterConfig{
-				Workers: 4, GPUsPerWorker: 1, Shards: 2, NoNoise: true, Seed: 1,
-			})
-			if err != nil {
-				t.Fatal(err)
-			}
+	for _, tc := range []struct {
+		policy string
+		cfg    core.ClusterConfig
+	}{
+		{"infaas", core.ClusterConfig{
+			NewScheduler: func() core.Scheduler { return NewINFaaS() },
+		}},
+		{"clipper", core.ClusterConfig{
+			NewScheduler:     func() core.Scheduler { return NewClipper() },
+			WorkerBestEffort: true,
+		}},
+	} {
+		t.Run(tc.policy, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Workers, cfg.GPUsPerWorker, cfg.Shards, cfg.NoNoise, cfg.Seed = 4, 1, 2, true, 1
+			cfg.Controller.DisableAdmissionControl = true
+			cl := core.NewCluster(cfg)
 			c := cl.Ctl
 			names, _ := cl.RegisterCopies("m", modelzoo.ResNet50(), 8)
 			sent, answered := 0, 0

@@ -39,8 +39,7 @@ type ClusterConfig struct {
 	Shards int
 
 	// Controller configuration and scheduler factory. A nil
-	// NewScheduler selects the paper's ClockworkScheduler;
-	// NewClusterWithPolicy resolves it by registry name instead.
+	// NewScheduler selects the paper's ClockworkScheduler.
 	Controller   Config
 	NewScheduler func() Scheduler
 
@@ -118,12 +117,11 @@ type Cluster struct {
 
 // NewCluster builds a deployment. Register models with RegisterModel (or
 // RegisterCopies), then drive load via Submit and run the engine.
-// Invalid group geometry (more groups than workers) panics: it is a
-// construction-time programming error. NewClusterWithPolicy returns it
-// as an error instead.
+// Invalid group geometry (see Validate) panics: it is a
+// construction-time programming error.
 func NewCluster(cfg ClusterConfig) *Cluster {
 	cfg = cfg.withDefaults()
-	if err := cfg.validateShards(); err != nil {
+	if err := cfg.Validate(); err != nil {
 		panic("core: " + err.Error())
 	}
 	eng := simclock.NewEngine()
@@ -148,8 +146,11 @@ func NewCluster(cfg ClusterConfig) *Cluster {
 	return cl
 }
 
-func (c ClusterConfig) validateShards() error {
-	if c.Shards > c.Workers {
+// Validate reports a geometry no cluster can hold: more placement
+// groups than workers, once defaults apply, so that a group would start
+// with no GPU.
+func (c ClusterConfig) Validate() error {
+	if c = c.withDefaults(); c.Shards > c.Workers {
 		return fmt.Errorf("%d placement groups need at least as many workers (have %d)", c.Shards, c.Workers)
 	}
 	return nil

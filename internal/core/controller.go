@@ -52,8 +52,9 @@ func (c Config) withDefaults() Config {
 // Scheduler is the decision-making brain plugged into the controller
 // (§5.3). The controller owns networking, state mirroring, timeouts and
 // response plumbing; the scheduler decides what runs where and when.
-// Schedulers plug into clusters by name through the policy registry
-// (see registry.go).
+// A cluster takes its scheduler from ClusterConfig.NewScheduler; the
+// root package's policy table (policy.go) sets it for each of the four
+// serving policies.
 //
 // Retention rule: *Request objects recycle through a free list the
 // moment they reach a final outcome, so a scheduler must not retain a

@@ -192,7 +192,7 @@ func TestShardedDeterminism(t *testing.T) {
 // starts with no GPU, stranded from the first request) is a
 // construction-time error.
 func TestShardGeometryValidation(t *testing.T) {
-	if _, err := NewClusterWithPolicy("", ClusterConfig{Workers: 2, Shards: 4}); err == nil {
+	if err := (ClusterConfig{Workers: 2, Shards: 4}).Validate(); err == nil {
 		t.Fatal("want error for Shards > Workers")
 	}
 }

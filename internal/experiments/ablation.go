@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"clockwork"
 	"clockwork/internal/core"
 	"clockwork/internal/modelzoo"
 	"clockwork/internal/rng"
@@ -59,9 +60,7 @@ func ablationWorkload(label string, cl *core.Cluster, dur time.Duration) Ablatio
 	stop := simclock.Time(dur)
 	const slo = 50 * time.Millisecond
 	for _, n := range names {
-		c := workload.NewClosedLoop(cl, n, slo, 8)
-		c.StopAt(stop)
-		c.Start()
+		workload.ClosedLoop(cl, n, slo, 8, stop, nil)
 	}
 	cl.RunUntil(stop.Add(time.Second))
 	tot := cl.Metrics.Total
@@ -86,9 +85,8 @@ func RunAblationLookahead(dur time.Duration, seed uint64) *AblationResult {
 	return &AblationResult{
 		Name: "scheduler lookahead",
 		Rows: runner.Map(sweep, func(la time.Duration) AblationRow {
-			cl := newSystemCluster(SystemClockwork, core.ClusterConfig{
-				Workers: 1, GPUsPerWorker: 1, Seed: seed,
-				Controller: core.Config{Lookahead: la},
+			cl := newSystemCluster(clockwork.Config{
+				Workers: 1, GPUsPerWorker: 1, Seed: seed, Lookahead: la,
 			})
 			return ablationWorkload(la.String(), cl, dur)
 		}),
@@ -105,9 +103,8 @@ func RunAblationPredictor(dur time.Duration, seed uint64) *AblationResult {
 	return &AblationResult{
 		Name: "predictor window",
 		Rows: runner.Map([]int{1, 10, 100}, func(w int) AblationRow {
-			cl := newSystemCluster(SystemClockwork, core.ClusterConfig{
-				Workers: 1, GPUsPerWorker: 1, Seed: seed,
-				Controller: core.Config{ProfileWindow: w},
+			cl := newSystemCluster(clockwork.Config{
+				Workers: 1, GPUsPerWorker: 1, Seed: seed, ProfileWindow: w,
 			})
 			return ablationWorkload(fmt.Sprintf("window=%d", w), cl, dur)
 		}),
@@ -121,8 +118,8 @@ func RunAblationLoadPolicy(dur time.Duration, seed uint64) *AblationResult {
 	if dur <= 0 {
 		dur = 10 * time.Second
 	}
-	// The ablation variant is a registered policy of its own, so the
-	// sweep resolves both schedulers by name through the public API.
+	// The ablation variant is a policy of its own, so the sweep selects
+	// both schedulers by name through the public API.
 	policies := []string{SystemClockwork, "clockwork-oldest-load"}
 	return &AblationResult{
 		Name: "LOAD selection policy",
@@ -131,7 +128,8 @@ func RunAblationLoadPolicy(dur time.Duration, seed uint64) *AblationResult {
 			if policy != SystemClockwork {
 				label = "oldest-first"
 			}
-			cl := newSystemCluster(policy, core.ClusterConfig{
+			cl := newSystemCluster(clockwork.Config{
+				Policy:  clockwork.Policy(policy),
 				Workers: 1, GPUsPerWorker: 1, Seed: seed,
 				PageCacheBytes: 10 * 7 * 16 * 1024 * 1024,
 			})

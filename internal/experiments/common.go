@@ -10,7 +10,7 @@ import (
 )
 
 // System names accepted by the comparison experiments. They are policy
-// registry names; see clockwork.Policies.
+// names; see clockwork.Policies.
 const (
 	SystemClockwork = string(clockwork.PolicyClockwork)
 	SystemClipper   = string(clockwork.PolicyClipper)
@@ -20,15 +20,15 @@ const (
 // Systems lists the three systems of Fig 5.
 var Systems = []string{SystemClockwork, SystemClipper, SystemINFaaS}
 
-// newSystemCluster builds a cluster running the named system's policy,
-// as clockwork.New does (the registry resolves the scheduler and the
-// baseline switches), for harnesses that read raw telemetry.
-func newSystemCluster(system string, cfg core.ClusterConfig) *core.Cluster {
-	cl, err := core.NewClusterWithPolicy(system, cfg)
+// newSystemCluster builds a system through clockwork.New, the one
+// construction path, and returns its cluster for harnesses that read
+// raw telemetry.
+func newSystemCluster(cfg clockwork.Config) *core.Cluster {
+	sys, err := clockwork.New(cfg)
 	if err != nil {
 		panic("experiments: " + err.Error())
 	}
-	return cl
+	return core.ClusterOf(sys)
 }
 
 // fmtMS renders a duration as milliseconds with two decimals.

@@ -5,7 +5,7 @@ import (
 	"strings"
 	"time"
 
-	"clockwork/internal/core"
+	"clockwork"
 	"clockwork/internal/modelzoo"
 	"clockwork/internal/runner"
 	"clockwork/internal/simclock"
@@ -98,7 +98,8 @@ func RunFig5(cfg Fig5Config) *Fig5Result {
 }
 
 func runFig5Cell(cfg Fig5Config, system string, slo time.Duration) Fig5Cell {
-	cl := newSystemCluster(system, core.ClusterConfig{
+	cl := newSystemCluster(clockwork.Config{
+		Policy:  clockwork.Policy(system),
 		Workers: 1, GPUsPerWorker: 1,
 		Seed:            cfg.Seed,
 		MetricsInterval: time.Second,
@@ -110,9 +111,7 @@ func runFig5Cell(cfg Fig5Config, system string, slo time.Duration) Fig5Cell {
 
 	stop := simclock.Time(cfg.Warmup + cfg.Duration)
 	for _, name := range names {
-		c := workload.NewClosedLoop(cl, name, slo, cfg.ClientsPer)
-		c.StopAt(stop)
-		c.Start()
+		workload.ClosedLoop(cl, name, slo, cfg.ClientsPer, stop, nil)
 	}
 	cl.RunUntil(stop)
 	// Drain in-flight work.

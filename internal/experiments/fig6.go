@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"clockwork"
 	"clockwork/internal/core"
 	"clockwork/internal/modelzoo"
 	"clockwork/internal/rng"
@@ -86,7 +87,7 @@ type Fig6Result struct {
 // RunFig6 reproduces Fig 6: serving thousands of models from one worker.
 func RunFig6(cfg Fig6Config) *Fig6Result {
 	cfg = cfg.withDefaults()
-	cl := newSystemCluster(SystemClockwork, core.ClusterConfig{
+	cl := newSystemCluster(clockwork.Config{
 		Workers: 1, GPUsPerWorker: 1,
 		PageCacheBytes:  cfg.PageCacheBytes,
 		Seed:            cfg.Seed,

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"clockwork"
 	"clockwork/internal/core"
 	"clockwork/internal/modelzoo"
 	"clockwork/internal/rng"
@@ -65,7 +66,7 @@ type Fig7Result struct {
 // RunFig7 reproduces Fig 7 (left) for one (N, R) configuration.
 func RunFig7(cfg Fig7Config) *Fig7Result {
 	cfg = cfg.withDefaults()
-	cl := newSystemCluster(SystemClockwork, core.ClusterConfig{
+	cl := newSystemCluster(clockwork.Config{
 		Workers: cfg.Workers, GPUsPerWorker: 1,
 		Seed:            cfg.Seed,
 		MetricsInterval: time.Second,
@@ -182,7 +183,7 @@ type Fig7IsoResult struct {
 // and BC throughput as the LS SLO sweeps upward.
 func RunFig7Isolation(cfg Fig7IsoConfig) *Fig7IsoResult {
 	cfg = cfg.withDefaults()
-	cl := newSystemCluster(SystemClockwork, core.ClusterConfig{
+	cl := newSystemCluster(clockwork.Config{
 		Workers: cfg.Workers, GPUsPerWorker: 1,
 		Seed:            cfg.Seed,
 		MetricsInterval: time.Second,
@@ -224,27 +225,16 @@ func RunFig7Isolation(cfg Fig7IsoConfig) *Fig7IsoResult {
 	const bcSLO = 60 * time.Second
 	netLatency := cl.Config().NetLatency
 	for _, name := range bcNames {
-		model := name
-		var inFlight func()
-		inFlight = func() {
-			if cl.Eng.Now() >= endAt {
-				return
-			}
-			cl.Submit(core.SubmitSpec{Model: model, SLO: bcSLO}, core.ResultFunc(func(r core.Result) {
-				if r.Success {
-					// The response left the controller one client-link
-					// latency ago: the link has no bandwidth cap and no
-					// jitter.
-					if e := epochOf(cl.Eng.Now().Add(-netLatency)); e >= 0 {
-						epochs[e].bcDone++
-					}
+		workload.ClosedLoop(cl, name, bcSLO, cfg.BCConc, endAt, func(r core.Result) {
+			if r.Success {
+				// The response left the controller one client-link
+				// latency ago: the link has no bandwidth cap and no
+				// jitter.
+				if e := epochOf(cl.Eng.Now().Add(-netLatency)); e >= 0 {
+					epochs[e].bcDone++
 				}
-				inFlight()
-			}))
-		}
-		for i := 0; i < cfg.BCConc; i++ {
-			inFlight()
-		}
+			}
+		})
 	}
 
 	cl.RunUntil(endAt.Add(time.Second))

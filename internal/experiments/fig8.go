@@ -5,6 +5,7 @@ import (
 	"strings"
 	"time"
 
+	"clockwork"
 	"clockwork/internal/core"
 	"clockwork/internal/modelzoo"
 	"clockwork/internal/rng"
@@ -98,7 +99,7 @@ type Fig8Result struct {
 // trace over Clockwork.
 func RunFig8(cfg Fig8Config) *Fig8Result {
 	cfg = cfg.withDefaults()
-	cl := newSystemCluster(SystemClockwork, core.ClusterConfig{
+	cl := newSystemCluster(clockwork.Config{
 		Workers:          cfg.Workers,
 		GPUsPerWorker:    cfg.GPUsPerWorker,
 		Seed:             cfg.Seed,

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"clockwork"
+	"clockwork/internal/core"
 	"clockwork/internal/modelzoo"
 	"clockwork/internal/rng"
 	"clockwork/internal/runner"
@@ -79,12 +80,12 @@ func (c ScaleConfig) withDefaults() ScaleConfig {
 	return c
 }
 
-// check rejects, before any cell starts, a group count the substrate
-// cannot hold: the cluster refuses more placement groups than workers.
+// check rejects, before any cell starts, a group count the cluster
+// cannot hold (core.ClusterConfig.Validate).
 func (c ScaleConfig) check() error {
 	for _, n := range c.Shards {
-		if n > c.Workers {
-			return fmt.Errorf("%d placement groups need at least as many workers (have %d)", n, c.Workers)
+		if err := (core.ClusterConfig{Workers: c.Workers, Shards: n}).Validate(); err != nil {
+			return err
 		}
 	}
 	return nil

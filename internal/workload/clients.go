@@ -8,57 +8,43 @@ import (
 	"clockwork/internal/simclock"
 )
 
-// ClosedLoopClient maintains a fixed number of outstanding requests to
-// one model: each response immediately triggers the next request
-// (§6.1 runs 16 such clients per model).
-type ClosedLoopClient struct {
-	cl          *core.Cluster
-	model       string
-	slo         time.Duration
-	concurrency int
-	stopAt      simclock.Time
-
-	sent      uint64
-	succeeded uint64
-}
-
-// NewClosedLoop returns a closed-loop client; Start begins submission.
-func NewClosedLoop(cl *core.Cluster, model string, slo time.Duration, concurrency int) *ClosedLoopClient {
+// ClosedLoop keeps concurrency requests to model outstanding on cl
+// (§6.1 runs 16 such clients per model): each response calls done (when
+// non-nil) and only then issues the next request. No request is issued
+// at or after stop, the first included.
+func ClosedLoop(cl *core.Cluster, model string, slo time.Duration, concurrency int, stop simclock.Time, done func(core.Result)) {
 	if concurrency <= 0 {
 		panic("workload: non-positive concurrency")
 	}
-	return &ClosedLoopClient{cl: cl, model: model, slo: slo, concurrency: concurrency, stopAt: simclock.MaxTime}
-}
-
-// StopAt sets the instant after which completed requests are not
-// re-issued. Must be called before Start.
-func (c *ClosedLoopClient) StopAt(t simclock.Time) { c.stopAt = t }
-
-// Start issues the initial window of requests.
-func (c *ClosedLoopClient) Start() {
-	for i := 0; i < c.concurrency; i++ {
-		c.submit()
+	l := &closedLoop{cl: cl, spec: core.SubmitSpec{Model: model, SLO: slo}, stop: stop, done: done}
+	for i := 0; i < concurrency; i++ {
+		l.submit()
 	}
 }
 
-func (c *ClosedLoopClient) submit() {
-	if c.cl.Eng.Now() >= c.stopAt {
+// closedLoop is one model's closed-loop clients, and the sink of every
+// request they issue.
+type closedLoop struct {
+	cl   *core.Cluster
+	spec core.SubmitSpec
+	stop simclock.Time
+	done func(core.Result)
+}
+
+func (l *closedLoop) submit() {
+	if l.cl.Eng.Now() >= l.stop {
 		return
 	}
-	c.sent++
-	c.cl.Submit(core.SubmitSpec{Model: c.model, SLO: c.slo}, core.ResultFunc(func(r core.Result) {
-		if r.Success && r.Latency <= c.slo {
-			c.succeeded++
-		}
-		c.submit()
-	}))
+	l.cl.Submit(l.spec, l)
 }
 
-// Sent returns the number of requests issued.
-func (c *ClosedLoopClient) Sent() uint64 { return c.sent }
-
-// Succeeded returns the number of responses within SLO.
-func (c *ClosedLoopClient) Succeeded() uint64 { return c.succeeded }
+// OnResult implements core.ResultSink.
+func (l *closedLoop) OnResult(r core.Result) {
+	if l.done != nil {
+		l.done(r)
+	}
+	l.submit()
+}
 
 // OpenLoop drives one Poisson arrival process on eng (§6.3):
 // exponential gaps of mean 1/rate seconds drawn from stream, the first

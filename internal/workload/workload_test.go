@@ -18,22 +18,31 @@ func newCluster() *core.Cluster {
 func TestClosedLoopMaintainsConcurrency(t *testing.T) {
 	cl := newCluster()
 	cl.RegisterModel("m", modelzoo.ResNet50())
-	c := NewClosedLoop(cl, "m", 100*time.Millisecond, 4)
-	c.StopAt(simclock.Time(2 * time.Second))
-	c.Start()
+	const slo = 100 * time.Millisecond
+	var answered, succeeded int
+	ClosedLoop(cl, "m", slo, 4, simclock.Time(2*time.Second), func(r core.Result) {
+		answered++
+		if r.Success && r.Latency <= slo {
+			succeeded++
+		}
+	})
 	cl.RunFor(3 * time.Second)
 
-	if c.Sent() < 100 {
-		t.Fatalf("sent only %d requests in 2s", c.Sent())
+	if answered < 100 {
+		t.Fatalf("answered only %d requests in 2s", answered)
 	}
-	if c.Succeeded() == 0 {
+	if succeeded == 0 {
 		t.Fatal("nothing succeeded")
 	}
 	// Warm ResNet50 at batch ≤4: exec ≤5.88ms → roughly
 	// 4/0.006 ≈ 600+ r/s; closed loop with 4 outstanding should get
 	// at least a few hundred per second.
-	if rate := float64(c.Sent()) / 2; rate < 300 {
+	if rate := float64(answered) / 2; rate < 300 {
 		t.Fatalf("closed-loop rate %.0f r/s too low", rate)
+	}
+	// Every request issued was answered: none was left in flight.
+	if s := cl.Stats(); s.Requests != uint64(answered) {
+		t.Fatalf("%d requests arrived, %d answered", s.Requests, answered)
 	}
 }
 
@@ -43,7 +52,7 @@ func TestClosedLoopPanicsOnBadConcurrency(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewClosedLoop(newCluster(), "m", time.Second, 0)
+	ClosedLoop(newCluster(), "m", time.Second, 0, simclock.MaxTime, nil)
 }
 
 func TestOpenLoopRate(t *testing.T) {

@@ -85,70 +85,75 @@ func requireSameState(t *testing.T, stage string, a, b *clockwork.System) {
 // recorder, read back from disk, decoded and re-applied to a system
 // built from the epoch's genesis — the path recovery and replay take.
 // Both must report the same effects and errors and end in the same
-// state, before and after the same traffic.
+// state, before and after the same traffic, under every policy: the
+// genesis must rebuild the policy the epoch was recorded with.
 func TestApplyDirectAndRecordedAgree(t *testing.T) {
-	cfg := clockwork.Config{Workers: 2, GPUsPerWorker: 1, Shards: 2, Seed: 9}
-	ops := controlOps()
+	for _, p := range clockwork.Policies() {
+		t.Run(string(p), func(t *testing.T) {
+			cfg := clockwork.Config{Workers: 2, GPUsPerWorker: 1, Shards: 2, Seed: 9, Policy: p}
+			ops := controlOps()
 
-	direct := newSystem(t, cfg)
-	want := applyAll(direct, nil, ops)
+			direct := newSystem(t, cfg)
+			want := applyAll(direct, nil, ops)
 
-	dir := t.TempDir()
-	live := newSystem(t, cfg)
-	rec, err := Create(dir, live, cfg, Options{Fsync: FsyncNever})
-	if err != nil {
-		t.Fatalf("Create: %v", err)
-	}
-	if got := applyAll(live, rec, ops); strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("recording changed the effects:\n%s\nvs\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
-	}
-	if err := rec.Close(); err != nil {
-		t.Fatalf("Close: %v", err)
-	}
+			dir := t.TempDir()
+			live := newSystem(t, cfg)
+			rec, err := Create(dir, live, cfg, Options{Fsync: FsyncNever})
+			if err != nil {
+				t.Fatalf("Create: %v", err)
+			}
+			if got := applyAll(live, rec, ops); strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("recording changed the effects:\n%s\nvs\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+			if err := rec.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
 
-	ep, err := Load(dir)
-	if err != nil {
-		t.Fatalf("Load: %v", err)
-	}
-	var decoded []Op
-	for i := range ep.Records {
-		if op := ep.Records[i].Op; op != nil {
-			decoded = append(decoded, op)
-		}
-	}
-	if len(decoded) != len(ops) {
-		t.Fatalf("decoded %d ops, recorded %d", len(decoded), len(ops))
-	}
-	for i := range ops {
-		if decoded[i] != ops[i] {
-			t.Fatalf("op %d decoded as %#v, recorded %#v", i, decoded[i], ops[i])
-		}
-	}
-	replayed, err := BuildSystem(ep.Genesis)
-	if err != nil {
-		t.Fatalf("BuildSystem: %v", err)
-	}
-	if got := applyAll(replayed, nil, decoded); strings.Join(got, "\n") != strings.Join(want, "\n") {
-		t.Fatalf("decoded ops had other effects:\n%s\nvs\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
-	}
-	requireSameState(t, "after the ops", direct, replayed)
-
-	// The same traffic on both: a different worker set or placement
-	// would show in the outcomes.
-	for _, sys := range []*clockwork.System{direct, replayed} {
-		for _, m := range sys.Models() {
-			for k := 0; k < 4; k++ {
-				if _, err := sys.SubmitRequest(clockwork.Request{Model: m, SLO: 100 * time.Millisecond}, nil); err != nil {
-					t.Fatalf("SubmitRequest(%s): %v", m, err)
+			ep, err := Load(dir)
+			if err != nil {
+				t.Fatalf("Load: %v", err)
+			}
+			var decoded []Op
+			for i := range ep.Records {
+				if op := ep.Records[i].Op; op != nil {
+					decoded = append(decoded, op)
 				}
 			}
-		}
-		sys.RunFor(time.Second)
+			if len(decoded) != len(ops) {
+				t.Fatalf("decoded %d ops, recorded %d", len(decoded), len(ops))
+			}
+			for i := range ops {
+				if decoded[i] != ops[i] {
+					t.Fatalf("op %d decoded as %#v, recorded %#v", i, decoded[i], ops[i])
+				}
+			}
+			replayed, err := BuildSystem(ep.Genesis)
+			if err != nil {
+				t.Fatalf("BuildSystem: %v", err)
+			}
+			if got := applyAll(replayed, nil, decoded); strings.Join(got, "\n") != strings.Join(want, "\n") {
+				t.Fatalf("decoded ops had other effects:\n%s\nvs\n%s", strings.Join(got, "\n"), strings.Join(want, "\n"))
+			}
+			requireSameState(t, "after the ops", direct, replayed)
+
+			// The same traffic on both: a different worker set or placement
+			// would show in the outcomes.
+			for _, sys := range []*clockwork.System{direct, replayed} {
+				for _, m := range sys.Models() {
+					for k := 0; k < 4; k++ {
+						if _, err := sys.SubmitRequest(clockwork.Request{Model: m, SLO: 100 * time.Millisecond}, nil); err != nil {
+							t.Fatalf("SubmitRequest(%s): %v", m, err)
+						}
+					}
+				}
+				sys.RunFor(time.Second)
+			}
+			if direct.Summary().Succeeded == 0 {
+				t.Fatalf("no request succeeded: %+v", direct.Summary())
+			}
+			requireSameState(t, "after traffic", direct, replayed)
+		})
 	}
-	if direct.Summary().Succeeded == 0 {
-		t.Fatalf("no request succeeded: %+v", direct.Summary())
-	}
-	requireSameState(t, "after traffic", direct, replayed)
 }
 
 // TestSyncLoopAndWriteFailure drives the default fsync policy's
